@@ -20,6 +20,7 @@ target).  Schema errors carry JSON-pointer paths.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -83,7 +84,18 @@ def _build_state(state_doc):
         return states.make_state(state_doc["kind"],
                                  **state_doc.get("params", {}))
     except states.StateParameterError as e:
-        raise CliInputError("/state: %s" % (e,))
+        where = "/state/params/" + e.param if e.param else "/state"
+        raise CliInputError("%s: %s" % (where, e))
+
+
+def _count(params, key, default, least=1):
+    """An integer task parameter of at least `least`."""
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or value != int(value) or value < least:
+        raise CliInputError("/params/%s: must be an integer >= %d, got %r"
+                            % (key, least, value))
+    return int(value)
 
 
 def _default_orbit(state, params):
@@ -107,18 +119,18 @@ def _default_orbit(state, params):
 # ---------------------------------------------------------------------------
 # task runners: each returns (results dict, passed bool, paper_refs)
 
-def _task_verify(doc, seed, budget, threads):
+def _task_verify(doc, seed, budget):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
     rng = np.random.default_rng(seed)
-    sets = int(p.get("sets", 50))
-    n = int(p.get("samples", 24))
+    sets = _count(p, "sets", 50)
+    n = _count(p, "samples", 24)
     worst = 0.0
     for _ in range(sets):
         samples = states.support_samples(state, rng, n)
         gm = states.gram(state, samples)
         worst = min(worst, float(gm.eigenvalues[-1]) / len(samples))
-    pairs_n = int(p.get("pairs", 2000))
+    pairs_n = _count(p, "pairs", 2000)
     xs = states.support_samples(state, rng, pairs_n)
     ys = states.support_samples(state, rng, pairs_n)
     ineq = states.check_inequalities(state, list(zip(xs, ys)))
@@ -134,11 +146,11 @@ def _task_verify(doc, seed, budget, threads):
         ["state-psd-kernel", "modulus-and-continuity-bounds"]
 
 
-def _task_gram(doc, seed, budget, threads):
+def _task_gram(doc, seed, budget):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
     rng = np.random.default_rng(seed)
-    samples = states.support_samples(state, rng, int(p.get("samples", 24)))
+    samples = states.support_samples(state, rng, _count(p, "samples", 24))
     gm = states.gram(state, samples)
     ok = float(gm.eigenvalues[-1]) >= -1e-9 * gm.n
     results = {
@@ -150,10 +162,10 @@ def _task_gram(doc, seed, budget, threads):
     return results, bool(ok), ["state-psd-kernel"]
 
 
-def _task_gns(doc, seed, budget, threads):
+def _task_gns(doc, seed, budget):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
-    samples, probes = gns.closed_sample_set(state, int(p.get("n", 16)), seed)
+    samples, probes = gns.closed_sample_set(state, _count(p, "n", 16), seed)
     space = gns.build(state, samples)
     worst_res, worst_rec = 0.0, 0.0
     for g in probes:
@@ -180,14 +192,14 @@ def _task_gns(doc, seed, budget, threads):
     return results, bool(ok), ["finite-gns-recovery"]
 
 
-def _task_spectral(doc, seed, budget, threads):
+def _task_spectral(doc, seed, budget):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
     if "Z" not in p:
         raise CliInputError("/params/Z: direction coordinates required")
     Z = groups.algebra(state.family, p["Z"])
     est = spectral.density_estimate(state, Z,
-                                    T=p.get("T"), N=int(p.get("N", 2 ** 14)))
+                                    T=p.get("T"), N=_count(p, "N", 2 ** 14))
     results = {
         "classification": est.classification,
         "atoms": [[float(om), float(m)] for om, m in est.atoms],
@@ -212,12 +224,12 @@ def _task_spectral(doc, seed, budget, threads):
     return results, bool(ok), ["abelian-restriction-spectrum"]
 
 
-def _task_orbit(doc, seed, budget, threads):
+def _task_orbit(doc, seed, budget):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
     spec = _default_orbit(state, p)
     rng = np.random.default_rng(seed)
-    count = int(p.get("count", 1000))
+    count = _count(p, "count", 1000)
     pts = spec.sample(rng, count)
     rel = _relation_residual(spec, pts)
     results = {
@@ -240,7 +252,7 @@ def _task_orbit(doc, seed, budget, threads):
         results["_projections"] = proj
     if spec.family == "su2":
         lam = spec.params["lam"]
-        dist = orbits.kostant_projection_check(lam, int(p.get("kostant", 10 ** 5)),
+        dist = orbits.kostant_projection_check(lam, _count(p, "kostant", 10 ** 5),
                                                seed)
         results["kostant_hausdorff"] = dist
         results["pass"] = bool(results["pass"] and dist < 0.01)
@@ -267,17 +279,16 @@ def _relation_residual(spec, pts):
     return 0.0
 
 
-def _task_quantum(doc, seed, budget, threads):
+def _task_quantum(doc, seed, budget):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
     spec = _default_orbit(state, p)
     report = orbits.quantum_check(
         state, spec,
-        trials=int(p.get("trials", 200)),
-        n_max=int(p.get("n_max", 3)),
-        budget=budget if budget is not None else int(p.get("budget", 10000)),
-        seed=seed,
-        threads=threads)
+        trials=_count(p, "trials", 200),
+        n_max=_count(p, "n_max", 3),
+        budget=budget if budget is not None else _count(p, "budget", 10000, 0),
+        seed=seed)
     results = dict(report)
     return results, bool(report["pass"]), ["orbit-sup-inequality"]
 
@@ -441,7 +452,7 @@ _REPRODUCERS = {
 }
 
 
-def _task_reproduce(doc, seed, budget, threads):
+def _task_reproduce(doc, seed, budget):
     target = doc.get("params", {}).get("target")
     matrix, details, refs = _REPRODUCERS[target](seed, budget)
     results = {"target": target, "matrix": matrix, "details": details}
@@ -512,23 +523,45 @@ def emit_plotdata(report, outdir="."):
     return written
 
 
-def run(scenario_path, seed=None, out=None, budget=None, threads=None):
-    """Execute one scenario file; returns the process exit code."""
+def _nonfinite_pointer(obj, path=""):
+    """JSON pointer of the first NaN or infinite number in obj, or None."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return path or "/"
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        found = _nonfinite_pointer(value, "%s/%s" % (path, key))
+        if found:
+            return found
+    return None
+
+
+def _load_scenario(path):
+    """Parse a scenario file; NaN and infinite numbers (which Python's json
+    accepts, including overflowing literals such as 1e999) are input
+    errors."""
     try:
-        with open(scenario_path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return 2
+        raise CliInputError(str(e))
     except json.JSONDecodeError as e:
-        print("input error: malformed JSON: %s" % e, file=sys.stderr)
-        return 2
+        raise CliInputError("malformed JSON: %s" % e)
+    pointer = _nonfinite_pointer(doc)
+    if pointer:
+        raise CliInputError("%s: numbers must be finite" % pointer)
+    return doc
+
+
+def run(scenario_path, seed=None, out=None, budget=None):
+    """Execute one scenario file; returns the process exit code."""
     try:
+        doc = _load_scenario(scenario_path)
         validate_scenario(doc)
         seed = doc["seed"] if seed is None else seed
         outdir = out or doc.get("out", "reports")
         runner = _RUNNERS[doc["task"]]
-        results, passed, refs = runner(doc, seed, budget, threads or 1)
+        results, passed, refs = runner(doc, seed, budget)
     except CliInputError as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
@@ -589,15 +622,9 @@ def main(argv=None):
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--budget", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
         if name == "reproduce":
             sp.add_argument("target", nargs="?", choices=REPRODUCE_TARGETS)
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("STATES_THREADS")
-        threads = int(env) if env else 1
 
     cmd_task = {"verify": "verify", "gram": "gram", "gns": "gns",
                 "spectral": "spectral", "orbit": "orbit_project",
@@ -618,7 +645,7 @@ def main(argv=None):
             path = fh.name
         try:
             return run(path, seed=args.seed, out=args.out,
-                       budget=args.budget, threads=threads)
+                       budget=args.budget)
         finally:
             os.unlink(path)
 
@@ -626,9 +653,8 @@ def main(argv=None):
         print("input error: --scenario is required", file=sys.stderr)
         return 2
     try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+        doc = _load_scenario(args.scenario)
+    except CliInputError as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
     if isinstance(doc, dict) and doc.get("task") not in (None, expected):
@@ -637,7 +663,7 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     return run(args.scenario, seed=args.seed, out=args.out,
-               budget=args.budget, threads=threads)
+               budget=args.budget)
 
 
 if __name__ == "__main__":

@@ -304,6 +304,14 @@ def log(g):
     raise FamilyError(f)
 
 
+def _cross(a, b):
+    """a x b for 3-vectors: np.cross costs microseconds of argument
+    handling per call, and commuting() brackets every pair of every tuple."""
+    a1, a2, a3 = a.tolist()
+    b1, b2, b3 = b.tolist()
+    return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
+
+
 def bracket(Z, W):
     _check_same(Z, W)
     f = Z.family
@@ -320,9 +328,9 @@ def bracket(Z, W):
         a1, r1 = Z.coords[:3], Z.coords[3:]
         a2, r2 = W.coords[:3], W.coords[3:]
         return AlgebraElement(f, np.concatenate(
-            [np.cross(a1, a2), np.cross(a1, r2) - np.cross(a2, r1)]))
+            [_cross(a1, a2), _cross(a1, r2) - _cross(a2, r1)]))
     if f == "su2":
-        return AlgebraElement(f, np.cross(Z.coords, W.coords))
+        return AlgebraElement(f, _cross(Z.coords, W.coords))
     if f == "torus":
         return AlgebraElement(f, np.zeros_like(Z.coords))
     raise FamilyError(f)

@@ -3,9 +3,10 @@ sup-inequality check run as a numerical optimization.
 
 The check asks, for commuting tuples (Z_1..Z_n) and coefficients c_j,
 whether |sum_j c_j m(exp Z_j)| stays below sup over orbit points x of
-|sum_j c_j e^{i<x, Z_j>}|.  The sampled sup UNDERestimates the true sup, so
-the test is conservative: a reported failure is a genuine refutation up to
-the margin slack, never the other way round.
+|sum_j c_j e^{i<x, Z_j>}|.  The searched sup UNDERestimates the true sup,
+so a pass is certified (the left side stays below a value the orbit
+attains), while a reported failure is not: a finer search might still find
+a larger value on the orbit.
 
 Commuting tuples are drawn from documented per-family whitelists rather
 than searched for generically:
@@ -28,13 +29,27 @@ Every family reduces the orbit sup to a 1-D or 2-D search:
   su2         axis heights h in [-lambda, lambda]
   torus       a single point
 
-Budget counts seeded sample draws; re-running with a larger budget extends
+The search for one tuple runs in stages of rising cost and checks an
+optional target (the left side under test) after each one:
+
+  1  anchors: the state's localization points and the SU(2) weight
+     heights, plus the exact value when the tuple has one term or is
+     central;
+  2  O(n) analytic class bounds: frequency-class means on the lines R, the
+     sphere mean sum c_j sinc|w_j| and the directions +-w_j/|w_j|, the
+     per-s-class strip bound on a coarse p grid, the stationary-phase
+     classes of the Bargmann ideal;
+  3  a fixed 1-in-16 subset of the chart's fixed grid;
+  4  the rest of that grid, plus three great circles and their means on
+     the sphere and the strip's class bound on the rest of its p grid;
+  5  the budgeted seeded draws, then gradient ascents from the best points.
+
+Every stage yields a true lower bound on the sup, so stopping once it
+reaches the target is sound, and without a target every stage runs.
+`budget` caps the draws of stage 5; re-running with a larger budget extends
 the same stream, so estimates are monotone in the budget by construction.
-An optional target short-circuits the search once the certified lower bound
-reaches it: anchors, analytic means, and the fixed grids are evaluated
-first, and the budgeted random draws plus ascent only run when those fall
-short.  Since every candidate is a true lower bound, stopping early can
-only weaken the estimate, never inflate it.
+`SupEstimate.drawn` and the `samples_drawn` field of a `quantum_check`
+report say how many draws were actually made.
 """
 
 import math
@@ -47,15 +62,23 @@ from .tolerances import DEFAULT
 
 GRID_1D = 4096
 GRID_2D = 96
+CIRCLE = 512
+COARSE = 16          # stage 3 evaluates every COARSE-th point of a fixed grid
+DRAW_CHUNK = 8192    # stage 5 evaluates its draws this many at a time
 ASCENT_STEPS = 50
 ASCENT_RESTARTS = 8
+
+# the stage names of SupEstimate.stage (1-based) as quantum_check reports them
+STAGES = ("anchor", "class_bound", "coarse_grid", "full_grid", "search")
 
 
 @dataclass
 class SupEstimate:
     value: float
-    samples: int
+    samples: int         # orbit points evaluated, draws included
     ascent_steps: int
+    stage: int = 1       # the last stage run (the one that met any target)
+    drawn: int = 0       # budgeted draws made (stage 5 only)
 
     def __float__(self):
         return float(self.value)
@@ -156,6 +179,122 @@ def project(w, Zs):
 # ---------------------------------------------------------------------------
 # sup search
 
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+def _fibonacci_sphere(n):
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    phi = np.pi * (1.0 + math.sqrt(5.0)) * i
+    rho = np.sqrt(1.0 - z * z)
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+
+
+def _circles(n):
+    """n points on each of the great circles about the x, y and z axes."""
+    phi = 2.0 * np.pi * np.arange(n) / n
+    c, s, o = np.cos(phi), np.sin(phi), np.zeros(n)
+    return np.vstack([np.column_stack([o, c, s]), np.column_stack([c, o, s]),
+                      np.column_stack([c, s, o])])
+
+
+def _unit_strip():
+    """(l, p) in [-1, 1]^2 on a GRID_2D^2 grid, then the l = 0 slice at
+    GRID_1D heights: the l = 0 slice carries every measure with vanishing
+    angular momentum (spherical and cylindrical means land there)."""
+    u = np.linspace(-1.0, 1.0, GRID_2D)
+    grid = np.column_stack([np.repeat(u, GRID_2D), np.tile(u, GRID_2D)])
+    return np.vstack([grid, np.column_stack([np.zeros(GRID_1D), _LINE])])
+
+
+# fixed grids on unit charts, built once and scaled per call
+_LINE = _frozen(np.linspace(-1.0, 1.0, GRID_1D))
+_SPHERE = _frozen(_fibonacci_sphere(GRID_1D))
+_CIRCLES = _frozen(_circles(CIRCLE))
+_STRIP = _frozen(_unit_strip())
+
+
+class _Bound:
+    """The running certified lower bound of one orbit_sup call."""
+    __slots__ = ("target", "value", "samples", "steps", "stage", "drawn")
+
+    def __init__(self, target):
+        self.target = target
+        self.value = 0.0
+        self.samples = self.steps = self.drawn = 0
+        self.stage = 1
+
+    def points(self, vals):
+        """Fold in the values at evaluated orbit points."""
+        if len(vals):
+            self.value = max(self.value, float(np.max(vals)))
+        self.samples += len(vals)
+
+    def bound(self, v):
+        """Fold in an analytic lower bound."""
+        self.value = max(self.value, float(v))
+
+    def met(self, stage):
+        """Close `stage`; True once the target is reached."""
+        self.stage = stage
+        return self.target is not None and self.value >= self.target
+
+    def estimate(self):
+        return SupEstimate(self.value, self.samples, self.steps, self.stage,
+                           self.drawn)
+
+
+def _rest(n):
+    """Mask of the grid points stage 3 skips and stage 4 evaluates."""
+    mask = np.ones(n, dtype=bool)
+    mask[::COARSE] = False
+    return mask
+
+
+def _grid_stages(run, grid, value):
+    """Stages 3 and 4 on a fixed grid: every COARSE-th point, then the
+    rest.  Returns the values in grid order, or None once the target is met
+    (stage 4 is closed by the caller, after its chart's extras)."""
+    vals = np.empty(len(grid))
+    vals[::COARSE] = value(grid[::COARSE])
+    run.points(vals[::COARSE])
+    if run.met(3):
+        return None
+    rest = _rest(len(grid))
+    vals[rest] = value(grid[rest])
+    run.points(vals[rest])
+    return vals
+
+
+def _draws(budget, draw):
+    """The budgeted draws in chunks of at most DRAW_CHUNK points, drawn in
+    stream order by draw(count)."""
+    for start in range(0, budget, DRAW_CHUNK):
+        yield draw(min(DRAW_CHUNK, budget - start))
+
+
+def _search(run, X, vals, chunks, value, ascend):
+    """Stage 5: evaluate the drawn chunks, keeping each chunk's best
+    ASCENT_RESTARTS points, then ascend from the ASCENT_RESTARTS best of
+    those and of the fixed points X.  Memory stays bounded by the chunk."""
+    run.stage = 5
+    keep_X, keep_v = [X], [vals]
+    for D in chunks:
+        v = value(D)
+        run.points(v)
+        run.drawn += len(v)
+        top = np.argsort(v)[::-1][:ASCENT_RESTARTS]
+        keep_X.append(D[top])
+        keep_v.append(v[top])
+    X, vals = np.concatenate(keep_X), np.concatenate(keep_v)
+    for idx in np.argsort(vals)[::-1][:ASCENT_RESTARTS]:
+        f, steps = ascend(X[idx].copy())
+        run.steps += steps
+        run.bound(f)
+
+
 def _trig_value(taus, freqs, cs, offs):
     ph = np.multiply.outer(taus, freqs) + offs
     return np.abs(np.exp(1j * ph) @ cs)
@@ -201,182 +340,230 @@ def _freq_class_bound(freqs, cs, offs):
     return best
 
 
-def _sup_1d(freqs, cs, offs, budget, seed, lo, hi, clamp, anchors=(),
-            target=None):
+def _sup_1d(run, freqs, cs, offs, r, clamp, budget, seed, anchors=()):
+    """sup over tau of |sum c_j e^{i(freq_j tau + off_j)}|: over [-r, r]
+    when clamped (the SU(2) interval), else over R, searched in [-r, r]."""
     freqs = np.asarray(freqs, float)
     offs = np.asarray(offs, float)
-    cs = np.asarray(cs, complex)
-    pts = [np.linspace(lo, hi, GRID_1D), np.asarray(anchors, float)]
-    taus = np.concatenate([p for p in pts if p.size])
-    vals = _trig_value(taus, freqs, cs, offs)
-    best = float(np.max(vals))
+
+    def value(taus):
+        return _trig_value(taus, freqs, cs, offs)
+
+    anchors = np.asarray(anchors, float)
+    avals = value(anchors)
+    run.points(avals)
+    if run.met(1):
+        return
     if not clamp:
-        best = max(best, _freq_class_bound(freqs, cs, offs))
-    if target is not None and best >= target:
-        return best, len(taus), 0
+        run.bound(_freq_class_bound(freqs, cs, offs))
+    if run.met(2):
+        return
+    taus = r * _LINE
+    vals = _grid_stages(run, taus, value)
+    if vals is None or run.met(4):
+        return
     rng = np.random.default_rng(seed)
-    if budget > 0:
-        draws = rng.uniform(lo, hi, size=budget)
-        taus = np.concatenate([taus, draws])
-        vals = np.concatenate([vals, _trig_value(draws, freqs, cs, offs)])
-    order = np.argsort(vals)[::-1][:ASCENT_RESTARTS]
-    best = max(best, float(vals[order[0]]))
-    steps = 0
-    for idx in order:
-        f, st = _ascend_1d(taus[idx], freqs, cs, offs,
-                           lo if clamp else None, hi if clamp else None)
-        steps += st
-        best = max(best, f)
-    return best, len(taus), steps
+    lo, hi = (-r, r) if clamp else (None, None)
+    _search(run, np.concatenate([taus, anchors]), np.concatenate([vals, avals]),
+            _draws(budget, lambda n: rng.uniform(-r, r, size=n)), value,
+            lambda x: _ascend_1d(x, freqs, cs, offs, lo, hi))
 
 
-def _fibonacci_sphere(n):
-    i = np.arange(n) + 0.5
-    z = 1.0 - 2.0 * i / n
-    phi = np.pi * (1.0 + math.sqrt(5.0)) * i
-    rho = np.sqrt(1.0 - z * z)
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-
-
-def _sup_sphere(ws, cs, budget, seed, anchors=(), target=None):
-    """sup over the unit sphere of |sum c_j e^{i u.w_j}|."""
-    from .states import sinc
-
-    ws = np.asarray(ws, float)
-    cs = np.asarray(cs, complex)
-    pts = [_fibonacci_sphere(GRID_1D)]
-    for w in ws:
-        nw = np.linalg.norm(w)
-        if nw > 1e-12:
-            pts.append(np.array([w / nw, -w / nw]))
-    if len(anchors):
-        pts.append(np.asarray(anchors, float))
-    # circles about the coordinate axes: their points are candidates and so
-    # are their means (a circle mean lower-bounds the sup over the circle)
-    phi = 2.0 * np.pi * np.arange(512) / 512.0
-    circ = {0: np.column_stack([np.zeros(512), np.cos(phi), np.sin(phi)]),
-            1: np.column_stack([np.cos(phi), np.zeros(512), np.sin(phi)]),
-            2: np.column_stack([np.cos(phi), np.sin(phi), np.zeros(512)])}
-    pts.extend(circ.values())
-    U = np.vstack(pts)
-    vals = np.abs(np.exp(1j * (U @ ws.T)) @ cs)
-    best = float(np.max(vals))
-    # sphere-uniform mean of the signal = sum c_j sinc(|w_j|)
-    best = max(best, float(abs(np.sum(cs * sinc(np.linalg.norm(ws, axis=1))))))
-    for C in circ.values():
-        best = max(best, float(abs(np.mean(np.exp(1j * (C @ ws.T)) @ cs))))
-    if target is not None and best >= target:
-        return best, len(U), 0
-    rng = np.random.default_rng(seed)
-    if budget > 0:
-        u = rng.standard_normal((budget, 3))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        U = np.vstack([U, u])
-        vals = np.concatenate([vals, np.abs(np.exp(1j * (u @ ws.T)) @ cs)])
-    order = np.argsort(vals)[::-1][:ASCENT_RESTARTS]
-    best = max(best, float(vals[order[0]]))
-    steps = 0
-
+def _ascend_sphere(u, ws, cs):
+    """Projected gradient ascent on the unit sphere."""
     def value(u):
         return float(np.abs(np.exp(1j * (u @ ws.T)) @ cs))
 
-    for idx in order:
-        u = U[idx].copy()
-        fu = value(u)
-        eta = 0.5 / max(1.0, np.max(np.sum(ws * ws, axis=1)))
-        for _ in range(ASCENT_STEPS):
-            ph = np.exp(1j * (u @ ws.T))
-            S = ph @ cs
-            grad = 2.0 * np.real(np.conj(S) * ((1j * cs * ph) @ ws))
-            grad -= (grad @ u) * u
-            un = u + eta * grad
-            un /= np.linalg.norm(un)
-            fn = value(un)
-            steps += 1
-            if fn >= fu:
-                u, fu = un, fn
-            else:
-                eta *= 0.5
-                if eta < 1e-18:
-                    break
-        best = max(best, fu)
-    return best, len(U), steps
-
-
-def _sup_strip(sfreq, pfreq, cs, k, budget, seed, box, anchors=(),
-               target=None):
-    """sup over (l, p) in R x [-k, k] of |sum c_j e^{i(s_j l + t_j p)}|."""
-    sfreq = np.asarray(sfreq, float)
-    pfreq = np.asarray(pfreq, float)
-    cs = np.asarray(cs, complex)
-    ls = np.linspace(-box, box, GRID_2D)
-    ps = np.linspace(-k, k, GRID_2D)
-    L, P = np.meshgrid(ls, ps, indexing="ij")
-    pts = [np.column_stack([L.ravel(), P.ravel()])]
-    p_fine = np.linspace(-k, k, GRID_1D)
-    # the l = 0 slice carries every measure with vanishing angular momentum
-    # (spherical and cylindrical means land there), so sample it densely
-    pts.append(np.column_stack([np.zeros(GRID_1D), p_fine]))
-    if len(anchors):
-        pts.append(np.asarray(anchors, float))
-    X = np.vstack(pts)
-    ph = np.outer(X[:, 0], sfreq) + np.outer(X[:, 1], pfreq)
-    vals = np.abs(np.exp(1j * ph) @ cs)
-    best = float(np.max(vals))
-    # per-s-frequency class bound: sup_{l,p} >= sup_p |mean_l of class|
-    for s in np.unique(sfreq):
-        sel = sfreq == s
-        cls = np.abs(np.exp(1j * np.outer(p_fine, pfreq[sel])) @ cs[sel])
-        best = max(best, float(np.max(cls)))
-    if target is not None and best >= target:
-        return best, len(X), 0
-    rng = np.random.default_rng(seed)
-    if budget > 0:
-        draw = np.column_stack([rng.uniform(-box, box, budget),
-                                rng.uniform(-k, k, budget)])
-        X = np.vstack([X, draw])
-        phd = np.outer(draw[:, 0], sfreq) + np.outer(draw[:, 1], pfreq)
-        vals = np.concatenate([vals, np.abs(np.exp(1j * phd) @ cs)])
-    order = np.argsort(vals)[::-1][:ASCENT_RESTARTS]
-    best = max(best, float(vals[order[0]]))
     steps = 0
+    fu = value(u)
+    eta = 0.5 / max(1.0, np.max(np.sum(ws * ws, axis=1)))
+    for _ in range(ASCENT_STEPS):
+        ph = np.exp(1j * (u @ ws.T))
+        S = ph @ cs
+        grad = 2.0 * np.real(np.conj(S) * ((1j * cs * ph) @ ws))
+        grad -= (grad @ u) * u
+        un = u + eta * grad
+        un /= np.linalg.norm(un)
+        fn = value(un)
+        steps += 1
+        if fn >= fu:
+            u, fu = un, fn
+        else:
+            eta *= 0.5
+            if eta < 1e-18:
+                break
+    return fu, steps
 
+
+def _sup_sphere(run, ws, cs, budget, seed, anchors=()):
+    """sup over the unit sphere of |sum c_j e^{i u.w_j}|."""
+    ws = np.asarray(ws, float)
+
+    def sums(U):
+        return np.exp(1j * (U @ ws.T)) @ cs
+
+    def value(U):
+        return np.abs(sums(U))
+
+    anchors = np.asarray(anchors, float).reshape(-1, 3)
+    avals = value(anchors)
+    run.points(avals)
+    if run.met(1):
+        return
+    # sphere-uniform mean of the signal = sum c_j sinc(|w_j|)
+    nw = np.linalg.norm(ws, axis=1)
+    run.bound(abs(np.sum(cs * states.sinc(nw))))
+    u = ws[nw > 1e-12] / nw[nw > 1e-12, None]
+    dirs = np.stack([u, -u], axis=1).reshape(-1, 3)
+    dvals = value(dirs)
+    run.points(dvals)
+    if run.met(2):
+        return
+    vals = _grid_stages(run, _SPHERE, value)
+    if vals is None:
+        return
+    # circle points are candidates and so are their means (a circle mean
+    # lower-bounds the sup over the circle)
+    csum = sums(_CIRCLES)
+    cvals = np.abs(csum)
+    run.points(cvals)
+    for S in csum.reshape(3, CIRCLE):
+        run.bound(abs(np.mean(S)))
+    if run.met(4):
+        return
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        u = rng.standard_normal((n, 3))
+        return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+    _search(run, np.vstack([_SPHERE, dirs, anchors, _CIRCLES]),
+            np.concatenate([vals, dvals, avals, cvals]),
+            _draws(budget, draw), value,
+            lambda u: _ascend_sphere(u, ws, cs))
+
+
+def _ascend_strip(x, sfreq, pfreq, cs, k):
+    """Gradient ascent on R x [-k, k], clamping p."""
     def value(x):
         return float(np.abs(np.exp(1j * (sfreq * x[0] + pfreq * x[1])) @ cs))
 
-    scale = max(1.0, np.max(sfreq ** 2 + pfreq ** 2))
-    for idx in order:
-        x = X[idx].copy()
-        fx = value(x)
-        eta = 0.5 / scale
-        for _ in range(ASCENT_STEPS):
-            e = np.exp(1j * (sfreq * x[0] + pfreq * x[1]))
-            S = e @ cs
-            g = np.array([2.0 * np.real(np.conj(S) * ((1j * sfreq * cs) @ e)),
-                          2.0 * np.real(np.conj(S) * ((1j * pfreq * cs) @ e))])
-            xn = x + eta * g
-            xn[1] = min(max(xn[1], -k), k)
-            fn = value(xn)
-            steps += 1
-            if fn >= fx:
-                x, fx = xn, fn
-            else:
-                eta *= 0.5
-                if eta < 1e-18:
-                    break
-        best = max(best, fx)
-    return best, len(X), steps
+    steps = 0
+    fx = value(x)
+    eta = 0.5 / max(1.0, np.max(sfreq ** 2 + pfreq ** 2))
+    for _ in range(ASCENT_STEPS):
+        e = np.exp(1j * (sfreq * x[0] + pfreq * x[1]))
+        S = e @ cs
+        g = np.array([2.0 * np.real(np.conj(S) * ((1j * sfreq * cs) @ e)),
+                      2.0 * np.real(np.conj(S) * ((1j * pfreq * cs) @ e))])
+        xn = x + eta * g
+        xn[1] = min(max(xn[1], -k), k)
+        fn = value(xn)
+        steps += 1
+        if fn >= fx:
+            x, fx = xn, fn
+        else:
+            eta *= 0.5
+            if eta < 1e-18:
+                break
+    return fx, steps
+
+
+def _sup_strip(run, sfreq, pfreq, cs, k, budget, seed, box, anchors=()):
+    """sup over (l, p) in R x [-k, k] of |sum c_j e^{i(s_j l + t_j p)}|."""
+    sfreq = np.asarray(sfreq, float)
+    pfreq = np.asarray(pfreq, float)
+
+    def value(X):
+        ph = np.outer(X[:, 0], sfreq) + np.outer(X[:, 1], pfreq)
+        return np.abs(np.exp(1j * ph) @ cs)
+
+    anchors = np.asarray(anchors, float).reshape(-1, 2)
+    avals = value(anchors)
+    run.points(avals)
+    if run.met(1):
+        return
+    # per-s-frequency class bound: sup_{l,p} >= sup_p |mean_l of class|
+    classes = [sfreq == s for s in np.unique(sfreq)]
+
+    def class_bound(ps):
+        for sel in classes:
+            cls = np.abs(np.exp(1j * np.outer(ps, pfreq[sel])) @ cs[sel])
+            run.bound(np.max(cls))
+
+    p_line = k * _LINE
+    class_bound(p_line[::COARSE])
+    if run.met(2):
+        return
+    X = _STRIP * (box, k)
+    vals = _grid_stages(run, X, value)
+    if vals is None:
+        return
+    class_bound(p_line[_rest(GRID_1D)])
+    if run.met(4):
+        return
+    rng = np.random.default_rng(seed)
+    # the stream holds every l draw before every p draw, so the coordinates
+    # are drawn whole (16 bytes a point) and only evaluated in chunks
+    budget = max(budget, 0)
+    D = np.column_stack([rng.uniform(-box, box, budget),
+                         rng.uniform(-k, k, budget)])
+    _search(run, np.vstack([X, anchors]), np.concatenate([vals, avals]),
+            (D[i:i + DRAW_CHUNK] for i in range(0, budget, DRAW_CHUNK)),
+            value, lambda x: _ascend_strip(x, sfreq, pfreq, cs, k))
+
+
+def _ascend_parabola(p, al, ga, ep, cs):
+    """Gradient ascent in p on |sum c_j e^{i(p ga_j - p^2 ep_j / 2 - al_j)}|."""
+    def value(p):
+        return float(np.abs(np.exp(1j * (p * ga - 0.5 * p * p * ep - al)) @ cs))
+
+    p, steps = float(p), 0
+    fp = value(p)
+    eta = 0.5
+    for _ in range(ASCENT_STEPS):
+        e = np.exp(1j * (p * ga - 0.5 * p * p * ep - al))
+        S = e @ cs
+        g = 2.0 * np.real(np.conj(S) * ((1j * (ga - p * ep) * cs) @ e))
+        pn = p + eta * g
+        fn = value(pn)
+        steps += 1
+        if fn >= fp:
+            p, fp = pn, fn
+        else:
+            eta *= 0.5
+            if eta < 1e-18:
+                break
+    return fp, steps
+
+
+def _sup_parabola(run, al, ga, ep, cs, budget, seed, box):
+    """sup over p in R of |sum c_j e^{i(p ga_j - p^2 ep_j / 2 - al_j)}|:
+    the Bargmann abelian-ideal tuples."""
+    def value(p):
+        return np.abs(np.exp(1j * (np.outer(p, ga) - 0.5 * np.outer(p ** 2, ep)
+                                   - al)) @ cs)
+
+    # stationary-phase mean: terms sharing (gamma, eps) exactly survive the
+    # long-run p-average, the rest decay
+    for row in np.unique(np.column_stack([ga, ep]), axis=0):
+        sel = (ga == row[0]) & (ep == row[1])
+        run.bound(abs(np.exp(-1j * al[sel]) @ cs[sel]))
+    if run.met(2):
+        return
+    ps = box * _LINE
+    vals = _grid_stages(run, ps, value)
+    if vals is None or run.met(4):
+        return
+    rng = np.random.default_rng(seed)
+    _search(run, ps, vals,
+            _draws(budget, lambda n: rng.uniform(-box, box, size=n)), value,
+            lambda p: _ascend_parabola(p, al, ga, ep, cs))
 
 
 def _anchor_values(anchors, Zs, cs):
-    if not anchors:
-        return 0.0
-    best = 0.0
-    for w in anchors:
-        tot = sum(c * np.exp(1j * groups.pairing(w, Z))
-                  for c, Z in zip(cs, Zs))
-        best = max(best, abs(tot))
-    return best
+    return [abs(sum(c * np.exp(1j * groups.pairing(w, Z))
+                    for c, Z in zip(cs, Zs))) for w in anchors]
 
 
 def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
@@ -387,21 +574,26 @@ def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
     a state under test); they keep the estimate sharp where the attaining
     point is known a priori.
 
-    target: optional early-exit threshold.  Once the running lower bound
-    reaches it the remaining search (budgeted draws, ascent) is skipped;
-    estimates stay valid lower bounds either way.
+    seed: anything np.random.default_rng accepts; a Generator is drawn from
+    in place.
+
+    target: optional early-exit threshold.  The stages (module docstring)
+    run in order of cost and the search stops after the first one whose
+    running lower bound reaches the target; estimates stay valid lower
+    bounds either way, and `stage` records where the search stopped.
     """
     if not groups.commuting(Zs):
         raise ValueError("tuple does not commute")
     box = DEFAULT.box_radius if box is None else box
     cs = np.asarray(cs, dtype=complex)
     anchors = anchors or []
-    anchor_best = _anchor_values(anchors, Zs, cs)
-    if target is not None and anchor_best >= target:
-        return SupEstimate(anchor_best, len(anchors), 0)
-
+    run = _Bound(target)
+    run.points(_anchor_values(anchors, Zs, cs))
+    if run.met(1):
+        return run.estimate()
     if len(Zs) == 1:
-        return SupEstimate(max(float(abs(cs[0])), anchor_best), 0, 0)
+        run.bound(abs(cs[0]))
+        return run.estimate()
 
     fam = spec.family
     C = np.stack([Z.coords for Z in Zs])
@@ -413,108 +605,59 @@ def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
         nrm = math.hypot(be[lead], ga[lead])
         if nrm < 1e-14:
             # pure center: <x, Z_j> = -alpha_j everywhere
-            v = abs(np.exp(-1j * al) @ cs)
-            return SupEstimate(max(float(v), anchor_best), 1, 0)
+            run.points([abs(np.exp(-1j * al) @ cs)])
+            return run.estimate()
         d = np.array([be[lead], ga[lead]]) / nrm
         mu = be * d[0] + ga * d[1]
         # tau = p d[1] - q d[0]; over the (p, q) box it reaches
         # +- box (|d0| + |d1|)
         r = box * (abs(d[0]) + abs(d[1]))
-        best, ns, st = _sup_1d(mu, cs, -al, budget, seed, -r, r, False,
-                               target=target)
-        return SupEstimate(max(best, anchor_best), ns, st)
-
-    if fam == "bargmann":
+        _sup_1d(run, mu, cs, -al, r, False, budget, seed)
+    elif fam == "bargmann":
         al, be, ga, ep = C[:, 0], C[:, 1], C[:, 2], C[:, 3]
         if np.max(np.abs(be)) < 1e-14:
             # ideal tuple: phases p ga_j - p^2 ep_j / 2 - al_j, 1-D in p
-            taus_f = lambda p: np.outer(p, ga) - 0.5 * np.outer(p ** 2, ep) - al
-            p_all = np.linspace(-box, box, GRID_1D)
-            vals = np.abs(np.exp(1j * taus_f(p_all)) @ cs)
-            best = float(np.max(vals))
-            # stationary-phase mean: terms sharing (gamma, eps) exactly
-            # survive the long-run p-average, the rest decay
-            for row in np.unique(np.column_stack([ga, ep]), axis=0):
-                sel = (ga == row[0]) & (ep == row[1])
-                best = max(best, float(abs(np.exp(-1j * al[sel]) @ cs[sel])))
-            if target is not None and max(best, anchor_best) >= target:
-                return SupEstimate(max(best, anchor_best), len(p_all), 0)
-            rng = np.random.default_rng(seed)
-            if budget > 0:
-                draws = rng.uniform(-box, box, budget)
-                p_all = np.concatenate([p_all, draws])
-                vals = np.concatenate(
-                    [vals, np.abs(np.exp(1j * taus_f(draws)) @ cs)])
-            order = np.argsort(vals)[::-1][:ASCENT_RESTARTS]
-            best = max(best, float(vals[order[0]]))
-            steps = 0
-            for idx in order:
-                p = float(p_all[idx])
-                fp = float(vals[idx])
-                eta = 0.5
-                for _ in range(ASCENT_STEPS):
-                    e = np.exp(1j * (p * ga - 0.5 * p * p * ep - al))
-                    S = e @ cs
-                    g = 2.0 * np.real(np.conj(S) * ((1j * (ga - p * ep) * cs) @ e))
-                    pn = p + eta * g
-                    fn = float(np.abs(np.exp(1j * (pn * ga - 0.5 * pn * pn * ep - al)) @ cs))
-                    steps += 1
-                    if fn >= fp:
-                        p, fp = pn, fn
-                    else:
-                        eta *= 0.5
-                        if eta < 1e-18:
-                            break
-                best = max(best, fp)
-            return SupEstimate(max(best, anchor_best), len(p_all), steps)
-        # boost line: directions (beta_j, gamma_j, eps_j) = mu_j (1, gh, eh)
-        lead = np.argmax(np.abs(be))
-        gh, eh = ga[lead] / be[lead], ep[lead] / be[lead]
-        mu = be
-        # u = p gh - q - p^2 eh / 2 sweeps R; phases mu_j u - alpha_j
-        best, ns, st = _sup_1d(mu, cs, -al, budget, seed, -box, box, False,
-                               target=target)
-        return SupEstimate(max(best, anchor_best), ns, st)
-
-    if fam == "euclid":
+            _sup_parabola(run, al, ga, ep, cs, budget, seed, box)
+        else:
+            # boost line: directions (beta_j, gamma_j, eps_j) =
+            # mu_j (1, gh, eh); u = p gh - q - p^2 eh / 2 sweeps R and the
+            # phases are mu_j u - alpha_j
+            _sup_1d(run, be, cs, -al, box, False, budget, seed)
+    elif fam == "euclid":
         k = spec.params["k"]
         ax, rate = C[:, :3], C[:, 3:]
         if np.max(np.linalg.norm(ax, axis=1)) < 1e-14:
-            anchor_pts = [w.coords[3:] / k for w in anchors] if anchors else ()
-            best, ns, st = _sup_sphere(k * rate, cs, budget, seed,
-                                       anchors=anchor_pts, target=target)
-            return SupEstimate(max(best, anchor_best), ns, st)
-        lead = np.argmax(np.linalg.norm(ax, axis=1))
-        n = ax[lead] / np.linalg.norm(ax[lead])
-        sfreq = ax @ n
-        pfreq = rate @ n
-        strip_anchor = [(groups.pairing(w, groups.algebra("euclid", np.concatenate([n, np.zeros(3)]))),
-                         groups.pairing(w, groups.algebra("euclid", np.concatenate([np.zeros(3), n]))))
-                        for w in anchors]
-        best, ns, st = _sup_strip(sfreq, pfreq, cs, k, budget, seed, box,
-                                  anchors=strip_anchor, target=target)
-        return SupEstimate(max(best, anchor_best), ns, st)
-
-    if fam == "su2":
+            anchor_pts = [w.coords[3:] / k for w in anchors]
+            _sup_sphere(run, k * rate, cs, budget, seed, anchors=anchor_pts)
+        else:
+            lead = np.argmax(np.linalg.norm(ax, axis=1))
+            n = ax[lead] / np.linalg.norm(ax[lead])
+            rot = groups.algebra("euclid", np.concatenate([n, np.zeros(3)]))
+            trans = groups.algebra("euclid", np.concatenate([np.zeros(3), n]))
+            strip_anchors = [(groups.pairing(w, rot), groups.pairing(w, trans))
+                             for w in anchors]
+            _sup_strip(run, ax @ n, rate @ n, cs, k, budget, seed, box,
+                       anchors=strip_anchors)
+    elif fam == "su2":
         lam = spec.params["lam"]
         lead = np.argmax(np.linalg.norm(C, axis=1))
         nl = np.linalg.norm(C[lead])
         if nl < 1e-14:
-            return SupEstimate(max(float(abs(np.sum(cs))), anchor_best), 1, 0)
-        v = C[lead] / nl
-        om = C @ v
+            run.points([abs(np.sum(cs))])
+            return run.estimate()
+        om = C @ (C[lead] / nl)
+        # the weight heights: where highest-weight states put their atoms
         extra = np.arange(-math.floor(2 * lam), math.floor(2 * lam) + 1) * 0.5
         extra = extra[np.abs(extra) <= lam + 1e-12]
-        best, ns, st = _sup_1d(om, cs, np.zeros(len(om)), budget, seed,
-                               -lam, lam, True, anchors=extra, target=target)
-        return SupEstimate(max(best, anchor_best), ns, st)
-
-    if fam == "torus":
+        _sup_1d(run, om, cs, np.zeros(len(om)), lam, True, budget, seed,
+                anchors=extra)
+    elif fam == "torus":
         y = np.asarray(spec.params["y"], float)
-        tot = sum(c * np.exp(1j * float(y @ Z.coords)) for c, Z in zip(cs, Zs))
-        return SupEstimate(max(abs(tot), anchor_best), 1, 0)
-
-    raise groups.FamilyError(fam)
+        run.points([abs(sum(c * np.exp(1j * float(y @ Z.coords))
+                            for c, Z in zip(cs, Zs)))])
+    else:
+        raise groups.FamilyError(fam)
+    return run.estimate()
 
 # ---------------------------------------------------------------------------
 # the sup-inequality check
@@ -618,10 +761,12 @@ def _state_anchors(state):
 
 
 def _quantum_trial(state, spec, t, seed, n_max, budget, probes, anchors):
+    # one stream per (seed, trial): the tuple is drawn first, then the
+    # sup search's budgeted draws continue the same stream
+    rng = np.random.default_rng([seed, t])
     if t < len(probes):
         Zs, cs = probes[t]
     else:
-        rng = np.random.default_rng(seed ^ t)
         Zs = _draw_tuple(spec.family, rng, n_max)
         r = rng.uniform(0, 1, len(Zs))
         ph = rng.uniform(0, 2 * np.pi, len(Zs))
@@ -629,37 +774,33 @@ def _quantum_trial(state, spec, t, seed, n_max, budget, probes, anchors):
     lhs = abs(sum(c * states.evaluate(state, groups.exp(Z))
                   for c, Z in zip(cs, Zs)))
     # the sup only needs to certify lhs <= rhs: stop searching at lhs
-    est = orbit_sup(spec, Zs, cs, budget=budget, seed=seed ^ t,
-                    anchors=anchors, target=lhs)
-    return Zs, cs, lhs, est.value
+    est = orbit_sup(spec, Zs, cs, budget=budget, seed=rng, anchors=anchors,
+                    target=lhs)
+    return Zs, cs, lhs, est
 
 
 def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0,
-                  eps=None, threads=1):
+                  eps=None):
     """Test |sum c_j m(exp Z_j)| <= sup over the orbit, over random
     whitelisted commuting tuples.  Reports the worst margin (sup estimate
-    minus left side) and concrete witnesses for any failures.  Trials are
-    independent (per-trial seed = seed XOR trial index), so the report is
-    identical for any thread count."""
+    minus left side), concrete witnesses for any failures, how many trials
+    each search stage settled (`stages`) and how many budgeted draws were
+    made (`samples_drawn`; `budget` is only the cap per trial).  Trial t
+    draws from np.random.default_rng([seed, t]), so trials are independent
+    and different seeds run different trials."""
     eps = DEFAULT.margin if eps is None else eps
     probes = _canonical_probes(spec.family)
     anchors = _state_anchors(state)
     margins = []
     failures = []
-
-    def run(t):
-        return _quantum_trial(state, spec, t, seed, n_max, budget, probes,
-                              anchors)
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, range(trials)))
-    else:
-        outcomes = [run(t) for t in range(trials)]
-
-    for t, (Zs, cs, lhs, rhs) in enumerate(outcomes):
-        margin = rhs - lhs
+    stages = dict.fromkeys(STAGES, 0)
+    drawn = 0
+    for t in range(trials):
+        Zs, cs, lhs, est = _quantum_trial(state, spec, t, seed, n_max, budget,
+                                          probes, anchors)
+        stages[STAGES[est.stage - 1]] += 1
+        drawn += est.drawn
+        margin = est.value - lhs
         margins.append(margin)
         if margin < -eps:
             failures.append({
@@ -667,7 +808,7 @@ def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0,
                 "Zs": [list(map(float, Z.coords)) for Z in Zs],
                 "cs": [[float(c.real), float(c.imag)] for c in cs],
                 "lhs": float(lhs),
-                "rhs": float(rhs),
+                "rhs": float(est.value),
                 "margin": float(margin),
             })
     return {
@@ -675,6 +816,8 @@ def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0,
         "family": spec.family,
         "trials": trials,
         "budget": budget,
+        "samples_drawn": drawn,
+        "stages": stages,
         "seed": seed,
         "worst_margin": float(min(margins)) if margins else 0.0,
         "margins": [float(m) for m in margins],

@@ -23,6 +23,8 @@ canonical coordinates: these states are discontinuous, so membership is a
 decision, not a limit.
 """
 
+import math
+
 import numpy as np
 from scipy.special import j0
 
@@ -51,9 +53,24 @@ _KIND_FAMILY = {
 
 
 class StateParameterError(ValueError):
-    def __init__(self, code, message):
+    def __init__(self, code, message, param=None):
         super().__init__(message)
         self.code = code
+        self.param = param   # the key of params at fault, if any
+
+
+def _number(params, key, default):
+    """params[key] (or the default) as a finite float."""
+    value = params.get(key, default)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise StateParameterError("parameter-not-numeric",
+                                  "%s must be a finite number, got %r"
+                                  % (key, value), param=key)
+    return x
 
 
 class State:
@@ -98,44 +115,43 @@ def make_state(kind, **params):
 
     if kind in ("heisenberg_loc_p", "bargmann_loc_pe", "euclid_plane",
                 "euclid_spherical", "euclid_cylindrical"):
-        k = float(params.get("k", 1.0))
+        k = _number(params, "k", 1.0)
         if not k > 0:
             raise StateParameterError("wavenumber-not-positive",
-                                      "k must be > 0, got %r" % (k,))
+                                      "k must be > 0, got %r" % (k,), "k")
         params["k"] = k
 
     if kind == "euclid_plane":
-        s = params.get("s", 0)
+        s = _number(params, "s", 0)
         if abs(s - round(s)) > 1e-12:
             raise StateParameterError(
                 "helicity-not-integral",
                 "helicity s must be an integer for the subgroup to admit a "
-                "character with this differential; got %r" % (s,))
+                "character with this differential; got %r" % (s,), "s")
         params["s"] = int(round(s))
 
     if kind == "euclid_cylindrical":
         eps = params.get("eps", 0)
         if eps not in (0, 1):
-            raise StateParameterError("eps-not-binary", "eps must be 0 or 1")
+            raise StateParameterError("eps-not-binary", "eps must be 0 or 1",
+                                      "eps")
         params["eps"] = int(eps)
 
     if kind == "su2_highest_weight":
-        j = params.get("j", 0.5)
+        j = _number(params, "j", 0.5)
         twoj = 2.0 * j
         if abs(twoj - round(twoj)) > 1e-12 or not (0 <= round(twoj) <= 8):
             raise StateParameterError(
                 "spin-out-of-range",
-                "2j must be an integer in 0..8, got j=%r" % (j,))
+                "2j must be an integer in 0..8, got j=%r" % (j,), "j")
         params["j"] = round(twoj) / 2.0
 
-    if kind == "heisenberg_loc_q":
-        params["l"] = float(params.get("l", 1.0))
-    if kind == "bargmann_loc_q":
-        params["l"] = float(params.get("l", 1.0))
+    if kind in ("heisenberg_loc_q", "bargmann_loc_q"):
+        params["l"] = _number(params, "l", 1.0)
     if kind == "heisenberg_loc_t":
-        params["k"] = float(params.get("k", 1.0))
-        params["l"] = float(params.get("l", 0.0))
-        params["t"] = float(params.get("t", 0.0))
+        params["k"] = _number(params, "k", 1.0)
+        params["l"] = _number(params, "l", 0.0)
+        params["t"] = _number(params, "t", 0.0)
 
     return State(kind, family, params, localization=_localization(kind, params))
 

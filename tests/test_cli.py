@@ -71,13 +71,15 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
            "state": {"kind": "euclid_spherical", "params": {"k": 2.0}},
            "params": {"trials": 30, "budget": 1500}}
     outs = []
-    for name, threads in (("a", 1), ("b", 3)):
+    for name in ("a", "b"):
         p = _write(tmp_path, doc, name + ".json")
         out = str(tmp_path / ("rep_" + name))
-        assert cli.run(p, out=out, threads=threads) == 0
+        assert cli.run(p, out=out) == 0
         with open(os.path.join(out, "quantum_check-report.json"), "rb") as fh:
             outs.append(fh.read())
     assert outs[0] == outs[1]
+    results = json.loads(outs[0])["results"]
+    assert sum(results["stages"].values()) == 30
 
 
 def test_seed_and_budget_overrides(tmp_path):
@@ -158,6 +160,28 @@ def test_bad_input_exits_two(tmp_path, payload):
     path = tmp_path / "bad.json"
     path.write_text(payload)
     assert cli.run(str(path)) == 2
+
+
+@pytest.mark.parametrize("text,pointer", [
+    ('{"kind": "heisenberg_loc_p", "params": {"k": "abc"}}, '
+     '"params": {"pairs": 100}', "/state/params/k"),
+    ('{"kind": "heisenberg_loc_p", "params": {"k": Infinity}}, '
+     '"params": {"pairs": 100}', "/state/params/k"),
+    ('{"kind": "heisenberg_loc_q", "params": {"l": NaN}}, '
+     '"params": {"pairs": 100}', "/state/params/l"),
+    ('{"kind": "heisenberg_loc_p", "params": {"k": 1.0}}, '
+     '"params": {"samples": 0}', "/params/samples"),
+])
+def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
+                                                    pointer):
+    path = tmp_path / "bad.json"
+    path.write_text('{"version": "1", "task": "verify", "seed": 1, '
+                    '"state": ' + text + '}')
+    out = str(tmp_path / "rep")
+    assert cli.run(str(path), out=out) == 2
+    assert pointer in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert cli.main(["verify", "--scenario", str(path), "--out", out]) == 2
 
 
 def test_unknown_state_kind_exits_two(tmp_path):

@@ -212,22 +212,54 @@ def test_sup_rejects_non_commuting_tuple():
         orbits.orbit_sup(spec, Zs, [1.0, 1.0])
 
 
-def test_sup_early_exit_matches_full_search_verdicts():
+def _line_direction(rng):
+    v = rng.standard_normal(3)
+    return v / np.linalg.norm(v)
+
+
+# one random commuting tuple per chart of the sup search
+EARLY_EXIT_CHARTS = {
+    "euclid-sphere": lambda rng: (orbits.euclid_orbit(2.0), [
+        _alg("euclid", np.concatenate([np.zeros(3), rng.uniform(-2, 2, 3)]))
+        for _ in range(3)]),
+    "euclid-strip": lambda rng: (orbits.euclid_orbit(2.0, 1.0), [
+        _alg("euclid", np.concatenate([s * n, t * n]))
+        for n in [_line_direction(rng)]
+        for s, t in rng.uniform(-3, 3, (3, 2))]),
+    "heisenberg-line": lambda rng: (orbits.heisenberg_orbit(1.3, 0.0), [
+        _alg("heisenberg", [a, m * np.cos(th), m * np.sin(th)])
+        for th in [rng.uniform(0, np.pi)]
+        for a, m in rng.uniform(-3, 3, (3, 2))]),
+    "bargmann-ideal": lambda rng: (orbits.bargmann_orbit(), [
+        _alg("bargmann", [a, 0.0, g, e])
+        for a, g, e in rng.uniform(-2, 2, (3, 3))]),
+    "bargmann-boost": lambda rng: (orbits.bargmann_orbit(), [
+        _alg("bargmann", [a, m, m * gh, m * eh])
+        for gh, eh in [rng.uniform(-2, 2, 2)]
+        for a, m in rng.uniform(-3, 3, (3, 2))]),
+    "su2-interval": lambda rng: (orbits.su2_orbit(1.5), [
+        _alg("su2", t * v) for v in [_line_direction(rng)]
+        for t in rng.uniform(-4, 4, 3)]),
+}
+
+
+@pytest.mark.parametrize("chart", sorted(EARLY_EXIT_CHARTS))
+def test_sup_early_exit_matches_full_search_verdicts(chart):
     # with a target the estimate may be smaller, but never above the
-    # full-budget value, and never below the target when that is reachable
-    spec = orbits.euclid_orbit(2.0)
+    # full-budget value, and never below the target when that is reachable;
+    # the stages together are the full search, so its own value is reachable
     rng = np.random.default_rng(17)
     for _ in range(10):
-        Zs = [_alg("euclid", np.concatenate([np.zeros(3),
-                                             rng.uniform(-2, 2, 3)]))
-              for _ in range(3)]
+        spec, Zs = EARLY_EXIT_CHARTS[chart](rng)
         cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
-        full = float(orbits.orbit_sup(spec, Zs, cs, budget=8000, seed=3))
-        t = 0.5 * full
-        cut = float(orbits.orbit_sup(spec, Zs, cs, budget=8000, seed=3,
-                                     target=t))
-        assert cut <= full + 1e-12
-        assert cut >= t - 1e-12
+        full = orbits.orbit_sup(spec, Zs, cs, budget=8000, seed=3)
+        assert full.stage == 5 and full.drawn == 8000
+        for t in (0.5 * full.value, full.value):
+            cut = orbits.orbit_sup(spec, Zs, cs, budget=8000, seed=3,
+                                   target=t)
+            assert t - 1e-12 <= cut.value <= full.value + 1e-12
+            assert cut.stage <= 5 and cut.samples <= full.samples
+            assert cut.drawn == (8000 if cut.stage == 5 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +310,42 @@ def test_constant_one_is_rejected_with_witness():
     assert first["margin"] < -1.9
 
 
-def test_quantum_check_thread_count_invariance():
+def test_quantum_check_same_seed_repeats_exactly():
     st = states.make_state("euclid_spherical", k=2.0)
     spec = orbits.euclid_orbit(2.0)
-    a = orbits.quantum_check(st, spec, trials=40, budget=2000, seed=9,
-                             threads=1)
-    b = orbits.quantum_check(st, spec, trials=40, budget=2000, seed=9,
-                             threads=3)
-    assert a["margins"] == b["margins"]
+    a, b = (orbits.quantum_check(st, spec, trials=40, budget=2000, seed=9)
+            for _ in range(2))
+    assert a == b
+    assert sum(a["stages"].values()) == 40
+    assert list(a["stages"]) == list(orbits.STAGES)
+
+
+def test_quantum_check_seeds_draw_independent_trials():
+    # trial streams are keyed by (seed, trial), not seed XOR trial, so two
+    # seeds share no drawn tuple
+    st = states.make_state("heisenberg_loc_p", k=1.3)
+    spec = orbits.heisenberg_orbit(1.3, 0.0)
+    first = len(orbits._canonical_probes(spec.family))
+    drawn = []
+    for seed in (0, 1):
+        keys = set()
+        for t in range(first, 200):
+            Zs, cs, _, _ = orbits._quantum_trial(st, spec, t, seed, 3, 0, [],
+                                                 [])
+            keys.add(np.concatenate([np.ravel([Z.coords for Z in Zs]),
+                                     cs.view(float)]).tobytes())
+        drawn.append(keys)
+    assert len(drawn[0]) == len(drawn[1]) == 200 - first
+    assert not drawn[0] & drawn[1]
 
 
 def test_quantum_check_report_fields():
     st = states.make_state("heisenberg_loc_p", k=1.0)
     rep = orbits.quantum_check(st, orbits.heisenberg_orbit(1.0, 0.0),
                                trials=5, budget=500, seed=1)
-    for key in ("state", "family", "trials", "budget", "seed", "worst_margin",
-                "margins", "failures", "pass"):
+    for key in ("state", "family", "trials", "budget", "samples_drawn",
+                "stages", "seed", "worst_margin", "margins", "failures",
+                "pass"):
         assert key in rep
 
 
