@@ -557,6 +557,15 @@ def run(scenario_path, seed=None, out=None, budget=None):
     """Execute one scenario file; returns the process exit code."""
     try:
         doc = _load_scenario(scenario_path)
+    except CliInputError as e:
+        print("input error: %s" % e, file=sys.stderr)
+        return 2
+    return run_document(doc, seed=seed, out=out, budget=budget)
+
+
+def run_document(doc, seed=None, out=None, budget=None):
+    """Execute one parsed scenario document; returns the process exit code."""
+    try:
         validate_scenario(doc)
         seed = doc["seed"] if seed is None else seed
         outdir = out or doc.get("out", "reports")
@@ -639,15 +648,8 @@ def main(argv=None):
         doc = {"version": "1", "task": "reproduce",
                "seed": args.seed if args.seed is not None else 0,
                "params": {"target": args.target}}
-        import tempfile
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(doc, fh)
-            path = fh.name
-        try:
-            return run(path, seed=args.seed, out=args.out,
-                       budget=args.budget)
-        finally:
-            os.unlink(path)
+        return run_document(doc, seed=args.seed, out=args.out,
+                            budget=args.budget)
 
     if args.scenario is None:
         print("input error: --scenario is required", file=sys.stderr)
@@ -662,8 +664,7 @@ def main(argv=None):
               "subcommand %r" % (doc.get("task"), args.command),
               file=sys.stderr)
         return 2
-    return run(args.scenario, seed=args.seed, out=args.out,
-               budget=args.budget)
+    return run_document(doc, seed=args.seed, out=args.out, budget=args.budget)
 
 
 if __name__ == "__main__":

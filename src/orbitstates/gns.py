@@ -75,8 +75,9 @@ def rep_matrix(space, g):
     residual = max over columns j of  1 - |R_g[:, j]|^2, the squared-norm
     deficit of projecting the transported basis back onto the span.
     """
-    Mg = states.pair_eval(space.state, space.samples,
-                          [groups.compose(g, s) for s in space.samples],
+    fam = space.state.family
+    S = groups.stack_coords(fam, space.samples)
+    Mg = states.pair_eval(space.state, S, groups.compose_coords(fam, g.data, S),
                           grid=True)
     R = space.basis.conj().T @ Mg @ space.basis
     deficit = 1.0 - np.sum(np.abs(R) ** 2, axis=0)
@@ -178,16 +179,14 @@ def closed_sample_set(state, n=16, seed=0):
                   for u in rng.uniform(-3, 3, (8, 2))]
         return samples, probes
     if kind == "euclid_plane":
-        axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-        th = 2.0 * np.pi / n
-        K = np.array([[0.0, -axis[2], axis[1]],
-                      [axis[2], 0.0, -axis[0]],
-                      [-axis[1], axis[0], 0.0]])
-        R = np.eye(3) + np.sin(th) * K + (1.0 - np.cos(th)) * (K @ K)
+        # the rotation by 2 pi / n about (1, 1, 1)
+        axis = np.full(3, 2.0 * np.pi / (n * np.sqrt(3.0)))
+        rot = groups.exp(groups.algebra("euclid",
+                                        np.concatenate([axis, np.zeros(3)])))
         samples = [groups.identity("euclid")]
         for _ in range(n - 1):
-            samples.append(groups.compose(samples[-1], groups.euclid(R, np.zeros(3))))
-        probes = [groups.euclid(R, np.zeros(3))]
+            samples.append(groups.compose(samples[-1], rot))
+        probes = [rot]
         probes += [groups.euclid(np.eye(3), c)
                    for c in rng.uniform(-3, 3, (7, 3))]
         return samples, probes

@@ -31,6 +31,8 @@ import numpy as np
 from .tolerances import DEFAULT
 
 FAMILIES = ("heisenberg", "bargmann", "euclid", "su2", "torus")
+# algebra coordinate lengths; a torus has its own dimension
+ALGEBRA_DIM = {"heisenberg": 3, "bargmann": 4, "euclid": 6, "su2": 3}
 
 # Euclid rotation blocks are re-orthonormalized after this many composures.
 RENORM_EVERY = 64
@@ -123,17 +125,7 @@ def torus(angles):
 
 
 def identity(family, dim=1):
-    if family == "heisenberg":
-        return heisenberg(0.0, 0.0, 0.0)
-    if family == "bargmann":
-        return bargmann(0.0, 0.0, 0.0, 0.0)
-    if family == "euclid":
-        return GroupElement("euclid", (np.eye(3), np.zeros(3)))
-    if family == "su2":
-        return GroupElement("su2", np.array([1.0, 0.0, 0.0, 0.0]))
-    if family == "torus":
-        return GroupElement("torus", np.zeros(dim))
-    raise FamilyError("unknown family %r" % (family,))
+    return exp(AlgebraElement(family, np.zeros(ALGEBRA_DIM.get(family, dim))))
 
 
 def algebra(family, coords):
@@ -154,62 +146,78 @@ def _orthonormalize(A):
     return R
 
 
-def _quat_mul(p, q):
-    w1, v1 = p[0], p[1:]
-    w2, v2 = q[0], q[1:]
-    w = w1 * w2 - v1 @ v2
-    v = w1 * v2 + w2 * v1 + np.cross(v1, v2)
-    return np.concatenate(([w], v))
+# ---------------------------------------------------------------------------
+# the group law on coordinate stacks
+#
+# A stack carries any broadcastable leading axes in front of the chart
+# coordinates: (..., 3) heisenberg, (..., 4) bargmann and su2, (..., d)
+# torus, and euclid (A, c) pairs of shapes (..., 3, 3) and (..., 3).
+# Algebra stacks are (..., dim), euclid (..., 6) as (axis, rate).
+
+def stack_coords(family, elements):
+    """The coordinate stack of a list of elements, leading axis first."""
+    if family == "euclid":
+        return (np.stack([g.data[0] for g in elements]),
+                np.stack([g.data[1] for g in elements]))
+    return np.stack([np.asarray(g.data, dtype=float) for g in elements])
 
 
-def compose(g, h):
-    """Product g*h (matrix product in the family's faithful representation)."""
-    _check_same(g, h)
-    f = g.family
-    if f == "heisenberg":
-        a, b, c = g.data
-        a2, b2, c2 = h.data
-        return GroupElement(f, np.array([a + a2 + b * c2, b + b2, c + c2]))
-    if f == "bargmann":
-        a, b, c, e = g.data
-        a2, b2, c2, e2 = h.data
-        return GroupElement(f, np.array(
-            [a + a2 + b * c2 + 0.5 * b * b * e2, b + b2, c + c2 + b * e2, e + e2]))
-    if f == "euclid":
-        A, c = g.data
-        A2, c2 = h.data
-        R = A @ A2
-        age = max(g._age, h._age) + 1
-        if age >= RENORM_EVERY:
-            R = _orthonormalize(R)
-            age = 0
-        return GroupElement(f, (R, A @ c2 + c), _age=age)
-    if f == "su2":
-        q = _quat_mul(g.data, h.data)
-        return GroupElement(f, q / np.linalg.norm(q))
-    if f == "torus":
-        return GroupElement(f, np.mod(g.data + h.data, 2 * np.pi))
-    raise FamilyError(f)
+def _join(cols):
+    """Coordinate columns of one shape, stacked along a new last axis."""
+    if np.ndim(cols[0]) == 0:
+        return np.array(cols, dtype=float)
+    return np.stack(cols, axis=-1)
 
 
-def inverse(g):
-    f = g.family
-    if f == "heisenberg":
-        a, b, c = g.data
-        return GroupElement(f, np.array([-a + b * c, -b, -c]))
-    if f == "bargmann":
-        a, b, c, e = g.data
-        return GroupElement(f, np.array(
-            [-a + b * c - 0.5 * b * b * e, -b, -c + b * e, -e]))
-    if f == "euclid":
-        A, c = g.data
-        return GroupElement(f, (A.T.copy(), -(A.T @ c)), _age=g._age)
-    if f == "su2":
-        w, x, y, z = g.data
-        return GroupElement(f, np.array([w, -x, -y, -z]))
-    if f == "torus":
-        return GroupElement(f, np.mod(-g.data, 2 * np.pi))
-    raise FamilyError(f)
+def _matvec(A, v):
+    return np.einsum("...ij,...j->...i", A, v)
+
+
+def compose_coords(family, X, Y):
+    """Coordinates of x y (matrix product in the faithful representation)."""
+    if family == "heisenberg":
+        a1, b1, c1 = X[..., 0], X[..., 1], X[..., 2]
+        a2, b2, c2 = Y[..., 0], Y[..., 1], Y[..., 2]
+        return _join([a1 + a2 + b1 * c2, b1 + b2, c1 + c2])
+    if family == "bargmann":
+        a1, b1, c1, e1 = X[..., 0], X[..., 1], X[..., 2], X[..., 3]
+        a2, b2, c2, e2 = Y[..., 0], Y[..., 1], Y[..., 2], Y[..., 3]
+        return _join([a1 + a2 + b1 * c2 + 0.5 * b1 * b1 * e2, b1 + b2,
+                      c1 + c2 + b1 * e2, e1 + e2])
+    if family == "euclid":
+        A1, c1 = X
+        A2, c2 = Y
+        return (np.matmul(A1, A2), _matvec(A1, c2) + c1)
+    if family == "su2":
+        w1, x1, y1, z1 = X[..., 0], X[..., 1], X[..., 2], X[..., 3]
+        w2, x2, y2, z2 = Y[..., 0], Y[..., 1], Y[..., 2], Y[..., 3]
+        # quaternion product: w1 w2 - v1.v2, w1 v2 + w2 v1 + v1 x v2
+        return _join([w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                      w1 * x2 + w2 * x1 + (y1 * z2 - z1 * y2),
+                      w1 * y2 + w2 * y1 + (z1 * x2 - x1 * z2),
+                      w1 * z2 + w2 * z1 + (x1 * y2 - y1 * x2)])
+    if family == "torus":
+        return np.mod(X + Y, 2 * np.pi)
+    raise FamilyError("unknown family %r" % (family,))
+
+
+def inverse_coords(family, X):
+    """Coordinates of x^-1."""
+    if family == "heisenberg":
+        a, b, c = X[..., 0], X[..., 1], X[..., 2]
+        return _join([-a + b * c, -b, -c])
+    if family == "bargmann":
+        a, b, c, e = X[..., 0], X[..., 1], X[..., 2], X[..., 3]
+        return _join([-a + b * c - 0.5 * b * b * e, -b, -c + b * e, -e])
+    if family == "euclid":
+        A, c = X
+        At = np.swapaxes(A, -1, -2)
+        return (At, -_matvec(At, c))
+    if family == "su2":
+        return X * np.array([1.0, -1.0, -1.0, -1.0])
+    if family == "torus":
+        return np.mod(-X, 2 * np.pi)
+    raise FamilyError("unknown family %r" % (family,))
 
 
 def _hat(v):
@@ -218,48 +226,96 @@ def _hat(v):
                      [-v[1], v[0], 0.0]])
 
 
-def _rodrigues(axis):
-    th = np.linalg.norm(axis)
-    J = _hat(axis)
-    if th < 1e-8:
-        # series keeps full accuracy through the removable singularity
-        return np.eye(3) + J + 0.5 * (J @ J)
-    return np.eye(3) + (np.sin(th) / th) * J + ((1 - np.cos(th)) / th ** 2) * (J @ J)
+def _rotation_factors(th):
+    """sin(th)/th, (1 - cos th)/th^2 and (th - sin th)/th^3, with their
+    series below 1e-4, where the last would cancel."""
+    small = th < 1e-4
+    t = np.where(small, 1.0, th)
+    t2 = th * th
+    sn = np.sin(t)
+    half = np.sin(0.5 * t) / t
+    return (np.where(small, 1.0 - t2 / 6.0, sn / t),
+            np.where(small, 0.5 - t2 / 24.0, 2.0 * half * half),
+            np.where(small, 1.0 / 6.0 - t2 / 120.0, (t - sn) / (t * t * t)))
 
 
 def _translation_factor(axis):
     """V with exp(axis, rate) = (rodrigues(axis), V rate)."""
-    th = np.linalg.norm(axis)
-    J = _hat(axis)
-    if th < 1e-8:
-        return np.eye(3) + 0.5 * J + (J @ J) / 6.0
-    return (np.eye(3) + ((1 - np.cos(th)) / th ** 2) * J
-            + ((th - np.sin(th)) / th ** 3) * (J @ J))
+    s1, s2, s3 = _rotation_factors(np.linalg.norm(axis))
+    return s1 * np.eye(3) + s2 * _hat(axis) + s3 * np.outer(axis, axis)
+
+
+def exp_coords(family, C):
+    """Coordinates of exp Z for a stack C of algebra coordinates."""
+    if family == "heisenberg":
+        al, be, ga = C[..., 0], C[..., 1], C[..., 2]
+        return _join([al + 0.5 * be * ga, be, ga])
+    if family == "bargmann":
+        al, be, ga, ep = C[..., 0], C[..., 1], C[..., 2], C[..., 3]
+        return _join([al + 0.5 * be * ga + be * be * ep / 6.0, be,
+                      ga + 0.5 * be * ep, ep])
+    if family == "euclid":
+        lead = C.shape[:-1]
+        if not np.any(C[..., :3]):
+            # pure translations, exactly what the formulas below give; views,
+            # since copying them would double the cost of a translation flow
+            return np.broadcast_to(np.eye(3), lead + (3, 3)), C[..., 3:]
+        # with w = axis, r = rate, th = |w| and the factors s1, s2, s3:
+        #   A = cos th + s1 [w]x + s2 w w^T,   cos th = 1 - s2 th^2
+        #   c = r + s2 w x r + s3 w x (w x r) = s1 r + s2 w x r + s3 (w.r) w
+        x, y, z = C[..., 0], C[..., 1], C[..., 2]
+        rx, ry, rz = C[..., 3], C[..., 4], C[..., 5]
+        t2 = x * x + y * y + z * z
+        s1, s2, s3 = _rotation_factors(np.sqrt(t2))
+        co = 1.0 - s2 * t2
+        sx, sy, sz = s2 * x, s2 * y, s2 * z
+        ux, uy, uz = s1 * x, s1 * y, s1 * z
+        xy, xz, yz = sx * y, sx * z, sy * z
+        A = np.empty(lead + (3, 3))
+        A[..., 0, 0], A[..., 0, 1], A[..., 0, 2] = co + sx * x, xy - uz, xz + uy
+        A[..., 1, 0], A[..., 1, 1], A[..., 1, 2] = xy + uz, co + sy * y, yz - ux
+        A[..., 2, 0], A[..., 2, 1], A[..., 2, 2] = xz - uy, yz + ux, co + sz * z
+        g = s3 * (x * rx + y * ry + z * rz)
+        return (A, _join([s1 * rx + sy * rz - sz * ry + g * x,
+                          s1 * ry + sz * rx - sx * rz + g * y,
+                          s1 * rz + sx * ry - sy * rx + g * z]))
+    if family == "su2":
+        th = np.sqrt(np.sum(C * C, axis=-1))
+        small = th < 1e-12
+        half = np.where(small, 0.5, np.sin(0.5 * th) / np.where(small, 1.0, th))
+        return np.concatenate([np.cos(0.5 * th)[..., None],
+                               half[..., None] * C], axis=-1)
+    if family == "torus":
+        return np.mod(C, 2 * np.pi)
+    raise FamilyError("unknown family %r" % (family,))
+
+
+# ---------------------------------------------------------------------------
+# the group law on elements
+
+def compose(g, h):
+    """Product g*h; SU(2) products are renormalized and euclid rotation
+    blocks re-orthonormalized every RENORM_EVERY composures."""
+    _check_same(g, h)
+    f = g.family
+    data = compose_coords(f, g.data, h.data)
+    if f == "su2":
+        return GroupElement(f, data / np.linalg.norm(data))
+    if f == "euclid":
+        age = max(g._age, h._age) + 1
+        if age >= RENORM_EVERY:
+            return GroupElement(f, (_orthonormalize(data[0]), data[1]))
+        return GroupElement(f, data, _age=age)
+    return GroupElement(f, data)
+
+
+def inverse(g):
+    return GroupElement(g.family, inverse_coords(g.family, g.data),
+                        _age=g._age)
 
 
 def exp(Z):
-    f = Z.family
-    if f == "heisenberg":
-        al, be, ga = Z.coords
-        return GroupElement(f, np.array([al + 0.5 * be * ga, be, ga]))
-    if f == "bargmann":
-        al, be, ga, ep = Z.coords
-        return GroupElement(f, np.array(
-            [al + 0.5 * be * ga + be * be * ep / 6.0, be, ga + 0.5 * be * ep, ep]))
-    if f == "euclid":
-        axis, rate = Z.coords[:3], Z.coords[3:]
-        return GroupElement(f, (_rodrigues(axis), _translation_factor(axis) @ rate))
-    if f == "su2":
-        v = Z.coords
-        th = np.linalg.norm(v)
-        if th < 1e-12:
-            half = 0.5 * v  # sin(t/2)/t -> 1/2
-        else:
-            half = (np.sin(0.5 * th) / th) * v
-        return GroupElement(f, np.concatenate(([np.cos(0.5 * th)], half)))
-    if f == "torus":
-        return GroupElement(f, np.mod(Z.coords, 2 * np.pi))
-    raise FamilyError(f)
+    return GroupElement(Z.family, exp_coords(Z.family, Z.coords))
 
 
 def _rotation_log(A, guard=DEFAULT.branch_guard):
@@ -268,10 +324,9 @@ def _rotation_log(A, guard=DEFAULT.branch_guard):
     th = np.arccos(cos_th)
     if th >= np.pi - guard:
         raise BranchCutError("rotation angle %.12g at the principal-branch cut" % th)
-    if th < 1e-8:
-        w = np.array([A[2, 1] - A[1, 2], A[0, 2] - A[2, 0], A[1, 0] - A[0, 1]])
-        return 0.5 * w  # sin th ~ th
     w = np.array([A[2, 1] - A[1, 2], A[0, 2] - A[2, 0], A[1, 0] - A[0, 1]])
+    if th < 1e-8:
+        return 0.5 * w  # sin th ~ th
     return (th / (2.0 * np.sin(th))) * w
 
 

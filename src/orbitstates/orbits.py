@@ -663,15 +663,17 @@ def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
 # the sup-inequality check
 
 def _zero_alg(family):
-    dims = {"heisenberg": 3, "bargmann": 4, "euclid": 6, "su2": 3}
-    if family == "torus":
-        return groups.algebra("torus", [0.0])
-    return groups.algebra(family, np.zeros(dims[family]))
+    return groups.algebra(family, np.zeros(groups.ALGEBRA_DIM.get(family, 1)))
 
 
-def _canonical_probes(family):
+def _canonical_probes(spec):
     """Deterministic first trials.  The zero/half-turn-center pair refutes
-    the constant state on any family whose orbit sits off the origin."""
+    the constant state on any family whose orbit sits off the origin.  On
+    SU(2) the pair (0, tau e3) with c = (1, e^{-4 i tau}) / 2 and
+    tau = pi / (4 + lambda) has orbit sup |cos(tau (lambda - 4) / 2)|, at
+    height lambda, while a highest weight j gives |cos(tau (j - 4) / 2)|:
+    it refutes every spin j > lambda (2j <= 8)."""
+    family = spec.family
     probes = []
     if family in ("heisenberg", "bargmann"):
         Z2 = _zero_alg(family).coords.copy()
@@ -688,9 +690,10 @@ def _canonical_probes(family):
                         groups.algebra(family, [0, 0, 0, 0, 0, -1.0])],
                        np.array([1.0, -1.0], dtype=complex)))
     if family == "su2":
-        probes.append(([groups.algebra(family, [0.0, 0.0, np.pi]),
-                        groups.algebra(family, [0.0, 0.0, -np.pi])],
-                       np.array([1.0, 1.0], dtype=complex)))
+        tau = np.pi / (4.0 + spec.params["lam"])
+        probes.append(([_zero_alg(family),
+                        groups.algebra(family, [0.0, 0.0, tau])],
+                       np.array([0.5, 0.5 * np.exp(-4j * tau)])))
     if family == "torus":
         probes.append(([groups.algebra(family, [np.pi]),
                         groups.algebra(family, [-np.pi])],
@@ -771,8 +774,7 @@ def _quantum_trial(state, spec, t, seed, n_max, budget, probes, anchors):
         r = rng.uniform(0, 1, len(Zs))
         ph = rng.uniform(0, 2 * np.pi, len(Zs))
         cs = r * np.exp(1j * ph)
-    lhs = abs(sum(c * states.evaluate(state, groups.exp(Z))
-                  for c, Z in zip(cs, Zs)))
+    lhs = abs(states.exp_values(state, [Z.coords for Z in Zs]) @ cs)
     # the sup only needs to certify lhs <= rhs: stop searching at lhs
     est = orbit_sup(spec, Zs, cs, budget=budget, seed=rng, anchors=anchors,
                     target=lhs)
@@ -789,7 +791,7 @@ def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0,
     draws from np.random.default_rng([seed, t]), so trials are independent
     and different seeds run different trials."""
     eps = DEFAULT.margin if eps is None else eps
-    probes = _canonical_probes(spec.family)
+    probes = _canonical_probes(spec)
     anchors = _state_anchors(state)
     margins = []
     failures = []

@@ -184,101 +184,36 @@ def _localization(kind, params):
 
 
 # ---------------------------------------------------------------------------
-# stacked coordinate packs and vectorized pair tables
+# closed forms on coordinate stacks (groups.stack_coords and the array law)
 
-def _stack(family, samples):
-    if family == "euclid":
-        A = np.stack([g.data[0] for g in samples])
-        c = np.stack([g.data[1] for g in samples])
-        return (A, c)
-    return np.stack([np.asarray(g.data, dtype=float) for g in samples])
-
-
-def _inv_compose(family, X, Y, grid):
-    """Coords of x^{-1} y; grid=True gives the full (n, m) table, else zipped."""
-    if family == "heisenberg":
-        if grid:
-            X, Y = X[:, None, :], Y[None, :, :]
-        a1, b1, c1 = X[..., 0], X[..., 1], X[..., 2]
-        a2, b2, c2 = Y[..., 0], Y[..., 1], Y[..., 2]
-        return np.stack([a2 - a1 + b1 * c1 - b1 * c2, b2 - b1, c2 - c1], axis=-1)
-    if family == "bargmann":
-        if grid:
-            X, Y = X[:, None, :], Y[None, :, :]
-        a1, b1, c1, e1 = (X[..., i] for i in range(4))
-        a2, b2, c2, e2 = (Y[..., i] for i in range(4))
-        ia = -a1 + b1 * c1 - 0.5 * b1 * b1 * e1
-        ic = -c1 + b1 * e1
-        a = ia + a2 + (-b1) * c2 + 0.5 * b1 * b1 * e2
-        b = b2 - b1
-        c = ic + c2 + (-b1) * e2
-        e = e2 - e1
-        return np.stack([a, b, c, e], axis=-1)
-    if family == "euclid":
-        A1, c1 = X
-        A2, c2 = Y
-        if grid:
-            A = np.einsum("ikl,jkm->ijlm", A1, A2)
-            d = c2[None, :, :] - c1[:, None, :]
-            c = np.einsum("ikl,ijk->ijl", A1, d)
-        else:
-            A = np.einsum("nkl,nkm->nlm", A1, A2)
-            c = np.einsum("nkl,nk->nl", A1, c2 - c1)
-        return (A, c)
-    if family == "su2":
-        if grid:
-            X, Y = X[:, None, :], Y[None, :, :]
-        w1, x1, y1, z1 = (X[..., i] for i in range(4))
-        w2, x2, y2, z2 = (Y[..., i] for i in range(4))
-        # conj(q1) * q2
-        w = w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2
-        x = w1 * x2 - w2 * x1 - (y1 * z2 - z1 * y2)
-        y = w1 * y2 - w2 * y1 - (z1 * x2 - x1 * z2)
-        z = w1 * z2 - w2 * z1 - (x1 * y2 - y1 * x2)
-        return np.stack([w, x, y, z], axis=-1)
-    if family == "torus":
-        if grid:
-            X, Y = X[:, None, :], Y[None, :, :]
-        return np.mod(Y - X, 2 * np.pi)
-    raise groups.FamilyError(family)
+def _axis(X, axis):
+    """A stack with a new broadcast axis; euclid stacks are (A, c) pairs."""
+    if isinstance(X, tuple):
+        return tuple(np.expand_dims(x, axis) for x in X)
+    return np.expand_dims(X, axis)
 
 
-def _compose_zip(family, X, Y):
-    """Coords of x y for aligned stacks."""
-    if family == "heisenberg":
-        a1, b1, c1 = X[..., 0], X[..., 1], X[..., 2]
-        a2, b2, c2 = Y[..., 0], Y[..., 1], Y[..., 2]
-        return np.stack([a1 + a2 + b1 * c2, b1 + b2, c1 + c2], axis=-1)
-    if family == "bargmann":
-        a1, b1, c1, e1 = (X[..., i] for i in range(4))
-        a2, b2, c2, e2 = (Y[..., i] for i in range(4))
-        return np.stack([a1 + a2 + b1 * c2 + 0.5 * b1 * b1 * e2, b1 + b2,
-                         c1 + c2 + b1 * e2, e1 + e2], axis=-1)
-    if family == "euclid":
-        A1, c1 = X
-        A2, c2 = Y
-        A = np.einsum("nlk,nkm->nlm", A1, A2)
-        c = np.einsum("nlk,nk->nl", A1, c2) + c1
-        return (A, c)
-    if family == "su2":
-        w1, x1, y1, z1 = (X[..., i] for i in range(4))
-        w2, x2, y2, z2 = (Y[..., i] for i in range(4))
-        w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-        x = w1 * x2 + w2 * x1 + (y1 * z2 - z1 * y2)
-        y = w1 * y2 + w2 * y1 + (z1 * x2 - x1 * z2)
-        z = w1 * z2 + w2 * z1 + (x1 * y2 - y1 * x2)
-        return np.stack([w, x, y, z], axis=-1)
-    if family == "torus":
-        return np.mod(X + Y, 2 * np.pi)
-    raise groups.FamilyError(family)
+def _custom_values(state, pack):
+    """The user evaluator, one element of the stack at a time."""
+    if state.family == "euclid":
+        shape = pack[1].shape[:-1]
+        rows = zip(pack[0].reshape(-1, 3, 3), pack[1].reshape(-1, 3))
+    else:
+        shape = np.shape(pack)[:-1]
+        rows = np.reshape(pack, (-1, np.shape(pack)[-1]))
+    return np.array([complex(state.evaluator(groups.GroupElement(
+        state.family, d))) for d in rows], dtype=complex).reshape(shape)
 
 
 def _eval_pack(state, pack):
-    """Apply the state's closed form to raw coordinate arrays."""
+    """Apply the state's closed form to a coordinate stack (a custom state's
+    evaluator to each of its elements)."""
     kind = state.kind
     p = state.params
     tol = DEFAULT.delta
 
+    if kind == "custom":
+        return _custom_values(state, pack)
     if kind == "constant_one":
         if state.family == "euclid":
             return np.ones(pack[1].shape[:-1], dtype=complex)
@@ -309,29 +244,23 @@ def _eval_pack(state, pack):
         return np.where((np.abs(c) <= tol) & (np.abs(e) <= tol),
                         np.exp(-1j * (a + p["l"] * b)), 0.0)
 
-    if kind == "euclid_plane":
+    if kind in ("euclid_plane", "euclid_cylindrical"):
         A, c = pack
-        k, s = p["k"], p["s"]
-        on_axis = (np.abs(A[..., 0, 2]) <= tol) & (np.abs(A[..., 1, 2]) <= tol) \
-            & (np.abs(A[..., 2, 2] - 1.0) <= tol)
-        alpha = np.arctan2(A[..., 1, 0], A[..., 0, 0])
-        val = np.exp(1j * (s * alpha + k * c[..., 2]))
-        return np.where(on_axis, val, 0.0)
+        # A e3 = +-e3: the third column of A is (0, 0, +-1)
+        on_line = (np.abs(A[..., 0, 2]) <= tol) & (np.abs(A[..., 1, 2]) <= tol)
+        up = on_line & (np.abs(A[..., 2, 2] - 1.0) <= tol)
+        if kind == "euclid_plane":
+            alpha = np.arctan2(A[..., 1, 0], A[..., 0, 0])
+            val = np.exp(1j * (p["s"] * alpha + p["k"] * c[..., 2]))
+            return np.where(up, val, 0.0)
+        dn = on_line & (np.abs(A[..., 2, 2] + 1.0) <= tol)
+        bes = j0(p["k"] * np.sqrt(c[..., 0] ** 2 + c[..., 1] ** 2))
+        sign = 1.0 if p["eps"] == 0 else -1.0
+        return np.where(up, bes, 0.0) + np.where(dn, sign * bes, 0.0) + 0.0j
     if kind == "euclid_spherical":
         _, c = pack
         r = np.sqrt(np.sum(c * c, axis=-1))
-        return sinc(p["k"] * r).astype(complex)
-    if kind == "euclid_cylindrical":
-        A, c = pack
-        k, eps = p["k"], p["eps"]
-        up = (np.abs(A[..., 0, 2]) <= tol) & (np.abs(A[..., 1, 2]) <= tol) \
-            & (np.abs(A[..., 2, 2] - 1.0) <= tol)
-        dn = (np.abs(A[..., 0, 2]) <= tol) & (np.abs(A[..., 1, 2]) <= tol) \
-            & (np.abs(A[..., 2, 2] + 1.0) <= tol)
-        rho = np.sqrt(c[..., 0] ** 2 + c[..., 1] ** 2)
-        bes = j0(k * rho)
-        sign = 1.0 if eps == 0 else -1.0
-        return np.where(up, bes, 0.0) + np.where(dn, sign * bes, 0.0) + 0.0j
+        return np.asarray(sinc(p["k"] * r), dtype=complex)
 
     if kind == "su2_highest_weight":
         twoj = int(round(2 * p["j"]))
@@ -343,30 +272,28 @@ def _eval_pack(state, pack):
 
 def evaluate(state, g):
     """m(g) for a single group element."""
-    if state.kind == "custom":
-        return complex(state.evaluator(g))
-    pack = _stack(state.family, [g])
-    return complex(np.asarray(_eval_pack(state, pack)).ravel()[0])
+    return complex(evaluate_many(state, [g])[0])
 
 
 def evaluate_many(state, samples):
-    if state.kind == "custom":
-        return np.array([complex(state.evaluator(g)) for g in samples])
-    return np.asarray(_eval_pack(state, _stack(state.family, samples))).ravel()
+    pack = groups.stack_coords(state.family, samples)
+    return np.asarray(_eval_pack(state, pack)).ravel()
 
 
-def pair_eval(state, xs, ys, grid=False):
-    """m(x^{-1} y) over aligned lists (or the full table with grid=True)."""
-    if state.kind == "custom":
-        if grid:
-            return np.array([[complex(state.evaluator(
-                groups.compose(groups.inverse(x), y))) for y in ys] for x in xs])
-        return np.array([complex(state.evaluator(
-            groups.compose(groups.inverse(x), y))) for x, y in zip(xs, ys)])
-    X = _stack(state.family, xs)
-    Y = _stack(state.family, ys)
-    return np.asarray(_eval_pack(
-        state, _inv_compose(state.family, X, Y, grid=grid)))
+def exp_values(state, C):
+    """m(exp Z) over a stack C of algebra coordinates (..., dim)."""
+    C = np.asarray(C, dtype=float)
+    return np.asarray(_eval_pack(state, groups.exp_coords(state.family, C)))
+
+
+def pair_eval(state, X, Y, grid=False):
+    """m(x^{-1} y) over aligned coordinate stacks X, Y (or the full table
+    with grid=True)."""
+    fam = state.family
+    Xi = groups.inverse_coords(fam, X)
+    if grid:
+        Xi, Y = _axis(Xi, 1), _axis(Y, 0)
+    return np.asarray(_eval_pack(state, groups.compose_coords(fam, Xi, Y)))
 
 
 class GramMatrix:
@@ -390,7 +317,8 @@ def gram(state, samples, rank_tol=None):
     fams = {g.family for g in samples}
     if len(fams) != 1 or fams.pop() != state.family:
         raise groups.FamilyError("samples must share the state's family")
-    K = pair_eval(state, samples, samples, grid=True)
+    S = groups.stack_coords(state.family, samples)
+    K = pair_eval(state, S, S, grid=True)
     vals = np.linalg.eigvalsh(K)
     vals = vals[::-1]
     n = len(samples)
@@ -409,26 +337,21 @@ def check_inequalities(state, pairs, slack=None):
     """Herglotz / Krein / Weil margins over a list of (g, h) pairs.
 
     Margins are reported as (left side - right side); all must stay below
-    the slack for a genuine state.
+    the slack for a genuine state.  Krein is checked squared,
+    |m(g) - m(h)|^2 <= 2 (1 - Re m(g^-1 h)): its square-root form cancels
+    for near-coincident pairs and fails genuine states.
     """
     slack = DEFAULT.slack if slack is None else slack
-    gs = [p[0] for p in pairs]
-    hs = [p[1] for p in pairs]
-    mg = np.asarray(evaluate_many(state, gs))
-    mh = np.asarray(evaluate_many(state, hs))
-    mgh_cross = np.asarray(pair_eval(state, gs, hs))          # m(g^{-1} h)
-    if state.kind == "custom":
-        mprod = np.array([complex(state.evaluator(groups.compose(g, h)))
-                          for g, h in zip(gs, hs)])
-    else:
-        X = _stack(state.family, gs)
-        Y = _stack(state.family, hs)
-        mprod = np.asarray(_eval_pack(
-            state, _compose_zip(state.family, X, Y)))          # m(g h)
+    fam = state.family
+    G = groups.stack_coords(fam, [p[0] for p in pairs])
+    H = groups.stack_coords(fam, [p[1] for p in pairs])
+    mg = np.asarray(_eval_pack(state, G))
+    mh = np.asarray(_eval_pack(state, H))
+    mgh_cross = pair_eval(state, G, H)                           # m(g^-1 h)
+    mprod = np.asarray(_eval_pack(state, groups.compose_coords(fam, G, H)))
 
     herglotz = float(np.max(np.concatenate([np.abs(mg), np.abs(mh)])) - 1.0)
-    krein_rhs = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - mgh_cross.real)))
-    krein = float(np.max(np.abs(mg - mh) - krein_rhs))
+    krein = float(np.max(np.abs(mg - mh) ** 2 - 2.0 * (1.0 - mgh_cross.real)))
     weil_rhs = np.sqrt(np.maximum(0.0, 1.0 - np.abs(mg) ** 2)) \
         * np.sqrt(np.maximum(0.0, 1.0 - np.abs(mh) ** 2))
     weil = float(np.max(np.abs(mprod - mg * mh) - weil_rhs))
@@ -460,9 +383,11 @@ def modulus_one_subgroup_probe(state, samples, product_budget=512, seed=0):
         n_pairs = min(product_budget, len(inside) ** 2)
         ii = rng.integers(0, len(inside), size=n_pairs)
         jj = rng.integers(0, len(inside), size=n_pairs)
-        prod = [groups.compose(samples[inside[i]], samples[inside[j]])
-                for i, j in zip(ii, jj)]
-        pv = np.abs(evaluate_many(state, prod))
+        fam = state.family
+        prod = groups.compose_coords(
+            fam, groups.stack_coords(fam, [samples[inside[i]] for i in ii]),
+            groups.stack_coords(fam, [samples[inside[j]] for j in jj]))
+        pv = np.abs(_eval_pack(state, prod))
         for idx, v in enumerate(pv):
             if abs(v - 1.0) >= DEFAULT.modulus_one:
                 violations.append((int(inside[ii[idx]]), int(inside[jj[idx]])))

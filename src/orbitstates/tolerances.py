@@ -11,10 +11,7 @@ from dataclasses import dataclass
 class Tolerances:
     # chart / matrix hygiene
     ortho: float = 1e-12          # A^T A = I, det A = 1, quaternion norm
-    compose: float = 1e-12        # group-law round trips
-    exp_series: float = 1e-10     # exp/log against truncated series
     branch_guard: float = 1e-9    # log rejected for rotation angle >= pi - guard
-    pairing: float = 1e-10        # coadjoint pairing identity
     commuting: float = 1e-10      # pairwise bracket norm for "commuting"
 
     # states
@@ -22,30 +19,22 @@ class Tolerances:
     sinc_taylor: float = 1e-4     # |x| below which sin(x)/x uses its series
     modulus_one: float = 1e-9     # | |m(g)| - 1 | for subgroup membership
     slack: float = 1e-12          # Herglotz / Krein / Weil slack
-    gram_hermitian: float = 1e-12
     psd_scale: float = 1e-9       # min eigenvalue >= -psd_scale * n
 
     # gns
     quotient_scale: float = 1e-9  # eigenvalue kept when > quotient_scale * n
     residual: float = 1e-9        # rep_matrix projection defect gate
     commutant_svd: float = 1e-8   # null-space singular-value cut
-    recovery: float = 1e-9
-    reproducing: float = 1e-10
 
     # induced
-    counting_unitary: float = 1e-12
-    quadrature_unitary: float = 1e-10
     support_grid: float = 1e-9    # rounding grid for merging support points
 
     # orbits
-    orbit_relation: float = 1e-10
     margin: float = 1e-6          # quantum_check slack epsilon
     box_radius: float = 50.0      # sampling box for unbounded chart coordinates
 
     # spectral
-    atom_imag: float = 1e-6
     freq_eps: float = 1e-3        # neighbourhood radius for concentration checks
-    mass_budget: float = 1e-6     # total mass may exceed 1 by at most this
 
 
 DEFAULT = Tolerances()

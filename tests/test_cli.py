@@ -1,5 +1,6 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -233,6 +234,25 @@ def test_reproduce_targets_all_pass(tmp_path, target):
     assert rep["pass"] is True
     assert rep["results"]["target"] == target
     assert all(rep["results"]["matrix"].values())
+
+
+def test_reproduce_target_writes_no_temporary_file(tmp_path, monkeypatch):
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+    opened = []
+    real_open = os.open
+
+    def spy(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    out = str(tmp_path / "rep")
+    assert cli.main(["reproduce", "su2-weights", "--out", out]) == 0
+    assert not [p for p in opened if p.startswith(str(tmpdir))]
+    assert os.listdir(tmpdir) == []
+    assert _report(out, "reproduce")["pass"] is True
 
 
 # ---------------------------------------------------------------------------

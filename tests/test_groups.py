@@ -329,3 +329,95 @@ def test_euclid_rejects_non_rotation():
         groups.euclid(np.eye(3) * 2.0, np.zeros(3))
     with pytest.raises(ValueError):
         groups.su2(1.0, 1.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the array law against the element law
+
+ALGEBRA_DIM = {"heisenberg": 3, "bargmann": 4, "euclid": 6, "su2": 3,
+               "torus": 2}
+
+
+def _lead(X, axis):
+    """A coordinate stack with a new broadcast axis (euclid: (A, c))."""
+    if isinstance(X, tuple):
+        return tuple(np.expand_dims(x, axis) for x in X)
+    return np.expand_dims(X, axis)
+
+
+def _entry(X, idx):
+    """One entry of a coordinate stack, flattened."""
+    if isinstance(X, tuple):
+        return np.concatenate([X[0][idx].ravel(), X[1][idx]])
+    return X[idx]
+
+
+def _flat(g):
+    if g.family == "euclid":
+        return np.concatenate([g.data[0].ravel(), g.data[1]])
+    return g.data
+
+
+@pytest.mark.parametrize("family", sorted(ALGEBRA_DIM))
+def test_compose_coords_matches_element_compose(family):
+    rng = np.random.default_rng(40)
+    gs = groups.random_elements(family, rng, 7, dim=2)
+    hs = groups.random_elements(family, rng, 5, dim=2)
+    X = groups.stack_coords(family, gs)
+    Y = groups.stack_coords(family, hs)
+    zipped = groups.compose_coords(family, X, groups.stack_coords(family,
+                                                                  hs + hs[:2]))
+    for i, (g, h) in enumerate(zip(gs, hs + hs[:2])):
+        want = _flat(groups.compose(g, h))
+        assert np.abs(_entry(zipped, i) - want).max() < 1e-12
+    table = groups.compose_coords(family, _lead(X, 1), _lead(Y, 0))
+    for i, g in enumerate(gs):
+        for j, h in enumerate(hs):
+            want = _flat(groups.compose(g, h))
+            assert np.abs(_entry(table, (i, j)) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("family", sorted(ALGEBRA_DIM))
+def test_inverse_and_exp_coords_match_element_law(family):
+    rng = np.random.default_rng(41)
+    gs = groups.random_elements(family, rng, 6, dim=2)
+    inv = groups.inverse_coords(family, groups.stack_coords(family, gs))
+    C = rng.uniform(-3, 3, (6, ALGEBRA_DIM[family]))
+    C[0] = 0.0
+    ex = groups.exp_coords(family, C)
+    # the same stacks with two leading axes
+    ex2 = groups.exp_coords(family, C.reshape(3, 2, -1))
+    for i, g in enumerate(gs):
+        assert np.abs(_entry(inv, i) - _flat(groups.inverse(g))).max() < 1e-12
+        want = _flat(groups.exp(groups.algebra(family, C[i])))
+        assert np.abs(_entry(ex, i) - want).max() < 1e-12
+        assert np.abs(_entry(ex2, divmod(i, 2)) - want).max() < 1e-12
+
+
+AXIS_SIZES = (0.0, 1e-9, 0.99e-4, 1.01e-4, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("size", AXIS_SIZES)
+def test_euclid_exp_coords_matches_expm_across_series_switch(size):
+    from scipy.linalg import expm
+    rng = np.random.default_rng(42)
+    axes = rng.standard_normal((16, 3))
+    axes *= size / np.linalg.norm(axes, axis=1, keepdims=True)
+    C = np.hstack([axes, rng.uniform(-3, 3, (16, 3))])
+    A, c = groups.exp_coords("euclid", C)
+    for i, row in enumerate(C):
+        M = expm(oracles.se3_alg(row[:3], row[3:]))
+        assert np.abs(oracles.se3_mat(A[i], c[i]) - M).max() < 1e-12
+
+
+def test_euclid_exp_coords_translations_match_general_rows():
+    # a pure-translation stack and the same rows among screws give the same
+    # coordinates
+    rng = np.random.default_rng(43)
+    C = np.hstack([np.zeros((4, 3)), rng.uniform(-3, 3, (4, 3))])
+    screws = np.vstack([C, rng.uniform(-3, 3, (4, 6))])
+    A, c = groups.exp_coords("euclid", C)
+    A2, c2 = groups.exp_coords("euclid", screws)
+    assert np.array_equal(A, np.broadcast_to(np.eye(3), (4, 3, 3)))
+    assert np.array_equal(c, C[:, 3:])
+    assert np.array_equal(A2[:4], A) and np.array_equal(c2[:4], c)

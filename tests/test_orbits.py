@@ -310,6 +310,25 @@ def test_constant_one_is_rejected_with_witness():
     assert first["margin"] < -1.9
 
 
+@pytest.mark.parametrize("j,lam", [(2, 1.0), (1.5, 0.5)])
+def test_su2_probe_refutes_spins_above_lambda(j, lam):
+    st = states.su2_highest_weight(j)
+    for seed in range(10):
+        rep = orbits.quantum_check(st, orbits.su2_orbit(lam), trials=1,
+                                   budget=100000, seed=seed)
+        assert not rep["pass"]
+        assert rep["failures"][0]["trial"] == 0
+        assert rep["failures"][0]["margin"] < -0.2
+
+
+@pytest.mark.parametrize("j,lam", [(1, 1.0), (0.5, 1.0), (1.5, 2.5), (4, 4.0)])
+def test_su2_probe_holds_for_spins_up_to_lambda(j, lam):
+    st = states.su2_highest_weight(j)
+    rep = orbits.quantum_check(st, orbits.su2_orbit(lam), trials=1,
+                               budget=1000, seed=0)
+    assert rep["margins"][0] >= -1e-12
+
+
 def test_quantum_check_same_seed_repeats_exactly():
     st = states.make_state("euclid_spherical", k=2.0)
     spec = orbits.euclid_orbit(2.0)
@@ -325,7 +344,7 @@ def test_quantum_check_seeds_draw_independent_trials():
     # seeds share no drawn tuple
     st = states.make_state("heisenberg_loc_p", k=1.3)
     spec = orbits.heisenberg_orbit(1.3, 0.0)
-    first = len(orbits._canonical_probes(spec.family))
+    first = len(orbits._canonical_probes(spec))
     drawn = []
     for seed in (0, 1):
         keys = set()

@@ -153,6 +153,28 @@ def test_spherical_state_gives_uniform_density():
     assert np.max(np.abs(dens[outside])) < 1e-3
 
 
+def test_band_edge_on_a_lattice_point_is_still_uniform():
+    # k |r| = sqrt 3 puts a frequency-lattice point on the window-smoothed
+    # band edge, between 0.5 and 0.75 of the plateau
+    st = states.make_state("euclid_spherical", k=2.0)
+    Z = groups.algebra("euclid", [0, 0, 0, 0.5, 0.5, 0.5])
+    est = spectral.density_estimate(st, Z)
+    assert est.classification == "uniform_density"
+    assert abs(est.total_mass_accounted - 1.0) < 0.02
+
+
+def test_sinc_squared_triangle_is_not_flat():
+    # restriction sinc^2(t): a triangle density on [-2, 2]
+    st = states.make_state(
+        "custom", family="euclid",
+        evaluator=lambda g: np.sinc(np.linalg.norm(g.data[1]) / np.pi) ** 2)
+    Z = groups.algebra("euclid", [0, 0, 0, 1.0, 0, 0])
+    est = spectral.density_estimate(st, Z, N=2 ** 12)
+    assert est.classification == "mixed"
+    assert est.atoms == []
+    assert abs(est.total_mass_accounted - 1.0) < 0.02
+
+
 def test_mixture_is_classified_mixed():
     st = states.make_state(
         "custom", family="euclid",

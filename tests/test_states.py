@@ -262,6 +262,36 @@ def test_inequalities_hold(kind, params):
     assert out["worst_margin"] <= 1e-12
 
 
+@pytest.mark.parametrize("kind,params", BUILTIN + [
+    ("custom", dict(family="su2", evaluator=lambda g: g.data[0] + 1j * g.data[3]))])
+def test_exp_values_match_element_evaluation(kind, params):
+    st = _mk(kind, dict(params))
+    rng = np.random.default_rng(24)
+    C = rng.uniform(-2, 2, (3, 2, groups.ALGEBRA_DIM[st.family]))
+    C[0, 0] = 0.0
+    got = states.exp_values(st, C)
+    assert got.shape == (3, 2)
+    for idx in np.ndindex(3, 2):
+        want = states.evaluate(st, groups.exp(groups.algebra(st.family,
+                                                             C[idx])))
+        assert abs(got[idx] - want) < 1e-12
+        assert abs(complex(states.exp_values(st, C[idx])) - want) < 1e-12
+
+
+def test_krein_margin_holds_for_near_coincident_pairs():
+    # in its square-root form the Krein bound cancels for pairs a few 1e-6
+    # apart, and the centre state failed the 1e-12 slack by up to 4e-11
+    st = _mk("heisenberg_center", dict())
+    rng = np.random.default_rng(31)
+    for d in (1e-5, 3e-6, 1e-7):
+        pairs = [(groups.heisenberg(a, 0.0, 0.0),
+                  groups.heisenberg(a + d, 0.0, 0.0))
+                 for a in rng.uniform(-3, 3, 200)]
+        out = states.check_inequalities(st, pairs)
+        assert out["pass"], (d, out)
+        assert out["krein_margin"] < 1e-15
+
+
 def test_inequalities_reject_overscaled_function():
     bad = states.make_state(
         "custom", family="heisenberg",
