@@ -119,7 +119,7 @@ def _default_orbit(state, params):
 # ---------------------------------------------------------------------------
 # task runners: each returns (results dict, passed bool, paper_refs)
 
-def _task_verify(doc, seed, budget):
+def _task_verify(doc, seed):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
     rng = np.random.default_rng(seed)
@@ -146,7 +146,7 @@ def _task_verify(doc, seed, budget):
         ["state-psd-kernel", "modulus-and-continuity-bounds"]
 
 
-def _task_gram(doc, seed, budget):
+def _task_gram(doc, seed):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
     rng = np.random.default_rng(seed)
@@ -162,7 +162,7 @@ def _task_gram(doc, seed, budget):
     return results, bool(ok), ["state-psd-kernel"]
 
 
-def _task_gns(doc, seed, budget):
+def _task_gns(doc, seed):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
     samples, probes = gns.closed_sample_set(state, _count(p, "n", 16), seed)
@@ -192,7 +192,7 @@ def _task_gns(doc, seed, budget):
     return results, bool(ok), ["finite-gns-recovery"]
 
 
-def _task_spectral(doc, seed, budget):
+def _task_spectral(doc, seed):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
     if "Z" not in p:
@@ -224,7 +224,7 @@ def _task_spectral(doc, seed, budget):
     return results, bool(ok), ["abelian-restriction-spectrum"]
 
 
-def _task_orbit(doc, seed, budget):
+def _task_orbit(doc, seed):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
     spec = _default_orbit(state, p)
@@ -296,7 +296,7 @@ def _task_quantum(doc, seed, budget):
 # ---------------------------------------------------------------------------
 # reproduction suites
 
-def _reproduce_heisenberg_table(seed, budget):
+def _reproduce_heisenberg_table(seed):
     rng = np.random.default_rng(seed)
     gs = groups.random_elements("heisenberg", rng, 1000)
     t = 0.4
@@ -320,7 +320,7 @@ def _reproduce_heisenberg_table(seed, budget):
     return matrix, details, ["induced-row-coefficients"]
 
 
-def _reproduce_bargmann_states(seed, budget):
+def _reproduce_bargmann_states(seed):
     rng = np.random.default_rng(seed)
     matrix, details = {}, {}
     for label, st in [("loc_pe", states.make_state("bargmann_loc_pe", k=1.0)),
@@ -356,7 +356,7 @@ def _reproduce_bargmann_states(seed, budget):
     return matrix, details, ["paraboloid-states", "abelian-restriction-spectrum"]
 
 
-def _reproduce_euclid_waves(seed, budget):
+def _reproduce_euclid_waves(seed):
     rng = np.random.default_rng(seed)
     matrix, details = {}, {}
     trio = [("plane", states.make_state("euclid_plane", k=1.0)),
@@ -401,7 +401,7 @@ def _reproduce_euclid_waves(seed, budget):
     return matrix, details, ["wave-identities", "orbit-sup-inequality"]
 
 
-def _reproduce_prequant(seed, budget):
+def _reproduce_prequant(seed):
     scn = spectral.gaussian_scenario()
     value = spectral.prequant_mass_outside(scn)
     matrix = {"mass_outside_positive": value > 0.05,
@@ -414,7 +414,7 @@ def _reproduce_prequant(seed, budget):
     return matrix, details, ["classical-value-escape"]
 
 
-def _reproduce_su2_weights(seed, budget):
+def _reproduce_su2_weights(seed):
     from math import comb
     rng = np.random.default_rng(seed)
     matrix, details = {}, {}
@@ -452,9 +452,9 @@ _REPRODUCERS = {
 }
 
 
-def _task_reproduce(doc, seed, budget):
+def _task_reproduce(doc, seed):
     target = doc.get("params", {}).get("target")
-    matrix, details, refs = _REPRODUCERS[target](seed, budget)
+    matrix, details, refs = _REPRODUCERS[target](seed)
     results = {"target": target, "matrix": matrix, "details": details}
     return results, bool(all(matrix.values())), refs
 
@@ -564,13 +564,16 @@ def run(scenario_path, seed=None, out=None, budget=None):
 
 
 def run_document(doc, seed=None, out=None, budget=None):
-    """Execute one parsed scenario document; returns the process exit code."""
+    """Execute one parsed scenario document; returns the process exit code.
+    `budget`, when given, overrides a quantum check's draw budget."""
     try:
         validate_scenario(doc)
         seed = doc["seed"] if seed is None else seed
         outdir = out or doc.get("out", "reports")
         runner = _RUNNERS[doc["task"]]
-        results, passed, refs = runner(doc, seed, budget)
+        # only the quantum check has a budget to override
+        results, passed, refs = runner(doc, seed, budget) \
+            if runner is _task_quantum else runner(doc, seed)
     except CliInputError as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
@@ -630,7 +633,8 @@ def main(argv=None):
         sp.add_argument("--scenario", help="scenario JSON file")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--budget", type=int, default=None)
+        if name == "quantum":
+            sp.add_argument("--budget", type=int, default=None)
         if name == "reproduce":
             sp.add_argument("target", nargs="?", choices=REPRODUCE_TARGETS)
     args = parser.parse_args(argv)
@@ -648,8 +652,7 @@ def main(argv=None):
         doc = {"version": "1", "task": "reproduce",
                "seed": args.seed if args.seed is not None else 0,
                "params": {"target": args.target}}
-        return run_document(doc, seed=args.seed, out=args.out,
-                            budget=args.budget)
+        return run_document(doc, seed=args.seed, out=args.out)
 
     if args.scenario is None:
         print("input error: --scenario is required", file=sys.stderr)
@@ -664,7 +667,8 @@ def main(argv=None):
               "subcommand %r" % (doc.get("task"), args.command),
               file=sys.stderr)
         return 2
-    return run_document(doc, seed=args.seed, out=args.out, budget=args.budget)
+    return run_document(doc, seed=args.seed, out=args.out,
+                        budget=vars(args).get("budget"))
 
 
 if __name__ == "__main__":

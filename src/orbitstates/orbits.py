@@ -21,33 +21,40 @@ than searched for generically:
 These whitelists are a choice of this implementation; the inequality itself
 quantifies over all commuting tuples.
 
-Every family reduces the orbit sup to a 1-D or 2-D search:
+Every tuple reduces the orbit sup to a search over one of three charts,
+each defined by its phases phi_j(x) (the signal is
+|sum_j c_j e^{i phi_j(x)}|) and their Jacobian:
 
-  heisenberg  tau = p sin(theta) - q cos(theta) in R
-  bargmann    p in R (ideal tuples) or u = p*ghat - q - p^2 ehat/2 in R
-  euclid      unit sphere (translations) or the strip R x [-k, k]
-  su2         axis heights h in [-lambda, lambda]
-  torus       a single point
+  line    p gamma_j - p^2 eps_j / 2 + off_j over p in R or an interval:
+          Heisenberg tau = p sin(theta) - q cos(theta), Bargmann ideal p,
+          Bargmann boost u = p*ghat - q - p^2 ehat/2 (eps = 0), SU(2) axis
+          heights h in [-lambda, lambda] (eps = 0, off = 0)
+  sphere  u . w_j over unit vectors u: Euclid translations
+  strip   s_j l + t_j p over (l, p) in R x [-k, k]: Euclid screw tuples
 
-The search for one tuple runs in stages of rising cost and checks an
-optional target (the left side under test) after each one:
+and a torus orbit is a single point.  The search for one tuple runs in
+stages of rising cost and checks an optional target (the left side under
+test) after each one:
 
   1  anchors: the state's localization points and the SU(2) weight
      heights, plus the exact value when the tuple has one term or is
      central;
-  2  O(n) analytic class bounds: frequency-class means on the lines R, the
-     sphere mean sum c_j sinc|w_j| and the directions +-w_j/|w_j|, the
-     per-s-class strip bound on a coarse p grid, the stationary-phase
-     classes of the Bargmann ideal;
+  2  analytic class bounds: on the line over R the stationary-phase means
+     of the exact (gamma, eps) classes, the sphere mean
+     sum c_j sinc|w_j| and the directions +-w_j/|w_j|, the per-s-class
+     strip bound on a coarse p grid;
   3  a fixed 1-in-16 subset of the chart's fixed grid;
   4  the rest of that grid, plus three great circles and their means on
      the sphere and the strip's class bound on the rest of its p grid;
-  5  the budgeted seeded draws, then gradient ascents from the best points.
+  5  the budgeted seeded draws, then one batched gradient ascent on the
+     chart from the best points.
 
 Every stage yields a true lower bound on the sup, so stopping once it
 reaches the target is sound, and without a target every stage runs.
 `budget` caps the draws of stage 5; re-running with a larger budget extends
-the same stream, so estimates are monotone in the budget by construction.
+the same stream of draws, so the best drawn value never falls as the budget
+grows.  The estimate can: the ascents start from the best points found,
+and a better start may climb to a lower local maximum.
 `SupEstimate.drawn` and the `samples_drawn` field of a `quantum_check`
 report say how many draws were actually made.
 """
@@ -184,6 +191,11 @@ def _frozen(a):
     return a
 
 
+def _unit(U):
+    """The rows of U scaled to unit length."""
+    return U / np.linalg.norm(U, axis=1, keepdims=True)
+
+
 def _fibonacci_sphere(n):
     i = np.arange(n) + 0.5
     z = 1.0 - 2.0 * i / n
@@ -275,138 +287,136 @@ def _draws(budget, draw):
         yield draw(min(DRAW_CHUNK, budget - start))
 
 
-def _search(run, X, vals, chunks, value, ascend):
+class _Chart:
+    """A search chart of |sum_j c_j e^{i phi_j(x)}| over rows x: phase(X)
+    gives the (rows, n) phases, jac(X) their Jacobian d phi_j / dx
+    (broadcastable to (rows, n, dim)), and move(X, G, eta) takes the
+    gradient step eta G and keeps the rows on the chart."""
+    __slots__ = ("cs", "phase", "jac", "move")
+
+    def __init__(self, cs, phase, jac, move):
+        self.cs, self.phase, self.jac, self.move = cs, phase, jac, move
+
+    def value(self, X):
+        return np.abs(np.exp(1j * self.phase(X)) @ self.cs)
+
+
+def _line_chart(cs, ga, ep, off, r=np.inf):
+    """p in [-r, r] (all of R by default); phases
+    p ga_j - p^2 ep_j / 2 + off_j; steps clamp p."""
+    return _Chart(cs, lambda P: P * (ga - 0.5 * P * ep) + off,
+                  lambda P: (ga - P * ep)[..., None],
+                  lambda P, G, eta: np.clip(P + eta * G, -r, r))
+
+
+def _sphere_chart(cs, ws):
+    """Unit vectors u; phases u . w_j; steps are projected and retracted."""
+    def move(U, G, eta):
+        G = G - np.sum(G * U, axis=1, keepdims=True) * U
+        return _unit(U + eta * G)
+
+    return _Chart(cs, lambda U: U @ ws.T, lambda U: ws, move)
+
+
+def _strip_chart(cs, sfreq, pfreq, k):
+    """(l, p) in R x [-k, k]; phases s_j l + t_j p; steps clamp p."""
+    J = np.column_stack([sfreq, pfreq])
+    return _Chart(cs, lambda X: np.outer(X[:, 0], sfreq)
+                  + np.outer(X[:, 1], pfreq), lambda X: J,
+                  lambda X, G, eta: np.clip(X + eta * G, (-np.inf, -k),
+                                            (np.inf, k)))
+
+
+def _ascend(chart, X):
+    """Gradient ascent on |S|^2, S = sum_j c_j e^{i phi_j(x)}, from every
+    row of X together.  Each row keeps its own step, first
+    0.5 / max(1, max_j |d phi_j / dx|^2) at its start: a move that does not
+    lower the value is kept, otherwise the step halves, and the row stops
+    once its step is below 1e-18 or after ASCENT_STEPS moves.  Returns the
+    final rows, their values (none below its start) and the moves tried."""
+    X = np.array(X, dtype=float)
+    f = chart.value(X)
+    J = chart.jac(X)
+    eta = np.broadcast_to(
+        0.5 / np.maximum(1.0, np.max(np.sum(J * J, axis=-1), axis=-1)),
+        f.shape).copy()
+    live, steps = np.arange(len(X)), 0
+    for _ in range(ASCENT_STEPS):
+        if not live.size:
+            break
+        x = X[live]
+        E = np.exp(1j * chart.phase(x))
+        S = E @ chart.cs
+        dS = np.sum((1j * chart.cs * E)[..., None] * chart.jac(x), axis=1)
+        xn = chart.move(x, 2.0 * np.real(np.conj(S)[:, None] * dS),
+                        eta[live, None])
+        fn = chart.value(xn)
+        steps += live.size
+        up = fn >= f[live]
+        X[live[up]], f[live[up]] = xn[up], fn[up]
+        eta[live[~up]] *= 0.5
+        live = live[eta[live] >= 1e-18]
+    return X, f, steps
+
+
+def _search(run, chart, X, vals, chunks):
     """Stage 5: evaluate the drawn chunks, keeping each chunk's best
     ASCENT_RESTARTS points, then ascend from the ASCENT_RESTARTS best of
     those and of the fixed points X.  Memory stays bounded by the chunk."""
     run.stage = 5
     keep_X, keep_v = [X], [vals]
     for D in chunks:
-        v = value(D)
+        v = chart.value(D)
         run.points(v)
         run.drawn += len(v)
         top = np.argsort(v)[::-1][:ASCENT_RESTARTS]
         keep_X.append(D[top])
         keep_v.append(v[top])
     X, vals = np.concatenate(keep_X), np.concatenate(keep_v)
-    for idx in np.argsort(vals)[::-1][:ASCENT_RESTARTS]:
-        f, steps = ascend(X[idx].copy())
-        run.steps += steps
-        run.bound(f)
+    _, f, steps = _ascend(chart, X[np.argsort(vals)[::-1][:ASCENT_RESTARTS]])
+    run.steps += steps
+    run.bound(np.max(f))
 
 
-def _trig_value(taus, freqs, cs, offs):
-    ph = np.multiply.outer(taus, freqs) + offs
-    return np.abs(np.exp(1j * ph) @ cs)
-
-
-def _ascend_1d(x0, freqs, cs, offs, lo=None, hi=None):
-    """Gradient ascent on |sum c_j e^{i(freq_j x + off_j)}|^2."""
-    x, steps = float(x0), 0
-    def val(t):
-        return float(np.abs(np.exp(1j * (freqs * t + offs)) @ cs))
-    fx = val(x)
-    eta = 0.5 / max(1.0, np.max(np.abs(freqs)) ** 2)
-    for _ in range(ASCENT_STEPS):
-        ph = np.exp(1j * (freqs * x + offs))
-        S = ph @ cs
-        grad = 2.0 * np.real(np.conj(S) * ((1j * freqs * cs) @ ph))
-        x_new = x + eta * grad
-        if lo is not None:
-            x_new = min(max(x_new, lo), hi)
-        f_new = val(x_new)
-        steps += 1
-        if f_new >= fx:
-            x, fx = x_new, f_new
-        else:
-            eta *= 0.5
-            if eta < 1e-18:
-                break
-    return fx, steps
-
-
-def _freq_class_bound(freqs, cs, offs):
-    """max over exact-frequency classes of |sum_class c e^{i off}|.
-
-    Each class sum is a long-run mean of the signal against e^{i f tau}, so
-    it lower-bounds the sup over tau in R.  Classes use exact float
-    equality: deliberately drawn repeats (shared frequency 0, say) group
-    together, while continuously drawn frequencies stay singletons.
-    """
-    best = 0.0
-    for f in np.unique(freqs):
-        sel = freqs == f
-        best = max(best, float(abs(np.sum(cs[sel] * np.exp(1j * offs[sel])))))
-    return best
-
-
-def _sup_1d(run, freqs, cs, offs, r, clamp, budget, seed, anchors=()):
-    """sup over tau of |sum c_j e^{i(freq_j tau + off_j)}|: over [-r, r]
-    when clamped (the SU(2) interval), else over R, searched in [-r, r]."""
-    freqs = np.asarray(freqs, float)
-    offs = np.asarray(offs, float)
-
-    def value(taus):
-        return _trig_value(taus, freqs, cs, offs)
-
-    anchors = np.asarray(anchors, float)
-    avals = value(anchors)
+def _sup_line(run, cs, ga, ep, off, r, budget, seed, anchors=(),
+              interval=False):
+    """sup of |sum c_j e^{i(p ga_j - p^2 ep_j / 2 + off_j)}| over p in
+    [-r, r] when `interval` (the SU(2) heights), else over R, searched in
+    [-r, r]."""
+    chart = _line_chart(cs, ga, ep, off, r if interval else np.inf)
+    anchors = np.asarray(anchors, float).reshape(-1, 1)
+    avals = chart.value(anchors)
     run.points(avals)
     if run.met(1):
         return
-    if not clamp:
-        run.bound(_freq_class_bound(freqs, cs, offs))
+    if not interval:
+        # stationary phase: the long-run p-mean keeps exactly the terms of
+        # one (ga, ep) class and lower-bounds the sup over R.  Classes use
+        # exact float equality, so deliberately drawn repeats (a shared
+        # frequency 0, say) group.  Each class sum is the full-length dot
+        # with the other terms zeroed: the arithmetic of the left side of a
+        # state localized on the class, so it meets that target exactly
+        # rather than an ulp below it
+        key = ga + 1j * np.asarray(ep)
+        E = np.exp(1j * off)
+        for k in np.unique(key):
+            run.bound(abs(np.where(key == k, E, 0.0) @ cs))
     if run.met(2):
         return
-    taus = r * _LINE
-    vals = _grid_stages(run, taus, value)
+    X = r * _LINE[:, None]
+    vals = _grid_stages(run, X, chart.value)
     if vals is None or run.met(4):
         return
     rng = np.random.default_rng(seed)
-    lo, hi = (-r, r) if clamp else (None, None)
-    _search(run, np.concatenate([taus, anchors]), np.concatenate([vals, avals]),
-            _draws(budget, lambda n: rng.uniform(-r, r, size=n)), value,
-            lambda x: _ascend_1d(x, freqs, cs, offs, lo, hi))
+    _search(run, chart, np.vstack([X, anchors]), np.concatenate([vals, avals]),
+            _draws(budget, lambda n: rng.uniform(-r, r, size=(n, 1))))
 
 
-def _ascend_sphere(u, ws, cs):
-    """Projected gradient ascent on the unit sphere."""
-    def value(u):
-        return float(np.abs(np.exp(1j * (u @ ws.T)) @ cs))
-
-    steps = 0
-    fu = value(u)
-    eta = 0.5 / max(1.0, np.max(np.sum(ws * ws, axis=1)))
-    for _ in range(ASCENT_STEPS):
-        ph = np.exp(1j * (u @ ws.T))
-        S = ph @ cs
-        grad = 2.0 * np.real(np.conj(S) * ((1j * cs * ph) @ ws))
-        grad -= (grad @ u) * u
-        un = u + eta * grad
-        un /= np.linalg.norm(un)
-        fn = value(un)
-        steps += 1
-        if fn >= fu:
-            u, fu = un, fn
-        else:
-            eta *= 0.5
-            if eta < 1e-18:
-                break
-    return fu, steps
-
-
-def _sup_sphere(run, ws, cs, budget, seed, anchors=()):
+def _sup_sphere(run, cs, ws, budget, seed, anchors=()):
     """sup over the unit sphere of |sum c_j e^{i u.w_j}|."""
-    ws = np.asarray(ws, float)
-
-    def sums(U):
-        return np.exp(1j * (U @ ws.T)) @ cs
-
-    def value(U):
-        return np.abs(sums(U))
-
+    chart = _sphere_chart(cs, ws)
     anchors = np.asarray(anchors, float).reshape(-1, 3)
-    avals = value(anchors)
+    avals = chart.value(anchors)
     run.points(avals)
     if run.met(1):
         return
@@ -415,16 +425,16 @@ def _sup_sphere(run, ws, cs, budget, seed, anchors=()):
     run.bound(abs(np.sum(cs * states.sinc(nw))))
     u = ws[nw > 1e-12] / nw[nw > 1e-12, None]
     dirs = np.stack([u, -u], axis=1).reshape(-1, 3)
-    dvals = value(dirs)
+    dvals = chart.value(dirs)
     run.points(dvals)
     if run.met(2):
         return
-    vals = _grid_stages(run, _SPHERE, value)
+    vals = _grid_stages(run, _SPHERE, chart.value)
     if vals is None:
         return
     # circle points are candidates and so are their means (a circle mean
     # lower-bounds the sup over the circle)
-    csum = sums(_CIRCLES)
+    csum = np.exp(1j * chart.phase(_CIRCLES)) @ cs
     cvals = np.abs(csum)
     run.points(cvals)
     for S in csum.reshape(3, CIRCLE):
@@ -432,133 +442,43 @@ def _sup_sphere(run, ws, cs, budget, seed, anchors=()):
     if run.met(4):
         return
     rng = np.random.default_rng(seed)
-
-    def draw(n):
-        u = rng.standard_normal((n, 3))
-        return u / np.linalg.norm(u, axis=1, keepdims=True)
-
-    _search(run, np.vstack([_SPHERE, dirs, anchors, _CIRCLES]),
+    _search(run, chart, np.vstack([_SPHERE, dirs, anchors, _CIRCLES]),
             np.concatenate([vals, dvals, avals, cvals]),
-            _draws(budget, draw), value,
-            lambda u: _ascend_sphere(u, ws, cs))
+            _draws(budget, lambda n: _unit(rng.standard_normal((n, 3)))))
 
 
-def _ascend_strip(x, sfreq, pfreq, cs, k):
-    """Gradient ascent on R x [-k, k], clamping p."""
-    def value(x):
-        return float(np.abs(np.exp(1j * (sfreq * x[0] + pfreq * x[1])) @ cs))
-
-    steps = 0
-    fx = value(x)
-    eta = 0.5 / max(1.0, np.max(sfreq ** 2 + pfreq ** 2))
-    for _ in range(ASCENT_STEPS):
-        e = np.exp(1j * (sfreq * x[0] + pfreq * x[1]))
-        S = e @ cs
-        g = np.array([2.0 * np.real(np.conj(S) * ((1j * sfreq * cs) @ e)),
-                      2.0 * np.real(np.conj(S) * ((1j * pfreq * cs) @ e))])
-        xn = x + eta * g
-        xn[1] = min(max(xn[1], -k), k)
-        fn = value(xn)
-        steps += 1
-        if fn >= fx:
-            x, fx = xn, fn
-        else:
-            eta *= 0.5
-            if eta < 1e-18:
-                break
-    return fx, steps
-
-
-def _sup_strip(run, sfreq, pfreq, cs, k, budget, seed, box, anchors=()):
+def _sup_strip(run, cs, sfreq, pfreq, k, budget, seed, box, anchors=()):
     """sup over (l, p) in R x [-k, k] of |sum c_j e^{i(s_j l + t_j p)}|."""
-    sfreq = np.asarray(sfreq, float)
-    pfreq = np.asarray(pfreq, float)
-
-    def value(X):
-        ph = np.outer(X[:, 0], sfreq) + np.outer(X[:, 1], pfreq)
-        return np.abs(np.exp(1j * ph) @ cs)
-
+    chart = _strip_chart(cs, sfreq, pfreq, k)
     anchors = np.asarray(anchors, float).reshape(-1, 2)
-    avals = value(anchors)
+    avals = chart.value(anchors)
     run.points(avals)
     if run.met(1):
         return
-    # per-s-frequency class bound: sup_{l,p} >= sup_p |mean_l of class|
-    classes = [sfreq == s for s in np.unique(sfreq)]
+    # per-s-frequency class bound: sup_{l,p} >= sup_p |mean_l of class|,
+    # and the l-mean of a class is a line in p
+    classes = [_line_chart(cs[sel], pfreq[sel], 0.0, 0.0)
+               for sel in (sfreq == s for s in np.unique(sfreq))]
 
     def class_bound(ps):
-        for sel in classes:
-            cls = np.abs(np.exp(1j * np.outer(ps, pfreq[sel])) @ cs[sel])
-            run.bound(np.max(cls))
+        for line in classes:
+            run.bound(np.max(line.value(ps)))
 
-    p_line = k * _LINE
+    p_line = k * _LINE[:, None]
     class_bound(p_line[::COARSE])
     if run.met(2):
         return
     X = _STRIP * (box, k)
-    vals = _grid_stages(run, X, value)
+    vals = _grid_stages(run, X, chart.value)
     if vals is None:
         return
     class_bound(p_line[_rest(GRID_1D)])
     if run.met(4):
         return
     rng = np.random.default_rng(seed)
-    # the stream holds every l draw before every p draw, so the coordinates
-    # are drawn whole (16 bytes a point) and only evaluated in chunks
-    budget = max(budget, 0)
-    D = np.column_stack([rng.uniform(-box, box, budget),
-                         rng.uniform(-k, k, budget)])
-    _search(run, np.vstack([X, anchors]), np.concatenate([vals, avals]),
-            (D[i:i + DRAW_CHUNK] for i in range(0, budget, DRAW_CHUNK)),
-            value, lambda x: _ascend_strip(x, sfreq, pfreq, cs, k))
-
-
-def _ascend_parabola(p, al, ga, ep, cs):
-    """Gradient ascent in p on |sum c_j e^{i(p ga_j - p^2 ep_j / 2 - al_j)}|."""
-    def value(p):
-        return float(np.abs(np.exp(1j * (p * ga - 0.5 * p * p * ep - al)) @ cs))
-
-    p, steps = float(p), 0
-    fp = value(p)
-    eta = 0.5
-    for _ in range(ASCENT_STEPS):
-        e = np.exp(1j * (p * ga - 0.5 * p * p * ep - al))
-        S = e @ cs
-        g = 2.0 * np.real(np.conj(S) * ((1j * (ga - p * ep) * cs) @ e))
-        pn = p + eta * g
-        fn = value(pn)
-        steps += 1
-        if fn >= fp:
-            p, fp = pn, fn
-        else:
-            eta *= 0.5
-            if eta < 1e-18:
-                break
-    return fp, steps
-
-
-def _sup_parabola(run, al, ga, ep, cs, budget, seed, box):
-    """sup over p in R of |sum c_j e^{i(p ga_j - p^2 ep_j / 2 - al_j)}|:
-    the Bargmann abelian-ideal tuples."""
-    def value(p):
-        return np.abs(np.exp(1j * (np.outer(p, ga) - 0.5 * np.outer(p ** 2, ep)
-                                   - al)) @ cs)
-
-    # stationary-phase mean: terms sharing (gamma, eps) exactly survive the
-    # long-run p-average, the rest decay
-    for row in np.unique(np.column_stack([ga, ep]), axis=0):
-        sel = (ga == row[0]) & (ep == row[1])
-        run.bound(abs(np.exp(-1j * al[sel]) @ cs[sel]))
-    if run.met(2):
-        return
-    ps = box * _LINE
-    vals = _grid_stages(run, ps, value)
-    if vals is None or run.met(4):
-        return
-    rng = np.random.default_rng(seed)
-    _search(run, ps, vals,
-            _draws(budget, lambda n: rng.uniform(-box, box, size=n)), value,
-            lambda p: _ascend_parabola(p, al, ga, ep, cs))
+    # (l, p) pairs in stream order, so a larger budget extends the draws
+    _search(run, chart, np.vstack([X, anchors]), np.concatenate([vals, avals]),
+            _draws(budget, lambda n: rng.uniform((-box, -k), (box, k), (n, 2))))
 
 
 def _anchor_values(anchors, Zs, cs):
@@ -612,31 +532,30 @@ def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
         # tau = p d[1] - q d[0]; over the (p, q) box it reaches
         # +- box (|d0| + |d1|)
         r = box * (abs(d[0]) + abs(d[1]))
-        _sup_1d(run, mu, cs, -al, r, False, budget, seed)
+        _sup_line(run, cs, mu, 0.0, -al, r, budget, seed)
     elif fam == "bargmann":
         al, be, ga, ep = C[:, 0], C[:, 1], C[:, 2], C[:, 3]
         if np.max(np.abs(be)) < 1e-14:
             # ideal tuple: phases p ga_j - p^2 ep_j / 2 - al_j, 1-D in p
-            _sup_parabola(run, al, ga, ep, cs, budget, seed, box)
+            _sup_line(run, cs, ga, ep, -al, box, budget, seed)
         else:
             # boost line: directions (beta_j, gamma_j, eps_j) =
             # mu_j (1, gh, eh); u = p gh - q - p^2 eh / 2 sweeps R and the
             # phases are mu_j u - alpha_j
-            _sup_1d(run, be, cs, -al, box, False, budget, seed)
+            _sup_line(run, cs, be, 0.0, -al, box, budget, seed)
     elif fam == "euclid":
         k = spec.params["k"]
         ax, rate = C[:, :3], C[:, 3:]
         if np.max(np.linalg.norm(ax, axis=1)) < 1e-14:
             anchor_pts = [w.coords[3:] / k for w in anchors]
-            _sup_sphere(run, k * rate, cs, budget, seed, anchors=anchor_pts)
+            _sup_sphere(run, cs, k * rate, budget, seed, anchors=anchor_pts)
         else:
             lead = np.argmax(np.linalg.norm(ax, axis=1))
             n = ax[lead] / np.linalg.norm(ax[lead])
-            rot = groups.algebra("euclid", np.concatenate([n, np.zeros(3)]))
-            trans = groups.algebra("euclid", np.concatenate([np.zeros(3), n]))
-            strip_anchors = [(groups.pairing(w, rot), groups.pairing(w, trans))
+            # (l, p) of a dual point: its pairings with (n, 0) and (0, n)
+            strip_anchors = [(w.coords[:3] @ n, w.coords[3:] @ n)
                              for w in anchors]
-            _sup_strip(run, ax @ n, rate @ n, cs, k, budget, seed, box,
+            _sup_strip(run, cs, ax @ n, rate @ n, k, budget, seed, box,
                        anchors=strip_anchors)
     elif fam == "su2":
         lam = spec.params["lam"]
@@ -649,8 +568,8 @@ def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
         # the weight heights: where highest-weight states put their atoms
         extra = np.arange(-math.floor(2 * lam), math.floor(2 * lam) + 1) * 0.5
         extra = extra[np.abs(extra) <= lam + 1e-12]
-        _sup_1d(run, om, cs, np.zeros(len(om)), lam, True, budget, seed,
-                anchors=extra)
+        _sup_line(run, cs, om, 0.0, 0.0, lam, budget, seed, anchors=extra,
+                  interval=True)
     elif fam == "torus":
         y = np.asarray(spec.params["y"], float)
         run.points([abs(sum(c * np.exp(1j * float(y @ Z.coords))

@@ -406,9 +406,8 @@ def support_samples(state, rng, count, scale=3.0):
     kind = state.kind
     out = []
     for i in range(count):
-        if i % 2 == 1 or kind in ("euclid_spherical", "euclid_cylindrical",
-                                  "su2_highest_weight", "constant_one",
-                                  "custom"):
+        if i % 2 == 1 or kind in ("euclid_spherical", "su2_highest_weight",
+                                  "constant_one", "custom"):
             out.extend(groups.random_elements(state.family, rng, 1,
                                               scale=scale))
             continue
@@ -426,11 +425,14 @@ def support_samples(state, rng, count, scale=3.0):
             out.append(groups.bargmann(u[0], 0.0, u[1], u[2]))
         elif kind == "bargmann_loc_q":
             out.append(groups.bargmann(u[0], u[1], 0.0, 0.0))
-        elif kind == "euclid_plane":
+        elif kind in ("euclid_plane", "euclid_cylindrical"):
+            # A e3 = e3, and A e3 = -e3 on every other cylindrical draw
             th = rng.uniform(0, 2 * np.pi)
             A = np.array([[np.cos(th), -np.sin(th), 0.0],
                           [np.sin(th), np.cos(th), 0.0],
                           [0.0, 0.0, 1.0]])
+            if kind == "euclid_cylindrical" and i % 4 == 2:
+                A = A @ np.diag([1.0, -1.0, -1.0])
             out.append(groups.euclid(A, u[:3]))
         else:
             out.extend(groups.random_elements(state.family, rng, 1,

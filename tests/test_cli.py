@@ -226,6 +226,18 @@ def test_main_requires_scenario_or_target(tmp_path):
         cli.main(["reproduce", "not-a-target"])
 
 
+def test_budget_is_an_option_of_quantum_only(tmp_path, capsys):
+    path = _write(tmp_path, {
+        "version": "1", "task": "verify", "seed": 0,
+        "state": {"kind": "heisenberg_loc_p", "params": {"k": 1.0}}})
+    for argv in (["verify", "--budget", "5", "--scenario", path],
+                 ["reproduce", "su2-weights", "--budget", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("target", cli.REPRODUCE_TARGETS)
 def test_reproduce_targets_all_pass(tmp_path, target):
     out = str(tmp_path / "rep")

@@ -262,6 +262,43 @@ def test_sup_early_exit_matches_full_search_verdicts(chart):
             assert cut.drawn == (8000 if cut.stage == 5 else 0)
 
 
+# chart, start rows and the chart's constraint for each shape _ascend climbs
+ASCENT_CHARTS = {
+    "line": lambda rng, cs: (
+        orbits._line_chart(cs, rng.uniform(-3, 3, 3), rng.uniform(-2, 2, 3),
+                           rng.uniform(-3, 3, 3)),
+        rng.uniform(-4, 4, (8, 1)), lambda X: True),
+    "interval": lambda rng, cs: (
+        orbits._line_chart(cs, rng.uniform(-4, 4, 3), 0.0, 0.0, r=1.5),
+        np.vstack([[[-1.5], [1.5]], rng.uniform(-1.5, 1.5, (6, 1))]),
+        lambda X: np.all(np.abs(X) <= 1.5)),
+    "sphere": lambda rng, cs: (
+        orbits._sphere_chart(cs, rng.uniform(-4, 4, (3, 3))),
+        orbits._unit(rng.standard_normal((8, 3))),
+        lambda X: np.all(np.abs(np.linalg.norm(X, axis=1) - 1.0) <= 1e-12)),
+    "strip": lambda rng, cs: (
+        orbits._strip_chart(cs, rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 3),
+                            2.0),
+        np.column_stack([rng.uniform(-5, 5, 8), rng.uniform(-2, 2, 8)]),
+        lambda X: np.all(np.abs(X[:, 1]) <= 2.0)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ASCENT_CHARTS))
+def test_ascend_climbs_rows_together_as_alone(shape):
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
+        chart, X0, on_chart = ASCENT_CHARTS[shape](rng, cs)
+        X, f, steps = orbits._ascend(chart, X0)
+        alone = [orbits._ascend(chart, X0[i:i + 1]) for i in range(len(X0))]
+        assert np.max(np.abs(f - [v[0] for _, v, _ in alone])) <= 1e-12
+        assert steps == sum(s for _, _, s in alone)
+        assert np.all(f >= chart.value(X0))
+        assert np.max(np.abs(chart.value(X) - f)) <= 1e-12
+        assert on_chart(X)
+
+
 # ---------------------------------------------------------------------------
 # the quantum check
 

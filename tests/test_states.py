@@ -137,6 +137,20 @@ def test_euclid_cylindrical_is_bessel():
     assert states.evaluate(st, groups.euclid(Rx, c)) == 0.0
 
 
+def test_cylindrical_support_samples_reach_both_axis_cosets():
+    # the even-indexed draws sit on A e3 = +-e3, so the Gram matrices carry
+    # Bessel values off the diagonal and see the sign (-1)^eps
+    samples = states.support_samples(
+        _mk("euclid_cylindrical", dict(k=2.0, eps=0)),
+        np.random.default_rng(0), 24)
+    g0, g1 = (states.gram(_mk("euclid_cylindrical", dict(k=2.0, eps=e)),
+                          samples) for e in (0, 1))
+    off = ~np.eye(24, dtype=bool)
+    assert np.count_nonzero(np.abs(g0.entries[off]) > 1e-12) >= 24
+    assert np.max(np.abs(g0.entries - g1.entries)) > 1e-3
+    assert states.check_psd(g0)["pass"] and states.check_psd(g1)["pass"]
+
+
 def test_su2_highest_weight_values():
     st = _mk("su2_highest_weight", dict(j=1.0))
     g = groups.su2(math.cos(0.4), 0.0, 0.0, math.sin(0.4))
