@@ -28,6 +28,7 @@ import jsonschema
 import numpy as np
 
 from . import gns, groups, induced, orbits, spectral, states
+from .tolerances import DEFAULT
 
 TASKS = ("verify", "gram", "gns", "spectral", "orbit_project",
          "quantum_check", "reproduce")
@@ -119,22 +120,26 @@ def _default_orbit(state, params):
 # ---------------------------------------------------------------------------
 # task runners: each returns (results dict, passed bool, paper_refs)
 
+def _sweep(state, rng, sets, n, pairs):
+    """`sets` Gram matrices of `n` support samples, then the three
+    inequalities over `pairs` sample pairs, all drawn from rng: the worst
+    min eigenvalue / n, whether it passes, and the inequality report."""
+    worst = 0.0
+    for _ in range(sets):
+        gm = states.gram(state, states.support_samples(state, rng, n))
+        worst = min(worst, float(gm.eigenvalues[-1]) / gm.n)
+    xs = states.support_samples(state, rng, pairs)
+    ys = states.support_samples(state, rng, pairs)
+    return worst, worst >= -DEFAULT.psd_scale, \
+        states.check_inequalities(state, list(zip(xs, ys)))
+
+
 def _task_verify(doc, seed):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
-    rng = np.random.default_rng(seed)
-    sets = _count(p, "sets", 50)
-    n = _count(p, "samples", 24)
-    worst = 0.0
-    for _ in range(sets):
-        samples = states.support_samples(state, rng, n)
-        gm = states.gram(state, samples)
-        worst = min(worst, float(gm.eigenvalues[-1]) / len(samples))
-    pairs_n = _count(p, "pairs", 2000)
-    xs = states.support_samples(state, rng, pairs_n)
-    ys = states.support_samples(state, rng, pairs_n)
-    ineq = states.check_inequalities(state, list(zip(xs, ys)))
-    psd_pass = worst >= -1e-9
+    sets, n = _count(p, "sets", 50), _count(p, "samples", 24)
+    worst, psd_pass, ineq = _sweep(state, np.random.default_rng(seed), sets, n,
+                                   _count(p, "pairs", 2000))
     results = {
         "sets": sets,
         "samples_per_set": n,
@@ -152,7 +157,7 @@ def _task_gram(doc, seed):
     rng = np.random.default_rng(seed)
     samples = states.support_samples(state, rng, _count(p, "samples", 24))
     gm = states.gram(state, samples)
-    ok = float(gm.eigenvalues[-1]) >= -1e-9 * gm.n
+    ok = states.check_psd(gm)["pass"]
     results = {
         "n": gm.n,
         "rank": gm.rank,
@@ -325,15 +330,7 @@ def _reproduce_bargmann_states(seed):
     matrix, details = {}, {}
     for label, st in [("loc_pe", states.make_state("bargmann_loc_pe", k=1.0)),
                       ("loc_q", states.make_state("bargmann_loc_q", l=1.0))]:
-        worst = 0.0
-        for _ in range(20):
-            samples = states.support_samples(st, rng, 24)
-            gm = states.gram(st, samples)
-            worst = min(worst, float(gm.eigenvalues[-1]) / len(samples))
-        xs = states.support_samples(st, rng, 2000)
-        ys = states.support_samples(st, rng, 2000)
-        ineq = states.check_inequalities(st, list(zip(xs, ys)))
-        matrix[label + "_psd"] = worst >= -1e-9
+        worst, matrix[label + "_psd"], ineq = _sweep(st, rng, 20, 24, 2000)
         matrix[label + "_inequalities"] = ineq["pass"]
         details[label + "_min_eig_per_n"] = worst
         details[label + "_worst_margin"] = ineq["worst_margin"]
@@ -363,19 +360,11 @@ def _reproduce_euclid_waves(seed):
             ("spherical", states.make_state("euclid_spherical", k=1.0)),
             ("cylindrical", states.make_state("euclid_cylindrical", k=1.0))]
     for label, st in trio:
-        worst = 0.0
-        for _ in range(20):
-            samples = states.support_samples(st, rng, 24)
-            gm = states.gram(st, samples)
-            worst = min(worst, float(gm.eigenvalues[-1]) / len(samples))
-        xs = states.support_samples(st, rng, 2000)
-        ys = states.support_samples(st, rng, 2000)
-        ineq = states.check_inequalities(st, list(zip(xs, ys)))
-        matrix[label + "_psd"] = worst >= -1e-9
+        _, matrix[label + "_psd"], ineq = _sweep(st, rng, 20, 24, 2000)
         matrix[label + "_inequalities"] = ineq["pass"]
         spec = orbits.euclid_orbit(1.0, 0.0)
         q = orbits.quantum_check(st, spec, trials=50, budget=4000, seed=seed)
-        matrix[label + "_quantum"] = q["worst_margin"] >= -1e-6
+        matrix[label + "_quantum"] = q["worst_margin"] >= -DEFAULT.margin
         details[label + "_worst_margin"] = q["worst_margin"]
     # sphere-average identity against the closed form
     pts, wts = induced.sphere_grid(64, 128)

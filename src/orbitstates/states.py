@@ -18,12 +18,19 @@ The built-in kinds (JSON names):
   constant_one             1
   custom                   user-supplied evaluator
 
+Each kind is one entry of KINDS.  For the six Heisenberg/Bargmann delta
+kinds the localization records the subgroup H as basis rows in reduced
+form on the canonical coordinates, read by both the delta factor [g in H]
+and the support draws.
+
 Delta factors are explicit predicates at absolute tolerance 1e-9 on the
 canonical coordinates: these states are discontinuous, so membership is a
 decision, not a limit.
 """
 
 import math
+import numbers
+from collections import namedtuple
 
 import numpy as np
 from scipy.special import j0
@@ -31,46 +38,12 @@ from scipy.special import j0
 from . import groups
 from .tolerances import DEFAULT
 
-KINDS = (
-    "heisenberg_loc_p", "heisenberg_loc_q", "heisenberg_loc_t",
-    "heisenberg_center", "bargmann_loc_pe", "bargmann_loc_q",
-    "euclid_plane", "euclid_spherical", "euclid_cylindrical",
-    "su2_highest_weight", "constant_one", "custom",
-)
-
-_KIND_FAMILY = {
-    "heisenberg_loc_p": "heisenberg",
-    "heisenberg_loc_q": "heisenberg",
-    "heisenberg_loc_t": "heisenberg",
-    "heisenberg_center": "heisenberg",
-    "bargmann_loc_pe": "bargmann",
-    "bargmann_loc_q": "bargmann",
-    "euclid_plane": "euclid",
-    "euclid_spherical": "euclid",
-    "euclid_cylindrical": "euclid",
-    "su2_highest_weight": "su2",
-}
-
 
 class StateParameterError(ValueError):
     def __init__(self, code, message, param=None):
         super().__init__(message)
         self.code = code
         self.param = param   # the key of params at fault, if any
-
-
-def _number(params, key, default):
-    """params[key] (or the default) as a finite float."""
-    value = params.get(key, default)
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not math.isfinite(x):
-        raise StateParameterError("parameter-not-numeric",
-                                  "%s must be a finite number, got %r"
-                                  % (key, value), param=key)
-    return x
 
 
 class State:
@@ -97,90 +70,62 @@ def sinc(x):
     return out if out.shape else float(out)
 
 
-def make_state(kind, **params):
-    """Construct a built-in state; validates integrality/positivity constraints."""
-    if kind not in KINDS:
-        raise StateParameterError("unknown-kind", "unknown state kind %r" % (kind,))
+# ---------------------------------------------------------------------------
+# parameter checks: (key, value) -> the value the state stores
 
-    if kind == "custom":
-        family = params.pop("family")
-        evaluator = params.pop("evaluator")
-        return State("custom", family, params, evaluator=evaluator)
-
-    if kind == "constant_one":
-        family = params.pop("family", "heisenberg")
-        return State(kind, family, params)
-
-    family = _KIND_FAMILY[kind]
-
-    if kind in ("heisenberg_loc_p", "bargmann_loc_pe", "euclid_plane",
-                "euclid_spherical", "euclid_cylindrical"):
-        k = _number(params, "k", 1.0)
-        if not k > 0:
-            raise StateParameterError("wavenumber-not-positive",
-                                      "k must be > 0, got %r" % (k,), "k")
-        params["k"] = k
-
-    if kind == "euclid_plane":
-        s = _number(params, "s", 0)
-        if abs(s - round(s)) > 1e-12:
-            raise StateParameterError(
-                "helicity-not-integral",
-                "helicity s must be an integer for the subgroup to admit a "
-                "character with this differential; got %r" % (s,), "s")
-        params["s"] = int(round(s))
-
-    if kind == "euclid_cylindrical":
-        eps = params.get("eps", 0)
-        if eps not in (0, 1):
-            raise StateParameterError("eps-not-binary", "eps must be 0 or 1",
-                                      "eps")
-        params["eps"] = int(eps)
-
-    if kind == "su2_highest_weight":
-        j = _number(params, "j", 0.5)
-        twoj = 2.0 * j
-        if abs(twoj - round(twoj)) > 1e-12 or not (0 <= round(twoj) <= 8):
-            raise StateParameterError(
-                "spin-out-of-range",
-                "2j must be an integer in 0..8, got j=%r" % (j,), "j")
-        params["j"] = round(twoj) / 2.0
-
-    if kind in ("heisenberg_loc_q", "bargmann_loc_q"):
-        params["l"] = _number(params, "l", 1.0)
-    if kind == "heisenberg_loc_t":
-        params["k"] = _number(params, "k", 1.0)
-        params["l"] = _number(params, "l", 0.0)
-        params["t"] = _number(params, "t", 0.0)
-
-    return State(kind, family, params, localization=_localization(kind, params))
+_REQUIRED = object()   # the default of a parameter that must be given
 
 
-def su2_highest_weight(j):
-    return make_state("su2_highest_weight", j=j)
+def _finite(v):
+    return not isinstance(v, bool) and isinstance(v, numbers.Real) \
+        and math.isfinite(v)
 
 
-def _localization(kind, params):
-    if kind == "heisenberg_loc_p":
-        return {"subgroup": "b=0", "x": [1.0, params["k"], 0.0]}
-    if kind == "heisenberg_loc_q":
-        return {"subgroup": "c=0", "x": [1.0, 0.0, params["l"]]}
-    if kind == "heisenberg_loc_t":
-        # matches the character on the dual line p*t + q = k*t + l;
-        # x is the p = k representative of that line
-        k, l, t = params["k"], params["l"], params["t"]
-        return {"subgroup": "c+bt=0", "x": [1.0, k, l]}
-    if kind == "heisenberg_center":
-        return {"subgroup": "b=0,c=0", "x": [1.0, 0.0, 0.0]}
-    if kind == "bargmann_loc_pe":
-        k = params["k"]
-        return {"subgroup": "b=0", "x": [1.0, k, 0.0, 0.5 * k * k]}
-    if kind == "bargmann_loc_q":
-        return {"subgroup": "c=0,e=0", "x": [1.0, 0.0, params["l"], 0.0]}
-    if kind == "euclid_plane":
-        k, s = params["k"], params["s"]
-        return {"subgroup": "A e3 = e3", "w": [0.0, 0.0, s, 0.0, 0.0, k]}
-    return None
+def _check(ok, what, cast=lambda v: v):
+    """A parameter check: the value must pass `ok`; it is stored as cast(value)."""
+    def check(key, value):
+        if not ok(value):
+            raise StateParameterError("parameter-invalid", "%s must be %s, got "
+                                      "%r" % (key, what, value), key)
+        return cast(value)
+    return check
+
+
+_real = _check(_finite, "a finite number", float)
+_positive = _check(lambda v: _finite(v) and v > 0, "a finite number > 0", float)
+_integer = _check(lambda v: _finite(v) and abs(v - round(v)) <= 1e-12,
+                  "an integer", lambda v: int(round(float(v))))
+_binary = _check(lambda v: not isinstance(v, bool) and v in (0, 1), "0 or 1", int)
+_spin = _check(lambda v: _finite(v) and abs(2.0 * v - round(2.0 * v)) <= 1e-12
+               and 0 <= round(2.0 * v) <= 8, "a multiple of 1/2 in 0..4",
+               lambda v: round(2.0 * float(v)) / 2.0)
+_family = _check(lambda v: isinstance(v, str) and v in groups.FAMILIES,
+                 "one of %s" % (groups.FAMILIES,))
+_callable = _check(callable, "callable")
+
+
+# support draws: (state, u, rng, i) -> the i-th (even-indexed) sample, from
+# the four uniforms u and, if needed, further draws from rng
+
+def _on_subgroup(state, u, rng, i):
+    """u[:d] as coordinates along the d rows of H; + 0.0 turns the -0.0
+    that zero columns can take into 0.0."""
+    H = state.localization["H"]
+    return groups.GroupElement(state.family, u[:len(H)] @ H + 0.0)
+
+
+def _on_axis(flip):
+    """A rotation about e3 (A e3 = e3), composed with diag(1, -1, -1) on
+    every other draw (A e3 = -e3) when `flip`."""
+    def draw(state, u, rng, i):
+        th = rng.uniform(0, 2 * np.pi)
+        A = np.array([[np.cos(th), -np.sin(th), 0.0],
+                      [np.sin(th), np.cos(th), 0.0],
+                      [0.0, 0.0, 1.0]])
+        if flip and i % 4 == 2:
+            A = A @ np.diag([1.0, -1.0, -1.0])
+        return groups.euclid(A, u[:3])
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -193,81 +138,152 @@ def _axis(X, axis):
     return np.expand_dims(X, axis)
 
 
+def _axis_cosets(A):
+    """The masks of A e3 = e3 and A e3 = -e3: the third column of A is
+    (0, 0, +-1)."""
+    tol = DEFAULT.delta
+    on_line = (np.abs(A[..., 0, 2]) <= tol) & (np.abs(A[..., 1, 2]) <= tol)
+    return (on_line & (np.abs(A[..., 2, 2] - 1.0) <= tol),
+            on_line & (np.abs(A[..., 2, 2] + 1.0) <= tol))
+
+
+def _plane(p, X):
+    A, c = X
+    alpha = np.arctan2(A[..., 1, 0], A[..., 0, 0])
+    val = np.exp(1j * (p["s"] * alpha + p["k"] * c[..., 2]))
+    return np.where(_axis_cosets(A)[0], val, 0.0)
+
+
+def _cylindrical(p, X):
+    A, c = X
+    up, dn = _axis_cosets(A)
+    bes = j0(p["k"] * np.sqrt(c[..., 0] ** 2 + c[..., 1] ** 2))
+    sign = 1.0 if p["eps"] == 0 else -1.0
+    return np.where(up, bes, 0.0) + np.where(dn, sign * bes, 0.0) + 0.0j
+
+
+def _lead(X):
+    """The stack shape of a coordinate stack."""
+    return (X[1] if isinstance(X, tuple) else np.asarray(X)).shape[:-1]
+
+
+# One entry per kind.  `params` maps each declared key to (default, check);
+# `family` None means the "family" parameter names it.  `values(p, X)` is the
+# closed form on a coordinate stack X, less the factor [g in H] if H is
+# recorded; `localization(p)` gives the dual point ("x", or "w" on euclid)
+# and H; `draw` is the support draw (None: generic draws only).
+Kind = namedtuple("Kind", "family params values localization draw",
+                  defaults=(None, None))
+
+KINDS = {
+    "heisenberg_loc_p": Kind(
+        "heisenberg", {"k": (1.0, _positive)},
+        lambda p, X: np.exp(1j * (p["k"] * X[..., 2] - X[..., 0])),
+        lambda p: {"H": [[1, 0, 0], [0, 0, 1]], "x": [1.0, p["k"], 0.0]},
+        _on_subgroup),
+    "heisenberg_loc_q": Kind(
+        "heisenberg", {"l": (1.0, _real)},
+        lambda p, X: np.exp(-1j * (X[..., 0] + p["l"] * X[..., 1])),
+        lambda p: {"H": [[1, 0, 0], [0, 1, 0]], "x": [1.0, 0.0, p["l"]]},
+        _on_subgroup),
+    # matches the character on the dual line p*t + q = k*t + l; x is the
+    # p = k representative of that line
+    "heisenberg_loc_t": Kind(
+        "heisenberg", {"k": (1.0, _real), "l": (0.0, _real), "t": (0.0, _real)},
+        lambda p, X: np.exp(-1j * (X[..., 0] + 0.5 * X[..., 1] * X[..., 1] * p["t"]
+                                   + (p["k"] * p["t"] + p["l"]) * X[..., 1])),
+        lambda p: {"H": [[1, 0, 0], [0, 1, -p["t"]]],
+                   "x": [1.0, p["k"], p["l"]]},
+        _on_subgroup),
+    "heisenberg_center": Kind(
+        "heisenberg", {},
+        lambda p, X: np.exp(-1j * X[..., 0]),
+        lambda p: {"H": [[1, 0, 0]], "x": [1.0, 0.0, 0.0]},
+        _on_subgroup),
+    "bargmann_loc_pe": Kind(
+        "bargmann", {"k": (1.0, _positive)},
+        lambda p, X: np.exp(1j * (p["k"] * X[..., 2] - 0.5 * p["k"] * p["k"]
+                                  * X[..., 3] - X[..., 0])),
+        lambda p: {"H": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                   "x": [1.0, p["k"], 0.0, 0.5 * p["k"] * p["k"]]},
+        _on_subgroup),
+    "bargmann_loc_q": Kind(
+        "bargmann", {"l": (1.0, _real)},
+        lambda p, X: np.exp(-1j * (X[..., 0] + p["l"] * X[..., 1])),
+        lambda p: {"H": [[1, 0, 0, 0], [0, 1, 0, 0]],
+                   "x": [1.0, 0.0, p["l"], 0.0]},
+        _on_subgroup),
+    "euclid_plane": Kind(
+        "euclid", {"k": (1.0, _positive), "s": (0, _integer)}, _plane,
+        lambda p: {"w": [0.0, 0.0, p["s"], 0.0, 0.0, p["k"]]},
+        _on_axis(flip=False)),
+    "euclid_spherical": Kind(
+        "euclid", {"k": (1.0, _positive)},
+        lambda p, X: np.asarray(
+            sinc(p["k"] * np.sqrt(np.sum(X[1] * X[1], axis=-1))),
+            dtype=complex)),
+    "euclid_cylindrical": Kind(
+        "euclid", {"k": (1.0, _positive), "eps": (0, _binary)}, _cylindrical,
+        draw=_on_axis(flip=True)),
+    "su2_highest_weight": Kind(
+        "su2", {"j": (0.5, _spin)},
+        lambda p, X: (X[..., 0] + 1j * X[..., 3]) ** int(round(2 * p["j"]))),
+    "constant_one": Kind(None, {"family": ("heisenberg", _family)},
+                         lambda p, X: np.ones(_lead(X), dtype=complex)),
+    "custom": Kind(None, {"family": (_REQUIRED, _family),
+                          "evaluator": (_REQUIRED, _callable)}, None),
+}
+
+
+def make_state(kind, /, **params):
+    """A state of a KINDS entry: every key of params must be declared there,
+    and each declared parameter passes its check or takes its default."""
+    spec = KINDS.get(kind)
+    if spec is None:
+        raise StateParameterError("unknown-kind", "unknown state kind %r" % (kind,))
+    for key in params:
+        if key not in spec.params:
+            raise StateParameterError("undeclared-parameter", "%s takes no "
+                                      "parameter %r" % (kind, key), key)
+    p = {}
+    for key, (default, check) in spec.params.items():
+        if key not in params and default is _REQUIRED:
+            raise StateParameterError("parameter-required",
+                                      "%s needs parameter %r" % (kind, key), key)
+        p[key] = check(key, params.get(key, default))
+    loc = spec.localization(p) if spec.localization else None
+    if loc and "H" in loc:
+        loc["H"] = np.asarray(loc["H"], dtype=float)
+        loc["pivots"] = np.argmax(loc["H"] != 0, axis=1)   # leading entries
+    family = p.pop("family", spec.family)
+    evaluator = p.pop("evaluator", None)
+    return State(kind, family, p, evaluator, loc)
+
+
+def su2_highest_weight(j):
+    return make_state("su2_highest_weight", j=j)
+
+
 def _custom_values(state, pack):
     """The user evaluator, one element of the stack at a time."""
-    if state.family == "euclid":
-        shape = pack[1].shape[:-1]
-        rows = zip(pack[0].reshape(-1, 3, 3), pack[1].reshape(-1, 3))
-    else:
-        shape = np.shape(pack)[:-1]
-        rows = np.reshape(pack, (-1, np.shape(pack)[-1]))
+    rows = zip(pack[0].reshape(-1, 3, 3), pack[1].reshape(-1, 3)) \
+        if state.family == "euclid" else np.reshape(pack, (-1, np.shape(pack)[-1]))
     return np.array([complex(state.evaluator(groups.GroupElement(
-        state.family, d))) for d in rows], dtype=complex).reshape(shape)
+        state.family, d))) for d in rows], dtype=complex).reshape(_lead(pack))
 
 
 def _eval_pack(state, pack):
     """Apply the state's closed form to a coordinate stack (a custom state's
-    evaluator to each of its elements)."""
-    kind = state.kind
-    p = state.params
-    tol = DEFAULT.delta
-
-    if kind == "custom":
+    evaluator to each of its elements), times [g in H] where H is recorded:
+    g is in H when it is the combination of H's rows its pivots pick."""
+    if state.evaluator is not None:
         return _custom_values(state, pack)
-    if kind == "constant_one":
-        if state.family == "euclid":
-            return np.ones(pack[1].shape[:-1], dtype=complex)
-        return np.ones(np.asarray(pack).shape[:-1], dtype=complex)
-
-    if kind == "heisenberg_loc_p":
-        a, b, c = pack[..., 0], pack[..., 1], pack[..., 2]
-        return np.where(np.abs(b) <= tol, np.exp(1j * (p["k"] * c - a)), 0.0)
-    if kind == "heisenberg_loc_q":
-        a, b, c = pack[..., 0], pack[..., 1], pack[..., 2]
-        return np.where(np.abs(c) <= tol, np.exp(-1j * (a + p["l"] * b)), 0.0)
-    if kind == "heisenberg_loc_t":
-        a, b, c = pack[..., 0], pack[..., 1], pack[..., 2]
-        k, l, t = p["k"], p["l"], p["t"]
-        phase = np.exp(-1j * (a + 0.5 * b * b * t + (k * t + l) * b))
-        return np.where(np.abs(c + b * t) <= tol, phase, 0.0)
-    if kind == "heisenberg_center":
-        a, b, c = pack[..., 0], pack[..., 1], pack[..., 2]
-        return np.where((np.abs(b) <= tol) & (np.abs(c) <= tol),
-                        np.exp(-1j * a), 0.0)
-    if kind == "bargmann_loc_pe":
-        a, b, c, e = (pack[..., i] for i in range(4))
-        k = p["k"]
-        return np.where(np.abs(b) <= tol,
-                        np.exp(1j * (k * c - 0.5 * k * k * e - a)), 0.0)
-    if kind == "bargmann_loc_q":
-        a, b, c, e = (pack[..., i] for i in range(4))
-        return np.where((np.abs(c) <= tol) & (np.abs(e) <= tol),
-                        np.exp(-1j * (a + p["l"] * b)), 0.0)
-
-    if kind in ("euclid_plane", "euclid_cylindrical"):
-        A, c = pack
-        # A e3 = +-e3: the third column of A is (0, 0, +-1)
-        on_line = (np.abs(A[..., 0, 2]) <= tol) & (np.abs(A[..., 1, 2]) <= tol)
-        up = on_line & (np.abs(A[..., 2, 2] - 1.0) <= tol)
-        if kind == "euclid_plane":
-            alpha = np.arctan2(A[..., 1, 0], A[..., 0, 0])
-            val = np.exp(1j * (p["s"] * alpha + p["k"] * c[..., 2]))
-            return np.where(up, val, 0.0)
-        dn = on_line & (np.abs(A[..., 2, 2] + 1.0) <= tol)
-        bes = j0(p["k"] * np.sqrt(c[..., 0] ** 2 + c[..., 1] ** 2))
-        sign = 1.0 if p["eps"] == 0 else -1.0
-        return np.where(up, bes, 0.0) + np.where(dn, sign * bes, 0.0) + 0.0j
-    if kind == "euclid_spherical":
-        _, c = pack
-        r = np.sqrt(np.sum(c * c, axis=-1))
-        return np.asarray(sinc(p["k"] * r), dtype=complex)
-
-    if kind == "su2_highest_weight":
-        twoj = int(round(2 * p["j"]))
-        top = pack[..., 0] + 1j * pack[..., 3]
-        return top ** twoj
-
-    raise StateParameterError("unknown-kind", "cannot batch-evaluate %r" % (kind,))
+    values = KINDS[state.kind].values(state.params, pack)
+    loc = state.localization
+    if not loc or "H" not in loc:
+        return values
+    off = pack - pack.take(loc["pivots"], -1) @ loc["H"]
+    return np.where((np.abs(off) <= DEFAULT.delta).all(-1), values, 0.0)
 
 
 def evaluate(state, g):
@@ -319,8 +335,7 @@ def gram(state, samples, rank_tol=None):
         raise groups.FamilyError("samples must share the state's family")
     S = groups.stack_coords(state.family, samples)
     K = pair_eval(state, S, S, grid=True)
-    vals = np.linalg.eigvalsh(K)
-    vals = vals[::-1]
+    vals = np.linalg.eigvalsh(K)[::-1]
     n = len(samples)
     tol = (rank_tol if rank_tol is not None else DEFAULT.quotient_scale) * n
     rank = int(np.sum(vals > tol))
@@ -402,39 +417,14 @@ def modulus_one_subgroup_probe(state, samples, product_budget=512, seed=0):
 def support_samples(state, rng, count, scale=3.0):
     """Seeded group elements biased onto the state's modulus-one set, so
     Gram matrices pick up off-diagonal structure for the delta-type states.
-    Roughly half the draws land on the support, half are generic."""
-    kind = state.kind
+    The even-indexed draws use the kind's support draw (if it has one), the
+    odd-indexed ones are generic."""
+    draw = KINDS[state.kind].draw
     out = []
     for i in range(count):
-        if i % 2 == 1 or kind in ("euclid_spherical", "su2_highest_weight",
-                                  "constant_one", "custom"):
+        if i % 2 == 1 or draw is None:
             out.extend(groups.random_elements(state.family, rng, 1,
                                               scale=scale))
-            continue
-        u = rng.uniform(-scale, scale, 4)
-        if kind == "heisenberg_loc_p":
-            out.append(groups.heisenberg(u[0], 0.0, u[1]))
-        elif kind == "heisenberg_loc_q":
-            out.append(groups.heisenberg(u[0], u[1], 0.0))
-        elif kind == "heisenberg_loc_t":
-            out.append(groups.heisenberg(u[0], u[1],
-                                         -u[1] * state.params["t"]))
-        elif kind == "heisenberg_center":
-            out.append(groups.heisenberg(u[0], 0.0, 0.0))
-        elif kind == "bargmann_loc_pe":
-            out.append(groups.bargmann(u[0], 0.0, u[1], u[2]))
-        elif kind == "bargmann_loc_q":
-            out.append(groups.bargmann(u[0], u[1], 0.0, 0.0))
-        elif kind in ("euclid_plane", "euclid_cylindrical"):
-            # A e3 = e3, and A e3 = -e3 on every other cylindrical draw
-            th = rng.uniform(0, 2 * np.pi)
-            A = np.array([[np.cos(th), -np.sin(th), 0.0],
-                          [np.sin(th), np.cos(th), 0.0],
-                          [0.0, 0.0, 1.0]])
-            if kind == "euclid_cylindrical" and i % 4 == 2:
-                A = A @ np.diag([1.0, -1.0, -1.0])
-            out.append(groups.euclid(A, u[:3]))
         else:
-            out.extend(groups.random_elements(state.family, rng, 1,
-                                              scale=scale))
+            out.append(draw(state, rng.uniform(-scale, scale, 4), rng, i))
     return out

@@ -5,7 +5,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from orbitstates import cli
+from orbitstates import cli, states
 
 
 def _write(tmp_path, doc, name="scn.json"):
@@ -172,6 +172,19 @@ def test_bad_input_exits_two(tmp_path, payload):
      '"params": {"pairs": 100}', "/state/params/l"),
     ('{"kind": "heisenberg_loc_p", "params": {"k": 1.0}}, '
      '"params": {"samples": 0}', "/params/samples"),
+    ('{"kind": "heisenberg_loc_p", "params": {"kk": 3}}, '
+     '"params": {"pairs": 100}', "/state/params/kk"),
+    ('{"kind": "heisenberg_loc_p", "params": {"kind": 3}}, '
+     '"params": {"pairs": 100}', "/state/params/kind"),
+    ('{"kind": "su2_highest_weight", "params": {"j": 1, "family": "su2"}}, '
+     '"params": {"pairs": 100}', "/state/params/family"),
+    ('{"kind": "heisenberg_loc_p", "params": {"k": true}}, '
+     '"params": {"pairs": 100}', "/state/params/k"),
+    ('{"kind": "custom"}, "params": {"pairs": 100}', "/state/params/family"),
+    ('{"kind": "custom", "params": {"family": "heisenberg"}}, '
+     '"params": {"pairs": 100}', "/state/params/evaluator"),
+    ('{"kind": "constant_one", "params": {"family": "foo"}}, '
+     '"params": {"pairs": 100}', "/state/params/family"),
 ])
 def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
                                                     pointer):
@@ -183,6 +196,17 @@ def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
     assert pointer in capsys.readouterr().err
     assert not os.path.exists(out)
     assert cli.main(["verify", "--scenario", str(path), "--out", out]) == 2
+
+
+@pytest.mark.parametrize("kind", [k for k in states.KINDS if k != "custom"])
+def test_every_builtin_kind_verifies(tmp_path, kind):
+    # each entry of the kind table, at its default parameters
+    path = _write(tmp_path, {
+        "version": "1", "task": "verify", "seed": 0, "state": {"kind": kind},
+        "params": {"sets": 2, "pairs": 200}})
+    out = str(tmp_path / "rep")
+    assert cli.run(path, out=out) == 0
+    assert _report(out, "verify")["results"]["psd_pass"] is True
 
 
 def test_unknown_state_kind_exits_two(tmp_path):

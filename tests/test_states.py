@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st_
 from scipy.special import j0
 
 from orbitstates import groups, states
+from orbitstates.tolerances import DEFAULT
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -149,6 +150,25 @@ def test_cylindrical_support_samples_reach_both_axis_cosets():
     assert np.count_nonzero(np.abs(g0.entries[off]) > 1e-12) >= 24
     assert np.max(np.abs(g0.entries - g1.entries)) > 1e-3
     assert states.check_psd(g0)["pass"] and states.check_psd(g1)["pass"]
+
+
+@pytest.mark.parametrize("kind", [
+    kind for kind, _ in BUILTIN if kind not in (
+        "euclid_spherical", "su2_highest_weight", "constant_one")])
+def test_support_draws_land_on_the_modulus_one_set(kind):
+    # the even-indexed draws follow the kind's subgroup H or its e3 axis;
+    # on A e3 = +-e3 the cylindrical modulus is the Bessel factor's, not 1
+    params = dict(BUILTIN)[kind]
+    st = _mk(kind, params)
+    samples = states.support_samples(st, np.random.default_rng(7), 400)[::2]
+    got = np.abs(states.evaluate_many(st, samples))
+    want = np.ones(len(samples))
+    if kind == "euclid_cylindrical":
+        want = np.abs(j0(params["k"] * np.hypot(*np.array(
+            [g.data[1][:2] for g in samples]).T)))
+        flips = [g.data[0][2, 2] for g in samples]
+        assert flips[0::2] == [1.0] * 100 and flips[1::2] == [-1.0] * 100
+    assert np.max(np.abs(got - want)) < DEFAULT.modulus_one
 
 
 def test_su2_highest_weight_values():
