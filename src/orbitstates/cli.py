@@ -99,22 +99,70 @@ def _count(params, key, default, least=1):
     return int(value)
 
 
+def _number(value, where, positive=False):
+    """`value` itself once it is a JSON number (positive when asked)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (positive and not value > 0):
+        raise CliInputError("%s: must be a %snumber, got %r"
+                            % (where, "positive " if positive else "", value))
+    return value
+
+
+def _numbers(values, where, size=None):
+    """A non-empty list of JSON numbers, of length `size` when given."""
+    if not isinstance(values, list) or not values \
+            or size not in (None, len(values)):
+        raise CliInputError("%s: must be a list of %s numbers, got %r"
+                            % (where, size or "one or more", values))
+    return [_number(v, "%s/%d" % (where, i)) for i, v in enumerate(values)]
+
+
+def _direction(family, coords, where):
+    """An algebra element of `family` from its coordinate list."""
+    return groups.algebra(family, _numbers(coords, where,
+                                           groups.ALGEBRA_DIM.get(family)))
+
+
 def _default_orbit(state, params):
     orbit = params.get("orbit", {})
+    if not isinstance(orbit, dict):
+        raise CliInputError("/params/orbit: must be an object")
+
+    def value(key, default):
+        return _number(orbit.get(key, default), "/params/orbit/" + key)
+
     fam = state.family
     if fam == "heisenberg":
-        return orbits.heisenberg_orbit(orbit.get("k", state.params.get("k", 1.0)),
-                                       orbit.get("l", state.params.get("l", 0.0)))
+        return orbits.heisenberg_orbit(value("k", state.params.get("k", 1.0)),
+                                       value("l", state.params.get("l", 0.0)))
     if fam == "bargmann":
         return orbits.bargmann_orbit()
     if fam == "euclid":
-        return orbits.euclid_orbit(orbit.get("k", state.params.get("k", 1.0)),
-                                   orbit.get("s", state.params.get("s", 0.0)))
+        return orbits.euclid_orbit(value("k", state.params.get("k", 1.0)),
+                                   value("s", state.params.get("s", 0.0)))
     if fam == "su2":
-        return orbits.su2_orbit(orbit.get("lam", state.params.get("j", 0.5)))
+        return orbits.su2_orbit(value("lam", state.params.get("j", 0.5)))
     if fam == "torus":
-        return orbits.torus_orbit(orbit.get("y", [1.0]))
+        y = orbit.get("y", [1.0])
+        return orbits.torus_orbit(_numbers(y, "/params/orbit/y")
+                                  if isinstance(y, list)
+                                  else _number(y, "/params/orbit/y"))
     raise CliInputError("/state: unknown family %r" % (fam,))
+
+
+def _concentration(target):
+    """Check a target of spectral.concentration_check and its numbers."""
+    kind = target.get("type") if isinstance(target, dict) else None
+    where = "/params/concentration/"
+    if kind == "point":
+        _number(target.get("value"), where + "value")
+    elif kind == "interval":
+        _numbers(target.get("bounds"), where + "bounds", 2)
+    elif kind == "finite":
+        _numbers(target.get("values"), where + "values")
+    else:
+        raise CliInputError("%stype: must be point, interval or finite, "
+                            "got %r" % (where, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +218,9 @@ def _task_gram(doc, seed):
 def _task_gns(doc, seed):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
+    if state.kind not in gns.CLOSED_KINDS:
+        raise CliInputError("/state/kind: gns needs one of %s, got %r"
+                            % (list(gns.CLOSED_KINDS), state.kind))
     samples, probes = gns.closed_sample_set(state, _count(p, "n", 16), seed)
     space = gns.build(state, samples)
     worst_res, worst_rec = 0.0, 0.0
@@ -202,9 +253,15 @@ def _task_spectral(doc, seed):
     p = doc.get("params", {})
     if "Z" not in p:
         raise CliInputError("/params/Z: direction coordinates required")
-    Z = groups.algebra(state.family, p["Z"])
-    est = spectral.density_estimate(state, Z,
-                                    T=p.get("T"), N=_count(p, "N", 2 ** 14))
+    Z = _direction(state.family, p["Z"], "/params/Z")
+    T = p.get("T")
+    if T is not None:
+        _number(T, "/params/T", positive=True)
+    if "omega" in p:
+        _number(p["omega"], "/params/omega")
+    if "concentration" in p:
+        _concentration(p["concentration"])
+    est = spectral.density_estimate(state, Z, T=T, N=_count(p, "N", 2 ** 14))
     results = {
         "classification": est.classification,
         "atoms": [[float(om), float(m)] for om, m in est.atoms],
@@ -213,8 +270,7 @@ def _task_spectral(doc, seed):
         "zero_value": [est.zero_value.real, est.zero_value.imag],
     }
     if "omega" in p:
-        atom = spectral.bohr_atom(state, Z, float(p["omega"]),
-                                  T=p.get("T"))
+        atom = spectral.bohr_atom(state, Z, float(p["omega"]), T=T)
         results["atom_at_omega"] = {
             "omega": atom.omega,
             "mass": [atom.mass.real, atom.mass.imag],
@@ -244,7 +300,8 @@ def _task_orbit(doc, seed):
         "pass": rel <= 1e-10,
     }
     if p.get("Zs"):
-        Zs = [groups.algebra(state.family, z) for z in p["Zs"]]
+        Zs = [_direction(state.family, z, "/params/Zs/%d" % i)
+              for i, z in enumerate(p["Zs"])]
         if not groups.commuting(Zs):
             raise CliInputError("/params/Zs: tuple does not commute")
         proj = np.stack([

@@ -155,6 +155,11 @@ def eigenvector_check(space, subgroup_samples, character_values,
     return worst
 
 
+# the kinds closed_sample_set builds a set for
+CLOSED_KINDS = ("heisenberg_loc_p", "heisenberg_loc_q", "euclid_plane",
+                "su2_highest_weight")
+
+
 def closed_sample_set(state, n=16, seed=0):
     """Sample set (identity first) on which the finite representation is
     exactly isometric, plus probe elements that stay inside the closure.

@@ -64,18 +64,11 @@ def _merge_counting(support, values):
     grid = DEFAULT.support_grid
     pts = np.atleast_2d(support.T).T if support.ndim == 1 else support
     keys = np.rint(np.atleast_2d(pts.reshape(len(values), -1)) / grid).astype(np.int64)
-    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+    uniq, first, inv = np.unique(keys, axis=0, return_index=True,
+                                 return_inverse=True)
     out = np.zeros(len(uniq), dtype=complex)
     np.add.at(out, inv, values)
-    rep = np.zeros((len(uniq),) + support.shape[1:] if support.ndim > 1
-                   else (len(uniq),))
-    first = {}
-    for i, j in enumerate(inv):
-        if j not in first:
-            first[j] = i
-    for j, i in first.items():
-        rep[j] = support[i]
-    return rep, out
+    return support[first], out
 
 
 def inner(f, g):
@@ -179,14 +172,6 @@ def constant_section(n_theta=64, n_phi=128):
         return np.ones(v.shape[:-1], dtype=complex)
     return SectionVector(pts, np.ones(len(pts), dtype=complex),
                          mode="quadrature", weights=w, evaluator=evaluator)
-
-
-def heisenberg_action(row, g, f, t=0.0):
-    return HeisenbergRow(row, t=t).apply(g, f)
-
-
-def euclid_action(k, g, f, s=0):
-    return EuclidAction(k, s=s).apply(g, f)
 
 
 def matrix_coefficient(action, f, g):

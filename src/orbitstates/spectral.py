@@ -15,6 +15,7 @@ by 1/(d T); tests that want exact atom masses pick T commensurate with the
 atom spacing, which zeroes the discrete leakage identically.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +94,14 @@ def _mean_at(y, ts, omega):
 
 
 def atom_scan(state, Z, T, N=2 ** 14, max_atoms=MAX_ATOMS, samples=None):
-    """Iterative atom detection: find the strongest lattice peak, refine its
-    frequency by maximizing the Bohr-mean magnitude, subtract, repeat."""
+    """Atoms of the restriction along Z, strongest first, until the largest
+    Bohr mean on the lattice pi n / T is at most ATOM_FACTOR / T.  Each atom
+    sits where bounded Brent maximizes |Bohr mean| within one lattice step
+    of that peak; its mass is the mean there, subtracted before the next.
+    Returns [(omega, complex mass)] by omega, the residual and the times."""
+    # imported here: scipy.optimize adds 0.1 s to every CLI start-up
+    from scipy.optimize import minimize_scalar
+
     ts = _midpoints(T, N)
     y = flow_values(state, Z, ts) if samples is None else samples.copy()
     thresh = ATOM_FACTOR / T
@@ -104,18 +111,13 @@ def atom_scan(state, Z, T, N=2 ** 14, max_atoms=MAX_ATOMS, samples=None):
         idx = int(np.argmax(np.abs(means)))
         if abs(means[idx]) <= thresh:
             break
-        lo = omegas[idx] - np.pi / T
-        hi = omegas[idx] + np.pi / T
-        for _ in range(80):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if abs(_mean_at(y, ts, m1)) < abs(_mean_at(y, ts, m2)):
-                lo = m1
-            else:
-                hi = m2
-        om = 0.5 * (lo + hi)
+        peak = minimize_scalar(
+            lambda om: -abs(_mean_at(y, ts, om)), method="bounded",
+            bounds=(omegas[idx] - np.pi / T, omegas[idx] + np.pi / T),
+            options={"xatol": 1e-12 / T})
+        om = float(peak.x)
         mass = _mean_at(y, ts, om)
-        atoms.append((float(om), mass))
+        atoms.append((om, mass))
         y = y - mass * np.exp(1j * om * ts)
     atoms.sort(key=lambda a: a[0])
     return atoms, y, ts
@@ -221,21 +223,13 @@ class PrequantScenario:
     kind: str                      # gaussian | grid | point
     center: tuple = (0.0, 0.0)
     sigma: float = 1.0
-    bounds: tuple | None = None    # ((p_lo, p_hi), (k_lo, k_hi))
-    resolution: int = 3000
     p: np.ndarray | None = None
     k: np.ndarray | None = None
     density: np.ndarray | None = None
 
 
-def gaussian_scenario(center=(0.0, 0.0), sigma=1.0, bounds=None,
-                      resolution=6000):
-    if bounds is None:
-        c0, c1 = center
-        r = 8.0 * sigma
-        bounds = ((c0 - r, c0 + r), (c1 - r, c1 + r))
-    return PrequantScenario("gaussian", tuple(center), float(sigma),
-                            bounds, int(resolution))
+def gaussian_scenario(center=(0.0, 0.0), sigma=1.0):
+    return PrequantScenario("gaussian", tuple(center), float(sigma))
 
 
 def grid_scenario(p, k, density):
@@ -257,65 +251,66 @@ def _classical_value(p, k):
 
 
 def _mass_on_grid(p, k, density):
+    """(total mass, mass outside) of a density on a uniform (p, k) grid."""
     dp = p[1] - p[0]
     dk = k[1] - k[0]
-    total = float(np.sum(density)) * dp * dk
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError("density integrates to %.9f, not 1" % total)
     outside = np.abs(_classical_value(p[:, None], k[None, :])) > 1.0
-    return float(np.sum(density * outside)) * dp * dk
+    return (float(np.sum(density)) * dp * dk,
+            float(np.sum(density * outside)) * dp * dk)
 
 
-def _gaussian_mass(scn, resolution):
-    (plo, phi), (klo, khi) = scn.bounds
-    p = plo + (np.arange(resolution) + 0.5) * (phi - plo) / resolution
-    k = klo + (np.arange(resolution) + 0.5) * (khi - klo) / resolution
-    dp = (phi - plo) / resolution
-    dk = (khi - klo) / resolution
-    c0, c1 = scn.center
-    s2 = scn.sigma ** 2
-    gk = np.exp(-((k - c1) ** 2) / (2.0 * s2))
-    total = 0.0
-    outside_mass = 0.0
-    for i0 in range(0, resolution, 256):
-        pp = p[i0:i0 + 256]
-        rho = np.exp(-((pp[:, None] - c0) ** 2) / (2.0 * s2)) * gk[None, :] \
-            / (2.0 * np.pi * s2)
-        out = np.abs(_classical_value(pp[:, None], k[None, :])) > 1.0
-        total += float(np.sum(rho))
-        outside_mass += float(np.sum(rho * out))
-    total *= dp * dk
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError("density integrates to %.9f, not 1" % total)
-    return outside_mass * dp * dk
+def _gaussian_mass(center, sigma):
+    """Mass outside and quad's summed error estimate for N(center, sigma^2 I).
+    For fixed p the k with |sin p + (k - p) cos p| <= 1 form the interval
+    with ends p + (+-1 - sin p) / cos p, so the mass is one integral over p
+    of the p-density times both k-tails.  It is smooth between the zeros of
+    cos p, which cut c0 +- 12 sigma (beyond lies under 1e-32 of the mass)
+    into the pieces given to quad."""
+    # imported here: scipy.integrate adds 0.1 s to every CLI start-up
+    from scipy.integrate import quad
+
+    c0, c1 = center
+    w = sigma * math.sqrt(2.0)
+
+    def integrand(p):
+        s, c = math.sin(p), math.cos(p)
+        lo, hi = sorted((p + (-1.0 - s) / c, p + (1.0 - s) / c))
+        return (math.erfc((c1 - lo) / w) + math.erfc((hi - c1) / w)) \
+            * math.exp(-((p - c0) / w) ** 2) / (2.0 * w * math.sqrt(math.pi))
+
+    a, b = c0 - 12.0 * sigma, c0 + 12.0 * sigma
+    n0 = math.ceil((a - math.pi / 2) / math.pi)
+    n1 = math.floor((b - math.pi / 2) / math.pi)
+    breaks = [a] + [math.pi * (n + 0.5) for n in range(n0, n1 + 1)] + [b]
+    pieces = [quad(integrand, u, v) for u, v in zip(breaks, breaks[1:])]
+    return sum(v for v, _ in pieces), sum(e for _, e in pieces)
 
 
 def prequant_mass_outside(scenario):
     """Mass of |phi|^2 pushed outside [-1, 1] by (p,k) -> sin p + (k-p)cos p.
 
-    Midpoint 2-D quadrature with a two-resolution convergence gate."""
+    point: 0 or 1.  grid: midpoint sums of a density that must integrate to
+    1, against its half-resolution ([::2]) sums.  gaussian: the 1-D integral
+    of _gaussian_mass, against quad's own error estimate.  GridTooCoarse is
+    raised when either check exceeds 1e-3."""
     if scenario.kind == "point":
         p0, k0 = scenario.center
         return float(abs(_classical_value(p0, k0)) > 1.0)
     if scenario.kind == "grid":
-        full = _mass_on_grid(scenario.p, scenario.k, scenario.density)
-        if scenario.p.size >= 8 and scenario.k.size >= 8:
-            sub = scenario.density[::2, ::2]
-            dp, dk = (scenario.p[2] - scenario.p[0],
-                      scenario.k[2] - scenario.k[0])
-            tot = float(np.sum(sub)) * dp * dk
-            outside = np.abs(_classical_value(
-                scenario.p[::2, None], scenario.k[None, ::2])) > 1.0
-            coarse = float(np.sum(sub * outside)) * dp * dk / max(tot, 1e-300)
+        p, k, density = scenario.p, scenario.k, scenario.density
+        total, full = _mass_on_grid(p, k, density)
+        if abs(total - 1.0) > 1e-6:
+            raise ValueError("density integrates to %.9f, not 1" % total)
+        if p.size >= 8 and k.size >= 8:
+            tot, out = _mass_on_grid(p[::2], k[::2], density[::2, ::2])
+            coarse = out / max(tot, 1e-300)
             if abs(coarse - full) > 1e-3:
                 raise GridTooCoarse(
                     "refinement moved the estimate by %.2e" % abs(coarse - full))
         return full
     if scenario.kind == "gaussian":
-        full = _gaussian_mass(scenario, scenario.resolution)
-        coarse = _gaussian_mass(scenario, scenario.resolution // 2)
-        if abs(coarse - full) > 1e-3:
-            raise GridTooCoarse(
-                "refinement moved the estimate by %.2e" % abs(coarse - full))
-        return full
+        value, err = _gaussian_mass(scenario.center, scenario.sigma)
+        if err > 1e-3:
+            raise GridTooCoarse("quadrature error estimate %.2e" % err)
+        return value
     raise ValueError("unknown scenario kind %r" % (scenario.kind,))

@@ -16,6 +16,10 @@ from scipy.linalg import expm, logm
 # region |sin p + (k - p) cos p| > 1, computed independently and fixed
 # before the estimator was written.
 PREQUANT_MASS = 0.296698016141580
+# The same mass for the Gaussian centred at (p, k) = (0, 10), from the 1-D
+# composite Gauss-Legendre route perfbench/checks.prequant_mass_outside
+# ((0, 10)), which shares no code with the package.
+PREQUANT_MASS_SHIFTED = 0.95296313720170
 
 
 # ---------------------------------------------------------------------------

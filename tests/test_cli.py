@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -163,39 +165,58 @@ def test_bad_input_exits_two(tmp_path, payload):
     assert cli.run(str(path)) == 2
 
 
-@pytest.mark.parametrize("text,pointer", [
+@pytest.mark.parametrize("text,pointer,task", [
     ('{"kind": "heisenberg_loc_p", "params": {"k": "abc"}}, '
-     '"params": {"pairs": 100}', "/state/params/k"),
+     '"params": {"pairs": 100}', "/state/params/k", "verify"),
     ('{"kind": "heisenberg_loc_p", "params": {"k": Infinity}}, '
-     '"params": {"pairs": 100}', "/state/params/k"),
+     '"params": {"pairs": 100}', "/state/params/k", "verify"),
     ('{"kind": "heisenberg_loc_q", "params": {"l": NaN}}, '
-     '"params": {"pairs": 100}', "/state/params/l"),
+     '"params": {"pairs": 100}', "/state/params/l", "verify"),
     ('{"kind": "heisenberg_loc_p", "params": {"k": 1.0}}, '
-     '"params": {"samples": 0}', "/params/samples"),
+     '"params": {"samples": 0}', "/params/samples", "verify"),
     ('{"kind": "heisenberg_loc_p", "params": {"kk": 3}}, '
-     '"params": {"pairs": 100}', "/state/params/kk"),
+     '"params": {"pairs": 100}', "/state/params/kk", "verify"),
     ('{"kind": "heisenberg_loc_p", "params": {"kind": 3}}, '
-     '"params": {"pairs": 100}', "/state/params/kind"),
+     '"params": {"pairs": 100}', "/state/params/kind", "verify"),
     ('{"kind": "su2_highest_weight", "params": {"j": 1, "family": "su2"}}, '
-     '"params": {"pairs": 100}', "/state/params/family"),
+     '"params": {"pairs": 100}', "/state/params/family", "verify"),
     ('{"kind": "heisenberg_loc_p", "params": {"k": true}}, '
-     '"params": {"pairs": 100}', "/state/params/k"),
-    ('{"kind": "custom"}, "params": {"pairs": 100}', "/state/params/family"),
+     '"params": {"pairs": 100}', "/state/params/k", "verify"),
+    ('{"kind": "custom"}, "params": {"pairs": 100}', "/state/params/family",
+     "verify"),
     ('{"kind": "custom", "params": {"family": "heisenberg"}}, '
-     '"params": {"pairs": 100}', "/state/params/evaluator"),
+     '"params": {"pairs": 100}', "/state/params/evaluator", "verify"),
     ('{"kind": "constant_one", "params": {"family": "foo"}}, '
-     '"params": {"pairs": 100}', "/state/params/family"),
+     '"params": {"pairs": 100}', "/state/params/family", "verify"),
+    ('{"kind": "heisenberg_loc_t"}', "/state/kind", "gns"),
+    ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [1, 2]}', "/params/Z",
+     "spectral"),
+    ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], "T": "abc"}',
+     "/params/T", "spectral"),
+    ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], "T": -5}',
+     "/params/T", "spectral"),
+    ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], "omega": "x"}',
+     "/params/omega", "spectral"),
+    ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], '
+     '"concentration": {"type": "blob"}}', "/params/concentration/type",
+     "spectral"),
+    ('{"kind": "heisenberg_loc_p"}, "params": {"Zs": [[1, 2]]}',
+     "/params/Zs/0", "orbit_project"),
+    ('{"kind": "heisenberg_loc_p"}, "params": {"orbit": {"k": "abc"}}',
+     "/params/orbit/k", "quantum_check"),
 ])
 def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
-                                                    pointer):
+                                                    pointer, task):
     path = tmp_path / "bad.json"
-    path.write_text('{"version": "1", "task": "verify", "seed": 1, '
-                    '"state": ' + text + '}')
+    path.write_text('{"version": "1", "task": "%s", "seed": 1, "state": %s}'
+                    % (task, text))
     out = str(tmp_path / "rep")
     assert cli.run(str(path), out=out) == 2
     assert pointer in capsys.readouterr().err
     assert not os.path.exists(out)
-    assert cli.main(["verify", "--scenario", str(path), "--out", out]) == 2
+    command = {"orbit_project": "orbit", "quantum_check": "quantum"}
+    assert cli.main([command.get(task, task), "--scenario", str(path),
+                     "--out", out]) == 2
 
 
 @pytest.mark.parametrize("kind", [k for k in states.KINDS if k != "custom"])
@@ -221,6 +242,18 @@ def test_spectral_without_direction_exits_two(tmp_path):
         "version": "1", "task": "spectral", "seed": 0,
         "state": {"kind": "heisenberg_loc_p", "params": {"k": 1.0}}})
     assert cli.run(path, out=str(tmp_path / "rep")) == 2
+
+
+def test_cli_import_leaves_quadrature_and_optimizer_unloaded():
+    # spectral imports them where they are used: at module level they add
+    # about 0.1 s to every start-up of the command
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, orbitstates.cli; print([m for m in "
+            "('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

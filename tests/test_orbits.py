@@ -192,19 +192,6 @@ def test_sup_dominates_dense_sampling_oracle():
         assert float(est) <= total + 1e-9
 
 
-def test_sup_monotone_in_budget():
-    spec = orbits.euclid_orbit(1.5)
-    Zs = [_alg("euclid", [0, 0, 0, 0.9, -0.4, 0.2]),
-          _alg("euclid", [0, 0, 0, -1.7, 0.8, 1.1]),
-          _alg("euclid", [0, 0, 0, 0.3, 0.3, -2.2])]
-    cs = [0.9, -0.4 + 0.5j, 0.2 - 0.7j]
-    prev = 0.0
-    for budget in (1000, 2000, 4000, 8000, 16000):
-        v = float(orbits.orbit_sup(spec, Zs, cs, budget=budget, seed=5))
-        assert v >= prev - 1e-15
-        prev = v
-
-
 def test_sup_rejects_non_commuting_tuple():
     spec = orbits.su2_orbit(1.0)
     Zs = [_alg("su2", [1.0, 0, 0]), _alg("su2", [0, 1.0, 0])]
@@ -241,6 +228,26 @@ EARLY_EXIT_CHARTS = {
         _alg("su2", t * v) for v in [_line_direction(rng)]
         for t in rng.uniform(-4, 4, 3)]),
 }
+
+
+@pytest.mark.parametrize("chart", sorted(EARLY_EXIT_CHARTS))
+def test_sup_monotone_in_budget(chart, monkeypatch):
+    # a larger budget extends the same stream of draws, so the best fixed
+    # or drawn point never falls as the budget doubles; the ascents, which
+    # start from the best points and so may climb to different peaks, are
+    # replaced by their start rows
+    monkeypatch.setattr(orbits, "_ascend",
+                        lambda chart, X: (X, chart.value(X), 0))
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        spec, Zs = EARLY_EXIT_CHARTS[chart](rng)
+        cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
+        prev = 0.0
+        for budget in (1000, 2000, 4000, 8000):
+            est = orbits.orbit_sup(spec, Zs, cs, budget=budget, seed=5)
+            assert est.drawn == budget and est.ascent_steps == 0
+            assert est.value >= prev - 1e-14
+            prev = est.value
 
 
 @pytest.mark.parametrize("chart", sorted(EARLY_EXIT_CHARTS))

@@ -92,6 +92,27 @@ def test_su2_atoms_follow_the_eigenvector_law():
         assert np.max(np.abs(means)) < 1e-10
 
 
+def test_atom_scan_finds_spin_atoms():
+    # su2 j = 4 on a generic axis; a whole number of base periods puts
+    # every atom m |Z| on the frequency lattice.  The other atoms' leakage
+    # still tilts each peak of |Bohr mean|, by O(1 / T^2), so T is long
+    v = np.array([0.7, -1.1, 0.45])
+    th = float(np.linalg.norm(v))
+    st = states.make_state("su2_highest_weight", j=4.0)
+    T = 2 * np.pi * 512 / th
+    atoms, _, _ = spectral.atom_scan(st, groups.algebra("su2", v), T)
+    want = {round(m): w for m, w in oracles.spin_masses(8, v / th).items()}
+    found = set()
+    for om, mass in atoms:
+        m = round(om / th)
+        assert abs(om - m * th) < 1e-6
+        assert abs(mass - want[m]) < 1e-6
+        found.add(m)
+    floor = spectral.ATOM_FACTOR / T
+    assert {m for m, w in want.items() if w > floor} <= found
+    assert len(found) == len(atoms) >= 5
+
+
 # ---------------------------------------------------------------------------
 # full estimates and classification
 
@@ -229,6 +250,14 @@ def test_gaussian_mass_matches_frozen_oracle():
     got = spectral.prequant_mass_outside(spectral.gaussian_scenario())
     assert abs(got - oracles.PREQUANT_MASS) < 1e-3
     assert got > 0.05
+
+
+def test_gaussian_mass_is_exact():
+    got = spectral.prequant_mass_outside(spectral.gaussian_scenario())
+    assert abs(got - oracles.PREQUANT_MASS) < 1e-12
+    shifted = spectral.prequant_mass_outside(
+        spectral.gaussian_scenario(center=(0.0, 10.0)))
+    assert abs(shifted - oracles.PREQUANT_MASS_SHIFTED) < 1e-10
 
 
 def test_grid_scenario_uniform_blocks():
