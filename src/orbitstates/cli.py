@@ -117,10 +117,11 @@ def _numbers(values, where, size=None):
     return [_number(v, "%s/%d" % (where, i)) for i, v in enumerate(values)]
 
 
-def _direction(family, coords, where):
-    """An algebra element of `family` from its coordinate list."""
-    return groups.algebra(family, _numbers(coords, where,
-                                           groups.ALGEBRA_DIM.get(family)))
+def _direction(family, coords, where, size=None):
+    """An algebra element of `family` from its coordinate list, of length
+    `size` (default: the family's algebra dimension, if it has one)."""
+    return groups.algebra(family, _numbers(
+        coords, where, size or groups.ALGEBRA_DIM.get(family)))
 
 
 def _default_orbit(state, params):
@@ -300,7 +301,7 @@ def _task_orbit(doc, seed):
         "pass": rel <= 1e-10,
     }
     if p.get("Zs"):
-        Zs = [_direction(state.family, z, "/params/Zs/%d" % i)
+        Zs = [_direction(state.family, z, "/params/Zs/%d" % i, spec.dim)
               for i, z in enumerate(p["Zs"])]
         if not groups.commuting(Zs):
             raise CliInputError("/params/Zs: tuple does not commute")

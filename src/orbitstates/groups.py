@@ -400,22 +400,26 @@ def commuting(Zs, tol=DEFAULT.commuting):
     return True
 
 
+def pairing_coords(family, W, C):
+    """<w, Z> over broadcastable stacks of dual coordinates W and algebra
+    coordinates C; elementwise arithmetic, so a row's value does not depend
+    on the shape of the stack it sits in."""
+    if family == "heisenberg":
+        M, p, q = W[..., 0], W[..., 1], W[..., 2]
+        al, be, ga = C[..., 0], C[..., 1], C[..., 2]
+        return p * ga - q * be - M * al
+    if family == "bargmann":
+        M, p, q, E = W[..., 0], W[..., 1], W[..., 2], W[..., 3]
+        al, be, ga, ep = C[..., 0], C[..., 1], C[..., 2], C[..., 3]
+        return p * ga - q * be - E * ep - M * al
+    if family in ("euclid", "su2", "torus"):
+        return np.sum(W * C, axis=-1)
+    raise FamilyError(family)
+
+
 def pairing(w, Z):
     _check_same(w, Z)
-    f = w.family
-    if f == "heisenberg":
-        M, p, q = w.coords
-        al, be, ga = Z.coords
-        return p * ga - q * be - M * al
-    if f == "bargmann":
-        M, p, q, E = w.coords
-        al, be, ga, ep = Z.coords
-        return p * ga - q * be - E * ep - M * al
-    if f == "euclid":
-        return float(w.coords[:3] @ Z.coords[:3] + w.coords[3:] @ Z.coords[3:])
-    if f in ("su2", "torus"):
-        return float(w.coords @ Z.coords)
-    raise FamilyError(f)
+    return float(pairing_coords(w.family, w.coords, Z.coords))
 
 
 def adjoint(g, Z):

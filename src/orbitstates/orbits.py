@@ -57,6 +57,18 @@ grows.  The estimate can: the ascents start from the best points found,
 and a better start may climb to a lower local maximum.
 `SupEstimate.drawn` and the `samples_drawn` field of a `quantum_check`
 report say how many draws were actually made.
+
+The search runs on stacks of tuples, padded to a common length with zero
+terms: stages 1 and 2 are array code over the whole stack, and stages 3-5
+run one tuple at a time on the few that those leave unsettled.
+`quantum_check` runs its trials BLOCK at a time: one draw of a block's
+tuples from a stream keyed by (seed, block), one `states.exp_values` call
+for their left sides, then the search with stage-5 draws keyed by
+(seed, trial).  The left sides and the anchor and class sums go through one
+left-to-right reduction (`_rsum`), so a sum that equals a localized
+state's left side in exact arithmetic equals it in floating point too.
+`orbit_sup` is the same search on a stack of one; it checks that its tuple
+commutes, while drawn tuples commute by construction.
 """
 
 import math
@@ -81,6 +93,7 @@ STAGES = ("anchor", "class_bound", "coarse_grid", "full_grid", "search")
 
 @dataclass
 class SupEstimate:
+    """One search's result (the search over a stack keeps (T,) arrays)."""
     value: float
     samples: int         # orbit points evaluated, draws included
     ascent_steps: int
@@ -97,6 +110,12 @@ class OrbitSpec:
     def __init__(self, family, params):
         self.family = family
         self.params = dict(params)
+
+    @property
+    def dim(self):
+        """The length of the algebra coordinates paired with the orbit (a
+        torus has the dimension of its point y)."""
+        return groups.ALGEBRA_DIM.get(self.family) or len(self.params["y"])
 
     def sample(self, rng, count, box=None):
         """Seeded dual points on the orbit (rows of coordinate vectors)."""
@@ -229,14 +248,16 @@ _STRIP = _frozen(_unit_strip())
 
 
 class _Bound:
-    """The running certified lower bound of one orbit_sup call."""
+    """The running certified lower bound of one row of the sup search, from
+    stage 3 on (stages 1 and 2 run on the whole stack in _sup_rows)."""
     __slots__ = ("target", "value", "samples", "steps", "stage", "drawn")
 
-    def __init__(self, target):
-        self.target = target
-        self.value = 0.0
-        self.samples = self.steps = self.drawn = 0
-        self.stage = 1
+    def __init__(self, target, value, samples):
+        self.target = target        # inf: no early exit
+        self.value = value
+        self.samples = samples
+        self.steps = self.drawn = 0
+        self.stage = 2
 
     def points(self, vals):
         """Fold in the values at evaluated orbit points."""
@@ -251,11 +272,7 @@ class _Bound:
     def met(self, stage):
         """Close `stage`; True once the target is reached."""
         self.stage = stage
-        return self.target is not None and self.value >= self.target
-
-    def estimate(self):
-        return SupEstimate(self.value, self.samples, self.steps, self.stage,
-                           self.drawn)
+        return self.value >= self.target
 
 
 def _rest(n):
@@ -378,57 +395,24 @@ def _search(run, chart, X, vals, chunks):
     run.bound(np.max(f))
 
 
-def _sup_line(run, cs, ga, ep, off, r, budget, seed, anchors=(),
-              interval=False):
-    """sup of |sum c_j e^{i(p ga_j - p^2 ep_j / 2 + off_j)}| over p in
-    [-r, r] when `interval` (the SU(2) heights), else over R, searched in
-    [-r, r]."""
+def _line_rest(run, cs, ga, ep, off, r, heights, interval, budget, seed):
+    """Stages 3-5 on the line chart, p in [-r, r] when `interval` (the
+    SU(2) heights), else p over R, searched in [-r, r]."""
     chart = _line_chart(cs, ga, ep, off, r if interval else np.inf)
-    anchors = np.asarray(anchors, float).reshape(-1, 1)
-    avals = chart.value(anchors)
-    run.points(avals)
-    if run.met(1):
-        return
-    if not interval:
-        # stationary phase: the long-run p-mean keeps exactly the terms of
-        # one (ga, ep) class and lower-bounds the sup over R.  Classes use
-        # exact float equality, so deliberately drawn repeats (a shared
-        # frequency 0, say) group.  Each class sum is the full-length dot
-        # with the other terms zeroed: the arithmetic of the left side of a
-        # state localized on the class, so it meets that target exactly
-        # rather than an ulp below it
-        key = ga + 1j * np.asarray(ep)
-        E = np.exp(1j * off)
-        for k in np.unique(key):
-            run.bound(abs(np.where(key == k, E, 0.0) @ cs))
-    if run.met(2):
-        return
     X = r * _LINE[:, None]
     vals = _grid_stages(run, X, chart.value)
     if vals is None or run.met(4):
         return
+    H = heights[:, None]
     rng = np.random.default_rng(seed)
-    _search(run, chart, np.vstack([X, anchors]), np.concatenate([vals, avals]),
+    _search(run, chart, np.vstack([X, H]),
+            np.concatenate([vals, chart.value(H)]),
             _draws(budget, lambda n: rng.uniform(-r, r, size=(n, 1))))
 
 
-def _sup_sphere(run, cs, ws, budget, seed, anchors=()):
-    """sup over the unit sphere of |sum c_j e^{i u.w_j}|."""
+def _sphere_rest(run, cs, ws, anchors, budget, seed):
+    """Stages 3-5 on the unit sphere; `anchors` are unit vectors."""
     chart = _sphere_chart(cs, ws)
-    anchors = np.asarray(anchors, float).reshape(-1, 3)
-    avals = chart.value(anchors)
-    run.points(avals)
-    if run.met(1):
-        return
-    # sphere-uniform mean of the signal = sum c_j sinc(|w_j|)
-    nw = np.linalg.norm(ws, axis=1)
-    run.bound(abs(np.sum(cs * states.sinc(nw))))
-    u = ws[nw > 1e-12] / nw[nw > 1e-12, None]
-    dirs = np.stack([u, -u], axis=1).reshape(-1, 3)
-    dvals = chart.value(dirs)
-    run.points(dvals)
-    if run.met(2):
-        return
     vals = _grid_stages(run, _SPHERE, chart.value)
     if vals is None:
         return
@@ -441,49 +425,218 @@ def _sup_sphere(run, cs, ws, budget, seed, anchors=()):
         run.bound(abs(np.mean(S)))
     if run.met(4):
         return
+    D, ok = _directions(ws)
+    extra = np.vstack([D[ok], anchors])
     rng = np.random.default_rng(seed)
-    _search(run, chart, np.vstack([_SPHERE, dirs, anchors, _CIRCLES]),
-            np.concatenate([vals, dvals, avals, cvals]),
+    _search(run, chart, np.vstack([_SPHERE, extra, _CIRCLES]),
+            np.concatenate([vals, chart.value(extra), cvals]),
             _draws(budget, lambda n: _unit(rng.standard_normal((n, 3)))))
 
 
-def _sup_strip(run, cs, sfreq, pfreq, k, budget, seed, box, anchors=()):
-    """sup over (l, p) in R x [-k, k] of |sum c_j e^{i(s_j l + t_j p)}|."""
+def _strip_rest(run, cs, sfreq, pfreq, k, box, anchors, budget, seed):
+    """Stages 3-5 on the strip (l, p) in R x [-k, k]; `anchors` are (l, p)
+    rows."""
     chart = _strip_chart(cs, sfreq, pfreq, k)
-    anchors = np.asarray(anchors, float).reshape(-1, 2)
-    avals = chart.value(anchors)
-    run.points(avals)
-    if run.met(1):
-        return
-    # per-s-frequency class bound: sup_{l,p} >= sup_p |mean_l of class|,
-    # and the l-mean of a class is a line in p
-    classes = [_line_chart(cs[sel], pfreq[sel], 0.0, 0.0)
-               for sel in (sfreq == s for s in np.unique(sfreq))]
-
-    def class_bound(ps):
-        for line in classes:
-            run.bound(np.max(line.value(ps)))
-
-    p_line = k * _LINE[:, None]
-    class_bound(p_line[::COARSE])
-    if run.met(2):
-        return
     X = _STRIP * (box, k)
     vals = _grid_stages(run, X, chart.value)
     if vals is None:
         return
-    class_bound(p_line[_rest(GRID_1D)])
+    # the per-s-class bound of stage 2 on the rest of its p grid
+    p_rest = k * _LINE[_rest(GRID_1D), None]
+    for s in np.unique(sfreq):
+        sel = sfreq == s
+        run.bound(np.max(_line_chart(cs[sel], pfreq[sel], 0.0, 0.0)
+                         .value(p_rest)))
     if run.met(4):
         return
     rng = np.random.default_rng(seed)
     # (l, p) pairs in stream order, so a larger budget extends the draws
-    _search(run, chart, np.vstack([X, anchors]), np.concatenate([vals, avals]),
+    _search(run, chart, np.vstack([X, anchors]),
+            np.concatenate([vals, chart.value(anchors)]),
             _draws(budget, lambda n: rng.uniform((-box, -k), (box, k), (n, 2))))
 
 
-def _anchor_values(anchors, Zs, cs):
-    return [abs(sum(c * np.exp(1j * groups.pairing(w, Z))
-                    for c, Z in zip(cs, Zs))) for w in anchors]
+# ---------------------------------------------------------------------------
+# stages 1 and 2 on stacks of tuples
+
+def _rsum(P):
+    """The sum over the last axis, strictly left to right: one rounding
+    order whatever the stack's shape, in which the zero terms that pad
+    shorter tuples change nothing."""
+    S = P[..., 0]
+    for j in range(1, P.shape[-1]):
+        S = S + P[..., j]
+    return S
+
+
+def _signal(phases, cs):
+    """|sum_j c_j e^{i phi_j}| over the last axis.  The left side of the
+    check is summed the same way (values times cs, then _rsum), so an
+    anchor or class sum on which a state is localized meets it to the last
+    bit rather than an ulp below it."""
+    return np.abs(_rsum(np.exp(1j * phases) * cs))
+
+
+def _class_bound(same, P):
+    """max_j |sum_k [k ~ j] P_k| over the last axis of P, where same[r, j]
+    marks the terms of row r in the class of term j: the sum of one class
+    is the full-length _rsum with the other terms zeroed."""
+    return np.max([np.abs(_rsum(np.where(same[:, j], P, 0.0)))
+                   for j in range(same.shape[-1])], axis=0)
+
+
+def _directions(ws):
+    """The directions +-w_j/|w_j| as (..., 2W, 3) rows, and which of them
+    are defined (|w_j| > 1e-12)."""
+    nw = np.linalg.norm(ws, axis=-1, keepdims=True)
+    ok = nw[..., 0] > 1e-12
+    u = ws / np.where(ok[..., None], nw, 1.0)
+    return np.concatenate([u, -u], axis=-2), np.concatenate([ok, ok], axis=-1)
+
+
+def _sup_rows(spec, C, cs, n, anchors, target, budget, seeds, box):
+    """The staged sup search on a stack of tuples.
+
+    Row t is the tuple of algebra coordinates C[t, :n[t]] (C is
+    (T, W, dim)) with coefficients cs[t, :n[t]] (cs is 0 on the padding),
+    searched against target[t] (inf: no early exit); anchors is an (A, dim)
+    stack of dual points, and seeds(t) seeds row t's stage-5 draws.
+    Stages 1 and 2 run on every row at once, stages 3-5 on each row they
+    leave unsettled.  Returns a SupEstimate of (T,) arrays."""
+    fam = spec.family
+    T = len(cs)
+    rows = np.arange(T)
+    target = np.broadcast_to(np.asarray(target, float), (T,))
+    anchors = np.reshape(anchors, (-1, C.shape[-1]))
+    # stage 1: anchors, the SU(2) weight heights, and the exact value of
+    # one-term tuples and of the tuples whose phases are constant
+    value = np.where(n == 1, np.abs(cs[:, 0]), 0.0)
+    samples = np.zeros(T, dtype=int)
+
+    def points(sel, vals):
+        value[sel] = np.maximum(value[sel], np.max(vals, axis=1))
+        samples[sel] += vals.shape[1]
+
+    if len(anchors):
+        points(rows, _signal(groups.pairing_coords(
+            fam, anchors[:, None], C[:, None]), cs[:, None]))
+    line = sphere = None
+    fixed = np.zeros(T, dtype=bool)      # constant phases: the sup is exact
+    heights = np.zeros(0)
+    if fam == "heisenberg":
+        al, be, ga = C[..., 0], C[..., 1], C[..., 2]
+        # commuting <=> the (beta, gamma) rows are parallel
+        lead = np.argmax(be * be + ga * ga, axis=1)
+        d = np.stack([be[rows, lead], ga[rows, lead]], axis=-1)
+        nrm = np.hypot(d[:, 0], d[:, 1])
+        fixed = nrm < 1e-14      # pure center: <x, Z_j> = -alpha_j everywhere
+        d /= np.where(fixed, 1.0, nrm)[:, None]
+        # tau = p d[1] - q d[0]; over the (p, q) box it reaches
+        # +- box (|d0| + |d1|)
+        line = (be * d[:, :1] + ga * d[:, 1:], np.zeros_like(al), -al,
+                box * np.sum(np.abs(d), axis=1))
+    elif fam == "bargmann":
+        # an ideal tuple (no beta) has phases p ga_j - p^2 ep_j / 2 - al_j,
+        # 1-D in p; on a boost line (beta_j, gamma_j, eps_j) =
+        # mu_j (1, gh, eh), u = p gh - q - p^2 eh / 2 sweeps R and the
+        # phases are mu_j u - alpha_j
+        al, be, ga, ep = C[..., 0], C[..., 1], C[..., 2], C[..., 3]
+        ideal = (np.max(np.abs(be), axis=1) < 1e-14)[:, None]
+        line = (np.where(ideal, ga, be), np.where(ideal, ep, 0.0), -al,
+                np.full(T, box))
+    elif fam == "su2":
+        norm = np.linalg.norm(C, axis=-1)
+        lead = np.argmax(norm, axis=1)
+        top = norm[rows, lead]
+        fixed = top < 1e-14
+        v = C[rows, lead] / np.where(fixed, 1.0, top)[:, None]
+        om = np.sum(C * v[:, None], axis=-1)
+        lam = spec.params["lam"]
+        line = (om, np.zeros_like(om), np.zeros_like(om), np.full(T, lam))
+        # the weight heights: where highest-weight states put their atoms
+        heights = np.arange(-math.floor(2 * lam), math.floor(2 * lam) + 1) / 2
+        heights = heights[np.abs(heights) <= lam + 1e-12]
+        points(rows, _signal(heights[:, None] * om[:, None], cs[:, None]))
+    elif fam == "euclid":
+        k = spec.params["k"]
+        ax, rate = C[..., :3], C[..., 3:]
+        norm = np.linalg.norm(ax, axis=-1)
+        lead = np.argmax(norm, axis=1)
+        sphere = norm[rows, lead] < 1e-14        # pure translations
+        top = np.where(sphere, 1.0, norm[rows, lead])
+        axis = ax[rows, lead] / top[:, None]
+        sfreq = np.sum(ax * axis[:, None], axis=-1)
+        pfreq = np.sum(rate * axis[:, None], axis=-1)
+        ws = k * rate
+    elif fam == "torus":
+        fixed = np.ones(T, dtype=bool)
+    else:
+        raise groups.FamilyError(fam)
+    if fixed.any():
+        phase = line[2] if line is not None else groups.pairing_coords(
+            fam, np.asarray(spec.params["y"], float), C)
+        points(fixed, _signal(phase[fixed], cs[fixed])[:, None])
+    settled = (n == 1) | fixed | (value >= target)
+    stage = np.where(settled, 1, 2)
+
+    # stage 2: the analytic class bounds
+    open_ = np.flatnonzero(~settled)
+    if fam in ("heisenberg", "bargmann"):
+        # stationary phase: the long-run p-mean keeps exactly the terms of
+        # one (ga, ep) class and lower-bounds the sup over R.  Classes use
+        # exact float equality, so deliberately drawn repeats (a shared
+        # frequency 0, say) group
+        ga, ep, off = (a[open_] for a in line[:3])
+        same = (ga[:, :, None] == ga[:, None]) \
+            & (ep[:, :, None] == ep[:, None])
+        value[open_] = np.maximum(value[open_], _class_bound(
+            same, np.exp(1j * off) * cs[open_]))
+    elif fam == "euclid":
+        sel = open_[sphere[open_]]
+        # sphere-uniform mean of the signal = sum c_j sinc(|w_j|), with
+        # |w_j| = k |rate_j| written as the spherical state's closed form
+        # writes it
+        rs = rate[sel]
+        mean = np.abs(_rsum(states.sinc(k * np.sqrt(np.sum(rs * rs, axis=-1)))
+                            * cs[sel]))
+        D, ok = _directions(ws[sel])
+        dv = _signal(np.sum(D[:, :, None] * ws[sel][:, None], axis=-1),
+                     cs[sel][:, None])
+        value[sel] = np.maximum(value[sel],
+                                np.maximum(mean, np.max(dv * ok, axis=1)))
+        samples[sel] += np.sum(ok, axis=1)
+        # per-s-frequency class bound: sup_{l,p} >= sup_p |mean_l of class|,
+        # and the l-mean of a class is a line in p, bounded here on a
+        # coarse p grid
+        sel = open_[~sphere[open_]]
+        s = sfreq[sel]
+        p = k * _LINE[::COARSE, None, None]
+        value[sel] = np.maximum(value[sel], np.max(_class_bound(
+            s[:, :, None] == s[:, None],
+            np.exp(1j * p * pfreq[sel]) * cs[sel]), axis=0))
+    settled |= value >= target
+
+    # stages 3-5, one row at a time
+    steps = np.zeros(T, dtype=int)
+    drawn = np.zeros(T, dtype=int)
+    for t in np.flatnonzero(~settled):
+        run = _Bound(target[t], value[t], samples[t])
+        m = n[t]
+        if line is not None:
+            ga, ep, off, r = line
+            _line_rest(run, cs[t, :m], ga[t, :m], ep[t, :m], off[t, :m], r[t],
+                       heights, fam == "su2", budget, seeds(t))
+        elif sphere[t]:
+            _sphere_rest(run, cs[t, :m], ws[t, :m], anchors[:, 3:] / k,
+                         budget, seeds(t))
+        else:
+            _strip_rest(run, cs[t, :m], sfreq[t, :m], pfreq[t, :m], k, box,
+                        np.column_stack([anchors[:, :3] @ axis[t],
+                                         anchors[:, 3:] @ axis[t]]),
+                        budget, seeds(t))
+        value[t], samples[t], steps[t] = run.value, run.samples, run.steps
+        stage[t], drawn[t] = run.stage, run.drawn
+    return SupEstimate(value, samples, steps, stage, drawn)
 
 
 def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
@@ -501,203 +654,153 @@ def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
     run in order of cost and the search stops after the first one whose
     running lower bound reaches the target; estimates stay valid lower
     bounds either way, and `stage` records where the search stopped.
+
+    The search is the one quantum_check runs on its stacks of tuples, on a
+    stack of one.
     """
     if not groups.commuting(Zs):
         raise ValueError("tuple does not commute")
-    box = DEFAULT.box_radius if box is None else box
-    cs = np.asarray(cs, dtype=complex)
-    anchors = anchors or []
-    run = _Bound(target)
-    run.points(_anchor_values(anchors, Zs, cs))
-    if run.met(1):
-        return run.estimate()
-    if len(Zs) == 1:
-        run.bound(abs(cs[0]))
-        return run.estimate()
-
-    fam = spec.family
-    C = np.stack([Z.coords for Z in Zs])
-
-    if fam == "heisenberg":
-        al, be, ga = C[:, 0], C[:, 1], C[:, 2]
-        # commuting <=> the (beta, gamma) rows are parallel
-        lead = np.argmax(be ** 2 + ga ** 2)
-        nrm = math.hypot(be[lead], ga[lead])
-        if nrm < 1e-14:
-            # pure center: <x, Z_j> = -alpha_j everywhere
-            run.points([abs(np.exp(-1j * al) @ cs)])
-            return run.estimate()
-        d = np.array([be[lead], ga[lead]]) / nrm
-        mu = be * d[0] + ga * d[1]
-        # tau = p d[1] - q d[0]; over the (p, q) box it reaches
-        # +- box (|d0| + |d1|)
-        r = box * (abs(d[0]) + abs(d[1]))
-        _sup_line(run, cs, mu, 0.0, -al, r, budget, seed)
-    elif fam == "bargmann":
-        al, be, ga, ep = C[:, 0], C[:, 1], C[:, 2], C[:, 3]
-        if np.max(np.abs(be)) < 1e-14:
-            # ideal tuple: phases p ga_j - p^2 ep_j / 2 - al_j, 1-D in p
-            _sup_line(run, cs, ga, ep, -al, box, budget, seed)
-        else:
-            # boost line: directions (beta_j, gamma_j, eps_j) =
-            # mu_j (1, gh, eh); u = p gh - q - p^2 eh / 2 sweeps R and the
-            # phases are mu_j u - alpha_j
-            _sup_line(run, cs, be, 0.0, -al, box, budget, seed)
-    elif fam == "euclid":
-        k = spec.params["k"]
-        ax, rate = C[:, :3], C[:, 3:]
-        if np.max(np.linalg.norm(ax, axis=1)) < 1e-14:
-            anchor_pts = [w.coords[3:] / k for w in anchors]
-            _sup_sphere(run, cs, k * rate, budget, seed, anchors=anchor_pts)
-        else:
-            lead = np.argmax(np.linalg.norm(ax, axis=1))
-            n = ax[lead] / np.linalg.norm(ax[lead])
-            # (l, p) of a dual point: its pairings with (n, 0) and (0, n)
-            strip_anchors = [(w.coords[:3] @ n, w.coords[3:] @ n)
-                             for w in anchors]
-            _sup_strip(run, cs, ax @ n, rate @ n, k, budget, seed, box,
-                       anchors=strip_anchors)
-    elif fam == "su2":
-        lam = spec.params["lam"]
-        lead = np.argmax(np.linalg.norm(C, axis=1))
-        nl = np.linalg.norm(C[lead])
-        if nl < 1e-14:
-            run.points([abs(np.sum(cs))])
-            return run.estimate()
-        om = C @ (C[lead] / nl)
-        # the weight heights: where highest-weight states put their atoms
-        extra = np.arange(-math.floor(2 * lam), math.floor(2 * lam) + 1) * 0.5
-        extra = extra[np.abs(extra) <= lam + 1e-12]
-        _sup_line(run, cs, om, 0.0, 0.0, lam, budget, seed, anchors=extra,
-                  interval=True)
-    elif fam == "torus":
-        y = np.asarray(spec.params["y"], float)
-        run.points([abs(sum(c * np.exp(1j * float(y @ Z.coords))
-                            for c, Z in zip(cs, Zs)))])
-    else:
-        raise groups.FamilyError(fam)
-    return run.estimate()
+    est = _sup_rows(
+        spec, np.stack([Z.coords for Z in Zs])[None],
+        np.asarray(cs, dtype=complex)[None], np.array([len(Zs)]),
+        np.array([w.coords for w in anchors or []], dtype=float),
+        np.inf if target is None else target, budget, lambda t: seed,
+        DEFAULT.box_radius if box is None else box)
+    return SupEstimate(float(est.value[0]), int(est.samples[0]),
+                       int(est.ascent_steps[0]), int(est.stage[0]),
+                       int(est.drawn[0]))
 
 # ---------------------------------------------------------------------------
 # the sup-inequality check
 
-def _zero_alg(family):
-    return groups.algebra(family, np.zeros(groups.ALGEBRA_DIM.get(family, 1)))
+# quantum_check draws, evaluates and settles its trials this many at a time
+BLOCK = 256
+
+
+def _key(seed, kind, index):
+    """The seed sequence of one stream of a check: kind 0 draws the tuples
+    of block `index`, kind 1 the stage-5 draws of trial `index`."""
+    return np.random.SeedSequence(seed, spawn_key=(kind, index))
 
 
 def _canonical_probes(spec):
-    """Deterministic first trials.  The zero/half-turn-center pair refutes
-    the constant state on any family whose orbit sits off the origin.  On
-    SU(2) the pair (0, tau e3) with c = (1, e^{-4 i tau}) / 2 and
-    tau = pi / (4 + lambda) has orbit sup |cos(tau (lambda - 4) / 2)|, at
-    height lambda, while a highest weight j gives |cos(tau (j - 4) / 2)|:
-    it refutes every spin j > lambda (2j <= 8)."""
+    """Deterministic first trials, as (coordinates (2, dim), coefficients)
+    pairs.  The zero/half-turn-center pair refutes the constant state on
+    any family whose orbit sits off the origin.  On SU(2) the pair
+    (0, tau e3) with c = (1, e^{-4 i tau}) / 2 and tau = pi / (4 + lambda)
+    has orbit sup |cos(tau (lambda - 4) / 2)|, at height lambda, while a
+    highest weight j gives |cos(tau (j - 4) / 2)|: it refutes every spin
+    j > lambda (2j <= 8)."""
     family = spec.family
+    ones = np.array([1.0, 1.0], dtype=complex)
     probes = []
     if family in ("heisenberg", "bargmann"):
-        Z2 = _zero_alg(family).coords.copy()
-        Z2[0] = np.pi
-        probes.append(([_zero_alg(family),
-                        groups.algebra(family, Z2)],
-                       np.array([1.0, 1.0], dtype=complex)))
+        Z = np.zeros((2, spec.dim))
+        Z[1, 0] = np.pi
+        probes.append((Z, ones))
     if family == "heisenberg":
-        probes.append(([groups.algebra(family, [0.0, 0.0, 1.0]),
-                        groups.algebra(family, [0.0, 0.0, -1.0])],
-                       np.array([1.0, 1.0], dtype=complex)))
+        probes.append((np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), ones))
     if family == "euclid":
-        probes.append(([groups.algebra(family, [0, 0, 0, 0, 0, 1.0]),
-                        groups.algebra(family, [0, 0, 0, 0, 0, -1.0])],
+        probes.append((np.array([[0, 0, 0, 0, 0, 1.0], [0, 0, 0, 0, 0, -1.0]]),
                        np.array([1.0, -1.0], dtype=complex)))
     if family == "su2":
         tau = np.pi / (4.0 + spec.params["lam"])
-        probes.append(([_zero_alg(family),
-                        groups.algebra(family, [0.0, 0.0, tau])],
+        probes.append((np.array([[0.0, 0.0, 0.0], [0.0, 0.0, tau]]),
                        np.array([0.5, 0.5 * np.exp(-4j * tau)])))
     if family == "torus":
-        probes.append(([groups.algebra(family, [np.pi]),
-                        groups.algebra(family, [-np.pi])],
-                       np.array([1.0, 1.0], dtype=complex)))
+        half = np.full(spec.dim, np.pi)
+        probes.append((np.array([half, -half]), ones))
     return probes
 
 
-def _draw_tuple(family, rng, n_max):
-    """One commuting tuple from the family whitelist."""
-    n = int(rng.integers(1, n_max + 1))
+def _draw_block(spec, rng, n_max, width):
+    """BLOCK commuting tuples from the family whitelist: (BLOCK, width, dim)
+    algebra coordinates and (BLOCK, width) coefficients, zero past each
+    tuple's n terms (n uniform in 1..n_max)."""
+    shape = (BLOCK, width)
+    n = rng.integers(1, n_max + 1, BLOCK)
+
+    def zero_or(p, lo, hi):
+        """Each term 0 with probability p, else uniform in [lo, hi)."""
+        return np.where(rng.uniform(size=shape) < p, 0.0,
+                        rng.uniform(lo, hi, shape))
+
+    family = spec.family
     if family == "torus":
-        return [groups.algebra(family, rng.uniform(-3, 3, 1)) for _ in range(n)]
-    if family == "su2":
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        ts = rng.uniform(-4, 4, n)
-        return [groups.algebra(family, t * v) for t in ts]
-    if family == "heisenberg":
-        theta = [0.0, np.pi / 2, rng.uniform(0, np.pi)][int(rng.integers(0, 3))]
-        d = np.array([np.cos(theta), np.sin(theta)])
-        out = []
-        for _ in range(n):
-            al = rng.uniform(-np.pi, np.pi)
-            mu = 0.0 if rng.uniform() < 0.3 else rng.uniform(-3, 3)
-            out.append(groups.algebra(family, [al, mu * d[0], mu * d[1]]))
-        return out
-    if family == "bargmann":
-        if rng.uniform() < 0.5:
-            # abelian-ideal tuple (no beta component)
-            out = []
-            for _ in range(n):
-                al = rng.uniform(-np.pi, np.pi)
-                ga = 0.0 if rng.uniform() < 0.3 else rng.uniform(-3, 3)
-                ep = 0.0 if rng.uniform() < 0.5 else rng.uniform(-2, 2)
-                out.append(groups.algebra(family, [al, 0.0, ga, ep]))
-            return out
-        gh, eh = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        out = []
-        for _ in range(n):
-            al = rng.uniform(-np.pi, np.pi)
-            mu = 0.0 if rng.uniform() < 0.3 else rng.uniform(-3, 3)
-            out.append(groups.algebra(family, [al, mu, mu * gh, mu * eh]))
-        return out
-    if family == "euclid":
-        if rng.uniform() < 0.5:
-            return [groups.algebra(
-                family, np.concatenate([np.zeros(3), rng.uniform(-2, 2, 3)]))
-                for _ in range(n)]
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        out = []
-        for _ in range(n):
-            s = 0.0 if rng.uniform() < 0.4 else rng.uniform(-np.pi, np.pi)
-            t = rng.uniform(-3, 3)
-            out.append(groups.algebra(
-                family, np.concatenate([s * axis, t * axis])))
-        return out
-    raise groups.FamilyError(family)
+        C = rng.uniform(-3, 3, shape + (spec.dim,))
+    elif family == "su2":
+        C = rng.uniform(-4, 4, shape + (1,)) \
+            * _unit(rng.standard_normal((BLOCK, 3)))[:, None]
+    elif family == "heisenberg":
+        theta = np.choose(rng.integers(0, 3, BLOCK),
+                          [0.0, np.pi / 2, rng.uniform(0, np.pi, BLOCK)])
+        mu = zero_or(0.3, -3, 3)
+        C = np.stack([rng.uniform(-np.pi, np.pi, shape),
+                      mu * np.cos(theta)[:, None],
+                      mu * np.sin(theta)[:, None]], axis=-1)
+    elif family == "bargmann":
+        # half abelian-ideal tuples (no beta component), half boost lines
+        ideal = rng.uniform(size=(BLOCK, 1, 1)) < 0.5
+        al = rng.uniform(-np.pi, np.pi, shape)
+        ga, ep = zero_or(0.3, -3, 3), zero_or(0.5, -2, 2)
+        mu = zero_or(0.3, -3, 3)
+        gh, eh = rng.uniform(-2, 2, (2, BLOCK, 1))
+        C = np.where(ideal, np.stack([al, np.zeros(shape), ga, ep], axis=-1),
+                     np.stack([al, mu, mu * gh, mu * eh], axis=-1))
+    elif family == "euclid":
+        # half pure translations, half screws about a common axis
+        screws = rng.uniform(size=(BLOCK, 1, 1)) >= 0.5
+        axis = _unit(rng.standard_normal((BLOCK, 3)))[:, None]
+        s = zero_or(0.4, -np.pi, np.pi)[..., None]
+        t = rng.uniform(-3, 3, shape + (1,))
+        rate = rng.uniform(-2, 2, shape + (3,))
+        C = np.where(screws, np.concatenate([s * axis, t * axis], axis=-1),
+                     np.concatenate([np.zeros_like(rate), rate], axis=-1))
+    else:
+        raise groups.FamilyError(family)
+    cs = rng.uniform(0, 1, shape) \
+        * np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
+    live = np.arange(width) < n[:, None]
+    return np.where(live[..., None], C, 0.0), np.where(live, cs, 0.0), n
+
+
+def _block_tuples(spec, n_max, seed, block):
+    """Trials block * BLOCK onward of a check, as _draw_block gives them.
+    Each block draws from its own keyed stream, so a trial's tuple does not
+    depend on how many trials run; the canonical probes replace the first
+    trials."""
+    probes = _canonical_probes(spec)
+    C, cs, n = _draw_block(spec, np.random.default_rng(_key(seed, 0, block)),
+                           n_max, max([n_max] + [len(c) for _, c in probes]))
+    if block == 0:
+        for t, (Z, c) in enumerate(probes):
+            C[t], cs[t], n[t] = 0.0, 0.0, len(c)
+            C[t, :len(c)], cs[t, :len(c)] = Z, c
+    return C, cs, n
 
 
 def _state_anchors(state):
+    """The state's localization point as a (0 or 1, dim) stack."""
     loc = state.localization or {}
-    if "x" in loc:
-        return [groups.covector(state.family, loc["x"])]
-    if "w" in loc:
-        return [groups.covector(state.family, loc["w"])]
-    return []
+    return np.array([loc[key] for key in ("x", "w") if key in loc],
+                    dtype=float)
 
 
-def _quantum_trial(state, spec, t, seed, n_max, budget, probes, anchors):
-    # one stream per (seed, trial): the tuple is drawn first, then the
-    # sup search's budgeted draws continue the same stream
-    rng = np.random.default_rng([seed, t])
-    if t < len(probes):
-        Zs, cs = probes[t]
-    else:
-        Zs = _draw_tuple(spec.family, rng, n_max)
-        r = rng.uniform(0, 1, len(Zs))
-        ph = rng.uniform(0, 2 * np.pi, len(Zs))
-        cs = r * np.exp(1j * ph)
-    lhs = abs(states.exp_values(state, [Z.coords for Z in Zs]) @ cs)
-    # the sup only needs to certify lhs <= rhs: stop searching at lhs
-    est = orbit_sup(spec, Zs, cs, budget=budget, seed=rng, anchors=anchors,
-                    target=lhs)
-    return Zs, cs, lhs, est
+def _left_sides(state, C, cs):
+    """|sum_j c_j m(exp Z_j)| for each tuple of the stack, summed as
+    _signal sums."""
+    return np.abs(_rsum(states.exp_values(state, C) * cs))
+
+
+def _trials(state, spec, n_max, budget, seed, block, rows):
+    """The first `rows` trials of a block: their tuples (C, cs, n), left
+    sides, and sup searches stopped at those left sides."""
+    C, cs, n = (a[:rows] for a in _block_tuples(spec, n_max, seed, block))
+    lhs = _left_sides(state, C, cs)
+    first = block * BLOCK
+    est = _sup_rows(spec, C, cs, n, _state_anchors(state), lhs, budget,
+                    lambda t: _key(seed, 1, first + t), DEFAULT.box_radius)
+    return C, cs, n, lhs, est
 
 
 def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0,
@@ -706,31 +809,36 @@ def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0,
     whitelisted commuting tuples.  Reports the worst margin (sup estimate
     minus left side), concrete witnesses for any failures, how many trials
     each search stage settled (`stages`) and how many budgeted draws were
-    made (`samples_drawn`; `budget` is only the cap per trial).  Trial t
-    draws from np.random.default_rng([seed, t]), so trials are independent
-    and different seeds run different trials."""
+    made (`samples_drawn`; `budget` is only the cap per trial).
+
+    Trials run BLOCK at a time as coordinate stacks: block b's tuples come
+    from the stream keyed by (seed, b), every left side from one
+    states.exp_values call, and stages 1-2 of the sup search from array
+    code over the block; only the trials those leave unsettled are searched
+    one by one, trial t's stage-5 draws from its own stream keyed by
+    (seed, t).  So a trial does not depend on how many trials run, and
+    different seeds run different trials.  Whitelisted tuples commute by
+    construction and skip the `commuting` test that orbit_sup applies."""
     eps = DEFAULT.margin if eps is None else eps
-    probes = _canonical_probes(spec)
-    anchors = _state_anchors(state)
     margins = []
     failures = []
-    stages = dict.fromkeys(STAGES, 0)
+    stages = np.zeros(len(STAGES), dtype=int)
     drawn = 0
-    for t in range(trials):
-        Zs, cs, lhs, est = _quantum_trial(state, spec, t, seed, n_max, budget,
-                                          probes, anchors)
-        stages[STAGES[est.stage - 1]] += 1
-        drawn += est.drawn
+    for block in range(-(-trials // BLOCK)):
+        C, cs, n, lhs, est = _trials(state, spec, n_max, budget, seed, block,
+                                     min(BLOCK, trials - block * BLOCK))
         margin = est.value - lhs
-        margins.append(margin)
-        if margin < -eps:
+        margins.extend(margin.tolist())
+        stages += np.bincount(est.stage - 1, minlength=len(STAGES))
+        drawn += int(np.sum(est.drawn))
+        for t in np.flatnonzero(margin < -eps):
             failures.append({
-                "trial": t,
-                "Zs": [list(map(float, Z.coords)) for Z in Zs],
-                "cs": [[float(c.real), float(c.imag)] for c in cs],
-                "lhs": float(lhs),
-                "rhs": float(est.value),
-                "margin": float(margin),
+                "trial": int(block * BLOCK + t),
+                "Zs": C[t, :n[t]].tolist(),
+                "cs": [[c.real, c.imag] for c in cs[t, :n[t]].tolist()],
+                "lhs": float(lhs[t]),
+                "rhs": float(est.value[t]),
+                "margin": float(margin[t]),
             })
     return {
         "state": state.kind,
@@ -738,10 +846,10 @@ def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0,
         "trials": trials,
         "budget": budget,
         "samples_drawn": drawn,
-        "stages": stages,
+        "stages": dict(zip(STAGES, stages.tolist())),
         "seed": seed,
-        "worst_margin": float(min(margins)) if margins else 0.0,
-        "margins": [float(m) for m in margins],
+        "worst_margin": min(margins) if margins else 0.0,
+        "margins": margins,
         "failures": failures,
         "pass": not failures,
     }

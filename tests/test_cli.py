@@ -158,6 +158,20 @@ def test_failing_check_exits_one_with_witness(tmp_path):
     assert wit["lhs"] > 1.9 and wit["rhs"] < 1e-6
 
 
+@pytest.mark.parametrize("y,code", [([0.0, 0.0], 0), ([0.5, 2.0], 1)])
+def test_quantum_check_on_a_two_dimensional_torus_orbit(tmp_path, y, code):
+    # the constant state is the character at y = 0, and no other
+    path = _write(tmp_path, {
+        "version": "1", "task": "quantum_check", "seed": 2,
+        "state": {"kind": "constant_one", "params": {"family": "torus"}},
+        "params": {"trials": 40, "budget": 100, "orbit": {"y": y}}})
+    out = str(tmp_path / "rep")
+    assert cli.run(path, out=out) == code
+    results = _report(out, "quantum_check")["results"]
+    assert len(results["margins"]) == 40
+    assert all(len(Z) == 2 for f in results["failures"] for Z in f["Zs"])
+
+
 @pytest.mark.parametrize("payload", ["{not json", '{"task": "gram"}'])
 def test_bad_input_exits_two(tmp_path, payload):
     path = tmp_path / "bad.json"
@@ -204,6 +218,8 @@ def test_bad_input_exits_two(tmp_path, payload):
      "/params/Zs/0", "orbit_project"),
     ('{"kind": "heisenberg_loc_p"}, "params": {"orbit": {"k": "abc"}}',
      "/params/orbit/k", "quantum_check"),
+    ('{"kind": "constant_one", "params": {"family": "torus"}}, '
+     '"params": {"Zs": [[1, 2]]}', "/params/Zs/0", "orbit_project"),
 ])
 def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
                                                     pointer, task):

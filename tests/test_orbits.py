@@ -384,22 +384,164 @@ def test_quantum_check_same_seed_repeats_exactly():
 
 
 def test_quantum_check_seeds_draw_independent_trials():
-    # trial streams are keyed by (seed, trial), not seed XOR trial, so two
+    # tuple blocks are drawn from streams keyed by (seed, block), so two
     # seeds share no drawn tuple
-    st = states.make_state("heisenberg_loc_p", k=1.3)
     spec = orbits.heisenberg_orbit(1.3, 0.0)
     first = len(orbits._canonical_probes(spec))
     drawn = []
     for seed in (0, 1):
         keys = set()
-        for t in range(first, 200):
-            Zs, cs, _, _ = orbits._quantum_trial(st, spec, t, seed, 3, 0, [],
-                                                 [])
-            keys.add(np.concatenate([np.ravel([Z.coords for Z in Zs]),
-                                     cs.view(float)]).tobytes())
+        for block in (0, 1):
+            C, cs, n = orbits._block_tuples(spec, 3, seed, block)
+            for t in range(first if block == 0 else 0, orbits.BLOCK):
+                keys.add(np.concatenate([C[t, :n[t]].ravel(),
+                                         cs[t, :n[t]].view(float)]).tobytes())
         drawn.append(keys)
-    assert len(drawn[0]) == len(drawn[1]) == 200 - first
+    assert len(drawn[0]) == len(drawn[1]) == 2 * orbits.BLOCK - first
     assert not drawn[0] & drawn[1]
+
+
+DRAW_SPECS = [orbits.heisenberg_orbit(1.3, 0.0), orbits.bargmann_orbit(),
+              orbits.euclid_orbit(2.0, 1.0), orbits.su2_orbit(1.5),
+              orbits.torus_orbit([1.0, 2.0])]
+
+
+@pytest.mark.parametrize("spec", DRAW_SPECS, ids=lambda s: s.family)
+def test_whitelisted_draws_commute_and_pad_with_zeros(spec):
+    # quantum_check skips groups.commuting on its draws, so every drawn
+    # tuple must commute by construction
+    C, cs, n = orbits._block_tuples(spec, 4, 3, 0)
+    assert C.shape == (orbits.BLOCK, 4, spec.dim)
+    assert set(n) == {1, 2, 3, 4}
+    for t in range(orbits.BLOCK):
+        assert groups.commuting([_alg(spec.family, z) for z in C[t, :n[t]]])
+    pad = np.arange(4) >= n[:, None]
+    assert not np.any(C[pad]) and not np.any(cs[pad])
+    assert np.all(cs[~pad] != 0)
+
+
+def test_witnesses_carry_no_padding():
+    one = states.make_state("constant_one", family="bargmann")
+    rep = orbits.quantum_check(one, orbits.bargmann_orbit(), trials=300,
+                               n_max=3, budget=500, seed=6)
+    tuples = [np.concatenate(a) for a in zip(
+        *(orbits._block_tuples(orbits.bargmann_orbit(), 3, 6, b)
+          for b in (0, 1)))]
+    sizes = set()
+    for f in rep["failures"]:
+        C, cs, n = (a[f["trial"]] for a in tuples)
+        assert f["Zs"] == C[:n].tolist()
+        assert f["cs"] == [[c.real, c.imag] for c in cs[:n].tolist()]
+        sizes.add(int(n))
+    assert 2 in sizes      # shorter than the padded width of 3
+
+
+def test_quantum_check_trials_are_prefix_stable():
+    # a refuted pair, so trials reach the keyed stage-5 streams; 300 trials
+    # span two blocks
+    st = states.su2_highest_weight(1.5)
+    spec = orbits.su2_orbit(0.5)
+    short, full = (orbits.quantum_check(st, spec, trials=t, budget=2000,
+                                        seed=3) for t in (100, 300))
+    assert short["margins"] == full["margins"][:100]
+    assert short["failures"] == [f for f in full["failures"]
+                                 if f["trial"] < 100]
+    assert full["stages"]["search"] > 0
+
+
+# the nine localized pairs of acceptance criterion 08 and four false ones
+SETTLE_PAIRS = [
+    ("euclid_plane", dict(k=2.0, s=1), orbits.euclid_orbit(2.0, 1.0)),
+    ("euclid_spherical", dict(k=2.0), orbits.euclid_orbit(2.0)),
+    ("euclid_cylindrical", dict(k=2.0, eps=1), orbits.euclid_orbit(2.0)),
+    ("heisenberg_loc_p", dict(k=1.3), orbits.heisenberg_orbit(1.3, 0.0)),
+    ("heisenberg_loc_q", dict(l=0.8), orbits.heisenberg_orbit(0.0, 0.8)),
+    ("heisenberg_loc_t", dict(k=0.5, l=1.0, t=0.4),
+     orbits.heisenberg_orbit(0.5, 1.0)),
+    ("bargmann_loc_pe", dict(k=1.0), orbits.bargmann_orbit()),
+    ("bargmann_loc_q", dict(l=0.8), orbits.bargmann_orbit()),
+    ("su2_highest_weight", dict(j=1.5), orbits.su2_orbit(1.5)),
+    ("constant_one", dict(family="heisenberg"), orbits.heisenberg_orbit()),
+    ("constant_one", dict(family="bargmann"), orbits.bargmann_orbit()),
+    ("su2_highest_weight", dict(j=1.5), orbits.su2_orbit(0.5)),
+    ("su2_highest_weight", dict(j=2), orbits.su2_orbit(1.0)),
+]
+
+
+@pytest.mark.parametrize("kind,params,spec", SETTLE_PAIRS)
+def test_rows_settled_together_equal_rows_settled_alone(kind, params, spec):
+    # each trial of a block, run through orbit_sup as a stack of one with
+    # its own left side, stops at the same stage with the same margin
+    st = states.make_state(kind, **params)
+    anchors = [groups.covector(spec.family, w)
+               for w in orbits._state_anchors(st)]
+    eps = 1e-6
+    for seed in (0, 5, 11):
+        C, cs, n, lhs, est = orbits._trials(st, spec, 3, 2000, seed, 0, 64)
+        for t in range(64):
+            c = cs[t, :n[t]]
+            alone_lhs = orbits._left_sides(st, C[t:t + 1, :n[t]], c[None])[0]
+            alone = orbits.orbit_sup(
+                spec, [_alg(spec.family, z) for z in C[t, :n[t]]], c,
+                budget=2000, seed=orbits._key(seed, 1, t), anchors=anchors,
+                target=alone_lhs)
+            margin = est.value[t] - lhs[t]
+            assert alone.stage == est.stage[t], (seed, t)
+            assert abs(alone.value - alone_lhs - margin) <= 1e-12, (seed, t)
+            assert (alone.value - alone_lhs < -eps) == (margin < -eps)
+    rep = orbits.quantum_check(st, spec, trials=64, budget=2000, seed=11)
+    assert rep["margins"] == (est.value - lhs).tolist()
+
+
+def _axis_line_tuple(family, rng, n):
+    """n commuting terms whose coordinates hold exact zeros: Heisenberg
+    terms on the beta or the gamma axis, Bargmann ideal terms or boosts
+    with ghat = ehat = 0; about half of them central."""
+    al = rng.uniform(-np.pi, np.pi, n)
+    mu = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.uniform(-3, 3, n))
+    z = np.zeros(n)
+    if family == "heisenberg":
+        cols = [al, mu, z] if rng.uniform() < 0.5 else [al, z, mu]
+    elif rng.uniform() < 0.5:
+        ep = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.uniform(-2, 2, n))
+        cols = [al, z, mu, ep]
+    else:
+        cols = [al, mu, z, z]
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("kind,params,spec", SETTLE_PAIRS[3:8])
+def test_anchor_and_class_sums_meet_a_localized_left_side(kind, params, spec):
+    # on these tuples the terms in H are either all of them (the anchor's
+    # value is the left side) or exactly the central ones (the zero class's
+    # sum is): stages 1-2 must meet the left side to the last bit, with
+    # terms enough that summing in another order rounds differently
+    st = states.make_state(kind, **params)
+    anchors = [groups.covector(spec.family, w)
+               for w in orbits._state_anchors(st)]
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        C = _axis_line_tuple(spec.family, rng, 8)
+        cs = rng.uniform(0, 1, 8) * np.exp(2j * np.pi * rng.uniform(0, 1, 8))
+        lhs = orbits._left_sides(st, C[None], cs[None])[0]
+        est = orbits.orbit_sup(spec, [_alg(spec.family, z) for z in C], cs,
+                               anchors=anchors, target=lhs)
+        assert est.stage <= 2 and est.value >= lhs
+
+
+def test_quantum_check_two_dimensional_torus_character():
+    def character(y):
+        return states.make_state("custom", family="torus",
+                                 evaluator=lambda g: np.exp(1j * (y @ g.data)))
+
+    spec = orbits.torus_orbit([1.0, 2.0])
+    good = orbits.quantum_check(character(np.array([1.0, 2.0])), spec,
+                                trials=100, budget=100, seed=4)
+    bad = orbits.quantum_check(character(np.array([2.0, 1.0])), spec,
+                               trials=100, budget=100, seed=4)
+    assert good["pass"] and good["worst_margin"] >= -1e-9
+    assert not bad["pass"]
+    assert all(len(Z) == 2 for f in bad["failures"] for Z in f["Zs"])
 
 
 def test_quantum_check_report_fields():
