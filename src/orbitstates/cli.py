@@ -293,7 +293,7 @@ def _task_orbit(doc, seed):
     rng = np.random.default_rng(seed)
     count = _count(p, "count", 1000)
     pts = spec.sample(rng, count)
-    rel = _relation_residual(spec, pts)
+    rel = float(np.max(orbits.relation_residuals(spec, pts)))
     results = {
         "family": spec.family,
         "count": count,
@@ -321,25 +321,6 @@ def _task_orbit(doc, seed):
         results["pass"] = bool(results["pass"] and dist < 0.01)
     return results, bool(results["pass"]), \
         ["orbit-relations", "axis-projection-range"]
-
-
-def _relation_residual(spec, pts):
-    fam = spec.family
-    if fam == "heisenberg":
-        return float(np.max(np.abs(pts[:, 0] - 1.0)))
-    if fam == "bargmann":
-        return float(max(np.max(np.abs(pts[:, 0] - 1.0)),
-                         np.max(np.abs(pts[:, 3] - 0.5 * pts[:, 1] ** 2))))
-    if fam == "euclid":
-        k, s = spec.params["k"], spec.params["s"]
-        P = pts[:, 3:]
-        L = pts[:, :3]
-        return float(max(np.max(np.abs(np.linalg.norm(P, axis=1) - k)),
-                         np.max(np.abs(np.sum(L * P, axis=1) - k * s))))
-    if fam == "su2":
-        lam = spec.params["lam"]
-        return float(np.max(np.abs(np.linalg.norm(pts, axis=1) - lam)))
-    return 0.0
 
 
 def _task_quantum(doc, seed, budget):

@@ -92,9 +92,20 @@ def _check_same(x, y):
 
 
 def _check_euclid_rotation(A, tol=DEFAULT.ortho):
-    err = np.abs(A.T @ A - np.eye(3)).max()
-    if err > 100 * tol or abs(np.linalg.det(A) - 1.0) > 100 * tol:
+    """Raise unless every block of a (..., 3, 3) stack is in SO(3)."""
+    err = np.abs(np.swapaxes(A, -1, -2) @ A - np.eye(3)).max(initial=0.0)
+    if err > 100 * tol or \
+            np.abs(np.linalg.det(A) - 1.0).max(initial=0.0) > 100 * tol:
         raise ValueError("rotation block is not special orthogonal (defect %.3g)" % err)
+
+
+def _unit_quaternions(Q):
+    """A (..., 4) stack divided by its norms, which must be 1 within 1e-6."""
+    n = np.sqrt(np.vecdot(Q, Q))   # the dot product np.linalg.norm takes
+    if np.abs(n - 1.0).max(initial=0.0) > 1e-6:
+        raise ValueError("quaternion norm %.6g too far from 1"
+                         % n.flat[np.argmax(np.abs(n - 1.0))])
+    return Q / n[..., None]
 
 
 def heisenberg(a, b, c):
@@ -113,11 +124,8 @@ def euclid(A, c):
 
 
 def su2(w, x, y, z):
-    q = np.array([w, x, y, z], dtype=float)
-    n = np.linalg.norm(q)
-    if abs(n - 1.0) > 1e-6:
-        raise ValueError("quaternion norm %.6g too far from 1" % n)
-    return GroupElement("su2", q / n)
+    return GroupElement("su2", _unit_quaternions(np.array([w, x, y, z],
+                                                          dtype=float)))
 
 
 def torus(angles):
@@ -528,30 +536,45 @@ def loads(s):
     return from_json_dict(json.loads(s))
 
 
+def unstack(family, X):
+    """The elements of a coordinate stack (leading axis first), as
+    stack_coords takes them: euclid rotation blocks are checked and su2
+    quaternions checked and normalized once over the whole stack."""
+    if family == "euclid":
+        _check_euclid_rotation(X[0])
+        return [GroupElement(family, d) for d in zip(*X)]
+    if family == "su2":
+        X = _unit_quaternions(X)
+    return [GroupElement(family, row) for row in X]
+
+
 def random_elements(family, rng, count, scale=3.0, dim=1):
-    """Seeded generic elements, one list per call."""
-    out = []
-    for _ in range(count):
-        if family == "heisenberg":
-            out.append(heisenberg(*rng.uniform(-scale, scale, 3)))
-        elif family == "bargmann":
-            out.append(bargmann(*rng.uniform(-scale, scale, 4)))
-        elif family == "euclid":
-            q = rng.standard_normal(4)
-            q /= np.linalg.norm(q)
-            w, x, y, z = q
-            A = np.array([
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ])
-            out.append(euclid(A, rng.uniform(-scale, scale, 3)))
-        elif family == "su2":
-            q = rng.standard_normal(4)
-            q /= np.linalg.norm(q)
-            out.append(su2(*q))
-        elif family == "torus":
-            out.append(torus(rng.uniform(0, 2 * np.pi, dim)))
-        else:
-            raise FamilyError(family)
-    return out
+    """Seeded generic elements, one list per call, drawn as one stack:
+    uniform coordinates in [-scale, scale) on heisenberg and bargmann,
+    uniform angles on a torus of dimension dim, and Gaussian quaternions
+    normalized to su2 elements or to euclid rotation blocks (with uniform
+    translations)."""
+    if family in ("heisenberg", "bargmann"):
+        return unstack(family, rng.uniform(-scale, scale,
+                                           (count, ALGEBRA_DIM[family])))
+    if family == "torus":
+        return unstack(family, np.mod(rng.uniform(0, 2 * np.pi, (count, dim)),
+                                      2 * np.pi))
+    if family not in ("su2", "euclid"):
+        raise FamilyError(family)
+    Q = rng.standard_normal((count, 4))
+    Q /= np.sqrt(np.vecdot(Q, Q))[:, None]
+    if family == "su2":
+        return unstack(family, Q)
+    w, x, y, z = Q.T
+    A = np.empty((count, 3, 3))
+    A[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    A[:, 0, 1] = 2 * (x * y - w * z)
+    A[:, 0, 2] = 2 * (x * z + w * y)
+    A[:, 1, 0] = 2 * (x * y + w * z)
+    A[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    A[:, 1, 2] = 2 * (y * z - w * x)
+    A[:, 2, 0] = 2 * (x * z - w * y)
+    A[:, 2, 1] = 2 * (y * z + w * x)
+    A[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return unstack(family, (A, rng.uniform(-scale, scale, (count, 3))))

@@ -167,6 +167,27 @@ def torus_orbit(y):
     return OrbitSpec("torus", {"y": list(np.atleast_1d(y))})
 
 
+def relation_residuals(spec, pts):
+    """How far each row of a stack of dual points is from satisfying the
+    orbit's defining relations (M = 1; E = p^2/2 on bargmann; |P| = k and
+    L.P = k s on euclid; |x| = lam on su2); 0 on a torus."""
+    fam = spec.family
+    if fam == "heisenberg":
+        return np.abs(pts[:, 0] - 1.0)
+    if fam == "bargmann":
+        return np.maximum(np.abs(pts[:, 0] - 1.0),
+                          np.abs(pts[:, 3] - 0.5 * pts[:, 1] ** 2))
+    if fam == "euclid":
+        k, s = spec.params["k"], spec.params["s"]
+        P = pts[:, 3:]
+        L = pts[:, :3]
+        return np.maximum(np.abs(np.linalg.norm(P, axis=1) - k),
+                          np.abs(np.sum(L * P, axis=1) - k * s))
+    if fam == "su2":
+        return np.abs(np.linalg.norm(pts, axis=1) - spec.params["lam"])
+    return np.zeros(len(pts))
+
+
 def moment(family, point, params=None):
     """Dual vector of a phase-space point."""
     params = params or {}
@@ -378,15 +399,17 @@ def _ascend(chart, X):
 
 def _search(run, chart, X, vals, chunks):
     """Stage 5: evaluate the drawn chunks, keeping each chunk's best
-    ASCENT_RESTARTS points, then ascend from the ASCENT_RESTARTS best of
-    those and of the fixed points X.  Memory stays bounded by the chunk."""
+    ASCENT_RESTARTS points (selected, not sorted), then ascend from the
+    ASCENT_RESTARTS best of those and of the fixed points X.  Memory stays
+    bounded by the chunk."""
     run.stage = 5
     keep_X, keep_v = [X], [vals]
     for D in chunks:
         v = chart.value(D)
         run.points(v)
         run.drawn += len(v)
-        top = np.argsort(v)[::-1][:ASCENT_RESTARTS]
+        top = np.argpartition(v, -ASCENT_RESTARTS)[-ASCENT_RESTARTS:] \
+            if len(v) > ASCENT_RESTARTS else slice(None)
         keep_X.append(D[top])
         keep_v.append(v[top])
     X, vals = np.concatenate(keep_X), np.concatenate(keep_v)
@@ -779,11 +802,13 @@ def _block_tuples(spec, n_max, seed, block):
     return C, cs, n
 
 
-def _state_anchors(state):
-    """The state's localization point as a (0 or 1, dim) stack."""
+def _state_anchors(state, spec):
+    """The state's localization point as a (0 or 1, dim) stack: kept only
+    when it lies on the orbit, since an anchor is an orbit point."""
     loc = state.localization or {}
-    return np.array([loc[key] for key in ("x", "w") if key in loc],
-                    dtype=float)
+    pts = np.array([loc[key] for key in ("x", "w") if key in loc],
+                   dtype=float).reshape(-1, spec.dim)
+    return pts[relation_residuals(spec, pts) <= DEFAULT.delta]
 
 
 def _left_sides(state, C, cs):
@@ -798,7 +823,7 @@ def _trials(state, spec, n_max, budget, seed, block, rows):
     C, cs, n = (a[:rows] for a in _block_tuples(spec, n_max, seed, block))
     lhs = _left_sides(state, C, cs)
     first = block * BLOCK
-    est = _sup_rows(spec, C, cs, n, _state_anchors(state), lhs, budget,
+    est = _sup_rows(spec, C, cs, n, _state_anchors(state, spec), lhs, budget,
                     lambda t: _key(seed, 1, first + t), DEFAULT.box_radius)
     return C, cs, n, lhs, est
 

@@ -104,27 +104,27 @@ _family = _check(lambda v: isinstance(v, str) and v in groups.FAMILIES,
 _callable = _check(callable, "callable")
 
 
-# support draws: (state, u, rng, i) -> the i-th (even-indexed) sample, from
-# the four uniforms u and, if needed, further draws from rng
+# support draws: (state, U, rng, idx) -> the samples of the even indices idx,
+# from the (len(idx), 4) uniforms U and, if needed, further draws from rng
 
-def _on_subgroup(state, u, rng, i):
-    """u[:d] as coordinates along the d rows of H; + 0.0 turns the -0.0
+def _on_subgroup(state, U, rng, idx):
+    """U[:, :d] as coordinates along the d rows of H; + 0.0 turns the -0.0
     that zero columns can take into 0.0."""
     H = state.localization["H"]
-    return groups.GroupElement(state.family, u[:len(H)] @ H + 0.0)
+    return groups.unstack(state.family, U[:, :len(H)] @ H + 0.0)
 
 
 def _on_axis(flip):
-    """A rotation about e3 (A e3 = e3), composed with diag(1, -1, -1) on
+    """Rotations about e3 (A e3 = e3), composed with diag(1, -1, -1) on
     every other draw (A e3 = -e3) when `flip`."""
-    def draw(state, u, rng, i):
-        th = rng.uniform(0, 2 * np.pi)
-        A = np.array([[np.cos(th), -np.sin(th), 0.0],
-                      [np.sin(th), np.cos(th), 0.0],
-                      [0.0, 0.0, 1.0]])
-        if flip and i % 4 == 2:
-            A = A @ np.diag([1.0, -1.0, -1.0])
-        return groups.euclid(A, u[:3])
+    def draw(state, U, rng, idx):
+        th = rng.uniform(0, 2 * np.pi, len(idx))
+        co, si = np.cos(th), np.sin(th)
+        sign = np.where(flip & (idx % 4 == 2), -1.0, 1.0)
+        A = np.zeros((len(idx), 3, 3))
+        A[:, 0, 0], A[:, 1, 0] = co, si
+        A[:, 0, 1], A[:, 1, 1], A[:, 2, 2] = -si * sign, co * sign, sign
+        return groups.unstack("euclid", (A, U[:, :3]))
     return draw
 
 
@@ -389,8 +389,8 @@ def modulus_one_subgroup_probe(state, samples, product_budget=512, seed=0):
     rather than raised.
     """
     vals = np.abs(evaluate_many(state, samples))
-    inside = [i for i, v in enumerate(vals) if abs(v - 1.0) < DEFAULT.modulus_one]
-    outside = [i for i in range(len(samples)) if i not in inside]
+    on = np.abs(vals - 1.0) < DEFAULT.modulus_one
+    inside, outside = np.flatnonzero(on).tolist(), np.flatnonzero(~on).tolist()
 
     violations = []
     if len(inside) >= 2:
@@ -418,13 +418,13 @@ def support_samples(state, rng, count, scale=3.0):
     """Seeded group elements biased onto the state's modulus-one set, so
     Gram matrices pick up off-diagonal structure for the delta-type states.
     The even-indexed draws use the kind's support draw (if it has one), the
-    odd-indexed ones are generic."""
+    odd-indexed ones are generic; each set is drawn as one stack."""
     draw = KINDS[state.kind].draw
-    out = []
-    for i in range(count):
-        if i % 2 == 1 or draw is None:
-            out.extend(groups.random_elements(state.family, rng, 1,
-                                              scale=scale))
-        else:
-            out.append(draw(state, rng.uniform(-scale, scale, 4), rng, i))
+    if draw is None:
+        return groups.random_elements(state.family, rng, count, scale=scale)
+    out = [None] * count
+    out[1::2] = groups.random_elements(state.family, rng, count // 2,
+                                       scale=scale)
+    idx = np.arange(0, count, 2)
+    out[::2] = draw(state, rng.uniform(-scale, scale, (len(idx), 4)), rng, idx)
     return out

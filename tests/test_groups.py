@@ -312,8 +312,8 @@ def test_json_round_trip_all_families():
 def test_random_elements_shapes_and_rotations():
     rng = np.random.default_rng(18)
     for family in ("heisenberg", "bargmann", "euclid", "su2", "torus"):
-        gs = groups.random_elements(family, rng, 12)
-        assert len(gs) == 12
+        gs = groups.random_elements(family, rng, 300)
+        assert len(gs) == 300
         for g in gs:
             assert g.family == family
             if family == "euclid":
@@ -322,6 +322,51 @@ def test_random_elements_shapes_and_rotations():
                 assert abs(np.linalg.det(A) - 1.0) < 1e-12
             if family == "su2":
                 assert abs(np.linalg.norm(g.data) - 1.0) < 1e-12
+
+
+def _draw_one(family, rng, scale, dim):
+    """One element the way a per-element loop draws it."""
+    if family == "heisenberg":
+        return groups.heisenberg(*rng.uniform(-scale, scale, 3)).data
+    if family == "bargmann":
+        return groups.bargmann(*rng.uniform(-scale, scale, 4)).data
+    if family == "torus":
+        return groups.torus(rng.uniform(0, 2 * np.pi, dim)).data
+    q = rng.standard_normal(4)
+    q /= np.linalg.norm(q)
+    return groups.su2(*q).data
+
+
+@pytest.mark.parametrize("family", ["heisenberg", "bargmann", "su2", "torus"])
+def test_random_elements_draw_what_a_per_element_loop_draws(family):
+    # one stack per call consumes the stream as count single draws did
+    for count, scale, dim in ((1, 3.0, 1), (9, 0.5, 3), (40, 3.0, 2)):
+        gs = groups.random_elements(family, np.random.default_rng(count),
+                                    count, scale=scale, dim=dim)
+        rng = np.random.default_rng(count)
+        want = np.array([_draw_one(family, rng, scale, dim)
+                         for _ in range(count)])
+        got = groups.stack_coords(family, gs)
+        if family == "su2":
+            assert np.abs(got - want).max() <= 1e-15
+        else:
+            assert np.array_equal(got, want)
+
+
+def test_stack_checks_reject_one_bad_block():
+    gs = groups.random_elements("euclid", np.random.default_rng(4), 50)
+    A, c = groups.stack_coords("euclid", gs)
+    groups.unstack("euclid", (A, c))
+    A[17, 0, 1] += 1e-6
+    with pytest.raises(ValueError):
+        groups._check_euclid_rotation(A)
+    with pytest.raises(ValueError):
+        groups.unstack("euclid", (A, c))
+    Q = groups.stack_coords("su2", groups.random_elements(
+        "su2", np.random.default_rng(5), 50))
+    Q[31] *= 1.001
+    with pytest.raises(ValueError):
+        groups.unstack("su2", Q)
 
 
 def test_euclid_rejects_non_rotation():

@@ -269,6 +269,40 @@ def test_sup_early_exit_matches_full_search_verdicts(chart):
             assert cut.drawn == (8000 if cut.stage == 5 else 0)
 
 
+# orbit_sup on fixed tuples of each chart (default_rng(31), two per chart,
+# seed 5, no target, a budget ending in a chunk shorter than
+# ASCENT_RESTARTS): the value's bits, samples and ascent steps as the
+# full sort of each stage-5 chunk gave them
+SEARCH_RECORD = {
+    "bargmann-boost": [("0x1.def36e0b80f58p+0", 20485, 400),
+                       ("0x1.e455ea0e131bbp+0", 20485, 400)],
+    "bargmann-ideal": [("0x1.dfb1d2f63cc92p+0", 20485, 400),
+                       ("0x1.35a4ed21cc91dp+0", 20485, 400)],
+    "euclid-sphere": [("0x1.27c6d016f1a34p+0", 22027, 400),
+                      ("0x1.95ea1ca71a8e5p+0", 22027, 400)],
+    "euclid-strip": [("0x1.eadd793787d51p+0", 29701, 400),
+                     ("0x1.14e10b5fab4b9p+0", 29701, 400)],
+    "heisenberg-line": [("0x1.e46fe4254714ap+0", 20485, 400),
+                        ("0x1.48bf890dbf69cp+0", 20485, 400)],
+    "su2-interval": [("0x1.96400bed0f007p+0", 20492, 400),
+                     ("0x1.b4e788856937bp+0", 20492, 400)],
+}
+
+
+def test_search_keeps_the_recorded_estimates():
+    # stage 5 keeps each chunk's best points by partial selection; the set
+    # it keeps, and so every estimate, is the one a full sort kept
+    rng = np.random.default_rng(31)
+    for chart in sorted(EARLY_EXIT_CHARTS):
+        for value, samples, steps in SEARCH_RECORD[chart]:
+            spec, Zs = EARLY_EXIT_CHARTS[chart](rng)
+            cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
+            est = orbits.orbit_sup(spec, Zs, cs,
+                                   budget=2 * orbits.DRAW_CHUNK + 5, seed=5)
+            assert (est.value.hex(), est.samples, est.ascent_steps) \
+                == (value, samples, steps), chart
+
+
 # chart, start rows and the chart's constraint for each shape _ascend climbs
 ASCENT_CHARTS = {
     "line": lambda rng, cs: (
@@ -337,6 +371,54 @@ def test_quantum_check_torus_character():
     rep = orbits.quantum_check(st, orbits.torus_orbit([2.0]), trials=100,
                                n_max=3, budget=100, seed=4)
     assert rep["pass"]
+
+
+def test_relation_residuals_vanish_on_orbit_samples():
+    rng = np.random.default_rng(9)
+    for spec in (orbits.heisenberg_orbit(), orbits.bargmann_orbit(),
+                 orbits.euclid_orbit(2.0, 1.0), orbits.su2_orbit(1.5),
+                 orbits.torus_orbit([1.0, 2.0])):
+        res = orbits.relation_residuals(spec, spec.sample(rng, 200))
+        assert res.shape == (200,) and res.max() <= 1e-10
+    off = orbits.relation_residuals(orbits.euclid_orbit(1.0),
+                                    np.array([[0, 0, 1.0, 0, 0, 2.0]]))
+    assert off.tolist() == [2.0]      # |P| - k = 1, L.P - k s = 2
+
+
+def test_off_orbit_anchor_certifies_nothing():
+    # euclid_plane(2, 1) is localized at w = (0, 0, 1, 0, 0, 2), which is
+    # not on the orbit |P| = 1: used as an anchor it certified false passes
+    st = states.make_state("euclid_plane", k=2.0, s=1)
+    spec = orbits.euclid_orbit(1.0, 0.0)
+    rep = orbits.quantum_check(st, spec, trials=300, seed=0)
+    assert not rep["pass"] and rep["failures"]
+    assert rep["worst_margin"] < -0.1
+    assert orbits._state_anchors(st, spec).shape == (0, 6)
+
+
+# anchor-stage counts of the nine criterion-08 pairs (500 trials, seed 8):
+# each state's localization point is on its orbit and stays an anchor
+CERTIFY_ANCHORS = [
+    ("euclid_plane", dict(k=2.0, s=1), orbits.euclid_orbit(2.0, 1.0), 467),
+    ("euclid_spherical", dict(k=2.0), orbits.euclid_orbit(2.0), 148),
+    ("euclid_cylindrical", dict(k=2.0, eps=1), orbits.euclid_orbit(2.0), 192),
+    ("heisenberg_loc_p", dict(k=1.3), orbits.heisenberg_orbit(1.3, 0.0), 463),
+    ("heisenberg_loc_q", dict(l=0.8), orbits.heisenberg_orbit(0.0, 0.8), 466),
+    ("heisenberg_loc_t", dict(k=0.5, l=1.0, t=0.4),
+     orbits.heisenberg_orbit(0.5, 1.0), 445),
+    ("bargmann_loc_pe", dict(k=1.0), orbits.bargmann_orbit(), 483),
+    ("bargmann_loc_q", dict(l=0.8), orbits.bargmann_orbit(), 469),
+    ("su2_highest_weight", dict(j=1.5), orbits.su2_orbit(1.5), 500),
+]
+
+
+@pytest.mark.parametrize("kind,params,spec,anchored", CERTIFY_ANCHORS)
+def test_on_orbit_anchors_are_kept(kind, params, spec, anchored):
+    st = states.make_state(kind, **params)
+    loc = st.localization or {}
+    assert len(orbits._state_anchors(st, spec)) == ("x" in loc or "w" in loc)
+    rep = orbits.quantum_check(st, spec, trials=500, budget=100000, seed=8)
+    assert rep["pass"] and rep["stages"]["anchor"] == anchored
 
 
 def test_constant_one_is_rejected_with_witness():
@@ -474,7 +556,7 @@ def test_rows_settled_together_equal_rows_settled_alone(kind, params, spec):
     # its own left side, stops at the same stage with the same margin
     st = states.make_state(kind, **params)
     anchors = [groups.covector(spec.family, w)
-               for w in orbits._state_anchors(st)]
+               for w in orbits._state_anchors(st, spec)]
     eps = 1e-6
     for seed in (0, 5, 11):
         C, cs, n, lhs, est = orbits._trials(st, spec, 3, 2000, seed, 0, 64)
@@ -518,7 +600,7 @@ def test_anchor_and_class_sums_meet_a_localized_left_side(kind, params, spec):
     # terms enough that summing in another order rounds differently
     st = states.make_state(kind, **params)
     anchors = [groups.covector(spec.family, w)
-               for w in orbits._state_anchors(st)]
+               for w in orbits._state_anchors(st, spec)]
     rng = np.random.default_rng(31)
     for _ in range(200):
         C = _axis_line_tuple(spec.family, rng, 8)

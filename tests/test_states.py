@@ -171,6 +171,27 @@ def test_support_draws_land_on_the_modulus_one_set(kind):
     assert np.max(np.abs(got - want)) < DEFAULT.modulus_one
 
 
+@pytest.mark.parametrize("kind,params", BUILTIN)
+def test_support_samples_draw_one_generic_stack(kind, params, monkeypatch):
+    # the generic draws come from a single random_elements call, whatever
+    # the count: no per-element loop
+    calls = []
+    draw = groups.random_elements
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "random_elements", counted)
+    st = _mk(kind, params)
+    for count in (0, 1, 2, 7, 12):
+        calls.clear()
+        gs = states.support_samples(st, np.random.default_rng(count), count)
+        assert len(gs) == count and all(g.family == st.family for g in gs)
+        has_draw = states.KINDS[kind].draw is not None
+        assert calls == [count // 2 if has_draw else count]
+
+
 def test_su2_highest_weight_values():
     st = _mk("su2_highest_weight", dict(j=1.0))
     g = groups.su2(math.cos(0.4), 0.0, 0.0, math.sin(0.4))
@@ -357,6 +378,18 @@ def test_modulus_one_probe_finds_subgroup():
     out = states.modulus_one_subgroup_probe(st, samples)
     assert out["pass"]
     assert 0 in out["inside"]
+
+
+def test_modulus_one_probe_partitions_the_samples():
+    st = _mk("heisenberg_loc_p", dict(k=1.3))
+    samples = states.support_samples(st, np.random.default_rng(8), 301)
+    out = states.modulus_one_subgroup_probe(st, samples)
+    vals = np.abs(states.evaluate_many(st, samples))
+    assert out["inside"] == [i for i, v in enumerate(vals)
+                             if abs(v - 1.0) < DEFAULT.modulus_one]
+    assert sorted(out["inside"] + out["outside"]) == list(range(301))
+    assert all(type(i) is int for i in out["inside"] + out["outside"])
+    assert out["inside"][:3] == [0, 2, 4] and out["pass"]
 
 
 # ---------------------------------------------------------------------------
