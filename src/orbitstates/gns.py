@@ -44,14 +44,9 @@ def build(state, samples, tol=None):
     """Quotient the Gram form at eigenvalue cut tol * n."""
     tol = DEFAULT.quotient_scale if tol is None else tol
     e = samples[0]
-    if e.family == "euclid":
-        A, c = e.data
-        is_id = np.abs(A - np.eye(3)).max() < 1e-12 and np.abs(c).max() < 1e-12
-    elif e.family == "su2":
-        is_id = abs(e.data[0] - 1.0) < 1e-12
-    else:
-        is_id = np.abs(np.asarray(e.data)).max() < 1e-12
-    if not is_id:
+    coords = [np.concatenate([np.ravel(x) for x in g.data])
+              for g in (e, groups.identity(e.family, len(e.data)))]
+    if not np.abs(coords[0] - coords[1]).max() < 1e-12:
         raise ValueError("samples[0] must be the identity")
 
     gm = states.gram(state, samples)

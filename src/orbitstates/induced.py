@@ -1,7 +1,10 @@
 """Discrete (counting) and quadrature (sphere) induced actions.
 
-Counting sections live on finite supports with exact-key merging: support
-points are hashed on a 1e-9 grid so translated deltas coincide exactly.
+Counting sections live on finite supports; points are identified by their
+grid key, in `inner`, so translated deltas coincide.  Actions and matrix
+coefficients take a coordinate stack of any leading shape S (a single
+element passes g.data, a stack of shape ()), and an action's counting
+section then has supports and values of shape S + (m, ...).
 
 The four one-parameter families of actions on the (a, b, c) group:
 
@@ -47,9 +50,7 @@ class SectionVector:
             raise ValueError("support/values length mismatch")
 
     def norm(self):
-        if self.mode == "counting":
-            return float(np.sqrt(np.sum(np.abs(self.values) ** 2)))
-        return float(np.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
+        return float(np.sqrt(inner(self, self).real))
 
 
 def delta_section(points, values=None):
@@ -59,34 +60,23 @@ def delta_section(points, values=None):
     return SectionVector(pts, values, mode="counting")
 
 
-def _merge_counting(support, values):
-    """Sum values on coincident support points (1e-9 rounding grid)."""
-    grid = DEFAULT.support_grid
-    pts = np.atleast_2d(support.T).T if support.ndim == 1 else support
-    keys = np.rint(np.atleast_2d(pts.reshape(len(values), -1)) / grid).astype(np.int64)
-    uniq, first, inv = np.unique(keys, axis=0, return_index=True,
-                                 return_inverse=True)
-    out = np.zeros(len(uniq), dtype=complex)
-    np.add.at(out, inv, values)
-    return support[first], out
-
-
 def inner(f, g):
-    """(f, g) in the common mode; counting sum or normalized quadrature."""
+    """(f, g) in the common mode, over the sections' leading stack axes.
+
+    Counting mode sums conj(f_i) g_j over every pair of points whose keys
+    on the support grid are equal, which is the inner product of the
+    sections with their coincident points merged; quadrature mode is the
+    weighted sum on the shared grid.
+    """
     if f.mode != g.mode:
         raise ValueError("mode mismatch")
-    if f.mode == "counting":
-        grid = DEFAULT.support_grid
-        fk = np.rint(f.support.reshape(len(f.values), -1) / grid).astype(np.int64)
-        gk = np.rint(g.support.reshape(len(g.values), -1) / grid).astype(np.int64)
-        index = {tuple(k): i for i, k in enumerate(fk)}
-        total = 0.0 + 0.0j
-        for i, k in enumerate(gk):
-            j = index.get(tuple(k))
-            if j is not None:
-                total += np.conj(f.values[j]) * g.values[i]
-        return complex(total)
-    return complex(np.sum(f.weights * np.conj(f.values) * g.values))
+    if f.mode == "quadrature":
+        return np.sum(f.weights * np.conj(f.values) * g.values, axis=-1)
+    fk, gk = (np.rint(h.support.reshape(h.values.shape + (-1,))
+                      / DEFAULT.support_grid) for h in (f, g))
+    same = (fk[..., :, None, :] == gk[..., None, :, :]).all(-1)
+    terms = np.conj(f.values)[..., :, None] * g.values[..., None, :]
+    return np.sum(np.where(same, terms, 0.0), axis=(-2, -1))
 
 
 class HeisenbergRow:
@@ -98,10 +88,12 @@ class HeisenbergRow:
         self.row = row
         self.t = float(t)
 
-    def apply(self, g, f):
+    def apply(self, G, f):
+        """g . f for every g of a coordinate stack G of shape S + (3,)."""
         if f.mode != "counting":
             raise ValueError("counting mode required")
-        a, b, c = g.data
+        G = np.asarray(G, dtype=float)
+        a, b, c = G[..., 0, None], G[..., 1, None], G[..., 2, None]
         s = f.support
         if self.row == "a":
             new = s + b
@@ -116,17 +108,17 @@ class HeisenbergRow:
         else:
             if s.ndim != 2 or s.shape[1] != 2:
                 raise ValueError("row d needs planar support")
-            new = s + np.array([b, c])
-            vals = np.exp(-1j * (a + b * (new[:, 1] - c))) * f.values
-        sup, vv = _merge_counting(new, vals)
-        return SectionVector(sup, vv, mode="counting")
+            new = s + G[..., None, 1:]
+            vals = np.exp(-1j * (a + b * (new[..., 1] - c))) * f.values
+        return SectionVector(new, vals, mode="counting")
 
 
 class EuclidAction:
     """Helicity-zero sphere action for wavenumber k.
 
-    Counting mode rotates the support points; quadrature mode composes the
-    evaluator and re-materializes values on the fixed grid.
+    Counting mode rotates the support points, for every element of a
+    coordinate stack G = (A, c); quadrature mode composes the evaluator of
+    one element and re-materializes values on the fixed grid.
     """
 
     def __init__(self, k, s=0):
@@ -135,17 +127,17 @@ class EuclidAction:
                 "only helicity 0 is realized on scalar sections")
         self.k = float(k)
 
-    def apply(self, g, f):
-        A, c = g.data
-        kc = self.k * c
+    def apply(self, G, f):
+        A, c = G
+        kc = self.k * np.asarray(c)
         if f.mode == "counting":
             unit = np.abs(np.linalg.norm(f.support, axis=-1) - 1.0)
             if np.max(unit) > 1e-9:
                 raise ValueError("support points must be unit vectors")
-            new = f.support @ A.T
-            vals = np.exp(1j * (new @ kc)) * f.values
-            sup, vv = _merge_counting(new, vals)
-            return SectionVector(sup, vv, mode="counting")
+            new = f.support @ np.swapaxes(A, -1, -2)
+            vals = np.exp(1j * np.sum(new * kc[..., None, :], axis=-1)) \
+                * f.values
+            return SectionVector(new, vals, mode="counting")
         base = f.evaluator
         def evaluator(v, base=base, A=A, kc=kc):
             return np.exp(1j * (v @ kc)) * base(v @ A)   # v @ A = A^T v rows
@@ -174,11 +166,22 @@ def constant_section(n_theta=64, n_phi=128):
                          mode="quadrature", weights=w, evaluator=evaluator)
 
 
-def matrix_coefficient(action, f, g):
-    """(f, g . f) in f's mode; f must be normalized."""
+def matrix_coefficient(action, f, G):
+    """(f, g . f) in f's mode for every g of a coordinate stack G of any
+    leading shape; f must be normalized.
+
+    Quadrature sections fill the whole grid for each element, so they take
+    the stack one element at a time.
+    """
     if abs(f.norm() - 1.0) > 1e-9:
         raise ValueError("section must be normalized (|f| = %.6g)" % f.norm())
-    return inner(f, action.apply(g, f))
+    if f.mode == "counting":
+        return inner(f, action.apply(G, f))
+    A, c = G
+    out = np.empty(np.shape(c)[:-1], dtype=complex)
+    for i in np.ndindex(out.shape):
+        out[i] = inner(f, action.apply((A[i], c[i]), f))
+    return out[()]
 
 
 def mackey_shoda_a(chi, eta, g, probes, in_h, in_k, tol=None):
@@ -197,16 +200,3 @@ def mackey_shoda_a(chi, eta, g, probes, in_h, in_k, tol=None):
             return False
     return True
 
-
-def coefficient_table(action, f, gs, closed_form=None):
-    """Rows (g coords..., Re m, Im m, |error|) for CSV emission."""
-    rows = []
-    for g in gs:
-        val = matrix_coefficient(action, f, g)
-        err = abs(val - closed_form(g)) if closed_form is not None else 0.0
-        if g.family == "euclid":
-            coords = list(np.asarray(g.data[0]).ravel()) + list(g.data[1])
-        else:
-            coords = list(np.asarray(g.data).ravel())
-        rows.append(coords + [val.real, val.imag, err])
-    return rows

@@ -356,8 +356,9 @@ def test_plotdata_csv_formats(tmp_path):
     assert raw.count(b"\r\n") >= 2
     lines = raw.decode().split("\r\n")
     assert lines[0] == "omega,density"
-    om, d = lines[1].split(",")
-    float(om), float(d)
+    fields = [x for line in lines[1:] if line for x in line.split(",")]
+    assert len(fields) >= 2
+    assert all(x == repr(float(x)) for x in fields)
 
     path = _write(tmp_path, {
         "version": "1", "task": "quantum_check", "seed": 1,

@@ -120,6 +120,11 @@ def test_build_requires_identity_first():
     with pytest.raises(ValueError):
         gns.build(st, [groups.heisenberg(0.0, 1.0, 0.0),
                        groups.heisenberg(0.0, 0.0, 0.0)])
+    # a rotation by 1e-6: w is 1 to 1e-12, the axis part is not
+    spin = states.make_state("su2_highest_weight", j=1.0)
+    with pytest.raises(ValueError):
+        gns.build(spin, [groups.su2(np.cos(5e-7), np.sin(5e-7), 0.0, 0.0),
+                         groups.identity("su2")])
 
 
 def test_build_rejects_non_state():

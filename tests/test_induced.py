@@ -36,7 +36,7 @@ def test_action_preserves_norm(row, t):
     f = induced.SectionVector(support, vals)
     act = induced.HeisenbergRow(row, t=t)
     for g in _rand_heis(rng, 10):
-        assert abs(act.apply(g, f).norm() - f.norm()) < 1e-12
+        assert abs(act.apply(g.data, f).norm() - f.norm()) < 1e-12
 
 
 @pytest.mark.parametrize("row,t", [("a", 0.0), ("b", 0.0), ("c", 0.7),
@@ -52,8 +52,8 @@ def test_action_is_a_homomorphism(row, t):
     act = induced.HeisenbergRow(row, t=t)
     for _ in range(10):
         g, h = _rand_heis(rng, 2)
-        two_step = act.apply(g, act.apply(h, f))
-        one_step = act.apply(groups.compose(g, h), f)
+        two_step = act.apply(g.data, act.apply(h.data, f))
+        one_step = act.apply(groups.compose(g, h).data, f)
         assert _sections_equal(two_step, one_step, tol=1e-10)
 
 
@@ -79,7 +79,7 @@ def test_delta_cyclic_vectors_reproduce_the_localized_states():
     for row, t, f, st in cases:
         act = induced.HeisenbergRow(row, t=t)
         for g in gs:
-            got = induced.matrix_coefficient(act, f, g)
+            got = induced.matrix_coefficient(act, f, g.data)
             assert abs(got - states.evaluate(st, g)) < 1e-12, (row, g.data)
 
 
@@ -89,17 +89,61 @@ def test_plane_delta_away_from_origin_still_gives_center():
     st = states.make_state("heisenberg_center")
     rng = np.random.default_rng(4)
     for g in _rand_heis(rng, 30) + [groups.heisenberg(0.5, 0, 0)]:
-        assert abs(induced.matrix_coefficient(act, f, g)
+        assert abs(induced.matrix_coefficient(act, f, g.data)
                    - states.evaluate(st, g)) < 1e-12
 
 
-def test_merge_collapses_coincident_points():
-    f = induced.SectionVector([0.0, 1.0], [1.0, 1.0])
+def test_inner_pairs_translated_points_on_one_key():
+    f = induced.SectionVector([0.3, 1.0], [0.6, 0.8])
     act = induced.HeisenbergRow("a")
-    g = groups.heisenberg(0.0, 1.0, 0.0)     # shift 0 -> 1: overlap at 1
-    out = act.apply(g, f)
-    k = np.argmin(np.abs(np.atleast_1d(out.support) - 1.0))
-    assert abs(np.atleast_1d(out.support)[k] - 1.0) < 1e-12
+    out = act.apply(groups.heisenberg(0.0, 0.7, 0.0).data, f)   # 0.3 -> 1
+    assert abs(induced.inner(f, out) - 0.48) < 1e-15
+
+
+def test_inner_sums_every_pair_on_one_key():
+    # two points within one grid cell are one point, whose value is the
+    # sum: 0.6 + 0.8j of modulus 1, and 0.6 + 0.8 = 1.4
+    f = induced.SectionVector([0.0, 0.4e-9], [0.6, 0.8j])
+    assert abs(induced.inner(f, f) - 1.0) < 1e-15
+    assert abs(f.norm() - 1.0) < 1e-15
+    f = induced.SectionVector([0.0, 0.4e-9], [0.6, 0.8])
+    assert abs(induced.inner(f, f) - 1.96) < 1e-15
+    assert abs(f.norm() - 1.4) < 1e-15
+
+
+@pytest.mark.parametrize("act,f", [
+    (induced.HeisenbergRow("a"), induced.delta_section([1.3])),
+    (induced.HeisenbergRow("b"), induced.delta_section([0.8])),
+    (induced.HeisenbergRow("c", t=0.4), induced.delta_section([0.9])),
+    (induced.HeisenbergRow("d"), induced.delta_section([[0.0, 0.0]])),
+    (induced.HeisenbergRow("a"),
+     induced.SectionVector([0.0, 1.0, 2.0], [0.6, 0.0, 0.8j]))])
+def test_stacked_heisenberg_coefficients_equal_per_element(act, f):
+    rng = np.random.default_rng(10)
+    G = rng.uniform(-2, 2, (6, 3))
+    G[:3, 1] = [1.0, -1.0, 2.0]                # shifts onto the support
+    one = np.array([induced.matrix_coefficient(act, f, x) for x in G])
+    assert np.array_equal(induced.matrix_coefficient(act, f, G), one)
+    assert np.array_equal(
+        induced.matrix_coefficient(act, f, G.reshape(3, 2, 3)),
+        one.reshape(3, 2))
+
+
+def test_stacked_euclid_coefficients_equal_per_element():
+    rng = np.random.default_rng(11)
+    A, c = groups.stack_coords("euclid",
+                               groups.random_elements("euclid", rng, 6))
+    act = induced.EuclidAction(2.0)
+    for f, tol in [(induced.delta_section(np.array([[0.0, 0.0, 1.0]])), 1e-14),
+                   (induced.constant_section(8, 16), 0.0)]:
+        one = np.array([induced.matrix_coefficient(act, f, (A[i], c[i]))
+                        for i in range(6)])
+        flat = induced.matrix_coefficient(act, f, (A, c))
+        grid = induced.matrix_coefficient(
+            act, f, (A.reshape(3, 2, 3, 3), c.reshape(3, 2, 3)))
+        assert flat.shape == (6,) and grid.shape == (3, 2)
+        assert np.max(np.abs(flat - one)) <= tol
+        assert np.max(np.abs(grid - one.reshape(3, 2))) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +167,7 @@ def test_quadrature_coefficient_matches_spherical_state():
     st = states.make_state("euclid_spherical", k=k)
     rng = np.random.default_rng(5)
     for g in groups.random_elements("euclid", rng, 25):
-        got = induced.matrix_coefficient(act, f, g)
+        got = induced.matrix_coefficient(act, f, g.data)
         assert abs(got - states.evaluate(st, g)) < 1e-8
 
 
@@ -139,7 +183,7 @@ def test_counting_delta_on_pole_gives_plane_wave_state():
                    [0, 0, 1.0]])
     gs.append(groups.euclid(Rz, np.array([0.4, -0.2, 1.5])))
     for g in gs:
-        got = induced.matrix_coefficient(act, f, g)
+        got = induced.matrix_coefficient(act, f, g.data)
         assert abs(got - states.evaluate(st, g)) < 1e-12
 
 
@@ -147,7 +191,7 @@ def test_counting_mode_requires_unit_support():
     act = induced.EuclidAction(1.0)
     f = induced.delta_section(np.array([[0.0, 0.0, 2.0]]))
     with pytest.raises(ValueError):
-        act.apply(groups.identity("euclid"), f)
+        act.apply(groups.identity("euclid").data, f)
 
 
 def test_nonzero_helicity_not_realized():
@@ -159,7 +203,7 @@ def test_matrix_coefficient_requires_unit_norm():
     act = induced.HeisenbergRow("a")
     f = induced.SectionVector([0.0], [2.0])
     with pytest.raises(ValueError):
-        induced.matrix_coefficient(act, f, groups.heisenberg(0, 0, 0))
+        induced.matrix_coefficient(act, f, groups.heisenberg(0, 0, 0).data)
 
 
 def test_inner_mode_mismatch():
@@ -194,15 +238,3 @@ def test_character_matching_rejects_outside_probes():
     with pytest.raises(ValueError):
         induced.mackey_shoda_a(chi, chi, g, probe, in_h, in_h)
 
-
-def test_coefficient_table_shapes_and_errors():
-    act = induced.HeisenbergRow("a")
-    f = induced.delta_section([1.3])
-    st = states.make_state("heisenberg_loc_p", k=1.3)
-    gs = _rand_heis(np.random.default_rng(8), 12)
-    rows = induced.coefficient_table(
-        act, f, gs, closed_form=lambda g: states.evaluate(st, g))
-    assert len(rows) == 12
-    for row in rows:
-        assert len(row) == 6                         # a, b, c, Re, Im, err
-        assert row[-1] < 1e-12
