@@ -142,7 +142,11 @@ def _default_orbit(state, params):
         return orbits.euclid_orbit(value("k", state.params.get("k", 1.0)),
                                    value("s", state.params.get("s", 0.0)))
     if fam == "su2":
-        return orbits.su2_orbit(value("lam", state.params.get("j", 0.5)))
+        lam = value("lam", state.params.get("j", 0.5))
+        if lam < 0:
+            raise CliInputError("/params/orbit/lam: must be >= 0, got %r"
+                                % (lam,))
+        return orbits.su2_orbit(lam)
     if fam == "torus":
         y = orbit.get("y", [1.0])
         return orbits.torus_orbit(_numbers(y, "/params/orbit/y")
@@ -177,10 +181,10 @@ def _sweep(state, rng, sets, n, pairs):
     for _ in range(sets):
         gm = states.gram(state, states.support_samples(state, rng, n))
         worst = min(worst, float(gm.eigenvalues[-1]) / gm.n)
-    xs = states.support_samples(state, rng, pairs)
-    ys = states.support_samples(state, rng, pairs)
+    gs = states.support_samples(state, rng, pairs)
+    hs = states.support_samples(state, rng, pairs)
     return worst, worst >= -DEFAULT.psd_scale, \
-        states.check_inequalities(state, list(zip(xs, ys)))
+        states.check_inequalities(state, gs, hs)
 
 
 def _task_verify(doc, seed):
@@ -300,14 +304,16 @@ def _task_orbit(doc, seed):
         "relation_residual": rel,
         "pass": rel <= 1e-10,
     }
+    if not isinstance(p.get("Zs", []), list):
+        raise CliInputError("/params/Zs: must be a list of directions, got %r"
+                            % (p["Zs"],))
     if p.get("Zs"):
         Zs = [_direction(state.family, z, "/params/Zs/%d" % i, spec.dim)
               for i, z in enumerate(p["Zs"])]
         if not groups.commuting(Zs):
             raise CliInputError("/params/Zs: tuple does not commute")
-        proj = np.stack([
-            [groups.pairing(groups.covector(state.family, x), Z) for Z in Zs]
-            for x in pts])
+        proj = groups.pairing_coords(state.family, pts[:, None],
+                                     np.array([Z.coords for Z in Zs]))
         results["projection_mean"] = [float(v) for v in proj.mean(axis=0)]
         results["projection_minmax"] = [
             [float(a), float(b)] for a, b in zip(proj.min(axis=0),
@@ -361,11 +367,10 @@ def _reproduce_heisenberg_table(seed):
          induced.delta_section([[0.0, 0.0]]),
          states.make_state("heisenberg_center")),
     ]
-    G = groups.stack_coords("heisenberg", gs)
     matrix, details = {}, {}
     for name, action, f, st in cases:
-        err = _max_modulus(induced.matrix_coefficient(action, f, G)
-                           - states.evaluate_many(st, gs))
+        err = _max_modulus(induced.matrix_coefficient(action, f, gs.data)
+                           - states.evaluate(st, gs))
         matrix[name] = err < 1e-12
         details[name + "_max_error"] = err
     return matrix, details, ["induced-row-coefficients"]
@@ -429,9 +434,8 @@ def _reproduce_euclid_waves(seed):
     f = induced.constant_section()
     st = states.make_state("euclid_spherical", k=1.0)
     gs = groups.random_elements("euclid", rng, 200)
-    err = _max_modulus(
-        induced.matrix_coefficient(action, f, groups.stack_coords("euclid", gs))
-        - states.evaluate_many(st, gs))
+    err = _max_modulus(induced.matrix_coefficient(action, f, gs.data)
+                       - states.evaluate(st, gs))
     matrix["spherical_coefficient_match"] = err < 1e-8
     details["spherical_coefficient_error"] = err
     return matrix, details, ["wave-identities", "orbit-sup-inequality"]
@@ -602,7 +606,7 @@ def run_document(doc, seed=None, out=None, budget=None):
     `budget`, when given, overrides a quantum check's draw budget."""
     try:
         validate_scenario(doc)
-        seed = doc["seed"] if seed is None else seed
+        seed = int(doc["seed"]) if seed is None else seed
         outdir = out or doc.get("out", "reports")
         runner = _RUNNERS[doc["task"]]
         # only the quantum check has a budget to override

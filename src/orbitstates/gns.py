@@ -41,7 +41,7 @@ class GnsSpace:
 
 
 def build(state, samples, tol=None):
-    """Quotient the Gram form at eigenvalue cut tol * n."""
+    """Quotient the Gram form of a sample stack at eigenvalue cut tol * n."""
     tol = DEFAULT.quotient_scale if tol is None else tol
     e = samples[0]
     coords = [np.concatenate([np.ravel(x) for x in g.data])
@@ -60,8 +60,7 @@ def build(state, samples, tol=None):
     r = int(np.sum(keep))
     basis = vecs[:, keep] / np.sqrt(vals[keep])
     cyclic = basis.conj().T @ gm.entries[:, 0]
-    space = GnsSpace(state, list(samples), gm, r, basis, cyclic, tol)
-    return space
+    return GnsSpace(state, samples, gm, r, basis, cyclic, tol)
 
 
 def rep_matrix(space, g):
@@ -70,10 +69,9 @@ def rep_matrix(space, g):
     residual = max over columns j of  1 - |R_g[:, j]|^2, the squared-norm
     deficit of projecting the transported basis back onto the span.
     """
-    fam = space.state.family
-    S = groups.stack_coords(fam, space.samples)
-    Mg = states.pair_eval(space.state, S, groups.compose_coords(fam, g.data, S),
-                          grid=True)
+    S = space.samples.data
+    Mg = states.pair_eval(space.state, S, groups.compose_coords(
+        space.state.family, g.data, S), grid=True)
     R = space.basis.conj().T @ Mg @ space.basis
     deficit = 1.0 - np.sum(np.abs(R) ** 2, axis=0)
     return R, float(max(0.0, np.max(deficit)))
@@ -156,7 +154,7 @@ CLOSED_KINDS = ("heisenberg_loc_p", "heisenberg_loc_q", "euclid_plane",
 
 
 def closed_sample_set(state, n=16, seed=0):
-    """Sample set (identity first) on which the finite representation is
+    """Sample stack (identity first) on which the finite representation is
     exactly isometric, plus probe elements that stay inside the closure.
 
     For the delta-type states the set is built from coset representatives
@@ -171,13 +169,13 @@ def closed_sample_set(state, n=16, seed=0):
         samples = [groups.heisenberg(0.0, b, 0.0) for b in bs]
         probes = [groups.heisenberg(u[0], 0.0, u[1])
                   for u in rng.uniform(-3, 3, (8, 2))]
-        return samples, probes
+        return groups.stack(state.family, samples), probes
     if kind == "heisenberg_loc_q":
         cs = np.concatenate([[0.0], rng.uniform(-3, 3, n - 1)])
         samples = [groups.heisenberg(0.0, 0.0, c) for c in cs]
         probes = [groups.heisenberg(u[0], u[1], 0.0)
                   for u in rng.uniform(-3, 3, (8, 2))]
-        return samples, probes
+        return groups.stack(state.family, samples), probes
     if kind == "euclid_plane":
         # the rotation by 2 pi / n about (1, 1, 1)
         axis = np.full(3, 2.0 * np.pi / (n * np.sqrt(3.0)))
@@ -189,10 +187,10 @@ def closed_sample_set(state, n=16, seed=0):
         probes = [rot]
         probes += [groups.euclid(np.eye(3), c)
                    for c in rng.uniform(-3, 3, (7, 3))]
-        return samples, probes
+        return groups.stack(state.family, samples), probes
     if kind == "su2_highest_weight":
         quats = [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
                  (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]
         samples = [groups.su2(*q) for q in quats]
-        return samples, list(samples[1:])
+        return groups.stack("su2", samples), samples[1:]
     raise ValueError("no closed set construction for %r" % (kind,))

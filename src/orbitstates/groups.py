@@ -47,6 +47,9 @@ class BranchCutError(ValueError):
 
 
 class GroupElement:
+    """An element or a stack: `data` is a coordinate stack (see the group
+    law below), of leading shape () for a single element, which has no
+    len() and no indexing."""
     __slots__ = ("family", "data", "_age")
 
     def __init__(self, family, data, _age=0):
@@ -58,6 +61,17 @@ class GroupElement:
 
     def __repr__(self):
         return "GroupElement(%s, %s)" % (self.family, self.data)
+
+    def __len__(self):
+        shape = lead_shape(self.data)
+        if not shape:
+            raise TypeError("a single %s element is not a stack" % self.family)
+        return shape[0]
+
+    def __getitem__(self, index):
+        len(self)   # along the leading axis, so only on stacks
+        return GroupElement(self.family, map_coords(lambda x: x[index],
+                                                    self.data), self._age)
 
 
 class AlgebraElement:
@@ -145,13 +159,10 @@ def covector(family, coords):
 
 
 def _orthonormalize(A):
-    # nearest rotation (polar factor)
+    # nearest rotation (polar factor) of each block of a (..., 3, 3) stack
     u, _, vt = np.linalg.svd(A)
-    R = u @ vt
-    if np.linalg.det(R) < 0:
-        u[:, -1] = -u[:, -1]
-        R = u @ vt
-    return R
+    u[..., -1] *= np.where(np.linalg.det(u @ vt) < 0, -1.0, 1.0)[..., None]
+    return u @ vt
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +173,38 @@ def _orthonormalize(A):
 # torus, and euclid (A, c) pairs of shapes (..., 3, 3) and (..., 3).
 # Algebra stacks are (..., dim), euclid (..., 6) as (axis, rate).
 
-def stack_coords(family, elements):
-    """The coordinate stack of a list of elements, leading axis first."""
+def lead_shape(X):
+    """The stack shape of a coordinate stack: () for a single element."""
+    return np.shape(X[1] if isinstance(X, tuple) else X)[:-1]
+
+
+def map_coords(fn, *stacks):
+    """fn over coordinate stacks of one family, array by array: both arrays
+    of euclid (A, c) pairs in turn, so fn sees leading axes first."""
+    if isinstance(stacks[0], tuple):
+        return tuple(map(fn, *stacks))
+    return fn(*stacks)
+
+
+def from_coords(family, X):
+    """The element stack of coordinate stack X: euclid rotation blocks are
+    checked and su2 quaternions checked and normalized, once over the
+    whole stack."""
     if family == "euclid":
-        return (np.stack([g.data[0] for g in elements]),
-                np.stack([g.data[1] for g in elements]))
-    return np.stack([np.asarray(g.data, dtype=float) for g in elements])
+        _check_euclid_rotation(X[0])
+    elif family == "su2":
+        X = _unit_quaternions(X)
+    return GroupElement(family, X)
+
+
+def stack(family, elements):
+    """Single elements of `family`, listed, as one stack."""
+    if not elements:
+        raise ValueError("no elements to stack")
+    if any(g.family != family for g in elements):
+        raise FamilyError("elements must all be %s elements" % family)
+    return GroupElement(family, map_coords(
+        lambda *xs: np.array(xs, dtype=float), *(g.data for g in elements)))
 
 
 def _join(cols):
@@ -302,13 +339,13 @@ def exp_coords(family, C):
 # the group law on elements
 
 def compose(g, h):
-    """Product g*h; SU(2) products are renormalized and euclid rotation
-    blocks re-orthonormalized every RENORM_EVERY composures."""
+    """Product g*h of elements or stacks; SU(2) products are renormalized and
+    euclid rotation blocks re-orthonormalized every RENORM_EVERY composures."""
     _check_same(g, h)
     f = g.family
     data = compose_coords(f, g.data, h.data)
     if f == "su2":
-        return GroupElement(f, data / np.linalg.norm(data))
+        return GroupElement(f, _unit_quaternions(data))
     if f == "euclid":
         age = max(g._age, h._age) + 1
         if age >= RENORM_EVERY:
@@ -367,14 +404,6 @@ def log(g):
     raise FamilyError(f)
 
 
-def _cross(a, b):
-    """a x b for 3-vectors: np.cross costs microseconds of argument
-    handling per call, and commuting() brackets every pair of every tuple."""
-    a1, a2, a3 = a.tolist()
-    b1, b2, b3 = b.tolist()
-    return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
-
-
 def bracket(Z, W):
     _check_same(Z, W)
     f = Z.family
@@ -391,9 +420,9 @@ def bracket(Z, W):
         a1, r1 = Z.coords[:3], Z.coords[3:]
         a2, r2 = W.coords[:3], W.coords[3:]
         return AlgebraElement(f, np.concatenate(
-            [_cross(a1, a2), _cross(a1, r2) - _cross(a2, r1)]))
+            [np.cross(a1, a2), np.cross(a1, r2) - np.cross(a2, r1)]))
     if f == "su2":
-        return AlgebraElement(f, _cross(Z.coords, W.coords))
+        return AlgebraElement(f, np.cross(Z.coords, W.coords))
     if f == "torus":
         return AlgebraElement(f, np.zeros_like(Z.coords))
     raise FamilyError(f)
@@ -536,36 +565,24 @@ def loads(s):
     return from_json_dict(json.loads(s))
 
 
-def unstack(family, X):
-    """The elements of a coordinate stack (leading axis first), as
-    stack_coords takes them: euclid rotation blocks are checked and su2
-    quaternions checked and normalized once over the whole stack."""
-    if family == "euclid":
-        _check_euclid_rotation(X[0])
-        return [GroupElement(family, d) for d in zip(*X)]
-    if family == "su2":
-        X = _unit_quaternions(X)
-    return [GroupElement(family, row) for row in X]
-
-
 def random_elements(family, rng, count, scale=3.0, dim=1):
-    """Seeded generic elements, one list per call, drawn as one stack:
+    """Seeded generic elements, drawn as one stack of `count`:
     uniform coordinates in [-scale, scale) on heisenberg and bargmann,
     uniform angles on a torus of dimension dim, and Gaussian quaternions
     normalized to su2 elements or to euclid rotation blocks (with uniform
     translations)."""
     if family in ("heisenberg", "bargmann"):
-        return unstack(family, rng.uniform(-scale, scale,
-                                           (count, ALGEBRA_DIM[family])))
+        return from_coords(family, rng.uniform(-scale, scale,
+                                               (count, ALGEBRA_DIM[family])))
     if family == "torus":
-        return unstack(family, np.mod(rng.uniform(0, 2 * np.pi, (count, dim)),
-                                      2 * np.pi))
+        return from_coords(family, np.mod(
+            rng.uniform(0, 2 * np.pi, (count, dim)), 2 * np.pi))
     if family not in ("su2", "euclid"):
         raise FamilyError(family)
     Q = rng.standard_normal((count, 4))
     Q /= np.sqrt(np.vecdot(Q, Q))[:, None]
     if family == "su2":
-        return unstack(family, Q)
+        return from_coords(family, Q)
     w, x, y, z = Q.T
     A = np.empty((count, 3, 3))
     A[:, 0, 0] = 1 - 2 * (y * y + z * z)
@@ -577,4 +594,4 @@ def random_elements(family, rng, count, scale=3.0, dim=1):
     A[:, 2, 0] = 2 * (x * z - w * y)
     A[:, 2, 1] = 2 * (y * z + w * x)
     A[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return unstack(family, (A, rng.uniform(-scale, scale, (count, 3))))
+    return from_coords(family, (A, rng.uniform(-scale, scale, (count, 3))))

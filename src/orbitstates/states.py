@@ -104,14 +104,14 @@ _family = _check(lambda v: isinstance(v, str) and v in groups.FAMILIES,
 _callable = _check(callable, "callable")
 
 
-# support draws: (state, U, rng, idx) -> the samples of the even indices idx,
+# support draws: (state, U, rng, idx) -> coordinates of the even indices idx,
 # from the (len(idx), 4) uniforms U and, if needed, further draws from rng
 
 def _on_subgroup(state, U, rng, idx):
     """U[:, :d] as coordinates along the d rows of H; + 0.0 turns the -0.0
     that zero columns can take into 0.0."""
     H = state.localization["H"]
-    return groups.unstack(state.family, U[:, :len(H)] @ H + 0.0)
+    return U[:, :len(H)] @ H + 0.0
 
 
 def _on_axis(flip):
@@ -124,18 +124,16 @@ def _on_axis(flip):
         A = np.zeros((len(idx), 3, 3))
         A[:, 0, 0], A[:, 1, 0] = co, si
         A[:, 0, 1], A[:, 1, 1], A[:, 2, 2] = -si * sign, co * sign, sign
-        return groups.unstack("euclid", (A, U[:, :3]))
+        return A, U[:, :3]
     return draw
 
 
 # ---------------------------------------------------------------------------
-# closed forms on coordinate stacks (groups.stack_coords and the array law)
+# closed forms on coordinate stacks (GroupElement.data and the array law)
 
 def _axis(X, axis):
-    """A stack with a new broadcast axis; euclid stacks are (A, c) pairs."""
-    if isinstance(X, tuple):
-        return tuple(np.expand_dims(x, axis) for x in X)
-    return np.expand_dims(X, axis)
+    """A stack with a new broadcast axis in front of the coordinates."""
+    return groups.map_coords(lambda x: np.expand_dims(x, axis), X)
 
 
 def _axis_cosets(A):
@@ -160,11 +158,6 @@ def _cylindrical(p, X):
     bes = j0(p["k"] * np.sqrt(c[..., 0] ** 2 + c[..., 1] ** 2))
     sign = 1.0 if p["eps"] == 0 else -1.0
     return np.where(up, bes, 0.0) + np.where(dn, sign * bes, 0.0) + 0.0j
-
-
-def _lead(X):
-    """The stack shape of a coordinate stack."""
-    return (X[1] if isinstance(X, tuple) else np.asarray(X)).shape[:-1]
 
 
 # One entry per kind.  `params` maps each declared key to (default, check);
@@ -229,7 +222,8 @@ KINDS = {
         "su2", {"j": (0.5, _spin)},
         lambda p, X: (X[..., 0] + 1j * X[..., 3]) ** int(round(2 * p["j"]))),
     "constant_one": Kind(None, {"family": ("heisenberg", _family)},
-                         lambda p, X: np.ones(_lead(X), dtype=complex)),
+                         lambda p, X: np.ones(groups.lead_shape(X),
+                                              dtype=complex)),
     "custom": Kind(None, {"family": (_REQUIRED, _family),
                           "evaluator": (_REQUIRED, _callable)}, None),
 }
@@ -266,10 +260,11 @@ def su2_highest_weight(j):
 
 def _custom_values(state, pack):
     """The user evaluator, one element of the stack at a time."""
-    rows = zip(pack[0].reshape(-1, 3, 3), pack[1].reshape(-1, 3)) \
-        if state.family == "euclid" else np.reshape(pack, (-1, np.shape(pack)[-1]))
-    return np.array([complex(state.evaluator(groups.GroupElement(
-        state.family, d))) for d in rows], dtype=complex).reshape(_lead(pack))
+    lead = groups.lead_shape(pack)
+    flat = groups.GroupElement(state.family, groups.map_coords(
+        lambda x: np.reshape(x, (-1,) + np.shape(x)[len(lead):]), pack))
+    return np.array([complex(state.evaluator(g)) for g in flat],
+                    dtype=complex).reshape(lead)
 
 
 def _eval_pack(state, pack):
@@ -287,13 +282,9 @@ def _eval_pack(state, pack):
 
 
 def evaluate(state, g):
-    """m(g) for a single group element."""
-    return complex(evaluate_many(state, [g])[0])
-
-
-def evaluate_many(state, samples):
-    pack = groups.stack_coords(state.family, samples)
-    return np.asarray(_eval_pack(state, pack)).ravel()
+    """m(g) for a single element, or the array of m over a stack g."""
+    values = np.asarray(_eval_pack(state, g.data))
+    return values if values.ndim else complex(values)
 
 
 def exp_values(state, C):
@@ -327,19 +318,17 @@ class GramMatrix:
 
 
 def gram(state, samples, rank_tol=None):
-    """Gram kernel K_ij = m(g_i^{-1} g_j) with attached eigendecomposition."""
-    if not samples:
-        raise ValueError("empty sample list")
-    fams = {g.family for g in samples}
-    if len(fams) != 1 or fams.pop() != state.family:
+    """Gram kernel m(g_i^{-1} g_j) of a sample stack, with its eigenvalues."""
+    if samples.family != state.family:
         raise groups.FamilyError("samples must share the state's family")
-    S = groups.stack_coords(state.family, samples)
-    K = pair_eval(state, S, S, grid=True)
-    vals = np.linalg.eigvalsh(K)[::-1]
     n = len(samples)
+    if not n:
+        raise ValueError("empty sample stack")
+    K = pair_eval(state, samples.data, samples.data, grid=True)
+    vals = np.linalg.eigvalsh(K)[::-1]
     tol = (rank_tol if rank_tol is not None else DEFAULT.quotient_scale) * n
     rank = int(np.sum(vals > tol))
-    return GramMatrix(list(samples), K, vals, rank)
+    return GramMatrix(samples, K, vals, rank)
 
 
 def check_psd(gm, tol=None):
@@ -348,8 +337,8 @@ def check_psd(gm, tol=None):
     return {"min_eigenvalue": mn, "pass": bool(mn >= -tol * gm.n)}
 
 
-def check_inequalities(state, pairs, slack=None):
-    """Herglotz / Krein / Weil margins over a list of (g, h) pairs.
+def check_inequalities(state, gs, hs, slack=None):
+    """Herglotz / Krein / Weil margins over pairs (g, h) of stacks gs, hs.
 
     Margins are reported as (left side - right side); all must stay below
     the slack for a genuine state.  Krein is checked squared,
@@ -358,8 +347,7 @@ def check_inequalities(state, pairs, slack=None):
     """
     slack = DEFAULT.slack if slack is None else slack
     fam = state.family
-    G = groups.stack_coords(fam, [p[0] for p in pairs])
-    H = groups.stack_coords(fam, [p[1] for p in pairs])
+    G, H = gs.data, hs.data
     mg = np.asarray(_eval_pack(state, G))
     mh = np.asarray(_eval_pack(state, H))
     mgh_cross = pair_eval(state, G, H)                           # m(g^-1 h)
@@ -388,7 +376,7 @@ def modulus_one_subgroup_probe(state, samples, product_budget=512, seed=0):
     inside elements must land inside again; sampled violations are returned
     rather than raised.
     """
-    vals = np.abs(evaluate_many(state, samples))
+    vals = np.abs(evaluate(state, samples))
     on = np.abs(vals - 1.0) < DEFAULT.modulus_one
     inside, outside = np.flatnonzero(on).tolist(), np.flatnonzero(~on).tolist()
 
@@ -398,10 +386,9 @@ def modulus_one_subgroup_probe(state, samples, product_budget=512, seed=0):
         n_pairs = min(product_budget, len(inside) ** 2)
         ii = rng.integers(0, len(inside), size=n_pairs)
         jj = rng.integers(0, len(inside), size=n_pairs)
-        fam = state.family
-        prod = groups.compose_coords(
-            fam, groups.stack_coords(fam, [samples[inside[i]] for i in ii]),
-            groups.stack_coords(fam, [samples[inside[j]] for j in jj]))
+        prod = groups.compose_coords(state.family,
+                                     samples[np.take(inside, ii)].data,
+                                     samples[np.take(inside, jj)].data)
         pv = np.abs(_eval_pack(state, prod))
         for idx, v in enumerate(pv):
             if abs(v - 1.0) >= DEFAULT.modulus_one:
@@ -415,16 +402,17 @@ def modulus_one_subgroup_probe(state, samples, product_budget=512, seed=0):
 
 
 def support_samples(state, rng, count, scale=3.0):
-    """Seeded group elements biased onto the state's modulus-one set, so
-    Gram matrices pick up off-diagonal structure for the delta-type states.
-    The even-indexed draws use the kind's support draw (if it has one), the
-    odd-indexed ones are generic; each set is drawn as one stack."""
+    """A seeded stack of group elements biased onto the state's modulus-one
+    set, so Gram matrices pick up off-diagonal structure for the delta-type
+    states.  Even indices take the kind's support draw (if it has one), odd
+    ones generic draws; each set is drawn and checked as one stack."""
     draw = KINDS[state.kind].draw
     if draw is None:
         return groups.random_elements(state.family, rng, count, scale=scale)
-    out = [None] * count
-    out[1::2] = groups.random_elements(state.family, rng, count // 2,
-                                       scale=scale)
+    odd = groups.random_elements(state.family, rng, count // 2, scale=scale)
     idx = np.arange(0, count, 2)
-    out[::2] = draw(state, rng.uniform(-scale, scale, (len(idx), 4)), rng, idx)
-    return out
+    even = groups.from_coords(state.family, draw(
+        state, rng.uniform(-scale, scale, (len(idx), 4)), rng, idx))
+    order = np.argsort(np.concatenate([idx, np.arange(1, count, 2)]))
+    return groups.GroupElement(state.family, groups.map_coords(
+        lambda x, y: np.concatenate([x, y])[order], even.data, odd.data))

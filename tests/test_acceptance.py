@@ -59,7 +59,7 @@ def test_criterion_02_state_inequalities():
         rng = np.random.default_rng(21)
         gs = states.support_samples(st, rng, 10000)
         hs = states.support_samples(st, rng, 10000)
-        r = states.check_inequalities(st, list(zip(gs, hs)), slack=1e-12)
+        r = states.check_inequalities(st, gs, hs, slack=1e-12)
         worst = max(worst, r["worst_margin"])
         assert r["pass"], (kind, r)
     el = time.perf_counter() - t0
@@ -162,9 +162,8 @@ def test_criterion_06_delta_cyclic_vector_table():
     worst = 0.0
     for action, vec, st in rows:
         gs = groups.random_elements("heisenberg", rng, 1000)
-        got = induced.matrix_coefficient(
-            action, vec, groups.stack_coords("heisenberg", gs))
-        worst = max(worst, np.max(np.abs(got - states.evaluate_many(st, gs))))
+        got = induced.matrix_coefficient(action, vec, gs.data)
+        worst = max(worst, np.max(np.abs(got - states.evaluate(st, gs))))
     el = time.perf_counter() - t0
     ok = worst <= 1e-12 and el < 5.0
     _line(6, "delta cyclic vector table", ok, "worst err %.2e" % worst, el)

@@ -220,6 +220,12 @@ def test_bad_input_exits_two(tmp_path, payload):
      "/params/orbit/k", "quantum_check"),
     ('{"kind": "constant_one", "params": {"family": "torus"}}, '
      '"params": {"Zs": [[1, 2]]}', "/params/Zs/0", "orbit_project"),
+    ('{"kind": "heisenberg_loc_p"}, "params": {"Zs": 5}', "/params/Zs",
+     "orbit_project"),
+    ('{"kind": "heisenberg_loc_p"}, "params": {"Zs": true}', "/params/Zs",
+     "orbit_project"),
+    ('{"kind": "su2_highest_weight"}, "params": {"orbit": {"lam": -1}}',
+     "/params/orbit/lam", "quantum_check"),
 ])
 def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
                                                     pointer, task):
@@ -233,6 +239,20 @@ def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
     command = {"orbit_project": "orbit", "quantum_check": "quantum"}
     assert cli.main([command.get(task, task), "--scenario", str(path),
                      "--out", out]) == 2
+
+
+def test_integral_float_seed_runs_as_its_integer(tmp_path):
+    # the schema's "integer" admits 1.0; the run is the seed-1 run
+    reports = []
+    for seed in ("1", "1.0"):
+        path = tmp_path / ("seed%s.json" % seed)
+        path.write_text('{"version": "1", "task": "gram", "seed": %s, '
+                        '"state": {"kind": "heisenberg_loc_p"}}' % seed)
+        out = str(tmp_path / ("rep" + seed))
+        assert cli.run(str(path), out=out) == 0
+        with open(os.path.join(out, "gram-report.json"), "rb") as fh:
+            reports.append(fh.read())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("kind", [k for k in states.KINDS if k != "custom"])

@@ -118,21 +118,24 @@ def test_commutant_rejects_lossy_generators():
 def test_build_requires_identity_first():
     st = states.make_state("heisenberg_loc_p", k=1.0)
     with pytest.raises(ValueError):
-        gns.build(st, [groups.heisenberg(0.0, 1.0, 0.0),
-                       groups.heisenberg(0.0, 0.0, 0.0)])
+        gns.build(st, groups.stack("heisenberg",
+                                   [groups.heisenberg(0.0, 1.0, 0.0),
+                                    groups.heisenberg(0.0, 0.0, 0.0)]))
     # a rotation by 1e-6: w is 1 to 1e-12, the axis part is not
     spin = states.make_state("su2_highest_weight", j=1.0)
     with pytest.raises(ValueError):
-        gns.build(spin, [groups.su2(np.cos(5e-7), np.sin(5e-7), 0.0, 0.0),
-                         groups.identity("su2")])
+        gns.build(spin, groups.stack("su2", [
+            groups.su2(np.cos(5e-7), np.sin(5e-7), 0.0, 0.0),
+            groups.identity("su2")]))
 
 
 def test_build_rejects_non_state():
     bad = states.make_state(
         "custom", family="heisenberg",
         evaluator=lambda g: 1.0 if abs(g.data[1]) < 1e-9 else -1.0)
-    samples = [groups.heisenberg(0, 0, 0), groups.heisenberg(0, 1, 0),
-               groups.heisenberg(0, 2, 0)]
+    samples = groups.stack("heisenberg", [groups.heisenberg(0, 0, 0),
+                                          groups.heisenberg(0, 1, 0),
+                                          groups.heisenberg(0, 2, 0)])
     with pytest.raises(gns.NotAStateError):
         gns.build(bad, samples)
 

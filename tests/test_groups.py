@@ -346,7 +346,7 @@ def test_random_elements_draw_what_a_per_element_loop_draws(family):
         rng = np.random.default_rng(count)
         want = np.array([_draw_one(family, rng, scale, dim)
                          for _ in range(count)])
-        got = groups.stack_coords(family, gs)
+        got = gs.data
         if family == "su2":
             assert np.abs(got - want).max() <= 1e-15
         else:
@@ -355,18 +355,78 @@ def test_random_elements_draw_what_a_per_element_loop_draws(family):
 
 def test_stack_checks_reject_one_bad_block():
     gs = groups.random_elements("euclid", np.random.default_rng(4), 50)
-    A, c = groups.stack_coords("euclid", gs)
-    groups.unstack("euclid", (A, c))
+    A, c = gs.data
+    groups.from_coords("euclid", (A, c))
     A[17, 0, 1] += 1e-6
     with pytest.raises(ValueError):
         groups._check_euclid_rotation(A)
     with pytest.raises(ValueError):
-        groups.unstack("euclid", (A, c))
-    Q = groups.stack_coords("su2", groups.random_elements(
-        "su2", np.random.default_rng(5), 50))
+        groups.from_coords("euclid", (A, c))
+    Q = groups.random_elements("su2", np.random.default_rng(5), 50).data
     Q[31] *= 1.001
     with pytest.raises(ValueError):
-        groups.unstack("su2", Q)
+        groups.from_coords("su2", Q)
+
+
+def _rows(gs):
+    """The coordinate rows of a stack, flattened as _flat flattens one."""
+    if gs.family == "euclid":
+        A, c = gs.data
+        return np.concatenate([A.reshape(len(A), 9), c], axis=1)
+    return gs.data
+
+
+@pytest.mark.parametrize("family", groups.FAMILIES)
+def test_random_elements_are_one_indexable_stack(family):
+    gs = groups.random_elements(family, np.random.default_rng(6), 9, dim=2)
+    assert isinstance(gs, groups.GroupElement) and gs.family == family
+    assert len(gs) == 9
+    rows = _rows(gs)
+    for i in range(9):
+        assert gs[i].family == family
+        assert np.array_equal(_flat(gs[i]), rows[i])
+    assert [_flat(g).tolist() for g in gs] == rows.tolist()
+    idx = np.array([7, 0, 7])
+    assert np.array_equal(_rows(gs[idx]), rows[idx])
+    assert np.array_equal(_rows(gs[2:8:3]), rows[2:8:3])
+    one = gs[4]
+    with pytest.raises(TypeError):
+        len(one)
+    with pytest.raises(TypeError):
+        one[0]
+
+
+def test_stack_gathers_single_elements():
+    gs = groups.random_elements("euclid", np.random.default_rng(7), 5)
+    back = groups.stack("euclid", list(gs))
+    assert len(back) == 5 and np.array_equal(_rows(back), _rows(gs))
+    with pytest.raises(groups.FamilyError):
+        groups.stack("su2", list(gs))
+    with pytest.raises(ValueError):
+        groups.stack("euclid", [])
+
+
+@pytest.mark.parametrize("family", groups.FAMILIES)
+@pytest.mark.parametrize("age", [0, groups.RENORM_EVERY - 1])
+def test_compose_on_stacks_composes_row_by_row(family, age):
+    # su2 rows are renormalized by their own norms, and at RENORM_EVERY
+    # every euclid rotation block is re-orthonormalized on its own
+    rng = np.random.default_rng(42)
+    G = groups.GroupElement(family, groups.random_elements(
+        family, rng, 6, dim=2).data, _age=age)
+    H = groups.GroupElement(family, groups.random_elements(
+        family, rng, 6, dim=2).data, _age=age)
+    zipped = groups.compose(G, H)
+    broadcast = groups.compose(G[0], H)
+    assert len(zipped) == len(broadcast) == 6
+    for i in range(6):
+        want = _flat(groups.compose(G[i], H[i]))
+        assert np.abs(_flat(zipped[i]) - want).max() < 1e-12
+        want = _flat(groups.compose(G[0], H[i]))
+        assert np.abs(_flat(broadcast[i]) - want).max() < 1e-12
+    if family == "su2":
+        norms = np.linalg.norm(zipped.data, axis=-1)
+        assert np.abs(norms - 1.0).max() < 1e-15
 
 
 def test_euclid_rejects_non_rotation():
@@ -408,11 +468,10 @@ def test_compose_coords_matches_element_compose(family):
     rng = np.random.default_rng(40)
     gs = groups.random_elements(family, rng, 7, dim=2)
     hs = groups.random_elements(family, rng, 5, dim=2)
-    X = groups.stack_coords(family, gs)
-    Y = groups.stack_coords(family, hs)
-    zipped = groups.compose_coords(family, X, groups.stack_coords(family,
-                                                                  hs + hs[:2]))
-    for i, (g, h) in enumerate(zip(gs, hs + hs[:2])):
+    X, Y = gs.data, hs.data
+    hs2 = groups.stack(family, list(hs) + list(hs[:2]))
+    zipped = groups.compose_coords(family, X, hs2.data)
+    for i, (g, h) in enumerate(zip(gs, hs2)):
         want = _flat(groups.compose(g, h))
         assert np.abs(_entry(zipped, i) - want).max() < 1e-12
     table = groups.compose_coords(family, _lead(X, 1), _lead(Y, 0))
@@ -426,7 +485,7 @@ def test_compose_coords_matches_element_compose(family):
 def test_inverse_and_exp_coords_match_element_law(family):
     rng = np.random.default_rng(41)
     gs = groups.random_elements(family, rng, 6, dim=2)
-    inv = groups.inverse_coords(family, groups.stack_coords(family, gs))
+    inv = groups.inverse_coords(family, gs.data)
     C = rng.uniform(-3, 3, (6, ALGEBRA_DIM[family]))
     C[0] = 0.0
     ex = groups.exp_coords(family, C)

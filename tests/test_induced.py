@@ -131,8 +131,7 @@ def test_stacked_heisenberg_coefficients_equal_per_element(act, f):
 
 def test_stacked_euclid_coefficients_equal_per_element():
     rng = np.random.default_rng(11)
-    A, c = groups.stack_coords("euclid",
-                               groups.random_elements("euclid", rng, 6))
+    A, c = groups.random_elements("euclid", rng, 6).data
     act = induced.EuclidAction(2.0)
     for f, tol in [(induced.delta_section(np.array([[0.0, 0.0, 1.0]])), 1e-14),
                    (induced.constant_section(8, 16), 0.0)]:

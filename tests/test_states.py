@@ -161,7 +161,7 @@ def test_support_draws_land_on_the_modulus_one_set(kind):
     params = dict(BUILTIN)[kind]
     st = _mk(kind, params)
     samples = states.support_samples(st, np.random.default_rng(7), 400)[::2]
-    got = np.abs(states.evaluate_many(st, samples))
+    got = np.abs(states.evaluate(st, samples))
     want = np.ones(len(samples))
     if kind == "euclid_cylindrical":
         want = np.abs(j0(params["k"] * np.hypot(*np.array(
@@ -190,6 +190,25 @@ def test_support_samples_draw_one_generic_stack(kind, params, monkeypatch):
         assert len(gs) == count and all(g.family == st.family for g in gs)
         has_draw = states.KINDS[kind].draw is not None
         assert calls == [count // 2 if has_draw else count]
+
+
+@pytest.mark.parametrize("kind", [
+    kind for kind, _ in BUILTIN if states.KINDS[kind].draw is not None])
+def test_support_samples_are_one_indexable_stack(kind):
+    st = _mk(kind, dict(BUILTIN)[kind])
+    gs = states.support_samples(st, np.random.default_rng(9), 11)
+    assert isinstance(gs, groups.GroupElement) and gs.family == st.family
+    assert len(gs) == 11
+    for i in range(11):
+        if st.family == "euclid":
+            assert np.array_equal(gs[i].data[0], gs.data[0][i])
+            assert np.array_equal(gs[i].data[1], gs.data[1][i])
+        else:
+            assert np.array_equal(gs[i].data, gs.data[i])
+    with pytest.raises(TypeError):
+        len(gs[0])
+    with pytest.raises(TypeError):
+        gs[0][0]
 
 
 def test_su2_highest_weight_values():
@@ -223,8 +242,9 @@ def test_hermitian_symmetry_and_bound(kind, params):
     st = _mk(kind, params)
     rng = np.random.default_rng(3)
     gs = groups.random_elements(st.family, rng, 80)
-    vals = states.evaluate_many(st, gs)
-    inv_vals = states.evaluate_many(st, [groups.inverse(g) for g in gs])
+    vals = states.evaluate(st, gs)
+    inv_vals = states.evaluate(st, groups.stack(
+        st.family, [groups.inverse(g) for g in gs]))
     assert np.max(np.abs(inv_vals - np.conj(vals))) < 1e-12
     assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
@@ -235,7 +255,7 @@ def test_gram_entries_match_scalar_route(kind, params):
     rng = np.random.default_rng(4)
     gs = list(groups.random_elements(st.family, rng, 6)) \
         + list(states.support_samples(st, np.random.default_rng(5), 6))
-    gm = states.gram(st, gs)
+    gm = states.gram(st, groups.stack(st.family, gs))
     n = len(gs)
     for i in range(n):
         for jj in range(n):
@@ -310,9 +330,9 @@ def test_euclid_plane_character_on_subgroup():
 def test_inequalities_hold(kind, params):
     st = _mk(kind, params)
     rng = np.random.default_rng(21)
-    gs = list(states.support_samples(st, rng, 200))
-    hs = list(states.support_samples(st, rng, 200))
-    out = states.check_inequalities(st, list(zip(gs, hs)))
+    gs = states.support_samples(st, rng, 200)
+    hs = states.support_samples(st, rng, 200)
+    out = states.check_inequalities(st, gs, hs)
     assert out["pass"], (kind, out)
     assert out["worst_margin"] <= 1e-12
 
@@ -339,10 +359,12 @@ def test_krein_margin_holds_for_near_coincident_pairs():
     st = _mk("heisenberg_center", dict())
     rng = np.random.default_rng(31)
     for d in (1e-5, 3e-6, 1e-7):
-        pairs = [(groups.heisenberg(a, 0.0, 0.0),
-                  groups.heisenberg(a + d, 0.0, 0.0))
-                 for a in rng.uniform(-3, 3, 200)]
-        out = states.check_inequalities(st, pairs)
+        a_s = rng.uniform(-3, 3, 200)
+        gs = groups.stack("heisenberg", [groups.heisenberg(a, 0.0, 0.0)
+                                         for a in a_s])
+        hs = groups.stack("heisenberg", [groups.heisenberg(a + d, 0.0, 0.0)
+                                         for a in a_s])
+        out = states.check_inequalities(st, gs, hs)
         assert out["pass"], (d, out)
         assert out["krein_margin"] < 1e-15
 
@@ -354,7 +376,7 @@ def test_inequalities_reject_overscaled_function():
     rng = np.random.default_rng(22)
     gs = groups.random_elements("heisenberg", rng, 50)
     hs = groups.random_elements("heisenberg", rng, 50)
-    out = states.check_inequalities(bad, list(zip(gs, hs)))
+    out = states.check_inequalities(bad, gs, hs)
     assert not out["pass"]
     assert out["herglotz_margin"] > 0.4
 
@@ -364,8 +386,9 @@ def test_check_psd_flags_indefinite_kernel():
     bad = states.make_state(
         "custom", family="heisenberg",
         evaluator=lambda g: 1.0 if abs(g.data[1]) < 1e-9 else -1.0)
-    samples = [groups.heisenberg(0, 0, 0), groups.heisenberg(0, 1, 0),
-               groups.heisenberg(0, 2, 0)]
+    samples = groups.stack("heisenberg", [groups.heisenberg(0, 0, 0),
+                                          groups.heisenberg(0, 1, 0),
+                                          groups.heisenberg(0, 2, 0)])
     gm = states.gram(bad, samples)
     assert not states.check_psd(gm)["pass"]
 
@@ -373,8 +396,8 @@ def test_check_psd_flags_indefinite_kernel():
 def test_modulus_one_probe_finds_subgroup():
     st = _mk("euclid_spherical", dict(k=2.0))
     rng = np.random.default_rng(23)
-    samples = [groups.identity("euclid")] \
-        + list(groups.random_elements("euclid", rng, 20))
+    samples = groups.stack("euclid", [groups.identity("euclid")]
+                           + list(groups.random_elements("euclid", rng, 20)))
     out = states.modulus_one_subgroup_probe(st, samples)
     assert out["pass"]
     assert 0 in out["inside"]
@@ -384,7 +407,7 @@ def test_modulus_one_probe_partitions_the_samples():
     st = _mk("heisenberg_loc_p", dict(k=1.3))
     samples = states.support_samples(st, np.random.default_rng(8), 301)
     out = states.modulus_one_subgroup_probe(st, samples)
-    vals = np.abs(states.evaluate_many(st, samples))
+    vals = np.abs(states.evaluate(st, samples))
     assert out["inside"] == [i for i, v in enumerate(vals)
                              if abs(v - 1.0) < DEFAULT.modulus_one]
     assert sorted(out["inside"] + out["outside"]) == list(range(301))
@@ -415,6 +438,7 @@ def test_parameter_validation():
 def test_gram_rejects_family_mismatch():
     st = _mk("heisenberg_loc_p", dict(k=1.0))
     with pytest.raises(groups.FamilyError):
-        states.gram(st, [groups.identity("euclid")])
+        states.gram(st, groups.stack("euclid", [groups.identity("euclid")]))
     with pytest.raises(ValueError):
-        states.gram(st, [])
+        states.gram(st, groups.random_elements(st.family,
+                                               np.random.default_rng(0), 0))
