@@ -4,7 +4,7 @@ Scenario files are JSON:
 
     {
       "version": "1",
-      "task": "verify",              one of the task enum below
+      "task": "verify",              one of the tasks in COMMANDS below
       "state": {"kind": "...", "params": {...}},
       "seed": 7,
       "params": {...task-specific knobs...}
@@ -13,8 +13,8 @@ Scenario files are JSON:
 Reports are JSON written atomically (temp file + rename) with sorted keys
 and no timestamps, so identical scenario + seed gives byte-identical
 output.  Exit code 0 = all checks passed, 1 = a check failed (report still
-written), 2 = input error (malformed JSON, schema violation, unknown
-target).  Schema errors carry JSON-pointer paths.
+written), 2 = input error (malformed JSON, a missing, unexpected or
+ill-typed key, unknown target).  Input errors carry JSON-pointer paths.
 """
 
 import argparse
@@ -24,41 +24,14 @@ import math
 import os
 import sys
 
-import jsonschema
 import numpy as np
 
 from . import gns, groups, induced, orbits, spectral, states
 from .tolerances import DEFAULT
 
-TASKS = ("verify", "gram", "gns", "spectral", "orbit_project",
-         "quantum_check", "reproduce")
-REPRODUCE_TARGETS = ("heisenberg-table", "bargmann-states", "euclid-waves",
-                     "prequant-counterexample", "su2-weights")
 # independently computed high-resolution quadrature value for the standard
 # Gaussian mass outside [-1, 1]; frozen before the implementation was built
 PREQUANT_ORACLE = 0.296698016141580
-
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "required": ["version", "task", "seed"],
-    "additionalProperties": False,
-    "properties": {
-        "version": {"type": "string"},
-        "task": {"enum": list(TASKS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "state": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"type": "string"},
-                "params": {"type": "object"},
-            },
-        },
-        "out": {"type": "string"},
-        "params": {"type": "object"},
-    },
-}
 
 
 class CliInputError(ValueError):
@@ -66,12 +39,21 @@ class CliInputError(ValueError):
 
 
 def validate_scenario(doc):
-    try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as e:
-        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        raise CliInputError("%s: %s" % (pointer, e.message))
-    if doc["task"] != "reproduce" and "state" not in doc:
+    """Check a parsed scenario; a CliInputError names the pointer at fault."""
+    _object(doc, "", ("version", "task", "seed", "state", "out", "params"),
+            ("version", "task", "seed"))
+    _string(doc, "version")
+    _string(doc, "out")
+    if not isinstance(doc["task"], str) or doc["task"] not in _RUNNERS:
+        raise CliInputError("/task: must be one of %s, got %r"
+                            % (list(_RUNNERS), doc["task"]))
+    _count(doc, "seed", None, least=0, where="")
+    _object(doc.get("params", {}), "/params")
+    if "state" in doc:
+        _object(doc["state"], "/state", ("kind", "params"), ("kind",))
+        _string(doc["state"], "kind", "/state")
+        _object(doc["state"].get("params", {}), "/state/params")
+    elif doc["task"] != "reproduce":
         raise CliInputError("/state: required for task %r" % (doc["task"],))
     if doc["task"] == "reproduce":
         target = doc.get("params", {}).get("target")
@@ -89,13 +71,37 @@ def _build_state(state_doc):
         raise CliInputError("%s: %s" % (where, e))
 
 
-def _count(params, key, default, least=1):
-    """An integer task parameter of at least `least`."""
+def _object(value, where, allowed=None, required=()):
+    """`value` once it is a JSON object with every key of `required` and,
+    when `allowed` is given, no key outside it."""
+    if not isinstance(value, dict):
+        raise CliInputError("%s: must be an object, got %r"
+                            % (where or "/", value))
+    for key in required:
+        if key not in value:
+            raise CliInputError("%s/%s: required" % (where, key))
+    for key in value:
+        if allowed is not None and key not in allowed:
+            raise CliInputError("%s/%s: unexpected key" % (where, key))
+    return value
+
+
+def _string(doc, key, where=""):
+    """Check that `doc[key]`, if present, is a JSON string."""
+    if key in doc and not isinstance(doc[key], str):
+        raise CliInputError("%s/%s: must be a string, got %r"
+                            % (where, key, doc[key]))
+
+
+def _count(params, key, default, least=1, where="/params"):
+    """An integer parameter of at least `least`; 1.0 counts as 1."""
     value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or value != int(value) or value < least:
-        raise CliInputError("/params/%s: must be an integer >= %d, got %r"
-                            % (key, least, value))
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()) \
+            or value < least:
+        raise CliInputError("%s/%s: must be an integer >= %d, got %r"
+                            % (where, key, least, value))
     return int(value)
 
 
@@ -124,15 +130,18 @@ def _direction(family, coords, where, size=None):
         coords, where, size or groups.ALGEBRA_DIM.get(family)))
 
 
+# the keys of params.orbit that each family's G-orbit reads
+_ORBIT_KEYS = {"heisenberg": ("k", "l"), "bargmann": (), "euclid": ("k", "s"),
+               "su2": ("lam",), "torus": ("y",)}
+
+
 def _default_orbit(state, params):
-    orbit = params.get("orbit", {})
-    if not isinstance(orbit, dict):
-        raise CliInputError("/params/orbit: must be an object")
+    fam = state.family
+    orbit = _object(params.get("orbit", {}), "/params/orbit", _ORBIT_KEYS[fam])
 
     def value(key, default):
         return _number(orbit.get(key, default), "/params/orbit/" + key)
 
-    fam = state.family
     if fam == "heisenberg":
         return orbits.heisenberg_orbit(value("k", state.params.get("k", 1.0)),
                                        value("l", state.params.get("l", 0.0)))
@@ -147,12 +156,10 @@ def _default_orbit(state, params):
             raise CliInputError("/params/orbit/lam: must be >= 0, got %r"
                                 % (lam,))
         return orbits.su2_orbit(lam)
-    if fam == "torus":
-        y = orbit.get("y", [1.0])
-        return orbits.torus_orbit(_numbers(y, "/params/orbit/y")
-                                  if isinstance(y, list)
-                                  else _number(y, "/params/orbit/y"))
-    raise CliInputError("/state: unknown family %r" % (fam,))
+    y = orbit.get("y", [1.0])
+    return orbits.torus_orbit(_numbers(y, "/params/orbit/y")
+                              if isinstance(y, list)
+                              else _number(y, "/params/orbit/y"))
 
 
 def _concentration(target):
@@ -329,7 +336,7 @@ def _task_orbit(doc, seed):
         ["orbit-relations", "axis-projection-range"]
 
 
-def _task_quantum(doc, seed, budget):
+def _task_quantum(doc, seed):
     state = _build_state(doc["state"])
     p = doc.get("params", {})
     spec = _default_orbit(state, p)
@@ -337,7 +344,7 @@ def _task_quantum(doc, seed, budget):
         state, spec,
         trials=_count(p, "trials", 200),
         n_max=_count(p, "n_max", 3),
-        budget=budget if budget is not None else _count(p, "budget", 10000, 0),
+        budget=_count(p, "budget", 10000, 0),
         seed=seed)
     results = dict(report)
     return results, bool(report["pass"]), ["orbit-sup-inequality"]
@@ -490,6 +497,7 @@ _REPRODUCERS = {
     "prequant-counterexample": _reproduce_prequant,
     "su2-weights": _reproduce_su2_weights,
 }
+REPRODUCE_TARGETS = tuple(_REPRODUCERS)
 
 
 def _task_reproduce(doc, seed):
@@ -499,15 +507,17 @@ def _task_reproduce(doc, seed):
     return results, bool(all(matrix.values())), refs
 
 
-_RUNNERS = {
-    "verify": _task_verify,
-    "gram": _task_gram,
-    "gns": _task_gns,
-    "spectral": _task_spectral,
-    "orbit_project": _task_orbit,
-    "quantum_check": _task_quantum,
-    "reproduce": _task_reproduce,
+# each `states` subcommand: the scenario task it runs and that task's runner
+COMMANDS = {
+    "verify": ("verify", _task_verify),
+    "gram": ("gram", _task_gram),
+    "gns": ("gns", _task_gns),
+    "spectral": ("spectral", _task_spectral),
+    "orbit": ("orbit_project", _task_orbit),
+    "quantum": ("quantum_check", _task_quantum),
+    "reproduce": ("reproduce", _task_reproduce),
 }
+_RUNNERS = dict(COMMANDS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +535,9 @@ def _write_report(report, path):
     _atomic_write_bytes(path, payload)
 
 
-def emit_plotdata(report, outdir="."):
-    """CSV files for the figure-like parts of a report; returns paths."""
+def emit_plotdata(report, outdir=".", density=None, proj=None):
+    """CSV files for the figure-like parts of a report and for the density
+    and projection arrays it leaves out; returns paths."""
     os.makedirs(outdir, exist_ok=True)
     written = []
 
@@ -543,7 +554,6 @@ def emit_plotdata(report, outdir="."):
     results = report.get("results", {})
     if "atoms" in results:
         write_csv("atoms.csv", ["omega", "mass"], results["atoms"])
-    density = results.get("_density")
     if density is not None:
         write_csv("density.csv", ["omega", "density"],
                   np.column_stack(density).tolist())
@@ -552,7 +562,6 @@ def emit_plotdata(report, outdir="."):
         write_csv("margins_hist.csv", ["bin_lo", "bin_hi", "count"],
                   zip(edges[:-1].tolist(), edges[1:].tolist(),
                       counts.tolist()))
-    proj = results.get("_projections")
     if proj is not None:
         header = ["index"] + ["z%d" % (i + 1) for i in range(proj.shape[1])]
         rows = [[i] + row for i, row in
@@ -603,15 +612,16 @@ def run(scenario_path, seed=None, out=None, budget=None):
 
 def run_document(doc, seed=None, out=None, budget=None):
     """Execute one parsed scenario document; returns the process exit code.
-    `budget`, when given, overrides a quantum check's draw budget."""
+    `seed` and `budget`, when given, replace the scenario's seed and
+    params.budget, and are checked as they are."""
     try:
         validate_scenario(doc)
-        seed = int(doc["seed"]) if seed is None else seed
+        if budget is not None:
+            doc = dict(doc, params=dict(doc.get("params", {}), budget=budget))
+        seed = _count({"seed": doc["seed"] if seed is None else seed}, "seed",
+                      None, least=0, where="")
         outdir = out or doc.get("out", "reports")
-        runner = _RUNNERS[doc["task"]]
-        # only the quantum check has a budget to override
-        results, passed, refs = runner(doc, seed, budget) \
-            if runner is _task_quantum else runner(doc, seed)
+        results, passed, refs = _RUNNERS[doc["task"]](doc, seed)
     except CliInputError as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
@@ -632,13 +642,7 @@ def run_document(doc, seed=None, out=None, budget=None):
         report["state"] = doc["state"]
     os.makedirs(outdir, exist_ok=True)
     _write_report(report, os.path.join(outdir, "%s-report.json" % doc["task"]))
-    emit_report = dict(report)
-    emit_report["results"] = dict(report["results"])
-    if density is not None:
-        emit_report["results"]["_density"] = density
-    if projections is not None:
-        emit_report["results"]["_projections"] = projections
-    emit_plotdata(emit_report, outdir)
+    emit_plotdata(report, outdir, density, projections)
     return 0 if passed else 1
 
 
@@ -664,9 +668,7 @@ def main(argv=None):
         prog="states",
         description="localized-state construction and verification suite")
     sub = parser.add_subparsers(dest="command", required=True)
-    names = ("verify", "gram", "gns", "spectral", "orbit", "quantum",
-             "reproduce")
-    for name in names:
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--scenario", help="scenario JSON file")
         sp.add_argument("--seed", type=int, default=None)
@@ -677,18 +679,12 @@ def main(argv=None):
             sp.add_argument("target", nargs="?", choices=REPRODUCE_TARGETS)
     args = parser.parse_args(argv)
 
-    cmd_task = {"verify": "verify", "gram": "gram", "gns": "gns",
-                "spectral": "spectral", "orbit": "orbit_project",
-                "quantum": "quantum_check", "reproduce": "reproduce"}
-    expected = cmd_task[args.command]
-
     if args.command == "reproduce" and args.scenario is None:
         if args.target is None:
             print("input error: reproduce needs a target or --scenario",
                   file=sys.stderr)
             return 2
-        doc = {"version": "1", "task": "reproduce",
-               "seed": args.seed if args.seed is not None else 0,
+        doc = {"version": "1", "task": "reproduce", "seed": 0,
                "params": {"target": args.target}}
         return run_document(doc, seed=args.seed, out=args.out)
 
@@ -700,9 +696,10 @@ def main(argv=None):
     except CliInputError as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
-    if isinstance(doc, dict) and doc.get("task") not in (None, expected):
+    task = doc.get("task") if isinstance(doc, dict) else None
+    if task not in (None, COMMANDS[args.command][0]):
         print("input error: /task: scenario task %r does not match "
-              "subcommand %r" % (doc.get("task"), args.command),
+              "subcommand %r" % (task, args.command),
               file=sys.stderr)
         return 2
     return run_document(doc, seed=args.seed, out=args.out,

@@ -33,7 +33,6 @@ import numbers
 from collections import namedtuple
 
 import numpy as np
-from scipy.special import j0
 
 from . import groups
 from .tolerances import DEFAULT
@@ -153,6 +152,8 @@ def _plane(p, X):
 
 
 def _cylindrical(p, X):
+    # imported here: scipy.special adds 0.35 s to every CLI start-up
+    from scipy.special import j0
     A, c = X
     up, dn = _axis_cosets(A)
     bes = j0(p["k"] * np.sqrt(c[..., 0] ** 2 + c[..., 1] ** 2))

@@ -42,6 +42,21 @@ def test_validate_accepts_minimal_scenarios():
       "state": {"kind": "x"}}, "extra"),
     ({"version": "1", "task": "gram", "seed": -1,
       "state": {"kind": "x"}}, "/seed"),
+    ([], "/"),
+    ({"version": 1, "task": "gram", "seed": 0,
+      "state": {"kind": "x"}}, "/version"),
+    ({"version": "1", "task": "gram", "seed": True,
+      "state": {"kind": "x"}}, "/seed"),
+    ({"version": "1", "task": "gram", "seed": 0, "out": 5,
+      "state": {"kind": "x"}}, "/out"),
+    ({"version": "1", "task": "gram", "seed": 0, "params": [],
+      "state": {"kind": "x"}}, "/params"),
+    ({"version": "1", "task": "gram", "seed": 0,
+      "state": {"kind": "x", "params": []}}, "/state/params"),
+    ({"version": "1", "task": "gram", "seed": 0,
+      "state": {"params": {}}}, "kind"),
+    ({"version": "1", "task": "gram", "seed": 0,
+      "state": {"kind": "x", "extra": 1}}, "extra"),
 ])
 def test_validate_rejects_with_pointer_paths(doc, needle):
     with pytest.raises(cli.CliInputError) as err:
@@ -96,6 +111,21 @@ def test_seed_and_budget_overrides(tmp_path):
     assert rep["seed"] == 7
     assert rep["results"]["budget"] == 500
     assert rep["results"]["worst_margin"] >= -1e-6
+
+
+@pytest.mark.parametrize("flag,pointer", [("--budget", "/params/budget"),
+                                          ("--seed", "/seed")])
+def test_overrides_are_checked_like_the_scenario_values(tmp_path, capsys,
+                                                        flag, pointer):
+    path = _write(tmp_path, {
+        "version": "1", "task": "quantum_check", "seed": 0,
+        "state": {"kind": "heisenberg_loc_p", "params": {"k": 1.0}},
+        "params": {"trials": 10, "budget": 500}})
+    out = str(tmp_path / "rep")
+    assert cli.main(["quantum", flag, "-5", "--scenario", path,
+                     "--out", out]) == 2
+    assert pointer in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_gram_gns_and_orbit_tasks(tmp_path):
@@ -226,6 +256,11 @@ def test_bad_input_exits_two(tmp_path, payload):
      "orbit_project"),
     ('{"kind": "su2_highest_weight"}, "params": {"orbit": {"lam": -1}}',
      "/params/orbit/lam", "quantum_check"),
+    ('{"kind": "su2_highest_weight", "params": {"j": 1.5}}, '
+     '"params": {"orbit": {"lamda": 0.5}}', "/params/orbit/lamda",
+     "quantum_check"),
+    ('{"kind": "bargmann_loc_q", "params": {"l": 0.8}}, '
+     '"params": {"orbit": {"k": 1.0}}', "/params/orbit/k", "quantum_check"),
 ])
 def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
                                                     pointer, task):
@@ -242,7 +277,7 @@ def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
 
 
 def test_integral_float_seed_runs_as_its_integer(tmp_path):
-    # the schema's "integer" admits 1.0; the run is the seed-1 run
+    # an integral float is an integer seed; the run is the seed-1 run
     reports = []
     for seed in ("1", "1.0"):
         path = tmp_path / ("seed%s.json" % seed)
@@ -281,11 +316,11 @@ def test_spectral_without_direction_exits_two(tmp_path):
 
 
 def test_cli_import_leaves_quadrature_and_optimizer_unloaded():
-    # spectral imports them where they are used: at module level they add
-    # about 0.1 s to every start-up of the command
+    # spectral and states import scipy where they use it: at module level it
+    # adds 0.1-0.4 s to every start-up of the command
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys, orbitstates.cli; print([m for m in "
-            "('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    code = ("import sys, orbitstates.cli; print([m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'jsonschema')])")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
