@@ -140,7 +140,12 @@ def _default_orbit(state, params):
     orbit = _object(params.get("orbit", {}), "/params/orbit", _ORBIT_KEYS[fam])
 
     def value(key, default):
-        return _number(orbit.get(key, default), "/params/orbit/" + key)
+        v = _number(orbit.get(key, default), "/params/orbit/" + key)
+        # the radius of a Euclid orbit and the weight of an SU(2) sphere
+        if (fam, key) in (("euclid", "k"), ("su2", "lam")) and v < 0:
+            raise CliInputError("/params/orbit/%s: must be >= 0, got %r"
+                                % (key, v))
+        return v
 
     if fam == "heisenberg":
         return orbits.heisenberg_orbit(value("k", state.params.get("k", 1.0)),
@@ -151,11 +156,7 @@ def _default_orbit(state, params):
         return orbits.euclid_orbit(value("k", state.params.get("k", 1.0)),
                                    value("s", state.params.get("s", 0.0)))
     if fam == "su2":
-        lam = value("lam", state.params.get("j", 0.5))
-        if lam < 0:
-            raise CliInputError("/params/orbit/lam: must be >= 0, got %r"
-                                % (lam,))
-        return orbits.su2_orbit(lam)
+        return orbits.su2_orbit(value("lam", state.params.get("j", 0.5)))
     y = orbit.get("y", [1.0])
     return orbits.torus_orbit(_numbers(y, "/params/orbit/y")
                               if isinstance(y, list)
@@ -235,13 +236,10 @@ def _task_gns(doc, seed):
                             % (list(gns.CLOSED_KINDS), state.kind))
     samples, probes = gns.closed_sample_set(state, _count(p, "n", 16), seed)
     space = gns.build(state, samples)
-    worst_res, worst_rec = 0.0, 0.0
-    for g in probes:
-        _, res = gns.rep_matrix(space, g)
-        worst_res = max(worst_res, res)
-        worst_rec = max(worst_rec,
-                        abs(gns.coefficient(space, g)
-                            - states.evaluate(state, g)))
+    R, residuals = gns.rep_matrix(space, probes)
+    worst_res = float(np.max(residuals))
+    worst_rec = _max_modulus(gns.cyclic_coefficient(space, R)
+                             - states.evaluate(state, probes))
     rng = np.random.default_rng(seed)
     vs = rng.standard_normal((3, len(samples))) \
         + 1j * rng.standard_normal((3, len(samples)))
@@ -252,8 +250,8 @@ def _task_gns(doc, seed):
         "rank": space.rank,
         "samples": len(samples),
         "probes": len(probes),
-        "worst_unitarity_residual": float(worst_res),
-        "worst_recovery_error": float(worst_rec),
+        "worst_unitarity_residual": worst_res,
+        "worst_recovery_error": worst_rec,
         "reproducing_defect": repro,
         "pass": ok,
     }

@@ -28,25 +28,24 @@ class ResidualError(ValueError):
 
 
 class GnsSpace:
-    __slots__ = ("state", "samples", "gram", "rank", "basis", "cyclic", "tol")
+    __slots__ = ("state", "samples", "gram", "rank", "basis", "cyclic")
 
-    def __init__(self, state, samples, gram, rank, basis, cyclic, tol):
+    def __init__(self, state, samples, gram, rank, basis, cyclic):
         self.state = state
         self.samples = samples
         self.gram = gram
         self.rank = rank
         self.basis = basis      # n x r, columns = coefficient vectors
         self.cyclic = cyclic    # coordinates of m_e in the basis
-        self.tol = tol
 
 
 def build(state, samples, tol=None):
     """Quotient the Gram form of a sample stack at eigenvalue cut tol * n."""
     tol = DEFAULT.quotient_scale if tol is None else tol
-    e = samples[0]
-    coords = [np.concatenate([np.ravel(x) for x in g.data])
-              for g in (e, groups.identity(e.family, len(e.data)))]
-    if not np.abs(coords[0] - coords[1]).max() < 1e-12:
+    fam, s0 = samples.family, groups.map_coords(lambda x: x[0], samples.data)
+    e = groups.exp_coords(fam, np.zeros(groups.ALGEBRA_DIM.get(fam, len(s0))))
+    off = groups.map_coords(lambda x, y: np.abs(x - y).max(), s0, e)
+    if not np.max(off) < 1e-12:
         raise ValueError("samples[0] must be the identity")
 
     gm = states.gram(state, samples)
@@ -60,27 +59,36 @@ def build(state, samples, tol=None):
     r = int(np.sum(keep))
     basis = vecs[:, keep] / np.sqrt(vals[keep])
     cyclic = basis.conj().T @ gm.entries[:, 0]
-    return GnsSpace(state, samples, gm, r, basis, cyclic, tol)
+    return GnsSpace(state, samples, gm, r, basis, cyclic)
 
 
 def rep_matrix(space, g):
-    """(R_g, residual): projected action matrix and its defect.
+    """(R_g, residual): projected action matrix and its defect, for an
+    element or a stack g of leading shape L: R of shape L + (r, r) and the
+    residuals of shape L.
 
     residual = max over columns j of  1 - |R_g[:, j]|^2, the squared-norm
     deficit of projecting the transported basis back onto the span.
     """
     S = space.samples.data
-    Mg = states.pair_eval(space.state, S, groups.compose_coords(
-        space.state.family, g.data, S), grid=True)
+    lead = len(groups.lead_shape(g.data))
+    gS = groups.compose_coords(space.state.family,
+                               groups.expand_coords(g.data, lead), S)
+    Mg = states.pair_eval(space.state, groups.expand_coords(S, 1),
+                          groups.expand_coords(gS, lead))
     R = space.basis.conj().T @ Mg @ space.basis
-    deficit = 1.0 - np.sum(np.abs(R) ** 2, axis=0)
-    return R, float(max(0.0, np.max(deficit)))
+    deficit = 1.0 - np.sum(np.abs(R) ** 2, axis=-2)
+    return R, np.maximum(0.0, np.max(deficit, axis=-1))
+
+
+def cyclic_coefficient(space, R):
+    """<m_e, R m_e> for projected action matrices R of shape L + (r, r)."""
+    return (R @ space.cyclic) @ space.cyclic.conj()
 
 
 def coefficient(space, g):
-    """<m_e, pi(g) m_e> in the quotient basis."""
-    R, _ = rep_matrix(space, g)
-    return complex(space.cyclic.conj() @ (R @ space.cyclic))
+    """<m_e, pi(g) m_e> in the quotient basis, over an element or a stack."""
+    return cyclic_coefficient(space, rep_matrix(space, g)[0])
 
 
 def reproducing_check(space, cs, fs=None, seed=0):
@@ -92,12 +100,10 @@ def reproducing_check(space, cs, fs=None, seed=0):
     K = space.gram.entries
     B = space.basis
     rng = np.random.default_rng(seed)
+    n = len(space.samples)
     if fs is None:
-        fs = []
-        for _ in cs:
-            v = rng.standard_normal(len(space.samples)) \
-                + 1j * rng.standard_normal(len(space.samples))
-            fs.append(v / np.linalg.norm(v))
+        fs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in cs]
+        fs = [v / np.linalg.norm(v) for v in fs]
     worst = 0.0
     for c, a in zip(cs, fs):
         c = np.asarray(c, dtype=complex)
@@ -108,89 +114,82 @@ def reproducing_check(space, cs, fs=None, seed=0):
     return worst
 
 
+def _acting(space, gs, residual_tol, what):
+    """rep_matrix over the stack gs, once every residual is within tol."""
+    residual_tol = DEFAULT.residual if residual_tol is None else residual_tol
+    R, res = rep_matrix(space, gs)
+    if np.max(res) > residual_tol:
+        raise ResidualError("%s residual %.3g exceeds %.3g"
+                            % (what, np.max(res), residual_tol))
+    return R
+
+
 def commutant_dim(space, generators, svd_tol=None, residual_tol=None):
-    """Dimension of {X : X R_g = R_g X for all generators}.
+    """Dimension of {X : X R_g = R_g X for all g in the generator stack}.
 
     Null space of the stacked commutator operator, counted at the given
     singular-value cut.  Generators must act with negligible residual --
     the commutant of a lossy projection is meaningless.
     """
     svd_tol = DEFAULT.commutant_svd if svd_tol is None else svd_tol
-    residual_tol = DEFAULT.residual if residual_tol is None else residual_tol
-    r = space.rank
-    blocks = []
-    for g in generators:
-        R, res = rep_matrix(space, g)
-        if res > residual_tol:
-            raise ResidualError(
-                "generator residual %.3g exceeds %.3g" % (res, residual_tol))
-        eye = np.eye(r)
-        # row-major vec: kron(A, B) vec(X) = vec(A X B^T)
-        blocks.append(np.kron(R, eye) - np.kron(eye, R.T))
-    L = np.vstack(blocks)
+    eye = np.eye(space.rank)
+    # row-major vec: kron(A, B) vec(X) = vec(A X B^T)
+    L = np.vstack([np.kron(R, eye) - np.kron(eye, R.T) for R in
+                   _acting(space, generators, residual_tol, "generator")])
     sv = np.linalg.svd(L, compute_uv=False)
     cut = svd_tol * max(1.0, sv[0] if len(sv) else 1.0)
-    return int(r * r - np.sum(sv > cut))
+    return int(space.rank ** 2 - np.sum(sv > cut))
 
 
 def eigenvector_check(space, subgroup_samples, character_values,
                       residual_tol=None):
-    """Max of |pi(h) m_e - chi(h) m_e| over the subgroup samples."""
-    residual_tol = DEFAULT.residual if residual_tol is None else residual_tol
-    worst = 0.0
-    for h, chi in zip(subgroup_samples, character_values):
-        R, res = rep_matrix(space, h)
-        if res > residual_tol:
-            raise ResidualError(
-                "subgroup element residual %.3g exceeds %.3g" % (res, residual_tol))
-        defect = np.linalg.norm(R @ space.cyclic - chi * space.cyclic)
-        worst = max(worst, float(defect))
-    return worst
+    """Max of |pi(h) m_e - chi(h) m_e| over a stack of subgroup samples."""
+    R = _acting(space, subgroup_samples, residual_tol, "subgroup element")
+    chi = np.asarray(character_values)[..., None]
+    defect = np.linalg.norm(R @ space.cyclic - chi * space.cyclic, axis=-1)
+    return float(np.max(defect))
 
 
 # the kinds closed_sample_set builds a set for
 CLOSED_KINDS = ("heisenberg_loc_p", "heisenberg_loc_q", "euclid_plane",
                 "su2_highest_weight")
 
-
 def closed_sample_set(state, n=16, seed=0):
     """Sample stack (identity first) on which the finite representation is
-    exactly isometric, plus probe elements that stay inside the closure.
+    exactly isometric, plus a probe stack that stays inside the closure.
 
-    For the delta-type states the set is built from coset representatives
-    of the modulus-one subgroup, so the Gram matrix is the identity and
+    For the delta-type states the samples are coset representatives of the
+    modulus-one subgroup H: they vary only the coordinate that H's pivots
+    miss, so the Gram matrix is the identity, and the probes lie in H, so
     every probe acts as a unitary (permutation times phases).  For the spin
     states the set is the quaternion subgroup {+-1, +-i, +-j, +-k}, closed
     under multiplication."""
+    if state.kind not in CLOSED_KINDS:
+        raise ValueError("no closed set construction for %r" % (state.kind,))
     rng = np.random.default_rng(seed)
-    kind = state.kind
-    if kind == "heisenberg_loc_p":
-        bs = np.concatenate([[0.0], rng.uniform(-3, 3, n - 1)])
-        samples = [groups.heisenberg(0.0, b, 0.0) for b in bs]
-        probes = [groups.heisenberg(u[0], 0.0, u[1])
-                  for u in rng.uniform(-3, 3, (8, 2))]
-        return groups.stack(state.family, samples), probes
-    if kind == "heisenberg_loc_q":
-        cs = np.concatenate([[0.0], rng.uniform(-3, 3, n - 1)])
-        samples = [groups.heisenberg(0.0, 0.0, c) for c in cs]
-        probes = [groups.heisenberg(u[0], u[1], 0.0)
-                  for u in rng.uniform(-3, 3, (8, 2))]
-        return groups.stack(state.family, samples), probes
-    if kind == "euclid_plane":
-        # the rotation by 2 pi / n about (1, 1, 1)
+    if state.kind == "su2_highest_weight":
+        X = np.array([(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0),
+                      (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 0),
+                      (0, 0, 0, 1), (0, 0, 0, -1)], dtype=float)
+        probes = X[1:]
+    elif state.kind == "euclid_plane":
+        # the rotation by 2 pi / n about (1, 1, 1), and its powers as
+        # chained products, re-orthonormalized as groups.compose does
         axis = np.full(3, 2.0 * np.pi / (n * np.sqrt(3.0)))
-        rot = groups.exp(groups.algebra("euclid",
-                                        np.concatenate([axis, np.zeros(3)])))
-        samples = [groups.identity("euclid")]
-        for _ in range(n - 1):
-            samples.append(groups.compose(samples[-1], rot))
-        probes = [rot]
-        probes += [groups.euclid(np.eye(3), c)
-                   for c in rng.uniform(-3, 3, (7, 3))]
-        return groups.stack(state.family, samples), probes
-    if kind == "su2_highest_weight":
-        quats = [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
-                 (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]
-        samples = [groups.su2(*q) for q in quats]
-        return groups.stack("su2", samples), samples[1:]
-    raise ValueError("no closed set construction for %r" % (kind,))
+        R = groups.exp_coords("euclid", np.concatenate([axis, np.zeros(3)]))[0]
+        A = [np.eye(3)]
+        for k in range(1, n):
+            A.append(A[-1] @ R)
+            if k % groups.RENORM_EVERY == 0:
+                A[-1] = groups.orthonormalize(A[-1])
+        X = (np.array(A), np.zeros((n, 3)))
+        probes = (np.concatenate([[R], np.broadcast_to(np.eye(3), (7, 3, 3))]),
+                  np.concatenate([np.zeros((1, 3)), rng.uniform(-3, 3, (7, 3))]))
+    else:
+        H, pivots = state.localization["H"], state.localization["pivots"]
+        X = np.zeros((n, 3))
+        X[:, np.setdiff1d(np.arange(3), pivots)[0]] = np.concatenate(
+            [[0.0], rng.uniform(-3, 3, n - 1)])
+        probes = rng.uniform(-3, 3, (8, len(H))) @ H + 0.0
+    return (groups.from_coords(state.family, X),
+            groups.from_coords(state.family, probes))

@@ -158,8 +158,8 @@ def covector(family, coords):
     return CoadjointVector(family, coords)
 
 
-def _orthonormalize(A):
-    # nearest rotation (polar factor) of each block of a (..., 3, 3) stack
+def orthonormalize(A):
+    """Nearest rotation (polar factor) of each block of a (..., 3, 3) stack."""
     u, _, vt = np.linalg.svd(A)
     u[..., -1] *= np.where(np.linalg.det(u @ vt) < 0, -1.0, 1.0)[..., None]
     return u @ vt
@@ -184,6 +184,12 @@ def map_coords(fn, *stacks):
     if isinstance(stacks[0], tuple):
         return tuple(map(fn, *stacks))
     return fn(*stacks)
+
+
+def expand_coords(X, axis):
+    """Coordinate stack X with a new broadcast axis at leading position
+    `axis`, in front of the coordinates."""
+    return map_coords(lambda x: np.expand_dims(x, axis), X)
 
 
 def from_coords(family, X):
@@ -349,7 +355,7 @@ def compose(g, h):
     if f == "euclid":
         age = max(g._age, h._age) + 1
         if age >= RENORM_EVERY:
-            return GroupElement(f, (_orthonormalize(data[0]), data[1]))
+            return GroupElement(f, (orthonormalize(data[0]), data[1]))
         return GroupElement(f, data, _age=age)
     return GroupElement(f, data)
 

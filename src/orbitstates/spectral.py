@@ -16,7 +16,7 @@ atom spacing, which zeroes the discrete leakage identically.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class SpectralEstimate:
     N: int
     zero_value: complex = 1.0 + 0.0j
     imag_residue: float = 0.0
-    atom_complex: list = field(default_factory=list)
 
 
 def _midpoints(T, N):
@@ -159,8 +158,7 @@ def density_estimate(state, Z, T=None, N=2 ** 14):
     return SpectralEstimate(
         atoms=atoms, density=density, classification=cls,
         total_mass_accounted=float(total), leakage=1.0 / T, T=T, N=N,
-        zero_value=zero_value, imag_residue=float(imag_residue),
-        atom_complex=atoms_c)
+        zero_value=zero_value, imag_residue=float(imag_residue))
 
 
 EDGE_TRIM = 2   # the Hann kernel's main-lobe half-width 2 pi / T, in lattice steps
@@ -191,23 +189,26 @@ def concentration_check(estimate, target, eps=None):
     """
     eps = DEFAULT.freq_eps if eps is None else eps
 
-    def dist(om):
+    def far(oms):
+        """Which of the frequencies oms lie more than eps from the target."""
+        oms = np.asarray(oms, dtype=float)
         if target["type"] == "interval":
             lo, hi = target["bounds"]
-            return max(lo - om, om - hi, 0.0)
-        if target["type"] == "point":
-            return abs(om - target["value"])
-        if target["type"] == "finite":
-            return min(abs(om - v) for v in target["values"])
-        raise ValueError("unknown target type %r" % (target["type"],))
+            dist = np.maximum(np.maximum(lo - oms, oms - hi), 0.0)
+        elif target["type"] == "point":
+            dist = np.abs(oms - target["value"])
+        elif target["type"] == "finite":
+            dist = np.min(np.abs(np.subtract.outer(oms, target["values"])), 1)
+        else:
+            raise ValueError("unknown target type %r" % (target["type"],))
+        return dist > eps
 
-    outside = 0.0
-    for om, mass in estimate.atoms:
-        if dist(om) > eps:
-            outside += max(mass, 0.0)
+    outside = sum(max(mass, 0.0) for (_, mass), out in
+                  zip(estimate.atoms, far([om for om, _ in estimate.atoms]))
+                  if out)
     if estimate.density is not None:
         omegas, dens = estimate.density
-        mask = np.array([dist(om) > eps for om in omegas])
+        mask = far(omegas)
         if np.any(mask):
             contrib = np.clip(dens, 0.0, None) * mask
             outside += float(np.trapezoid(contrib, omegas))

@@ -130,11 +130,6 @@ def _on_axis(flip):
 # ---------------------------------------------------------------------------
 # closed forms on coordinate stacks (GroupElement.data and the array law)
 
-def _axis(X, axis):
-    """A stack with a new broadcast axis in front of the coordinates."""
-    return groups.map_coords(lambda x: np.expand_dims(x, axis), X)
-
-
 def _axis_cosets(A):
     """The masks of A e3 = e3 and A e3 = -e3: the third column of A is
     (0, 0, +-1)."""
@@ -300,7 +295,7 @@ def pair_eval(state, X, Y, grid=False):
     fam = state.family
     Xi = groups.inverse_coords(fam, X)
     if grid:
-        Xi, Y = _axis(Xi, 1), _axis(Y, 0)
+        Xi, Y = groups.expand_coords(Xi, 1), groups.expand_coords(Y, 0)
     return np.asarray(_eval_pack(state, groups.compose_coords(fam, Xi, Y)))
 
 

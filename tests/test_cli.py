@@ -256,6 +256,11 @@ def test_bad_input_exits_two(tmp_path, payload):
      "orbit_project"),
     ('{"kind": "su2_highest_weight"}, "params": {"orbit": {"lam": -1}}',
      "/params/orbit/lam", "quantum_check"),
+    ('{"kind": "euclid_plane", "params": {"k": 2, "s": 1}}, '
+     '"params": {"orbit": {"k": -2, "s": 1}}', "/params/orbit/k",
+     "quantum_check"),
+    ('{"kind": "euclid_plane"}, "params": {"orbit": {"k": -2}}',
+     "/params/orbit/k", "orbit_project"),
     ('{"kind": "su2_highest_weight", "params": {"j": 1.5}}, '
      '"params": {"orbit": {"lamda": 0.5}}', "/params/orbit/lamda",
      "quantum_check"),

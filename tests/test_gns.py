@@ -48,6 +48,24 @@ def test_probe_actions_are_isometric(kind, params):
 
 
 @pytest.mark.parametrize("kind,params", CLOSED)
+def test_rep_matrix_on_a_stack_matches_each_element(kind, params):
+    st, space, probes = _space(kind, params)
+    # the first six probes as a (2, 3) stack
+    gs = groups.GroupElement(st.family, groups.map_coords(
+        lambda x: x[:6].reshape((2, 3) + x.shape[1:]), probes.data))
+    R, residuals = gns.rep_matrix(space, gs)
+    coefficients = gns.coefficient(space, gs)
+    assert R.shape == (2, 3, space.rank, space.rank)
+    assert residuals.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            Rij, res = gns.rep_matrix(space, gs[i][j])
+            assert np.array_equal(R[i, j], Rij)
+            assert residuals[i, j] == res
+            assert coefficients[i, j] == gns.coefficient(space, gs[i][j])
+
+
+@pytest.mark.parametrize("kind,params", CLOSED)
 def test_probe_homomorphism(kind, params):
     st, space, probes = _space(kind, params)
     rng = np.random.default_rng(2)
@@ -86,8 +104,9 @@ def test_reproducing_identity(kind, params):
 
 def test_loc_p_translations_act_as_characters_on_cyclic_vector():
     st, space, probes = _space("heisenberg_loc_p", dict(k=1.3))
-    hs = [groups.heisenberg(a, 0.0, c)
-          for a, c in np.random.default_rng(5).uniform(-3, 3, (10, 2))]
+    hs = groups.stack("heisenberg", [
+        groups.heisenberg(a, 0.0, c)
+        for a, c in np.random.default_rng(5).uniform(-3, 3, (10, 2))])
     chi = [np.exp(1j * (1.3 * h.data[2] - h.data[0])) for h in hs]
     assert gns.eigenvector_check(space, hs, chi) < 1e-9
 
@@ -109,7 +128,7 @@ def test_commutant_rejects_lossy_generators():
     # a b-translation off the sampled lattice escapes the span entirely
     bad = groups.heisenberg(0.0, 10.5, 0.0)
     with pytest.raises(gns.ResidualError):
-        gns.commutant_dim(space, [bad])
+        gns.commutant_dim(space, groups.stack("heisenberg", [bad]))
 
 
 # ---------------------------------------------------------------------------
