@@ -69,14 +69,23 @@ def rep_matrix(space, g):
 
     residual = max over columns j of  1 - |R_g[:, j]|^2, the squared-norm
     deficit of projecting the transported basis back onto the span.
+
+    A stack is transported one element at a time, so a call holds one
+    n x n table M_g whatever the stack's length.
     """
     S = space.samples.data
-    lead = len(groups.lead_shape(g.data))
-    gS = groups.compose_coords(space.state.family,
-                               groups.expand_coords(g.data, lead), S)
-    Mg = states.pair_eval(space.state, groups.expand_coords(S, 1),
-                          groups.expand_coords(gS, lead))
-    R = space.basis.conj().T @ Mg @ space.basis
+    lead = groups.lead_shape(g.data)
+    flat = groups.map_coords(
+        lambda x: x.reshape((-1,) + x.shape[len(lead):]), g.data)
+    R = np.empty((int(np.prod(lead)), space.rank, space.rank), dtype=complex)
+    for i in range(len(R)):
+        gS = groups.compose_coords(space.state.family,
+                                   groups.map_coords(lambda x: x[i:i + 1],
+                                                     flat), S)
+        Mg = states.pair_eval(space.state, groups.expand_coords(S, 1),
+                              groups.expand_coords(gS, 0))
+        R[i] = space.basis.conj().T @ Mg @ space.basis
+    R = R.reshape(lead + R.shape[1:])
     deficit = 1.0 - np.sum(np.abs(R) ** 2, axis=-2)
     return R, np.maximum(0.0, np.max(deficit, axis=-1))
 

@@ -3,10 +3,13 @@ sup-inequality check run as a numerical optimization.
 
 The check asks, for commuting tuples (Z_1..Z_n) and coefficients c_j,
 whether |sum_j c_j m(exp Z_j)| stays below sup over orbit points x of
-|sum_j c_j e^{i<x, Z_j>}|.  The searched sup UNDERestimates the true sup,
-so a pass is certified (the left side stays below a value the orbit
-attains), while a reported failure is not: a finer search might still find
-a larger value on the orbit.
+|sum_j c_j e^{i<x, Z_j>}|.  The search brackets that sup between a lower
+bound (values the orbit attains) and a certified upper bound, so both
+verdicts can be certified: a pass when the left side stays below the lower
+bound, a failure when the upper bound lies below the left side by more
+than the check's slack.  A failure whose upper bound does not certify it
+rests on the search alone: a finer search might still find a larger value
+on the orbit.
 
 Commuting tuples are drawn from documented per-family whitelists rather
 than searched for generically:
@@ -50,7 +53,24 @@ test) after each one:
      chart from the best points.
 
 Every stage yields a true lower bound on the sup, so stopping once it
-reaches the target is sound, and without a target every stage runs.
+reaches the target is sound, and without a target every stage runs.  The
+upper bound is tightened from values the stages compute anyway:
+
+  1  sum_j |c_j| everywhere, and the value itself when it is exact;
+  2  on the line over R, sum over the (gamma, eps) classes of
+     |class sum of c_j e^{i off_j}|;
+  4  on the SU(2) interval, the grid maximum plus L lambda / (GRID_1D - 1),
+     with L = sum_j |c_j| |omega_j| the signal's Lipschitz constant.
+
+Each upper bound also carries ROUNDING * sum_j |c_j|, an allowance for the
+rounding of the values evaluated on the orbit: a phase of size Phi is
+evaluated to within a few ulps of Phi, so a value may exceed the exact sup
+by about 1e-16 Phi sum_j |c_j|, and the allowance covers phases up to about
+1e6 radians (the searched box reaches a few thousand).  Once the upper
+bound lies below the target by more than `eps`, the row is settled as
+refuted and stage 5 does not run.  The sphere and the strip get the
+triangle bound only.
+
 `budget` caps the draws of stage 5; re-running with a larger budget extends
 the same stream of draws, so the best drawn value never falls as the budget
 grows.  The estimate can: the ascents start from the best points found,
@@ -86,6 +106,7 @@ COARSE = 16          # stage 3 evaluates every COARSE-th point of a fixed grid
 DRAW_CHUNK = 8192    # stage 5 evaluates its draws this many at a time
 ASCENT_STEPS = 50
 ASCENT_RESTARTS = 8
+ROUNDING = 1e-9      # upper bounds add ROUNDING * sum_j |c_j| (see above)
 
 # the stage names of SupEstimate.stage (1-based) as quantum_check reports them
 STAGES = ("anchor", "class_bound", "coarse_grid", "full_grid", "search")
@@ -97,8 +118,9 @@ class SupEstimate:
     value: float
     samples: int         # orbit points evaluated, draws included
     ascent_steps: int
-    stage: int = 1       # the last stage run (the one that met any target)
+    stage: int = 1       # the last stage run (the one that settled the row)
     drawn: int = 0       # budgeted draws made (stage 5 only)
+    upper: float = math.inf   # certified upper bound on the sup
 
     def __float__(self):
         return float(self.value)
@@ -268,14 +290,24 @@ _CIRCLES = _frozen(_circles(CIRCLE))
 _STRIP = _frozen(_unit_strip())
 
 
-class _Bound:
-    """The running certified lower bound of one row of the sup search, from
-    stage 3 on (stages 1 and 2 run on the whole stack in _sup_rows)."""
-    __slots__ = ("target", "value", "samples", "steps", "stage", "drawn")
+def _refutes(upper, target, eps):
+    """Whether upper bounds on the sup lie below their targets by more than
+    eps; never for target inf, which means no early exit."""
+    return (upper < target - eps) & (target < np.inf)
 
-    def __init__(self, target, value, samples):
+
+class _Bound:
+    """The running certified bounds of one row of the sup search, from
+    stage 3 on (stages 1 and 2 run on the whole stack in _sup_rows)."""
+    __slots__ = ("target", "eps", "value", "upper", "slack", "samples",
+                 "steps", "stage", "drawn")
+
+    def __init__(self, target, eps, value, upper, slack, samples):
         self.target = target        # inf: no early exit
+        self.eps = eps
         self.value = value
+        self.upper = upper
+        self.slack = slack          # the rounding allowance of upper bounds
         self.samples = samples
         self.steps = self.drawn = 0
         self.stage = 2
@@ -294,6 +326,12 @@ class _Bound:
         """Close `stage`; True once the target is reached."""
         self.stage = stage
         return self.value >= self.target
+
+    def refuted(self, upper):
+        """Fold in an upper bound on the exact sup, plus the rounding
+        allowance; True once it lies below the target by more than eps."""
+        self.upper = min(self.upper, float(upper) + self.slack)
+        return _refutes(self.upper, self.target, self.eps)
 
 
 def _rest(n):
@@ -420,11 +458,17 @@ def _search(run, chart, X, vals, chunks):
 
 def _line_rest(run, cs, ga, ep, off, r, heights, interval, budget, seed):
     """Stages 3-5 on the line chart, p in [-r, r] when `interval` (the
-    SU(2) heights), else p over R, searched in [-r, r]."""
+    SU(2) heights), else p over R, searched in [-r, r].  On the interval
+    every point lies within r / (GRID_1D - 1) of the grid, so the grid
+    maximum plus that distance times the Lipschitz constant
+    sum_j |c_j| |ga_j| bounds the sup from above."""
     chart = _line_chart(cs, ga, ep, off, r if interval else np.inf)
     X = r * _LINE[:, None]
     vals = _grid_stages(run, X, chart.value)
     if vals is None or run.met(4):
+        return
+    if interval and run.refuted(
+            np.max(vals) + np.sum(np.abs(cs * ga)) * r / (GRID_1D - 1)):
         return
     H = heights[:, None]
     rng = np.random.default_rng(seed)
@@ -500,12 +544,13 @@ def _signal(phases, cs):
     return np.abs(_rsum(np.exp(1j * phases) * cs))
 
 
-def _class_bound(same, P):
-    """max_j |sum_k [k ~ j] P_k| over the last axis of P, where same[r, j]
-    marks the terms of row r in the class of term j: the sum of one class
-    is the full-length _rsum with the other terms zeroed."""
-    return np.max([np.abs(_rsum(np.where(same[:, j], P, 0.0)))
-                   for j in range(same.shape[-1])], axis=0)
+def _class_sums(same, P):
+    """|sum_k [k ~ j] P_k| over the last axis of P, stacked over the terms
+    j along a new leading axis, where same[r, j] marks the terms of row r
+    in the class of term j: the sum of one class is the full-length _rsum
+    with the other terms zeroed."""
+    return np.array([np.abs(_rsum(np.where(same[:, j], P, 0.0)))
+                     for j in range(same.shape[-1])])
 
 
 def _directions(ws):
@@ -517,15 +562,17 @@ def _directions(ws):
     return np.concatenate([u, -u], axis=-2), np.concatenate([ok, ok], axis=-1)
 
 
-def _sup_rows(spec, C, cs, n, anchors, target, budget, seeds, box):
+def _sup_rows(spec, C, cs, n, anchors, target, budget, seeds, box, eps):
     """The staged sup search on a stack of tuples.
 
     Row t is the tuple of algebra coordinates C[t, :n[t]] (C is
     (T, W, dim)) with coefficients cs[t, :n[t]] (cs is 0 on the padding),
-    searched against target[t] (inf: no early exit); anchors is an (A, dim)
-    stack of dual points, and seeds(t) seeds row t's stage-5 draws.
-    Stages 1 and 2 run on every row at once, stages 3-5 on each row they
-    leave unsettled.  Returns a SupEstimate of (T,) arrays."""
+    searched against target[t] (inf: no early exit): it is settled once its
+    lower bound reaches the target or its upper bound lies below
+    target[t] - eps.  anchors is an (A, dim) stack of dual points, and
+    seeds(t) seeds row t's stage-5 draws.  Stages 1 and 2 run on every row
+    at once, stages 3-5 on each row they leave unsettled.  Returns a
+    SupEstimate of (T,) arrays."""
     fam = spec.family
     T = len(cs)
     rows = np.arange(T)
@@ -534,6 +581,9 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, seeds, box):
     # stage 1: anchors, the SU(2) weight heights, and the exact value of
     # one-term tuples and of the tuples whose phases are constant
     value = np.where(n == 1, np.abs(cs[:, 0]), 0.0)
+    total = _rsum(np.abs(cs))
+    slack = ROUNDING * total
+    upper = total + slack
     samples = np.zeros(T, dtype=int)
 
     def points(sel, vals):
@@ -599,21 +649,27 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, seeds, box):
         phase = line[2] if line is not None else groups.pairing_coords(
             fam, np.asarray(spec.params["y"], float), C)
         points(fixed, _signal(phase[fixed], cs[fixed])[:, None])
-    settled = (n == 1) | fixed | (value >= target)
+    exact = (n == 1) | fixed
+    upper[exact] = value[exact] + slack[exact]
+    settled = exact | (value >= target) | _refutes(upper, target, eps)
     stage = np.where(settled, 1, 2)
 
     # stage 2: the analytic class bounds
     open_ = np.flatnonzero(~settled)
     if fam in ("heisenberg", "bargmann"):
         # stationary phase: the long-run p-mean keeps exactly the terms of
-        # one (ga, ep) class and lower-bounds the sup over R.  Classes use
-        # exact float equality, so deliberately drawn repeats (a shared
-        # frequency 0, say) group
+        # one (ga, ep) class and lower-bounds the sup over R, and the sum
+        # of the class sums' moduli, each class taken once by its first
+        # member, bounds it from above.  Classes use exact float equality,
+        # so deliberately drawn repeats (a shared frequency 0, say) group
         ga, ep, off = (a[open_] for a in line[:3])
         same = (ga[:, :, None] == ga[:, None]) \
             & (ep[:, :, None] == ep[:, None])
-        value[open_] = np.maximum(value[open_], _class_bound(
-            same, np.exp(1j * off) * cs[open_]))
+        sums = _class_sums(same, np.exp(1j * off) * cs[open_])
+        value[open_] = np.maximum(value[open_], np.max(sums, axis=0))
+        first = ~np.any(np.tril(same, -1), axis=-1).T
+        upper[open_] = np.minimum(upper[open_], slack[open_]
+                                  + np.sum(np.where(first, sums, 0.0), axis=0))
     elif fam == "euclid":
         sel = open_[sphere[open_]]
         # sphere-uniform mean of the signal = sum c_j sinc(|w_j|), with
@@ -634,16 +690,16 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, seeds, box):
         sel = open_[~sphere[open_]]
         s = sfreq[sel]
         p = k * _LINE[::COARSE, None, None]
-        value[sel] = np.maximum(value[sel], np.max(_class_bound(
+        value[sel] = np.maximum(value[sel], np.max(_class_sums(
             s[:, :, None] == s[:, None],
-            np.exp(1j * p * pfreq[sel]) * cs[sel]), axis=0))
-    settled |= value >= target
+            np.exp(1j * p * pfreq[sel]) * cs[sel]), axis=(0, 1)))
+    settled |= (value >= target) | _refutes(upper, target, eps)
 
     # stages 3-5, one row at a time
     steps = np.zeros(T, dtype=int)
     drawn = np.zeros(T, dtype=int)
     for t in np.flatnonzero(~settled):
-        run = _Bound(target[t], value[t], samples[t])
+        run = _Bound(target[t], eps, value[t], upper[t], slack[t], samples[t])
         m = n[t]
         if line is not None:
             ga, ep, off, r = line
@@ -657,14 +713,15 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, seeds, box):
                         np.column_stack([anchors[:, :3] @ axis[t],
                                          anchors[:, 3:] @ axis[t]]),
                         budget, seeds(t))
-        value[t], samples[t], steps[t] = run.value, run.samples, run.steps
-        stage[t], drawn[t] = run.stage, run.drawn
-    return SupEstimate(value, samples, steps, stage, drawn)
+        value[t], upper[t], samples[t] = run.value, run.upper, run.samples
+        steps[t], stage[t], drawn[t] = run.steps, run.stage, run.drawn
+    return SupEstimate(value, samples, steps, stage, drawn, upper)
 
 
 def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
               target=None):
-    """Lower estimate of sup over the orbit of |sum_j c_j e^{i<x, Z_j>}|.
+    """Lower estimate of sup over the orbit of |sum_j c_j e^{i<x, Z_j>}|,
+    with a certified upper bound on it in `upper`.
 
     anchors: optional dual points always evaluated (localization points of
     a state under test); they keep the estimate sharp where the attaining
@@ -675,8 +732,9 @@ def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
 
     target: optional early-exit threshold.  The stages (module docstring)
     run in order of cost and the search stops after the first one whose
-    running lower bound reaches the target; estimates stay valid lower
-    bounds either way, and `stage` records where the search stopped.
+    running lower bound reaches the target, or whose upper bound lies
+    below it by more than the `margin` tolerance; estimates stay valid
+    lower bounds either way, and `stage` records where the search stopped.
 
     The search is the one quantum_check runs on its stacks of tuples, on a
     stack of one.
@@ -688,10 +746,10 @@ def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
         np.asarray(cs, dtype=complex)[None], np.array([len(Zs)]),
         np.array([w.coords for w in anchors or []], dtype=float),
         np.inf if target is None else target, budget, lambda t: seed,
-        DEFAULT.box_radius if box is None else box)
+        DEFAULT.box_radius if box is None else box, DEFAULT.margin)
     return SupEstimate(float(est.value[0]), int(est.samples[0]),
                        int(est.ascent_steps[0]), int(est.stage[0]),
-                       int(est.drawn[0]))
+                       int(est.drawn[0]), float(est.upper[0]))
 
 # ---------------------------------------------------------------------------
 # the sup-inequality check
@@ -817,24 +875,31 @@ def _left_sides(state, C, cs):
     return np.abs(_rsum(states.exp_values(state, C) * cs))
 
 
-def _trials(state, spec, n_max, budget, seed, block, rows):
+def _trials(state, spec, n_max, budget, seed, block, rows,
+            eps=DEFAULT.margin):
     """The first `rows` trials of a block: their tuples (C, cs, n), left
-    sides, and sup searches stopped at those left sides."""
+    sides, and sup searches settled against those left sides with slack
+    eps."""
     C, cs, n = (a[:rows] for a in _block_tuples(spec, n_max, seed, block))
     lhs = _left_sides(state, C, cs)
     first = block * BLOCK
     est = _sup_rows(spec, C, cs, n, _state_anchors(state, spec), lhs, budget,
-                    lambda t: _key(seed, 1, first + t), DEFAULT.box_radius)
+                    lambda t: _key(seed, 1, first + t), DEFAULT.box_radius,
+                    eps)
     return C, cs, n, lhs, est
 
 
 def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0,
                   eps=None):
     """Test |sum c_j m(exp Z_j)| <= sup over the orbit, over random
-    whitelisted commuting tuples.  Reports the worst margin (sup estimate
-    minus left side), concrete witnesses for any failures, how many trials
-    each search stage settled (`stages`) and how many budgeted draws were
-    made (`samples_drawn`; `budget` is only the cap per trial).
+    whitelisted commuting tuples.  Reports the worst margin (sup lower
+    bound minus left side), concrete witnesses for any failures, how many
+    trials each search stage settled (`stages`) and how many budgeted draws
+    were made (`samples_drawn`; `budget` is only the cap per trial).  Each
+    witness carries the certified upper bound on its sup (`upper`) and
+    whether that bound refutes it (`certified`: upper < lhs - eps);
+    `certified_failures` counts those.  A trial whose upper bound refutes
+    it is settled there, without the budgeted draws.
 
     Trials run BLOCK at a time as coordinate stacks: block b's tuples come
     from the stream keyed by (seed, b), every left side from one
@@ -851,7 +916,7 @@ def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0,
     drawn = 0
     for block in range(-(-trials // BLOCK)):
         C, cs, n, lhs, est = _trials(state, spec, n_max, budget, seed, block,
-                                     min(BLOCK, trials - block * BLOCK))
+                                     min(BLOCK, trials - block * BLOCK), eps)
         margin = est.value - lhs
         margins.extend(margin.tolist())
         stages += np.bincount(est.stage - 1, minlength=len(STAGES))
@@ -864,6 +929,8 @@ def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0,
                 "lhs": float(lhs[t]),
                 "rhs": float(est.value[t]),
                 "margin": float(margin[t]),
+                "upper": float(est.upper[t]),
+                "certified": bool(est.upper[t] < lhs[t] - eps),
             })
     return {
         "state": state.kind,
@@ -876,6 +943,7 @@ def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0,
         "worst_margin": min(margins) if margins else 0.0,
         "margins": margins,
         "failures": failures,
+        "certified_failures": sum(f["certified"] for f in failures),
         "pass": not failures,
     }
 

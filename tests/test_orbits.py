@@ -269,6 +269,19 @@ def test_sup_early_exit_matches_full_search_verdicts(chart):
             assert cut.drawn == (8000 if cut.stage == 5 else 0)
 
 
+@pytest.mark.parametrize("chart", sorted(EARLY_EXIT_CHARTS))
+def test_sup_upper_bound_is_sound(chart):
+    # the certified upper bound lies above the search's own lower bound and
+    # above a dense evaluation of the orbit that the search never sees
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        spec, Zs = EARLY_EXIT_CHARTS[chart](rng)
+        cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
+        est = orbits.orbit_sup(spec, Zs, cs, budget=8000, seed=5)
+        assert est.upper >= est.value
+        assert est.upper >= _mc_sup(spec, Zs, cs, 100000, 19)
+
+
 # orbit_sup on fixed tuples of each chart (default_rng(31), two per chart,
 # seed 5, no target, a budget ending in a chunk shorter than
 # ASCENT_RESTARTS): the value's bits, samples and ascent steps as the
@@ -519,10 +532,10 @@ def test_witnesses_carry_no_padding():
 
 
 def test_quantum_check_trials_are_prefix_stable():
-    # a refuted pair, so trials reach the keyed stage-5 streams; 300 trials
-    # span two blocks
-    st = states.su2_highest_weight(1.5)
-    spec = orbits.su2_orbit(0.5)
+    # a refuted pair on which some failures escape the class upper bound,
+    # so trials reach the keyed stage-5 streams; 300 trials span two blocks
+    st = states.make_state("constant_one", family="heisenberg")
+    spec = orbits.heisenberg_orbit()
     short, full = (orbits.quantum_check(st, spec, trials=t, budget=2000,
                                         seed=3) for t in (100, 300))
     assert short["margins"] == full["margins"][:100]
@@ -573,6 +586,26 @@ def test_rows_settled_together_equal_rows_settled_alone(kind, params, spec):
             assert (alone.value - alone_lhs < -eps) == (margin < -eps)
     rep = orbits.quantum_check(st, spec, trials=64, budget=2000, seed=11)
     assert rep["margins"] == (est.value - lhs).tolist()
+
+
+@pytest.mark.parametrize("kind,params,spec", SETTLE_PAIRS[9:])
+def test_certified_failures_fail_the_full_search(kind, params, spec):
+    # a witness settled by its upper bound skips the budgeted draws; the
+    # full search, run without a target (every stage for a row that is not
+    # exact at stage 1), still finds no point that lifts the sup to within
+    # eps of the left side
+    eps = 1e-6
+    rep = orbits.quantum_check(states.make_state(kind, **params), spec,
+                               trials=500, budget=100000, seed=5)
+    certified = [f for f in rep["failures"] if f["certified"]]
+    assert certified and rep["certified_failures"] == len(certified)
+    for f in certified:
+        full = orbits.orbit_sup(
+            spec, [_alg(spec.family, z) for z in f["Zs"]],
+            [complex(a, b) for a, b in f["cs"]], budget=100000, seed=0)
+        assert full.drawn == (0 if full.stage == 1 else 100000)
+        assert full.value < f["lhs"] - eps, f["trial"]
+        assert full.value <= f["upper"] < f["lhs"] - eps
 
 
 def _axis_line_tuple(family, rng, n):
@@ -632,8 +665,22 @@ def test_quantum_check_report_fields():
                                trials=5, budget=500, seed=1)
     for key in ("state", "family", "trials", "budget", "samples_drawn",
                 "stages", "seed", "worst_margin", "margins", "failures",
-                "pass"):
+                "certified_failures", "pass"):
         assert key in rep
+    # criterion 08's refutation: the opening probe is exact at stage 1, so
+    # its upper bound is its value, |1 + e^{-i pi}|, and certifies the
+    # failure
+    one = states.make_state("constant_one", family="heisenberg")
+    rep = orbits.quantum_check(one, orbits.heisenberg_orbit(), trials=10,
+                               n_max=3, budget=100000, seed=8)
+    for f in rep["failures"]:
+        assert f["rhs"] <= f["upper"]
+        assert f["certified"] == (f["upper"] < f["lhs"] - 1e-6)
+    assert rep["certified_failures"] == sum(f["certified"]
+                                            for f in rep["failures"])
+    first = rep["failures"][0]
+    assert first["trial"] == 0 and first["certified"]
+    assert first["upper"] < 1e-8
 
 
 # ---------------------------------------------------------------------------
