@@ -18,7 +18,6 @@ ill-typed key, unknown target).  Input errors carry JSON-pointer paths.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -32,6 +31,15 @@ from .tolerances import DEFAULT
 # independently computed high-resolution quadrature value for the standard
 # Gaussian mass outside [-1, 1]; frozen before the implementation was built
 PREQUANT_ORACLE = 0.296698016141580
+
+# Gram table entries per stacked pair_eval call of _sweep: the sets of a
+# sweep are stacked to this bound, which keeps the peak memory of a sweep
+# near that of one set
+GRAM_ENTRIES = 2 ** 16
+
+# rows formatted per write of a plot-data CSV, so the text held at once stays
+# bounded for any grid size
+CSV_BLOCK = 4096
 
 
 class CliInputError(ValueError):
@@ -184,11 +192,19 @@ def _concentration(target):
 def _sweep(state, rng, sets, n, pairs):
     """`sets` Gram matrices of `n` support samples, then the three
     inequalities over `pairs` sample pairs, all drawn from rng: the worst
-    min eigenvalue / n, whether it passes, and the inequality report."""
+    min eigenvalue / n, whether it passes, and the inequality report.
+    The sets are drawn in turn as states.gram would take them, and their
+    Gram tables are evaluated and diagonalized as stacks of at most
+    GRAM_ENTRIES entries (at least one set)."""
     worst = 0.0
-    for _ in range(sets):
-        gm = states.gram(state, states.support_samples(state, rng, n))
-        worst = min(worst, float(gm.eigenvalues[-1]) / gm.n)
+    per_call = max(1, GRAM_ENTRIES // (n * n))
+    for first in range(0, sets, per_call):
+        X = groups.map_coords(lambda *xs: np.stack(xs), *(
+            states.support_samples(state, rng, n).data
+            for _ in range(min(per_call, sets - first))))
+        K = states.pair_eval(state, X, X, grid=True)
+        for low in np.linalg.eigvalsh(K)[:, 0].tolist():
+            worst = min(worst, low / n)
     gs = states.support_samples(state, rng, pairs)
     hs = states.support_samples(state, rng, pairs)
     return worst, worst >= -DEFAULT.psd_scale, \
@@ -472,9 +488,9 @@ def _reproduce_su2_weights(seed):
         w = rng.uniform(0.5, 2.0)
         Z = groups.algebra("su2", w * v)
         T = 200 * np.pi / w
-        for m2 in range(-twoj, twoj + 1, 2):
-            m = m2 / 2.0
-            est = spectral.bohr_atom(st, Z, m * w, T=T)
+        ms = [m2 / 2.0 for m2 in range(-twoj, twoj + 1, 2)]
+        atoms = spectral.bohr_atoms(st, Z, [m * w for m in ms], T)
+        for m, est in zip(ms, atoms):
             u3 = v[2]
             pred = comb(twoj, int(twoj / 2 + m)) \
                 * ((1 + u3) / 2) ** (twoj / 2 + m) \
@@ -539,32 +555,36 @@ def emit_plotdata(report, outdir=".", density=None, proj=None):
     os.makedirs(outdir, exist_ok=True)
     written = []
 
-    def write_csv(name, header, rows):
+    def write_csv(name, header, columns):
+        """Rows of the equal-length array columns, each number as its repr
+        (as csv.writer writes it), CRLF-ended, CSV_BLOCK rows per write."""
         path = os.path.join(outdir, name)
         tmp = path + ".tmp"
+        line = ",".join(["%r"] * len(header)) + "\r\n"
         with open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\r\n")
-            w.writerow(header)
-            w.writerows(rows)
+            fh.write(",".join(header) + "\r\n")
+            for i in range(0, len(columns[0]), CSV_BLOCK):
+                fh.write("".join([line % row for row in zip(
+                    *(c[i:i + CSV_BLOCK].tolist() for c in columns))]))
         os.replace(tmp, path)
         written.append(path)
 
     results = report.get("results", {})
     if "atoms" in results:
-        write_csv("atoms.csv", ["omega", "mass"], results["atoms"])
+        write_csv("atoms.csv", ["omega", "mass"],
+                  np.array(results["atoms"], dtype=float).reshape(-1, 2).T)
     if density is not None:
         write_csv("density.csv", ["omega", "density"],
-                  np.column_stack(density).tolist())
+                  [np.asarray(c) for c in density])
     if "margins" in results:
         counts, edges = np.histogram(results["margins"], bins=32)
         write_csv("margins_hist.csv", ["bin_lo", "bin_hi", "count"],
-                  zip(edges[:-1].tolist(), edges[1:].tolist(),
-                      counts.tolist()))
+                  [edges[:-1], edges[1:], counts])
     if proj is not None:
-        header = ["index"] + ["z%d" % (i + 1) for i in range(proj.shape[1])]
-        rows = [[i] + row for i, row in
-                enumerate(np.asarray(proj, dtype=float)[:512].tolist())]
-        write_csv("projection.csv", header, rows)
+        P = np.asarray(proj, dtype=float)[:512]
+        write_csv("projection.csv",
+                  ["index"] + ["z%d" % (i + 1) for i in range(P.shape[1])],
+                  [np.arange(len(P)), *P.T])
     return written
 
 

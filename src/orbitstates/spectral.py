@@ -66,47 +66,63 @@ def flow_values(state, Z, ts):
     return states.exp_values(state, np.multiply.outer(ts, Z.coords))
 
 
-def bohr_atom(state, Z, omega, T=None, N=2 ** 14):
-    """Mass estimate at frequency omega of the restriction along Z."""
-    if T is None:
-        T = 100.0 * max(2.0 * np.pi / abs(omega) if omega else 0.0, 1.0)
-    ts = _midpoints(T, N)
-    vals = flow_values(state, Z, ts)
-    mass = complex(np.mean(vals * np.exp(-1j * omega * ts)))
-    return AtomEstimate(float(omega), mass, 1.0 / T, float(T), int(N))
-
-
-def _lattice_means(y, T, N):
-    """Bohr means on the frequency lattice pi n / T, n in [-N/2, N/2)."""
-    f = np.fft.fft(y)
-    n = np.arange(N)
-    n[n >= N // 2] -= N
-    phase = np.exp(1j * np.pi * n) * np.exp(-1j * np.pi * n / N)
-    means = phase * f / N
-    omegas = np.pi * n / T
-    order = np.argsort(omegas)
-    return omegas[order], means[order]
-
-
 def _mean_at(y, ts, omega):
     return complex(np.mean(y * np.exp(-1j * omega * ts)))
 
 
-def atom_scan(state, Z, T, N=2 ** 14, max_atoms=MAX_ATOMS, samples=None):
+def bohr_atoms(state, Z, omegas, T, N=2 ** 14):
+    """Mass estimates at each frequency of omegas of the restriction along
+    Z, from one evaluation of the flow on the midpoint grid."""
+    ts = _midpoints(T, N)
+    vals = flow_values(state, Z, ts)
+    return [AtomEstimate(float(om), _mean_at(vals, ts, om), 1.0 / T,
+                         float(T), int(N)) for om in omegas]
+
+
+def bohr_atom(state, Z, omega, T=None, N=2 ** 14):
+    """Mass estimate at frequency omega of the restriction along Z."""
+    if T is None:
+        T = 100.0 * max(2.0 * np.pi / abs(omega) if omega else 0.0, 1.0)
+    return bohr_atoms(state, Z, [omega], T, N)[0]
+
+
+def _lattice(T, N):
+    """The frequency lattice pi n / T, n in [-N/2, N/2), ascending; the
+    phase that turns FFT bin n into the Bohr mean there; and the order that
+    sorts the bins onto the lattice."""
+    n = np.arange(N)
+    n[n >= N // 2] -= N
+    phase = np.exp(1j * np.pi * n) * np.exp(-1j * np.pi * n / N)
+    omegas = np.pi * n / T
+    order = np.argsort(omegas)
+    return omegas[order], phase, order
+
+
+def _lattice_means(y, T, N, lattice=None):
+    """Bohr means on the frequency lattice pi n / T, n in [-N/2, N/2);
+    `lattice`, when given, is _lattice(T, N) computed once by the caller."""
+    omegas, phase, order = _lattice(T, N) if lattice is None else lattice
+    return omegas, (phase * np.fft.fft(y) / N)[order]
+
+
+def atom_scan(state, Z, T, N=2 ** 14, max_atoms=MAX_ATOMS, samples=None,
+              lattice=None):
     """Atoms of the restriction along Z, strongest first, until the largest
     Bohr mean on the lattice pi n / T is at most ATOM_FACTOR / T.  Each atom
     sits where bounded Brent maximizes |Bohr mean| within one lattice step
     of that peak; its mass is the mean there, subtracted before the next.
+    The lattice is computed once (or taken from `lattice`, _lattice(T, N)).
     Returns [(omega, complex mass)] by omega, the residual and the times."""
     # imported here: scipy.optimize adds 0.1 s to every CLI start-up
     from scipy.optimize import minimize_scalar
 
     ts = _midpoints(T, N)
     y = flow_values(state, Z, ts) if samples is None else samples.copy()
+    lattice = _lattice(T, N) if lattice is None else lattice
     thresh = ATOM_FACTOR / T
     atoms = []
     for _ in range(max_atoms):
-        omegas, means = _lattice_means(y, T, N)
+        omegas, means = _lattice_means(y, T, N, lattice)
         idx = int(np.argmax(np.abs(means)))
         if abs(means[idx]) <= thresh:
             break
@@ -135,13 +151,15 @@ def density_estimate(state, Z, T=None, N=2 ** 14):
             total_mass_accounted=0.0, leakage=1.0 / T, T=T, N=N,
             zero_value=zero_value)
 
-    atoms_c, resid, _ = atom_scan(state, Z, T, N, samples=vals.copy())
+    lattice = _lattice(T, N)
+    atoms_c, resid, _ = atom_scan(state, Z, T, N, samples=vals,
+                                  lattice=lattice)
     imag_residue = max((abs(m.imag) for _, m in atoms_c), default=0.0)
     atoms = [(om, float(m.real)) for om, m in atoms_c]
     atom_mass = sum(max(m, 0.0) for _, m in atoms)
 
     window = 0.5 * (1.0 + np.cos(np.pi * ts / T))
-    omegas, means = _lattice_means(resid * window, T, N)
+    omegas, means = _lattice_means(resid * window, T, N, lattice)
     dens = np.real(means) * (T / np.pi)  # kernel mass-normalized: sum -> int
     density = (omegas, dens)
     dens_int = float(np.trapezoid(dens, omegas))

@@ -290,12 +290,14 @@ def exp_values(state, C):
 
 
 def pair_eval(state, X, Y, grid=False):
-    """m(x^{-1} y) over aligned coordinate stacks X, Y (or the full table
-    with grid=True)."""
+    """m(x^{-1} y) over aligned coordinate stacks X, Y, or with grid=True
+    the full table over the last stack axis: stacks of shapes (..., n) and
+    (..., k) give a (..., n, k) table."""
     fam = state.family
     Xi = groups.inverse_coords(fam, X)
     if grid:
-        Xi, Y = groups.expand_coords(Xi, 1), groups.expand_coords(Y, 0)
+        Xi = groups.expand_coords(Xi, len(groups.lead_shape(X)))
+        Y = groups.expand_coords(Y, len(groups.lead_shape(Y)) - 1)
     return np.asarray(_eval_pack(state, groups.compose_coords(fam, Xi, Y)))
 
 

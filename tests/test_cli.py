@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,8 @@ import tempfile
 import numpy as np
 import pytest
 
-from orbitstates import cli, states
+from orbitstates import cli, groups, states
+from orbitstates.tolerances import DEFAULT
 
 
 def _write(tmp_path, doc, name="scn.json"):
@@ -437,6 +440,103 @@ def test_plotdata_csv_formats(tmp_path):
     assert cli.run(path, out=out) == 0
     with open(os.path.join(out, "projection.csv")) as fh:
         assert fh.readline().strip() == "index,z1"
+
+
+def _csv_reference(header, rows):
+    """The bytes csv.writer writes for a header and rows."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh, lineterminator="\r\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return fh.getvalue().encode()
+
+
+def test_plotdata_csv_bytes_match_csv_writer(tmp_path):
+    edge = [-0.0, 5.0, 1e16, 1e-05, 1.5e-300, 1.2345678901234568e17]
+    rng = np.random.default_rng(11)
+    n = 2 * cli.CSV_BLOCK + 7          # a partial last block
+    om = np.concatenate([edge, np.sort(rng.standard_normal(n - len(edge)))])
+    dens = np.concatenate([rng.standard_normal(n - len(edge)), edge[::-1]])
+    proj = rng.standard_normal((600, 2))
+    margins = rng.standard_normal(300)
+    atoms = [[-1.5, 0.25], [0.0, 1e-05], [2.0, -0.0]]
+    report = {"results": {"atoms": atoms, "margins": margins.tolist()}}
+    out = str(tmp_path / "plot")
+    written = cli.emit_plotdata(report, out, density=(om, dens), proj=proj)
+    counts, edges = np.histogram(margins, bins=32)
+    want = {
+        "atoms.csv": _csv_reference(["omega", "mass"], atoms),
+        "density.csv": _csv_reference(["omega", "density"],
+                                      np.column_stack((om, dens)).tolist()),
+        "margins_hist.csv": _csv_reference(
+            ["bin_lo", "bin_hi", "count"],
+            zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())),
+        "projection.csv": _csv_reference(
+            ["index", "z1", "z2"],
+            [[i] + row for i, row in enumerate(proj[:512].tolist())]),
+    }
+    assert sorted(os.path.basename(p) for p in written) == sorted(want)
+    for name, data in want.items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert fh.read() == data, name
+    # no atoms: the header alone, as before
+    cli.emit_plotdata({"results": {"atoms": []}}, out)
+    with open(os.path.join(out, "atoms.csv"), "rb") as fh:
+        assert fh.read() == b"omega,mass\r\n"
+
+
+# ---------------------------------------------------------------------------
+# stacked Gram sweeps
+
+SWEEP_KINDS = [
+    ("heisenberg_loc_p", {"k": 1.3}),
+    ("bargmann_loc_q", {"l": 0.8}),
+    ("euclid_cylindrical", {"k": 2.0, "eps": 1}),
+    ("su2_highest_weight", {"j": 1.5}),
+]
+
+
+def _sweep_per_set(state, rng, sets, n, pairs):
+    """_sweep as one states.gram call per set."""
+    worst = 0.0
+    for _ in range(sets):
+        gm = states.gram(state, states.support_samples(state, rng, n))
+        worst = min(worst, float(gm.eigenvalues[-1]) / gm.n)
+    gs = states.support_samples(state, rng, pairs)
+    hs = states.support_samples(state, rng, pairs)
+    return worst, worst >= -DEFAULT.psd_scale, \
+        states.check_inequalities(state, gs, hs)
+
+
+@pytest.mark.parametrize("kind,params", SWEEP_KINDS)
+def test_stacked_gram_tables_equal_per_set_gram(kind, params):
+    st = states.make_state(kind, **params)
+    rng = np.random.default_rng(21)
+    sets = [states.support_samples(st, rng, 9) for _ in range(4)]
+    X = groups.map_coords(lambda *xs: np.stack(xs), *(s.data for s in sets))
+    K = states.pair_eval(st, X, X, grid=True)
+    vals = np.linalg.eigvalsh(K)
+    assert K.shape == (4, 9, 9)
+    for i, s in enumerate(sets):
+        gm = states.gram(st, s)
+        assert np.array_equal(K[i], gm.entries)
+        assert np.array_equal(vals[i], gm.eigenvalues[::-1])
+
+
+@pytest.mark.parametrize("kind,params", SWEEP_KINDS)
+@pytest.mark.parametrize("sets,n,entries", [
+    (5, 12, cli.GRAM_ENTRIES),     # one stacked call
+    (5, 12, 2 * 12 * 12),          # split into calls of 2, 2 and 1 sets
+    (3, 12, 100),                  # a bound below one set: one set a call
+    (3, 150, cli.GRAM_ENTRIES),    # the module bound: calls of 2 and 1 sets
+])
+def test_sweep_equals_per_set_gram(kind, params, sets, n, entries,
+                                   monkeypatch):
+    monkeypatch.setattr(cli, "GRAM_ENTRIES", entries)
+    st = states.make_state(kind, **params)
+    got = cli._sweep(st, np.random.default_rng(5), sets, n, 300)
+    want = _sweep_per_set(st, np.random.default_rng(5), sets, n, 300)
+    assert got == want
 
 
 def test_report_json_is_plain_and_sorted(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_
@@ -366,6 +368,51 @@ def test_stack_checks_reject_one_bad_block():
     Q[31] *= 1.001
     with pytest.raises(ValueError):
         groups.from_coords("su2", Q)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nonfinite_elements_are_rejected(bad):
+    A = np.eye(3)
+    A[1, 2] = bad
+    with pytest.raises(ValueError):
+        groups.euclid(A, [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        groups.loads(json.dumps({"family": "euclid", "A": A.tolist(),
+                                 "c": [0.0, 0.0, 0.0]}))
+    with pytest.raises(ValueError):
+        groups.su2(bad, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        groups.loads(json.dumps({"family": "su2", "q": [1.0, bad, 0.0, 0.0]}))
+    # one non-finite block or quaternion inside a stack of good ones
+    gs = groups.random_elements("euclid", np.random.default_rng(6), 20)
+    gs.data[0][11, 2, 0] = bad
+    with pytest.raises(ValueError):
+        groups.from_coords("euclid", gs.data)
+    Q = groups.random_elements("su2", np.random.default_rng(7), 20).data
+    Q[13, 0] = bad
+    with pytest.raises(ValueError):
+        groups.from_coords("su2", Q)
+
+
+def test_reflections_are_rejected():
+    flip = np.diag([1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="determinant"):
+        groups.euclid(flip, [0.0, 0.0, 0.0])
+    # an orthogonal block of determinant -1 inside a stack of rotations
+    A, c = groups.random_elements("euclid", np.random.default_rng(8), 30).data
+    A[19] = A[19] @ flip
+    assert np.abs(A[19].T @ A[19] - np.eye(3)).max() < 1e-12
+    with pytest.raises(ValueError, match="determinant"):
+        groups.from_coords("euclid", (A, c))
+    with pytest.raises(ValueError, match="determinant"):
+        groups.from_coords("euclid", (A.reshape(5, 6, 3, 3),
+                                      c.reshape(5, 6, 3)))
+
+
+def test_rotation_check_rejects_blocks_that_are_not_3_by_3():
+    with pytest.raises(ValueError, match="3 x 3"):
+        groups.euclid(np.ones((2, 3)), [0.0, 0.0, 0.0])
 
 
 def _rows(gs):

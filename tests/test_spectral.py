@@ -52,6 +52,17 @@ def test_pure_character_gives_unit_atom():
     assert abs(off.mass) < 0.02
 
 
+@pytest.mark.parametrize("kind,params,zc", FLOW_CASES)
+def test_bohr_atoms_equal_per_frequency_bohr_atom(kind, params, zc):
+    st = states.make_state(kind, **params)
+    Z = groups.algebra(*zc)
+    omegas = [-1.7, -0.5, 0.0, 0.3, 2.25]
+    T = 40.0 * np.pi
+    atoms = spectral.bohr_atoms(st, Z, omegas, T, N=2 ** 12)
+    assert atoms == [spectral.bohr_atom(st, Z, om, T=T, N=2 ** 12)
+                     for om in omegas]
+
+
 def test_atom_scan_recovers_two_frequencies():
     st = states.make_state("custom", family="torus",
                            evaluator=lambda g: 0.25 * np.exp(2j * g.data[0])
