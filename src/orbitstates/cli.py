@@ -32,9 +32,9 @@ from .tolerances import DEFAULT
 # Gaussian mass outside [-1, 1]; frozen before the implementation was built
 PREQUANT_ORACLE = 0.296698016141580
 
-# Gram table entries per stacked pair_eval call of _sweep: the sets of a
-# sweep are stacked to this bound, which keeps the peak memory of a sweep
-# near that of one set
+# Gram kernel entries per states.gram_min_eigenvalues call of _sweep: the
+# sets of a sweep are stacked to this bound, which keeps the peak memory of
+# a sweep near that of one set
 GRAM_ENTRIES = 2 ** 16
 
 # rows formatted per write of a plot-data CSV, so the text held at once stays
@@ -193,17 +193,16 @@ def _sweep(state, rng, sets, n, pairs):
     """`sets` Gram matrices of `n` support samples, then the three
     inequalities over `pairs` sample pairs, all drawn from rng: the worst
     min eigenvalue / n, whether it passes, and the inequality report.
-    The sets are drawn in turn as states.gram would take them, and their
-    Gram tables are evaluated and diagonalized as stacks of at most
-    GRAM_ENTRIES entries (at least one set)."""
+    The sets are drawn in turn and their Gram kernels taken at most
+    GRAM_ENTRIES entries (at least one set) at a time."""
     worst = 0.0
     per_call = max(1, GRAM_ENTRIES // (n * n))
     for first in range(0, sets, per_call):
-        X = groups.map_coords(lambda *xs: np.stack(xs), *(
-            states.support_samples(state, rng, n).data
-            for _ in range(min(per_call, sets - first))))
-        K = states.pair_eval(state, X, X, grid=True)
-        for low in np.linalg.eigvalsh(K)[:, 0].tolist():
+        samples = groups.GroupElement(state.family, groups.map_coords(
+            lambda *xs: np.stack(xs), *(
+                states.support_samples(state, rng, n).data
+                for _ in range(min(per_call, sets - first)))))
+        for low in states.gram_min_eigenvalues(state, samples).tolist():
             worst = min(worst, low / n)
     gs = states.support_samples(state, rng, pairs)
     hs = states.support_samples(state, rng, pairs)

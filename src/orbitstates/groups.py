@@ -108,23 +108,12 @@ def _check_same(x, y):
 def _check_euclid_rotation(A, tol=DEFAULT.ortho):
     """Raise unless every block of a (..., 3, 3) stack is in SO(3).  Each
     gate reads `not (defect <= bound)`, so NaN and inf fail it."""
-    if np.shape(A)[-2:] != (3, 3):
-        raise ValueError("rotation blocks must be 3 x 3, got shape %s"
-                         % (np.shape(A),))
-    # m[i, j] holds entry (i, j) of every block, contiguously: A^T A and the
-    # closed-form determinant then run over the whole stack at once, where
-    # matmul and np.linalg.det would loop over the blocks one by one
-    m = np.moveaxis(A, (-2, -1), (0, 1)).copy()
-    ortho = np.abs(np.einsum("ki...,kj...->ij...", m, m) - np.eye(3).reshape(
-        (3, 3) + (1,) * (m.ndim - 2))).max(initial=0.0)
-    det = m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]) \
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0]) \
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    defect = np.abs(det - 1.0).max(initial=0.0)
-    if not (ortho <= 100 * tol and defect <= 100 * tol):
+    err = np.abs(np.swapaxes(A, -1, -2) @ A - np.eye(3)).max(initial=0.0)
+    det_defect = np.abs(np.linalg.det(A) - 1.0).max(initial=0.0)
+    if not (err <= 100 * tol and det_defect <= 100 * tol):
         raise ValueError("rotation block is not special orthogonal "
                          "(orthogonality defect %.3g, determinant defect %.3g)"
-                         % (ortho, defect))
+                         % (err, det_defect))
 
 
 def _unit_quaternions(Q):

@@ -87,42 +87,39 @@ def bohr_atom(state, Z, omega, T=None, N=2 ** 14):
 
 
 def _lattice(T, N):
-    """The frequency lattice pi n / T, n in [-N/2, N/2), ascending; the
-    phase that turns FFT bin n into the Bohr mean there; and the order that
-    sorts the bins onto the lattice."""
+    """The frequency lattice pi n / T, n in [-N/2, N/2), ascending, and the
+    map from samples on the midpoint grid to their Bohr means there."""
     n = np.arange(N)
     n[n >= N // 2] -= N
     phase = np.exp(1j * np.pi * n) * np.exp(-1j * np.pi * n / N)
     omegas = np.pi * n / T
     order = np.argsort(omegas)
-    return omegas[order], phase, order
+    return omegas[order], lambda y: (phase * np.fft.fft(y) / N)[order]
 
 
-def _lattice_means(y, T, N, lattice=None):
-    """Bohr means on the frequency lattice pi n / T, n in [-N/2, N/2);
-    `lattice`, when given, is _lattice(T, N) computed once by the caller."""
-    omegas, phase, order = _lattice(T, N) if lattice is None else lattice
-    return omegas, (phase * np.fft.fft(y) / N)[order]
+def _lattice_means(y, T, N):
+    """Bohr means on the frequency lattice pi n / T, n in [-N/2, N/2)."""
+    omegas, means = _lattice(T, N)
+    return omegas, means(y)
 
 
-def atom_scan(state, Z, T, N=2 ** 14, max_atoms=MAX_ATOMS, samples=None,
-              lattice=None):
+def atom_scan(state, Z, T, N=2 ** 14, max_atoms=MAX_ATOMS, samples=None):
     """Atoms of the restriction along Z, strongest first, until the largest
     Bohr mean on the lattice pi n / T is at most ATOM_FACTOR / T.  Each atom
     sits where bounded Brent maximizes |Bohr mean| within one lattice step
     of that peak; its mass is the mean there, subtracted before the next.
-    The lattice is computed once (or taken from `lattice`, _lattice(T, N)).
+    The lattice is computed once per call.
     Returns [(omega, complex mass)] by omega, the residual and the times."""
     # imported here: scipy.optimize adds 0.1 s to every CLI start-up
     from scipy.optimize import minimize_scalar
 
     ts = _midpoints(T, N)
     y = flow_values(state, Z, ts) if samples is None else samples.copy()
-    lattice = _lattice(T, N) if lattice is None else lattice
+    omegas, lattice_means = _lattice(T, N)
     thresh = ATOM_FACTOR / T
     atoms = []
     for _ in range(max_atoms):
-        omegas, means = _lattice_means(y, T, N, lattice)
+        means = lattice_means(y)
         idx = int(np.argmax(np.abs(means)))
         if abs(means[idx]) <= thresh:
             break
@@ -151,15 +148,13 @@ def density_estimate(state, Z, T=None, N=2 ** 14):
             total_mass_accounted=0.0, leakage=1.0 / T, T=T, N=N,
             zero_value=zero_value)
 
-    lattice = _lattice(T, N)
-    atoms_c, resid, _ = atom_scan(state, Z, T, N, samples=vals,
-                                  lattice=lattice)
+    atoms_c, resid, _ = atom_scan(state, Z, T, N, samples=vals)
     imag_residue = max((abs(m.imag) for _, m in atoms_c), default=0.0)
     atoms = [(om, float(m.real)) for om, m in atoms_c]
     atom_mass = sum(max(m, 0.0) for _, m in atoms)
 
     window = 0.5 * (1.0 + np.cos(np.pi * ts / T))
-    omegas, means = _lattice_means(resid * window, T, N, lattice)
+    omegas, means = _lattice_means(resid * window, T, N)
     dens = np.real(means) * (T / np.pi)  # kernel mass-normalized: sum -> int
     density = (omegas, dens)
     dens_int = float(np.trapezoid(dens, omegas))

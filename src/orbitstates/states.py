@@ -315,18 +315,31 @@ class GramMatrix:
         return len(self.samples)
 
 
-def gram(state, samples, rank_tol=None):
-    """Gram kernel m(g_i^{-1} g_j) of a sample stack, with its eigenvalues."""
+def _gram_kernel(state, samples):
+    """m(g_i^{-1} g_j) over the last axis of a sample stack: one (n, n)
+    table per set of n samples."""
     if samples.family != state.family:
         raise groups.FamilyError("samples must share the state's family")
-    n = len(samples)
-    if not n:
+    if not len(samples) or not groups.lead_shape(samples.data)[-1]:
         raise ValueError("empty sample stack")
-    K = pair_eval(state, samples.data, samples.data, grid=True)
+    return pair_eval(state, samples.data, samples.data, grid=True)
+
+
+def gram(state, samples, rank_tol=None):
+    """Gram kernel m(g_i^{-1} g_j) of a sample stack, with its eigenvalues."""
+    K = _gram_kernel(state, samples)
+    n = len(samples)
     vals = np.linalg.eigvalsh(K)[::-1]
     tol = (rank_tol if rank_tol is not None else DEFAULT.quotient_scale) * n
     rank = int(np.sum(vals > tol))
     return GramMatrix(samples, K, vals, rank)
+
+
+def gram_min_eigenvalues(state, samples):
+    """The smallest eigenvalue of the Gram kernel of each set of a (sets, n)
+    sample stack, as gram gives it for the set alone, with all kernels
+    evaluated and diagonalized at once."""
+    return np.linalg.eigvalsh(_gram_kernel(state, samples))[..., 0]
 
 
 def check_psd(gm, tol=None):

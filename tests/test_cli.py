@@ -9,7 +9,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from orbitstates import cli, groups, states
+from orbitstates import cli, states
 from orbitstates.tolerances import DEFAULT
 
 
@@ -506,21 +506,6 @@ def _sweep_per_set(state, rng, sets, n, pairs):
     hs = states.support_samples(state, rng, pairs)
     return worst, worst >= -DEFAULT.psd_scale, \
         states.check_inequalities(state, gs, hs)
-
-
-@pytest.mark.parametrize("kind,params", SWEEP_KINDS)
-def test_stacked_gram_tables_equal_per_set_gram(kind, params):
-    st = states.make_state(kind, **params)
-    rng = np.random.default_rng(21)
-    sets = [states.support_samples(st, rng, 9) for _ in range(4)]
-    X = groups.map_coords(lambda *xs: np.stack(xs), *(s.data for s in sets))
-    K = states.pair_eval(st, X, X, grid=True)
-    vals = np.linalg.eigvalsh(K)
-    assert K.shape == (4, 9, 9)
-    for i, s in enumerate(sets):
-        gm = states.gram(st, s)
-        assert np.array_equal(K[i], gm.entries)
-        assert np.array_equal(vals[i], gm.eigenvalues[::-1])
 
 
 @pytest.mark.parametrize("kind,params", SWEEP_KINDS)

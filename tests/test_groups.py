@@ -410,11 +410,6 @@ def test_reflections_are_rejected():
                                       c.reshape(5, 6, 3)))
 
 
-def test_rotation_check_rejects_blocks_that_are_not_3_by_3():
-    with pytest.raises(ValueError, match="3 x 3"):
-        groups.euclid(np.ones((2, 3)), [0.0, 0.0, 0.0])
-
-
 def _rows(gs):
     """The coordinate rows of a stack, flattened as _flat flattens one."""
     if gs.family == "euclid":

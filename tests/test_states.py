@@ -267,6 +267,22 @@ def test_gram_entries_match_scalar_route(kind, params):
 
 
 @pytest.mark.parametrize("kind,params", BUILTIN)
+def test_stacked_gram_min_eigenvalues_equal_per_set_gram(kind, params):
+    st = _mk(kind, params)
+    rng = np.random.default_rng(21)
+    sets = [states.support_samples(st, rng, 9) for _ in range(4)]
+    stacked = groups.GroupElement(st.family, groups.map_coords(
+        lambda *xs: np.stack(xs), *(s.data for s in sets)))
+    K = states.pair_eval(st, stacked.data, stacked.data, grid=True)
+    assert K.shape == (4, 9, 9)
+    lows = states.gram_min_eigenvalues(st, stacked)
+    for i, s in enumerate(sets):
+        gm = states.gram(st, s)
+        assert np.array_equal(K[i], gm.entries)
+        assert lows[i] == gm.eigenvalues[-1]
+
+
+@pytest.mark.parametrize("kind,params", BUILTIN)
 def test_gram_positive_on_mixed_samples(kind, params):
     st = _mk(kind, params)
     for seed in range(12):
@@ -442,3 +458,11 @@ def test_gram_rejects_family_mismatch():
     with pytest.raises(ValueError):
         states.gram(st, groups.random_elements(st.family,
                                                np.random.default_rng(0), 0))
+    euclid = groups.random_elements("euclid", np.random.default_rng(0), 6)
+    with pytest.raises(groups.FamilyError):
+        states.gram_min_eigenvalues(st, groups.GroupElement("euclid", (
+            euclid.data[0].reshape(2, 3, 3, 3), euclid.data[1].reshape(2, 3, 3))))
+    for shape in [(0, 5), (3, 0)]:
+        with pytest.raises(ValueError):
+            states.gram_min_eigenvalues(st, groups.GroupElement(
+                st.family, np.zeros(shape + (3,))))
