@@ -462,13 +462,11 @@ def _reproduce_euclid_waves(seed):
 
 
 def _reproduce_prequant(seed):
-    scn = spectral.gaussian_scenario()
-    value = spectral.prequant_mass_outside(scn)
+    value = spectral.prequant_mass_outside()
     matrix = {"mass_outside_positive": value > 0.05,
               "matches_oracle": abs(value - PREQUANT_ORACLE) <= 1e-3}
     details = {"mass_outside": float(value), "oracle": PREQUANT_ORACLE}
-    shifted = spectral.gaussian_scenario(center=(0.0, 10.0))
-    v2 = spectral.prequant_mass_outside(shifted)
+    v2 = spectral.prequant_mass_outside(center=(0.0, 10.0))
     matrix["shifted_gaussian_escapes"] = v2 > 0.9
     details["shifted_mass_outside"] = float(v2)
     return matrix, details, ["classical-value-escape"]

@@ -1,4 +1,4 @@
-"""Canonical coordinates, group law, exp/log, brackets and (co)adjoint actions
+"""Canonical coordinates, group law, exp, brackets and (co)adjoint actions
 for the four concrete families (plus tori as the abelian degenerate case).
 
 Chart conventions
@@ -24,8 +24,6 @@ su2 x in R^3:             <w, Z> = x . v
 torus y in R^d:           <w, Z> = y . Z
 """
 
-import json
-
 import numpy as np
 
 from .tolerances import DEFAULT
@@ -40,10 +38,6 @@ RENORM_EVERY = 64
 
 class FamilyError(ValueError):
     pass
-
-
-class BranchCutError(ValueError):
-    """log requested at (or numerically against) the angle-pi cut."""
 
 
 class GroupElement:
@@ -207,16 +201,6 @@ def from_coords(family, X):
     return GroupElement(family, X)
 
 
-def stack(family, elements):
-    """Single elements of `family`, listed, as one stack."""
-    if not elements:
-        raise ValueError("no elements to stack")
-    if any(g.family != family for g in elements):
-        raise FamilyError("elements must all be %s elements" % family)
-    return GroupElement(family, map_coords(
-        lambda *xs: np.array(xs, dtype=float), *(g.data for g in elements)))
-
-
 def _join(cols):
     """Coordinate columns of one shape, stacked along a new last axis."""
     if np.ndim(cols[0]) == 0:
@@ -275,12 +259,6 @@ def inverse_coords(family, X):
     raise FamilyError("unknown family %r" % (family,))
 
 
-def _hat(v):
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
-
-
 def _rotation_factors(th):
     """sin(th)/th, (1 - cos th)/th^2 and (th - sin th)/th^3, with their
     series below 1e-4, where the last would cancel."""
@@ -292,12 +270,6 @@ def _rotation_factors(th):
     return (np.where(small, 1.0 - t2 / 6.0, sn / t),
             np.where(small, 0.5 - t2 / 24.0, 2.0 * half * half),
             np.where(small, 1.0 / 6.0 - t2 / 120.0, (t - sn) / (t * t * t)))
-
-
-def _translation_factor(axis):
-    """V with exp(axis, rate) = (rodrigues(axis), V rate)."""
-    s1, s2, s3 = _rotation_factors(np.linalg.norm(axis))
-    return s1 * np.eye(3) + s2 * _hat(axis) + s3 * np.outer(axis, axis)
 
 
 def exp_coords(family, C):
@@ -371,47 +343,6 @@ def inverse(g):
 
 def exp(Z):
     return GroupElement(Z.family, exp_coords(Z.family, Z.coords))
-
-
-def _rotation_log(A, guard=DEFAULT.branch_guard):
-    cos_th = 0.5 * (np.trace(A) - 1.0)
-    cos_th = min(1.0, max(-1.0, cos_th))
-    th = np.arccos(cos_th)
-    if th >= np.pi - guard:
-        raise BranchCutError("rotation angle %.12g at the principal-branch cut" % th)
-    w = np.array([A[2, 1] - A[1, 2], A[0, 2] - A[2, 0], A[1, 0] - A[0, 1]])
-    if th < 1e-8:
-        return 0.5 * w  # sin th ~ th
-    return (th / (2.0 * np.sin(th))) * w
-
-
-def log(g):
-    f = g.family
-    if f == "heisenberg":
-        a, b, c = g.data
-        return AlgebraElement(f, np.array([a - 0.5 * b * c, b, c]))
-    if f == "bargmann":
-        a, b, c, e = g.data
-        return AlgebraElement(f, np.array(
-            [a - 0.5 * b * c + b * b * e / 12.0, b, c - 0.5 * b * e, e]))
-    if f == "euclid":
-        A, c = g.data
-        axis = _rotation_log(A)
-        rate = np.linalg.solve(_translation_factor(axis), c)
-        return AlgebraElement(f, np.concatenate([axis, rate]))
-    if f == "su2":
-        w, x, y, z = g.data
-        s = np.linalg.norm([x, y, z])
-        th = 2.0 * np.arctan2(s, w)
-        if th >= np.pi - DEFAULT.branch_guard:
-            raise BranchCutError("rotation angle %.12g at the principal-branch cut" % th)
-        if s < 1e-12:
-            return AlgebraElement(f, 2.0 * np.array([x, y, z]))
-        return AlgebraElement(f, (th / s) * np.array([x, y, z]))
-    if f == "torus":
-        lifted = np.mod(g.data + np.pi, 2 * np.pi) - np.pi
-        return AlgebraElement(f, lifted)
-    raise FamilyError(f)
 
 
 def bracket(Z, W):
@@ -528,51 +459,6 @@ def coadjoint(g, w):
     if f == "torus":
         return CoadjointVector(f, w.coords.copy())
     raise FamilyError(f)
-
-
-# ---------------------------------------------------------------------------
-# canonical JSON encodings
-
-def to_json_dict(g):
-    f = g.family
-    if f == "heisenberg":
-        a, b, c = g.data
-        return {"family": f, "a": a, "b": b, "c": c}
-    if f == "bargmann":
-        a, b, c, e = g.data
-        return {"family": f, "a": a, "b": b, "c": c, "e": e}
-    if f == "euclid":
-        A, c = g.data
-        return {"family": f, "A": A.tolist(), "c": c.tolist()}
-    if f == "su2":
-        return {"family": f, "q": g.data.tolist()}
-    if f == "torus":
-        return {"family": f, "angles": g.data.tolist()}
-    raise FamilyError(f)
-
-
-def from_json_dict(d):
-    f = d.get("family")
-    if f == "heisenberg":
-        return heisenberg(d["a"], d["b"], d["c"])
-    if f == "bargmann":
-        return bargmann(d["a"], d["b"], d["c"], d["e"])
-    if f == "euclid":
-        return euclid(np.array(d["A"], dtype=float), np.array(d["c"], dtype=float))
-    if f == "su2":
-        q = np.array(d["q"], dtype=float)
-        return su2(*q)
-    if f == "torus":
-        return torus(d["angles"])
-    raise FamilyError("unknown family %r" % (f,))
-
-
-def dumps(g):
-    return json.dumps(to_json_dict(g), sort_keys=True)
-
-
-def loads(s):
-    return from_json_dict(json.loads(s))
 
 
 def random_elements(family, rng, count, scale=3.0, dim=1):

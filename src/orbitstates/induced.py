@@ -21,16 +21,13 @@ Quadrature sections keep a fixed Gauss-Legendre x uniform grid and compose
 evaluators, so rotations never touch the nodes or weights; values are
 materialized on the grid for inner products.
 
-The two-sided character-matching condition (equality of chi on H and the
-conjugated eta on g K g^{-1} over probe generators) is the only executable
-part of the irreducibility/disjointness criterion here; the companion
-finiteness condition on double cosets is analytic per family and is not
-decided numerically.
+The irreducibility/disjointness criterion for induced actions (characters
+that match on H and g K g^{-1}, and finitely many double cosets) is
+analytic per family and is not decided numerically here.
 """
 
 import numpy as np
 
-from . import groups, states
 from .tolerances import DEFAULT
 
 
@@ -182,21 +179,3 @@ def matrix_coefficient(action, f, G):
     for i in np.ndindex(out.shape):
         out[i] = inner(f, action.apply((A[i], c[i]), f))
     return out[()]
-
-
-def mackey_shoda_a(chi, eta, g, probes, in_h, in_k, tol=None):
-    """Character-matching test: chi(h) = eta(g^{-1} h g) over probe elements.
-
-    chi, eta: callables on group elements; in_h, in_k: membership predicates
-    for the two subgroups.  Probes must lie in H intersect g K g^{-1}.
-    """
-    tol = DEFAULT.delta if tol is None else tol
-    gi = groups.inverse(g)
-    for h in probes:
-        conj = groups.compose(groups.compose(gi, h), g)
-        if not in_h(h) or not in_k(conj):
-            raise ValueError("probe not in the subgroup intersection")
-        if abs(chi(h) - eta(conj)) >= tol:
-            return False
-    return True
-

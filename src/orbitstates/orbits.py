@@ -1,5 +1,5 @@
-"""Moment maps, orbit sampling, dual-pairing projections, and the
-sup-inequality check run as a numerical optimization.
+"""The moment map and orbit sampling of each family, the orbit relations,
+and the sup-inequality check run as a numerical optimization.
 
 The check asks, for commuting tuples (Z_1..Z_n) and coefficients c_j,
 whether |sum_j c_j m(exp Z_j)| stays below sup over orbit points x of
@@ -140,32 +140,51 @@ class OrbitSpec:
         return groups.ALGEBRA_DIM.get(self.family) or len(self.params["y"])
 
     def sample(self, rng, count, box=None):
-        """Seeded dual points on the orbit (rows of coordinate vectors)."""
+        """Seeded dual points on the orbit (rows of coordinate vectors): the
+        moment map of phase-space points drawn uniformly from the box, with
+        uniform directions on Euclid and SU(2)."""
         box = DEFAULT.box_radius if box is None else box
         f = self.family
-        if f == "heisenberg":
-            pq = rng.uniform(-box, box, size=(count, 2))
-            return np.column_stack([np.ones(count), pq])
-        if f == "bargmann":
-            pq = rng.uniform(-box, box, size=(count, 2))
-            return np.column_stack([np.ones(count), pq,
-                                    0.5 * pq[:, 0] ** 2])
+        if f in ("heisenberg", "bargmann"):
+            return self.moment(rng.uniform(-box, box, size=(count, 2)))
         if f == "euclid":
-            k, s = self.params["k"], self.params["s"]
-            u = rng.standard_normal((count, 3))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            r = rng.uniform(-box, box, size=(count, 3))
-            r -= np.sum(r * u, axis=1, keepdims=True) * u
-            L = k * np.cross(r, u) + s * u
-            return np.hstack([L, k * u])
+            u = _unit(rng.standard_normal((count, 3)))
+            return self.moment((rng.uniform(-box, box, size=(count, 3)), u))
         if f == "su2":
-            lam = self.params["lam"]
-            x = rng.standard_normal((count, 3))
-            x /= np.linalg.norm(x, axis=1, keepdims=True)
-            return lam * x
+            return self.moment(rng.standard_normal((count, 3)))
         if f == "torus":
             y = np.asarray(self.params["y"], dtype=float)
             return np.tile(y, (count, 1))
+        raise groups.FamilyError(f)
+
+    def moment(self, X):
+        """The moment map on a stack of phase-space points, as rows of dual
+        coordinates: (p, q) rows to (1, p, q) on heisenberg and
+        (1, p, q, p^2 / 2) on bargmann; euclid (r, u) pairs of (n, 3)
+        stacks, u unit directions, to (k r x u + s u, k u) after removing
+        r's component along u; su2 nonzero rows x to lam x / |x|.  A torus
+        orbit is a point and has no phase space."""
+        f = self.family
+        if f in ("heisenberg", "bargmann"):
+            X = np.asarray(X, dtype=float)
+            cols = [np.ones(len(X)), X]
+            if f == "bargmann":
+                cols.append(0.5 * X[:, 0] ** 2)
+            return np.column_stack(cols)
+        if f == "euclid":
+            r, u = (np.asarray(a, dtype=float) for a in X)
+            if not np.abs(np.linalg.norm(u, axis=-1) - 1.0).max(
+                    initial=0.0) <= 1e-9:
+                raise ValueError("directions must be unit vectors")
+            k, s = self.params["k"], self.params["s"]
+            r = r - np.sum(r * u, axis=-1, keepdims=True) * u
+            return np.concatenate([k * np.cross(r, u) + s * u, k * u], axis=-1)
+        if f == "su2":
+            X = np.asarray(X, dtype=float)
+            n = np.linalg.norm(X, axis=-1, keepdims=True)
+            if np.any(n == 0):
+                raise ValueError("a zero point has no direction")
+            return self.params["lam"] * (X / n)
         raise groups.FamilyError(f)
 
 
@@ -208,41 +227,6 @@ def relation_residuals(spec, pts):
     if fam == "su2":
         return np.abs(np.linalg.norm(pts, axis=1) - spec.params["lam"])
     return np.zeros(len(pts))
-
-
-def moment(family, point, params=None):
-    """Dual vector of a phase-space point."""
-    params = params or {}
-    if family == "heisenberg":
-        p, q = point
-        return groups.covector(family, [1.0, p, q])
-    if family == "bargmann":
-        p, q = point
-        return groups.covector(family, [1.0, p, q, 0.5 * p * p])
-    if family == "euclid":
-        r, u = np.asarray(point[0], float), np.asarray(point[1], float)
-        nu = np.linalg.norm(u)
-        if abs(nu - 1.0) > 1e-9:
-            raise ValueError("direction must be a unit vector")
-        r = r - (r @ u) * u
-        k, s = params.get("k", 1.0), params.get("s", 0.0)
-        return groups.covector(family, np.concatenate(
-            [k * np.cross(r, u) + s * u, k * u]))
-    if family == "su2":
-        x = np.asarray(point, dtype=float)
-        lam = params.get("lam", np.linalg.norm(x))
-        n = np.linalg.norm(x)
-        if n == 0:
-            raise ValueError("zero point has no direction")
-        return groups.covector(family, lam * x / n)
-    raise groups.FamilyError(family)
-
-
-def project(w, Zs):
-    """Pairing values (<w, Z_1>, ...); the tuple must commute."""
-    if not groups.commuting(Zs):
-        raise ValueError("tuple does not commute")
-    return tuple(groups.pairing(w, Z) for Z in Zs)
 
 
 # ---------------------------------------------------------------------------

@@ -97,12 +97,6 @@ def _lattice(T, N):
     return omegas[order], lambda y: (phase * np.fft.fft(y) / N)[order]
 
 
-def _lattice_means(y, T, N):
-    """Bohr means on the frequency lattice pi n / T, n in [-N/2, N/2)."""
-    omegas, means = _lattice(T, N)
-    return omegas, means(y)
-
-
 def atom_scan(state, Z, T, N=2 ** 14, max_atoms=MAX_ATOMS, samples=None):
     """Atoms of the restriction along Z, strongest first, until the largest
     Bohr mean on the lattice pi n / T is at most ATOM_FACTOR / T.  Each atom
@@ -154,8 +148,9 @@ def density_estimate(state, Z, T=None, N=2 ** 14):
     atom_mass = sum(max(m, 0.0) for _, m in atoms)
 
     window = 0.5 * (1.0 + np.cos(np.pi * ts / T))
-    omegas, means = _lattice_means(resid * window, T, N)
-    dens = np.real(means) * (T / np.pi)  # kernel mass-normalized: sum -> int
+    omegas, lattice_means = _lattice(T, N)
+    # kernel mass-normalized: sum -> int
+    dens = np.real(lattice_means(resid * window)) * (T / np.pi)
     density = (omegas, dens)
     dens_int = float(np.trapezoid(dens, omegas))
 
@@ -232,54 +227,20 @@ def concentration_check(estimate, target, eps=None):
 # ---------------------------------------------------------------------------
 # prequantization counterexample
 
-@dataclass
-class PrequantScenario:
-    kind: str                      # gaussian | grid | point
-    center: tuple = (0.0, 0.0)
-    sigma: float = 1.0
-    p: np.ndarray | None = None
-    k: np.ndarray | None = None
-    density: np.ndarray | None = None
-
-
-def gaussian_scenario(center=(0.0, 0.0), sigma=1.0):
-    return PrequantScenario("gaussian", tuple(center), float(sigma))
-
-
-def grid_scenario(p, k, density):
-    return PrequantScenario("grid", p=np.asarray(p, float),
-                            k=np.asarray(k, float),
-                            density=np.asarray(density, float))
-
-
-def point_scenario(center):
-    return PrequantScenario("point", tuple(center))
-
-
 class GridTooCoarse(ValueError):
     pass
 
 
-def _classical_value(p, k):
-    return np.sin(p) + (k - p) * np.cos(p)
+def prequant_mass_outside(center=(0.0, 0.0), sigma=1.0):
+    """Mass of N(center, sigma^2 I) pushed outside [-1, 1] by
+    (p, k) -> sin p + (k - p) cos p.
 
-
-def _mass_on_grid(p, k, density):
-    """(total mass, mass outside) of a density on a uniform (p, k) grid."""
-    dp = p[1] - p[0]
-    dk = k[1] - k[0]
-    outside = np.abs(_classical_value(p[:, None], k[None, :])) > 1.0
-    return (float(np.sum(density)) * dp * dk,
-            float(np.sum(density * outside)) * dp * dk)
-
-
-def _gaussian_mass(center, sigma):
-    """Mass outside and quad's summed error estimate for N(center, sigma^2 I).
     For fixed p the k with |sin p + (k - p) cos p| <= 1 form the interval
     with ends p + (+-1 - sin p) / cos p, so the mass is one integral over p
     of the p-density times both k-tails.  It is smooth between the zeros of
     cos p, which cut c0 +- 12 sigma (beyond lies under 1e-32 of the mass)
-    into the pieces given to quad."""
+    into the pieces given to quad.  GridTooCoarse is raised when quad's
+    summed error estimate exceeds 1e-3."""
     # imported here: scipy.integrate adds 0.1 s to every CLI start-up
     from scipy.integrate import quad
 
@@ -297,34 +258,7 @@ def _gaussian_mass(center, sigma):
     n1 = math.floor((b - math.pi / 2) / math.pi)
     breaks = [a] + [math.pi * (n + 0.5) for n in range(n0, n1 + 1)] + [b]
     pieces = [quad(integrand, u, v) for u, v in zip(breaks, breaks[1:])]
-    return sum(v for v, _ in pieces), sum(e for _, e in pieces)
-
-
-def prequant_mass_outside(scenario):
-    """Mass of |phi|^2 pushed outside [-1, 1] by (p,k) -> sin p + (k-p)cos p.
-
-    point: 0 or 1.  grid: midpoint sums of a density that must integrate to
-    1, against its half-resolution ([::2]) sums.  gaussian: the 1-D integral
-    of _gaussian_mass, against quad's own error estimate.  GridTooCoarse is
-    raised when either check exceeds 1e-3."""
-    if scenario.kind == "point":
-        p0, k0 = scenario.center
-        return float(abs(_classical_value(p0, k0)) > 1.0)
-    if scenario.kind == "grid":
-        p, k, density = scenario.p, scenario.k, scenario.density
-        total, full = _mass_on_grid(p, k, density)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError("density integrates to %.9f, not 1" % total)
-        if p.size >= 8 and k.size >= 8:
-            tot, out = _mass_on_grid(p[::2], k[::2], density[::2, ::2])
-            coarse = out / max(tot, 1e-300)
-            if abs(coarse - full) > 1e-3:
-                raise GridTooCoarse(
-                    "refinement moved the estimate by %.2e" % abs(coarse - full))
-        return full
-    if scenario.kind == "gaussian":
-        value, err = _gaussian_mass(scenario.center, scenario.sigma)
-        if err > 1e-3:
-            raise GridTooCoarse("quadrature error estimate %.2e" % err)
-        return value
-    raise ValueError("unknown scenario kind %r" % (scenario.kind,))
+    err = sum(e for _, e in pieces)
+    if err > 1e-3:
+        raise GridTooCoarse("quadrature error estimate %.2e" % err)
+    return sum(v for v, _ in pieces)

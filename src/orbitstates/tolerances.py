@@ -11,7 +11,6 @@ from dataclasses import dataclass
 class Tolerances:
     # chart / matrix hygiene
     ortho: float = 1e-12          # A^T A = I, det A = 1, quaternion norm
-    branch_guard: float = 1e-9    # log rejected for rotation angle >= pi - guard
     commuting: float = 1e-10      # pairwise bracket norm for "commuting"
 
     # states

@@ -173,7 +173,7 @@ def test_criterion_06_delta_cyclic_vector_table():
 
 def test_criterion_07_prequant_counterexample():
     t0 = time.perf_counter()
-    got = spectral.prequant_mass_outside(spectral.gaussian_scenario())
+    got = spectral.prequant_mass_outside()
     el = time.perf_counter() - t0
     err = abs(got - oracles.PREQUANT_MASS)
     ok = err <= 1e-3 and got > 0.05 and el < 10.0
@@ -288,7 +288,7 @@ def test_criterion_10_su2_atoms_and_projection():
             worst_band = max(worst_band, abs(m * th) - (two_j / 2) * th)
             y = y - a.mass * np.exp(1j * m * th * ts)
         # all mass is accounted for inside the band: nothing else anywhere
-        _, means = spectral._lattice_means(y, T, 2 ** 14)
+        means = spectral._lattice(T, 2 ** 14)[1](y)
         resid_peak = max(resid_peak, float(np.max(np.abs(means))))
     d1 = orbits.kostant_projection_check(1.0, n_samples=100000, seed=10)
     d2 = orbits.kostant_projection_check(4.0, n_samples=100000, seed=11,

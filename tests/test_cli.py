@@ -257,6 +257,9 @@ def test_bad_input_exits_two(tmp_path, payload):
      "orbit_project"),
     ('{"kind": "heisenberg_loc_p"}, "params": {"Zs": true}', "/params/Zs",
      "orbit_project"),
+    # a tuple that does not commute: the pointer names the whole tuple
+    ('{"kind": "su2_highest_weight"}, "params": {"Zs": [[1, 0, 0], '
+     '[0, 1, 0]]}', "/params/Zs:", "orbit_project"),
     ('{"kind": "su2_highest_weight"}, "params": {"orbit": {"lam": -1}}',
      "/params/orbit/lam", "quantum_check"),
     ('{"kind": "euclid_plane", "params": {"k": 2, "s": 1}}, '

@@ -104,9 +104,9 @@ def test_reproducing_identity(kind, params):
 
 def test_loc_p_translations_act_as_characters_on_cyclic_vector():
     st, space, probes = _space("heisenberg_loc_p", dict(k=1.3))
-    hs = groups.stack("heisenberg", [
-        groups.heisenberg(a, 0.0, c)
-        for a, c in np.random.default_rng(5).uniform(-3, 3, (10, 2))])
+    a, c = np.random.default_rng(5).uniform(-3, 3, (10, 2)).T
+    hs = groups.from_coords("heisenberg",
+                            np.column_stack([a, np.zeros_like(a), c]))
     chi = [np.exp(1j * (1.3 * h.data[2] - h.data[0])) for h in hs]
     assert gns.eigenvector_check(space, hs, chi) < 1e-9
 
@@ -126,9 +126,9 @@ def test_su2_half_spin_commutant_is_scalars():
 def test_commutant_rejects_lossy_generators():
     st, space, probes = _space("heisenberg_loc_p", dict(k=1.3))
     # a b-translation off the sampled lattice escapes the span entirely
-    bad = groups.heisenberg(0.0, 10.5, 0.0)
+    bad = np.array([0.0, 10.5, 0.0])
     with pytest.raises(gns.ResidualError):
-        gns.commutant_dim(space, groups.stack("heisenberg", [bad]))
+        gns.commutant_dim(space, groups.from_coords("heisenberg", bad[None]))
 
 
 # ---------------------------------------------------------------------------
@@ -137,24 +137,21 @@ def test_commutant_rejects_lossy_generators():
 def test_build_requires_identity_first():
     st = states.make_state("heisenberg_loc_p", k=1.0)
     with pytest.raises(ValueError):
-        gns.build(st, groups.stack("heisenberg",
-                                   [groups.heisenberg(0.0, 1.0, 0.0),
-                                    groups.heisenberg(0.0, 0.0, 0.0)]))
+        gns.build(st, groups.from_coords("heisenberg", np.array(
+            [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])))
     # a rotation by 1e-6: w is 1 to 1e-12, the axis part is not
     spin = states.make_state("su2_highest_weight", j=1.0)
     with pytest.raises(ValueError):
-        gns.build(spin, groups.stack("su2", [
-            groups.su2(np.cos(5e-7), np.sin(5e-7), 0.0, 0.0),
-            groups.identity("su2")]))
+        gns.build(spin, groups.from_coords("su2", np.array(
+            [[np.cos(5e-7), np.sin(5e-7), 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])))
 
 
 def test_build_rejects_non_state():
     bad = states.make_state(
         "custom", family="heisenberg",
         evaluator=lambda g: 1.0 if abs(g.data[1]) < 1e-9 else -1.0)
-    samples = groups.stack("heisenberg", [groups.heisenberg(0, 0, 0),
-                                          groups.heisenberg(0, 1, 0),
-                                          groups.heisenberg(0, 2, 0)])
+    samples = groups.from_coords("heisenberg", np.array(
+        [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 2.0, 0.0]]))
     with pytest.raises(gns.NotAStateError):
         gns.build(bad, samples)
 

@@ -210,30 +210,3 @@ def test_inner_mode_mismatch():
     g = induced.constant_section(8, 16)
     with pytest.raises(ValueError):
         induced.inner(f, g)
-
-
-# ---------------------------------------------------------------------------
-# character matching
-
-def test_character_matching_shifts_wavenumber():
-    # conjugating the b = 0 subgroup by (0, b, 0) sends (a, 0, c) to
-    # (a - b c, 0, c), so chi_k matches eta exactly when eta = chi_{k-b}
-    b = 0.7
-    g = groups.heisenberg(0.0, b, 0.0)
-    probes = [groups.heisenberg(a, 0.0, c)
-              for a, c in np.random.default_rng(7).uniform(-2, 2, (12, 2))]
-    in_h = lambda h: abs(h.data[1]) < 1e-9
-    chi = lambda h: np.exp(1j * (1.3 * h.data[2] - h.data[0]))
-    eta_good = lambda h: np.exp(1j * ((1.3 - b) * h.data[2] - h.data[0]))
-    assert induced.mackey_shoda_a(chi, eta_good, g, probes, in_h, in_h)
-    assert not induced.mackey_shoda_a(chi, chi, g, probes, in_h, in_h)
-
-
-def test_character_matching_rejects_outside_probes():
-    g = groups.heisenberg(0.0, 0.0, 0.0)
-    probe = [groups.heisenberg(0.0, 1.0, 0.0)]       # b != 0: outside H
-    in_h = lambda h: abs(h.data[1]) < 1e-9
-    chi = lambda h: 1.0
-    with pytest.raises(ValueError):
-        induced.mackey_shoda_a(chi, chi, g, probe, in_h, in_h)
-

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from orbitstates import groups, orbits, states
 
 
@@ -12,57 +13,127 @@ def _alg(family, coords):
 # moment maps
 
 def test_euclid_moment_closed_forms():
-    w = orbits.moment("euclid", (np.zeros(3), np.array([0.0, 0.0, 1.0])),
-                      {"k": 2.0, "s": 0.5})
-    assert np.allclose(w.coords, [0, 0, 0.5, 0, 0, 2.0], atol=1e-12)
+    spec = orbits.euclid_orbit(2.0, 0.5)
     # r parallel to u contributes nothing to the angular part
-    w = orbits.moment("euclid", (np.array([0.0, 0.0, 3.0]),
-                                 np.array([0.0, 0.0, 1.0])),
-                      {"k": 2.0, "s": 0.5})
-    assert np.allclose(w.coords, [0, 0, 0.5, 0, 0, 2.0], atol=1e-12)
+    w = spec.moment((np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3.0]]),
+                     np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])))
+    assert np.allclose(w, [[0, 0, 0.5, 0, 0, 2.0]] * 2, atol=1e-12)
 
 
 def test_euclid_moment_rejects_non_unit_direction():
-    with pytest.raises(ValueError):
-        orbits.moment("euclid", (np.zeros(3), np.array([0.0, 0.0, 2.0])),
-                      {"k": 1.0, "s": 0.0})
+    spec = orbits.euclid_orbit(1.0)
+    for bad in (2.0, np.nan):
+        with pytest.raises(ValueError):
+            spec.moment((np.zeros((2, 3)), np.array([[0.0, 0.0, 1.0],
+                                                     [0.0, 0.0, bad]])))
 
 
 def test_bargmann_and_heisenberg_moment():
-    w = orbits.moment("bargmann", (2.0, 0.0))
-    assert np.allclose(w.coords, [1.0, 2.0, 0.0, 2.0], atol=1e-15)
-    w = orbits.moment("heisenberg", (0.3, -1.2))
-    assert np.allclose(w.coords, [1.0, 0.3, -1.2], atol=1e-15)
+    w = orbits.bargmann_orbit().moment(np.array([[2.0, 0.0]]))
+    assert np.allclose(w, [[1.0, 2.0, 0.0, 2.0]], atol=1e-15)
+    w = orbits.heisenberg_orbit().moment(np.array([[0.3, -1.2]]))
+    assert np.allclose(w, [[1.0, 0.3, -1.2]], atol=1e-15)
 
 
-def test_heisenberg_equivariance():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        p, q = rng.uniform(-3, 3, 2)
-        a, b, c = rng.uniform(-3, 3, 3)
-        g = groups.heisenberg(a, b, c)
-        left = groups.coadjoint(g, orbits.moment("heisenberg", (p, q))).coords
-        right = orbits.moment("heisenberg", (p + b, q + c)).coords
-        assert np.allclose(left, right, atol=1e-12)
+def test_su2_moment_scales_onto_the_sphere():
+    spec = orbits.su2_orbit(1.5)
+    w = spec.moment(np.array([[0.0, 3.0, 4.0]]))
+    assert np.allclose(w, [[0.0, 0.9, 1.2]], atol=1e-15)
+    with pytest.raises(ValueError):
+        spec.moment(np.zeros((1, 3)))
 
 
-def test_euclid_equivariance():
+def _phase_points(family, rng, n):
+    """n phase-space points of the family's orbit chart."""
+    if family == "euclid":
+        u = rng.standard_normal((n, 3))
+        return rng.uniform(-2, 2, (n, 3)), u / np.linalg.norm(u, axis=1,
+                                                              keepdims=True)
+    return rng.uniform(-3, 3, (n, 3 if family == "su2" else 2))
+
+
+def _moved(gs, X):
+    """g_i . x_i for a stack of elements gs and phase-space points X."""
+    if gs.family in ("heisenberg", "bargmann"):
+        b, c, p, q = gs.data[:, 1], gs.data[:, 2], X[:, 0], X[:, 1]
+        if gs.family == "bargmann":
+            e = gs.data[:, 3]
+            return np.column_stack([p + b, q + c - b * e - p * e])
+        return np.column_stack([p + b, q + c])
+    if gs.family == "euclid":
+        A, c = gs.data
+        r, u = X
+        return (np.einsum("nij,nj->ni", A, r) + c,
+                np.einsum("nij,nj->ni", A, u))
+    return np.array([oracles.su2_rotation(g) @ x for g, x in zip(gs.data, X)])
+
+
+@pytest.mark.parametrize("spec", [
+    orbits.heisenberg_orbit(), orbits.bargmann_orbit(),
+    orbits.euclid_orbit(2.0, 0.7), orbits.su2_orbit(1.5)],
+    ids=lambda spec: spec.family)
+def test_moment_is_equivariant(spec):
+    # coadjoint(g, moment(x)) == moment(g . x), through OrbitSpec.moment
     rng = np.random.default_rng(2)
-    params = {"k": 2.0, "s": 0.7}
-    for _ in range(20):
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
-        r = rng.uniform(-2, 2, 3)
-        r -= (r @ u) * u
-        g = groups.random_elements("euclid", rng, 1)[0]
-        A, c = g.data
-        left = groups.coadjoint(g, orbits.moment("euclid", (r, u),
-                                                 params)).coords
-        u2 = A @ u
-        r2 = A @ r + c
-        r2 = r2 - (r2 @ u2) * u2
-        right = orbits.moment("euclid", (r2, u2), params).coords
-        assert np.allclose(left, right, atol=1e-9)
+    f = spec.family
+    gs = groups.random_elements(f, rng, 20)
+    X = _phase_points(f, rng, 20)
+    left = [groups.coadjoint(g, groups.covector(f, w)).coords
+            for g, w in zip(gs, spec.moment(X))]
+    assert np.allclose(left, spec.moment(_moved(gs, X)), atol=1e-9)
+
+
+@pytest.mark.parametrize("spec", [
+    orbits.heisenberg_orbit(), orbits.bargmann_orbit(),
+    orbits.euclid_orbit(2.0, 0.7), orbits.su2_orbit(1.5)],
+    ids=lambda spec: spec.family)
+def test_moment_lands_on_the_orbit(spec):
+    rng = np.random.default_rng(4)
+    w = spec.moment(_phase_points(spec.family, rng, 50))
+    assert w.shape == (50, spec.dim)
+    assert np.max(orbits.relation_residuals(spec, w)) < 1e-10
+
+
+def _reference_sample(spec, rng, count, box):
+    """Orbit samples written out family by family, drawing from the stream
+    in the order OrbitSpec.sample does."""
+    f = spec.family
+    if f in ("heisenberg", "bargmann"):
+        pq = rng.uniform(-box, box, size=(count, 2))
+        cols = [np.ones(count), pq]
+        if f == "bargmann":
+            cols.append(0.5 * pq[:, 0] ** 2)
+        return np.column_stack(cols)
+    if f == "euclid":
+        k, s = spec.params["k"], spec.params["s"]
+        u = rng.standard_normal((count, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        r = rng.uniform(-box, box, size=(count, 3))
+        r -= np.sum(r * u, axis=1, keepdims=True) * u
+        return np.hstack([k * np.cross(r, u) + s * u, k * u])
+    if f == "su2":
+        x = rng.standard_normal((count, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        return spec.params["lam"] * x
+    return np.tile(np.asarray(spec.params["y"], dtype=float), (count, 1))
+
+
+@pytest.mark.parametrize("spec", [
+    orbits.heisenberg_orbit(), orbits.heisenberg_orbit(2.0, -0.5),
+    orbits.bargmann_orbit(), orbits.euclid_orbit(2.0, 0.5),
+    orbits.euclid_orbit(1.0), orbits.su2_orbit(1.5),
+    orbits.torus_orbit([0.5, 2.0])],
+    ids=["heisenberg", "heisenberg_k2", "bargmann", "euclid_s", "euclid",
+         "su2", "torus"])
+def test_sample_rows_match_the_reference_stream(spec):
+    # sample draws its points, then maps them through moment: the rows
+    # must equal the family-by-family formulas bit for bit
+    for seed in (0, 1, 49):
+        for count in (1, 7, 1000):
+            got = spec.sample(np.random.default_rng(seed), count, box=3.0)
+            want = _reference_sample(spec, np.random.default_rng(seed),
+                                     count, 3.0)
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +158,6 @@ def test_sampled_points_satisfy_orbit_relations():
 
     pts = orbits.torus_orbit([0.5, 2.0]).sample(rng, 4)
     assert np.allclose(pts, [[0.5, 2.0]] * 4, atol=1e-15)
-
-
-def test_project_values_and_commuting_guard():
-    w = groups.covector("euclid", [1, 2, 3, 4, 5, 6])
-    Zs = [_alg("euclid", [0, 0, 0, 1.0, 0, 0]),
-          _alg("euclid", [0, 0, 0, 0, 1.0, 0])]
-    assert np.allclose(orbits.project(w, Zs), [4.0, 5.0], atol=1e-12)
-    bad = [_alg("su2", [1, 0, 0]), _alg("su2", [0, 1, 0])]
-    with pytest.raises(ValueError):
-        orbits.project(groups.covector("su2", [1, 0, 0]), bad)
 
 
 # ---------------------------------------------------------------------------

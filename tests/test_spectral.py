@@ -99,7 +99,7 @@ def test_su2_atoms_follow_the_eigenvector_law():
         y = spectral.flow_values(st, Z, ts)
         for m, w in want.items():
             y = y - w * np.exp(1j * m * th * ts)
-        _, means = spectral._lattice_means(y, T, 2 ** 14)
+        means = spectral._lattice(T, 2 ** 14)[1](y)
         assert np.max(np.abs(means)) < 1e-10
 
 
@@ -248,49 +248,24 @@ def test_concentration_check_point_and_interval():
 # ---------------------------------------------------------------------------
 # the prequantization counterexample
 
-def test_point_scenarios_follow_the_classical_map():
-    assert spectral.prequant_mass_outside(spectral.point_scenario((0, 0))) == 0
-    assert spectral.prequant_mass_outside(
-        spectral.point_scenario((0, 10))) == 1.0
-    # k = p kills the second term, so |F| = 1 exactly: not outside
-    assert spectral.prequant_mass_outside(
-        spectral.point_scenario((np.pi / 2, np.pi / 2))) == 0
-
-
 def test_gaussian_mass_matches_frozen_oracle():
-    got = spectral.prequant_mass_outside(spectral.gaussian_scenario())
+    got = spectral.prequant_mass_outside()
     assert abs(got - oracles.PREQUANT_MASS) < 1e-3
     assert got > 0.05
 
 
 def test_gaussian_mass_is_exact():
-    got = spectral.prequant_mass_outside(spectral.gaussian_scenario())
+    got = spectral.prequant_mass_outside()
     assert abs(got - oracles.PREQUANT_MASS) < 1e-12
-    shifted = spectral.prequant_mass_outside(
-        spectral.gaussian_scenario(center=(0.0, 10.0)))
+    shifted = spectral.prequant_mass_outside(center=(0.0, 10.0))
     assert abs(shifted - oracles.PREQUANT_MASS_SHIFTED) < 1e-10
 
 
-def test_grid_scenario_uniform_blocks():
-    n = 64
-    p = np.linspace(-0.5, 0.5, n)
-    k = np.linspace(9.5, 10.5, n)
-    dp, dk = p[1] - p[0], k[1] - k[0]
-    density = np.full((n, n), 1.0 / (n * n * dp * dk))
-    scn = spectral.grid_scenario(p, k, density)
-    assert abs(spectral.prequant_mass_outside(scn) - 1.0) < 1e-12
-
-    with pytest.raises(ValueError):
-        spectral.prequant_mass_outside(
-            spectral.grid_scenario(p, k, 2.0 * density))
-
-
-def test_grid_scenario_detects_coarseness():
-    n = 16
-    p = np.linspace(-0.5, 0.5, n)
-    k = np.linspace(9.5, 10.5, n)
-    dp, dk = p[1] - p[0], k[1] - k[0]
-    density = np.zeros((n, n))
-    density[1, 1] = 1.0 / (dp * dk)  # invisible to the half-resolution pass
+def test_quadrature_error_estimate_gates_the_mass(monkeypatch):
+    # a quad whose error estimate exceeds the gate makes the mass refuse
+    import scipy.integrate
+    quad = scipy.integrate.quad
+    monkeypatch.setattr(scipy.integrate, "quad",
+                        lambda *a, **kw: (quad(*a, **kw)[0], 2e-3))
     with pytest.raises(spectral.GridTooCoarse):
-        spectral.prequant_mass_outside(spectral.grid_scenario(p, k, density))
+        spectral.prequant_mass_outside()

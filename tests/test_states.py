@@ -243,8 +243,7 @@ def test_hermitian_symmetry_and_bound(kind, params):
     rng = np.random.default_rng(3)
     gs = groups.random_elements(st.family, rng, 80)
     vals = states.evaluate(st, gs)
-    inv_vals = states.evaluate(st, groups.stack(
-        st.family, [groups.inverse(g) for g in gs]))
+    inv_vals = states.evaluate(st, groups.inverse(gs))
     assert np.max(np.abs(inv_vals - np.conj(vals))) < 1e-12
     assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
@@ -253,9 +252,11 @@ def test_hermitian_symmetry_and_bound(kind, params):
 def test_gram_entries_match_scalar_route(kind, params):
     st = _mk(kind, params)
     rng = np.random.default_rng(4)
-    gs = list(groups.random_elements(st.family, rng, 6)) \
-        + list(states.support_samples(st, np.random.default_rng(5), 6))
-    gm = states.gram(st, groups.stack(st.family, gs))
+    gs = groups.from_coords(st.family, groups.map_coords(
+        lambda x, y: np.concatenate([x, y]),
+        groups.random_elements(st.family, rng, 6).data,
+        states.support_samples(st, np.random.default_rng(5), 6).data))
+    gm = states.gram(st, gs)
     n = len(gs)
     for i in range(n):
         for jj in range(n):
@@ -376,10 +377,11 @@ def test_krein_margin_holds_for_near_coincident_pairs():
     rng = np.random.default_rng(31)
     for d in (1e-5, 3e-6, 1e-7):
         a_s = rng.uniform(-3, 3, 200)
-        gs = groups.stack("heisenberg", [groups.heisenberg(a, 0.0, 0.0)
-                                         for a in a_s])
-        hs = groups.stack("heisenberg", [groups.heisenberg(a + d, 0.0, 0.0)
-                                         for a in a_s])
+        zero = np.zeros_like(a_s)
+        gs = groups.from_coords("heisenberg",
+                                np.column_stack([a_s, zero, zero]))
+        hs = groups.from_coords("heisenberg",
+                                np.column_stack([a_s + d, zero, zero]))
         out = states.check_inequalities(st, gs, hs)
         assert out["pass"], (d, out)
         assert out["krein_margin"] < 1e-15
@@ -402,9 +404,8 @@ def test_check_psd_flags_indefinite_kernel():
     bad = states.make_state(
         "custom", family="heisenberg",
         evaluator=lambda g: 1.0 if abs(g.data[1]) < 1e-9 else -1.0)
-    samples = groups.stack("heisenberg", [groups.heisenberg(0, 0, 0),
-                                          groups.heisenberg(0, 1, 0),
-                                          groups.heisenberg(0, 2, 0)])
+    samples = groups.from_coords("heisenberg", np.array(
+        [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 2.0, 0.0]]))
     gm = states.gram(bad, samples)
     assert not states.check_psd(gm)["pass"]
 
@@ -412,8 +413,10 @@ def test_check_psd_flags_indefinite_kernel():
 def test_modulus_one_probe_finds_subgroup():
     st = _mk("euclid_spherical", dict(k=2.0))
     rng = np.random.default_rng(23)
-    samples = groups.stack("euclid", [groups.identity("euclid")]
-                           + list(groups.random_elements("euclid", rng, 20)))
+    samples = groups.from_coords("euclid", groups.map_coords(
+        lambda e, x: np.concatenate([e[None], x]),
+        groups.identity("euclid").data,
+        groups.random_elements("euclid", rng, 20).data))
     out = states.modulus_one_subgroup_probe(st, samples)
     assert out["pass"]
     assert 0 in out["inside"]
@@ -454,7 +457,8 @@ def test_parameter_validation():
 def test_gram_rejects_family_mismatch():
     st = _mk("heisenberg_loc_p", dict(k=1.0))
     with pytest.raises(groups.FamilyError):
-        states.gram(st, groups.stack("euclid", [groups.identity("euclid")]))
+        states.gram(st, groups.random_elements("euclid",
+                                               np.random.default_rng(0), 1))
     with pytest.raises(ValueError):
         states.gram(st, groups.random_elements(st.family,
                                                np.random.default_rng(0), 0))
