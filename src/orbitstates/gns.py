@@ -39,9 +39,9 @@ class GnsSpace:
         self.cyclic = cyclic    # coordinates of m_e in the basis
 
 
-def build(state, samples, tol=None):
-    """Quotient the Gram form of a sample stack at eigenvalue cut tol * n."""
-    tol = DEFAULT.quotient_scale if tol is None else tol
+def build(state, samples):
+    """Quotient the Gram form of a sample stack at the eigenvalue cut
+    quotient_scale * n."""
     fam, s0 = samples.family, groups.map_coords(lambda x: x[0], samples.data)
     e = groups.exp_coords(fam, np.zeros(groups.ALGEBRA_DIM.get(fam, len(s0))))
     off = groups.map_coords(lambda x, y: np.abs(x - y).max(), s0, e)
@@ -55,7 +55,7 @@ def build(state, samples, tol=None):
             "Gram minimum eigenvalue %.3g: not a state on this sample"
             % gm.eigenvalues[-1])
     vals, vecs = np.linalg.eigh(gm.entries)
-    keep = vals > tol * n
+    keep = vals > DEFAULT.quotient_scale * n
     r = int(np.sum(keep))
     basis = vecs[:, keep] / np.sqrt(vals[keep])
     cyclic = basis.conj().T @ gm.entries[:, 0]
@@ -100,19 +100,18 @@ def coefficient(space, g):
     return cyclic_coefficient(space, rep_matrix(space, g)[0])
 
 
-def reproducing_check(space, cs, fs=None, seed=0):
+def reproducing_check(space, cs):
     """Max defect of f(c) = (m_c, f) between fresh evaluation and basis route.
 
-    cs: evaluation coefficient vectors over the samples; fs: coefficient
-    vectors defining the functions (random unit vectors when omitted).
+    cs: evaluation coefficient vectors over the samples; the functions f
+    have seeded random unit coefficient vectors, one per c.
     """
     K = space.gram.entries
     B = space.basis
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = len(space.samples)
-    if fs is None:
-        fs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in cs]
-        fs = [v / np.linalg.norm(v) for v in fs]
+    fs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in cs]
+    fs = [v / np.linalg.norm(v) for v in fs]
     worst = 0.0
     for c, a in zip(cs, fs):
         c = np.asarray(c, dtype=complex)
@@ -123,37 +122,36 @@ def reproducing_check(space, cs, fs=None, seed=0):
     return worst
 
 
-def _acting(space, gs, residual_tol, what):
-    """rep_matrix over the stack gs, once every residual is within tol."""
-    residual_tol = DEFAULT.residual if residual_tol is None else residual_tol
+def _acting(space, gs, what):
+    """rep_matrix over the stack gs, once every residual is within the
+    `residual` tolerance."""
     R, res = rep_matrix(space, gs)
-    if np.max(res) > residual_tol:
+    if np.max(res) > DEFAULT.residual:
         raise ResidualError("%s residual %.3g exceeds %.3g"
-                            % (what, np.max(res), residual_tol))
+                            % (what, np.max(res), DEFAULT.residual))
     return R
 
 
-def commutant_dim(space, generators, svd_tol=None, residual_tol=None):
+def commutant_dim(space, generators):
     """Dimension of {X : X R_g = R_g X for all g in the generator stack}.
 
-    Null space of the stacked commutator operator, counted at the given
-    singular-value cut.  Generators must act with negligible residual --
-    the commutant of a lossy projection is meaningless.
+    Null space of the stacked commutator operator, counted at the
+    `commutant_svd` singular-value cut.  Generators must act with
+    negligible residual -- the commutant of a lossy projection is
+    meaningless.
     """
-    svd_tol = DEFAULT.commutant_svd if svd_tol is None else svd_tol
     eye = np.eye(space.rank)
     # row-major vec: kron(A, B) vec(X) = vec(A X B^T)
     L = np.vstack([np.kron(R, eye) - np.kron(eye, R.T) for R in
-                   _acting(space, generators, residual_tol, "generator")])
+                   _acting(space, generators, "generator")])
     sv = np.linalg.svd(L, compute_uv=False)
-    cut = svd_tol * max(1.0, sv[0] if len(sv) else 1.0)
+    cut = DEFAULT.commutant_svd * max(1.0, sv[0] if len(sv) else 1.0)
     return int(space.rank ** 2 - np.sum(sv > cut))
 
 
-def eigenvector_check(space, subgroup_samples, character_values,
-                      residual_tol=None):
+def eigenvector_check(space, subgroup_samples, character_values):
     """Max of |pi(h) m_e - chi(h) m_e| over a stack of subgroup samples."""
-    R = _acting(space, subgroup_samples, residual_tol, "subgroup element")
+    R = _acting(space, subgroup_samples, "subgroup element")
     chi = np.asarray(character_values)[..., None]
     defect = np.linalg.norm(R @ space.cyclic - chi * space.cyclic, axis=-1)
     return float(np.max(defect))

@@ -26,7 +26,7 @@ quantifies over all commuting tuples.
 
 Every tuple reduces the orbit sup to a search over one of three charts,
 each defined by its phases phi_j(x) (the signal is
-|sum_j c_j e^{i phi_j(x)}|) and their Jacobian:
+|sum_j c_j e^{i phi_j(x)}|):
 
   line    p gamma_j - p^2 eps_j / 2 + off_j over p in R or an interval:
           Heisenberg tau = p sin(theta) - q cos(theta), Bargmann ideal p,
@@ -43,14 +43,18 @@ test) after each one:
      heights, plus the exact value when the tuple has one term or is
      central;
   2  analytic class bounds: on the line over R the stationary-phase means
-     of the exact (gamma, eps) classes, the sphere mean
-     sum c_j sinc|w_j| and the directions +-w_j/|w_j|, the per-s-class
-     strip bound on a coarse p grid;
+     of the exact (gamma, eps) classes, and on a row of exactly two
+     classes with equal eps the point p* where the two class sums align
+     (the exact sup); the sphere mean sum c_j sinc|w_j| and the
+     directions +-w_j/|w_j|; the per-s-class strip bound on a coarse p
+     grid;
   3  a fixed 1-in-16 subset of the chart's fixed grid;
   4  the rest of that grid, plus three great circles and their means on
      the sphere and the strip's class bound on the rest of its p grid;
-  5  the budgeted seeded draws, then one batched gradient ascent on the
-     chart from the best points.
+  5  a Lipschitz branch and bound (Piyavskii 1972; Shubert 1972) over an
+     axis-aligned box of chart coordinates: p in [-r, r] on the line,
+     (theta, phi) in [0, pi] x [0, 2 pi] on the sphere, (l, p) in
+     [-box, box] x [-k, k] on the strip.
 
 Every stage yields a true lower bound on the sup, so stopping once it
 reaches the target is sound, and without a target every stage runs.  The
@@ -60,7 +64,10 @@ upper bound is tightened from values the stages compute anyway:
   2  on the line over R, sum over the (gamma, eps) classes of
      |class sum of c_j e^{i off_j}|;
   4  on the SU(2) interval, the grid maximum plus L lambda / (GRID_1D - 1),
-     with L = sum_j |c_j| |omega_j| the signal's Lipschitz constant.
+     with L = sum_j |c_j| |omega_j| the signal's Lipschitz constant;
+  5  on the SU(2) interval and the sphere, whose boxes cover the whole
+     chart, the largest bound of the cells the branch and bound leaves
+     open.
 
 Each upper bound also carries ROUNDING * sum_j |c_j|, an allowance for the
 rounding of the values evaluated on the orbit: a phase of size Phi is
@@ -68,25 +75,28 @@ evaluated to within a few ulps of Phi, so a value may exceed the exact sup
 by about 1e-16 Phi sum_j |c_j|, and the allowance covers phases up to about
 1e6 radians (the searched box reaches a few thousand).  Once the upper
 bound lies below the target by more than `eps`, the row is settled as
-refuted and stage 5 does not run.  The sphere and the strip get the
-triangle bound only.
+refuted.  The line over R and the strip are searched in a box that does
+not cover them, so stage 5 certifies no upper bound there: it stops once
+the box cannot reach the target, which settles the verdict but not the
+sup.
 
-`budget` caps the draws of stage 5; re-running with a larger budget extends
-the same stream of draws, so the best drawn value never falls as the budget
-grows.  The estimate can: the ascents start from the best points found,
-and a better start may climb to a lower local maximum.
+Stage 5 prunes cells only against the best value found and refines them
+in a fixed order, so the points it evaluates never depend on the target:
+`budget`, the cap on its evaluations, and an early exit both run the
+first rounds of the full search, and the estimate never falls as the
+budget grows.
 `SupEstimate.drawn` and the `samples_drawn` field of a `quantum_check`
-report say how many draws were actually made.
+report say how many stage-5 evaluations were made.
 
 The search runs on stacks of tuples, padded to a common length with zero
 terms: stages 1 and 2 are array code over the whole stack, and stages 3-5
 run one tuple at a time on the few that those leave unsettled.
 `quantum_check` runs its trials BLOCK at a time: one draw of a block's
 tuples from a stream keyed by (seed, block), one `states.exp_values` call
-for their left sides, then the search with stage-5 draws keyed by
-(seed, trial).  The left sides and the anchor and class sums go through one
-left-to-right reduction (`_rsum`), so a sum that equals a localized
-state's left side in exact arithmetic equals it in floating point too.
+for their left sides, then the search.  The left sides and the anchor and
+class sums go through one left-to-right reduction (`_rsum`), so a sum that
+equals a localized state's left side in exact arithmetic equals it in
+floating point too.
 `orbit_sup` is the same search on a stack of one; it checks that its tuple
 commutes, while drawn tuples commute by construction.
 """
@@ -103,10 +113,9 @@ GRID_1D = 4096
 GRID_2D = 96
 CIRCLE = 512
 COARSE = 16          # stage 3 evaluates every COARSE-th point of a fixed grid
-DRAW_CHUNK = 8192    # stage 5 evaluates its draws this many at a time
-ASCENT_STEPS = 50
-ASCENT_RESTARTS = 8
+BATCH = 8192         # stage 5 splits this many cells at a time
 ROUNDING = 1e-9      # upper bounds add ROUNDING * sum_j |c_j| (see above)
+PHASE_MAX = 1e6      # the largest phase that ROUNDING covers, in radians
 
 # the stage names of SupEstimate.stage (1-based) as quantum_check reports them
 STAGES = ("anchor", "class_bound", "coarse_grid", "full_grid", "search")
@@ -116,10 +125,9 @@ STAGES = ("anchor", "class_bound", "coarse_grid", "full_grid", "search")
 class SupEstimate:
     """One search's result (the search over a stack keeps (T,) arrays)."""
     value: float
-    samples: int         # orbit points evaluated, draws included
-    ascent_steps: int
+    samples: int         # orbit points evaluated, stage 5 included
     stage: int = 1       # the last stage run (the one that settled the row)
-    drawn: int = 0       # budgeted draws made (stage 5 only)
+    drawn: int = 0       # stage-5 evaluations made (at most the budget)
     upper: float = math.inf   # certified upper bound on the sup
 
     def __float__(self):
@@ -284,7 +292,7 @@ class _Bound:
     """The running certified bounds of one row of the sup search, from
     stage 3 on (stages 1 and 2 run on the whole stack in _sup_rows)."""
     __slots__ = ("target", "eps", "value", "upper", "slack", "samples",
-                 "steps", "stage", "drawn")
+                 "stage", "drawn")
 
     def __init__(self, target, eps, value, upper, slack, samples):
         self.target = target        # inf: no early exit
@@ -293,7 +301,7 @@ class _Bound:
         self.upper = upper
         self.slack = slack          # the rounding allowance of upper bounds
         self.samples = samples
-        self.steps = self.drawn = 0
+        self.drawn = 0
         self.stage = 2
 
     def points(self, vals):
@@ -340,171 +348,142 @@ def _grid_stages(run, grid, value):
     return vals
 
 
-def _draws(budget, draw):
-    """The budgeted draws in chunks of at most DRAW_CHUNK points, drawn in
-    stream order by draw(count)."""
-    for start in range(0, budget, DRAW_CHUNK):
-        yield draw(min(DRAW_CHUNK, budget - start))
+def _values(cs, phase):
+    """|sum_j c_j e^{i phi_j(x)}| over the rows x of X, where phase(X)
+    gives the (rows, n) phases."""
+    return lambda X: np.abs(np.exp(1j * phase(X)) @ cs)
 
 
-class _Chart:
-    """A search chart of |sum_j c_j e^{i phi_j(x)}| over rows x: phase(X)
-    gives the (rows, n) phases, jac(X) their Jacobian d phi_j / dx
-    (broadcastable to (rows, n, dim)), and move(X, G, eta) takes the
-    gradient step eta G and keeps the rows on the chart."""
-    __slots__ = ("cs", "phase", "jac", "move")
-
-    def __init__(self, cs, phase, jac, move):
-        self.cs, self.phase, self.jac, self.move = cs, phase, jac, move
-
-    def value(self, X):
-        return np.abs(np.exp(1j * self.phase(X)) @ self.cs)
+def _line(cs, ga, ep, off):
+    """_values on the line chart: phases p ga_j - p^2 ep_j / 2 + off_j."""
+    return _values(cs, lambda P: P * (ga - 0.5 * P * ep) + off)
 
 
-def _line_chart(cs, ga, ep, off, r=np.inf):
-    """p in [-r, r] (all of R by default); phases
-    p ga_j - p^2 ep_j / 2 + off_j; steps clamp p."""
-    return _Chart(cs, lambda P: P * (ga - 0.5 * P * ep) + off,
-                  lambda P: (ga - P * ep)[..., None],
-                  lambda P, G, eta: np.clip(P + eta * G, -r, r))
+def _best_first(bound, k):
+    """The indices, ascending, of the k largest bounds, equal bounds taken
+    in index order."""
+    if k >= len(bound):
+        return np.arange(len(bound))
+    cut = np.partition(bound, len(bound) - k)[len(bound) - k]
+    take = bound > cut
+    take[np.flatnonzero(bound == cut)[:k - np.count_nonzero(take)]] = True
+    return np.flatnonzero(take)
 
 
-def _sphere_chart(cs, ws):
-    """Unit vectors u; phases u . w_j; steps are projected and retracted."""
-    def move(U, G, eta):
-        G = G - np.sum(G * U, axis=1, keepdims=True) * U
-        return _unit(U + eta * G)
+def _branch_and_bound(run, value, lo, hi, lip, budget, compact):
+    """Stage 5: a Lipschitz branch and bound of the signal `value` over the
+    box [lo, hi] of chart coordinates, on which it is lip-Lipschitz.
 
-    return _Chart(cs, lambda U: U @ ws.T, lambda U: ws, move)
-
-
-def _strip_chart(cs, sfreq, pfreq, k):
-    """(l, p) in R x [-k, k]; phases s_j l + t_j p; steps clamp p."""
-    J = np.column_stack([sfreq, pfreq])
-    return _Chart(cs, lambda X: np.outer(X[:, 0], sfreq)
-                  + np.outer(X[:, 1], pfreq), lambda X: J,
-                  lambda X, G, eta: np.clip(X + eta * G, (-np.inf, -k),
-                                            (np.inf, k)))
-
-
-def _ascend(chart, X):
-    """Gradient ascent on |S|^2, S = sum_j c_j e^{i phi_j(x)}, from every
-    row of X together.  Each row keeps its own step, first
-    0.5 / max(1, max_j |d phi_j / dx|^2) at its start: a move that does not
-    lower the value is kept, otherwise the step halves, and the row stops
-    once its step is below 1e-18 or after ASCENT_STEPS moves.  Returns the
-    final rows, their values (none below its start) and the moves tried."""
-    X = np.array(X, dtype=float)
-    f = chart.value(X)
-    J = chart.jac(X)
-    eta = np.broadcast_to(
-        0.5 / np.maximum(1.0, np.max(np.sum(J * J, axis=-1), axis=-1)),
-        f.shape).copy()
-    live, steps = np.arange(len(X)), 0
-    for _ in range(ASCENT_STEPS):
-        if not live.size:
-            break
-        x = X[live]
-        E = np.exp(1j * chart.phase(x))
-        S = E @ chart.cs
-        dS = np.sum((1j * chart.cs * E)[..., None] * chart.jac(x), axis=1)
-        xn = chart.move(x, 2.0 * np.real(np.conj(S)[:, None] * dS),
-                        eta[live, None])
-        fn = chart.value(xn)
-        steps += live.size
-        up = fn >= f[live]
-        X[live[up]], f[live[up]] = xn[up], fn[up]
-        eta[live[~up]] *= 0.5
-        live = live[eta[live] >= 1e-18]
-    return X, f, steps
-
-
-def _search(run, chart, X, vals, chunks):
-    """Stage 5: evaluate the drawn chunks, keeping each chunk's best
-    ASCENT_RESTARTS points (selected, not sorted), then ascend from the
-    ASCENT_RESTARTS best of those and of the fixed points X.  Memory stays
-    bounded by the chunk."""
+    A cell's bound is its centre value plus lip times its half-diagonal.
+    Each round halves the open cells with the BATCH largest bounds (equal
+    bounds taken in a fixed order) across their longest side, then prunes
+    every cell whose bound does not exceed the best value found.  Neither
+    step reads the target, so a run that stops early or has a smaller
+    budget (the cap on evaluations) runs the first rounds of the full run,
+    the last of them perhaps on fewer of its cells.  The run stops when the
+    budget is spent, when the value reaches the target, or when the largest
+    open bound lies below the target by more than eps.  When `compact`, the
+    box is the whole chart, so that bound (or the best value, which bounds
+    every pruned cell) bounds the sup from above.  All cells of one depth
+    have the same half-widths, half[depth]."""
     run.stage = 5
-    keep_X, keep_v = [X], [vals]
-    for D in chunks:
-        v = chart.value(D)
-        run.points(v)
-        run.drawn += len(v)
-        top = np.argpartition(v, -ASCENT_RESTARTS)[-ASCENT_RESTARTS:] \
-            if len(v) > ASCENT_RESTARTS else slice(None)
-        keep_X.append(D[top])
-        keep_v.append(v[top])
-    X, vals = np.concatenate(keep_X), np.concatenate(keep_v)
-    _, f, steps = _ascend(chart, X[np.argsort(vals)[::-1][:ASCENT_RESTARTS]])
-    run.steps += steps
-    run.bound(np.max(f))
+    half = [0.5 * (np.asarray(hi, float) - lo)]
+    centre = 0.5 * (np.asarray(hi, float) + lo)[None]
+    depth = np.zeros(1, dtype=int)
+    bound = np.array([np.inf])          # the box itself, not yet evaluated
+    while True:
+        top = np.max(bound, initial=run.value)
+        if compact:
+            done = run.refuted(top)
+        else:
+            done = _refutes(top + run.slack, run.target, run.eps)
+        k = min(BATCH, len(bound), (budget - run.drawn) // 2)
+        if done or run.met(5) or k == 0:
+            return
+        idx = _best_first(bound, k)
+        dep = depth[idx]
+        if dep.max() + 1 == len(half):
+            h = half[-1].copy()
+            h[np.argmax(h)] *= 0.5
+            half.append(h)
+        H = np.array(half)
+        c, step = centre[idx], (H[:-1] - H[1:])[dep]
+        kids = np.stack([c - step, c + step], axis=1).reshape(-1, H.shape[1])
+        vals = value(kids)
+        run.points(vals)
+        run.drawn += len(vals)
+        dep = np.repeat(dep + 1, 2)
+        kid_bound = vals + lip * np.linalg.norm(H, axis=1)[dep]
+        keep = bound > run.value
+        keep[idx] = False
+        new = kid_bound > run.value
+        centre = np.concatenate([centre[keep], kids[new]])
+        depth = np.concatenate([depth[keep], dep[new]])
+        bound = np.concatenate([bound[keep], kid_bound[new]])
 
 
-def _line_rest(run, cs, ga, ep, off, r, heights, interval, budget, seed):
+def _line_rest(run, cs, ga, ep, off, r, interval, budget):
     """Stages 3-5 on the line chart, p in [-r, r] when `interval` (the
-    SU(2) heights), else p over R, searched in [-r, r].  On the interval
-    every point lies within r / (GRID_1D - 1) of the grid, so the grid
-    maximum plus that distance times the Lipschitz constant
-    sum_j |c_j| |ga_j| bounds the sup from above."""
-    chart = _line_chart(cs, ga, ep, off, r if interval else np.inf)
-    X = r * _LINE[:, None]
-    vals = _grid_stages(run, X, chart.value)
+    SU(2) heights), else p over R, searched in [-r, r].  There the signal
+    is L-Lipschitz with L = sum_j |c_j| (|ga_j| + r |ep_j|).  On the
+    interval every point lies within r / (GRID_1D - 1) of the grid, so the
+    grid maximum plus that distance times L bounds the sup from above."""
+    value = _line(cs, ga, ep, off)
+    vals = _grid_stages(run, r * _LINE[:, None], value)
     if vals is None or run.met(4):
         return
-    if interval and run.refuted(
-            np.max(vals) + np.sum(np.abs(cs * ga)) * r / (GRID_1D - 1)):
+    lip = np.sum(np.abs(cs * ga) + r * np.abs(cs * ep))
+    if interval and run.refuted(np.max(vals) + lip * r / (GRID_1D - 1)):
         return
-    H = heights[:, None]
-    rng = np.random.default_rng(seed)
-    _search(run, chart, np.vstack([X, H]),
-            np.concatenate([vals, chart.value(H)]),
-            _draws(budget, lambda n: rng.uniform(-r, r, size=(n, 1))))
+    _branch_and_bound(run, value, [-r], [r], lip, budget, interval)
 
 
-def _sphere_rest(run, cs, ws, anchors, budget, seed):
-    """Stages 3-5 on the unit sphere; `anchors` are unit vectors."""
-    chart = _sphere_chart(cs, ws)
-    vals = _grid_stages(run, _SPHERE, chart.value)
-    if vals is None:
+def _polar(X):
+    """Unit vectors at the rows (theta, phi) of X.  The map is 1-Lipschitz,
+    since d theta^2 + sin^2 theta d phi^2 <= d theta^2 + d phi^2."""
+    th, ph = X[:, 0], X[:, 1]
+    st = np.sin(th)
+    return np.column_stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)])
+
+
+def _sphere_rest(run, cs, ws, budget):
+    """Stages 3-5 on the unit sphere, where the signal is L-Lipschitz in u
+    with L = sum_j |c_j| |w_j|."""
+    value = _values(cs, lambda U: U @ ws.T)
+    if _grid_stages(run, _SPHERE, value) is None:
         return
     # circle points are candidates and so are their means (a circle mean
     # lower-bounds the sup over the circle)
-    csum = np.exp(1j * chart.phase(_CIRCLES)) @ cs
-    cvals = np.abs(csum)
-    run.points(cvals)
+    csum = np.exp(1j * (_CIRCLES @ ws.T)) @ cs
+    run.points(np.abs(csum))
     for S in csum.reshape(3, CIRCLE):
         run.bound(abs(np.mean(S)))
     if run.met(4):
         return
-    D, ok = _directions(ws)
-    extra = np.vstack([D[ok], anchors])
-    rng = np.random.default_rng(seed)
-    _search(run, chart, np.vstack([_SPHERE, extra, _CIRCLES]),
-            np.concatenate([vals, chart.value(extra), cvals]),
-            _draws(budget, lambda n: _unit(rng.standard_normal((n, 3)))))
+    _branch_and_bound(run, lambda X: value(_polar(X)), [0.0, 0.0],
+                      [np.pi, 2.0 * np.pi],
+                      np.sum(np.abs(cs) * np.linalg.norm(ws, axis=1)),
+                      budget, True)
 
 
-def _strip_rest(run, cs, sfreq, pfreq, k, box, anchors, budget, seed):
-    """Stages 3-5 on the strip (l, p) in R x [-k, k]; `anchors` are (l, p)
-    rows."""
-    chart = _strip_chart(cs, sfreq, pfreq, k)
-    X = _STRIP * (box, k)
-    vals = _grid_stages(run, X, chart.value)
-    if vals is None:
+def _strip_rest(run, cs, sfreq, pfreq, k, box, budget):
+    """Stages 3-5 on the strip (l, p) in R x [-k, k], searched in
+    [-box, box] x [-k, k], where the signal is L-Lipschitz with
+    L = sum_j |c_j| |(s_j, t_j)|."""
+    value = _values(cs, lambda X: np.outer(X[:, 0], sfreq)
+                    + np.outer(X[:, 1], pfreq))
+    if _grid_stages(run, _STRIP * (box, k), value) is None:
         return
     # the per-s-class bound of stage 2 on the rest of its p grid
     p_rest = k * _LINE[_rest(GRID_1D), None]
     for s in np.unique(sfreq):
         sel = sfreq == s
-        run.bound(np.max(_line_chart(cs[sel], pfreq[sel], 0.0, 0.0)
-                         .value(p_rest)))
+        run.bound(np.max(_line(cs[sel], pfreq[sel], 0.0, 0.0)(p_rest)))
     if run.met(4):
         return
-    rng = np.random.default_rng(seed)
-    # (l, p) pairs in stream order, so a larger budget extends the draws
-    _search(run, chart, np.vstack([X, anchors]),
-            np.concatenate([vals, chart.value(anchors)]),
-            _draws(budget, lambda n: rng.uniform((-box, -k), (box, k), (n, 2))))
+    _branch_and_bound(run, value, [-box, -k], [box, k],
+                      np.sum(np.abs(cs) * np.hypot(sfreq, pfreq)), budget,
+                      False)
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +508,11 @@ def _signal(phases, cs):
 
 
 def _class_sums(same, P):
-    """|sum_k [k ~ j] P_k| over the last axis of P, stacked over the terms
-    j along a new leading axis, where same[r, j] marks the terms of row r
-    in the class of term j: the sum of one class is the full-length _rsum
+    """sum_k [k ~ j] P_k over the last axis of P, stacked over the terms j
+    along a new leading axis, where same[r, j] marks the terms of row r in
+    the class of term j: the sum of one class is the full-length _rsum
     with the other terms zeroed."""
-    return np.array([np.abs(_rsum(np.where(same[:, j], P, 0.0)))
+    return np.array([_rsum(np.where(same[:, j], P, 0.0))
                      for j in range(same.shape[-1])])
 
 
@@ -546,19 +525,20 @@ def _directions(ws):
     return np.concatenate([u, -u], axis=-2), np.concatenate([ok, ok], axis=-1)
 
 
-def _sup_rows(spec, C, cs, n, anchors, target, budget, seeds, box, eps):
+def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
     """The staged sup search on a stack of tuples.
 
     Row t is the tuple of algebra coordinates C[t, :n[t]] (C is
     (T, W, dim)) with coefficients cs[t, :n[t]] (cs is 0 on the padding),
     searched against target[t] (inf: no early exit): it is settled once its
     lower bound reaches the target or its upper bound lies below
-    target[t] - eps.  anchors is an (A, dim) stack of dual points, and
-    seeds(t) seeds row t's stage-5 draws.  Stages 1 and 2 run on every row
-    at once, stages 3-5 on each row they leave unsettled.  Returns a
-    SupEstimate of (T,) arrays."""
+    target[t] - eps, eps the `margin` tolerance.  anchors is an (A, dim)
+    stack of dual points, and budget caps each row's stage-5 evaluations.
+    Stages 1 and 2 run on every row at once, stages 3-5 on each row they
+    leave unsettled.  Returns a SupEstimate of (T,) arrays."""
     fam = spec.family
-    T = len(cs)
+    eps = DEFAULT.margin
+    T, W = cs.shape
     rows = np.arange(T)
     target = np.broadcast_to(np.asarray(target, float), (T,))
     anchors = np.reshape(anchors, (-1, C.shape[-1]))
@@ -579,7 +559,6 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, seeds, box, eps):
             fam, anchors[:, None], C[:, None]), cs[:, None]))
     line = sphere = None
     fixed = np.zeros(T, dtype=bool)      # constant phases: the sup is exact
-    heights = np.zeros(0)
     if fam == "heisenberg":
         al, be, ga = C[..., 0], C[..., 1], C[..., 2]
         # commuting <=> the (beta, gamma) rows are parallel
@@ -650,10 +629,29 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, seeds, box, eps):
         same = (ga[:, :, None] == ga[:, None]) \
             & (ep[:, :, None] == ep[:, None])
         sums = _class_sums(same, np.exp(1j * off) * cs[open_])
-        value[open_] = np.maximum(value[open_], np.max(sums, axis=0))
+        mods = np.abs(sums)
+        value[open_] = np.maximum(value[open_], np.max(mods, axis=0))
         first = ~np.any(np.tril(same, -1), axis=-1).T
         upper[open_] = np.minimum(upper[open_], slack[open_]
-                                  + np.sum(np.where(first, sums, 0.0), axis=0))
+                                  + np.sum(np.where(first, mods, 0.0), axis=0))
+        # on the rows still open with exactly two classes, of equal ep,
+        # |A_1 e^{i p ga_1} + A_2 e^{i p ga_2}| reaches its sup
+        # |A_1| + |A_2| at p* = (arg A_1 - arg A_2) / (ga_2 - ga_1);
+        # p* is skipped where a phase there exceeds what ROUNDING covers
+        first &= np.arange(W)[:, None] < n[open_]
+        two = np.flatnonzero(
+            (np.sum(first, axis=0) == 2) & (value[open_] < target[open_])
+            & ~_refutes(upper[open_], target[open_], eps))
+        j1 = np.argmax(first[:, two], axis=0)
+        j2 = W - 1 - np.argmax(first[::-1, two], axis=0)
+        eq = ep[two, j1] == ep[two, j2]
+        two, j1, j2 = two[eq], j1[eq], j2[eq]
+        p = np.angle(sums[j1, two] * np.conj(sums[j2, two])) \
+            / (ga[two, j2] - ga[two, j1])
+        ph = p[:, None] * (ga[two] - 0.5 * p[:, None] * ep[two]) + off[two]
+        ok = np.max(np.abs(ph), axis=1, initial=0.0) <= PHASE_MAX
+        sel = open_[two[ok]]
+        points(sel, _signal(ph[ok], cs[sel])[:, None])
     elif fam == "euclid":
         sel = open_[sphere[open_]]
         # sphere-uniform mean of the signal = sum c_j sinc(|w_j|), with
@@ -674,13 +672,12 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, seeds, box, eps):
         sel = open_[~sphere[open_]]
         s = sfreq[sel]
         p = k * _LINE[::COARSE, None, None]
-        value[sel] = np.maximum(value[sel], np.max(_class_sums(
+        value[sel] = np.maximum(value[sel], np.max(np.abs(_class_sums(
             s[:, :, None] == s[:, None],
-            np.exp(1j * p * pfreq[sel]) * cs[sel]), axis=(0, 1)))
+            np.exp(1j * p * pfreq[sel]) * cs[sel])), axis=(0, 1)))
     settled |= (value >= target) | _refutes(upper, target, eps)
 
     # stages 3-5, one row at a time
-    steps = np.zeros(T, dtype=int)
     drawn = np.zeros(T, dtype=int)
     for t in np.flatnonzero(~settled):
         run = _Bound(target[t], eps, value[t], upper[t], slack[t], samples[t])
@@ -688,21 +685,18 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, seeds, box, eps):
         if line is not None:
             ga, ep, off, r = line
             _line_rest(run, cs[t, :m], ga[t, :m], ep[t, :m], off[t, :m], r[t],
-                       heights, fam == "su2", budget, seeds(t))
+                       fam == "su2", budget)
         elif sphere[t]:
-            _sphere_rest(run, cs[t, :m], ws[t, :m], anchors[:, 3:] / k,
-                         budget, seeds(t))
+            _sphere_rest(run, cs[t, :m], ws[t, :m], budget)
         else:
             _strip_rest(run, cs[t, :m], sfreq[t, :m], pfreq[t, :m], k, box,
-                        np.column_stack([anchors[:, :3] @ axis[t],
-                                         anchors[:, 3:] @ axis[t]]),
-                        budget, seeds(t))
+                        budget)
         value[t], upper[t], samples[t] = run.value, run.upper, run.samples
-        steps[t], stage[t], drawn[t] = run.steps, run.stage, run.drawn
-    return SupEstimate(value, samples, steps, stage, drawn, upper)
+        stage[t], drawn[t] = run.stage, run.drawn
+    return SupEstimate(value, samples, stage, drawn, upper)
 
 
-def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
+def orbit_sup(spec, Zs, cs, budget=10000, box=None, anchors=None,
               target=None):
     """Lower estimate of sup over the orbit of |sum_j c_j e^{i<x, Z_j>}|,
     with a certified upper bound on it in `upper`.
@@ -711,8 +705,7 @@ def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
     a state under test); they keep the estimate sharp where the attaining
     point is known a priori.
 
-    seed: anything np.random.default_rng accepts; a Generator is drawn from
-    in place.
+    budget: the cap on the evaluations of stage 5, the branch and bound.
 
     target: optional early-exit threshold.  The stages (module docstring)
     run in order of cost and the search stops after the first one whose
@@ -729,11 +722,11 @@ def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
         spec, np.stack([Z.coords for Z in Zs])[None],
         np.asarray(cs, dtype=complex)[None], np.array([len(Zs)]),
         np.array([w.coords for w in anchors or []], dtype=float),
-        np.inf if target is None else target, budget, lambda t: seed,
-        DEFAULT.box_radius if box is None else box, DEFAULT.margin)
+        np.inf if target is None else target, budget,
+        DEFAULT.box_radius if box is None else box)
     return SupEstimate(float(est.value[0]), int(est.samples[0]),
-                       int(est.ascent_steps[0]), int(est.stage[0]),
-                       int(est.drawn[0]), float(est.upper[0]))
+                       int(est.stage[0]), int(est.drawn[0]),
+                       float(est.upper[0]))
 
 # ---------------------------------------------------------------------------
 # the sup-inequality check
@@ -742,10 +735,9 @@ def orbit_sup(spec, Zs, cs, budget=10000, seed=0, box=None, anchors=None,
 BLOCK = 256
 
 
-def _key(seed, kind, index):
-    """The seed sequence of one stream of a check: kind 0 draws the tuples
-    of block `index`, kind 1 the stage-5 draws of trial `index`."""
-    return np.random.SeedSequence(seed, spawn_key=(kind, index))
+def _key(seed, block):
+    """The seed sequence from which a check draws the tuples of `block`."""
+    return np.random.SeedSequence(seed, spawn_key=(0, block))
 
 
 def _canonical_probes(spec):
@@ -835,7 +827,7 @@ def _block_tuples(spec, n_max, seed, block):
     depend on how many trials run; the canonical probes replace the first
     trials."""
     probes = _canonical_probes(spec)
-    C, cs, n = _draw_block(spec, np.random.default_rng(_key(seed, 0, block)),
+    C, cs, n = _draw_block(spec, np.random.default_rng(_key(seed, block)),
                            n_max, max([n_max] + [len(c) for _, c in probes]))
     if block == 0:
         for t, (Z, c) in enumerate(probes):
@@ -859,48 +851,44 @@ def _left_sides(state, C, cs):
     return np.abs(_rsum(states.exp_values(state, C) * cs))
 
 
-def _trials(state, spec, n_max, budget, seed, block, rows,
-            eps=DEFAULT.margin):
+def _trials(state, spec, n_max, budget, seed, block, rows):
     """The first `rows` trials of a block: their tuples (C, cs, n), left
-    sides, and sup searches settled against those left sides with slack
-    eps."""
+    sides, and sup searches settled against those left sides."""
     C, cs, n = (a[:rows] for a in _block_tuples(spec, n_max, seed, block))
     lhs = _left_sides(state, C, cs)
-    first = block * BLOCK
     est = _sup_rows(spec, C, cs, n, _state_anchors(state, spec), lhs, budget,
-                    lambda t: _key(seed, 1, first + t), DEFAULT.box_radius,
-                    eps)
+                    DEFAULT.box_radius)
     return C, cs, n, lhs, est
 
 
-def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0,
-                  eps=None):
+def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0):
     """Test |sum c_j m(exp Z_j)| <= sup over the orbit, over random
     whitelisted commuting tuples.  Reports the worst margin (sup lower
     bound minus left side), concrete witnesses for any failures, how many
-    trials each search stage settled (`stages`) and how many budgeted draws
-    were made (`samples_drawn`; `budget` is only the cap per trial).  Each
-    witness carries the certified upper bound on its sup (`upper`) and
-    whether that bound refutes it (`certified`: upper < lhs - eps);
-    `certified_failures` counts those.  A trial whose upper bound refutes
-    it is settled there, without the budgeted draws.
+    trials each search stage settled (`stages`) and how many stage-5
+    evaluations were made (`samples_drawn`; `budget` is only the cap per
+    trial).  Each witness carries the certified upper bound on its sup
+    (`upper`) and whether that bound refutes it (`certified`:
+    upper < lhs - eps, eps the `margin` tolerance); `certified_failures`
+    counts those.  A trial is settled at the first stage whose bounds
+    decide it either way.
 
     Trials run BLOCK at a time as coordinate stacks: block b's tuples come
     from the stream keyed by (seed, b), every left side from one
     states.exp_values call, and stages 1-2 of the sup search from array
     code over the block; only the trials those leave unsettled are searched
-    one by one, trial t's stage-5 draws from its own stream keyed by
-    (seed, t).  So a trial does not depend on how many trials run, and
-    different seeds run different trials.  Whitelisted tuples commute by
-    construction and skip the `commuting` test that orbit_sup applies."""
-    eps = DEFAULT.margin if eps is None else eps
+    one by one, by a search that draws nothing.  So a trial does not depend
+    on how many trials run, and different seeds run different trials.
+    Whitelisted tuples commute by construction and skip the `commuting`
+    test that orbit_sup applies."""
+    eps = DEFAULT.margin
     margins = []
     failures = []
     stages = np.zeros(len(STAGES), dtype=int)
     drawn = 0
     for block in range(-(-trials // BLOCK)):
         C, cs, n, lhs, est = _trials(state, spec, n_max, budget, seed, block,
-                                     min(BLOCK, trials - block * BLOCK), eps)
+                                     min(BLOCK, trials - block * BLOCK))
         margin = est.value - lhs
         margins.extend(margin.tolist())
         stages += np.bincount(est.stage - 1, minlength=len(STAGES))

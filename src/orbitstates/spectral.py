@@ -97,11 +97,12 @@ def _lattice(T, N):
     return omegas[order], lambda y: (phase * np.fft.fft(y) / N)[order]
 
 
-def atom_scan(state, Z, T, N=2 ** 14, max_atoms=MAX_ATOMS, samples=None):
+def atom_scan(state, Z, T, N=2 ** 14, samples=None):
     """Atoms of the restriction along Z, strongest first, until the largest
-    Bohr mean on the lattice pi n / T is at most ATOM_FACTOR / T.  Each atom
-    sits where bounded Brent maximizes |Bohr mean| within one lattice step
-    of that peak; its mass is the mean there, subtracted before the next.
+    Bohr mean on the lattice pi n / T is at most ATOM_FACTOR / T (at most
+    MAX_ATOMS of them).  Each atom sits where bounded Brent maximizes
+    |Bohr mean| within one lattice step of that peak; its mass is the mean
+    there, subtracted before the next.
     The lattice is computed once per call.
     Returns [(omega, complex mass)] by omega, the residual and the times."""
     # imported here: scipy.optimize adds 0.1 s to every CLI start-up
@@ -112,7 +113,7 @@ def atom_scan(state, Z, T, N=2 ** 14, max_atoms=MAX_ATOMS, samples=None):
     omegas, lattice_means = _lattice(T, N)
     thresh = ATOM_FACTOR / T
     atoms = []
-    for _ in range(max_atoms):
+    for _ in range(MAX_ATOMS):
         means = lattice_means(y)
         idx = int(np.argmax(np.abs(means)))
         if abs(means[idx]) <= thresh:

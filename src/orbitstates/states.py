@@ -325,13 +325,12 @@ def _gram_kernel(state, samples):
     return pair_eval(state, samples.data, samples.data, grid=True)
 
 
-def gram(state, samples, rank_tol=None):
+def gram(state, samples):
     """Gram kernel m(g_i^{-1} g_j) of a sample stack, with its eigenvalues."""
     K = _gram_kernel(state, samples)
     n = len(samples)
     vals = np.linalg.eigvalsh(K)[::-1]
-    tol = (rank_tol if rank_tol is not None else DEFAULT.quotient_scale) * n
-    rank = int(np.sum(vals > tol))
+    rank = int(np.sum(vals > DEFAULT.quotient_scale * n))
     return GramMatrix(samples, K, vals, rank)
 
 
@@ -342,21 +341,19 @@ def gram_min_eigenvalues(state, samples):
     return np.linalg.eigvalsh(_gram_kernel(state, samples))[..., 0]
 
 
-def check_psd(gm, tol=None):
-    tol = DEFAULT.psd_scale if tol is None else tol
+def check_psd(gm):
     mn = float(gm.eigenvalues[-1])
-    return {"min_eigenvalue": mn, "pass": bool(mn >= -tol * gm.n)}
+    return {"min_eigenvalue": mn, "pass": bool(mn >= -DEFAULT.psd_scale * gm.n)}
 
 
-def check_inequalities(state, gs, hs, slack=None):
+def check_inequalities(state, gs, hs):
     """Herglotz / Krein / Weil margins over pairs (g, h) of stacks gs, hs.
 
     Margins are reported as (left side - right side); all must stay below
-    the slack for a genuine state.  Krein is checked squared,
+    the `slack` tolerance for a genuine state.  Krein is checked squared,
     |m(g) - m(h)|^2 <= 2 (1 - Re m(g^-1 h)): its square-root form cancels
     for near-coincident pairs and fails genuine states.
     """
-    slack = DEFAULT.slack if slack is None else slack
     fam = state.family
     G, H = gs.data, hs.data
     mg = np.asarray(_eval_pack(state, G))
@@ -376,16 +373,16 @@ def check_inequalities(state, gs, hs, slack=None):
         "krein_margin": krein,
         "weil_margin": weil,
         "worst_margin": worst,
-        "pass": bool(worst <= slack),
+        "pass": bool(worst <= DEFAULT.slack),
     }
 
 
-def modulus_one_subgroup_probe(state, samples, product_budget=512, seed=0):
+def modulus_one_subgroup_probe(state, samples):
     """Partition samples by |m(g)| = 1 and cross-check closure under products.
 
     The modulus-one locus of a state is a subgroup, so products of two
-    inside elements must land inside again; sampled violations are returned
-    rather than raised.
+    inside elements must land inside again; up to 512 seeded pairs are
+    checked, and violations are returned rather than raised.
     """
     vals = np.abs(evaluate(state, samples))
     on = np.abs(vals - 1.0) < DEFAULT.modulus_one
@@ -393,8 +390,8 @@ def modulus_one_subgroup_probe(state, samples, product_budget=512, seed=0):
 
     violations = []
     if len(inside) >= 2:
-        rng = np.random.default_rng(seed)
-        n_pairs = min(product_budget, len(inside) ** 2)
+        rng = np.random.default_rng(0)
+        n_pairs = min(512, len(inside) ** 2)
         ii = rng.integers(0, len(inside), size=n_pairs)
         jj = rng.integers(0, len(inside), size=n_pairs)
         prod = groups.compose_coords(state.family,

@@ -59,7 +59,7 @@ def test_criterion_02_state_inequalities():
         rng = np.random.default_rng(21)
         gs = states.support_samples(st, rng, 10000)
         hs = states.support_samples(st, rng, 10000)
-        r = states.check_inequalities(st, gs, hs, slack=1e-12)
+        r = states.check_inequalities(st, gs, hs)
         worst = max(worst, r["worst_margin"])
         assert r["pass"], (kind, r)
     el = time.perf_counter() - t0

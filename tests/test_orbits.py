@@ -175,7 +175,7 @@ def test_euclid_antipodal_translations_reach_two():
     # so sup |1 - e^{i k gamma u3}| = 2
     spec = orbits.euclid_orbit(2.0)
     Zs = [_alg("euclid", np.zeros(6)), _alg("euclid", [0, 0, 0, 0, 0, 1.6])]
-    est = orbits.orbit_sup(spec, Zs, [1.0, -1.0], budget=20000, seed=0)
+    est = orbits.orbit_sup(spec, Zs, [1.0, -1.0], budget=20000)
     assert abs(float(est) - 2.0) < 1e-6
 
 
@@ -244,7 +244,7 @@ def test_sup_dominates_dense_sampling_oracle():
         cases.append((orbits.su2_orbit(1.3), Zs))
     for spec, Zs in cases:
         cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
-        est = orbits.orbit_sup(spec, Zs, cs, budget=20000, seed=11)
+        est = orbits.orbit_sup(spec, Zs, cs, budget=20000)
         oracle = _mc_sup(spec, Zs, cs, 20000, 13)
         total = float(np.sum(np.abs(cs)))
         # both routes bound the same sup from below, so they can only
@@ -292,23 +292,24 @@ EARLY_EXIT_CHARTS = {
 
 
 @pytest.mark.parametrize("chart", sorted(EARLY_EXIT_CHARTS))
-def test_sup_monotone_in_budget(chart, monkeypatch):
-    # a larger budget extends the same stream of draws, so the best fixed
-    # or drawn point never falls as the budget doubles; the ascents, which
-    # start from the best points and so may climb to different peaks, are
-    # replaced by their start rows
-    monkeypatch.setattr(orbits, "_ascend",
-                        lambda chart, X: (X, chart.value(X), 0))
+def test_sup_monotone_in_budget(chart):
+    # stage 5 evaluates its points in an order that reads neither the
+    # budget nor the target, so budget B runs the first rounds of budget
+    # 2B: the value never falls and the sample count never rises as B
+    # halves
     rng = np.random.default_rng(29)
     for _ in range(4):
         spec, Zs = EARLY_EXIT_CHARTS[chart](rng)
         cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
-        prev = 0.0
+        prev = None
         for budget in (1000, 2000, 4000, 8000):
-            est = orbits.orbit_sup(spec, Zs, cs, budget=budget, seed=5)
-            assert est.drawn == budget and est.ascent_steps == 0
-            assert est.value >= prev - 1e-14
-            prev = est.value
+            est = orbits.orbit_sup(spec, Zs, cs, budget=budget)
+            assert est.stage == 5 and est.drawn <= budget
+            if prev is not None:
+                assert est.value >= prev.value
+                assert est.samples >= prev.samples
+                assert est.samples - est.drawn == prev.samples - prev.drawn
+            prev = est
 
 
 @pytest.mark.parametrize("chart", sorted(EARLY_EXIT_CHARTS))
@@ -320,14 +321,13 @@ def test_sup_early_exit_matches_full_search_verdicts(chart):
     for _ in range(10):
         spec, Zs = EARLY_EXIT_CHARTS[chart](rng)
         cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
-        full = orbits.orbit_sup(spec, Zs, cs, budget=8000, seed=3)
-        assert full.stage == 5 and full.drawn == 8000
+        full = orbits.orbit_sup(spec, Zs, cs, budget=8000)
+        assert full.stage == 5 and full.drawn <= 8000
         for t in (0.5 * full.value, full.value):
-            cut = orbits.orbit_sup(spec, Zs, cs, budget=8000, seed=3,
-                                   target=t)
+            cut = orbits.orbit_sup(spec, Zs, cs, budget=8000, target=t)
             assert t - 1e-12 <= cut.value <= full.value + 1e-12
             assert cut.stage <= 5 and cut.samples <= full.samples
-            assert cut.drawn == (8000 if cut.stage == 5 else 0)
+            assert cut.drawn <= (full.drawn if cut.stage == 5 else 0)
 
 
 @pytest.mark.parametrize("chart", sorted(EARLY_EXIT_CHARTS))
@@ -338,80 +338,9 @@ def test_sup_upper_bound_is_sound(chart):
     for _ in range(4):
         spec, Zs = EARLY_EXIT_CHARTS[chart](rng)
         cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
-        est = orbits.orbit_sup(spec, Zs, cs, budget=8000, seed=5)
+        est = orbits.orbit_sup(spec, Zs, cs, budget=8000)
         assert est.upper >= est.value
         assert est.upper >= _mc_sup(spec, Zs, cs, 100000, 19)
-
-
-# orbit_sup on fixed tuples of each chart (default_rng(31), two per chart,
-# seed 5, no target, a budget ending in a chunk shorter than
-# ASCENT_RESTARTS): the value's bits, samples and ascent steps as the
-# full sort of each stage-5 chunk gave them
-SEARCH_RECORD = {
-    "bargmann-boost": [("0x1.def36e0b80f58p+0", 20485, 400),
-                       ("0x1.e455ea0e131bbp+0", 20485, 400)],
-    "bargmann-ideal": [("0x1.dfb1d2f63cc92p+0", 20485, 400),
-                       ("0x1.35a4ed21cc91dp+0", 20485, 400)],
-    "euclid-sphere": [("0x1.27c6d016f1a34p+0", 22027, 400),
-                      ("0x1.95ea1ca71a8e5p+0", 22027, 400)],
-    "euclid-strip": [("0x1.eadd793787d51p+0", 29701, 400),
-                     ("0x1.14e10b5fab4b9p+0", 29701, 400)],
-    "heisenberg-line": [("0x1.e46fe4254714ap+0", 20485, 400),
-                        ("0x1.48bf890dbf69cp+0", 20485, 400)],
-    "su2-interval": [("0x1.96400bed0f007p+0", 20492, 400),
-                     ("0x1.b4e788856937bp+0", 20492, 400)],
-}
-
-
-def test_search_keeps_the_recorded_estimates():
-    # stage 5 keeps each chunk's best points by partial selection; the set
-    # it keeps, and so every estimate, is the one a full sort kept
-    rng = np.random.default_rng(31)
-    for chart in sorted(EARLY_EXIT_CHARTS):
-        for value, samples, steps in SEARCH_RECORD[chart]:
-            spec, Zs = EARLY_EXIT_CHARTS[chart](rng)
-            cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
-            est = orbits.orbit_sup(spec, Zs, cs,
-                                   budget=2 * orbits.DRAW_CHUNK + 5, seed=5)
-            assert (est.value.hex(), est.samples, est.ascent_steps) \
-                == (value, samples, steps), chart
-
-
-# chart, start rows and the chart's constraint for each shape _ascend climbs
-ASCENT_CHARTS = {
-    "line": lambda rng, cs: (
-        orbits._line_chart(cs, rng.uniform(-3, 3, 3), rng.uniform(-2, 2, 3),
-                           rng.uniform(-3, 3, 3)),
-        rng.uniform(-4, 4, (8, 1)), lambda X: True),
-    "interval": lambda rng, cs: (
-        orbits._line_chart(cs, rng.uniform(-4, 4, 3), 0.0, 0.0, r=1.5),
-        np.vstack([[[-1.5], [1.5]], rng.uniform(-1.5, 1.5, (6, 1))]),
-        lambda X: np.all(np.abs(X) <= 1.5)),
-    "sphere": lambda rng, cs: (
-        orbits._sphere_chart(cs, rng.uniform(-4, 4, (3, 3))),
-        orbits._unit(rng.standard_normal((8, 3))),
-        lambda X: np.all(np.abs(np.linalg.norm(X, axis=1) - 1.0) <= 1e-12)),
-    "strip": lambda rng, cs: (
-        orbits._strip_chart(cs, rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 3),
-                            2.0),
-        np.column_stack([rng.uniform(-5, 5, 8), rng.uniform(-2, 2, 8)]),
-        lambda X: np.all(np.abs(X[:, 1]) <= 2.0)),
-}
-
-
-@pytest.mark.parametrize("shape", sorted(ASCENT_CHARTS))
-def test_ascend_climbs_rows_together_as_alone(shape):
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
-        chart, X0, on_chart = ASCENT_CHARTS[shape](rng, cs)
-        X, f, steps = orbits._ascend(chart, X0)
-        alone = [orbits._ascend(chart, X0[i:i + 1]) for i in range(len(X0))]
-        assert np.max(np.abs(f - [v[0] for _, v, _ in alone])) <= 1e-12
-        assert steps == sum(s for _, _, s in alone)
-        assert np.all(f >= chart.value(X0))
-        assert np.max(np.abs(chart.value(X) - f)) <= 1e-12
-        assert on_chart(X)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +523,7 @@ def test_witnesses_carry_no_padding():
 
 def test_quantum_check_trials_are_prefix_stable():
     # a refuted pair on which some failures escape the class upper bound,
-    # so trials reach the keyed stage-5 streams; 300 trials span two blocks
+    # so trials reach stage 5; 300 trials span two blocks
     st = states.make_state("constant_one", family="heisenberg")
     spec = orbits.heisenberg_orbit()
     short, full = (orbits.quantum_check(st, spec, trials=t, budget=2000,
@@ -639,8 +568,7 @@ def test_rows_settled_together_equal_rows_settled_alone(kind, params, spec):
             alone_lhs = orbits._left_sides(st, C[t:t + 1, :n[t]], c[None])[0]
             alone = orbits.orbit_sup(
                 spec, [_alg(spec.family, z) for z in C[t, :n[t]]], c,
-                budget=2000, seed=orbits._key(seed, 1, t), anchors=anchors,
-                target=alone_lhs)
+                budget=2000, anchors=anchors, target=alone_lhs)
             margin = est.value[t] - lhs[t]
             assert alone.stage == est.stage[t], (seed, t)
             assert abs(alone.value - alone_lhs - margin) <= 1e-12, (seed, t)
@@ -651,7 +579,7 @@ def test_rows_settled_together_equal_rows_settled_alone(kind, params, spec):
 
 @pytest.mark.parametrize("kind,params,spec", SETTLE_PAIRS[9:])
 def test_certified_failures_fail_the_full_search(kind, params, spec):
-    # a witness settled by its upper bound skips the budgeted draws; the
+    # a witness settled by its upper bound skips the later stages; the
     # full search, run without a target (every stage for a row that is not
     # exact at stage 1), still finds no point that lifts the sup to within
     # eps of the left side
@@ -663,10 +591,38 @@ def test_certified_failures_fail_the_full_search(kind, params, spec):
     for f in certified:
         full = orbits.orbit_sup(
             spec, [_alg(spec.family, z) for z in f["Zs"]],
-            [complex(a, b) for a, b in f["cs"]], budget=100000, seed=0)
-        assert full.drawn == (0 if full.stage == 1 else 100000)
+            [complex(a, b) for a, b in f["cs"]], budget=100000)
+        assert full.drawn <= (0 if full.stage == 1 else 100000)
         assert full.value < f["lhs"] - eps, f["trial"]
         assert full.value <= f["upper"] < f["lhs"] - eps
+
+
+def test_euclid_failures_are_certified_on_the_sphere():
+    # at n_max = 4 constant_one fails on euclid_orbit(1) only on pure
+    # translation tuples, whose sphere chart the branch and bound covers,
+    # so every failure carries an upper bound below its left side
+    one = states.make_state("constant_one", family="euclid")
+    rep = orbits.quantum_check(one, orbits.euclid_orbit(1.0), trials=2000,
+                               n_max=4, budget=100000, seed=1)
+    assert len(rep["failures"]) == rep["certified_failures"] == 3
+    for f in rep["failures"]:
+        assert f["rhs"] <= f["upper"] < f["lhs"] - 1e-6
+
+
+@pytest.mark.parametrize("Zs,cs", [
+    # the canonical probe: its sup 2 is attained at p* = 0
+    ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [1.0, 1.0]),
+    # a beat period near 2,600, so p* lies far outside the searched box
+    ([[0.4, 0.0, 1.7958], [-3.0, 0.0, 1.7982]],
+     [-0.25 - 0.25j, -0.26 - 0.06j])])
+def test_two_class_line_rows_reach_their_sup_at_stage_2(Zs, cs):
+    # two (gamma, eps) classes: the sup over the line is |c_1| + |c_2|
+    exact = abs(cs[0]) + abs(cs[1])
+    est = orbits.orbit_sup(orbits.heisenberg_orbit(),
+                           [_alg("heisenberg", z) for z in Zs], cs,
+                           target=exact - 1e-12)
+    assert est.stage == 2
+    assert abs(est.value - exact) <= 1e-12
 
 
 def _axis_line_tuple(family, rng, n):
