@@ -343,6 +343,119 @@ def test_sup_upper_bound_is_sound(chart):
         assert est.upper >= _mc_sup(spec, Zs, cs, 100000, 19)
 
 
+# orbit_sup on fixed tuples of each chart (default_rng(31), two per chart,
+# no target, an odd budget above two BATCH rounds): the bits of the value
+# and the upper bound, the samples and the stage-5 evaluations
+SEARCH_RECORD = {
+    "bargmann-boost": [
+        ("0x1.def36e0b80f4bp+0", "0x1.df00cf5ad585dp+0", 20484, 16388),
+        ("0x1.e455ea0e131b2p+0", "0x1.e455ea1c0ff00p+0", 20484, 16388)],
+    "bargmann-ideal": [
+        ("0x1.dfb0b71dd95fap+0", "0x1.dfb1e8347ac43p+0", 20484, 16388),
+        ("0x1.35a4e8fd42bd5p+0", "0x1.35a4fd778a6d9p+0", 20484, 16388)],
+    "euclid-sphere": [
+        ("0x1.27c6d193c8744p+0", "0x1.31ef6fb642bfcp+0", 22026, 16388),
+        ("0x1.95e9e7ce561e2p+0", "0x1.95ea1cae0e3ebp+0", 22026, 16388)],
+    "euclid-strip": [
+        ("0x1.eac153a0473d5p+0", "0x1.eadd794017fa7p+0", 29700, 16388),
+        ("0x1.14e0870663619p+0", "0x1.14e11db2e4975p+0", 29700, 16388)],
+    "heisenberg-line": [
+        ("0x1.e46fe42547144p+0", "0x1.e46ff41560ddbp+0", 20484, 16388),
+        ("0x1.48bf890dc1edap+0", "0x1.48bfb763ff6c7p+0", 20484, 16388)],
+    "su2-interval": [
+        ("0x1.96400bed0effep+0", "0x1.96400fc4f6342p+0", 20491, 16388),
+        ("0x1.b4e7888569376p+0", "0x1.b4e791a441c4cp+0", 20491, 16388)],
+}
+
+
+def test_search_keeps_the_recorded_estimates():
+    # the search reads no random stream, so the same tuple and budget give
+    # the same estimate to the last bit
+    rng = np.random.default_rng(31)
+    for chart in sorted(EARLY_EXIT_CHARTS):
+        for record in SEARCH_RECORD[chart]:
+            spec, Zs = EARLY_EXIT_CHARTS[chart](rng)
+            cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
+            est = orbits.orbit_sup(spec, Zs, cs, budget=2 * orbits.BATCH + 5)
+            assert est.stage == 5, chart
+            assert (est.value.hex(), est.upper.hex(), est.samples,
+                    est.drawn) == record, chart
+
+
+def _line_case(cs, ga, ep, off, r, compact):
+    return (orbits._line(cs, ga, ep, off), [-r], [r],
+            np.sum(np.abs(cs * ga) + r * np.abs(cs * ep)), compact)
+
+
+def _sphere_case(cs, ws):
+    value = orbits._values(cs, lambda U: U @ ws.T)
+    return (lambda X: value(orbits._polar(X)), [0.0, 0.0],
+            [np.pi, 2.0 * np.pi],
+            np.sum(np.abs(cs) * np.linalg.norm(ws, axis=1)), True)
+
+
+def _strip_case(cs, s, t, box, k):
+    return (orbits._values(cs, lambda X: np.outer(X[:, 0], s)
+                           + np.outer(X[:, 1], t)),
+            [-box, -k], [box, k], np.sum(np.abs(cs) * np.hypot(s, t)), False)
+
+
+# the signal, box, Lipschitz constant and compactness of each chart shape
+# that the branch and bound searches
+BRANCH_CHARTS = {
+    "line": lambda rng, cs: _line_case(
+        cs, rng.uniform(-3, 3, 3), rng.uniform(-2, 2, 3),
+        rng.uniform(-3, 3, 3), 4.0, False),
+    "interval": lambda rng, cs: _line_case(
+        cs, rng.uniform(-4, 4, 3), 0.0, 0.0, 1.5, True),
+    "sphere": lambda rng, cs: _sphere_case(cs, rng.uniform(-4, 4, (3, 3))),
+    "strip": lambda rng, cs: _strip_case(
+        cs, rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 3), 5.0, 2.0),
+}
+
+
+def _branch_run(value, lo, hi, lip, compact, budget, slack):
+    """A branch and bound from a zero lower bound, without a target, and
+    the points it evaluated, in order."""
+    seen = []
+
+    def record(X):
+        seen.append(X.copy())
+        return value(X)
+
+    run = orbits._Bound(np.inf, 1e-6, 0.0, np.inf, slack, 0)
+    orbits._branch_and_bound(run, record, lo, hi, lip, budget, compact)
+    return run, np.concatenate(seen)
+
+
+@pytest.mark.parametrize("shape", sorted(BRANCH_CHARTS))
+def test_branch_and_bound_extends_its_shorter_runs(shape):
+    # the points stay in the box, the value is the best of them, a smaller
+    # budget evaluates a subset of the larger one's points, and on a
+    # compact chart the upper bound covers a dense evaluation of the box
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
+        value, lo, hi, lip, compact = BRANCH_CHARTS[shape](rng, cs)
+        slack = orbits.ROUNDING * np.sum(np.abs(cs))
+        short, Xs = _branch_run(value, lo, hi, lip, compact, 1001, slack)
+        full, Xf = _branch_run(value, lo, hi, lip, compact, 2002, slack)
+        for run, X, budget in ((short, Xs, 1001), (full, Xf, 2002)):
+            assert run.stage == 5
+            assert run.drawn == run.samples == len(X) <= budget
+            assert np.all((X >= lo) & (X <= hi))
+            assert run.value == np.max(value(X))
+        assert full.value >= short.value
+        assert {tuple(x) for x in Xs} <= {tuple(x) for x in Xf}
+        if compact:
+            dense = lo + (np.asarray(hi) - lo) * rng.uniform(
+                0, 1, (100000, len(lo)))
+            assert full.upper <= short.upper
+            assert full.upper >= np.max(value(dense))
+        else:
+            assert full.upper == np.inf
+
+
 # ---------------------------------------------------------------------------
 # the quantum check
 
