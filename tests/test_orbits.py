@@ -456,6 +456,38 @@ def test_branch_and_bound_extends_its_shorter_runs(shape):
             assert full.upper == np.inf
 
 
+@pytest.mark.parametrize("shape", sorted(BRANCH_CHARTS))
+def test_branch_and_bound_caps_its_open_cells(shape, monkeypatch):
+    # with a small batch and cap the open list stays bounded (it is ranked
+    # before each split and each drop), the dropped cells' bound keeps the
+    # compact charts' upper bound above a dense evaluation of the box, and
+    # a smaller budget still runs a prefix of the larger one
+    monkeypatch.setattr(orbits, "BATCH", 16)
+    monkeypatch.setattr(orbits, "OPEN_MAX", 64)
+    sizes = []
+    rank = orbits._best_first
+
+    def ranked(bound, k):
+        sizes.append(len(bound))
+        return rank(bound, k)
+
+    monkeypatch.setattr(orbits, "_best_first", ranked)
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
+        value, lo, hi, lip, compact = BRANCH_CHARTS[shape](rng, cs)
+        slack = orbits.ROUNDING * np.sum(np.abs(cs))
+        short, Xs = _branch_run(value, lo, hi, lip, compact, 1001, slack)
+        full, Xf = _branch_run(value, lo, hi, lip, compact, 2002, slack)
+        assert full.value >= short.value
+        assert {tuple(x) for x in Xs} <= {tuple(x) for x in Xf}
+        if compact:
+            dense = lo + (np.asarray(hi) - lo) * rng.uniform(
+                0, 1, (100000, len(lo)))
+            assert full.upper >= np.max(value(dense))
+    assert 64 < max(sizes) <= 64 + 2 * 16
+
+
 # ---------------------------------------------------------------------------
 # the quantum check
 
