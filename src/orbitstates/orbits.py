@@ -46,15 +46,18 @@ test) after each one:
      of the exact (gamma, eps) classes, and on a row of exactly two
      classes with equal eps the point p* where the two class sums align
      (the exact sup); the sphere mean sum c_j sinc|w_j| and the
-     directions +-w_j/|w_j|; the per-s-class strip bound on a coarse p
-     grid;
-  3  a fixed 1-in-16 subset of the chart's fixed grid;
-  4  the rest of that grid, plus three great circles and their means on
-     the sphere and the strip's class bound on the rest of its p grid;
-  5  a Lipschitz branch and bound (Piyavskii 1972; Shubert 1972) over an
-     axis-aligned box of chart coordinates: p in [-r, r] on the line,
-     (theta, phi) in [0, pi] x [0, 2 pi] on the sphere, (l, p) in
-     [-box, box] x [-k, k] on the strip.
+     directions +-w_j/|w_j|; the per-s-class strip bound at the 256
+     centres that stage 3 uses on the line, scaled to p in [-k, k];
+  3  the centres of a fixed uniform partition of an axis-aligned box of
+     chart coordinates: 256 cells of p in [-r, r] on the line, 6 faces x
+     8 x 8 cells of the cube chart [-6, 6] x [-1, 1] on the sphere, 64 x 8
+     cells of (l, p) in [-box, box] x [-k, k] on the strip;
+  4  the refinement of that partition by a Lipschitz branch and bound
+     (Piyavskii 1972; Shubert 1972).
+
+The cube chart (`_cube`) projects the six faces of the cube [-1, 1]^3
+radially onto the sphere and is 1-Lipschitz on each face; the partition's
+edges include the face edges, so no cell spans two faces.
 
 Every stage yields a true lower bound on the sup, so stopping once it
 reaches the target is sound, and without a target every stage runs.  The
@@ -63,11 +66,10 @@ upper bound is tightened from values the stages compute anyway:
   1  sum_j |c_j| everywhere, and the value itself when it is exact;
   2  on the line over R, sum over the (gamma, eps) classes of
      |class sum of c_j e^{i off_j}|;
-  4  on the SU(2) interval, the grid maximum plus L lambda / (GRID_1D - 1),
-     with L = sum_j |c_j| |omega_j| the signal's Lipschitz constant;
-  5  on the SU(2) interval and the sphere, whose boxes cover the whole
+  3-4  on the SU(2) interval and the sphere, whose boxes cover the whole
      chart, the largest bound of the cells the branch and bound leaves
-     open.
+     open: a cell's centre value plus L times its half-diagonal, with L
+     the signal's Lipschitz constant.
 
 Each upper bound also carries ROUNDING * sum_j |c_j|, an allowance for the
 rounding of the values evaluated on the orbit: a phase of size Phi is
@@ -76,29 +78,30 @@ by about 1e-16 Phi sum_j |c_j|, and the allowance covers phases up to about
 1e6 radians (the searched box reaches a few thousand).  Once the upper
 bound lies below the target by more than `eps`, the row is settled as
 refuted.  The line over R and the strip are searched in a box that does
-not cover them, so stage 5 certifies no upper bound there: it stops once
-the box cannot reach the target, which settles the verdict but not the
-sup.
+not cover them, so stages 3 and 4 certify no upper bound there: they stop
+once the box cannot reach the target, which settles the verdict but not
+the sup.
 
-Stage 5 prunes cells only against the best value found and refines them
-in a fixed order, so the points it evaluates never depend on the target:
-`budget`, the cap on its evaluations, and an early exit both run the
+The branch and bound always evaluates its whole first partition, prunes
+cells only against the best value found and refines them in a fixed
+order, so the points it evaluates never depend on the target: `budget`,
+the cap on the evaluations of stage 4, and an early exit both run the
 first rounds of the full search, and the estimate never falls as the
 budget grows.  It keeps at most OPEN_MAX cells open: past that it drops
 the cells of the lowest bounds, unsplit, and keeps their largest bound in
 its upper bound, so a round's memory and work do not grow with the budget.
 `SupEstimate.drawn` and the `samples_drawn` field of a `quantum_check`
-report say how many stage-5 evaluations were made.
+report say how many stage-4 evaluations were made.
 
 The search runs on stacks of tuples, padded to a common length with zero
-terms: stages 1 and 2 are array code over the whole stack, and stages 3-5
-run one tuple at a time on the few that those leave unsettled.
+terms: stages 1 and 2 are array code over the whole stack, and stages 3
+and 4 run one tuple at a time on the few that those leave unsettled.
 `quantum_check` runs its trials BLOCK at a time: one draw of a block's
 tuples from a stream keyed by (seed, block), one `states.exp_values` call
-for their left sides, then the search.  The left sides and the anchor and
-class sums go through one left-to-right reduction (`_rsum`), so a sum that
-equals a localized state's left side in exact arithmetic equals it in
-floating point too.
+for their left sides, then the search.  The left sides and every value of
+the signal go through one left-to-right reduction (`_rsum`), so a sum
+that equals a localized state's left side in exact arithmetic equals it
+in floating point too.
 `orbit_sup` is the same search on a stack of one; it checks that its tuple
 commutes, while drawn tuples commute by construction.
 """
@@ -111,26 +114,22 @@ import numpy as np
 from . import groups, states
 from .tolerances import DEFAULT
 
-GRID_1D = 4096
-GRID_2D = 96
-CIRCLE = 512
-COARSE = 16          # stage 3 evaluates every COARSE-th point of a fixed grid
-BATCH = 8192         # stage 5 splits this many cells at a time
+BATCH = 8192         # stage 4 splits this many cells at a time
 OPEN_MAX = 4 * BATCH  # and keeps at most this many cells open
 ROUNDING = 1e-9      # upper bounds add ROUNDING * sum_j |c_j| (see above)
 PHASE_MAX = 1e6      # the largest phase that ROUNDING covers, in radians
 
 # the stage names of SupEstimate.stage (1-based) as quantum_check reports them
-STAGES = ("anchor", "class_bound", "coarse_grid", "full_grid", "search")
+STAGES = ("anchor", "class_bound", "grid", "search")
 
 
 @dataclass
 class SupEstimate:
     """One search's result (the search over a stack keeps (T,) arrays)."""
     value: float
-    samples: int         # orbit points evaluated, stage 5 included
+    samples: int         # orbit points evaluated, stage 4 included
     stage: int = 1       # the last stage run (the one that settled the row)
-    drawn: int = 0       # stage-5 evaluations made (at most the budget)
+    drawn: int = 0       # stage-4 evaluations made (at most the budget)
     upper: float = math.inf   # certified upper bound on the sup
 
     def __float__(self):
@@ -253,36 +252,21 @@ def _unit(U):
     return U / np.linalg.norm(U, axis=1, keepdims=True)
 
 
-def _fibonacci_sphere(n):
-    i = np.arange(n) + 0.5
-    z = 1.0 - 2.0 * i / n
-    phi = np.pi * (1.0 + math.sqrt(5.0)) * i
-    rho = np.sqrt(1.0 - z * z)
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+def _partition(hi, counts):
+    """The centres and half-widths of the uniform partition of the box
+    [-hi, hi] into counts[i] cells along axis i."""
+    half = np.asarray(hi, float) / counts
+    axes = [h * (2 * np.arange(c) + 1 - c) for h, c in zip(half, counts)]
+    centres = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return _frozen(centres.reshape(-1, len(counts))), _frozen(half)
 
 
-def _circles(n):
-    """n points on each of the great circles about the x, y and z axes."""
-    phi = 2.0 * np.pi * np.arange(n) / n
-    c, s, o = np.cos(phi), np.sin(phi), np.zeros(n)
-    return np.vstack([np.column_stack([o, c, s]), np.column_stack([c, o, s]),
-                      np.column_stack([c, s, o])])
-
-
-def _unit_strip():
-    """(l, p) in [-1, 1]^2 on a GRID_2D^2 grid, then the l = 0 slice at
-    GRID_1D heights: the l = 0 slice carries every measure with vanishing
-    angular momentum (spherical and cylindrical means land there)."""
-    u = np.linspace(-1.0, 1.0, GRID_2D)
-    grid = np.column_stack([np.repeat(u, GRID_2D), np.tile(u, GRID_2D)])
-    return np.vstack([grid, np.column_stack([np.zeros(GRID_1D), _LINE])])
-
-
-# fixed grids on unit charts, built once and scaled per call
-_LINE = _frozen(np.linspace(-1.0, 1.0, GRID_1D))
-_SPHERE = _frozen(_fibonacci_sphere(GRID_1D))
-_CIRCLES = _frozen(_circles(CIRCLE))
-_STRIP = _frozen(_unit_strip())
+# the first partitions of the search on unit charts, scaled per call: the
+# line [-1, 1], the cube chart [-6, 6] x [-1, 1] (8 x 8 cells per face)
+# and the strip [-1, 1]^2
+_LINE_CELLS = _partition([1.0], [256])
+_CUBE_CELLS = _partition([6.0, 1.0], [48, 8])
+_STRIP_CELLS = _partition([1.0, 1.0], [64, 8])
 
 
 def _refutes(upper, target, eps):
@@ -313,15 +297,6 @@ class _Bound:
             self.value = max(self.value, float(np.max(vals)))
         self.samples += len(vals)
 
-    def bound(self, v):
-        """Fold in an analytic lower bound."""
-        self.value = max(self.value, float(v))
-
-    def met(self, stage):
-        """Close `stage`; True once the target is reached."""
-        self.stage = stage
-        return self.value >= self.target
-
     def refuted(self, upper):
         """Fold in an upper bound on the exact sup, plus the rounding
         allowance; True once it lies below the target by more than eps."""
@@ -329,37 +304,51 @@ class _Bound:
         return _refutes(self.upper, self.target, self.eps)
 
 
-def _rest(n):
-    """Mask of the grid points stage 3 skips and stage 4 evaluates."""
-    mask = np.ones(n, dtype=bool)
-    mask[::COARSE] = False
-    return mask
-
-
-def _grid_stages(run, grid, value):
-    """Stages 3 and 4 on a fixed grid: every COARSE-th point, then the
-    rest.  Returns the values in grid order, or None once the target is met
-    (stage 4 is closed by the caller, after its chart's extras)."""
-    vals = np.empty(len(grid))
-    vals[::COARSE] = value(grid[::COARSE])
-    run.points(vals[::COARSE])
-    if run.met(3):
-        return None
-    rest = _rest(len(grid))
-    vals[rest] = value(grid[rest])
-    run.points(vals[rest])
-    return vals
-
-
 def _values(cs, phase):
     """|sum_j c_j e^{i phi_j(x)}| over the rows x of X, where phase(X)
     gives the (rows, n) phases."""
-    return lambda X: np.abs(np.exp(1j * phase(X)) @ cs)
+    return lambda X: _signal(phase(X), cs)
 
 
-def _line(cs, ga, ep, off):
-    """_values on the line chart: phases p ga_j - p^2 ep_j / 2 + off_j."""
-    return _values(cs, lambda P: P * (ga - 0.5 * P * ep) + off)
+def _cube(X):
+    """Unit vectors at the rows (x, y) of the cube chart [-6, 6] x [-1, 1]:
+    face f = floor((x + 6) / 2) is the face u_i = -1 (f even) or +1 (f odd)
+    of [-1, 1]^3, i = f // 2, with (u_{i+1}, u_{i+2}) = (x - 2f + 5, y)
+    (indices mod 3), projected radially onto the sphere.  On a face the
+    map is 1-Lipschitz, since off the unit ball radial projection is the
+    metric projection onto it."""
+    f = np.clip(np.floor((X[:, 0] + 6.0) / 2.0), 0, 5).astype(int)
+    i, rows = f // 2, np.arange(len(X))
+    U = np.empty((len(X), 3))
+    U[rows, i] = 2.0 * (f % 2) - 1.0
+    U[rows, (i + 1) % 3] = X[:, 0] - (2.0 * f - 5.0)
+    U[rows, (i + 2) % 3] = X[:, 1]
+    return _unit(U)
+
+
+def _line_chart(cs, ga, ep, off, r):
+    """The signal on the line chart (phases p ga_j - p^2 ep_j / 2 + off_j),
+    the first partition of p in [-r, r] and the signal's Lipschitz constant
+    there, L = sum_j |c_j| (|ga_j| + r |ep_j|)."""
+    return (_values(cs, lambda P: P * (ga - 0.5 * P * ep) + off),
+            r * _LINE_CELLS[0], r * _LINE_CELLS[1],
+            np.sum(np.abs(cs * ga) + r * np.abs(cs * ep)))
+
+
+def _sphere_chart(cs, ws):
+    """The signal on the unit sphere (phases u . w_j) through the cube
+    chart, its first partition and L = sum_j |c_j| |w_j|."""
+    return (_values(cs, lambda X: _cube(X) @ ws.T), *_CUBE_CELLS,
+            np.sum(np.abs(cs) * np.linalg.norm(ws, axis=1)))
+
+
+def _strip_chart(cs, sfreq, pfreq, k, box):
+    """The signal on the strip (phases s_j l + t_j p), the first partition
+    of (l, p) in [-box, box] x [-k, k] and L = sum_j |c_j| |(s_j, t_j)|."""
+    return (_values(cs, lambda X: np.outer(X[:, 0], sfreq)
+                    + np.outer(X[:, 1], pfreq)),
+            _STRIP_CELLS[0] * (box, k), _STRIP_CELLS[1] * (box, k),
+            np.sum(np.abs(cs) * np.hypot(sfreq, pfreq)))
 
 
 def _best_first(bound, k):
@@ -373,39 +362,55 @@ def _best_first(bound, k):
     return np.flatnonzero(take)
 
 
-def _branch_and_bound(run, value, lo, hi, lip, budget, compact):
-    """Stage 5: a Lipschitz branch and bound of the signal `value` over the
-    box [lo, hi] of chart coordinates, on which it is lip-Lipschitz.
+def _branch_and_bound(run, value, centre, half, lip, budget, compact):
+    """Stages 3 and 4: a Lipschitz branch and bound of the signal `value`
+    over the box tiled by the cells of one uniform partition, with centres
+    `centre` and half-widths `half`, on each of which it is lip-Lipschitz.
 
     A cell's bound is its centre value plus lip times its half-diagonal.
-    Each round halves the open cells with the BATCH largest bounds (equal
-    bounds taken in a fixed order) across their longest side, then prunes
-    every cell whose bound does not exceed the best value found; past
-    OPEN_MAX open cells it drops those of the lowest bounds (equal bounds
-    in the same order), whose largest bound `dropped` counts as an open
-    bound from then on.  No step reads the target, so a run that stops
-    early or has a smaller budget (the cap on evaluations) runs the first
-    rounds of the full run, the last of them perhaps on fewer of its
-    cells.  The run stops when the budget is spent, when the value reaches
-    the target, or when the largest open bound lies below the target by
-    more than eps.  When `compact`, the box is the whole chart, so that
-    bound (or the best value, which bounds every pruned cell) bounds the
-    sup from above.  All cells of one depth
+    Stage 3 evaluates every centre of the partition.  Each round of stage
+    4 halves the open cells with the BATCH largest bounds (equal bounds
+    taken in a fixed order) across their longest side; after each stage or
+    round every cell whose bound does not exceed the best value found is
+    pruned, and past OPEN_MAX open cells those of the lowest bounds (equal
+    bounds in the same order) are dropped, their largest bound `dropped`
+    counting as an open bound from then on.  No step reads the target, so
+    a run that stops early or has a smaller budget (the cap on stage-4
+    evaluations) runs the first rounds of the full run, the last of them
+    perhaps on fewer of its cells.  The run stops when the budget is
+    spent, when the value reaches the target, or when the largest open
+    bound lies below the target by more than eps.  When `compact`, the box
+    is the whole chart, so that bound (or the best value, which bounds
+    every pruned cell) bounds the sup from above.  All cells of one depth
     have the same half-widths, half[depth]."""
-    run.stage = 5
-    half = [0.5 * (np.asarray(hi, float) - lo)]
-    centre = 0.5 * (np.asarray(hi, float) + lo)[None]
-    depth = np.zeros(1, dtype=int)
-    bound = np.array([np.inf])          # the box itself, not yet evaluated
+    run.stage = 3
+    half = [np.asarray(half, float)]
+    kids, dep = centre, np.zeros(len(centre), dtype=int)
+    centre, depth, bound = kids[:0], dep[:0], np.empty(0)
     dropped = -np.inf
     while True:
+        vals = value(kids)
+        run.points(vals)
+        bound = np.concatenate(
+            [bound, vals + lip * np.linalg.norm(half, axis=1)[dep]])
+        live = np.flatnonzero(bound > run.value)
+        if len(live) > OPEN_MAX:
+            sel = _best_first(bound[live], OPEN_MAX)
+            dropped = max(dropped, np.max(np.delete(bound[live], sel)))
+            live = live[sel]
+        # np.take: a row gather several times faster than indexing
+        centre = np.take(np.concatenate([centre, kids]), live, axis=0)
+        depth, bound = np.concatenate([depth, dep])[live], bound[live]
         top = max(np.max(bound, initial=run.value), dropped)
         if compact:
             done = run.refuted(top)
         else:
             done = _refutes(top + run.slack, run.target, run.eps)
+        if done or run.value >= run.target:
+            return
+        run.stage = 4
         k = min(BATCH, len(bound), (budget - run.drawn) // 2)
-        if done or run.met(5) or k == 0:
+        if k <= 0:
             return
         idx = _best_first(bound, k)
         dep = depth[idx]
@@ -414,87 +419,11 @@ def _branch_and_bound(run, value, lo, hi, lip, budget, compact):
             h[np.argmax(h)] *= 0.5
             half.append(h)
         H = np.array(half)
-        # np.take: a row gather several times faster than indexing
         c, step = np.take(centre, idx, axis=0), (H[:-1] - H[1:])[dep]
         kids = np.stack([c - step, c + step], axis=1).reshape(-1, H.shape[1])
-        vals = value(kids)
-        run.points(vals)
-        run.drawn += len(vals)
         dep = np.repeat(dep + 1, 2)
-        kid_bound = vals + lip * np.linalg.norm(H, axis=1)[dep]
+        run.drawn += len(kids)
         bound[idx] = -np.inf            # a split cell leaves the list
-        bound = np.concatenate([bound, kid_bound])
-        live = np.flatnonzero(bound > run.value)
-        if len(live) > OPEN_MAX:
-            sel = _best_first(bound[live], OPEN_MAX)
-            dropped = max(dropped, np.max(np.delete(bound[live], sel)))
-            live = live[sel]
-        centre = np.take(np.concatenate([centre, kids]), live, axis=0)
-        depth, bound = np.concatenate([depth, dep])[live], bound[live]
-
-
-def _line_rest(run, cs, ga, ep, off, r, interval, budget):
-    """Stages 3-5 on the line chart, p in [-r, r] when `interval` (the
-    SU(2) heights), else p over R, searched in [-r, r].  There the signal
-    is L-Lipschitz with L = sum_j |c_j| (|ga_j| + r |ep_j|).  On the
-    interval every point lies within r / (GRID_1D - 1) of the grid, so the
-    grid maximum plus that distance times L bounds the sup from above."""
-    value = _line(cs, ga, ep, off)
-    vals = _grid_stages(run, r * _LINE[:, None], value)
-    if vals is None or run.met(4):
-        return
-    lip = np.sum(np.abs(cs * ga) + r * np.abs(cs * ep))
-    if interval and run.refuted(np.max(vals) + lip * r / (GRID_1D - 1)):
-        return
-    _branch_and_bound(run, value, [-r], [r], lip, budget, interval)
-
-
-def _polar(X):
-    """Unit vectors at the rows (theta, phi) of X.  The map is 1-Lipschitz,
-    since d theta^2 + sin^2 theta d phi^2 <= d theta^2 + d phi^2."""
-    th, ph = X[:, 0], X[:, 1]
-    st = np.sin(th)
-    return np.column_stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)])
-
-
-def _sphere_rest(run, cs, ws, budget):
-    """Stages 3-5 on the unit sphere, where the signal is L-Lipschitz in u
-    with L = sum_j |c_j| |w_j|."""
-    value = _values(cs, lambda U: U @ ws.T)
-    if _grid_stages(run, _SPHERE, value) is None:
-        return
-    # circle points are candidates and so are their means (a circle mean
-    # lower-bounds the sup over the circle)
-    csum = np.exp(1j * (_CIRCLES @ ws.T)) @ cs
-    run.points(np.abs(csum))
-    for S in csum.reshape(3, CIRCLE):
-        run.bound(abs(np.mean(S)))
-    if run.met(4):
-        return
-    _branch_and_bound(run, lambda X: value(_polar(X)), [0.0, 0.0],
-                      [np.pi, 2.0 * np.pi],
-                      np.sum(np.abs(cs) * np.linalg.norm(ws, axis=1)),
-                      budget, True)
-
-
-def _strip_rest(run, cs, sfreq, pfreq, k, box, budget):
-    """Stages 3-5 on the strip (l, p) in R x [-k, k], searched in
-    [-box, box] x [-k, k], where the signal is L-Lipschitz with
-    L = sum_j |c_j| |(s_j, t_j)|."""
-    value = _values(cs, lambda X: np.outer(X[:, 0], sfreq)
-                    + np.outer(X[:, 1], pfreq))
-    if _grid_stages(run, _STRIP * (box, k), value) is None:
-        return
-    # the per-s-class bound of stage 2 on the rest of its p grid
-    p_rest = k * _LINE[_rest(GRID_1D), None]
-    for s in np.unique(sfreq):
-        sel = sfreq == s
-        run.bound(np.max(_line(cs[sel], pfreq[sel], 0.0, 0.0)(p_rest)))
-    if run.met(4):
-        return
-    _branch_and_bound(run, value, [-box, -k], [box, k],
-                      np.sum(np.abs(cs) * np.hypot(sfreq, pfreq)), budget,
-                      False)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +473,9 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
     searched against target[t] (inf: no early exit): it is settled once its
     lower bound reaches the target or its upper bound lies below
     target[t] - eps, eps the `margin` tolerance.  anchors is an (A, dim)
-    stack of dual points, and budget caps each row's stage-5 evaluations.
-    Stages 1 and 2 run on every row at once, stages 3-5 on each row they
-    leave unsettled.  Returns a SupEstimate of (T,) arrays."""
+    stack of dual points, and budget caps each row's stage-4 evaluations.
+    Stages 1 and 2 run on every row at once, stages 3 and 4 on each row
+    they leave unsettled.  Returns a SupEstimate of (T,) arrays."""
     fam = spec.family
     eps = DEFAULT.margin
     T, W = cs.shape
@@ -678,30 +607,33 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
                                 np.maximum(mean, np.max(dv * ok, axis=1)))
         samples[sel] += np.sum(ok, axis=1)
         # per-s-frequency class bound: sup_{l,p} >= sup_p |mean_l of class|,
-        # and the l-mean of a class is a line in p, bounded here on a
-        # coarse p grid
+        # and the l-mean of a class is a line in p, bounded here at the
+        # centres of the line's first partition
         sel = open_[~sphere[open_]]
         s = sfreq[sel]
-        p = k * _LINE[::COARSE, None, None]
+        p = k * _LINE_CELLS[0][:, :, None]
         value[sel] = np.maximum(value[sel], np.max(np.abs(_class_sums(
             s[:, :, None] == s[:, None],
             np.exp(1j * p * pfreq[sel]) * cs[sel])), axis=(0, 1)))
     settled |= (value >= target) | _refutes(upper, target, eps)
 
-    # stages 3-5, one row at a time
+    # stages 3 and 4, one row at a time
     drawn = np.zeros(T, dtype=int)
     for t in np.flatnonzero(~settled):
         run = _Bound(target[t], eps, value[t], upper[t], slack[t], samples[t])
         m = n[t]
+        # the SU(2) interval and the sphere are searched whole
         if line is not None:
             ga, ep, off, r = line
-            _line_rest(run, cs[t, :m], ga[t, :m], ep[t, :m], off[t, :m], r[t],
-                       fam == "su2", budget)
+            chart = _line_chart(cs[t, :m], ga[t, :m], ep[t, :m], off[t, :m],
+                                r[t])
+            compact = fam == "su2"
         elif sphere[t]:
-            _sphere_rest(run, cs[t, :m], ws[t, :m], budget)
+            chart, compact = _sphere_chart(cs[t, :m], ws[t, :m]), True
         else:
-            _strip_rest(run, cs[t, :m], sfreq[t, :m], pfreq[t, :m], k, box,
-                        budget)
+            chart = _strip_chart(cs[t, :m], sfreq[t, :m], pfreq[t, :m], k, box)
+            compact = False
+        _branch_and_bound(run, *chart, budget, compact)
         value[t], upper[t], samples[t] = run.value, run.upper, run.samples
         stage[t], drawn[t] = run.stage, run.drawn
     return SupEstimate(value, samples, stage, drawn, upper)
@@ -716,7 +648,8 @@ def orbit_sup(spec, Zs, cs, budget=10000, box=None, anchors=None,
     a state under test); they keep the estimate sharp where the attaining
     point is known a priori.
 
-    budget: the cap on the evaluations of stage 5, the branch and bound.
+    budget: the cap on the evaluations of stage 4, the refinement rounds
+    of the branch and bound.
 
     target: optional early-exit threshold.  The stages (module docstring)
     run in order of cost and the search stops after the first one whose
@@ -876,7 +809,7 @@ def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0):
     """Test |sum c_j m(exp Z_j)| <= sup over the orbit, over random
     whitelisted commuting tuples.  Reports the worst margin (sup lower
     bound minus left side), concrete witnesses for any failures, how many
-    trials each search stage settled (`stages`) and how many stage-5
+    trials each search stage settled (`stages`) and how many stage-4
     evaluations were made (`samples_drawn`; `budget` is only the cap per
     trial).  Each witness carries the certified upper bound on its sup
     (`upper`) and whether that bound refutes it (`certified`:

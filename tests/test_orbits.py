@@ -293,10 +293,10 @@ EARLY_EXIT_CHARTS = {
 
 @pytest.mark.parametrize("chart", sorted(EARLY_EXIT_CHARTS))
 def test_sup_monotone_in_budget(chart):
-    # stage 5 evaluates its points in an order that reads neither the
-    # budget nor the target, so budget B runs the first rounds of budget
-    # 2B: the value never falls and the sample count never rises as B
-    # halves
+    # the branch and bound evaluates its points in an order that reads
+    # neither the budget nor the target, so budget B runs the first rounds
+    # of budget 2B: the value never falls and the sample count never rises
+    # as B halves
     rng = np.random.default_rng(29)
     for _ in range(4):
         spec, Zs = EARLY_EXIT_CHARTS[chart](rng)
@@ -304,12 +304,25 @@ def test_sup_monotone_in_budget(chart):
         prev = None
         for budget in (1000, 2000, 4000, 8000):
             est = orbits.orbit_sup(spec, Zs, cs, budget=budget)
-            assert est.stage == 5 and est.drawn <= budget
+            assert est.stage == len(orbits.STAGES)
+            assert est.drawn <= budget
             if prev is not None:
                 assert est.value >= prev.value
                 assert est.samples >= prev.samples
                 assert est.samples - est.drawn == prev.samples - prev.drawn
             prev = est
+
+
+def test_sup_budget_caps_only_the_refinement():
+    # the first partition is always evaluated; a budget of 0, or a
+    # negative one, refines nothing
+    spec = orbits.euclid_orbit(2.0)
+    Zs = [_alg("euclid", np.zeros(6)), _alg("euclid", [0, 0, 0, 0, 0, 1.6])]
+    ests = [orbits.orbit_sup(spec, Zs, [1.0, -1.0], budget=b)
+            for b in (-5, 0, 1)]
+    assert all(e == ests[0] for e in ests)
+    assert ests[0].drawn == 0 and ests[0].stage == len(orbits.STAGES)
+    assert ests[0].samples > len(orbits._CUBE_CELLS[0])
 
 
 @pytest.mark.parametrize("chart", sorted(EARLY_EXIT_CHARTS))
@@ -322,12 +335,13 @@ def test_sup_early_exit_matches_full_search_verdicts(chart):
         spec, Zs = EARLY_EXIT_CHARTS[chart](rng)
         cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
         full = orbits.orbit_sup(spec, Zs, cs, budget=8000)
-        assert full.stage == 5 and full.drawn <= 8000
+        assert full.stage == len(orbits.STAGES) and full.drawn <= 8000
         for t in (0.5 * full.value, full.value):
             cut = orbits.orbit_sup(spec, Zs, cs, budget=8000, target=t)
             assert t - 1e-12 <= cut.value <= full.value + 1e-12
-            assert cut.stage <= 5 and cut.samples <= full.samples
-            assert cut.drawn <= (full.drawn if cut.stage == 5 else 0)
+            assert cut.stage <= full.stage and cut.samples <= full.samples
+            assert cut.drawn <= (full.drawn if cut.stage == full.stage
+                                 else 0)
 
 
 @pytest.mark.parametrize("chart", sorted(EARLY_EXIT_CHARTS))
@@ -345,26 +359,26 @@ def test_sup_upper_bound_is_sound(chart):
 
 # orbit_sup on fixed tuples of each chart (default_rng(31), two per chart,
 # no target, an odd budget above two BATCH rounds): the bits of the value
-# and the upper bound, the samples and the stage-5 evaluations
+# and the upper bound, the samples and the refinement evaluations
 SEARCH_RECORD = {
     "bargmann-boost": [
-        ("0x1.def36e0b80f4bp+0", "0x1.df00cf5ad585dp+0", 20484, 16388),
-        ("0x1.e455ea0e131b2p+0", "0x1.e455ea1c0ff00p+0", 20484, 16388)],
+        ("0x1.def36e0b80f4bp+0", "0x1.df00cf5ad585dp+0", 16644, 16388),
+        ("0x1.e455ea0e131b2p+0", "0x1.e455ea1c0ff00p+0", 16644, 16388)],
     "bargmann-ideal": [
-        ("0x1.dfb0b71dd95fap+0", "0x1.dfb1e8347ac43p+0", 20484, 16388),
-        ("0x1.35a4e8fd42bd5p+0", "0x1.35a4fd778a6d9p+0", 20484, 16388)],
+        ("0x1.dfac6343402e4p+0", "0x1.dfb1e8347ac43p+0", 16644, 16388),
+        ("0x1.35a4e8fd42bd5p+0", "0x1.35a4fd778a6d9p+0", 16644, 16388)],
     "euclid-sphere": [
-        ("0x1.27c6d193c8744p+0", "0x1.31ef6fb642bfcp+0", 22026, 16388),
-        ("0x1.95e9e7ce561e2p+0", "0x1.95ea1cae0e3ebp+0", 22026, 16388)],
+        ("0x1.27c6969cd5660p+0", "0x1.34b465d9ee1acp+0", 16778, 16388),
+        ("0x1.95e9b45b55f8cp+0", "0x1.95ea1cae0e3ebp+0", 16778, 16388)],
     "euclid-strip": [
-        ("0x1.eac153a0473d5p+0", "0x1.eadd794017fa7p+0", 29700, 16388),
-        ("0x1.14e0870663619p+0", "0x1.14e11db2e4975p+0", 29700, 16388)],
+        ("0x1.eac153a0473d5p+0", "0x1.eadd794017fa7p+0", 16900, 16388),
+        ("0x1.14e0870663619p+0", "0x1.14e11db2e4975p+0", 16900, 16388)],
     "heisenberg-line": [
-        ("0x1.e46fe42547144p+0", "0x1.e46ff41560ddbp+0", 20484, 16388),
-        ("0x1.48bf890dc1edap+0", "0x1.48bfb763ff6c7p+0", 20484, 16388)],
+        ("0x1.e46fe42547144p+0", "0x1.e46ff41560ddbp+0", 16644, 16388),
+        ("0x1.48bf890dc1edap+0", "0x1.48bfb763ff6c7p+0", 16644, 16388)],
     "su2-interval": [
-        ("0x1.96400bed0effep+0", "0x1.96400fc4f6342p+0", 20491, 16388),
-        ("0x1.b4e7888569376p+0", "0x1.b4e791a441c4cp+0", 20491, 16388)],
+        ("0x1.96400bed0effep+0", "0x1.96400fa8b9a43p+0", 16651, 16388),
+        ("0x1.b4e7888569376p+0", "0x1.b4e7918bf9423p+0", 16651, 16388)],
 }
 
 
@@ -377,44 +391,27 @@ def test_search_keeps_the_recorded_estimates():
             spec, Zs = EARLY_EXIT_CHARTS[chart](rng)
             cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
             est = orbits.orbit_sup(spec, Zs, cs, budget=2 * orbits.BATCH + 5)
-            assert est.stage == 5, chart
+            assert est.stage == len(orbits.STAGES), chart
             assert (est.value.hex(), est.upper.hex(), est.samples,
                     est.drawn) == record, chart
 
 
-def _line_case(cs, ga, ep, off, r, compact):
-    return (orbits._line(cs, ga, ep, off), [-r], [r],
-            np.sum(np.abs(cs * ga) + r * np.abs(cs * ep)), compact)
-
-
-def _sphere_case(cs, ws):
-    value = orbits._values(cs, lambda U: U @ ws.T)
-    return (lambda X: value(orbits._polar(X)), [0.0, 0.0],
-            [np.pi, 2.0 * np.pi],
-            np.sum(np.abs(cs) * np.linalg.norm(ws, axis=1)), True)
-
-
-def _strip_case(cs, s, t, box, k):
-    return (orbits._values(cs, lambda X: np.outer(X[:, 0], s)
-                           + np.outer(X[:, 1], t)),
-            [-box, -k], [box, k], np.sum(np.abs(cs) * np.hypot(s, t)), False)
-
-
-# the signal, box, Lipschitz constant and compactness of each chart shape
-# that the branch and bound searches
+# the signal, first partition, Lipschitz constant and compactness of each
+# chart shape that the branch and bound searches
 BRANCH_CHARTS = {
-    "line": lambda rng, cs: _line_case(
+    "line": lambda rng, cs: (*orbits._line_chart(
         cs, rng.uniform(-3, 3, 3), rng.uniform(-2, 2, 3),
-        rng.uniform(-3, 3, 3), 4.0, False),
-    "interval": lambda rng, cs: _line_case(
-        cs, rng.uniform(-4, 4, 3), 0.0, 0.0, 1.5, True),
-    "sphere": lambda rng, cs: _sphere_case(cs, rng.uniform(-4, 4, (3, 3))),
-    "strip": lambda rng, cs: _strip_case(
-        cs, rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 3), 5.0, 2.0),
+        rng.uniform(-3, 3, 3), 4.0), False),
+    "interval": lambda rng, cs: (*orbits._line_chart(
+        cs, rng.uniform(-4, 4, 3), 0.0, 0.0, 1.5), True),
+    "sphere": lambda rng, cs: (*orbits._sphere_chart(
+        cs, rng.uniform(-4, 4, (3, 3))), True),
+    "strip": lambda rng, cs: (*orbits._strip_chart(
+        cs, rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 3), 2.0, 5.0), False),
 }
 
 
-def _branch_run(value, lo, hi, lip, compact, budget, slack):
+def _branch_run(value, centre, half, lip, compact, budget, slack):
     """A branch and bound from a zero lower bound, without a target, and
     the points it evaluated, in order."""
     seen = []
@@ -424,8 +421,14 @@ def _branch_run(value, lo, hi, lip, compact, budget, slack):
         return value(X)
 
     run = orbits._Bound(np.inf, 1e-6, 0.0, np.inf, slack, 0)
-    orbits._branch_and_bound(run, record, lo, hi, lip, budget, compact)
+    orbits._branch_and_bound(run, record, centre, half, lip, budget, compact)
     return run, np.concatenate(seen)
+
+
+def _dense(rng, centre, half):
+    """100,000 uniform points of the box that the partition tiles."""
+    lo, hi = centre.min(axis=0) - half, centre.max(axis=0) + half
+    return lo + (hi - lo) * rng.uniform(0, 1, (100000, len(lo)))
 
 
 @pytest.mark.parametrize("shape", sorted(BRANCH_CHARTS))
@@ -436,34 +439,43 @@ def test_branch_and_bound_extends_its_shorter_runs(shape):
     rng = np.random.default_rng(23)
     for _ in range(5):
         cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
-        value, lo, hi, lip, compact = BRANCH_CHARTS[shape](rng, cs)
+        value, centre, half, lip, compact = BRANCH_CHARTS[shape](rng, cs)
+        lo, hi = centre.min(axis=0) - half, centre.max(axis=0) + half
         slack = orbits.ROUNDING * np.sum(np.abs(cs))
-        short, Xs = _branch_run(value, lo, hi, lip, compact, 1001, slack)
-        full, Xf = _branch_run(value, lo, hi, lip, compact, 2002, slack)
+        short, Xs = _branch_run(value, centre, half, lip, compact, 1001,
+                                slack)
+        full, Xf = _branch_run(value, centre, half, lip, compact, 2002,
+                               slack)
         for run, X, budget in ((short, Xs, 1001), (full, Xf, 2002)):
-            assert run.stage == 5
-            assert run.drawn == run.samples == len(X) <= budget
+            assert run.stage == len(orbits.STAGES)
+            assert run.samples == len(X) == len(centre) + run.drawn
+            assert run.drawn <= budget
+            assert np.array_equal(X[:len(centre)], centre)
             assert np.all((X >= lo) & (X <= hi))
             assert run.value == np.max(value(X))
         assert full.value >= short.value
         assert {tuple(x) for x in Xs} <= {tuple(x) for x in Xf}
         if compact:
-            dense = lo + (np.asarray(hi) - lo) * rng.uniform(
-                0, 1, (100000, len(lo)))
             assert full.upper <= short.upper
-            assert full.upper >= np.max(value(dense))
+            assert full.upper >= np.max(value(_dense(rng, centre, half)))
         else:
             assert full.upper == np.inf
 
 
 @pytest.mark.parametrize("shape", sorted(BRANCH_CHARTS))
 def test_branch_and_bound_caps_its_open_cells(shape, monkeypatch):
-    # with a small batch and cap the open list stays bounded (it is ranked
-    # before each split and each drop), the dropped cells' bound keeps the
-    # compact charts' upper bound above a dense evaluation of the box, and
-    # a smaller budget still runs a prefix of the larger one
+    # with a small batch, cap and first partitions the open list stays
+    # bounded (it is ranked before each split and each drop), the dropped
+    # cells' bound keeps the compact charts' upper bound above a dense
+    # evaluation of the box, and a smaller budget still runs a prefix of
+    # the larger one
     monkeypatch.setattr(orbits, "BATCH", 16)
     monkeypatch.setattr(orbits, "OPEN_MAX", 64)
+    monkeypatch.setattr(orbits, "_LINE_CELLS", orbits._partition([1.0], [16]))
+    monkeypatch.setattr(orbits, "_CUBE_CELLS",
+                        orbits._partition([6.0, 1.0], [12, 2]))
+    monkeypatch.setattr(orbits, "_STRIP_CELLS",
+                        orbits._partition([1.0, 1.0], [8, 2]))
     sizes = []
     rank = orbits._best_first
 
@@ -475,17 +487,51 @@ def test_branch_and_bound_caps_its_open_cells(shape, monkeypatch):
     rng = np.random.default_rng(29)
     for _ in range(5):
         cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
-        value, lo, hi, lip, compact = BRANCH_CHARTS[shape](rng, cs)
+        value, centre, half, lip, compact = BRANCH_CHARTS[shape](rng, cs)
         slack = orbits.ROUNDING * np.sum(np.abs(cs))
-        short, Xs = _branch_run(value, lo, hi, lip, compact, 1001, slack)
-        full, Xf = _branch_run(value, lo, hi, lip, compact, 2002, slack)
+        short, Xs = _branch_run(value, centre, half, lip, compact, 1001,
+                                slack)
+        full, Xf = _branch_run(value, centre, half, lip, compact, 2002,
+                               slack)
         assert full.value >= short.value
         assert {tuple(x) for x in Xs} <= {tuple(x) for x in Xf}
         if compact:
-            dense = lo + (np.asarray(hi) - lo) * rng.uniform(
-                0, 1, (100000, len(lo)))
-            assert full.upper >= np.max(value(dense))
+            assert full.upper >= np.max(value(_dense(rng, centre, half)))
     assert 64 < max(sizes) <= 64 + 2 * 16
+
+
+def _onto_cube(U):
+    """A cube-chart point of each unit vector: the face of its largest
+    coordinate, and the other two divided by that coordinate's modulus."""
+    i = np.argmax(np.abs(U), axis=1)
+    rows = np.arange(len(U))
+    top = U[rows, i]
+    f = 2 * i + (top > 0)
+    scaled = U / np.abs(top)[:, None]
+    return np.column_stack([scaled[rows, (i + 1) % 3] + (2.0 * f - 5.0),
+                            scaled[rows, (i + 2) % 3]])
+
+
+def test_cube_chart_is_a_one_lipschitz_cover_of_the_sphere():
+    rng = np.random.default_rng(37)
+    # unit vectors, and 1-Lipschitz between two points of one face
+    f = rng.integers(0, 6, 100000)
+    X, Y = (np.column_stack([rng.uniform(-1, 1, 100000) - 5.0 + 2.0 * f,
+                             rng.uniform(-1, 1, 100000)]) for _ in range(2))
+    U, V = orbits._cube(X), orbits._cube(Y)
+    assert np.abs(np.linalg.norm(U, axis=1) - 1.0).max() <= 1e-15
+    assert np.all(np.linalg.norm(U - V, axis=1)
+                  <= np.linalg.norm(X - Y, axis=1) * (1 + 1e-12))
+    # onto: each unit vector has a chart point in the box mapping back to it
+    W = orbits._unit(rng.standard_normal((10000, 3)))
+    P = _onto_cube(W)
+    assert np.all((np.abs(P) <= (6.0, 1.0)))
+    assert np.abs(orbits._cube(P) - W).max() <= 1e-15
+    # no cell of the first partition spans a face edge x = -4, -2, .., 4,
+    # so no cell that halving makes does
+    centre, half = orbits._CUBE_CELLS
+    assert np.all(np.abs(centre[:, :1] - np.arange(-4.0, 5.0, 2.0))
+                  >= half[0])
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +786,39 @@ def test_certified_failures_fail_the_full_search(kind, params, spec):
         assert full.drawn <= (0 if full.stage == 1 else 100000)
         assert full.value < f["lhs"] - eps, f["trial"]
         assert full.value <= f["upper"] < f["lhs"] - eps
+
+
+# the failing trials of the four false pairs (500 trials, budget 100,000)
+# at seeds 0 and 5, and those of them whose upper bound does not certify
+# the failure
+REFUTE_RECORD = [
+    ((0, 20, 45, 46, 106, 144, 212, 233, 296, 319, 337, 344, 384, 399), ()),
+    ((0, 11, 37, 66, 96, 108, 120, 122, 221, 261, 264, 266, 352, 372, 392,
+      436, 476), (372,)),
+    ((0, 43, 92, 138, 191, 229, 271, 304, 306, 378, 442), ()),
+    ((0, 19, 87, 192, 215, 224, 309, 343), ()),
+    ((0, 3, 38, 118, 119, 126, 134, 136, 141, 174, 201, 208, 261, 323, 377,
+      386, 391, 441), ()),
+    ((0, 68, 75, 77, 82, 131, 136, 148, 197, 228, 289, 344, 349, 430, 456,
+      492, 494), ()),
+    ((0, 3, 126, 201, 261, 386, 428), ()),
+    ((0, 77, 344, 456), ()),
+]
+
+
+def test_refute_pairs_keep_their_verdicts():
+    # a guard for rewrites of the search: the same trials fail, and the
+    # same failures are certified
+    got = []
+    for kind, params, spec in SETTLE_PAIRS[9:]:
+        st = states.make_state(kind, **params)
+        for seed in (0, 5):
+            rep = orbits.quantum_check(st, spec, trials=500, budget=100000,
+                                       seed=seed)
+            got.append((tuple(f["trial"] for f in rep["failures"]),
+                        tuple(f["trial"] for f in rep["failures"]
+                              if not f["certified"])))
+    assert got == REFUTE_RECORD
 
 
 def test_euclid_failures_are_certified_on_the_sphere():
