@@ -295,7 +295,7 @@ def _task_spectral(doc, seed):
         "zero_value": [est.zero_value.real, est.zero_value.imag],
     }
     if "omega" in p:
-        atom = spectral.bohr_atom(state, Z, float(p["omega"]), T=T)
+        atom = est.atom_at(float(p["omega"]))
         results["atom_at_omega"] = {
             "omega": atom.omega,
             "mass": [atom.mass.real, atom.mass.imag],

@@ -6,13 +6,17 @@ Convention: the restriction t -> m(exp tZ) is treated as the Fourier
 transform int e^{+i omega t} dmu(omega) of a positive measure mu, so the
 mass at omega is the long-run mean of m(exp tZ) e^{-i omega t}.
 
-Sampling uses a midpoint grid on [-T, T]: t = 0 is never a node, so states
-whose restriction vanishes off a null set average to exactly zero (the
-Haar-on-the-Bohr-dual pattern), while the constant state still averages to
-exactly one.  The t = 0 value is sampled separately and only used for the
-pattern test.  Off-target leakage of a unit atom at distance d is bounded
-by 1/(d T); tests that want exact atom masses pick T commensurate with the
-atom spacing, which zeroes the discrete leakage identically.
+Sampling uses a midpoint grid on [-T, T] (N nodes, dt = 2T / N): t = 0 is
+never a node, so states whose restriction vanishes off a null set average
+to exactly zero (the Haar-on-the-Bohr-dual pattern), while the constant
+state still averages to exactly one.  The t = 0 value is sampled
+separately and only used for the pattern test.  On this grid the Bohr
+means of an atom a at omega_k + x / dt are a sin(N d / 2) / (N sin(d / 2)),
+d = x - 2 pi j / N, at lattice points k + j, so atom_scan reads x and a in
+closed form from the peak and its larger neighbour (Quinn 1994, IEEE
+Trans. Signal Process. 42(5); exact here).  Other atoms leak by at most
+1 / (d T) at distance d; a T commensurate with the atom spacing puts every
+atom on the lattice and zeroes that leakage.
 """
 
 import math
@@ -32,14 +36,6 @@ class AtomEstimate:
     omega: float
     mass: complex
     leakage: float
-    T: float
-    N: int
-
-    def __complex__(self):
-        return complex(self.mass)
-
-    def __abs__(self):
-        return abs(self.mass)
 
 
 @dataclass
@@ -51,8 +47,13 @@ class SpectralEstimate:
     leakage: float
     T: float
     N: int
+    samples: np.ndarray            # the flow on the midpoint grid of [-T, T]
     zero_value: complex = 1.0 + 0.0j
     imag_residue: float = 0.0
+
+    def atom_at(self, omega):
+        """Mass estimate at frequency omega from the estimate's samples."""
+        return _means_at(self.samples, [omega], self.T)[0]
 
 
 def _midpoints(T, N):
@@ -66,23 +67,21 @@ def flow_values(state, Z, ts):
     return states.exp_values(state, np.multiply.outer(ts, Z.coords))
 
 
-def _mean_at(y, ts, omega):
-    return complex(np.mean(y * np.exp(-1j * omega * ts)))
+def _means_at(y, omegas, T):
+    """Bohr means at the omegas of samples y on the grid of [-T, T]."""
+    ts = _midpoints(T, len(y))
+    return [AtomEstimate(float(om), complex(np.mean(y * np.exp(-1j * om * ts))),
+                         1.0 / T) for om in omegas]
 
 
 def bohr_atoms(state, Z, omegas, T, N=2 ** 14):
     """Mass estimates at each frequency of omegas of the restriction along
     Z, from one evaluation of the flow on the midpoint grid."""
-    ts = _midpoints(T, N)
-    vals = flow_values(state, Z, ts)
-    return [AtomEstimate(float(om), _mean_at(vals, ts, om), 1.0 / T,
-                         float(T), int(N)) for om in omegas]
+    return _means_at(flow_values(state, Z, _midpoints(T, N)), omegas, T)
 
 
-def bohr_atom(state, Z, omega, T=None, N=2 ** 14):
+def bohr_atom(state, Z, omega, T, N=2 ** 14):
     """Mass estimate at frequency omega of the restriction along Z."""
-    if T is None:
-        T = 100.0 * max(2.0 * np.pi / abs(omega) if omega else 0.0, 1.0)
     return bohr_atoms(state, Z, [omega], T, N)[0]
 
 
@@ -97,37 +96,38 @@ def _lattice(T, N):
     return omegas[order], lambda y: (phase * np.fft.fft(y) / N)[order]
 
 
-def atom_scan(state, Z, T, N=2 ** 14, samples=None):
-    """Atoms of the restriction along Z, strongest first, until the largest
-    Bohr mean on the lattice pi n / T is at most ATOM_FACTOR / T (at most
-    MAX_ATOMS of them).  Each atom sits where bounded Brent maximizes
-    |Bohr mean| within one lattice step of that peak; its mass is the mean
-    there, subtracted before the next.
-    The lattice is computed once per call.
-    Returns [(omega, complex mass)] by omega, the residual and the times."""
-    # imported here: scipy.optimize adds 0.1 s to every CLI start-up
-    from scipy.optimize import minimize_scalar
-
+def atom_scan(y, T):
+    """Atoms of flow samples y on the midpoint grid of [-T, T], strongest
+    first, until the largest Bohr mean on the lattice pi n / T is at most
+    ATOM_FACTOR / T (at most MAX_ATOMS of them).  With r = Re(mean[k + s] /
+    mean[k]) for the peak k and its larger neighbour k + s, the atom sits at
+    omega_k + x / dt, x = 2 s atan2(r sin(pi / N), 1 + r cos(pi / N)), with
+    mass mean[k] N sin(x / 2) / sin(N x / 2) (a ratio of sincs, 1 at x = 0)
+    and is subtracted before the next.  Returns [(omega, complex mass)] by
+    omega, the residual and the lattice (frequencies, samples -> means)."""
+    N = len(y)
     ts = _midpoints(T, N)
-    y = flow_values(state, Z, ts) if samples is None else samples.copy()
     omegas, lattice_means = _lattice(T, N)
     thresh = ATOM_FACTOR / T
     atoms = []
     for _ in range(MAX_ATOMS):
         means = lattice_means(y)
-        idx = int(np.argmax(np.abs(means)))
-        if abs(means[idx]) <= thresh:
+        k = int(np.argmax(np.abs(means)))
+        if abs(means[k]) <= thresh:
             break
-        peak = minimize_scalar(
-            lambda om: -abs(_mean_at(y, ts, om)), method="bounded",
-            bounds=(omegas[idx] - np.pi / T, omegas[idx] + np.pi / T),
-            options={"xatol": 1e-12 / T})
-        om = float(peak.x)
-        mass = _mean_at(y, ts, om)
+        s = 1 if k == 0 or (k < N - 1
+                            and abs(means[k + 1]) >= abs(means[k - 1])) else -1
+        r = (means[k + s] / means[k]).real
+        x = 2 * s * math.atan2(r * math.sin(math.pi / N),
+                               1 + r * math.cos(math.pi / N))
+        x = min(max(x, -math.pi / N), math.pi / N)
+        om = float(omegas[k] + x * N / (2.0 * T))
+        mass = complex(means[k] * np.sinc(x / (2 * np.pi))
+                       / np.sinc(N * x / (2 * np.pi)))
         atoms.append((om, mass))
         y = y - mass * np.exp(1j * om * ts)
     atoms.sort(key=lambda a: a[0])
-    return atoms, y, ts
+    return atoms, y, (omegas, lattice_means)
 
 
 def density_estimate(state, Z, T=None, N=2 ** 14):
@@ -141,15 +141,14 @@ def density_estimate(state, Z, T=None, N=2 ** 14):
         return SpectralEstimate(
             atoms=[], density=None, classification="haar_on_bohr",
             total_mass_accounted=0.0, leakage=1.0 / T, T=T, N=N,
-            zero_value=zero_value)
+            samples=vals, zero_value=zero_value)
 
-    atoms_c, resid, _ = atom_scan(state, Z, T, N, samples=vals)
+    atoms_c, resid, (omegas, lattice_means) = atom_scan(vals, T)
     imag_residue = max((abs(m.imag) for _, m in atoms_c), default=0.0)
     atoms = [(om, float(m.real)) for om, m in atoms_c]
     atom_mass = sum(max(m, 0.0) for _, m in atoms)
 
     window = 0.5 * (1.0 + np.cos(np.pi * ts / T))
-    omegas, lattice_means = _lattice(T, N)
     # kernel mass-normalized: sum -> int
     dens = np.real(lattice_means(resid * window)) * (T / np.pi)
     density = (omegas, dens)
@@ -167,7 +166,7 @@ def density_estimate(state, Z, T=None, N=2 ** 14):
     return SpectralEstimate(
         atoms=atoms, density=density, classification=cls,
         total_mass_accounted=float(total), leakage=1.0 / T, T=T, N=N,
-        zero_value=zero_value, imag_residue=float(imag_residue))
+        samples=vals, zero_value=zero_value, imag_residue=float(imag_residue))
 
 
 EDGE_TRIM = 2   # the Hann kernel's main-lobe half-width 2 pi / T, in lattice steps

@@ -326,16 +326,24 @@ def test_spectral_without_direction_exits_two(tmp_path):
     assert cli.run(path, out=str(tmp_path / "rep")) == 2
 
 
-def test_cli_import_leaves_quadrature_and_optimizer_unloaded():
+def test_cli_import_leaves_quadrature_and_optimizer_unloaded(tmp_path):
     # spectral and states import scipy where they use it: at module level it
-    # adds 0.1-0.4 s to every start-up of the command
+    # adds 0.1-0.4 s to every start-up of the command.  The atom scan needs
+    # no optimizer, so a spectral run leaves scipy.optimize unloaded too
+    path = _write(tmp_path, {
+        "version": "1", "task": "spectral", "seed": 0,
+        "state": {"kind": "su2_highest_weight", "params": {"j": 4}},
+        "params": {"Z": [0.7, -1.1, 0.45]}})
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = ("import sys, orbitstates.cli; print([m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'jsonschema')])")
+            "if m.split('.')[0] in ('scipy', 'jsonschema')]); "
+            "orbitstates.cli.main(['spectral', '--scenario', sys.argv[1], "
+            "'--out', sys.argv[2]]); print('scipy.optimize' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code, path,
+                          str(tmp_path / "rep")], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]
 
 
 # ---------------------------------------------------------------------------

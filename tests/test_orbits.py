@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from orbitstates import groups, orbits, states
+from orbitstates.tolerances import DEFAULT
 
 
 def _alg(family, coords):
@@ -694,6 +695,33 @@ def test_whitelisted_draws_commute_and_pad_with_zeros(spec):
     pad = np.arange(4) >= n[:, None]
     assert not np.any(C[pad]) and not np.any(cs[pad])
     assert np.all(cs[~pad] != 0)
+
+
+AD_SPECS = [orbits.heisenberg_orbit(), orbits.bargmann_orbit(),
+            orbits.euclid_orbit(1, 0), orbits.euclid_orbit(2, 1),
+            orbits.su2_orbit(1), orbits.torus_orbit([1.0, 2.0])]
+
+
+@pytest.mark.parametrize("spec", AD_SPECS,
+                         ids=["heisenberg", "bargmann", "euclid-1-0",
+                              "euclid-2-1", "su2", "torus"])
+def test_conjugate_tuples_have_meeting_sup_brackets(spec):
+    # the orbit is Ad*-invariant, so a tuple (Z_j) and its conjugate
+    # (Ad(g) Z_j) have one orbit sup, and each certified lower bound must
+    # lie below the other's certified upper bound
+    rows = 64
+    C, cs, n = (a[:rows] for a in orbits._block_tuples(spec, 3, 0, 1))
+    gs = groups.random_elements(spec.family, np.random.default_rng(0), rows,
+                                dim=spec.dim)
+    D = np.zeros_like(C)
+    for t in range(rows):
+        for j in range(n[t]):
+            D[t, j] = groups.adjoint(gs[t], _alg(spec.family, C[t, j])).coords
+    a, b = (orbits._sup_rows(spec, X, cs, n, np.zeros((0, spec.dim)), np.inf,
+                             2000, DEFAULT.box_radius) for X in (C, D))
+    slack = orbits.ROUNDING * np.sum(np.abs(cs), axis=1)
+    assert np.all(a.value <= b.upper + slack)
+    assert np.all(b.value <= a.upper + slack)
 
 
 def test_witnesses_carry_no_padding():

@@ -46,7 +46,7 @@ def test_flow_values_custom_state_route():
 def test_pure_character_gives_unit_atom():
     st = states.make_state("heisenberg_loc_p", k=1.3)
     Z = groups.algebra("heisenberg", [0, 0, 1.0])
-    a = spectral.bohr_atom(st, Z, 1.3)
+    a = spectral.bohr_atom(st, Z, 1.3, T=200 * np.pi)
     assert abs(a.mass - 1.0) < 1e-12
     off = spectral.bohr_atom(st, Z, 0.55, T=400.0)
     assert abs(off.mass) < 0.02
@@ -68,7 +68,9 @@ def test_atom_scan_recovers_two_frequencies():
                            evaluator=lambda g: 0.25 * np.exp(2j * g.data[0])
                            + 0.75 * np.exp(-1j * g.data[0]))
     Z = groups.algebra("torus", [1.0])
-    atoms, resid, _ = spectral.atom_scan(st, Z, T=64 * np.pi)
+    T = 64 * np.pi
+    y = spectral.flow_values(st, Z, spectral._midpoints(T, 2 ** 14))
+    atoms, resid, _ = spectral.atom_scan(y, T)
     assert len(atoms) == 2
     (om1, m1), (om2, m2) = atoms
     # scan refinement is leakage-limited; exact-frequency means are tested
@@ -103,16 +105,23 @@ def test_su2_atoms_follow_the_eigenvector_law():
         assert np.max(np.abs(means)) < 1e-10
 
 
-def test_atom_scan_finds_spin_atoms():
-    # su2 j = 4 on a generic axis; a whole number of base periods puts
-    # every atom m |Z| on the frequency lattice.  The other atoms' leakage
-    # still tilts each peak of |Bohr mean|, by O(1 / T^2), so T is long
+def _spin_scan(periods):
+    """atom_scan of su2 j = 4 on a generic axis over a whole number of base
+    periods, which puts every atom m |Z| on the frequency lattice; returns
+    the atoms, the spin-matrix masses by m, |Z| and T."""
     v = np.array([0.7, -1.1, 0.45])
     th = float(np.linalg.norm(v))
     st = states.make_state("su2_highest_weight", j=4.0)
-    T = 2 * np.pi * 512 / th
-    atoms, _, _ = spectral.atom_scan(st, groups.algebra("su2", v), T)
+    T = 2 * np.pi * periods / th
+    y = spectral.flow_values(st, groups.algebra("su2", v),
+                             spectral._midpoints(T, 2 ** 14))
+    atoms, _, _ = spectral.atom_scan(y, T)
     want = {round(m): w for m, w in oracles.spin_masses(8, v / th).items()}
+    return atoms, want, th, T
+
+
+def test_atom_scan_finds_spin_atoms():
+    atoms, want, th, T = _spin_scan(512)
     found = set()
     for om, mass in atoms:
         m = round(om / th)
@@ -122,6 +131,42 @@ def test_atom_scan_finds_spin_atoms():
     floor = spectral.ATOM_FACTOR / T
     assert {m for m, w in want.items() if w > floor} <= found
     assert len(found) == len(atoms) >= 5
+
+
+def test_atom_scan_places_commensurate_atoms_exactly():
+    # at 64 base periods the other atoms' means vanish on each atom's
+    # lattice point, so the two-bin step leaves no tilt
+    atoms, want, th, _ = _spin_scan(64)
+    assert len(atoms) >= 7
+    for om, mass in atoms:
+        m = round(om / th)
+        assert abs(om - m * th) < 1e-12
+        assert abs(mass - want[m]) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_off_lattice_character_gives_one_exact_atom(seed):
+    # one atom between lattice points: its means are exactly a Dirichlet
+    # kernel, which the two-bin step inverts
+    alpha, beta = np.random.default_rng(seed).uniform(0.5, 2.0, 2)
+    for st, Z, omega in [
+            (states.make_state("heisenberg_loc_p", k=1.3),
+             groups.algebra("heisenberg", [alpha, 0, 0]), -alpha),
+            (states.make_state("bargmann_loc_q", l=0.8),
+             groups.algebra("bargmann", [0, beta, 0, 0]), -0.8 * beta)]:
+        est = spectral.density_estimate(st, Z)
+        assert len(est.atoms) == 1
+        (om, mass), = est.atoms
+        assert abs(om - omega) < 1e-12 and abs(mass - 1.0) < 1e-12
+
+
+def test_atom_at_reads_the_estimate_samples():
+    st = states.make_state("su2_highest_weight", j=1.5)
+    Z = groups.algebra("su2", [0.4, -1.0, 0.6])
+    est = spectral.density_estimate(st, Z, T=40.0 * np.pi, N=2 ** 12)
+    for om in (-0.5, 0.3):
+        assert est.atom_at(om) == spectral.bohr_atom(st, Z, om, T=est.T,
+                                                     N=2 ** 12)
 
 
 # ---------------------------------------------------------------------------
