@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import gns, groups, induced, orbits, spectral, states
-from .tolerances import DEFAULT
+from .tolerances import gate
 
 # independently computed high-resolution quadrature value for the standard
 # Gaussian mass outside [-1, 1]; frozen before the implementation was built
@@ -178,7 +178,10 @@ def _concentration(target):
     if kind == "point":
         _number(target.get("value"), where + "value")
     elif kind == "interval":
-        _numbers(target.get("bounds"), where + "bounds", 2)
+        lo, hi = _numbers(target.get("bounds"), where + "bounds", 2)
+        if lo > hi:
+            raise CliInputError("%sbounds: must have lo <= hi, got %r"
+                                % (where, [lo, hi]))
     elif kind == "finite":
         _numbers(target.get("values"), where + "values")
     else:
@@ -187,12 +190,20 @@ def _concentration(target):
 
 
 # ---------------------------------------------------------------------------
-# task runners: each returns (results dict, passed bool, paper_refs)
+# task runners: each takes the state (None for reproduce), the params and
+# the seed, and returns (results dict, passed bool, paper_refs)
+
+def _judged(results, gates, refs):
+    """A runner's return when its verdict is `gates`, gate rows by name:
+    the results carry them, and pass when every row passes."""
+    results["gates"] = gates
+    return results, all(g["pass"] for g in gates.values()), refs
+
 
 def _sweep(state, rng, sets, n, pairs):
     """`sets` Gram matrices of `n` support samples, then the three
     inequalities over `pairs` sample pairs, all drawn from rng: the worst
-    min eigenvalue / n, whether it passes, and the inequality report.
+    min eigenvalue / n and the inequality report.
     The sets are drawn in turn and their Gram kernels taken at most
     GRAM_ENTRIES entries (at least one set) at a time."""
     worst = 0.0
@@ -206,46 +217,36 @@ def _sweep(state, rng, sets, n, pairs):
             worst = min(worst, low / n)
     gs = states.support_samples(state, rng, pairs)
     hs = states.support_samples(state, rng, pairs)
-    return worst, worst >= -DEFAULT.psd_scale, \
-        states.check_inequalities(state, gs, hs)
+    return worst, states.check_inequalities(state, gs, hs)
 
 
-def _task_verify(doc, seed):
-    state = _build_state(doc["state"])
-    p = doc.get("params", {})
+def _sweep_gates(prefix, worst, ineq):
+    """The gates of a _sweep: PSD and the three inequalities."""
+    return {prefix + "psd": gate(worst, ">=", "psd_scale", -1.0),
+            prefix + "inequalities": gate(ineq["worst_margin"], "<=", "slack")}
+
+
+def _task_verify(state, p, seed):
     sets, n = _count(p, "sets", 50), _count(p, "samples", 24)
-    worst, psd_pass, ineq = _sweep(state, np.random.default_rng(seed), sets, n,
-                                   _count(p, "pairs", 2000))
-    results = {
-        "sets": sets,
-        "samples_per_set": n,
-        "min_eigenvalue_per_n": worst,
-        "psd_pass": psd_pass,
-        "inequalities": ineq,
-    }
-    return results, bool(psd_pass and ineq["pass"]), \
-        ["state-psd-kernel", "modulus-and-continuity-bounds"]
+    worst, ineq = _sweep(state, np.random.default_rng(seed), sets, n,
+                         _count(p, "pairs", 2000))
+    results = {"sets": sets, "samples_per_set": n,
+               "min_eigenvalue_per_n": worst, "inequalities": ineq}
+    return _judged(results, _sweep_gates("", worst, ineq),
+                   ["state-psd-kernel", "modulus-and-continuity-bounds"])
 
 
-def _task_gram(doc, seed):
-    state = _build_state(doc["state"])
-    p = doc.get("params", {})
+def _task_gram(state, p, seed):
     rng = np.random.default_rng(seed)
     samples = states.support_samples(state, rng, _count(p, "samples", 24))
     gm = states.gram(state, samples)
-    ok = states.check_psd(gm)["pass"]
-    results = {
-        "n": gm.n,
-        "rank": gm.rank,
-        "eigenvalues": [float(v) for v in gm.eigenvalues],
-        "pass": ok,
-    }
-    return results, bool(ok), ["state-psd-kernel"]
+    results = {"n": gm.n, "rank": gm.rank,
+               "eigenvalues": [float(v) for v in gm.eigenvalues]}
+    return _judged(results, {"psd": states.check_psd(gm)},
+                   ["state-psd-kernel"])
 
 
-def _task_gns(doc, seed):
-    state = _build_state(doc["state"])
-    p = doc.get("params", {})
+def _task_gns(state, p, seed):
     if state.kind not in gns.CLOSED_KINDS:
         raise CliInputError("/state/kind: gns needs one of %s, got %r"
                             % (list(gns.CLOSED_KINDS), state.kind))
@@ -260,22 +261,17 @@ def _task_gns(doc, seed):
         + 1j * rng.standard_normal((3, len(samples)))
     repro = float(gns.reproducing_check(
         space, [v / np.linalg.norm(v) for v in vs]))
-    ok = worst_res <= 1e-9 and worst_rec <= 1e-9 and repro <= 1e-9
-    results = {
-        "rank": space.rank,
-        "samples": len(samples),
-        "probes": len(probes),
-        "worst_unitarity_residual": worst_res,
-        "worst_recovery_error": worst_rec,
-        "reproducing_defect": repro,
-        "pass": ok,
-    }
-    return results, bool(ok), ["finite-gns-recovery"]
+    results = {"rank": space.rank, "samples": len(samples),
+               "probes": len(probes), "worst_unitarity_residual": worst_res,
+               "worst_recovery_error": worst_rec, "reproducing_defect": repro}
+    return _judged(results, {
+        "unitarity_residual": gate(worst_res, "<=", "residual"),
+        "recovery_error": gate(worst_rec, "<=", "recovery"),
+        "reproducing_defect": gate(repro, "<=", "recovery")},
+        ["finite-gns-recovery"])
 
 
-def _task_spectral(doc, seed):
-    state = _build_state(doc["state"])
-    p = doc.get("params", {})
+def _task_spectral(state, p, seed):
     if "Z" not in p:
         raise CliInputError("/params/Z: direction coordinates required")
     Z = _direction(state.family, p["Z"], "/params/Z")
@@ -286,13 +282,15 @@ def _task_spectral(doc, seed):
         _number(p["omega"], "/params/omega")
     if "concentration" in p:
         _concentration(p["concentration"])
-    est = spectral.density_estimate(state, Z, T=T, N=_count(p, "N", 2 ** 14))
+    est = spectral.density_estimate(state, Z, T=T,
+                                    N=_count(p, "N", 2 ** 14, least=2))
     results = {
         "classification": est.classification,
         "atoms": [[float(om), float(m)] for om, m in est.atoms],
         "total_mass_accounted": est.total_mass_accounted,
         "leakage": est.leakage,
         "zero_value": [est.zero_value.real, est.zero_value.imag],
+        "_density": est.density,
     }
     if "omega" in p:
         atom = est.atom_at(float(p["omega"]))
@@ -301,29 +299,19 @@ def _task_spectral(doc, seed):
             "mass": [atom.mass.real, atom.mass.imag],
             "leakage": atom.leakage,
         }
-    ok = True
-    if "concentration" in p:
-        conc = spectral.concentration_check(est, p["concentration"])
-        results["concentration"] = conc
-        ok = conc["pass"]
-    results["_density"] = est.density
-    return results, bool(ok), ["abelian-restriction-spectrum"]
+    return _judged(results, {"concentration": spectral.concentration_check(
+        est, p["concentration"])} if "concentration" in p else {},
+        ["abelian-restriction-spectrum"])
 
 
-def _task_orbit(doc, seed):
-    state = _build_state(doc["state"])
-    p = doc.get("params", {})
+def _task_orbit(state, p, seed):
     spec = _default_orbit(state, p)
     rng = np.random.default_rng(seed)
     count = _count(p, "count", 1000)
     pts = spec.sample(rng, count)
     rel = float(np.max(orbits.relation_residuals(spec, pts)))
-    results = {
-        "family": spec.family,
-        "count": count,
-        "relation_residual": rel,
-        "pass": rel <= 1e-10,
-    }
+    results = {"family": spec.family, "count": count, "relation_residual": rel}
+    gates = {"relation_residual": gate(rel, "<=", "relation")}
     if not isinstance(p.get("Zs", []), list):
         raise CliInputError("/params/Zs: must be a list of directions, got %r"
                             % (p["Zs"],))
@@ -340,18 +328,15 @@ def _task_orbit(doc, seed):
                                                  proj.max(axis=0))]
         results["_projections"] = proj
     if spec.family == "su2":
-        lam = spec.params["lam"]
-        dist = orbits.kostant_projection_check(lam, _count(p, "kostant", 10 ** 5),
-                                               seed)
+        dist = orbits.kostant_projection_check(
+            spec.params["lam"], _count(p, "kostant", 10 ** 5), seed)
         results["kostant_hausdorff"] = dist
-        results["pass"] = bool(results["pass"] and dist < 0.01)
-    return results, bool(results["pass"]), \
-        ["orbit-relations", "axis-projection-range"]
+        gates["kostant_hausdorff"] = gate(dist, "<", "hausdorff")
+    return _judged(results, gates,
+                   ["orbit-relations", "axis-projection-range"])
 
 
-def _task_quantum(doc, seed):
-    state = _build_state(doc["state"])
-    p = doc.get("params", {})
+def _task_quantum(state, p, seed):
     spec = _default_orbit(state, p)
     report = orbits.quantum_check(
         state, spec,
@@ -359,8 +344,7 @@ def _task_quantum(doc, seed):
         n_max=_count(p, "n_max", 3),
         budget=_count(p, "budget", 10000, 0),
         seed=seed)
-    results = dict(report)
-    return results, bool(report["pass"]), ["orbit-sup-inequality"]
+    return dict(report), bool(report["pass"]), ["orbit-sup-inequality"]
 
 
 # ---------------------------------------------------------------------------
@@ -387,99 +371,98 @@ def _reproduce_heisenberg_table(seed):
          induced.delta_section([[0.0, 0.0]]),
          states.make_state("heisenberg_center")),
     ]
-    matrix, details = {}, {}
+    gates, details = {}, {}
     for name, action, f, st in cases:
         err = _max_modulus(induced.matrix_coefficient(action, f, gs.data)
                            - states.evaluate(st, gs))
-        matrix[name] = err < 1e-12
+        gates[name] = gate(err, "<", "coefficient")
         details[name + "_max_error"] = err
-    return matrix, details, ["induced-row-coefficients"]
+    return gates, details, ["induced-row-coefficients"]
 
 
 def _reproduce_bargmann_states(seed):
     rng = np.random.default_rng(seed)
-    matrix, details = {}, {}
+    gates, details = {}, {}
     for label, st in [("loc_pe", states.make_state("bargmann_loc_pe", k=1.0)),
                       ("loc_q", states.make_state("bargmann_loc_q", l=1.0))]:
-        worst, matrix[label + "_psd"], ineq = _sweep(st, rng, 20, 24, 2000)
-        matrix[label + "_inequalities"] = ineq["pass"]
+        worst, ineq = _sweep(st, rng, 20, 24, 2000)
+        gates.update(_sweep_gates(label + "_", worst, ineq))
         details[label + "_min_eig_per_n"] = worst
         details[label + "_worst_margin"] = ineq["worst_margin"]
     st = states.make_state("bargmann_loc_q", l=1.0)
     atom = spectral.bohr_atom(st, groups.algebra("bargmann", [0, 1.0, 0, 0]),
                               -1.0, T=200 * np.pi)
-    matrix["loc_q_character_atom"] = abs(atom.mass - 1.0) < 1e-6
     details["loc_q_atom_mass"] = [atom.mass.real, atom.mass.imag]
     est = spectral.density_estimate(
         st, groups.algebra("bargmann", [0, 1.0, -0.7, 0]), T=200 * np.pi,
         N=2 ** 13)
-    matrix["loc_q_boosted_haar"] = est.classification == "haar_on_bohr"
     st2 = states.make_state("bargmann_loc_pe", k=1.0)
     a_g = spectral.bohr_atom(st2, groups.algebra("bargmann", [0, 0, 1.0, 0]),
                              1.0, T=200 * np.pi)
     a_e = spectral.bohr_atom(st2, groups.algebra("bargmann", [0, 0, 0, 1.0]),
                              -0.5, T=200 * np.pi)
-    matrix["loc_pe_plane_atoms"] = (abs(a_g.mass - 1.0) < 1e-6
-                                    and abs(a_e.mass - 1.0) < 1e-6)
-    return matrix, details, ["paraboloid-states", "abelian-restriction-spectrum"]
+    gates.update(
+        loc_q_character_atom=gate(abs(atom.mass - 1.0), "<", "atom_mass"),
+        # Haar on the Bohr dual: the flow vanishes off t = 0
+        loc_q_boosted_haar=gate(_max_modulus(est.samples), "<=", "flow_zero"),
+        loc_pe_plane_atom_gamma=gate(abs(a_g.mass - 1.0), "<", "atom_mass"),
+        loc_pe_plane_atom_eps=gate(abs(a_e.mass - 1.0), "<", "atom_mass"))
+    return gates, details, ["paraboloid-states",
+                            "abelian-restriction-spectrum"]
 
 
 def _reproduce_euclid_waves(seed):
     rng = np.random.default_rng(seed)
-    matrix, details = {}, {}
-    trio = [("plane", states.make_state("euclid_plane", k=1.0)),
-            ("spherical", states.make_state("euclid_spherical", k=1.0)),
-            ("cylindrical", states.make_state("euclid_cylindrical", k=1.0))]
-    for label, st in trio:
-        _, matrix[label + "_psd"], ineq = _sweep(st, rng, 20, 24, 2000)
-        matrix[label + "_inequalities"] = ineq["pass"]
-        spec = orbits.euclid_orbit(1.0, 0.0)
+    gates, details = {}, {}
+    trio = {"plane": states.make_state("euclid_plane", k=1.0),
+            "spherical": states.make_state("euclid_spherical", k=1.0),
+            "cylindrical": states.make_state("euclid_cylindrical", k=1.0)}
+    spec = orbits.euclid_orbit(1.0, 0.0)
+    for label, st in trio.items():
+        gates.update(_sweep_gates(label + "_", *_sweep(st, rng, 20, 24, 2000)))
         q = orbits.quantum_check(st, spec, trials=50, budget=4000, seed=seed)
-        matrix[label + "_quantum"] = q["worst_margin"] >= -DEFAULT.margin
+        gates[label + "_quantum"] = gate(q["worst_margin"], ">=", "margin",
+                                         -1.0)
         details[label + "_worst_margin"] = q["worst_margin"]
     # sphere-average identity against the closed form
     pts, wts = induced.sphere_grid(64, 128)
     cvec = np.array([0.3, -1.1, 2.0])
     avg = np.sum(wts * np.exp(1j * pts @ cvec))
-    err_sph = abs(avg - states.sinc(np.linalg.norm(cvec)))
-    matrix["sphere_average_identity"] = err_sph < 1e-8
-    details["sphere_average_error"] = float(err_sph)
+    err_sph = float(abs(avg - states.sinc(np.linalg.norm(cvec))))
     from scipy.special import j0
     phi = 2 * np.pi * np.arange(512) / 512
     circ = np.column_stack([np.cos(phi), np.sin(phi), np.zeros(512)])
-    err_cyl = abs(np.mean(np.exp(1j * circ @ cvec)) - j0(np.hypot(*cvec[:2])))
-    matrix["circle_average_identity"] = err_cyl < 1e-10
-    details["circle_average_error"] = float(err_cyl)
-    action = induced.EuclidAction(k=1.0)
-    f = induced.constant_section()
-    st = states.make_state("euclid_spherical", k=1.0)
+    err_cyl = float(abs(np.mean(np.exp(1j * circ @ cvec))
+                        - j0(np.hypot(*cvec[:2]))))
     gs = groups.random_elements("euclid", rng, 200)
-    err = _max_modulus(induced.matrix_coefficient(action, f, gs.data)
-                       - states.evaluate(st, gs))
-    matrix["spherical_coefficient_match"] = err < 1e-8
-    details["spherical_coefficient_error"] = err
-    return matrix, details, ["wave-identities", "orbit-sup-inequality"]
+    err = _max_modulus(induced.matrix_coefficient(
+        induced.EuclidAction(k=1.0), induced.constant_section(), gs.data)
+        - states.evaluate(trio["spherical"], gs))
+    gates.update(
+        sphere_average_identity=gate(err_sph, "<", "sphere_quadrature"),
+        circle_average_identity=gate(err_cyl, "<", "circle_quadrature"),
+        spherical_coefficient_match=gate(err, "<", "sphere_quadrature"))
+    return gates, details, ["wave-identities", "orbit-sup-inequality"]
 
 
 def _reproduce_prequant(seed):
     value = spectral.prequant_mass_outside()
-    matrix = {"mass_outside_positive": value > 0.05,
-              "matches_oracle": abs(value - PREQUANT_ORACLE) <= 1e-3}
-    details = {"mass_outside": float(value), "oracle": PREQUANT_ORACLE}
     v2 = spectral.prequant_mass_outside(center=(0.0, 10.0))
-    matrix["shifted_gaussian_escapes"] = v2 > 0.9
-    details["shifted_mass_outside"] = float(v2)
-    return matrix, details, ["classical-value-escape"]
+    gates = {"mass_outside_positive": gate(value, ">", "escape"),
+             "matches_oracle": gate(abs(value - PREQUANT_ORACLE), "<=",
+                                    "quadrature"),
+             "shifted_gaussian_escapes": gate(v2, ">", "shifted_escape")}
+    details = {"mass_outside": float(value), "oracle": PREQUANT_ORACLE,
+               "shifted_mass_outside": float(v2)}
+    return gates, details, ["classical-value-escape"]
 
 
 def _reproduce_su2_weights(seed):
     from math import comb
     rng = np.random.default_rng(seed)
-    matrix, details = {}, {}
-    worst = 0.0
+    errors = []
     for twoj in (1, 2, 4, 8):
-        j = twoj / 2.0
-        st = states.su2_highest_weight(j)
+        st = states.su2_highest_weight(twoj / 2.0)
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
         w = rng.uniform(0.5, 2.0)
@@ -492,13 +475,11 @@ def _reproduce_su2_weights(seed):
             pred = comb(twoj, int(twoj / 2 + m)) \
                 * ((1 + u3) / 2) ** (twoj / 2 + m) \
                 * ((1 - u3) / 2) ** (twoj / 2 - m)
-            worst = max(worst, abs(est.mass - pred))
-    matrix["binomial_atoms"] = worst < 1e-8
-    details["worst_atom_error"] = float(worst)
+            errors.append(abs(est.mass - pred))
     dist = orbits.kostant_projection_check(1.0, 10 ** 5, seed)
-    matrix["projection_fills_interval"] = dist < 0.01
-    details["kostant_hausdorff"] = float(dist)
-    return matrix, details, ["binomial-weights", "axis-projection-range"]
+    gates = {"binomial_atoms": gate(float(np.max(errors)), "<", "weight_mass"),
+             "projection_fills_interval": gate(float(dist), "<", "hausdorff")}
+    return gates, {}, ["binomial-weights", "axis-projection-range"]
 
 
 _REPRODUCERS = {
@@ -511,11 +492,12 @@ _REPRODUCERS = {
 REPRODUCE_TARGETS = tuple(_REPRODUCERS)
 
 
-def _task_reproduce(doc, seed):
-    target = doc.get("params", {}).get("target")
-    matrix, details, refs = _REPRODUCERS[target](seed)
-    results = {"target": target, "matrix": matrix, "details": details}
-    return results, bool(all(matrix.values())), refs
+def _task_reproduce(state, p, seed):
+    target = p["target"]
+    gates, details, refs = _REPRODUCERS[target](seed)
+    matrix = {name: g["pass"] for name, g in gates.items()}
+    return _judged({"target": target, "matrix": matrix, "details": details},
+                   gates, refs)
 
 
 # each `states` subcommand: the scenario task it runs and that task's runner
@@ -542,7 +524,8 @@ def _atomic_write_bytes(path, data):
 
 
 def _write_report(report, path):
-    payload = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+    payload = (json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+               + "\n").encode()
     _atomic_write_bytes(path, payload)
 
 
@@ -636,7 +619,10 @@ def run_document(doc, seed=None, out=None, budget=None):
         seed = _count({"seed": doc["seed"] if seed is None else seed}, "seed",
                       None, least=0, where="")
         outdir = out or doc.get("out", "reports")
-        results, passed, refs = _RUNNERS[doc["task"]](doc, seed)
+        state = None if doc["task"] == "reproduce" \
+            else _build_state(doc["state"])
+        results, passed, refs = _RUNNERS[doc["task"]](
+            state, doc.get("params", {}), seed)
     except CliInputError as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
@@ -645,12 +631,17 @@ def run_document(doc, seed=None, out=None, budget=None):
 
     density = results.pop("_density", None)
     projections = results.pop("_projections", None)
+    results = _plain(results)
+    pointer = _nonfinite_pointer(results, "/results")
+    if pointer:
+        results, passed = {"error": "%s: not a finite number" % pointer}, False
+        density = projections = None
     report = {
         "version": doc.get("version", "1"),
         "task": doc["task"],
         "seed": seed,
         "paper_refs": refs,
-        "results": _plain(results),
+        "results": results,
         "pass": bool(passed),
     }
     if "state" in doc:
@@ -662,19 +653,16 @@ def run_document(doc, seed=None, out=None, budget=None):
 
 
 def _plain(obj):
-    """JSON-safe copy (numpy scalars/arrays to python types)."""
+    """JSON-safe copy (numpy scalars/arrays to python types, complex
+    numbers to [re, im])."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 

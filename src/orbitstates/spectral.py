@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, gate
 
 ATOM_FACTOR = 5.0  # an atom must exceed this multiple of the leakage bound
 MAX_ATOMS = 64
@@ -137,7 +137,8 @@ def density_estimate(state, Z, T=None, N=2 ** 14):
     vals = flow_values(state, Z, ts)
     zero_value = complex(states.exp_values(state, np.zeros_like(Z.coords)))
 
-    if np.all(np.abs(vals) <= 1e-12) and abs(zero_value - 1.0) <= 1e-9:
+    if np.all(np.abs(vals) <= DEFAULT.flow_zero) \
+            and abs(zero_value - 1.0) <= DEFAULT.unit_value:
         return SpectralEstimate(
             atoms=[], density=None, classification="haar_on_bohr",
             total_mass_accounted=0.0, leakage=1.0 / T, T=T, N=N,
@@ -188,17 +189,16 @@ def _flat_support(omegas, dens):
     return float(np.max(body) - np.min(body)) <= 0.25 * peak
 
 
-def concentration_check(estimate, target, eps=None):
-    """Mass of the estimate outside the eps-neighborhood of the target set.
+def concentration_check(estimate, target):
+    """The gate row of the estimate's mass outside the freq_eps-neighborhood
+    of the target set: at most outside_mass plus the estimate's leakage.
 
     target: {"type": "interval", "bounds": [lo, hi]}
             {"type": "point", "value": v}
             {"type": "finite", "values": [...]}
     """
-    eps = DEFAULT.freq_eps if eps is None else eps
-
     def far(oms):
-        """Which of the frequencies oms lie more than eps from the target."""
+        """Which of the frequencies oms lie beyond freq_eps of the target."""
         oms = np.asarray(oms, dtype=float)
         if target["type"] == "interval":
             lo, hi = target["bounds"]
@@ -209,7 +209,7 @@ def concentration_check(estimate, target, eps=None):
             dist = np.min(np.abs(np.subtract.outer(oms, target["values"])), 1)
         else:
             raise ValueError("unknown target type %r" % (target["type"],))
-        return dist > eps
+        return dist > DEFAULT.freq_eps
 
     outside = sum(max(mass, 0.0) for (_, mass), out in
                   zip(estimate.atoms, far([om for om, _ in estimate.atoms]))
@@ -220,8 +220,7 @@ def concentration_check(estimate, target, eps=None):
         if np.any(mask):
             contrib = np.clip(dens, 0.0, None) * mask
             outside += float(np.trapezoid(contrib, omegas))
-    passed = outside <= 1e-3 + estimate.leakage
-    return {"mass_outside": float(outside), "pass": bool(passed)}
+    return gate(float(outside), "<=", "outside_mass", plus=estimate.leakage)
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +230,21 @@ class GridTooCoarse(ValueError):
     pass
 
 
-def prequant_mass_outside(center=(0.0, 0.0), sigma=1.0):
-    """Mass of N(center, sigma^2 I) pushed outside [-1, 1] by
+def prequant_mass_outside(center=(0.0, 0.0)):
+    """Mass of N(center, I) pushed outside [-1, 1] by
     (p, k) -> sin p + (k - p) cos p.
 
     For fixed p the k with |sin p + (k - p) cos p| <= 1 form the interval
     with ends p + (+-1 - sin p) / cos p, so the mass is one integral over p
     of the p-density times both k-tails.  It is smooth between the zeros of
-    cos p, which cut c0 +- 12 sigma (beyond lies under 1e-32 of the mass)
-    into the pieces given to quad.  GridTooCoarse is raised when quad's
-    summed error estimate exceeds 1e-3."""
+    cos p, which cut c0 +- 12 (beyond lies under 1e-32 of the mass) into
+    the pieces given to quad.  GridTooCoarse is raised when quad's summed
+    error estimate exceeds the `quadrature` tolerance."""
     # imported here: scipy.integrate adds 0.1 s to every CLI start-up
     from scipy.integrate import quad
 
     c0, c1 = center
-    w = sigma * math.sqrt(2.0)
+    w = math.sqrt(2.0)
 
     def integrand(p):
         s, c = math.sin(p), math.cos(p)
@@ -253,12 +252,12 @@ def prequant_mass_outside(center=(0.0, 0.0), sigma=1.0):
         return (math.erfc((c1 - lo) / w) + math.erfc((hi - c1) / w)) \
             * math.exp(-((p - c0) / w) ** 2) / (2.0 * w * math.sqrt(math.pi))
 
-    a, b = c0 - 12.0 * sigma, c0 + 12.0 * sigma
+    a, b = c0 - 12.0, c0 + 12.0
     n0 = math.ceil((a - math.pi / 2) / math.pi)
     n1 = math.floor((b - math.pi / 2) / math.pi)
     breaks = [a] + [math.pi * (n + 0.5) for n in range(n0, n1 + 1)] + [b]
     pieces = [quad(integrand, u, v) for u, v in zip(breaks, breaks[1:])]
     err = sum(e for _, e in pieces)
-    if err > 1e-3:
+    if err > DEFAULT.quadrature:
         raise GridTooCoarse("quadrature error estimate %.2e" % err)
     return sum(v for v, _ in pieces)

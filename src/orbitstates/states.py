@@ -35,7 +35,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import groups
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, gate
 
 
 class StateParameterError(ValueError):
@@ -342,8 +342,8 @@ def gram_min_eigenvalues(state, samples):
 
 
 def check_psd(gm):
-    mn = float(gm.eigenvalues[-1])
-    return {"min_eigenvalue": mn, "pass": bool(mn >= -DEFAULT.psd_scale * gm.n)}
+    """The gate row: min eigenvalue >= -psd_scale * n."""
+    return gate(float(gm.eigenvalues[-1]), ">=", "psd_scale", -gm.n)
 
 
 def check_inequalities(state, gs, hs):

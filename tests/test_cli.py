@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from orbitstates import cli, states
-from orbitstates.tolerances import DEFAULT
+from orbitstates.tolerances import DEFAULT, OPS, gate
 
 
 def _write(tmp_path, doc, name="scn.json"):
@@ -80,7 +81,8 @@ def test_verify_task_passes_and_writes_report(tmp_path):
     rep = _report(out, "verify")
     assert rep["pass"] is True
     assert rep["task"] == "verify"
-    assert rep["results"]["psd_pass"] is True
+    assert rep["results"]["gates"]["psd"]["pass"] is True
+    assert rep["results"]["gates"]["inequalities"]["pass"] is True
     assert rep["results"]["inequalities"]["pass"] is True
     assert rep["state"]["kind"] == "heisenberg_loc_p"
     assert sorted(rep) == ["paper_refs", "pass", "results", "seed", "state",
@@ -175,7 +177,7 @@ def test_spectral_task_with_concentration(tmp_path):
     assert rep["results"]["classification"] == "atomic"
     m_re, m_im = rep["results"]["atom_at_omega"]["mass"]
     assert abs(m_re - 1.0) < 1e-9 and abs(m_im) < 1e-9
-    assert rep["results"]["concentration"]["pass"] is True
+    assert rep["results"]["gates"]["concentration"]["pass"] is True
 
 
 def test_failing_check_exits_one_with_witness(tmp_path):
@@ -247,6 +249,12 @@ def test_bad_input_exits_two(tmp_path, payload):
     ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], '
      '"concentration": {"type": "blob"}}', "/params/concentration/type",
      "spectral"),
+    ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], '
+     '"concentration": {"type": "interval", "bounds": [1, -1]}}',
+     "/params/concentration/bounds", "spectral"),
+    # one lattice point leaves the atom scan no neighbour
+    ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], "N": 1}',
+     "/params/N", "spectral"),
     ('{"kind": "heisenberg_loc_p"}, "params": {"Zs": [[1, 2]]}',
      "/params/Zs/0", "orbit_project"),
     ('{"kind": "heisenberg_loc_p"}, "params": {"orbit": {"k": "abc"}}',
@@ -309,7 +317,7 @@ def test_every_builtin_kind_verifies(tmp_path, kind):
         "params": {"sets": 2, "pairs": 200}})
     out = str(tmp_path / "rep")
     assert cli.run(path, out=out) == 0
-    assert _report(out, "verify")["results"]["psd_pass"] is True
+    assert _report(out, "verify")["results"]["gates"]["psd"]["pass"] is True
 
 
 def test_unknown_state_kind_exits_two(tmp_path):
@@ -393,6 +401,63 @@ def test_reproduce_targets_all_pass(tmp_path, target):
     assert rep["pass"] is True
     assert rep["results"]["target"] == target
     assert all(rep["results"]["matrix"].values())
+    # the matrix is the gates' verdicts, each bound its Tolerances field:
+    # negated where the gate is a floor on a margin or an eigenvalue
+    gates = rep["results"]["gates"]
+    assert rep["results"]["matrix"] == {k: g["pass"] for k, g in gates.items()}
+    for name, g in gates.items():
+        sign = -1.0 if name.endswith(("psd", "quantum")) else 1.0
+        assert g["bound"] == sign * getattr(DEFAULT, g["field"]), name
+        assert g["pass"] is OPS[g["op"]](g["value"], g["bound"]), name
+
+
+def test_a_gate_row_with_a_nan_value_fails():
+    for op in OPS:
+        assert gate(float("nan"), op, "slack")["pass"] is False
+    row = gate(0.5, ">=", "psd_scale", -3.0, 1.0)
+    assert row == {"value": 0.5, "op": ">=", "field": "psd_scale",
+                   "bound": -3.0 * DEFAULT.psd_scale + 1.0, "pass": False}
+
+
+def test_no_comparison_in_cli_has_a_float_literal():
+    # every verdict bound is read from the tolerance record
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    floats = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                while isinstance(operand, ast.UnaryOp):
+                    operand = operand.operand
+                if isinstance(operand, ast.Constant) \
+                        and isinstance(operand.value, float):
+                    floats.append((node.lineno, operand.value))
+    assert floats == []
+
+
+@pytest.mark.parametrize("command,text,pointer", [
+    # the flow's lattice at T = 1e300 gives NaN atoms
+    ("spectral", '"task": "spectral", "state": {"kind": "su2_highest_weight", '
+     '"params": {"j": 1}}, "params": {"Z": [0, 0, 1], "T": 1e300}',
+     "/results/atoms/"),
+    ("orbit", '"task": "orbit_project", "state": {"kind": '
+     '"su2_highest_weight", "params": {"j": 1}}, "params": {"orbit": '
+     '{"lam": 1e308}, "count": 50, "kostant": 100}',
+     "/results/relation_residual"),
+])
+def test_a_non_finite_result_fails_with_a_json_report(tmp_path, command, text,
+                                                      pointer):
+    path = tmp_path / "scn.json"
+    path.write_text('{"version": "1", "seed": 0, %s}' % text)
+    out = str(tmp_path / "rep")
+    with np.errstate(all="ignore"):
+        assert cli.main([command, "--scenario", str(path), "--out", out]) == 1
+    task = json.loads(path.read_text())["task"]
+    with open(os.path.join(out, "%s-report.json" % task)) as fh:
+        rep = json.loads(fh.read(), parse_constant=lambda c: pytest.fail(c))
+    assert rep["pass"] is False
+    assert rep["results"]["error"].startswith(pointer)
+    assert rep["results"]["error"].endswith(": not a finite number")
 
 
 def test_reproduce_target_writes_no_temporary_file(tmp_path, monkeypatch):
@@ -515,8 +580,7 @@ def _sweep_per_set(state, rng, sets, n, pairs):
         worst = min(worst, float(gm.eigenvalues[-1]) / gm.n)
     gs = states.support_samples(state, rng, pairs)
     hs = states.support_samples(state, rng, pairs)
-    return worst, worst >= -DEFAULT.psd_scale, \
-        states.check_inequalities(state, gs, hs)
+    return worst, states.check_inequalities(state, gs, hs)
 
 
 @pytest.mark.parametrize("kind,params", SWEEP_KINDS)

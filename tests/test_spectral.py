@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from orbitstates import groups, spectral, states
+from orbitstates.tolerances import DEFAULT
 
 
 # ---------------------------------------------------------------------------
@@ -269,22 +270,31 @@ def test_concentration_check_point_and_interval():
     Z = groups.algebra("heisenberg", [0, 0, 1.0])
     est = spectral.density_estimate(st, Z)
     ok = spectral.concentration_check(est, {"type": "point", "value": 1.3})
-    assert ok["pass"] and ok["mass_outside"] < 1e-6
+    assert ok["pass"] and ok["value"] < 1e-6
+    assert ok["field"] == "outside_mass" and ok["op"] == "<="
+    assert ok["bound"] == DEFAULT.outside_mass + est.leakage
     bad = spectral.concentration_check(est, {"type": "point", "value": -2.0})
-    assert not bad["pass"] and bad["mass_outside"] > 0.9
+    assert not bad["pass"] and bad["value"] > 0.9
+    assert spectral.concentration_check(
+        est, {"type": "finite", "values": [-2.0, 1.3]})["pass"]
+    bad = spectral.concentration_check(
+        est, {"type": "finite", "values": [-2.0, 0.0]})
+    assert not bad["pass"] and abs(bad["value"] - 1.0) < 1e-9
 
+    # targets widened by eps - freq_eps stand for a wider eps: their masses
+    # are those of [-2, 2] and [-0.5, 0.5] at eps 0.05 and of {0} at eps 3
     st = states.make_state("euclid_spherical", k=2.0)
     Z = groups.algebra("euclid", [0, 0, 0, 0, 0, 1.0])
     est = spectral.density_estimate(st, Z)
     ok = spectral.concentration_check(
-        est, {"type": "interval", "bounds": [-2.0, 2.0]}, eps=0.05)
+        est, {"type": "interval", "bounds": [-2.049, 2.049]})
     assert ok["pass"]
     bad = spectral.concentration_check(
-        est, {"type": "interval", "bounds": [-0.5, 0.5]}, eps=0.05)
-    assert not bad["pass"] and bad["mass_outside"] > 0.5
+        est, {"type": "interval", "bounds": [-0.549, 0.549]})
+    assert not bad["pass"] and bad["value"] > 0.5
 
     fin = spectral.concentration_check(
-        est, {"type": "finite", "values": [0.0]}, eps=3.0)
+        est, {"type": "interval", "bounds": [-2.999, 2.999]})
     assert fin["pass"]
     with pytest.raises(ValueError):
         spectral.concentration_check(est, {"type": "nonsense"})
