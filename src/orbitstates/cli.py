@@ -18,6 +18,7 @@ ill-typed key, unknown target).  Input errors carry JSON-pointer paths.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -40,6 +41,17 @@ GRAM_ENTRIES = 2 ** 16
 # rows formatted per write of a plot-data CSV, so the text held at once stays
 # bounded for any grid size
 CSV_BLOCK = 4096
+
+# the largest SU(2) orbit radius params.orbit.lam: the sup search evaluates
+# the 4 lam + 1 weight heights of a whole block of trials at once, and a
+# highest-weight state has 2j <= 8
+LAM_MAX = 16.0
+
+# the largest T |Z| of a spectral run (T defaults to spectral.T_DEFAULT): the
+# flow is sampled at t Z for |t| <= T, so this keeps its phases well inside
+# the range a double resolves, and far from where exp_coords's squares of
+# t Z overflow (|t Z| about 1e154)
+FLOW_REACH = 1e8
 
 
 class CliInputError(ValueError):
@@ -153,6 +165,9 @@ def _default_orbit(state, params):
         if (fam, key) in (("euclid", "k"), ("su2", "lam")) and v < 0:
             raise CliInputError("/params/orbit/%s: must be >= 0, got %r"
                                 % (key, v))
+        if (fam, key) == ("su2", "lam") and v > LAM_MAX:
+            raise CliInputError("/params/orbit/lam: must be <= %g, got %r"
+                                % (LAM_MAX, v))
         return v
 
     if fam == "heisenberg":
@@ -278,6 +293,11 @@ def _task_spectral(state, p, seed):
     T = p.get("T")
     if T is not None:
         _number(T, "/params/T", positive=True)
+    reach = (spectral.T_DEFAULT if T is None else T) * math.hypot(*Z.coords)
+    if not reach <= FLOW_REACH:
+        raise CliInputError("%s: T |Z| must be <= %g (T defaults to 200 pi), "
+                            "got %r" % ("/params/T" if "T" in p
+                                        else "/params/Z", FLOW_REACH, reach))
     if "omega" in p:
         _number(p["omega"], "/params/omega")
     if "concentration" in p:
@@ -523,10 +543,10 @@ def _atomic_write_bytes(path, data):
     os.replace(tmp, path)
 
 
-def _write_report(report, path):
-    payload = (json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-               + "\n").encode()
-    _atomic_write_bytes(path, payload)
+def _report_bytes(report):
+    """The report as written: sorted keys, no NaN or infinity (ValueError)."""
+    return (json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+            + "\n").encode()
 
 
 def emit_plotdata(report, outdir=".", density=None, proj=None):
@@ -631,25 +651,32 @@ def run_document(doc, seed=None, out=None, budget=None):
 
     density = results.pop("_density", None)
     projections = results.pop("_projections", None)
-    results = _plain(results)
-    pointer = _nonfinite_pointer(results, "/results")
-    if pointer:
-        results, passed = {"error": "%s: not a finite number" % pointer}, False
-        density = projections = None
     report = {
         "version": doc.get("version", "1"),
         "task": doc["task"],
         "seed": seed,
         "paper_refs": refs,
-        "results": results,
+        "results": _plain(results),
         "pass": bool(passed),
     }
     if "state" in doc:
         report["state"] = doc["state"]
+    try:
+        payload = _report_bytes(report)
+    except ValueError:
+        # a NaN or infinite result fails the run, with no plot data
+        pointer = _nonfinite_pointer(report["results"], "/results")
+        if pointer is None:
+            raise
+        report["results"] = {"error": "%s: not a finite number" % pointer}
+        report["pass"] = False
+        density = projections = None
+        payload = _report_bytes(report)
     os.makedirs(outdir, exist_ok=True)
-    _write_report(report, os.path.join(outdir, "%s-report.json" % doc["task"]))
+    _atomic_write_bytes(
+        os.path.join(outdir, "%s-report.json" % doc["task"]), payload)
     emit_plotdata(report, outdir, density, projections)
-    return 0 if passed else 1
+    return 0 if report["pass"] else 1
 
 
 def _plain(obj):
@@ -666,7 +693,10 @@ def _plain(obj):
     return obj
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The `states` argument parser, built on the first `main` call (not at
+    import) and kept for the process's later calls."""
     parser = argparse.ArgumentParser(
         prog="states",
         description="localized-state construction and verification suite")
@@ -680,7 +710,11 @@ def main(argv=None):
             sp.add_argument("--budget", type=int, default=None)
         if name == "reproduce":
             sp.add_argument("target", nargs="?", choices=REPRODUCE_TARGETS)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     if args.command == "reproduce" and args.scenario is None:
         if args.target is None:

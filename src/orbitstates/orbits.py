@@ -94,14 +94,17 @@ its upper bound, so a round's memory and work do not grow with the budget.
 report say how many stage-4 evaluations were made.
 
 The search runs on stacks of tuples, padded to a common length with zero
-terms: stages 1 and 2 are array code over the whole stack, and stages 3
-and 4 run one tuple at a time on the few that those leave unsettled.
+terms: stages 1 to 3 are array code over the whole stack (stage 3 on
+chunks of rows of at most GRID_CELLS cells, so its memory does not grow
+with the stack), and stage 4 runs one tuple at a time on the few that
+those leave unsettled.
 `quantum_check` runs its trials BLOCK at a time: one draw of a block's
 tuples from a stream keyed by (seed, block), one `states.exp_values` call
 for their left sides, then the search.  The left sides and every value of
 the signal go through one left-to-right reduction (`_rsum`), so a sum
 that equals a localized state's left side in exact arithmetic equals it
-in floating point too.
+in floating point too, and a row's values do not depend on the stack it
+is searched in (the sphere's phases u . w_j are such a sum as well).
 `orbit_sup` is the same search on a stack of one; it checks that its tuple
 commutes, while drawn tuples commute by construction.
 """
@@ -116,6 +119,7 @@ from .tolerances import DEFAULT
 
 BATCH = 8192         # stage 4 splits this many cells at a time
 OPEN_MAX = 4 * BATCH  # and keeps at most this many cells open
+GRID_CELLS = BATCH // 2  # stage 3 evaluates at most this many cells at once
 ROUNDING = 1e-9      # upper bounds add ROUNDING * sum_j |c_j| (see above)
 PHASE_MAX = 1e6      # the largest phase that ROUNDING covers, in radians
 
@@ -276,10 +280,11 @@ def _refutes(upper, target, eps):
 
 
 class _Bound:
-    """The running certified bounds of one row of the sup search, from
-    stage 3 on (stages 1 and 2 run on the whole stack in _sup_rows)."""
+    """The running certified bounds of the sup search from stage 3 on, of
+    one row (numbers) or of a stack of rows ((R,) arrays); stages 1 and 2
+    run on the whole stack in _sup_rows."""
     __slots__ = ("target", "eps", "value", "upper", "slack", "samples",
-                 "stage", "drawn")
+                 "drawn")
 
     def __init__(self, target, eps, value, upper, slack, samples):
         self.target = target        # inf: no early exit
@@ -289,25 +294,24 @@ class _Bound:
         self.slack = slack          # the rounding allowance of upper bounds
         self.samples = samples
         self.drawn = 0
-        self.stage = 2
 
     def points(self, vals):
-        """Fold in the values at evaluated orbit points."""
-        if len(vals):
-            self.value = max(self.value, float(np.max(vals)))
-        self.samples += len(vals)
+        """Fold in the values at evaluated orbit points (the last axis of
+        vals)."""
+        self.value = np.maximum(self.value, np.max(vals, axis=-1))
+        self.samples = self.samples + vals.shape[-1]
 
-    def refuted(self, upper):
-        """Fold in an upper bound on the exact sup, plus the rounding
-        allowance; True once it lies below the target by more than eps."""
-        self.upper = min(self.upper, float(upper) + self.slack)
-        return _refutes(self.upper, self.target, self.eps)
-
-
-def _values(cs, phase):
-    """|sum_j c_j e^{i phi_j(x)}| over the rows x of X, where phase(X)
-    gives the (rows, n) phases."""
-    return lambda X: _signal(phase(X), cs)
+    def settle(self, top, compact):
+        """The rule stages 3 and 4 apply after each evaluation, with `top`
+        the largest bound of the cells left open (at least the value): on a
+        compact chart top plus the rounding allowance bounds the sup from
+        above and is folded into `upper`.  True once the value reaches the
+        target or that bound lies below it by more than eps."""
+        cap = top + self.slack
+        if compact:
+            self.upper = cap = np.minimum(self.upper, cap)
+        return (self.value >= self.target) \
+            | _refutes(cap, self.target, self.eps)
 
 
 def _cube(X):
@@ -326,29 +330,40 @@ def _cube(X):
     return _unit(U)
 
 
+# Each chart takes the terms of one row ((W,) arrays, r a number) or of a
+# stack of rows ((R, W) arrays, r (R,)) and returns the signal at chart
+# points, the first partition's centres and half-widths, and the signal's
+# Lipschitz constant on the chart, one per row.  The line's partition
+# scales with r, so on a stack its points are per row, (R, cells, 1); the
+# sphere's and the strip's are shared, (cells, 2).
+
 def _line_chart(cs, ga, ep, off, r):
     """The signal on the line chart (phases p ga_j - p^2 ep_j / 2 + off_j),
     the first partition of p in [-r, r] and the signal's Lipschitz constant
     there, L = sum_j |c_j| (|ga_j| + r |ep_j|)."""
-    return (_values(cs, lambda P: P * (ga - 0.5 * P * ep) + off),
-            r * _LINE_CELLS[0], r * _LINE_CELLS[1],
-            np.sum(np.abs(cs * ga) + r * np.abs(cs * ep)))
+    r = np.asarray(r)[..., None]
+    lip = np.sum(np.abs(cs * ga) + r * np.abs(cs * ep), axis=-1)
+    cs, ga, ep, off = (a[..., None, :] for a in (cs, ga, ep, off))
+    return (lambda P: _signal(P * (ga - 0.5 * P * ep) + off, cs),
+            r[..., None] * _LINE_CELLS[0], r * _LINE_CELLS[1], lip)
 
 
 def _sphere_chart(cs, ws):
-    """The signal on the unit sphere (phases u . w_j) through the cube
-    chart, its first partition and L = sum_j |c_j| |w_j|."""
-    return (_values(cs, lambda X: _cube(X) @ ws.T), *_CUBE_CELLS,
-            np.sum(np.abs(cs) * np.linalg.norm(ws, axis=1)))
+    """The signal on the unit sphere (phases u . w_j, summed left to right)
+    through the cube chart, its first partition and L = sum_j |c_j| |w_j|."""
+    lip = np.sum(np.abs(cs) * np.linalg.norm(ws, axis=-1), axis=-1)
+    cs, ws = cs[..., None, :], ws[..., None, :, :]
+    return (lambda X: _signal(_rsum(_cube(X)[:, None] * ws), cs),
+            *_CUBE_CELLS, lip)
 
 
 def _strip_chart(cs, sfreq, pfreq, k, box):
     """The signal on the strip (phases s_j l + t_j p), the first partition
     of (l, p) in [-box, box] x [-k, k] and L = sum_j |c_j| |(s_j, t_j)|."""
-    return (_values(cs, lambda X: np.outer(X[:, 0], sfreq)
-                    + np.outer(X[:, 1], pfreq)),
-            _STRIP_CELLS[0] * (box, k), _STRIP_CELLS[1] * (box, k),
-            np.sum(np.abs(cs) * np.hypot(sfreq, pfreq)))
+    lip = np.sum(np.abs(cs) * np.hypot(sfreq, pfreq), axis=-1)
+    cs, sfreq, pfreq = (a[..., None, :] for a in (cs, sfreq, pfreq))
+    return (lambda X: _signal(X[:, :1] * sfreq + X[:, 1:] * pfreq, cs),
+            _STRIP_CELLS[0] * (box, k), _STRIP_CELLS[1] * (box, k), lip)
 
 
 def _best_first(bound, k):
@@ -362,53 +377,51 @@ def _best_first(bound, k):
     return np.flatnonzero(take)
 
 
-def _branch_and_bound(run, value, centre, half, lip, budget, compact):
-    """Stages 3 and 4: a Lipschitz branch and bound of the signal `value`
-    over the box tiled by the cells of one uniform partition, with centres
-    `centre` and half-widths `half`, on each of which it is lip-Lipschitz.
+def _grid(run, value, centre, half, lip, compact):
+    """Stage 3 on one row or a stack of rows: the signal at every centre of
+    the chart's first partition, folded into run.  A cell's bound is its
+    centre value plus lip times its half-diagonal.  Returns the values
+    (..., cells) and whether each row is settled (_Bound.settle)."""
+    vals = value(centre)
+    run.points(vals)
+    bound = vals + (lip * np.linalg.norm(half, axis=-1))[..., None]
+    return vals, run.settle(np.maximum(np.max(bound, axis=-1), run.value),
+                            compact)
 
-    A cell's bound is its centre value plus lip times its half-diagonal.
-    Stage 3 evaluates every centre of the partition.  Each round of stage
-    4 halves the open cells with the BATCH largest bounds (equal bounds
-    taken in a fixed order) across their longest side; after each stage or
-    round every cell whose bound does not exceed the best value found is
-    pruned, and past OPEN_MAX open cells those of the lowest bounds (equal
-    bounds in the same order) are dropped, their largest bound `dropped`
-    counting as an open bound from then on.  No step reads the target, so
-    a run that stops early or has a smaller budget (the cap on stage-4
-    evaluations) runs the first rounds of the full run, the last of them
-    perhaps on fewer of its cells.  The run stops when the budget is
-    spent, when the value reaches the target, or when the largest open
-    bound lies below the target by more than eps.  When `compact`, the box
-    is the whole chart, so that bound (or the best value, which bounds
-    every pruned cell) bounds the sup from above.  All cells of one depth
-    have the same half-widths, half[depth]."""
-    run.stage = 3
+
+def _branch_and_bound(run, value, centre, half, lip, vals, budget, compact):
+    """Stage 4 on one row that stage 3 left open: a Lipschitz branch and
+    bound of the signal `value` over the box tiled by the cells of the
+    chart's first partition, with centres `centre`, half-widths `half` and
+    values `vals` (stage 3's, which run holds), on each of which it is
+    lip-Lipschitz.
+
+    Each round halves the open cells with the BATCH largest bounds (equal
+    bounds taken in a fixed order) across their longest side and settles
+    the row as _Bound.settle says; before each round every cell whose
+    bound does not exceed the best value found is pruned, and past
+    OPEN_MAX open cells those of the lowest bounds (equal bounds in the
+    same order) are dropped, their largest bound `dropped` counting as an
+    open bound from then on.  No step reads the target, so a run that
+    stops early or has a smaller budget (the cap on the evaluations made
+    here, run.drawn) runs the first rounds of the full run, the last of
+    them perhaps on fewer of its cells.  When `compact`, the box is the
+    whole chart, so the largest open bound (or the best value, which
+    bounds every pruned cell) bounds the sup from above.  All cells of one
+    depth have the same half-widths, half[depth]."""
     half = [np.asarray(half, float)]
-    kids, dep = centre, np.zeros(len(centre), dtype=int)
-    centre, depth, bound = kids[:0], dep[:0], np.empty(0)
+    depth = np.zeros(len(centre), dtype=int)
+    bound = vals + lip * np.linalg.norm(half, axis=1)[depth]
     dropped = -np.inf
     while True:
-        vals = value(kids)
-        run.points(vals)
-        bound = np.concatenate(
-            [bound, vals + lip * np.linalg.norm(half, axis=1)[dep]])
         live = np.flatnonzero(bound > run.value)
         if len(live) > OPEN_MAX:
             sel = _best_first(bound[live], OPEN_MAX)
             dropped = max(dropped, np.max(np.delete(bound[live], sel)))
             live = live[sel]
         # np.take: a row gather several times faster than indexing
-        centre = np.take(np.concatenate([centre, kids]), live, axis=0)
-        depth, bound = np.concatenate([depth, dep])[live], bound[live]
-        top = max(np.max(bound, initial=run.value), dropped)
-        if compact:
-            done = run.refuted(top)
-        else:
-            done = _refutes(top + run.slack, run.target, run.eps)
-        if done or run.value >= run.target:
-            return
-        run.stage = 4
+        centre = np.take(centre, live, axis=0)
+        depth, bound = depth[live], bound[live]
         k = min(BATCH, len(bound), (budget - run.drawn) // 2)
         if k <= 0:
             return
@@ -422,12 +435,20 @@ def _branch_and_bound(run, value, centre, half, lip, budget, compact):
         c, step = np.take(centre, idx, axis=0), (H[:-1] - H[1:])[dep]
         kids = np.stack([c - step, c + step], axis=1).reshape(-1, H.shape[1])
         dep = np.repeat(dep + 1, 2)
+        vals = value(kids)
+        run.points(vals)
         run.drawn += len(kids)
         bound[idx] = -np.inf            # a split cell leaves the list
+        centre = np.concatenate([centre, kids])
+        depth = np.concatenate([depth, dep])
+        bound = np.concatenate(
+            [bound, vals + lip * np.linalg.norm(half, axis=1)[dep]])
+        if run.settle(max(np.max(bound), run.value, dropped), compact):
+            return
 
 
 # ---------------------------------------------------------------------------
-# stages 1 and 2 on stacks of tuples
+# the staged search on stacks of tuples
 
 def _rsum(P):
     """The sum over the last axis, strictly left to right: one rounding
@@ -474,8 +495,9 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
     lower bound reaches the target or its upper bound lies below
     target[t] - eps, eps the `margin` tolerance.  anchors is an (A, dim)
     stack of dual points, and budget caps each row's stage-4 evaluations.
-    Stages 1 and 2 run on every row at once, stages 3 and 4 on each row
-    they leave unsettled.  Returns a SupEstimate of (T,) arrays."""
+    Stages 1 to 3 run on every row at once (stage 3 on chunks of rows),
+    stage 4 on each row they leave unsettled.  Returns a SupEstimate of
+    (T,) arrays."""
     fam = spec.family
     eps = DEFAULT.margin
     T, W = cs.shape
@@ -617,25 +639,43 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
             np.exp(1j * p * pfreq[sel]) * cs[sel])), axis=(0, 1)))
     settled |= (value >= target) | _refutes(upper, target, eps)
 
-    # stages 3 and 4, one row at a time
+    # stage 3 on the open rows of each chart, GRID_CELLS cells at a time,
+    # then stage 4 on each row it leaves open; the SU(2) interval and the
+    # sphere are searched whole.  chart(rows, w) is the chart of the rows'
+    # first w terms (a row's trailing zero terms change none of its values)
+    open_ = np.flatnonzero(~settled)
+    if line is not None:
+        ga, ep, off, r = line
+        parts = [(open_, len(_LINE_CELLS[0]), fam == "su2",
+                  lambda t, w: _line_chart(cs[t, :w], ga[t, :w], ep[t, :w],
+                                           off[t, :w], r[t]))]
+    elif fam == "euclid":
+        parts = [(open_[sphere[open_]], len(_CUBE_CELLS[0]), True,
+                  lambda t, w: _sphere_chart(cs[t, :w], ws[t, :w])),
+                 (open_[~sphere[open_]], len(_STRIP_CELLS[0]), False,
+                  lambda t, w: _strip_chart(cs[t, :w], sfreq[t, :w],
+                                            pfreq[t, :w], k, box))]
+    else:
+        parts = []                       # a torus row is exact
     drawn = np.zeros(T, dtype=int)
-    for t in np.flatnonzero(~settled):
-        run = _Bound(target[t], eps, value[t], upper[t], slack[t], samples[t])
-        m = n[t]
-        # the SU(2) interval and the sphere are searched whole
-        if line is not None:
-            ga, ep, off, r = line
-            chart = _line_chart(cs[t, :m], ga[t, :m], ep[t, :m], off[t, :m],
-                                r[t])
-            compact = fam == "su2"
-        elif sphere[t]:
-            chart, compact = _sphere_chart(cs[t, :m], ws[t, :m]), True
-        else:
-            chart = _strip_chart(cs[t, :m], sfreq[t, :m], pfreq[t, :m], k, box)
-            compact = False
-        _branch_and_bound(run, *chart, budget, compact)
-        value[t], upper[t], samples[t] = run.value, run.upper, run.samples
-        stage[t], drawn[t] = run.stage, run.drawn
+    for rows_, cells, compact, chart in parts:
+        per = max(1, GRID_CELLS // cells)
+        for chunk in (rows_[i:i + per] for i in range(0, len(rows_), per)):
+            run = _Bound(target[chunk], eps, value[chunk], upper[chunk],
+                         slack[chunk], samples[chunk])
+            vals, done = _grid(run, *chart(chunk, np.max(n[chunk])), compact)
+            value[chunk], upper[chunk] = run.value, run.upper
+            samples[chunk] = run.samples
+            stage[chunk] = np.where(done, 3, 4)
+            for i in np.flatnonzero(~done):
+                t = chunk[i]
+                run = _Bound(target[t], eps, value[t], upper[t], slack[t],
+                             samples[t])
+                _branch_and_bound(run, *chart(t, n[t]), vals[i], budget,
+                                  compact)
+                value[t], upper[t], samples[t] = run.value, run.upper, \
+                    run.samples
+                drawn[t] = run.drawn
     return SupEstimate(value, samples, stage, drawn, upper)
 
 
@@ -819,7 +859,7 @@ def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0):
 
     Trials run BLOCK at a time as coordinate stacks: block b's tuples come
     from the stream keyed by (seed, b), every left side from one
-    states.exp_values call, and stages 1-2 of the sup search from array
+    states.exp_values call, and stages 1-3 of the sup search from array
     code over the block; only the trials those leave unsettled are searched
     one by one, by a search that draws nothing.  So a trial does not depend
     on how many trials run, and different seeds run different trials.

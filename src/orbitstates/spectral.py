@@ -29,6 +29,7 @@ from .tolerances import DEFAULT, gate
 
 ATOM_FACTOR = 5.0  # an atom must exceed this multiple of the leakage bound
 MAX_ATOMS = 64
+T_DEFAULT = 200.0 * np.pi  # density_estimate's T when none is given
 
 
 @dataclass
@@ -132,7 +133,7 @@ def atom_scan(y, T):
 
 def density_estimate(state, Z, T=None, N=2 ** 14):
     """Atoms plus Hann-windowed density of the restriction along Z."""
-    T = 200.0 * np.pi if T is None else float(T)
+    T = T_DEFAULT if T is None else float(T)
     ts = _midpoints(T, N)
     vals = flow_values(state, Z, ts)
     zero_value = complex(states.exp_values(state, np.zeros_like(Z.coords)))

@@ -244,6 +244,15 @@ def test_bad_input_exits_two(tmp_path, payload):
      "/params/T", "spectral"),
     ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], "T": -5}',
      "/params/T", "spectral"),
+    # T |Z| past FLOW_REACH: exp_coords would square t Z past the largest
+    # double; without T the default T and Z are at fault
+    ('{"kind": "su2_highest_weight", "params": {"j": 1}}, '
+     '"params": {"Z": [0, 0, 1], "T": 1e300}', "/params/T", "spectral"),
+    ('{"kind": "su2_highest_weight", "params": {"j": 1}}, '
+     '"params": {"Z": [0, 0, 1], "T": 100000000.00000001}', "/params/T",
+     "spectral"),
+    ('{"kind": "su2_highest_weight", "params": {"j": 1}}, '
+     '"params": {"Z": [0, 0, 1e300]}', "/params/Z", "spectral"),
     ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], "omega": "x"}',
      "/params/omega", "spectral"),
     ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], '
@@ -270,6 +279,16 @@ def test_bad_input_exits_two(tmp_path, payload):
      '[0, 1, 0]]}', "/params/Zs:", "orbit_project"),
     ('{"kind": "su2_highest_weight"}, "params": {"orbit": {"lam": -1}}',
      "/params/orbit/lam", "quantum_check"),
+    # lam past LAM_MAX: the weight heights would take 4 lam + 1 values
+    ('{"kind": "su2_highest_weight", "params": {"j": 1}}, '
+     '"params": {"orbit": {"lam": 1e308}}', "/params/orbit/lam",
+     "quantum_check"),
+    ('{"kind": "su2_highest_weight", "params": {"j": 1}}, '
+     '"params": {"orbit": {"lam": 16.000000000000004}}', "/params/orbit/lam",
+     "quantum_check"),
+    ('{"kind": "su2_highest_weight", "params": {"j": 1}}, '
+     '"params": {"orbit": {"lam": 1e308}, "count": 50}', "/params/orbit/lam",
+     "orbit_project"),
     ('{"kind": "euclid_plane", "params": {"k": 2, "s": 1}}, '
      '"params": {"orbit": {"k": -2, "s": 1}}', "/params/orbit/k",
      "quantum_check"),
@@ -436,13 +455,14 @@ def test_no_comparison_in_cli_has_a_float_literal():
 
 
 @pytest.mark.parametrize("command,text,pointer", [
-    # the flow's lattice at T = 1e300 gives NaN atoms
-    ("spectral", '"task": "spectral", "state": {"kind": "su2_highest_weight", '
-     '"params": {"j": 1}}, "params": {"Z": [0, 0, 1], "T": 1e300}',
+    # inputs that pass every parameter check and still overflow: a state
+    # phase k p at k = 1e308 gives NaN atoms, and an orbit radius of 1e308
+    # an infinite relation residual
+    ("spectral", '"task": "spectral", "state": {"kind": "heisenberg_loc_p", '
+     '"params": {"k": 1e308}}, "params": {"Z": [0, 0, 1]}',
      "/results/atoms/"),
-    ("orbit", '"task": "orbit_project", "state": {"kind": '
-     '"su2_highest_weight", "params": {"j": 1}}, "params": {"orbit": '
-     '{"lam": 1e308}, "count": 50, "kostant": 100}',
+    ("orbit", '"task": "orbit_project", "state": {"kind": "euclid_plane", '
+     '"params": {"k": 1}}, "params": {"orbit": {"k": 1e308}, "count": 50}',
      "/results/relation_residual"),
 ])
 def test_a_non_finite_result_fails_with_a_json_report(tmp_path, command, text,
@@ -458,6 +478,43 @@ def test_a_non_finite_result_fails_with_a_json_report(tmp_path, command, text,
     assert rep["pass"] is False
     assert rep["results"]["error"].startswith(pointer)
     assert rep["results"]["error"].endswith(": not a finite number")
+
+
+def _files(outdir):
+    """The bytes of each file a command wrote, by name."""
+    files = {}
+    for name in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
+def test_main_calls_in_one_process_match_fresh_runs(tmp_path):
+    # main builds its parser once per process: a call carries nothing over
+    # to the next (the first run's --budget leaves the second at the
+    # scenario's budget), so each writes what it writes in a new process
+    path = _write(tmp_path, {
+        "version": "1", "task": "quantum_check", "seed": 4,
+        "state": {"kind": "constant_one", "params": {"family": "heisenberg"}},
+        "params": {"trials": 40, "budget": 3000}})
+    calls = [["quantum", "--budget", "5", "--scenario", path],
+             ["quantum", "--scenario", path],
+             ["reproduce", "su2-weights"]]
+    together = []
+    for i, argv in enumerate(calls):
+        out = str(tmp_path / ("together%d" % i))
+        together.append((cli.main(argv + ["--out", out]), _files(out)))
+    code = ("import sys, orbitstates.cli; "
+            "sys.exit(orbitstates.cli.main(sys.argv[1:]))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for i, argv in enumerate(calls):
+        out = str(tmp_path / ("alone%d" % i))
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "--out",
+                               out], env=env, capture_output=True)
+        assert (proc.returncode, _files(out)) == together[i], argv
+    assert [code for code, _ in together] == [1, 1, 0]
+    assert together[0][1] != together[1][1]
 
 
 def test_reproduce_target_writes_no_temporary_file(tmp_path, monkeypatch):

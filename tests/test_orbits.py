@@ -404,7 +404,7 @@ BRANCH_CHARTS = {
         cs, rng.uniform(-3, 3, 3), rng.uniform(-2, 2, 3),
         rng.uniform(-3, 3, 3), 4.0), False),
     "interval": lambda rng, cs: (*orbits._line_chart(
-        cs, rng.uniform(-4, 4, 3), 0.0, 0.0, 1.5), True),
+        cs, rng.uniform(-4, 4, 3), np.zeros(3), np.zeros(3), 1.5), True),
     "sphere": lambda rng, cs: (*orbits._sphere_chart(
         cs, rng.uniform(-4, 4, (3, 3))), True),
     "strip": lambda rng, cs: (*orbits._strip_chart(
@@ -413,8 +413,8 @@ BRANCH_CHARTS = {
 
 
 def _branch_run(value, centre, half, lip, compact, budget, slack):
-    """A branch and bound from a zero lower bound, without a target, and
-    the points it evaluated, in order."""
+    """Stages 3 and 4 of one row from a zero lower bound, without a target,
+    and the points they evaluated, in order."""
     seen = []
 
     def record(X):
@@ -422,7 +422,10 @@ def _branch_run(value, centre, half, lip, compact, budget, slack):
         return value(X)
 
     run = orbits._Bound(np.inf, 1e-6, 0.0, np.inf, slack, 0)
-    orbits._branch_and_bound(run, record, centre, half, lip, budget, compact)
+    vals, done = orbits._grid(run, record, centre, half, lip, compact)
+    assert not done             # no target: stage 4 runs
+    orbits._branch_and_bound(run, record, centre, half, lip, vals, budget,
+                             compact)
     return run, np.concatenate(seen)
 
 
@@ -448,7 +451,6 @@ def test_branch_and_bound_extends_its_shorter_runs(shape):
         full, Xf = _branch_run(value, centre, half, lip, compact, 2002,
                                slack)
         for run, X, budget in ((short, Xs, 1001), (full, Xf, 2002)):
-            assert run.stage == len(orbits.STAGES)
             assert run.samples == len(X) == len(centre) + run.drawn
             assert run.drawn <= budget
             assert np.array_equal(X[:len(centre)], centre)
@@ -533,6 +535,110 @@ def test_cube_chart_is_a_one_lipschitz_cover_of_the_sphere():
     centre, half = orbits._CUBE_CELLS
     assert np.all(np.abs(centre[:, :1] - np.arange(-4.0, 5.0, 2.0))
                   >= half[0])
+
+
+# each chart shape on a stack: its term arrays after cs, (R, 3) or
+# (R, 3, 3), and its other arguments, (R,) arrays or numbers
+STACK_CHARTS = {
+    "line": (orbits._line_chart, lambda rng, R: (
+        [rng.uniform(-3, 3, (R, 3)), rng.uniform(-2, 2, (R, 3)),
+         rng.uniform(-3, 3, (R, 3))], [rng.uniform(1, 50, R)])),
+    "interval": (orbits._line_chart, lambda rng, R: (
+        [rng.uniform(-4, 4, (R, 3)), np.zeros((R, 3)), np.zeros((R, 3))],
+        [rng.uniform(0.5, 4, R)])),
+    "sphere": (orbits._sphere_chart, lambda rng, R: (
+        [rng.uniform(-4, 4, (R, 3, 3))], [])),
+    "strip": (orbits._strip_chart, lambda rng, R: (
+        [rng.uniform(-3, 3, (R, 3)), rng.uniform(-3, 3, (R, 3))],
+        [2.0, 5.0])),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(STACK_CHARTS))
+def test_chart_values_do_not_depend_on_the_stack(shape):
+    # a chart of a stack of rows, padded with zero terms, gives each row
+    # the partition, Lipschitz constant and values, to the last bit, of
+    # the chart of that row's own terms
+    rng = np.random.default_rng(43)
+    rows = 64
+    chart, draw = STACK_CHARTS[shape]
+    n = rng.integers(1, 4, rows)
+    live = np.arange(3) < n[:, None]
+    cs = np.where(live, rng.uniform(0, 1, (rows, 3))
+                  * np.exp(2j * np.pi * rng.uniform(0, 1, (rows, 3))), 0.0)
+    terms, rest = draw(rng, rows)
+    terms = [np.where(live if a.ndim == 2 else live[..., None], a, 0.0)
+             for a in terms]
+    value, centre, half, lip = chart(cs, *terms, *rest)
+    vals = value(centre)
+    for t in range(rows):
+        one = chart(cs[t, :n[t]], *(a[t, :n[t]] for a in terms),
+                    *(a[t] if isinstance(a, np.ndarray) else a for a in rest))
+        assert np.array_equal(one[1], centre[t] if centre.ndim == 3
+                              else centre)
+        assert np.array_equal(one[2], half[t] if half.ndim == 2 else half)
+        assert one[3] == lip[t]
+        assert np.array_equal(one[0](one[1]), vals[t]), t
+
+
+# stacks of drawn tuples on every chart: the line (Heisenberg, Bargmann),
+# the SU(2) interval, and the sphere and strip rows of one Euclid stack
+STACK_SPECS = {"heisenberg": orbits.heisenberg_orbit(),
+               "bargmann": orbits.bargmann_orbit(),
+               "su2": orbits.su2_orbit(1.5),
+               "euclid": orbits.euclid_orbit(2.0, 1.0)}
+
+
+def _stack(spec, rows=96):
+    """Drawn tuples (padded to width 3) and targets: inf (a full search)
+    on every third row, else a fraction of sum |c_j| that some rows reach
+    and some refute."""
+    C, cs, n = (a[:rows] for a in orbits._block_tuples(spec, 3, 13, 1))
+    rng = np.random.default_rng(5)
+    target = np.sum(np.abs(cs), axis=1) * rng.uniform(0.5, 1.0, rows)
+    target[::3] = np.inf
+    return C, cs, n, target
+
+
+def _search_stack(spec, C, cs, n, target, budget=700):
+    est = orbits._sup_rows(spec, C, cs, n, np.zeros((0, spec.dim)), target,
+                           budget, DEFAULT.box_radius)
+    return [(v.hex(), u.hex(), int(m), int(g), int(d)) for v, u, m, g, d in
+            zip(est.value.tolist(), est.upper.tolist(), est.samples,
+                est.stage, est.drawn)]
+
+
+@pytest.mark.parametrize("family", sorted(STACK_SPECS))
+def test_stacked_search_gives_each_row_its_own_search(family):
+    # stage 3 runs on the whole stack, yet every row gets the bits of
+    # orbit_sup on that row alone: its own terms, unpadded, in a stack of one
+    spec = STACK_SPECS[family]
+    C, cs, n, target = _stack(spec)
+    stacked = _search_stack(spec, C, cs, n, target)
+    for t, row in enumerate(stacked):
+        est = orbits.orbit_sup(
+            spec, [_alg(family, z) for z in C[t, :n[t]]], cs[t, :n[t]],
+            budget=700, target=target[t])
+        assert row == (est.value.hex(), est.upper.hex(), est.samples,
+                       est.stage, est.drawn), t
+    # the stack exercises stages 3 and 4, on both Euclid charts
+    stage = np.array([row[3] for row in stacked])
+    assert {3, 4} <= set(stage.tolist())
+    if family == "euclid":
+        sphere = ~np.any(C[:, :, :3], axis=(1, 2))
+        assert np.any(sphere & (stage >= 3)) and np.any(~sphere & (stage >= 3))
+
+
+@pytest.mark.parametrize("family", sorted(STACK_SPECS))
+def test_stacked_search_does_not_depend_on_the_chunk_size(family,
+                                                          monkeypatch):
+    spec = STACK_SPECS[family]
+    C, cs, n, target = _stack(spec)
+    runs = [_search_stack(spec, C, cs, n, target)]
+    for cells in (1, 10 ** 9):        # one row per chunk; the whole stack
+        monkeypatch.setattr(orbits, "GRID_CELLS", cells)
+        runs.append(_search_stack(spec, C, cs, n, target))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 # ---------------------------------------------------------------------------
