@@ -47,6 +47,11 @@ CSV_BLOCK = 4096
 # highest-weight state has 2j <= 8
 LAM_MAX = 16.0
 
+# the largest Euclid orbit radius k: drawn tuples put sphere phases up to
+# k |rate| <= 2 sqrt(3) k and strip phases up to |t| k <= 3 k into the sup
+# search, which must stay within the range orbits.ROUNDING covers
+EUCLID_K_MAX = orbits.PHASE_MAX / (2 * math.sqrt(3))
+
 # the largest T |Z| of a spectral run (T defaults to spectral.T_DEFAULT): the
 # flow is sampled at t Z for |t| <= T, so this keeps its phases well inside
 # the range a double resolves, and far from where exp_coords's squares of
@@ -159,27 +164,31 @@ def _default_orbit(state, params):
     fam = state.family
     orbit = _object(params.get("orbit", {}), "/params/orbit", _ORBIT_KEYS[fam])
 
-    def value(key, default):
-        v = _number(orbit.get(key, default), "/params/orbit/" + key)
+    def value(key, default, state_key=None):
+        """params.orbit[key], else the state's parameter state_key (default
+        key), else default; errors point at the key it came from."""
+        state_key = state_key or key
+        where = "/params/orbit/" + key if key in orbit \
+            else "/state/params/" + state_key
+        v = _number(orbit.get(key, state.params.get(state_key, default)),
+                    where)
         # the radius of a Euclid orbit and the weight of an SU(2) sphere
         if (fam, key) in (("euclid", "k"), ("su2", "lam")) and v < 0:
-            raise CliInputError("/params/orbit/%s: must be >= 0, got %r"
-                                % (key, v))
-        if (fam, key) == ("su2", "lam") and v > LAM_MAX:
-            raise CliInputError("/params/orbit/lam: must be <= %g, got %r"
-                                % (LAM_MAX, v))
+            raise CliInputError("%s: must be >= 0, got %r" % (where, v))
+        top = {("su2", "lam"): LAM_MAX, ("euclid", "k"): EUCLID_K_MAX}
+        if v > top.get((fam, key), math.inf):
+            raise CliInputError("%s: must be <= %.17g, got %r"
+                                % (where, top[fam, key], v))
         return v
 
     if fam == "heisenberg":
-        return orbits.heisenberg_orbit(value("k", state.params.get("k", 1.0)),
-                                       value("l", state.params.get("l", 0.0)))
+        return orbits.heisenberg_orbit(value("k", 1.0), value("l", 0.0))
     if fam == "bargmann":
         return orbits.bargmann_orbit()
     if fam == "euclid":
-        return orbits.euclid_orbit(value("k", state.params.get("k", 1.0)),
-                                   value("s", state.params.get("s", 0.0)))
+        return orbits.euclid_orbit(value("k", 1.0), value("s", 0.0))
     if fam == "su2":
-        return orbits.su2_orbit(value("lam", state.params.get("j", 0.5)))
+        return orbits.su2_orbit(value("lam", 0.5, "j"))
     y = orbit.get("y", [1.0])
     return orbits.torus_orbit(_numbers(y, "/params/orbit/y")
                               if isinstance(y, list)

@@ -99,12 +99,13 @@ def _check_same(x, y):
         raise FamilyError("family mismatch: %s vs %s" % (x.family, y.family))
 
 
-def _check_euclid_rotation(A, tol=DEFAULT.ortho):
+def _check_euclid_rotation(A):
     """Raise unless every block of a (..., 3, 3) stack is in SO(3).  Each
     gate reads `not (defect <= bound)`, so NaN and inf fail it."""
     err = np.abs(np.swapaxes(A, -1, -2) @ A - np.eye(3)).max(initial=0.0)
     det_defect = np.abs(np.linalg.det(A) - 1.0).max(initial=0.0)
-    if not (err <= 100 * tol and det_defect <= 100 * tol):
+    tol = 100 * DEFAULT.ortho
+    if not (err <= tol and det_defect <= tol):
         raise ValueError("rotation block is not special orthogonal "
                          "(orthogonality defect %.3g, determinant defect %.3g)"
                          % (err, det_defect))
@@ -164,7 +165,7 @@ def orthonormalize(A):
 
 
 # ---------------------------------------------------------------------------
-# the group law on coordinate stacks
+# the group law, the adjoint action and the bracket on coordinate stacks
 #
 # A stack carries any broadcastable leading axes in front of the chart
 # coordinates: (..., 3) heisenberg, (..., 4) bargmann and su2, (..., d)
@@ -317,6 +318,60 @@ def exp_coords(family, C):
     raise FamilyError("unknown family %r" % (family,))
 
 
+def adjoint_coords(family, G, C):
+    """Coordinates of Ad(g) Z = g Z g^-1 (in the faithful representation)
+    over broadcastable stacks of group coordinates G and algebra
+    coordinates C."""
+    if family == "heisenberg":
+        b, c = G[..., 1], G[..., 2]
+        al, be, ga = C[..., 0], C[..., 1], C[..., 2]
+        return _join(np.broadcast_arrays(al + b * ga - c * be, be, ga))
+    if family == "bargmann":
+        b, c, e = G[..., 1], G[..., 2], G[..., 3]
+        al, be, ga, ep = C[..., 0], C[..., 1], C[..., 2], C[..., 3]
+        return _join(np.broadcast_arrays(
+            al + b * ga - c * be + 0.5 * b * b * ep, be, ga + b * ep - e * be,
+            ep))
+    if family == "euclid":
+        A, c = G
+        Aax = _matvec(A, C[..., :3])
+        return np.concatenate([Aax, _matvec(A, C[..., 3:]) + np.cross(c, Aax)],
+                              axis=-1)
+    if family == "su2":
+        # U ((i/2) v.sigma) U^dag; with this chart U = exp((i/2) theta n.sigma)
+        # rotates v by -theta about n: the quaternion sandwich q^-1 (0, v) q
+        n = G[..., 1:]
+        t = 2.0 * np.cross(n, C)
+        return C - G[..., :1] * t + np.cross(n, t)
+    if family == "torus":
+        return np.array(np.broadcast_to(
+            C, np.broadcast_shapes(np.shape(G), np.shape(C))))
+    raise FamilyError("unknown family %r" % (family,))
+
+
+def bracket_coords(family, Z, W):
+    """Coordinates of [Z, W] over broadcastable stacks of algebra
+    coordinates."""
+    if family == "heisenberg":
+        d = Z[..., 1] * W[..., 2] - W[..., 1] * Z[..., 2]
+        zero = np.zeros_like(d)
+        return _join([d, zero, zero])
+    if family == "bargmann":
+        be, ga, ep = Z[..., 1], Z[..., 2], Z[..., 3]
+        be2, ga2, ep2 = W[..., 1], W[..., 2], W[..., 3]
+        zero = np.zeros_like(be * be2)
+        return _join([be * ga2 - be2 * ga, zero, be * ep2 - be2 * ep, zero])
+    if family == "euclid":
+        a1, r1, a2, r2 = Z[..., :3], Z[..., 3:], W[..., :3], W[..., 3:]
+        return np.concatenate(
+            [np.cross(a1, a2), np.cross(a1, r2) - np.cross(a2, r1)], axis=-1)
+    if family == "su2":
+        return np.cross(Z, W)
+    if family == "torus":
+        return np.zeros(np.broadcast_shapes(np.shape(Z), np.shape(W)))
+    raise FamilyError("unknown family %r" % (family,))
+
+
 # ---------------------------------------------------------------------------
 # the group law on elements
 
@@ -345,37 +400,16 @@ def exp(Z):
     return GroupElement(Z.family, exp_coords(Z.family, Z.coords))
 
 
-def bracket(Z, W):
-    _check_same(Z, W)
-    f = Z.family
-    if f == "heisenberg":
-        _, be, ga = Z.coords
-        _, be2, ga2 = W.coords
-        return AlgebraElement(f, np.array([be * ga2 - be2 * ga, 0.0, 0.0]))
-    if f == "bargmann":
-        _, be, ga, ep = Z.coords
-        _, be2, ga2, ep2 = W.coords
-        return AlgebraElement(f, np.array(
-            [be * ga2 - be2 * ga, 0.0, be * ep2 - be2 * ep, 0.0]))
-    if f == "euclid":
-        a1, r1 = Z.coords[:3], Z.coords[3:]
-        a2, r2 = W.coords[:3], W.coords[3:]
-        return AlgebraElement(f, np.concatenate(
-            [np.cross(a1, a2), np.cross(a1, r2) - np.cross(a2, r1)]))
-    if f == "su2":
-        return AlgebraElement(f, np.cross(Z.coords, W.coords))
-    if f == "torus":
-        return AlgebraElement(f, np.zeros_like(Z.coords))
-    raise FamilyError(f)
-
-
-def commuting(Zs, tol=DEFAULT.commuting):
-    """True iff all pairwise brackets vanish below tol."""
-    for i in range(len(Zs)):
-        for j in range(i + 1, len(Zs)):
-            if np.linalg.norm(bracket(Zs[i], Zs[j]).coords) >= tol:
-                return False
-    return True
+def commuting(Zs):
+    """True iff all pairwise brackets vanish below the `commuting`
+    tolerance."""
+    if not Zs:
+        return True
+    for Z in Zs:
+        _check_same(Zs[0], Z)
+    C = np.array([Z.coords for Z in Zs])
+    B = bracket_coords(Zs[0].family, C[:, None], C[None])
+    return not np.any(np.linalg.norm(B, axis=-1) >= DEFAULT.commuting)
 
 
 def pairing_coords(family, W, C):
@@ -401,64 +435,28 @@ def pairing(w, Z):
 
 
 def adjoint(g, Z):
-    """Ad(g) Z = g Z g^{-1} in the faithful representation."""
     _check_same(g, Z)
-    f = g.family
-    if f == "heisenberg":
-        _, b, c = g.data
-        al, be, ga = Z.coords
-        return AlgebraElement(f, np.array([al + b * ga - c * be, be, ga]))
-    if f == "bargmann":
-        _, b, c, e = g.data
-        al, be, ga, ep = Z.coords
-        return AlgebraElement(f, np.array(
-            [al + b * ga - c * be + 0.5 * b * b * ep, be, ga + b * ep - e * be, ep]))
-    if f == "euclid":
-        A, c = g.data
-        ax, rate = Z.coords[:3], Z.coords[3:]
-        Aax = A @ ax
-        return AlgebraElement(f, np.concatenate([Aax, A @ rate + np.cross(c, Aax)]))
-    if f == "su2":
-        # U ((i/2) v.sigma) U^dag; with this chart U = exp((i/2) theta n.sigma)
-        # rotates v by -theta about n.
-        w, x, y, z = g.data
-        n = np.array([x, y, z])
-        v = Z.coords
-        # quaternion sandwich q^{-1} (0,v) q gives the -theta rotation directly
-        t = 2.0 * np.cross(n, v)
-        return AlgebraElement(f, v - w * t + np.cross(n, t))
-    if f == "torus":
-        return AlgebraElement(f, Z.coords.copy())
-    raise FamilyError(f)
+    return AlgebraElement(g.family, adjoint_coords(g.family, g.data, Z.coords))
+
+
+def bracket(Z, W):
+    _check_same(Z, W)
+    return AlgebraElement(Z.family, bracket_coords(Z.family, Z.coords,
+                                                   W.coords))
 
 
 def coadjoint(g, w):
-    """Dual action fixed by <coadjoint(g) w, Z> = <w, adjoint(g^{-1}) Z>."""
+    """The dual action, fixed by <coadjoint(g) w, E_i> = <w, Ad(g^-1) E_i>
+    over the coordinate basis E_i of the algebra: the pairing matrix of
+    that basis with the dual one is a signed permutation, so this is one
+    linear solve."""
     _check_same(g, w)
     f = g.family
-    if f == "heisenberg":
-        _, b, c = g.data
-        M, p, q = w.coords
-        return CoadjointVector(f, np.array([M, p + M * b, q + M * c]))
-    if f == "bargmann":
-        _, b, c, e = g.data
-        M, p, q, E = w.coords
-        return CoadjointVector(f, np.array(
-            [M, p + M * b, q + M * (c - b * e) - p * e, E + p * b + 0.5 * M * b * b]))
-    if f == "euclid":
-        A, c = g.data
-        L, P = w.coords[:3], w.coords[3:]
-        AP = A @ P
-        return CoadjointVector(f, np.concatenate([A @ L + np.cross(c, AP), AP]))
-    if f == "su2":
-        gi = inverse(g)
-        # <Ad*(g)x, v> = x . Ad(g^{-1}) v; Ad(g^{-1}) is the transpose rotation
-        R = np.column_stack([adjoint(gi, AlgebraElement(f, e)).coords
-                             for e in np.eye(3)])
-        return CoadjointVector(f, R.T @ w.coords)
-    if f == "torus":
-        return CoadjointVector(f, w.coords.copy())
-    raise FamilyError(f)
+    E = np.eye(len(w.coords))
+    rhs = pairing_coords(f, w.coords,
+                         adjoint_coords(f, inverse_coords(f, g.data), E))
+    return CoadjointVector(f, np.linalg.solve(
+        pairing_coords(f, E[:, None], E).T, rhs))
 
 
 def random_elements(family, rng, count, scale=3.0, dim=1):

@@ -118,10 +118,7 @@ class EuclidAction:
     one element and re-materializes values on the fixed grid.
     """
 
-    def __init__(self, k, s=0):
-        if s != 0:
-            raise NotImplementedError(
-                "only helicity 0 is realized on scalar sections")
+    def __init__(self, k):
         self.k = float(k)
 
     def apply(self, G, f):

@@ -75,12 +75,18 @@ Each upper bound also carries ROUNDING * sum_j |c_j|, an allowance for the
 rounding of the values evaluated on the orbit: a phase of size Phi is
 evaluated to within a few ulps of Phi, so a value may exceed the exact sup
 by about 1e-16 Phi sum_j |c_j|, and the allowance covers phases up to about
-1e6 radians (the searched box reaches a few thousand).  Once the upper
-bound lies below the target by more than `eps`, the row is settled as
-refuted.  The line over R and the strip are searched in a box that does
-not cover them, so stages 3 and 4 certify no upper bound there: they stop
-once the box cannot reach the target, which settles the verdict but not
-the sup.
+1e6 radians (the searched box reaches a few thousand).
+
+One record (`_Bound`) holds a stack's bounds through all four stages, and
+every stage settles its rows by one rule (`_Bound.settle`): a row is
+settled once its value reaches the target, or once min(upper, top +
+allowance) lies below the target by more than `eps`, where top bounds
+the values the stage left unexplored (inf in stage 1 and after stage 2).
+Where top bounds the whole chart (stage 2's class bound, stages 3 and 4
+on the SU(2) interval and the sphere) it is stored in the upper bound.
+The line over R and the strip are searched in a box that does not cover
+them, so stages 3 and 4 certify no upper bound there: they stop once the
+box cannot reach the target, which settles the verdict but not the sup.
 
 The branch and bound always evaluates its whole first partition, prunes
 cells only against the best value found and refines them in a fixed
@@ -273,45 +279,46 @@ _CUBE_CELLS = _partition([6.0, 1.0], [48, 8])
 _STRIP_CELLS = _partition([1.0, 1.0], [64, 8])
 
 
-def _refutes(upper, target, eps):
-    """Whether upper bounds on the sup lie below their targets by more than
-    eps; never for target inf, which means no early exit."""
-    return (upper < target - eps) & (target < np.inf)
-
-
 class _Bound:
-    """The running certified bounds of the sup search from stage 3 on, of
-    one row (numbers) or of a stack of rows ((R,) arrays); stages 1 and 2
-    run on the whole stack in _sup_rows."""
+    """The one record of the sup search on a stack of T rows, which all
+    four stages read and write: (T,) arrays of the lower bound `value`,
+    the certified upper bound `upper`, the orbit points evaluated
+    (`samples`), the stage-4 evaluations (`drawn`) and the last stage run
+    (`stage`), with each row's `target` (inf: no early exit), the `margin`
+    tolerance `eps` and each row's rounding allowance `slack`.  A method's
+    `rows` index the stack (an array, a mask or one row)."""
     __slots__ = ("target", "eps", "value", "upper", "slack", "samples",
-                 "drawn")
+                 "drawn", "stage")
 
-    def __init__(self, target, eps, value, upper, slack, samples):
-        self.target = target        # inf: no early exit
+    def __init__(self, target, eps, value, upper, slack):
+        self.target = target
         self.eps = eps
         self.value = value
         self.upper = upper
-        self.slack = slack          # the rounding allowance of upper bounds
-        self.samples = samples
-        self.drawn = 0
+        self.slack = slack
+        self.samples = np.zeros(len(value), dtype=int)
+        self.drawn = np.zeros_like(self.samples)
+        self.stage = np.ones_like(self.samples)
 
-    def points(self, vals):
-        """Fold in the values at evaluated orbit points (the last axis of
-        vals)."""
-        self.value = np.maximum(self.value, np.max(vals, axis=-1))
-        self.samples = self.samples + vals.shape[-1]
+    def points(self, rows, vals):
+        """Fold in the values at evaluated orbit points of the rows (the
+        last axis of vals)."""
+        self.value[rows] = np.maximum(self.value[rows], np.max(vals, axis=-1))
+        self.samples[rows] += vals.shape[-1]
 
-    def settle(self, top, compact):
-        """The rule stages 3 and 4 apply after each evaluation, with `top`
-        the largest bound of the cells left open (at least the value): on a
-        compact chart top plus the rounding allowance bounds the sup from
-        above and is folded into `upper`.  True once the value reaches the
-        target or that bound lies below it by more than eps."""
-        cap = top + self.slack
+    def settle(self, rows, top=np.inf, compact=False):
+        """The rule every stage applies after an evaluation, with `top` a
+        bound on the values the stage has left unexplored (inf: none): the
+        rows' bound is min(upper, top + slack), and when top covers the
+        whole chart (`compact`) it is stored in `upper`.  True where the
+        value reaches the target or that bound lies below it by more than
+        eps."""
+        cap = np.minimum(self.upper[rows], top + self.slack[rows])
         if compact:
-            self.upper = cap = np.minimum(self.upper, cap)
-        return (self.value >= self.target) \
-            | _refutes(cap, self.target, self.eps)
+            self.upper[rows] = cap
+        target = self.target[rows]
+        return (self.value[rows] >= target) \
+            | (cap < target - self.eps) & (target < np.inf)
 
 
 def _cube(X):
@@ -377,21 +384,24 @@ def _best_first(bound, k):
     return np.flatnonzero(take)
 
 
-def _grid(run, value, centre, half, lip, compact):
-    """Stage 3 on one row or a stack of rows: the signal at every centre of
-    the chart's first partition, folded into run.  A cell's bound is its
-    centre value plus lip times its half-diagonal.  Returns the values
-    (..., cells) and whether each row is settled (_Bound.settle)."""
+def _grid(run, rows, value, centre, half, lip, compact):
+    """Stage 3 on rows of run, of which value, centre, half and lip are the
+    chart: the signal at every centre of the chart's first partition,
+    folded into run.  A cell's bound is its centre value plus lip times its
+    half-diagonal.  Returns the values (..., cells) and whether each row is
+    settled (_Bound.settle)."""
+    run.stage[rows] = 3
     vals = value(centre)
-    run.points(vals)
+    run.points(rows, vals)
     bound = vals + (lip * np.linalg.norm(half, axis=-1))[..., None]
-    return vals, run.settle(np.maximum(np.max(bound, axis=-1), run.value),
-                            compact)
+    return vals, run.settle(
+        rows, np.maximum(np.max(bound, axis=-1), run.value[rows]), compact)
 
 
-def _branch_and_bound(run, value, centre, half, lip, vals, budget, compact):
-    """Stage 4 on one row that stage 3 left open: a Lipschitz branch and
-    bound of the signal `value` over the box tiled by the cells of the
+def _branch_and_bound(run, t, value, centre, half, lip, vals, budget,
+                      compact):
+    """Stage 4 on row t of run, which stage 3 left open: a Lipschitz branch
+    and bound of the signal `value` over the box tiled by the cells of the
     chart's first partition, with centres `centre`, half-widths `half` and
     values `vals` (stage 3's, which run holds), on each of which it is
     lip-Lipschitz.
@@ -404,17 +414,18 @@ def _branch_and_bound(run, value, centre, half, lip, vals, budget, compact):
     same order) are dropped, their largest bound `dropped` counting as an
     open bound from then on.  No step reads the target, so a run that
     stops early or has a smaller budget (the cap on the evaluations made
-    here, run.drawn) runs the first rounds of the full run, the last of
+    here, run.drawn[t]) runs the first rounds of the full run, the last of
     them perhaps on fewer of its cells.  When `compact`, the box is the
     whole chart, so the largest open bound (or the best value, which
     bounds every pruned cell) bounds the sup from above.  All cells of one
     depth have the same half-widths, half[depth]."""
+    run.stage[t] = 4
     half = [np.asarray(half, float)]
     depth = np.zeros(len(centre), dtype=int)
     bound = vals + lip * np.linalg.norm(half, axis=1)[depth]
     dropped = -np.inf
     while True:
-        live = np.flatnonzero(bound > run.value)
+        live = np.flatnonzero(bound > run.value[t])
         if len(live) > OPEN_MAX:
             sel = _best_first(bound[live], OPEN_MAX)
             dropped = max(dropped, np.max(np.delete(bound[live], sel)))
@@ -422,7 +433,7 @@ def _branch_and_bound(run, value, centre, half, lip, vals, budget, compact):
         # np.take: a row gather several times faster than indexing
         centre = np.take(centre, live, axis=0)
         depth, bound = depth[live], bound[live]
-        k = min(BATCH, len(bound), (budget - run.drawn) // 2)
+        k = min(BATCH, len(bound), (budget - run.drawn[t]) // 2)
         if k <= 0:
             return
         idx = _best_first(bound, k)
@@ -436,14 +447,14 @@ def _branch_and_bound(run, value, centre, half, lip, vals, budget, compact):
         kids = np.stack([c - step, c + step], axis=1).reshape(-1, H.shape[1])
         dep = np.repeat(dep + 1, 2)
         vals = value(kids)
-        run.points(vals)
-        run.drawn += len(kids)
+        run.points(t, vals)
+        run.drawn[t] += len(kids)
         bound[idx] = -np.inf            # a split cell leaves the list
         centre = np.concatenate([centre, kids])
         depth = np.concatenate([depth, dep])
         bound = np.concatenate(
             [bound, vals + lip * np.linalg.norm(half, axis=1)[dep]])
-        if run.settle(max(np.max(bound), run.value, dropped), compact):
+        if run.settle(t, max(np.max(bound), run.value[t], dropped), compact):
             return
 
 
@@ -487,37 +498,32 @@ def _directions(ws):
 
 
 def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
-    """The staged sup search on a stack of tuples.
+    """The staged sup search on a stack of tuples, kept in one _Bound
+    record from the first stage to the last.
 
     Row t is the tuple of algebra coordinates C[t, :n[t]] (C is
     (T, W, dim)) with coefficients cs[t, :n[t]] (cs is 0 on the padding),
-    searched against target[t] (inf: no early exit): it is settled once its
-    lower bound reaches the target or its upper bound lies below
-    target[t] - eps, eps the `margin` tolerance.  anchors is an (A, dim)
-    stack of dual points, and budget caps each row's stage-4 evaluations.
-    Stages 1 to 3 run on every row at once (stage 3 on chunks of rows),
-    stage 4 on each row they leave unsettled.  Returns a SupEstimate of
-    (T,) arrays."""
+    searched against target[t] (inf: no early exit): every stage settles
+    its rows by _Bound.settle, once the lower bound reaches the target or
+    the upper bound lies below target[t] - eps, eps the `margin`
+    tolerance.  anchors is an (A, dim) stack of dual points, and budget
+    caps each row's stage-4 evaluations.  Stages 1 to 3 run on every row
+    at once (stage 3 on chunks of rows), stage 4 on each row they leave
+    unsettled.  Returns the record's arrays as a SupEstimate of (T,)
+    arrays."""
     fam = spec.family
-    eps = DEFAULT.margin
     T, W = cs.shape
     rows = np.arange(T)
-    target = np.broadcast_to(np.asarray(target, float), (T,))
     anchors = np.reshape(anchors, (-1, C.shape[-1]))
     # stage 1: anchors, the SU(2) weight heights, and the exact value of
     # one-term tuples and of the tuples whose phases are constant
-    value = np.where(n == 1, np.abs(cs[:, 0]), 0.0)
     total = _rsum(np.abs(cs))
     slack = ROUNDING * total
-    upper = total + slack
-    samples = np.zeros(T, dtype=int)
-
-    def points(sel, vals):
-        value[sel] = np.maximum(value[sel], np.max(vals, axis=1))
-        samples[sel] += vals.shape[1]
-
+    run = _Bound(np.broadcast_to(np.asarray(target, float), (T,)),
+                 DEFAULT.margin, np.where(n == 1, np.abs(cs[:, 0]), 0.0),
+                 total + slack, slack)
     if len(anchors):
-        points(rows, _signal(groups.pairing_coords(
+        run.points(rows, _signal(groups.pairing_coords(
             fam, anchors[:, None], C[:, None]), cs[:, None]))
     line = sphere = None
     fixed = np.zeros(T, dtype=bool)      # constant phases: the sup is exact
@@ -554,7 +560,7 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
         # the weight heights: where highest-weight states put their atoms
         heights = np.arange(-math.floor(2 * lam), math.floor(2 * lam) + 1) / 2
         heights = heights[np.abs(heights) <= lam + 1e-12]
-        points(rows, _signal(heights[:, None] * om[:, None], cs[:, None]))
+        run.points(rows, _signal(heights[:, None] * om[:, None], cs[:, None]))
     elif fam == "euclid":
         k = spec.params["k"]
         ax, rate = C[..., :3], C[..., 3:]
@@ -573,14 +579,13 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
     if fixed.any():
         phase = line[2] if line is not None else groups.pairing_coords(
             fam, np.asarray(spec.params["y"], float), C)
-        points(fixed, _signal(phase[fixed], cs[fixed])[:, None])
+        run.points(fixed, _signal(phase[fixed], cs[fixed])[:, None])
     exact = (n == 1) | fixed
-    upper[exact] = value[exact] + slack[exact]
-    settled = exact | (value >= target) | _refutes(upper, target, eps)
-    stage = np.where(settled, 1, 2)
+    run.upper[exact] = run.value[exact] + slack[exact]
 
     # stage 2: the analytic class bounds
-    open_ = np.flatnonzero(~settled)
+    open_ = rows[~(exact | run.settle(rows))]
+    run.stage[open_] = 2
     if fam in ("heisenberg", "bargmann"):
         # stationary phase: the long-run p-mean keeps exactly the terms of
         # one (ga, ep) class and lower-bounds the sup over R, and the sum
@@ -592,18 +597,17 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
             & (ep[:, :, None] == ep[:, None])
         sums = _class_sums(same, np.exp(1j * off) * cs[open_])
         mods = np.abs(sums)
-        value[open_] = np.maximum(value[open_], np.max(mods, axis=0))
+        run.value[open_] = np.maximum(run.value[open_], np.max(mods, axis=0))
         first = ~np.any(np.tril(same, -1), axis=-1).T
-        upper[open_] = np.minimum(upper[open_], slack[open_]
-                                  + np.sum(np.where(first, mods, 0.0), axis=0))
+        # the class bound holds on all of R, so it is stored in upper
+        done = run.settle(open_, np.sum(np.where(first, mods, 0.0), axis=0),
+                          True)
         # on the rows still open with exactly two classes, of equal ep,
         # |A_1 e^{i p ga_1} + A_2 e^{i p ga_2}| reaches its sup
         # |A_1| + |A_2| at p* = (arg A_1 - arg A_2) / (ga_2 - ga_1);
         # p* is skipped where a phase there exceeds what ROUNDING covers
         first &= np.arange(W)[:, None] < n[open_]
-        two = np.flatnonzero(
-            (np.sum(first, axis=0) == 2) & (value[open_] < target[open_])
-            & ~_refutes(upper[open_], target[open_], eps))
+        two = np.flatnonzero((np.sum(first, axis=0) == 2) & ~done)
         j1 = np.argmax(first[:, two], axis=0)
         j2 = W - 1 - np.argmax(first[::-1, two], axis=0)
         eq = ep[two, j1] == ep[two, j2]
@@ -613,7 +617,7 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
         ph = p[:, None] * (ga[two] - 0.5 * p[:, None] * ep[two]) + off[two]
         ok = np.max(np.abs(ph), axis=1, initial=0.0) <= PHASE_MAX
         sel = open_[two[ok]]
-        points(sel, _signal(ph[ok], cs[sel])[:, None])
+        run.points(sel, _signal(ph[ok], cs[sel])[:, None])
     elif fam == "euclid":
         sel = open_[sphere[open_]]
         # sphere-uniform mean of the signal = sum c_j sinc(|w_j|), with
@@ -625,25 +629,24 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
         D, ok = _directions(ws[sel])
         dv = _signal(np.sum(D[:, :, None] * ws[sel][:, None], axis=-1),
                      cs[sel][:, None])
-        value[sel] = np.maximum(value[sel],
-                                np.maximum(mean, np.max(dv * ok, axis=1)))
-        samples[sel] += np.sum(ok, axis=1)
+        run.value[sel] = np.maximum(
+            run.value[sel], np.maximum(mean, np.max(dv * ok, axis=1)))
+        run.samples[sel] += np.sum(ok, axis=1)
         # per-s-frequency class bound: sup_{l,p} >= sup_p |mean_l of class|,
         # and the l-mean of a class is a line in p, bounded here at the
         # centres of the line's first partition
         sel = open_[~sphere[open_]]
         s = sfreq[sel]
         p = k * _LINE_CELLS[0][:, :, None]
-        value[sel] = np.maximum(value[sel], np.max(np.abs(_class_sums(
+        run.value[sel] = np.maximum(run.value[sel], np.max(np.abs(_class_sums(
             s[:, :, None] == s[:, None],
             np.exp(1j * p * pfreq[sel]) * cs[sel])), axis=(0, 1)))
-    settled |= (value >= target) | _refutes(upper, target, eps)
+    open_ = open_[~run.settle(open_)]
 
     # stage 3 on the open rows of each chart, GRID_CELLS cells at a time,
     # then stage 4 on each row it leaves open; the SU(2) interval and the
     # sphere are searched whole.  chart(rows, w) is the chart of the rows'
     # first w terms (a row's trailing zero terms change none of its values)
-    open_ = np.flatnonzero(~settled)
     if line is not None:
         ga, ep, off, r = line
         parts = [(open_, len(_LINE_CELLS[0]), fam == "su2",
@@ -657,26 +660,17 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
                                             pfreq[t, :w], k, box))]
     else:
         parts = []                       # a torus row is exact
-    drawn = np.zeros(T, dtype=int)
     for rows_, cells, compact, chart in parts:
         per = max(1, GRID_CELLS // cells)
         for chunk in (rows_[i:i + per] for i in range(0, len(rows_), per)):
-            run = _Bound(target[chunk], eps, value[chunk], upper[chunk],
-                         slack[chunk], samples[chunk])
-            vals, done = _grid(run, *chart(chunk, np.max(n[chunk])), compact)
-            value[chunk], upper[chunk] = run.value, run.upper
-            samples[chunk] = run.samples
-            stage[chunk] = np.where(done, 3, 4)
+            vals, done = _grid(run, chunk, *chart(chunk, np.max(n[chunk])),
+                               compact)
             for i in np.flatnonzero(~done):
                 t = chunk[i]
-                run = _Bound(target[t], eps, value[t], upper[t], slack[t],
-                             samples[t])
-                _branch_and_bound(run, *chart(t, n[t]), vals[i], budget,
+                _branch_and_bound(run, t, *chart(t, n[t]), vals[i], budget,
                                   compact)
-                value[t], upper[t], samples[t] = run.value, run.upper, \
-                    run.samples
-                drawn[t] = run.drawn
-    return SupEstimate(value, samples, stage, drawn, upper)
+    return SupEstimate(run.value, run.samples, run.stage, run.drawn,
+                       run.upper)
 
 
 def orbit_sup(spec, Zs, cs, budget=10000, box=None, anchors=None,

@@ -2,6 +2,7 @@ import ast
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -294,6 +295,17 @@ def test_bad_input_exits_two(tmp_path, payload):
      "quantum_check"),
     ('{"kind": "euclid_plane"}, "params": {"orbit": {"k": -2}}',
      "/params/orbit/k", "orbit_project"),
+    # a Euclid radius past EUCLID_K_MAX: drawn tuples would put phases past
+    # the range that orbits.ROUNDING covers into the sup search
+    ('{"kind": "euclid_plane", "params": {"k": 1}}, '
+     '"params": {"orbit": {"k": 1e308}, "count": 50}', "/params/orbit/k",
+     "orbit_project"),
+    ('{"kind": "euclid_plane", "params": {"k": 1}}, '
+     '"params": {"orbit": {"k": %r}}' % math.nextafter(cli.EUCLID_K_MAX,
+                                                      math.inf),
+     "/params/orbit/k", "quantum_check"),
+    ('{"kind": "euclid_plane", "params": {"k": 1e308}}, "params": {}',
+     "/state/params/k", "quantum_check"),
     ('{"kind": "su2_highest_weight", "params": {"j": 1.5}}, '
      '"params": {"orbit": {"lamda": 0.5}}', "/params/orbit/lamda",
      "quantum_check"),
@@ -312,6 +324,16 @@ def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
     command = {"orbit_project": "orbit", "quantum_check": "quantum"}
     assert cli.main([command.get(task, task), "--scenario", str(path),
                      "--out", out]) == 2
+
+
+def test_euclid_radius_at_its_bound_runs(tmp_path):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({
+        "version": "1", "task": "quantum_check", "seed": 1,
+        "state": {"kind": "euclid_plane", "params": {"k": 1}},
+        "params": {"trials": 20, "budget": 100,
+                   "orbit": {"k": cli.EUCLID_K_MAX}}}))
+    assert cli.run(str(path), out=str(tmp_path / "rep")) in (0, 1)
 
 
 def test_integral_float_seed_runs_as_its_integer(tmp_path):
@@ -456,14 +478,10 @@ def test_no_comparison_in_cli_has_a_float_literal():
 
 @pytest.mark.parametrize("command,text,pointer", [
     # inputs that pass every parameter check and still overflow: a state
-    # phase k p at k = 1e308 gives NaN atoms, and an orbit radius of 1e308
-    # an infinite relation residual
+    # phase k p at k = 1e308 gives NaN atoms
     ("spectral", '"task": "spectral", "state": {"kind": "heisenberg_loc_p", '
      '"params": {"k": 1e308}}, "params": {"Z": [0, 0, 1]}',
      "/results/atoms/"),
-    ("orbit", '"task": "orbit_project", "state": {"kind": "euclid_plane", '
-     '"params": {"k": 1}}, "params": {"orbit": {"k": 1e308}, "count": 50}',
-     "/results/relation_residual"),
 ])
 def test_a_non_finite_result_fails_with_a_json_report(tmp_path, command, text,
                                                       pointer):

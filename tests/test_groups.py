@@ -222,6 +222,31 @@ def test_adjoint_of_exp_is_exp_of_bracket_series():
         assert np.allclose(got, acc, atol=1e-10)
 
 
+@pytest.mark.parametrize("family", groups.FAMILIES)
+def test_stacked_adjoint_and_bracket_match_the_element_calls(family):
+    # on a stack of n rows and on an (n, 1) x (1, m) broadcast, row by row
+    rng = np.random.default_rng(17)
+    dim = groups.ALGEBRA_DIM.get(family, 2)
+    gs = groups.random_elements(family, rng, 5, dim=dim)
+    Z, W = rng.uniform(-2, 2, (2, 5, dim))
+    alg = [groups.algebra(family, z) for z in Z]
+    ad = groups.adjoint_coords(family, gs.data, Z)
+    br = groups.bracket_coords(family, Z, W)
+    for i in range(5):
+        assert np.array_equal(ad[i], groups.adjoint(gs[i], alg[i]).coords)
+        assert np.array_equal(br[i], groups.bracket(
+            alg[i], groups.algebra(family, W[i])).coords)
+    ad = groups.adjoint_coords(family, groups.expand_coords(gs.data, 1),
+                               W[None, :3])
+    br = groups.bracket_coords(family, Z[:, None], W[None, :3])
+    assert ad.shape == br.shape == (5, 3, dim)
+    for i in range(5):
+        for j in range(3):
+            w = groups.algebra(family, W[j])
+            assert np.array_equal(ad[i, j], groups.adjoint(gs[i], w).coords)
+            assert np.array_equal(br[i, j], groups.bracket(alg[i], w).coords)
+
+
 def test_commuting_detects_brackets():
     a = groups.algebra("heisenberg", [0.0, 1.0, 0.0])
     b = groups.algebra("heisenberg", [0.0, 0.0, 1.0])

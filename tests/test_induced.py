@@ -193,11 +193,6 @@ def test_counting_mode_requires_unit_support():
         act.apply(groups.identity("euclid").data, f)
 
 
-def test_nonzero_helicity_not_realized():
-    with pytest.raises(NotImplementedError):
-        induced.EuclidAction(1.0, s=1)
-
-
 def test_matrix_coefficient_requires_unit_norm():
     act = induced.HeisenbergRow("a")
     f = induced.SectionVector([0.0], [2.0])

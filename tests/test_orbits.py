@@ -345,6 +345,19 @@ def test_sup_early_exit_matches_full_search_verdicts(chart):
                                  else 0)
 
 
+def test_line_box_settles_a_target_it_cannot_reach_without_certifying():
+    # slow phases keep |S| near 0 on the box p in [-50, 50], while the sup
+    # over R and the class bound are 2: the first partition's cell bounds
+    # lie below the target, so stage 3 settles the row, and its upper
+    # bound stays the class bound, which does not refute the target
+    spec = orbits.heisenberg_orbit()
+    Zs = [_alg("heisenberg", [0.0, 0.0, g]) for g in (0.0, 1e-3, 2.3e-3)]
+    est = orbits.orbit_sup(spec, Zs, [0.5, 0.5, -1.0], budget=8000,
+                           target=1.5)
+    assert (est.stage, est.drawn) == (3, 0)
+    assert est.value < 1.5 < est.upper
+
+
 @pytest.mark.parametrize("chart", sorted(EARLY_EXIT_CHARTS))
 def test_sup_upper_bound_is_sound(chart):
     # the certified upper bound lies above the search's own lower bound and
@@ -421,12 +434,14 @@ def _branch_run(value, centre, half, lip, compact, budget, slack):
         seen.append(X.copy())
         return value(X)
 
-    run = orbits._Bound(np.inf, 1e-6, 0.0, np.inf, slack, 0)
-    vals, done = orbits._grid(run, record, centre, half, lip, compact)
+    run = orbits._Bound(np.full(1, np.inf), 1e-6, np.zeros(1),
+                        np.full(1, np.inf), np.full(1, slack))
+    vals, done = orbits._grid(run, 0, record, centre, half, lip, compact)
     assert not done             # no target: stage 4 runs
-    orbits._branch_and_bound(run, record, centre, half, lip, vals, budget,
+    orbits._branch_and_bound(run, 0, record, centre, half, lip, vals, budget,
                              compact)
-    return run, np.concatenate(seen)
+    return orbits.SupEstimate(run.value[0], run.samples[0], run.stage[0],
+                              run.drawn[0], run.upper[0]), np.concatenate(seen)
 
 
 def _dense(rng, centre, half):
@@ -819,10 +834,7 @@ def test_conjugate_tuples_have_meeting_sup_brackets(spec):
     C, cs, n = (a[:rows] for a in orbits._block_tuples(spec, 3, 0, 1))
     gs = groups.random_elements(spec.family, np.random.default_rng(0), rows,
                                 dim=spec.dim)
-    D = np.zeros_like(C)
-    for t in range(rows):
-        for j in range(n[t]):
-            D[t, j] = groups.adjoint(gs[t], _alg(spec.family, C[t, j])).coords
+    D = groups.adjoint_coords(spec.family, groups.expand_coords(gs.data, 1), C)
     a, b = (orbits._sup_rows(spec, X, cs, n, np.zeros((0, spec.dim)), np.inf,
                              2000, DEFAULT.box_radius) for X in (C, D))
     slack = orbits.ROUNDING * np.sum(np.abs(cs), axis=1)
