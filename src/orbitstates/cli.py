@@ -233,10 +233,9 @@ def _sweep(state, rng, sets, n, pairs):
     worst = 0.0
     per_call = max(1, GRAM_ENTRIES // (n * n))
     for first in range(0, sets, per_call):
-        samples = groups.GroupElement(state.family, groups.map_coords(
-            lambda *xs: np.stack(xs), *(
-                states.support_samples(state, rng, n).data
-                for _ in range(min(per_call, sets - first)))))
+        samples = groups.GroupElement(state.family, np.stack([
+            states.support_samples(state, rng, n).data
+            for _ in range(min(per_call, sets - first))]))
         for low in states.gram_min_eigenvalues(state, samples).tolist():
             worst = min(worst, low / n)
     gs = states.support_samples(state, rng, pairs)

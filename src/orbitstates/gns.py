@@ -42,10 +42,9 @@ class GnsSpace:
 def build(state, samples):
     """Quotient the Gram form of a sample stack at the eigenvalue cut
     quotient_scale * n."""
-    fam, s0 = samples.family, groups.map_coords(lambda x: x[0], samples.data)
+    fam, s0 = samples.family, samples.data[0]
     e = groups.exp_coords(fam, np.zeros(groups.ALGEBRA_DIM.get(fam, len(s0))))
-    off = groups.map_coords(lambda x, y: np.abs(x - y).max(), s0, e)
-    if not np.max(off) < 1e-12:
+    if not np.abs(s0 - e).max() < 1e-12:
         raise ValueError("samples[0] must be the identity")
 
     gm = states.gram(state, samples)
@@ -74,18 +73,13 @@ def rep_matrix(space, g):
     n x n table M_g whatever the stack's length.
     """
     S = space.samples.data
-    lead = groups.lead_shape(g.data)
-    flat = groups.map_coords(
-        lambda x: x.reshape((-1,) + x.shape[len(lead):]), g.data)
-    R = np.empty((int(np.prod(lead)), space.rank, space.rank), dtype=complex)
+    flat = g.data.reshape(-1, g.data.shape[-1])
+    R = np.empty((len(flat), space.rank, space.rank), dtype=complex)
     for i in range(len(R)):
-        gS = groups.compose_coords(space.state.family,
-                                   groups.map_coords(lambda x: x[i:i + 1],
-                                                     flat), S)
-        Mg = states.pair_eval(space.state, groups.expand_coords(S, 1),
-                              groups.expand_coords(gS, 0))
+        gS = groups.compose_coords(space.state.family, flat[i:i + 1], S)
+        Mg = states.pair_eval(space.state, S[:, None], gS[None])
         R[i] = space.basis.conj().T @ Mg @ space.basis
-    R = R.reshape(lead + R.shape[1:])
+    R = R.reshape(g.data.shape[:-1] + R.shape[1:])
     deficit = 1.0 - np.sum(np.abs(R) ** 2, axis=-2)
     return R, np.maximum(0.0, np.max(deficit, axis=-1))
 
@@ -181,17 +175,16 @@ def closed_sample_set(state, n=16, seed=0):
         probes = X[1:]
     elif state.kind == "euclid_plane":
         # the rotation by 2 pi / n about (1, 1, 1), and its powers as
-        # chained products, re-orthonormalized as groups.compose does
-        axis = np.full(3, 2.0 * np.pi / (n * np.sqrt(3.0)))
-        R = groups.exp_coords("euclid", np.concatenate([axis, np.zeros(3)]))[0]
-        A = [np.eye(3)]
-        for k in range(1, n):
-            A.append(A[-1] @ R)
-            if k % groups.RENORM_EVERY == 0:
-                A[-1] = groups.orthonormalize(A[-1])
-        X = (np.array(A), np.zeros((n, 3)))
-        probes = (np.concatenate([[R], np.broadcast_to(np.eye(3), (7, 3, 3))]),
-                  np.concatenate([np.zeros((1, 3)), rng.uniform(-3, 3, (7, 3))]))
+        # chained products
+        Z = np.zeros(6)
+        Z[:3] = 2.0 * np.pi / (n * np.sqrt(3.0))
+        R = groups.exp(groups.algebra("euclid", Z))
+        powers = [groups.identity("euclid")]
+        for _ in range(1, n):
+            powers.append(groups.compose(powers[-1], R))
+        X = np.array([g.data for g in powers])
+        probes = np.concatenate([[R.data], groups.euclid(
+            np.eye(3), rng.uniform(-3, 3, (7, 3))).data])
     else:
         H, pivots = state.localization["H"], state.localization["pivots"]
         X = np.zeros((n, 3))

@@ -8,7 +8,9 @@ bargmann    (a, b, c, e)  <->  4x4 unipotent  [[1, b, b^2/2, a],
                                                [0, 1, b,     c],
                                                [0, 0, 1,     e],
                                                [0, 0, 0,     1]]
-euclid      (A, c)        <->  4x4 affine     [[A, c], [0, 1]],  A in SO(3)
+euclid      (A, c)        <->  4x4 affine     [[A, c], [0, 1]],  A in SO(3);
+            12 coordinates, A row by row and then c (euclid_coords packs them,
+            euclid_parts splits them)
 su2         (w, x, y, z)  <->  2x2 unitary    [[w+iz, ix+y], [ix-y, w-iz]]
 torus       angles mod 2pi (componentwise addition)
 
@@ -42,8 +44,8 @@ class FamilyError(ValueError):
 
 class GroupElement:
     """An element or a stack: `data` is a coordinate stack (see the group
-    law below), of leading shape () for a single element, which has no
-    len() and no indexing."""
+    law below), of stack shape () for a single element, which has no len()
+    and no indexing."""
     __slots__ = ("family", "data", "_age")
 
     def __init__(self, family, data, _age=0):
@@ -57,15 +59,13 @@ class GroupElement:
         return "GroupElement(%s, %s)" % (self.family, self.data)
 
     def __len__(self):
-        shape = lead_shape(self.data)
-        if not shape:
+        if np.ndim(self.data) < 2:
             raise TypeError("a single %s element is not a stack" % self.family)
-        return shape[0]
+        return len(self.data)
 
     def __getitem__(self, index):
         len(self)   # along the leading axis, so only on stacks
-        return GroupElement(self.family, map_coords(lambda x: x[index],
-                                                    self.data), self._age)
+        return GroupElement(self.family, self.data[index], self._age)
 
 
 class AlgebraElement:
@@ -130,10 +130,8 @@ def bargmann(a, b, c, e):
 
 
 def euclid(A, c):
-    A = np.asarray(A, dtype=float)
-    c = np.asarray(c, dtype=float)
-    _check_euclid_rotation(A)
-    return GroupElement("euclid", (A, c))
+    """The element, or the stack, of rotation blocks A and translations c."""
+    return from_coords("euclid", euclid_coords(A, c))
 
 
 def su2(w, x, y, z):
@@ -167,28 +165,26 @@ def orthonormalize(A):
 # ---------------------------------------------------------------------------
 # the group law, the adjoint action and the bracket on coordinate stacks
 #
-# A stack carries any broadcastable leading axes in front of the chart
-# coordinates: (..., 3) heisenberg, (..., 4) bargmann and su2, (..., d)
-# torus, and euclid (A, c) pairs of shapes (..., 3, 3) and (..., 3).
-# Algebra stacks are (..., dim), euclid (..., 6) as (axis, rate).
+# A stack is one array: any broadcastable leading axes in front of the
+# chart coordinates, (..., 3) heisenberg, (..., 4) bargmann and su2, (..., d)
+# torus and (..., 12) euclid.  Only this module knows the euclid layout;
+# euclid_coords packs it and euclid_parts reads it.  Algebra stacks are
+# (..., dim), euclid (..., 6) as (axis, rate).
 
-def lead_shape(X):
-    """The stack shape of a coordinate stack: () for a single element."""
-    return np.shape(X[1] if isinstance(X, tuple) else X)[:-1]
-
-
-def map_coords(fn, *stacks):
-    """fn over coordinate stacks of one family, array by array: both arrays
-    of euclid (A, c) pairs in turn, so fn sees leading axes first."""
-    if isinstance(stacks[0], tuple):
-        return tuple(map(fn, *stacks))
-    return fn(*stacks)
+def euclid_coords(A, c):
+    """The euclid stack of rotation blocks A (..., 3, 3) and translations
+    c (..., 3), broadcast against each other."""
+    X = np.empty(np.broadcast_shapes(np.shape(A)[:-2], np.shape(c)[:-1])
+                 + (12,))
+    XA, Xc = euclid_parts(X)
+    XA[...], Xc[...] = A, c
+    return X
 
 
-def expand_coords(X, axis):
-    """Coordinate stack X with a new broadcast axis at leading position
-    `axis`, in front of the coordinates."""
-    return map_coords(lambda x: np.expand_dims(x, axis), X)
+def euclid_parts(X):
+    """Views of the rotation blocks A (..., 3, 3) and translations c (..., 3)
+    of a euclid stack X."""
+    return X[..., :9].reshape(X.shape[:-1] + (3, 3)), X[..., 9:]
 
 
 def from_coords(family, X):
@@ -196,7 +192,7 @@ def from_coords(family, X):
     checked and su2 quaternions checked and normalized, once over the
     whole stack."""
     if family == "euclid":
-        _check_euclid_rotation(X[0])
+        _check_euclid_rotation(euclid_parts(X)[0])
     elif family == "su2":
         X = _unit_quaternions(X)
     return GroupElement(family, X)
@@ -225,9 +221,13 @@ def compose_coords(family, X, Y):
         return _join([a1 + a2 + b1 * c2 + 0.5 * b1 * b1 * e2, b1 + b2,
                       c1 + c2 + b1 * e2, e1 + e2])
     if family == "euclid":
-        A1, c1 = X
-        A2, c2 = Y
-        return (np.matmul(A1, A2), _matvec(A1, c2) + c1)
+        # written in place: packing afterwards made this half again as slow
+        (A1, c1), (A2, c2) = euclid_parts(X), euclid_parts(Y)
+        Z = np.empty(np.broadcast_shapes(X.shape, Y.shape))
+        A, c = euclid_parts(Z)
+        np.matmul(A1, A2, out=A)
+        np.add(_matvec(A1, c2), c1, out=c)
+        return Z
     if family == "su2":
         w1, x1, y1, z1 = X[..., 0], X[..., 1], X[..., 2], X[..., 3]
         w2, x2, y2, z2 = Y[..., 0], Y[..., 1], Y[..., 2], Y[..., 3]
@@ -250,9 +250,9 @@ def inverse_coords(family, X):
         a, b, c, e = X[..., 0], X[..., 1], X[..., 2], X[..., 3]
         return _join([-a + b * c - 0.5 * b * b * e, -b, -c + b * e, -e])
     if family == "euclid":
-        A, c = X
+        A, c = euclid_parts(X)
         At = np.swapaxes(A, -1, -2)
-        return (At, -_matvec(At, c))
+        return euclid_coords(At, -_matvec(At, c))
     if family == "su2":
         return X * np.array([1.0, -1.0, -1.0, -1.0])
     if family == "torus":
@@ -283,11 +283,9 @@ def exp_coords(family, C):
         return _join([al + 0.5 * be * ga + be * be * ep / 6.0, be,
                       ga + 0.5 * be * ep, ep])
     if family == "euclid":
-        lead = C.shape[:-1]
         if not np.any(C[..., :3]):
-            # pure translations, exactly what the formulas below give; views,
-            # since copying them would double the cost of a translation flow
-            return np.broadcast_to(np.eye(3), lead + (3, 3)), C[..., 3:]
+            # pure translations, exactly what the formulas below give
+            return euclid_coords(np.eye(3), C[..., 3:])
         # with w = axis, r = rate, th = |w| and the factors s1, s2, s3:
         #   A = cos th + s1 [w]x + s2 w w^T,   cos th = 1 - s2 th^2
         #   c = r + s2 w x r + s3 w x (w x r) = s1 r + s2 w x r + s3 (w.r) w
@@ -299,14 +297,16 @@ def exp_coords(family, C):
         sx, sy, sz = s2 * x, s2 * y, s2 * z
         ux, uy, uz = s1 * x, s1 * y, s1 * z
         xy, xz, yz = sx * y, sx * z, sy * z
-        A = np.empty(lead + (3, 3))
+        g = s3 * (x * rx + y * ry + z * rz)
+        X = np.empty(C.shape[:-1] + (12,))
+        A, c = euclid_parts(X)
         A[..., 0, 0], A[..., 0, 1], A[..., 0, 2] = co + sx * x, xy - uz, xz + uy
         A[..., 1, 0], A[..., 1, 1], A[..., 1, 2] = xy + uz, co + sy * y, yz - ux
         A[..., 2, 0], A[..., 2, 1], A[..., 2, 2] = xz - uy, yz + ux, co + sz * z
-        g = s3 * (x * rx + y * ry + z * rz)
-        return (A, _join([s1 * rx + sy * rz - sz * ry + g * x,
-                          s1 * ry + sz * rx - sx * rz + g * y,
-                          s1 * rz + sx * ry - sy * rx + g * z]))
+        c[..., 0] = s1 * rx + sy * rz - sz * ry + g * x
+        c[..., 1] = s1 * ry + sz * rx - sx * rz + g * y
+        c[..., 2] = s1 * rz + sx * ry - sy * rx + g * z
+        return X
     if family == "su2":
         th = np.sqrt(np.sum(C * C, axis=-1))
         small = th < 1e-12
@@ -333,7 +333,7 @@ def adjoint_coords(family, G, C):
             al + b * ga - c * be + 0.5 * b * b * ep, be, ga + b * ep - e * be,
             ep))
     if family == "euclid":
-        A, c = G
+        A, c = euclid_parts(G)
         Aax = _matvec(A, C[..., :3])
         return np.concatenate([Aax, _matvec(A, C[..., 3:]) + np.cross(c, Aax)],
                               axis=-1)
@@ -386,7 +386,8 @@ def compose(g, h):
     if f == "euclid":
         age = max(g._age, h._age) + 1
         if age >= RENORM_EVERY:
-            return GroupElement(f, (orthonormalize(data[0]), data[1]))
+            A, c = euclid_parts(data)
+            return GroupElement(f, euclid_coords(orthonormalize(A), c))
         return GroupElement(f, data, _age=age)
     return GroupElement(f, data)
 
@@ -478,7 +479,8 @@ def random_elements(family, rng, count, scale=3.0, dim=1):
     if family == "su2":
         return from_coords(family, Q)
     w, x, y, z = Q.T
-    A = np.empty((count, 3, 3))
+    X = np.empty((count, 12))
+    A, c = euclid_parts(X)
     A[:, 0, 0] = 1 - 2 * (y * y + z * z)
     A[:, 0, 1] = 2 * (x * y - w * z)
     A[:, 0, 2] = 2 * (x * z + w * y)
@@ -488,4 +490,5 @@ def random_elements(family, rng, count, scale=3.0, dim=1):
     A[:, 2, 0] = 2 * (x * z - w * y)
     A[:, 2, 1] = 2 * (y * z + w * x)
     A[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return from_coords(family, (A, rng.uniform(-scale, scale, (count, 3))))
+    c[:] = rng.uniform(-scale, scale, (count, 3))
+    return from_coords(family, X)

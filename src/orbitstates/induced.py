@@ -28,6 +28,7 @@ analytic per family and is not decided numerically here.
 
 import numpy as np
 
+from . import groups
 from .tolerances import DEFAULT
 
 
@@ -114,16 +115,16 @@ class EuclidAction:
     """Helicity-zero sphere action for wavenumber k.
 
     Counting mode rotates the support points, for every element of a
-    coordinate stack G = (A, c); quadrature mode composes the evaluator of
-    one element and re-materializes values on the fixed grid.
+    coordinate stack G; quadrature mode composes the evaluator of one
+    element and re-materializes values on the fixed grid.
     """
 
     def __init__(self, k):
         self.k = float(k)
 
     def apply(self, G, f):
-        A, c = G
-        kc = self.k * np.asarray(c)
+        A, c = groups.euclid_parts(G)
+        kc = self.k * c
         if f.mode == "counting":
             unit = np.abs(np.linalg.norm(f.support, axis=-1) - 1.0)
             if np.max(unit) > 1e-9:
@@ -171,8 +172,7 @@ def matrix_coefficient(action, f, G):
         raise ValueError("section must be normalized (|f| = %.6g)" % f.norm())
     if f.mode == "counting":
         return inner(f, action.apply(G, f))
-    A, c = G
-    out = np.empty(np.shape(c)[:-1], dtype=complex)
+    out = np.empty(G.shape[:-1], dtype=complex)
     for i in np.ndindex(out.shape):
-        out[i] = inner(f, action.apply((A[i], c[i]), f))
+        out[i] = inner(f, action.apply(G[i], f))
     return out[()]

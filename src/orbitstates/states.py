@@ -28,7 +28,6 @@ canonical coordinates: these states are discontinuous, so membership is a
 decision, not a limit.
 """
 
-import math
 import numbers
 from collections import namedtuple
 
@@ -74,10 +73,15 @@ def sinc(x):
 
 _REQUIRED = object()   # the default of a parameter that must be given
 
+# the largest |value| of a numeric parameter: flows reach |t Z| <=
+# cli.FLOW_REACH = 1e8, so the largest closed-form phase, heisenberg_loc_t's
+# 0.5 b^2 t, stays below 0.5 * (1e8)^2 * 1e6 = 5e21, far from overflow
+PARAM_MAX = 1e6
 
-def _finite(v):
+
+def _bounded(v):
     return not isinstance(v, bool) and isinstance(v, numbers.Real) \
-        and math.isfinite(v)
+        and abs(v) <= PARAM_MAX
 
 
 def _check(ok, what, cast=lambda v: v):
@@ -90,12 +94,15 @@ def _check(ok, what, cast=lambda v: v):
     return check
 
 
-_real = _check(_finite, "a finite number", float)
-_positive = _check(lambda v: _finite(v) and v > 0, "a finite number > 0", float)
-_integer = _check(lambda v: _finite(v) and abs(v - round(v)) <= 1e-12,
-                  "an integer", lambda v: int(round(float(v))))
+_real = _check(_bounded, "a number in [-%g, %g]" % (PARAM_MAX, PARAM_MAX),
+               float)
+_positive = _check(lambda v: _bounded(v) and v > 0,
+                   "a number in (0, %g]" % PARAM_MAX, float)
+_integer = _check(lambda v: _bounded(v) and abs(v - round(v)) <= 1e-12,
+                  "an integer in [-%g, %g]" % (PARAM_MAX, PARAM_MAX),
+                  lambda v: int(round(float(v))))
 _binary = _check(lambda v: not isinstance(v, bool) and v in (0, 1), "0 or 1", int)
-_spin = _check(lambda v: _finite(v) and abs(2.0 * v - round(2.0 * v)) <= 1e-12
+_spin = _check(lambda v: _bounded(v) and abs(2.0 * v - round(2.0 * v)) <= 1e-12
                and 0 <= round(2.0 * v) <= 8, "a multiple of 1/2 in 0..4",
                lambda v: round(2.0 * float(v)) / 2.0)
 _family = _check(lambda v: isinstance(v, str) and v in groups.FAMILIES,
@@ -120,10 +127,11 @@ def _on_axis(flip):
         th = rng.uniform(0, 2 * np.pi, len(idx))
         co, si = np.cos(th), np.sin(th)
         sign = np.where(flip & (idx % 4 == 2), -1.0, 1.0)
-        A = np.zeros((len(idx), 3, 3))
+        X = groups.euclid_coords(np.zeros((3, 3)), U[:, :3])
+        A = groups.euclid_parts(X)[0]
         A[:, 0, 0], A[:, 1, 0] = co, si
         A[:, 0, 1], A[:, 1, 1], A[:, 2, 2] = -si * sign, co * sign, sign
-        return A, U[:, :3]
+        return X
     return draw
 
 
@@ -140,16 +148,23 @@ def _axis_cosets(A):
 
 
 def _plane(p, X):
-    A, c = X
+    A, c = groups.euclid_parts(X)
     alpha = np.arctan2(A[..., 1, 0], A[..., 0, 0])
     val = np.exp(1j * (p["s"] * alpha + p["k"] * c[..., 2]))
     return np.where(_axis_cosets(A)[0], val, 0.0)
 
 
+def _spherical(p, X):
+    # by columns: arithmetic on a packed (..., 3) view loops once per row
+    c = groups.euclid_parts(X)[1]
+    return np.asarray(sinc(p["k"] * np.sqrt(
+        c[..., 0] ** 2 + c[..., 1] ** 2 + c[..., 2] ** 2)), dtype=complex)
+
+
 def _cylindrical(p, X):
     # imported here: scipy.special adds 0.35 s to every CLI start-up
     from scipy.special import j0
-    A, c = X
+    A, c = groups.euclid_parts(X)
     up, dn = _axis_cosets(A)
     bes = j0(p["k"] * np.sqrt(c[..., 0] ** 2 + c[..., 1] ** 2))
     sign = 1.0 if p["eps"] == 0 else -1.0
@@ -206,11 +221,7 @@ KINDS = {
         "euclid", {"k": (1.0, _positive), "s": (0, _integer)}, _plane,
         lambda p: {"w": [0.0, 0.0, p["s"], 0.0, 0.0, p["k"]]},
         _on_axis(flip=False)),
-    "euclid_spherical": Kind(
-        "euclid", {"k": (1.0, _positive)},
-        lambda p, X: np.asarray(
-            sinc(p["k"] * np.sqrt(np.sum(X[1] * X[1], axis=-1))),
-            dtype=complex)),
+    "euclid_spherical": Kind("euclid", {"k": (1.0, _positive)}, _spherical),
     "euclid_cylindrical": Kind(
         "euclid", {"k": (1.0, _positive), "eps": (0, _binary)}, _cylindrical,
         draw=_on_axis(flip=True)),
@@ -218,8 +229,7 @@ KINDS = {
         "su2", {"j": (0.5, _spin)},
         lambda p, X: (X[..., 0] + 1j * X[..., 3]) ** int(round(2 * p["j"]))),
     "constant_one": Kind(None, {"family": ("heisenberg", _family)},
-                         lambda p, X: np.ones(groups.lead_shape(X),
-                                              dtype=complex)),
+                         lambda p, X: np.ones(X.shape[:-1], dtype=complex)),
     "custom": Kind(None, {"family": (_REQUIRED, _family),
                           "evaluator": (_REQUIRED, _callable)}, None),
 }
@@ -256,11 +266,9 @@ def su2_highest_weight(j):
 
 def _custom_values(state, pack):
     """The user evaluator, one element of the stack at a time."""
-    lead = groups.lead_shape(pack)
-    flat = groups.GroupElement(state.family, groups.map_coords(
-        lambda x: np.reshape(x, (-1,) + np.shape(x)[len(lead):]), pack))
+    flat = groups.GroupElement(state.family, pack.reshape(-1, pack.shape[-1]))
     return np.array([complex(state.evaluator(g)) for g in flat],
-                    dtype=complex).reshape(lead)
+                    dtype=complex).reshape(pack.shape[:-1])
 
 
 def _eval_pack(state, pack):
@@ -289,16 +297,11 @@ def exp_values(state, C):
     return np.asarray(_eval_pack(state, groups.exp_coords(state.family, C)))
 
 
-def pair_eval(state, X, Y, grid=False):
-    """m(x^{-1} y) over aligned coordinate stacks X, Y, or with grid=True
-    the full table over the last stack axis: stacks of shapes (..., n) and
-    (..., k) give a (..., n, k) table."""
+def pair_eval(state, X, Y):
+    """m(x^{-1} y) over broadcastable coordinate stacks X, Y."""
     fam = state.family
-    Xi = groups.inverse_coords(fam, X)
-    if grid:
-        Xi = groups.expand_coords(Xi, len(groups.lead_shape(X)))
-        Y = groups.expand_coords(Y, len(groups.lead_shape(Y)) - 1)
-    return np.asarray(_eval_pack(state, groups.compose_coords(fam, Xi, Y)))
+    return np.asarray(_eval_pack(state, groups.compose_coords(
+        fam, groups.inverse_coords(fam, X), Y)))
 
 
 class GramMatrix:
@@ -320,9 +323,10 @@ def _gram_kernel(state, samples):
     table per set of n samples."""
     if samples.family != state.family:
         raise groups.FamilyError("samples must share the state's family")
-    if not len(samples) or not groups.lead_shape(samples.data)[-1]:
+    X = samples.data
+    if not len(samples) or not X.shape[-2]:
         raise ValueError("empty sample stack")
-    return pair_eval(state, samples.data, samples.data, grid=True)
+    return pair_eval(state, X[..., :, None, :], X[..., None, :, :])
 
 
 def gram(state, samples):
@@ -422,5 +426,5 @@ def support_samples(state, rng, count, scale=3.0):
     even = groups.from_coords(state.family, draw(
         state, rng.uniform(-scale, scale, (len(idx), 4)), rng, idx))
     order = np.argsort(np.concatenate([idx, np.arange(1, count, 2)]))
-    return groups.GroupElement(state.family, groups.map_coords(
-        lambda x, y: np.concatenate([x, y])[order], even.data, odd.data))
+    return groups.GroupElement(state.family,
+                               np.concatenate([even.data, odd.data])[order])

@@ -311,6 +311,25 @@ def test_bad_input_exits_two(tmp_path, payload):
      "quantum_check"),
     ('{"kind": "bargmann_loc_q", "params": {"l": 0.8}}, '
      '"params": {"orbit": {"k": 1.0}}', "/params/orbit/k", "quantum_check"),
+    # state parameters past states.PARAM_MAX: the closed forms give NaN
+    # values, Gram eigensolvers fail on them and spectral atoms are NaN
+    ('{"kind": "euclid_spherical", "params": {"k": 1e308}}, '
+     '"params": {"pairs": 100}', "/state/params/k", "verify"),
+    ('{"kind": "heisenberg_loc_p", "params": {"k": 1e308}}, '
+     '"params": {"pairs": 100}', "/state/params/k", "verify"),
+    ('{"kind": "bargmann_loc_pe", "params": {"k": 1e200}}, '
+     '"params": {"pairs": 100}', "/state/params/k", "verify"),
+    ('{"kind": "euclid_cylindrical", "params": {"k": 1e308}}, "params": {}',
+     "/state/params/k", "gram"),
+    ('{"kind": "heisenberg_loc_t", "params": {"t": 1e308}}, "params": {}',
+     "/state/params/t", "gram"),
+    ('{"kind": "heisenberg_loc_p", "params": {"k": 1e308}}, '
+     '"params": {"Z": [0, 0, 1]}', "/state/params/k", "spectral"),
+    ('{"kind": "heisenberg_loc_q", "params": {"l": %r}}, "params": {}'
+     % math.nextafter(-states.PARAM_MAX, -math.inf), "/state/params/l",
+     "gram"),
+    ('{"kind": "euclid_plane", "params": {"s": %r}}, "params": {}'
+     % (states.PARAM_MAX + 1), "/state/params/s", "gram"),
 ])
 def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
                                                     pointer, task):
@@ -324,6 +343,22 @@ def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
     command = {"orbit_project": "orbit", "quantum_check": "quantum"}
     assert cli.main([command.get(task, task), "--scenario", str(path),
                      "--out", out]) == 2
+
+
+@pytest.mark.parametrize("task,kind,params,task_params", [
+    ("verify", "euclid_spherical", {"k": states.PARAM_MAX},
+     {"sets": 2, "pairs": 200}),
+    ("gram", "heisenberg_loc_t", {"k": -states.PARAM_MAX,
+                                  "t": states.PARAM_MAX}, {}),
+    ("spectral", "heisenberg_loc_p", {"k": states.PARAM_MAX},
+     {"Z": [0, 0, 1]}),
+])
+def test_state_parameters_at_their_bound_run(tmp_path, task, kind, params,
+                                             task_params):
+    path = _write(tmp_path, {
+        "version": "1", "task": task, "seed": 0,
+        "state": {"kind": kind, "params": params}, "params": task_params})
+    assert cli.run(path, out=str(tmp_path / "rep")) in (0, 1)
 
 
 def test_euclid_radius_at_its_bound_runs(tmp_path):
@@ -476,26 +511,21 @@ def test_no_comparison_in_cli_has_a_float_literal():
     assert floats == []
 
 
-@pytest.mark.parametrize("command,text,pointer", [
-    # inputs that pass every parameter check and still overflow: a state
-    # phase k p at k = 1e308 gives NaN atoms
-    ("spectral", '"task": "spectral", "state": {"kind": "heisenberg_loc_p", '
-     '"params": {"k": 1e308}}, "params": {"Z": [0, 0, 1]}',
-     "/results/atoms/"),
-])
-def test_a_non_finite_result_fails_with_a_json_report(tmp_path, command, text,
-                                                      pointer):
-    path = tmp_path / "scn.json"
-    path.write_text('{"version": "1", "seed": 0, %s}' % text)
+def test_a_non_finite_result_fails_with_a_json_report(tmp_path, monkeypatch):
+    # no valid input is known to overflow, so a runner stands in that
+    # returns a NaN atom as a passing result
+    monkeypatch.setitem(cli._RUNNERS, "spectral", lambda state, p, seed: (
+        {"atoms": [[1.0, 0.5], [float("nan"), 0.5]]}, True, []))
+    path = _write(tmp_path, {
+        "version": "1", "task": "spectral", "seed": 0,
+        "state": {"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1]}})
     out = str(tmp_path / "rep")
-    with np.errstate(all="ignore"):
-        assert cli.main([command, "--scenario", str(path), "--out", out]) == 1
-    task = json.loads(path.read_text())["task"]
-    with open(os.path.join(out, "%s-report.json" % task)) as fh:
+    assert cli.main(["spectral", "--scenario", path, "--out", out]) == 1
+    with open(os.path.join(out, "spectral-report.json")) as fh:
         rep = json.loads(fh.read(), parse_constant=lambda c: pytest.fail(c))
     assert rep["pass"] is False
-    assert rep["results"]["error"].startswith(pointer)
-    assert rep["results"]["error"].endswith(": not a finite number")
+    assert rep["results"] == {"error": "/results/atoms/1/0: not a finite "
+                                       "number"}
 
 
 def _files(outdir):

@@ -51,8 +51,8 @@ def test_probe_actions_are_isometric(kind, params):
 def test_rep_matrix_on_a_stack_matches_each_element(kind, params):
     st, space, probes = _space(kind, params)
     # the first six probes as a (2, 3) stack
-    gs = groups.GroupElement(st.family, groups.map_coords(
-        lambda x: x[:6].reshape((2, 3) + x.shape[1:]), probes.data))
+    gs = groups.GroupElement(st.family, probes.data[:6].reshape(
+        (2, 3, -1)))
     R, residuals = gns.rep_matrix(space, gs)
     coefficients = gns.coefficient(space, gs)
     assert R.shape == (2, 3, space.rank, space.rank)

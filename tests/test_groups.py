@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_
@@ -36,8 +39,10 @@ def test_euclid_compose_matches_homogeneous_matrices():
         g = groups.euclid(oracles.random_rotation(rng), rng.uniform(-3, 3, 3))
         h = groups.euclid(oracles.random_rotation(rng), rng.uniform(-3, 3, 3))
         gh = groups.compose(g, h)
-        M = oracles.se3_mat(*g.data) @ oracles.se3_mat(*h.data)
-        assert np.allclose(oracles.se3_mat(*gh.data), M, atol=1e-12)
+        M = oracles.se3_mat(*groups.euclid_parts(g.data)) \
+            @ oracles.se3_mat(*groups.euclid_parts(h.data))
+        assert np.allclose(oracles.se3_mat(*groups.euclid_parts(gh.data)), M,
+                           atol=1e-12)
 
 
 def test_su2_compose_is_the_two_by_two_product():
@@ -73,7 +78,7 @@ def test_inverse_cancels(family, seed):
     g = groups.random_elements(family, rng, 1)[0]
     e = groups.compose(g, groups.inverse(g))
     if family == "euclid":
-        A, c = e.data
+        A, c = groups.euclid_parts(e.data)
         assert np.abs(A - np.eye(3)).max() < 1e-12
         assert np.abs(c).max() < 1e-12
     elif family == "su2":
@@ -108,7 +113,8 @@ def test_euclid_exp_matches_expm():
         rate = rng.uniform(-3, 3, 3)
         g = groups.exp(groups.algebra("euclid", np.concatenate([axis, rate])))
         M = expm(oracles.se3_alg(axis, rate))
-        assert np.allclose(oracles.se3_mat(*g.data), M, atol=1e-10)
+        assert np.allclose(oracles.se3_mat(*groups.euclid_parts(g.data)), M,
+                           atol=1e-10)
 
 
 def test_su2_exp_matches_matrix_exponential():
@@ -236,8 +242,7 @@ def test_stacked_adjoint_and_bracket_match_the_element_calls(family):
         assert np.array_equal(ad[i], groups.adjoint(gs[i], alg[i]).coords)
         assert np.array_equal(br[i], groups.bracket(
             alg[i], groups.algebra(family, W[i])).coords)
-    ad = groups.adjoint_coords(family, groups.expand_coords(gs.data, 1),
-                               W[None, :3])
+    ad = groups.adjoint_coords(family, gs.data[:, None], W[None, :3])
     br = groups.bracket_coords(family, Z[:, None], W[None, :3])
     assert ad.shape == br.shape == (5, 3, dim)
     for i in range(5):
@@ -282,7 +287,7 @@ def test_random_elements_shapes_and_rotations():
         for g in gs:
             assert g.family == family
             if family == "euclid":
-                A, _ = g.data
+                A, _ = groups.euclid_parts(g.data)
                 assert np.abs(A @ A.T - np.eye(3)).max() < 1e-12
                 assert abs(np.linalg.det(A) - 1.0) < 1e-12
             if family == "su2":
@@ -319,14 +324,14 @@ def test_random_elements_draw_what_a_per_element_loop_draws(family):
 
 
 def test_stack_checks_reject_one_bad_block():
-    gs = groups.random_elements("euclid", np.random.default_rng(4), 50)
-    A, c = gs.data
-    groups.from_coords("euclid", (A, c))
+    X = groups.random_elements("euclid", np.random.default_rng(4), 50).data
+    groups.from_coords("euclid", X)
+    A = groups.euclid_parts(X)[0]
     A[17, 0, 1] += 1e-6
     with pytest.raises(ValueError):
         groups._check_euclid_rotation(A)
     with pytest.raises(ValueError):
-        groups.from_coords("euclid", (A, c))
+        groups.from_coords("euclid", X)
     Q = groups.random_elements("su2", np.random.default_rng(5), 50).data
     Q[31] *= 1.001
     with pytest.raises(ValueError):
@@ -346,7 +351,7 @@ def test_nonfinite_elements_are_rejected(bad):
         groups.su2(1.0, bad, 0.0, 0.0)
     # one non-finite block or quaternion inside a stack of good ones
     gs = groups.random_elements("euclid", np.random.default_rng(6), 20)
-    gs.data[0][11, 2, 0] = bad
+    groups.euclid_parts(gs.data)[0][11, 2, 0] = bad
     with pytest.raises(ValueError):
         groups.from_coords("euclid", gs.data)
     Q = groups.random_elements("su2", np.random.default_rng(7), 20).data
@@ -360,22 +365,16 @@ def test_reflections_are_rejected():
     with pytest.raises(ValueError, match="determinant"):
         groups.euclid(flip, [0.0, 0.0, 0.0])
     # an orthogonal block of determinant -1 inside a stack of rotations
-    A, c = groups.random_elements("euclid", np.random.default_rng(8), 30).data
+    X = groups.random_elements("euclid", np.random.default_rng(8), 30).data
+    A, c = groups.euclid_parts(X)
     A[19] = A[19] @ flip
     assert np.abs(A[19].T @ A[19] - np.eye(3)).max() < 1e-12
     with pytest.raises(ValueError, match="determinant"):
-        groups.from_coords("euclid", (A, c))
+        groups.from_coords("euclid", X)
     with pytest.raises(ValueError, match="determinant"):
-        groups.from_coords("euclid", (A.reshape(5, 6, 3, 3),
-                                      c.reshape(5, 6, 3)))
-
-
-def _rows(gs):
-    """The coordinate rows of a stack, flattened as _flat flattens one."""
-    if gs.family == "euclid":
-        A, c = gs.data
-        return np.concatenate([A.reshape(len(A), 9), c], axis=1)
-    return gs.data
+        groups.from_coords("euclid", X.reshape(5, 6, 12))
+    with pytest.raises(ValueError, match="determinant"):
+        groups.euclid(A.reshape(5, 6, 3, 3), c.reshape(5, 6, 3))
 
 
 @pytest.mark.parametrize("family", groups.FAMILIES)
@@ -383,14 +382,14 @@ def test_random_elements_are_one_indexable_stack(family):
     gs = groups.random_elements(family, np.random.default_rng(6), 9, dim=2)
     assert isinstance(gs, groups.GroupElement) and gs.family == family
     assert len(gs) == 9
-    rows = _rows(gs)
+    rows = gs.data
     for i in range(9):
         assert gs[i].family == family
-        assert np.array_equal(_flat(gs[i]), rows[i])
-    assert [_flat(g).tolist() for g in gs] == rows.tolist()
+        assert np.array_equal(gs[i].data, rows[i])
+    assert [g.data.tolist() for g in gs] == rows.tolist()
     idx = np.array([7, 0, 7])
-    assert np.array_equal(_rows(gs[idx]), rows[idx])
-    assert np.array_equal(_rows(gs[2:8:3]), rows[2:8:3])
+    assert np.array_equal(gs[idx].data, rows[idx])
+    assert np.array_equal(gs[2:8:3].data, rows[2:8:3])
     one = gs[4]
     with pytest.raises(TypeError):
         len(one)
@@ -412,10 +411,10 @@ def test_compose_on_stacks_composes_row_by_row(family, age):
     broadcast = groups.compose(G[0], H)
     assert len(zipped) == len(broadcast) == 6
     for i in range(6):
-        want = _flat(groups.compose(G[i], H[i]))
-        assert np.abs(_flat(zipped[i]) - want).max() < 1e-12
-        want = _flat(groups.compose(G[0], H[i]))
-        assert np.abs(_flat(broadcast[i]) - want).max() < 1e-12
+        want = groups.compose(G[i], H[i]).data
+        assert np.abs(zipped[i].data - want).max() < 1e-12
+        want = groups.compose(G[0], H[i]).data
+        assert np.abs(broadcast[i].data - want).max() < 1e-12
     if family == "su2":
         norms = np.linalg.norm(zipped.data, axis=-1)
         assert np.abs(norms - 1.0).max() < 1e-15
@@ -435,26 +434,6 @@ ALGEBRA_DIM = {"heisenberg": 3, "bargmann": 4, "euclid": 6, "su2": 3,
                "torus": 2}
 
 
-def _lead(X, axis):
-    """A coordinate stack with a new broadcast axis (euclid: (A, c))."""
-    if isinstance(X, tuple):
-        return tuple(np.expand_dims(x, axis) for x in X)
-    return np.expand_dims(X, axis)
-
-
-def _entry(X, idx):
-    """One entry of a coordinate stack, flattened."""
-    if isinstance(X, tuple):
-        return np.concatenate([X[0][idx].ravel(), X[1][idx]])
-    return X[idx]
-
-
-def _flat(g):
-    if g.family == "euclid":
-        return np.concatenate([g.data[0].ravel(), g.data[1]])
-    return g.data
-
-
 @pytest.mark.parametrize("family", sorted(ALGEBRA_DIM))
 def test_compose_coords_matches_element_compose(family):
     rng = np.random.default_rng(40)
@@ -464,13 +443,13 @@ def test_compose_coords_matches_element_compose(family):
     hs2 = hs[np.array([0, 1, 2, 3, 4, 0, 1])]
     zipped = groups.compose_coords(family, X, hs2.data)
     for i, (g, h) in enumerate(zip(gs, hs2)):
-        want = _flat(groups.compose(g, h))
-        assert np.abs(_entry(zipped, i) - want).max() < 1e-12
-    table = groups.compose_coords(family, _lead(X, 1), _lead(Y, 0))
+        want = groups.compose(g, h).data
+        assert np.abs(zipped[i] - want).max() < 1e-12
+    table = groups.compose_coords(family, X[:, None], Y[None])
     for i, g in enumerate(gs):
         for j, h in enumerate(hs):
-            want = _flat(groups.compose(g, h))
-            assert np.abs(_entry(table, (i, j)) - want).max() < 1e-12
+            want = groups.compose(g, h).data
+            assert np.abs(table[i, j] - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("family", sorted(ALGEBRA_DIM))
@@ -484,10 +463,10 @@ def test_inverse_and_exp_coords_match_element_law(family):
     # the same stacks with two leading axes
     ex2 = groups.exp_coords(family, C.reshape(3, 2, -1))
     for i, g in enumerate(gs):
-        assert np.abs(_entry(inv, i) - _flat(groups.inverse(g))).max() < 1e-12
-        want = _flat(groups.exp(groups.algebra(family, C[i])))
-        assert np.abs(_entry(ex, i) - want).max() < 1e-12
-        assert np.abs(_entry(ex2, divmod(i, 2)) - want).max() < 1e-12
+        assert np.abs(inv[i] - groups.inverse(g).data).max() < 1e-12
+        want = groups.exp(groups.algebra(family, C[i])).data
+        assert np.abs(ex[i] - want).max() < 1e-12
+        assert np.abs(ex2[divmod(i, 2)] - want).max() < 1e-12
 
 
 AXIS_SIZES = (0.0, 1e-9, 0.99e-4, 1.01e-4, 1.0, 3.0)
@@ -500,7 +479,7 @@ def test_euclid_exp_coords_matches_expm_across_series_switch(size):
     axes = rng.standard_normal((16, 3))
     axes *= size / np.linalg.norm(axes, axis=1, keepdims=True)
     C = np.hstack([axes, rng.uniform(-3, 3, (16, 3))])
-    A, c = groups.exp_coords("euclid", C)
+    A, c = groups.euclid_parts(groups.exp_coords("euclid", C))
     for i, row in enumerate(C):
         M = expm(oracles.se3_alg(row[:3], row[3:]))
         assert np.abs(oracles.se3_mat(A[i], c[i]) - M).max() < 1e-12
@@ -512,8 +491,82 @@ def test_euclid_exp_coords_translations_match_general_rows():
     rng = np.random.default_rng(43)
     C = np.hstack([np.zeros((4, 3)), rng.uniform(-3, 3, (4, 3))])
     screws = np.vstack([C, rng.uniform(-3, 3, (4, 6))])
-    A, c = groups.exp_coords("euclid", C)
-    A2, c2 = groups.exp_coords("euclid", screws)
+    X = groups.exp_coords("euclid", C)
+    X2 = groups.exp_coords("euclid", screws)
+    A, c = groups.euclid_parts(X)
     assert np.array_equal(A, np.broadcast_to(np.eye(3), (4, 3, 3)))
     assert np.array_equal(c, C[:, 3:])
-    assert np.array_equal(A2[:4], A) and np.array_equal(c2[:4], c)
+    assert X.shape == X2[:4].shape == (4, 12)
+    assert np.array_equal(X2[:4], X)
+
+
+# ---------------------------------------------------------------------------
+# the euclid layout: one array per stack, known to groups alone
+
+def test_euclid_coords_and_parts_round_trip():
+    rng = np.random.default_rng(44)
+    A = np.array([oracles.random_rotation(rng) for _ in range(5)])
+    c = rng.uniform(-3, 3, (5, 3))
+    X = groups.euclid_coords(A, c)
+    assert X.shape == (5, 12)
+    A2, c2 = groups.euclid_parts(X)
+    assert np.array_equal(A2, A) and np.array_equal(c2, c)
+    assert np.shares_memory(A2, X) and np.shares_memory(c2, X)
+    # an (n, 1) x (1, m) broadcast of rotation blocks against translations
+    d = rng.uniform(-3, 3, (4, 3))
+    Y = groups.euclid_coords(A[:, None], d[None])
+    assert Y.shape == (5, 4, 12)
+    A3, c3 = groups.euclid_parts(Y)
+    for i in range(5):
+        for j in range(4):
+            assert np.array_equal(A3[i, j], A[i])
+            assert np.array_equal(c3[i, j], d[j])
+    assert np.array_equal(groups.euclid(A[:, None], d[None]).data, Y)
+
+
+WIDTH = {"heisenberg": 3, "bargmann": 4, "euclid": 12, "su2": 4, "torus": 2}
+
+
+@pytest.mark.parametrize("family", groups.FAMILIES)
+def test_every_element_and_stack_is_one_array(family):
+    gs = groups.random_elements(family, np.random.default_rng(45), 4, dim=2)
+    one = groups.identity(family, dim=2)
+    made = [gs, gs[1], one, groups.compose(gs, gs), groups.inverse(gs),
+            groups.compose(one, gs[2]),
+            groups.exp(groups.algebra(family, np.ones(ALGEBRA_DIM[family])))]
+    for g in made:
+        assert isinstance(g.data, np.ndarray) and g.data.dtype == float
+        assert g.data.shape[-1] == WIDTH[family]
+    assert gs.data.shape == (4, WIDTH[family])
+    assert one.data.shape == gs[1].data.shape == (WIDTH[family],)
+    with pytest.raises(TypeError):
+        len(one)
+
+
+def _layout_reads(tree):
+    """(line, what) for each slice bound of 9 and each reshape whose shape
+    ends in (3, 3): the places that know where a euclid row splits."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Slice):
+            if any(isinstance(b, ast.Constant) and b.value == 9
+                   for b in (node.lower, node.upper)):
+                found.append((node.lineno, "slice at 9"))
+        elif isinstance(node, ast.Call) and "reshape" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+            shapes = [node.args] + [t.elts for t in ast.walk(node)
+                                    if isinstance(t, ast.Tuple)]
+            if any([getattr(e, "value", None) for e in elts[-2:]] == [3, 3]
+                   for elts in shapes):
+                found.append((node.lineno, "reshape to (..., 3, 3)"))
+    return found
+
+
+def test_only_groups_knows_the_euclid_layout():
+    # every other module reaches rotation blocks and translations through
+    # groups.euclid_parts and builds stacks through groups.euclid_coords
+    src = Path(groups.__file__).parent
+    assert _layout_reads(ast.parse((src / "groups.py").read_text()))
+    found = {path.name: _layout_reads(ast.parse(path.read_text()))
+             for path in sorted(src.glob("*.py")) if path.name != "groups.py"}
+    assert {name: f for name, f in found.items() if f} == {}

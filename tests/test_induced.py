@@ -131,15 +131,14 @@ def test_stacked_heisenberg_coefficients_equal_per_element(act, f):
 
 def test_stacked_euclid_coefficients_equal_per_element():
     rng = np.random.default_rng(11)
-    A, c = groups.random_elements("euclid", rng, 6).data
+    G = groups.random_elements("euclid", rng, 6).data
     act = induced.EuclidAction(2.0)
     for f, tol in [(induced.delta_section(np.array([[0.0, 0.0, 1.0]])), 1e-14),
                    (induced.constant_section(8, 16), 0.0)]:
-        one = np.array([induced.matrix_coefficient(act, f, (A[i], c[i]))
+        one = np.array([induced.matrix_coefficient(act, f, G[i])
                         for i in range(6)])
-        flat = induced.matrix_coefficient(act, f, (A, c))
-        grid = induced.matrix_coefficient(
-            act, f, (A.reshape(3, 2, 3, 3), c.reshape(3, 2, 3)))
+        flat = induced.matrix_coefficient(act, f, G)
+        grid = induced.matrix_coefficient(act, f, G.reshape(3, 2, 12))
         assert flat.shape == (6,) and grid.shape == (3, 2)
         assert np.max(np.abs(flat - one)) <= tol
         assert np.max(np.abs(grid - one.reshape(3, 2))) <= tol

@@ -62,7 +62,7 @@ def _moved(gs, X):
             return np.column_stack([p + b, q + c - b * e - p * e])
         return np.column_stack([p + b, q + c])
     if gs.family == "euclid":
-        A, c = gs.data
+        A, c = groups.euclid_parts(gs.data)
         r, u = X
         return (np.einsum("nij,nj->ni", A, r) + c,
                 np.einsum("nij,nj->ni", A, u))
@@ -834,7 +834,7 @@ def test_conjugate_tuples_have_meeting_sup_brackets(spec):
     C, cs, n = (a[:rows] for a in orbits._block_tuples(spec, 3, 0, 1))
     gs = groups.random_elements(spec.family, np.random.default_rng(0), rows,
                                 dim=spec.dim)
-    D = groups.adjoint_coords(spec.family, groups.expand_coords(gs.data, 1), C)
+    D = groups.adjoint_coords(spec.family, gs.data[:, None], C)
     a, b = (orbits._sup_rows(spec, X, cs, n, np.zeros((0, spec.dim)), np.inf,
                              2000, DEFAULT.box_radius) for X in (C, D))
     slack = orbits.ROUNDING * np.sum(np.abs(cs), axis=1)

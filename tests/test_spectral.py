@@ -245,7 +245,8 @@ def test_sinc_squared_triangle_is_not_flat():
     # restriction sinc^2(t): a triangle density on [-2, 2]
     st = states.make_state(
         "custom", family="euclid",
-        evaluator=lambda g: np.sinc(np.linalg.norm(g.data[1]) / np.pi) ** 2)
+        evaluator=lambda g: np.sinc(np.linalg.norm(
+            groups.euclid_parts(g.data)[1]) / np.pi) ** 2)
     Z = groups.algebra("euclid", [0, 0, 0, 1.0, 0, 0])
     est = spectral.density_estimate(st, Z, N=2 ** 12)
     assert est.classification == "mixed"
@@ -257,7 +258,7 @@ def test_mixture_is_classified_mixed():
     st = states.make_state(
         "custom", family="euclid",
         evaluator=lambda g: 0.5 + 0.5 * np.sinc(2.0 * np.linalg.norm(
-            g.data[1]) / np.pi))
+            groups.euclid_parts(g.data)[1]) / np.pi))
     Z = groups.algebra("euclid", [0, 0, 0, 0, 0, 1.0])
     est = spectral.density_estimate(st, Z, N=2 ** 12)
     assert est.classification == "mixed"

@@ -164,9 +164,9 @@ def test_support_draws_land_on_the_modulus_one_set(kind):
     got = np.abs(states.evaluate(st, samples))
     want = np.ones(len(samples))
     if kind == "euclid_cylindrical":
-        want = np.abs(j0(params["k"] * np.hypot(*np.array(
-            [g.data[1][:2] for g in samples]).T)))
-        flips = [g.data[0][2, 2] for g in samples]
+        A, c = groups.euclid_parts(samples.data)
+        want = np.abs(j0(params["k"] * np.hypot(c[:, 0], c[:, 1])))
+        flips = A[:, 2, 2].tolist()
         assert flips[0::2] == [1.0] * 100 and flips[1::2] == [-1.0] * 100
     assert np.max(np.abs(got - want)) < DEFAULT.modulus_one
 
@@ -200,11 +200,7 @@ def test_support_samples_are_one_indexable_stack(kind):
     assert isinstance(gs, groups.GroupElement) and gs.family == st.family
     assert len(gs) == 11
     for i in range(11):
-        if st.family == "euclid":
-            assert np.array_equal(gs[i].data[0], gs.data[0][i])
-            assert np.array_equal(gs[i].data[1], gs.data[1][i])
-        else:
-            assert np.array_equal(gs[i].data, gs.data[i])
+        assert np.array_equal(gs[i].data, gs.data[i])
     with pytest.raises(TypeError):
         len(gs[0])
     with pytest.raises(TypeError):
@@ -252,10 +248,9 @@ def test_hermitian_symmetry_and_bound(kind, params):
 def test_gram_entries_match_scalar_route(kind, params):
     st = _mk(kind, params)
     rng = np.random.default_rng(4)
-    gs = groups.from_coords(st.family, groups.map_coords(
-        lambda x, y: np.concatenate([x, y]),
+    gs = groups.from_coords(st.family, np.concatenate([
         groups.random_elements(st.family, rng, 6).data,
-        states.support_samples(st, np.random.default_rng(5), 6).data))
+        states.support_samples(st, np.random.default_rng(5), 6).data]))
     gm = states.gram(st, gs)
     n = len(gs)
     for i in range(n):
@@ -272,9 +267,9 @@ def test_stacked_gram_min_eigenvalues_equal_per_set_gram(kind, params):
     st = _mk(kind, params)
     rng = np.random.default_rng(21)
     sets = [states.support_samples(st, rng, 9) for _ in range(4)]
-    stacked = groups.GroupElement(st.family, groups.map_coords(
-        lambda *xs: np.stack(xs), *(s.data for s in sets)))
-    K = states.pair_eval(st, stacked.data, stacked.data, grid=True)
+    stacked = groups.GroupElement(st.family, np.stack([s.data for s in sets]))
+    X = stacked.data
+    K = states.pair_eval(st, X[:, :, None], X[:, None, :])
     assert K.shape == (4, 9, 9)
     lows = states.gram_min_eigenvalues(st, stacked)
     for i, s in enumerate(sets):
@@ -370,6 +365,26 @@ def test_exp_values_match_element_evaluation(kind, params):
         assert abs(complex(states.exp_values(st, C[idx])) - want) < 1e-12
 
 
+def test_euclid_custom_evaluator_receives_one_packed_row():
+    # a custom evaluator sees each element as one 12-coordinate row, which
+    # groups.euclid_parts splits; here it is the spherical closed form
+    seen = []
+
+    def spherical(g):
+        seen.append(g.data)
+        return states.sinc(2.0 * np.linalg.norm(groups.euclid_parts(g.data)[1]))
+
+    st = states.make_state("custom", family="euclid", evaluator=spherical)
+    gs = groups.random_elements("euclid", np.random.default_rng(25), 6)
+    X = gs.data
+    got = states.pair_eval(st, X[:2, None], X[None, 2:])
+    assert got.shape == (2, 4) and len(seen) == 8
+    assert all(row.shape == (12,) for row in seen)
+    want = states.pair_eval(_mk("euclid_spherical", dict(k=2.0)),
+                            X[:2, None], X[None, 2:])
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_krein_margin_holds_for_near_coincident_pairs():
     # in its square-root form the Krein bound cancels for pairs a few 1e-6
     # apart, and the centre state failed the 1e-12 slack by up to 4e-11
@@ -413,10 +428,9 @@ def test_check_psd_flags_indefinite_kernel():
 def test_modulus_one_probe_finds_subgroup():
     st = _mk("euclid_spherical", dict(k=2.0))
     rng = np.random.default_rng(23)
-    samples = groups.from_coords("euclid", groups.map_coords(
-        lambda e, x: np.concatenate([e[None], x]),
-        groups.identity("euclid").data,
-        groups.random_elements("euclid", rng, 20).data))
+    samples = groups.from_coords("euclid", np.concatenate([
+        groups.identity("euclid").data[None],
+        groups.random_elements("euclid", rng, 20).data]))
     out = states.modulus_one_subgroup_probe(st, samples)
     assert out["pass"]
     assert 0 in out["inside"]
@@ -464,8 +478,8 @@ def test_gram_rejects_family_mismatch():
                                                np.random.default_rng(0), 0))
     euclid = groups.random_elements("euclid", np.random.default_rng(0), 6)
     with pytest.raises(groups.FamilyError):
-        states.gram_min_eigenvalues(st, groups.GroupElement("euclid", (
-            euclid.data[0].reshape(2, 3, 3, 3), euclid.data[1].reshape(2, 3, 3))))
+        states.gram_min_eigenvalues(st, groups.GroupElement(
+            "euclid", euclid.data.reshape(2, 3, 12)))
     for shape in [(0, 5), (3, 0)]:
         with pytest.raises(ValueError):
             states.gram_min_eigenvalues(st, groups.GroupElement(
