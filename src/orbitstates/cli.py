@@ -457,11 +457,10 @@ def _reproduce_euclid_waves(seed):
     cvec = np.array([0.3, -1.1, 2.0])
     avg = np.sum(wts * np.exp(1j * pts @ cvec))
     err_sph = float(abs(avg - states.sinc(np.linalg.norm(cvec))))
-    from scipy.special import j0
     phi = 2 * np.pi * np.arange(512) / 512
     circ = np.column_stack([np.cos(phi), np.sin(phi), np.zeros(512)])
     err_cyl = float(abs(np.mean(np.exp(1j * circ @ cvec))
-                        - j0(np.hypot(*cvec[:2]))))
+                        - states.j0(np.hypot(*cvec[:2]))))
     gs = groups.random_elements("euclid", rng, 200)
     err = _max_modulus(induced.matrix_coefficient(
         induced.EuclidAction(k=1.0), induced.constant_section(), gs.data)

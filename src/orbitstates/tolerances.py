@@ -48,7 +48,8 @@ class Tolerances:
     unit_value: float = 1e-9      # haar_on_bohr |m(e) - 1|
     atom_mass: float = 1e-6       # |mass - 1| of a character: *_atom*
     weight_mass: float = 1e-8     # binomial_atoms
-    quadrature: float = 1e-3      # quad's error: GridTooCoarse; matches_oracle
+    quadrature: float = 1e-3      # sum |GL_n - GL_2n|: GridTooCoarse;
+    #                               matches_oracle
     escape: float = 0.05          # mass_outside_positive
     shifted_escape: float = 0.9   # shifted_gaussian_escapes
 

@@ -411,23 +411,36 @@ def test_spectral_without_direction_exits_two(tmp_path):
 
 
 def test_cli_import_leaves_quadrature_and_optimizer_unloaded(tmp_path):
-    # spectral and states import scipy where they use it: at module level it
-    # adds 0.1-0.4 s to every start-up of the command.  The atom scan needs
-    # no optimizer, so a spectral run leaves scipy.optimize unloaded too
-    path = _write(tmp_path, {
+    # the program needs no scipy: not at import, and not in the runs that
+    # once used it (the escape mass, J0 in euclid-waves and in the
+    # cylindrical state) or in a spectral run
+    spec = _write(tmp_path, {
         "version": "1", "task": "spectral", "seed": 0,
         "state": {"kind": "su2_highest_weight", "params": {"j": 4}},
-        "params": {"Z": [0.7, -1.1, 0.45]}})
+        "params": {"Z": [0.7, -1.1, 0.45]}}, "spectral.json")
+    ver = _write(tmp_path, {
+        "version": "1", "task": "verify", "seed": 5,
+        "state": {"kind": "euclid_cylindrical",
+                  "params": {"k": 2.0, "eps": 1}},
+        "params": {"pairs": 200}}, "verify.json")
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys, orbitstates.cli; print([m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'jsonschema')]); "
-            "orbitstates.cli.main(['spectral', '--scenario', sys.argv[1], "
-            "'--out', sys.argv[2]]); print('scipy.optimize' in sys.modules)")
+    code = ("import sys, orbitstates.cli as c\n"
+            "def loaded():\n"
+            "    print([m for m in sys.modules\n"
+            "           if m.split('.')[0] in ('scipy', 'jsonschema')])\n"
+            "loaded()\n"
+            "out = sys.argv[3]\n"
+            "for argv in (['spectral', '--scenario', sys.argv[1]],\n"
+            "             ['reproduce', 'prequant-counterexample'],\n"
+            "             ['reproduce', 'euclid-waves'],\n"
+            "             ['verify', '--scenario', sys.argv[2]]):\n"
+            "    assert c.main(argv + ['--out', out]) == 0, argv\n"
+            "loaded()\n")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code, path,
+    out = subprocess.run([sys.executable, "-c", code, spec, ver,
                           str(tmp_path / "rep")], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.split() == ["[]", "False"]
+    assert out.stdout.split() == ["[]", "[]"]
 
 
 # ---------------------------------------------------------------------------

@@ -318,10 +318,8 @@ def test_gaussian_mass_is_exact():
 
 
 def test_quadrature_error_estimate_gates_the_mass(monkeypatch):
-    # a quad whose error estimate exceeds the gate makes the mass refuse
-    import scipy.integrate
-    quad = scipy.integrate.quad
-    monkeypatch.setattr(scipy.integrate, "quad",
-                        lambda *a, **kw: (quad(*a, **kw)[0], 2e-3))
+    # with 3 and 6 nodes a piece, sum |GL_3 - GL_6| is about 2e-2, above
+    # the gate, so the mass refuses
+    monkeypatch.setattr(spectral, "PREQUANT_NODES", 3)
     with pytest.raises(spectral.GridTooCoarse):
         spectral.prequant_mass_outside()

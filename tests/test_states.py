@@ -118,6 +118,23 @@ def test_euclid_spherical_is_sinc():
     assert abs(states.evaluate(st, g) - math.sin(2.0) / 2.0) < 1e-14
 
 
+def test_j0_matches_scipy():
+    from scipy.special import jn_zeros
+    rng = np.random.default_rng(4)
+    zeros = jn_zeros(0, 12)
+    x = np.concatenate([
+        np.linspace(0.0, 40.0, 40001),
+        states.J0_SWITCH + np.linspace(-1e-3, 1e-3, 2001),   # the switch
+        (zeros[:, None] + np.linspace(-1e-4, 1e-4, 201)).ravel(),
+        np.geomspace(1.0, 1e6, 20001), rng.uniform(0.0, 1e6, 20000),
+        [0.0, states.J0_SWITCH, np.nextafter(states.J0_SWITCH, 99), 1e6]])
+    assert np.max(np.abs(states.j0(x) - j0(x))) < 1e-14
+    assert np.array_equal(states.j0(-x), states.j0(x))
+    assert states.j0(2.0).shape == () and states.j0(x.reshape(-1, 1)).shape \
+        == (x.size, 1)
+    assert np.isnan(states.j0(np.nan))
+
+
 def test_euclid_cylindrical_is_bessel():
     st = _mk("euclid_cylindrical", dict(k=2.0, eps=0))
     c = np.array([0.6, -0.8, 3.0])
