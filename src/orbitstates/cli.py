@@ -42,6 +42,13 @@ GRAM_ENTRIES = 2 ** 16
 # bounded for any grid size
 CSV_BLOCK = 4096
 
+# density.csv leaves out the lattice rows whose |density| is at most this:
+# a zero level for output, not a verdict bound (an atomic restriction's
+# density is rounding noise near 1e-14 at nearly every row, and the text of
+# those rows would be most of a spectral run's time); a flat density's
+# tails fall below 1e-3 well above it, so they stay in the file
+DENSITY_FLOOR = 1e-12
+
 # the largest SU(2) orbit radius params.orbit.lam: the sup search evaluates
 # the 4 lam + 1 weight heights of a whole block of trials at once, and a
 # highest-weight state has 2j <= 8
@@ -57,6 +64,42 @@ EUCLID_K_MAX = orbits.PHASE_MAX / (2 * math.sqrt(3))
 # the range a double resolves, and far from where exp_coords's squares of
 # t Z overflow (|t Z| about 1e154)
 FLOW_REACH = 1e8
+
+# the largest value of each count parameter, so that an oversized count is an
+# input error before it sizes an array past memory; each admits its default
+# with room to spare (peaks measured on whole runs at the bound)
+COUNT_MAX = {
+    # spectral lattice points: the flow at N times and its FFT, about
+    # 0.2 GiB at the bound
+    "N": 2 ** 20,
+    # support samples per Gram matrix: an n x n kernel of packed elements
+    # and its eigensolve, about 0.2 GiB at the bound
+    "samples": 2 ** 10,
+    # the GNS sample set: its n x n Gram matrix and the probes' images,
+    # about 0.4 GiB at the bound
+    "n": 2 ** 10,
+    # sample pairs of the inequality check: two stacks of elements and
+    # their state values, about 0.5 GiB at the bound
+    "pairs": 10 ** 6,
+    # orbit points of orbit_project and their projections, at most
+    # about 0.3 GiB at the bound
+    "count": 10 ** 6,
+    # sphere points of the Kostant projection check and their sort, about
+    # 0.1 GiB at the bound
+    "kostant": 10 ** 6,
+    # terms per quantum_check tuple: (BLOCK, n_max) coefficient stacks whose
+    # sup search grows with the terms (1.4 s and 0.13 GiB for 256 trials
+    # at the bound)
+    "n_max": 64,
+    # quantum_check trials: one margin each in the report
+    "trials": 10 ** 6,
+    # Gram sets per verify sweep and stage-4 evaluations per trial: both run
+    # in bounded memory (a sweep stacks at most GRAM_ENTRIES entries, the
+    # branch and bound keeps at most orbits.OPEN_MAX cells), so these bound
+    # only the run time
+    "sets": 10 ** 5,
+    "budget": 10 ** 7,
+}
 
 
 class CliInputError(ValueError):
@@ -119,7 +162,8 @@ def _string(doc, key, where=""):
 
 
 def _count(params, key, default, least=1, where="/params"):
-    """An integer parameter of at least `least`; 1.0 counts as 1."""
+    """An integer parameter of at least `least` and at most COUNT_MAX[key]
+    (when the key has one); 1.0 counts as 1."""
     value = params.get(key, default)
     if isinstance(value, bool) or not (
             isinstance(value, int)
@@ -127,6 +171,9 @@ def _count(params, key, default, least=1, where="/params"):
             or value < least:
         raise CliInputError("%s/%s: must be an integer >= %d, got %r"
                             % (where, key, least, value))
+    if value > COUNT_MAX.get(key, math.inf):
+        raise CliInputError("%s/%s: must be <= %d, got %r"
+                            % (where, key, COUNT_MAX[key], value))
     return int(value)
 
 
@@ -334,8 +381,9 @@ def _task_spectral(state, p, seed):
 
 def _task_orbit(state, p, seed):
     spec = _default_orbit(state, p)
-    rng = np.random.default_rng(seed)
     count = _count(p, "count", 1000)
+    kostant = _count(p, "kostant", 10 ** 5) if spec.family == "su2" else None
+    rng = np.random.default_rng(seed)
     pts = spec.sample(rng, count)
     rel = float(np.max(orbits.relation_residuals(spec, pts)))
     results = {"family": spec.family, "count": count, "relation_residual": rel}
@@ -356,8 +404,8 @@ def _task_orbit(state, p, seed):
                                                  proj.max(axis=0))]
         results["_projections"] = proj
     if spec.family == "su2":
-        dist = orbits.kostant_projection_check(
-            spec.params["lam"], _count(p, "kostant", 10 ** 5), seed)
+        dist = orbits.kostant_projection_check(spec.params["lam"], kostant,
+                                               seed)
         results["kostant_hausdorff"] = dist
         gates["kostant_hausdorff"] = gate(dist, "<", "hausdorff")
     return _judged(results, gates,
@@ -558,7 +606,8 @@ def _report_bytes(report):
 
 def emit_plotdata(report, outdir=".", density=None, proj=None):
     """CSV files for the figure-like parts of a report and for the density
-    and projection arrays it leaves out; returns paths."""
+    and projection arrays it leaves out; returns paths.  density.csv holds
+    the lattice rows whose |density| exceeds DENSITY_FLOOR, in order."""
     os.makedirs(outdir, exist_ok=True)
     written = []
 
@@ -581,8 +630,9 @@ def emit_plotdata(report, outdir=".", density=None, proj=None):
         write_csv("atoms.csv", ["omega", "mass"],
                   np.array(results["atoms"], dtype=float).reshape(-1, 2).T)
     if density is not None:
-        write_csv("density.csv", ["omega", "density"],
-                  [np.asarray(c) for c in density])
+        om, dens = (np.asarray(c) for c in density)
+        keep = np.abs(dens) > DENSITY_FLOOR
+        write_csv("density.csv", ["omega", "density"], [om[keep], dens[keep]])
     if "margins" in results:
         counts, edges = np.histogram(results["margins"], bins=32)
         write_csv("margins_hist.csv", ["bin_lo", "bin_hi", "count"],

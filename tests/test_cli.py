@@ -11,7 +11,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from orbitstates import cli, states
+from orbitstates import cli, groups, spectral, states
 from orbitstates.tolerances import DEFAULT, OPS, gate
 
 
@@ -330,6 +330,26 @@ def test_bad_input_exits_two(tmp_path, payload):
      "gram"),
     ('{"kind": "euclid_plane", "params": {"s": %r}}, "params": {}'
      % (states.PARAM_MAX + 1), "/state/params/s", "gram"),
+    # counts past cli.COUNT_MAX: each is refused before it sizes an array
+    # or a loop (these three once ended in a numpy MemoryError, exit 1)
+    ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], "N": 1e12}',
+     "/params/N", "spectral"),
+    ('{"kind": "heisenberg_loc_p"}, "params": {"samples": 1e9}',
+     "/params/samples", "verify"),
+    ('{"kind": "heisenberg_loc_p"}, "params": {"count": 1e10}',
+     "/params/count", "orbit_project"),
+    *[('{"kind": "%s"}, "params": {"%s": %d}'
+       % (kind, key, cli.COUNT_MAX[key] + 1), "/params/" + key, task)
+      for task, kind, key in [
+          ("verify", "heisenberg_loc_p", "sets"),
+          ("verify", "heisenberg_loc_p", "pairs"),
+          ("gram", "heisenberg_loc_p", "samples"),
+          ("gns", "heisenberg_loc_p", "n"),
+          ("orbit_project", "heisenberg_loc_p", "count"),
+          ("orbit_project", "su2_highest_weight", "kostant"),
+          ("quantum_check", "heisenberg_loc_p", "trials"),
+          ("quantum_check", "heisenberg_loc_p", "n_max"),
+          ("quantum_check", "heisenberg_loc_p", "budget")]],
 ])
 def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
                                                     pointer, task):
@@ -343,6 +363,12 @@ def test_malformed_parameters_exit_two_with_pointer(tmp_path, capsys, text,
     command = {"orbit_project": "orbit", "quantum_check": "quantum"}
     assert cli.main([command.get(task, task), "--scenario", str(path),
                      "--out", out]) == 2
+
+
+def test_counts_at_their_bound_are_accepted():
+    for key, most in cli.COUNT_MAX.items():
+        assert cli._count({key: most}, key, None) == most
+        assert cli._count({key: float(most)}, key, None) == most
 
 
 @pytest.mark.parametrize("task,kind,params,task_params", [
@@ -651,6 +677,14 @@ def test_plotdata_csv_bytes_match_csv_writer(tmp_path):
     n = 2 * cli.CSV_BLOCK + 7          # a partial last block
     om = np.concatenate([edge, np.sort(rng.standard_normal(n - len(edge)))])
     dens = np.concatenate([rng.standard_normal(n - len(edge)), edge[::-1]])
+    # across a block boundary: a density at the floor (left out) and one
+    # just above it (kept); -0.0 and 1.5e-300 stay covered by the omega
+    # column
+    dens[cli.CSV_BLOCK - 1:cli.CSV_BLOCK + 1] = [
+        cli.DENSITY_FLOOR, math.nextafter(cli.DENSITY_FLOOR, math.inf)]
+    kept = [[w, d] for w, d in zip(om.tolist(), dens.tolist())
+            if abs(d) > cli.DENSITY_FLOOR]
+    assert len(kept) == n - 3     # the floor, 1.5e-300 and -0.0 go
     proj = rng.standard_normal((600, 2))
     margins = rng.standard_normal(300)
     atoms = [[-1.5, 0.25], [0.0, 1e-05], [2.0, -0.0]]
@@ -660,8 +694,7 @@ def test_plotdata_csv_bytes_match_csv_writer(tmp_path):
     counts, edges = np.histogram(margins, bins=32)
     want = {
         "atoms.csv": _csv_reference(["omega", "mass"], atoms),
-        "density.csv": _csv_reference(["omega", "density"],
-                                      np.column_stack((om, dens)).tolist()),
+        "density.csv": _csv_reference(["omega", "density"], kept),
         "margins_hist.csv": _csv_reference(
             ["bin_lo", "bin_hi", "count"],
             zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())),
@@ -677,6 +710,38 @@ def test_plotdata_csv_bytes_match_csv_writer(tmp_path):
     cli.emit_plotdata({"results": {"atoms": []}}, out)
     with open(os.path.join(out, "atoms.csv"), "rb") as fh:
         assert fh.read() == b"omega,mass\r\n"
+
+
+@pytest.mark.parametrize("kind,params,Z", [
+    ("euclid_spherical", {"k": 2.0}, [0, 0, 0, 0.5, 0.5, 0.5]),
+    ("heisenberg_loc_p", {"k": 1.3}, [1.0, 0, 0]),
+])
+def test_density_csv_keeps_the_rows_above_the_floor(tmp_path, kind, params,
+                                                    Z):
+    path = _write(tmp_path, {
+        "version": "1", "task": "spectral", "seed": 0,
+        "state": {"kind": kind, "params": params}, "params": {"Z": Z}})
+    out = str(tmp_path / "rep")
+    assert cli.run(path, out=out) == 0
+    st = states.make_state(kind, **params)
+    om, dens = spectral.density_estimate(
+        st, groups.algebra(st.family, Z)).density
+    keep = np.abs(dens) > cli.DENSITY_FLOOR
+    with open(os.path.join(out, "density.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["omega", "density"]
+    assert rows[1:] == [[repr(w), repr(d)] for w, d in
+                        zip(om[keep].tolist(), dens[keep].tolist())]
+    if kind == "euclid_spherical":
+        # the conditions a flat density on [-edge, edge] is checked by:
+        # the floor must leave rows far outside the band
+        edge = 2.0 * math.sqrt(0.75)
+        got = np.array(rows[1:], dtype=float)
+        outside = np.abs(got[:, 0]) > 1.3 * edge
+        inside = np.abs(got[:, 0]) < 0.8 * edge
+        assert outside.any() and inside.any()
+        assert np.max(np.abs(got[outside, 1])) < 1e-3
+        assert np.max(np.abs(got[inside, 1] - 0.5 / edge)) < 0.02 / edge
 
 
 # ---------------------------------------------------------------------------
