@@ -59,6 +59,17 @@ LAM_MAX = 16.0
 # search, which must stay within the range orbits.ROUNDING covers
 EUCLID_K_MAX = orbits.PHASE_MAX / (2 * math.sqrt(3))
 
+# the largest |s| of a Euclid orbit and sum of |y_i| of a torus point y:
+# the sup search meets them in phases of at most pi times them (s axis_3 at
+# a state's anchor (0, 0, s, 0, 0, k), |axis| <= pi on drawn screws; y . Z,
+# |Z_i| <= pi), which must stay within the range orbits.ROUNDING covers
+EUCLID_S_MAX = TORUS_Y_MAX = orbits.PHASE_MAX / math.pi
+
+# the largest |entry| of a params.Zs direction, which reaches only the
+# projections <x, Z> (|x| < 1e8 on every admitted orbit) and the brackets of
+# the commuting test: both stay finite with hundreds of decades to spare
+DIRECTION_MAX = 1e100
+
 # the largest T |Z| of a spectral run (T defaults to spectral.T_DEFAULT): the
 # flow is sampled at t Z for |t| <= T, so this keeps its phases well inside
 # the range a double resolves, and far from where exp_coords's squares of
@@ -196,10 +207,11 @@ def _numbers(values, where, size=None):
 
 
 def _direction(family, coords, where, size=None):
-    """An algebra element of `family` from its coordinate list, of length
-    `size` (default: the family's algebra dimension, if it has one)."""
-    return groups.algebra(family, _numbers(
-        coords, where, size or groups.ALGEBRA_DIM.get(family)))
+    """The algebra coordinates of `family` from a list, of length `size`
+    (default: the family's algebra dimension, if it has one)."""
+    return np.array(_numbers(coords, where,
+                             size or groups.ALGEBRA_DIM.get(family)),
+                    dtype=float)
 
 
 # the keys of params.orbit that each family's G-orbit reads
@@ -222,10 +234,11 @@ def _default_orbit(state, params):
         # the radius of a Euclid orbit and the weight of an SU(2) sphere
         if (fam, key) in (("euclid", "k"), ("su2", "lam")) and v < 0:
             raise CliInputError("%s: must be >= 0, got %r" % (where, v))
-        top = {("su2", "lam"): LAM_MAX, ("euclid", "k"): EUCLID_K_MAX}
-        if v > top.get((fam, key), math.inf):
-            raise CliInputError("%s: must be <= %.17g, got %r"
-                                % (where, top[fam, key], v))
+        top = {("su2", "lam"): LAM_MAX, ("euclid", "k"): EUCLID_K_MAX,
+               ("euclid", "s"): EUCLID_S_MAX}.get((fam, key), math.inf)
+        if abs(v) > top:
+            raise CliInputError("%s: |value| must be <= %.17g, got %r"
+                                % (where, top, v))
         return v
 
     if fam == "heisenberg":
@@ -237,9 +250,12 @@ def _default_orbit(state, params):
     if fam == "su2":
         return orbits.su2_orbit(value("lam", 0.5, "j"))
     y = orbit.get("y", [1.0])
-    return orbits.torus_orbit(_numbers(y, "/params/orbit/y")
-                              if isinstance(y, list)
-                              else _number(y, "/params/orbit/y"))
+    y = _numbers(y, "/params/orbit/y") if isinstance(y, list) \
+        else _number(y, "/params/orbit/y")
+    if np.sum(np.abs(y)) > TORUS_Y_MAX:
+        raise CliInputError("/params/orbit/y: the sum of |y_i| must be "
+                            "<= %.17g, got %r" % (TORUS_Y_MAX, y))
+    return orbits.torus_orbit(y)
 
 
 def _concentration(target):
@@ -280,9 +296,8 @@ def _sweep(state, rng, sets, n, pairs):
     worst = 0.0
     per_call = max(1, GRAM_ENTRIES // (n * n))
     for first in range(0, sets, per_call):
-        samples = groups.GroupElement(state.family, np.stack([
-            states.support_samples(state, rng, n).data
-            for _ in range(min(per_call, sets - first))]))
+        samples = np.stack([states.support_samples(state, rng, n)
+                            for _ in range(min(per_call, sets - first))])
         for low in states.gram_min_eigenvalues(state, samples).tolist():
             worst = min(worst, low / n)
     gs = states.support_samples(state, rng, pairs)
@@ -348,7 +363,7 @@ def _task_spectral(state, p, seed):
     T = p.get("T")
     if T is not None:
         _number(T, "/params/T", positive=True)
-    reach = (spectral.T_DEFAULT if T is None else T) * math.hypot(*Z.coords)
+    reach = (spectral.T_DEFAULT if T is None else T) * math.hypot(*Z)
     if not reach <= FLOW_REACH:
         raise CliInputError("%s: T |Z| must be <= %g (T defaults to 200 pi), "
                             "got %r" % ("/params/T" if "T" in p
@@ -392,12 +407,17 @@ def _task_orbit(state, p, seed):
         raise CliInputError("/params/Zs: must be a list of directions, got %r"
                             % (p["Zs"],))
     if p.get("Zs"):
-        Zs = [_direction(state.family, z, "/params/Zs/%d" % i, spec.dim)
-              for i, z in enumerate(p["Zs"])]
-        if not groups.commuting(Zs):
+        Zs = np.array([_direction(state.family, z, "/params/Zs/%d" % i,
+                                  spec.dim) for i, z in enumerate(p["Zs"])])
+        far = np.argwhere(np.abs(Zs) > DIRECTION_MAX)
+        if len(far):
+            i, j = far[0]
+            raise CliInputError("/params/Zs/%d/%d: must be in [-%g, %g], "
+                                "got %r" % (i, j, DIRECTION_MAX, DIRECTION_MAX,
+                                            p["Zs"][i][j]))
+        if not groups.commuting(state.family, Zs):
             raise CliInputError("/params/Zs: tuple does not commute")
-        proj = groups.pairing_coords(state.family, pts[:, None],
-                                     np.array([Z.coords for Z in Zs]))
+        proj = groups.pairing_coords(state.family, pts[:, None], Zs)
         results["projection_mean"] = [float(v) for v in proj.mean(axis=0)]
         results["projection_minmax"] = [
             [float(a), float(b)] for a, b in zip(proj.min(axis=0),
@@ -449,7 +469,7 @@ def _reproduce_heisenberg_table(seed):
     ]
     gates, details = {}, {}
     for name, action, f, st in cases:
-        err = _max_modulus(induced.matrix_coefficient(action, f, gs.data)
+        err = _max_modulus(induced.matrix_coefficient(action, f, gs)
                            - states.evaluate(st, gs))
         gates[name] = gate(err, "<", "coefficient")
         details[name + "_max_error"] = err
@@ -466,17 +486,13 @@ def _reproduce_bargmann_states(seed):
         details[label + "_min_eig_per_n"] = worst
         details[label + "_worst_margin"] = ineq["worst_margin"]
     st = states.make_state("bargmann_loc_q", l=1.0)
-    atom = spectral.bohr_atom(st, groups.algebra("bargmann", [0, 1.0, 0, 0]),
-                              -1.0, T=200 * np.pi)
+    atom = spectral.bohr_atom(st, [0, 1.0, 0, 0], -1.0, T=200 * np.pi)
     details["loc_q_atom_mass"] = [atom.mass.real, atom.mass.imag]
-    est = spectral.density_estimate(
-        st, groups.algebra("bargmann", [0, 1.0, -0.7, 0]), T=200 * np.pi,
-        N=2 ** 13)
+    est = spectral.density_estimate(st, [0, 1.0, -0.7, 0], T=200 * np.pi,
+                                    N=2 ** 13)
     st2 = states.make_state("bargmann_loc_pe", k=1.0)
-    a_g = spectral.bohr_atom(st2, groups.algebra("bargmann", [0, 0, 1.0, 0]),
-                             1.0, T=200 * np.pi)
-    a_e = spectral.bohr_atom(st2, groups.algebra("bargmann", [0, 0, 0, 1.0]),
-                             -0.5, T=200 * np.pi)
+    a_g = spectral.bohr_atom(st2, [0, 0, 1.0, 0], 1.0, T=200 * np.pi)
+    a_e = spectral.bohr_atom(st2, [0, 0, 0, 1.0], -0.5, T=200 * np.pi)
     gates.update(
         loc_q_character_atom=gate(abs(atom.mass - 1.0), "<", "atom_mass"),
         # Haar on the Bohr dual: the flow vanishes off t = 0
@@ -511,7 +527,7 @@ def _reproduce_euclid_waves(seed):
                         - states.j0(np.hypot(*cvec[:2]))))
     gs = groups.random_elements("euclid", rng, 200)
     err = _max_modulus(induced.matrix_coefficient(
-        induced.EuclidAction(k=1.0), induced.constant_section(), gs.data)
+        induced.EuclidAction(k=1.0), induced.constant_section(), gs)
         - states.evaluate(trio["spherical"], gs))
     gates.update(
         sphere_average_identity=gate(err_sph, "<", "sphere_quadrature"),
@@ -541,7 +557,7 @@ def _reproduce_su2_weights(seed):
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
         w = rng.uniform(0.5, 2.0)
-        Z = groups.algebra("su2", w * v)
+        Z = w * v
         T = 200 * np.pi / w
         ms = [m2 / 2.0 for m2 in range(-twoj, twoj + 1, 2)]
         atoms = spectral.bohr_atoms(st, Z, [m * w for m in ms], T)

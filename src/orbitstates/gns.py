@@ -40,9 +40,9 @@ class GnsSpace:
 
 
 def build(state, samples):
-    """Quotient the Gram form of a sample stack at the eigenvalue cut
-    quotient_scale * n."""
-    fam, s0 = samples.family, samples.data[0]
+    """Quotient the Gram form of a sample stack (n, d) at the eigenvalue
+    cut quotient_scale * n."""
+    fam, s0 = state.family, samples[0]
     e = groups.exp_coords(fam, np.zeros(groups.ALGEBRA_DIM.get(fam, len(s0))))
     if not np.abs(s0 - e).max() < 1e-12:
         raise ValueError("samples[0] must be the identity")
@@ -62,9 +62,9 @@ def build(state, samples):
 
 
 def rep_matrix(space, g):
-    """(R_g, residual): projected action matrix and its defect, for an
-    element or a stack g of leading shape L: R of shape L + (r, r) and the
-    residuals of shape L.
+    """(R_g, residual): projected action matrix and its defect, for a
+    coordinate row or stack g of leading shape L: R of shape L + (r, r) and
+    the residuals of shape L.
 
     residual = max over columns j of  1 - |R_g[:, j]|^2, the squared-norm
     deficit of projecting the transported basis back onto the span.
@@ -72,14 +72,14 @@ def rep_matrix(space, g):
     A stack is transported one element at a time, so a call holds one
     n x n table M_g whatever the stack's length.
     """
-    S = space.samples.data
-    flat = g.data.reshape(-1, g.data.shape[-1])
+    S, g = space.samples, np.asarray(g, dtype=float)
+    flat = g.reshape(-1, g.shape[-1])
     R = np.empty((len(flat), space.rank, space.rank), dtype=complex)
     for i in range(len(R)):
         gS = groups.compose_coords(space.state.family, flat[i:i + 1], S)
         Mg = states.pair_eval(space.state, S[:, None], gS[None])
         R[i] = space.basis.conj().T @ Mg @ space.basis
-    R = R.reshape(g.data.shape[:-1] + R.shape[1:])
+    R = R.reshape(g.shape[:-1] + R.shape[1:])
     deficit = 1.0 - np.sum(np.abs(R) ** 2, axis=-2)
     return R, np.maximum(0.0, np.max(deficit, axis=-1))
 
@@ -90,7 +90,7 @@ def cyclic_coefficient(space, R):
 
 
 def coefficient(space, g):
-    """<m_e, pi(g) m_e> in the quotient basis, over an element or a stack."""
+    """<m_e, pi(g) m_e> in the quotient basis, over a row or a stack."""
     return cyclic_coefficient(space, rep_matrix(space, g)[0])
 
 
@@ -175,21 +175,25 @@ def closed_sample_set(state, n=16, seed=0):
         probes = X[1:]
     elif state.kind == "euclid_plane":
         # the rotation by 2 pi / n about (1, 1, 1), and its powers as
-        # chained products
+        # chained products from the identity, each RENORM_EVERY-th one
+        # re-orthonormalized
         Z = np.zeros(6)
         Z[:3] = 2.0 * np.pi / (n * np.sqrt(3.0))
-        R = groups.exp(groups.algebra("euclid", Z))
-        powers = [groups.identity("euclid")]
-        for _ in range(1, n):
-            powers.append(groups.compose(powers[-1], R))
-        X = np.array([g.data for g in powers])
-        probes = np.concatenate([[R.data], groups.euclid(
-            np.eye(3), rng.uniform(-3, 3, (7, 3))).data])
+        R = groups.exp_coords("euclid", Z)
+        X = np.empty((n, 12))
+        X[0] = groups.exp_coords("euclid", np.zeros(6))
+        for i in range(1, n):
+            X[i] = groups.compose_coords("euclid", X[i - 1], R)
+            if i % groups.RENORM_EVERY == 0:
+                A = groups.euclid_parts(X[i])[0]
+                A[...] = groups.orthonormalize(A)
+        probes = np.concatenate([R[None], groups.euclid_coords(
+            np.eye(3), rng.uniform(-3, 3, (7, 3)))])
     else:
         H, pivots = state.localization["H"], state.localization["pivots"]
         X = np.zeros((n, 3))
         X[:, np.setdiff1d(np.arange(3), pivots)[0]] = np.concatenate(
             [[0.0], rng.uniform(-3, 3, n - 1)])
         probes = rng.uniform(-3, 3, (8, len(H))) @ H + 0.0
-    return (groups.from_coords(state.family, X),
-            groups.from_coords(state.family, probes))
+    return (groups.check_coords(state.family, X),
+            groups.check_coords(state.family, probes))

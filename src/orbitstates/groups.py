@@ -31,72 +31,17 @@ import numpy as np
 from .tolerances import DEFAULT
 
 FAMILIES = ("heisenberg", "bargmann", "euclid", "su2", "torus")
-# algebra coordinate lengths; a torus has its own dimension
+# algebra and group coordinate lengths; a torus has its own dimension
 ALGEBRA_DIM = {"heisenberg": 3, "bargmann": 4, "euclid": 6, "su2": 3}
+COORD_DIM = {"heisenberg": 3, "bargmann": 4, "euclid": 12, "su2": 4}
 
-# Euclid rotation blocks are re-orthonormalized after this many composures.
+# a chain of Euclid products re-orthonormalizes its rotation blocks after
+# this many composures (gns.closed_sample_set)
 RENORM_EVERY = 64
 
 
 class FamilyError(ValueError):
     pass
-
-
-class GroupElement:
-    """An element or a stack: `data` is a coordinate stack (see the group
-    law below), of stack shape () for a single element, which has no len()
-    and no indexing."""
-    __slots__ = ("family", "data", "_age")
-
-    def __init__(self, family, data, _age=0):
-        if family not in FAMILIES:
-            raise FamilyError("unknown family %r" % (family,))
-        self.family = family
-        self.data = data
-        self._age = _age  # composures since last re-orthonormalization (euclid)
-
-    def __repr__(self):
-        return "GroupElement(%s, %s)" % (self.family, self.data)
-
-    def __len__(self):
-        if np.ndim(self.data) < 2:
-            raise TypeError("a single %s element is not a stack" % self.family)
-        return len(self.data)
-
-    def __getitem__(self, index):
-        len(self)   # along the leading axis, so only on stacks
-        return GroupElement(self.family, self.data[index], self._age)
-
-
-class AlgebraElement:
-    __slots__ = ("family", "coords")
-
-    def __init__(self, family, coords):
-        if family not in FAMILIES:
-            raise FamilyError("unknown family %r" % (family,))
-        self.family = family
-        self.coords = np.asarray(coords, dtype=float)
-
-    def __repr__(self):
-        return "AlgebraElement(%s, %s)" % (self.family, self.coords)
-
-
-class CoadjointVector:
-    __slots__ = ("family", "coords")
-
-    def __init__(self, family, coords):
-        if family not in FAMILIES:
-            raise FamilyError("unknown family %r" % (family,))
-        self.family = family
-        self.coords = np.asarray(coords, dtype=float)
-
-    def __repr__(self):
-        return "CoadjointVector(%s, %s)" % (self.family, self.coords)
-
-
-def _check_same(x, y):
-    if x.family != y.family:
-        raise FamilyError("family mismatch: %s vs %s" % (x.family, y.family))
 
 
 def _check_euclid_rotation(A):
@@ -119,40 +64,6 @@ def _unit_quaternions(Q):
         raise ValueError("quaternion norm %.6g too far from 1"
                          % n.flat[np.argmax(np.abs(n - 1.0))])
     return Q / n[..., None]
-
-
-def heisenberg(a, b, c):
-    return GroupElement("heisenberg", np.array([a, b, c], dtype=float))
-
-
-def bargmann(a, b, c, e):
-    return GroupElement("bargmann", np.array([a, b, c, e], dtype=float))
-
-
-def euclid(A, c):
-    """The element, or the stack, of rotation blocks A and translations c."""
-    return from_coords("euclid", euclid_coords(A, c))
-
-
-def su2(w, x, y, z):
-    return GroupElement("su2", _unit_quaternions(np.array([w, x, y, z],
-                                                          dtype=float)))
-
-
-def torus(angles):
-    return GroupElement("torus", np.mod(np.asarray(angles, dtype=float), 2 * np.pi))
-
-
-def identity(family, dim=1):
-    return exp(AlgebraElement(family, np.zeros(ALGEBRA_DIM.get(family, dim))))
-
-
-def algebra(family, coords):
-    return AlgebraElement(family, coords)
-
-
-def covector(family, coords):
-    return CoadjointVector(family, coords)
 
 
 def orthonormalize(A):
@@ -187,15 +98,22 @@ def euclid_parts(X):
     return X[..., :9].reshape(X.shape[:-1] + (3, 3)), X[..., 9:]
 
 
-def from_coords(family, X):
-    """The element stack of coordinate stack X: euclid rotation blocks are
-    checked and su2 quaternions checked and normalized, once over the
-    whole stack."""
+def check_coords(family, X):
+    """The coordinate stack X (..., d) as a float array, once its rows are
+    elements of `family`: euclid rotation blocks are checked and su2
+    quaternions checked and normalized, once over the whole stack."""
+    if family not in FAMILIES:
+        raise FamilyError("unknown family %r" % (family,))
+    X = np.asarray(X, dtype=float)
+    d = COORD_DIM.get(family)
+    if d is not None and X.shape[-1:] != (d,):
+        raise FamilyError("%s coordinates have length %d, got shape %s"
+                          % (family, d, X.shape))
     if family == "euclid":
         _check_euclid_rotation(euclid_parts(X)[0])
     elif family == "su2":
         X = _unit_quaternions(X)
-    return GroupElement(family, X)
+    return X
 
 
 def _join(cols):
@@ -239,6 +157,9 @@ def compose_coords(family, X, Y):
     if family == "torus":
         return np.mod(X + Y, 2 * np.pi)
     raise FamilyError("unknown family %r" % (family,))
+
+
+compose = compose_coords   # the name perfbench/test_checks.py reads
 
 
 def inverse_coords(family, X):
@@ -372,47 +293,6 @@ def bracket_coords(family, Z, W):
     raise FamilyError("unknown family %r" % (family,))
 
 
-# ---------------------------------------------------------------------------
-# the group law on elements
-
-def compose(g, h):
-    """Product g*h of elements or stacks; SU(2) products are renormalized and
-    euclid rotation blocks re-orthonormalized every RENORM_EVERY composures."""
-    _check_same(g, h)
-    f = g.family
-    data = compose_coords(f, g.data, h.data)
-    if f == "su2":
-        return GroupElement(f, _unit_quaternions(data))
-    if f == "euclid":
-        age = max(g._age, h._age) + 1
-        if age >= RENORM_EVERY:
-            A, c = euclid_parts(data)
-            return GroupElement(f, euclid_coords(orthonormalize(A), c))
-        return GroupElement(f, data, _age=age)
-    return GroupElement(f, data)
-
-
-def inverse(g):
-    return GroupElement(g.family, inverse_coords(g.family, g.data),
-                        _age=g._age)
-
-
-def exp(Z):
-    return GroupElement(Z.family, exp_coords(Z.family, Z.coords))
-
-
-def commuting(Zs):
-    """True iff all pairwise brackets vanish below the `commuting`
-    tolerance."""
-    if not Zs:
-        return True
-    for Z in Zs:
-        _check_same(Zs[0], Z)
-    C = np.array([Z.coords for Z in Zs])
-    B = bracket_coords(Zs[0].family, C[:, None], C[None])
-    return not np.any(np.linalg.norm(B, axis=-1) >= DEFAULT.commuting)
-
-
 def pairing_coords(family, W, C):
     """<w, Z> over broadcastable stacks of dual coordinates W and algebra
     coordinates C; elementwise arithmetic, so a row's value does not depend
@@ -430,54 +310,46 @@ def pairing_coords(family, W, C):
     raise FamilyError(family)
 
 
-def pairing(w, Z):
-    _check_same(w, Z)
-    return float(pairing_coords(w.family, w.coords, Z.coords))
+def coadjoint_coords(family, G, W):
+    """Coordinates of the dual action Ad*(g) w over broadcastable stacks of
+    group coordinates G and dual coordinates W, fixed by
+    <Ad*(g) w, E_i> = <w, Ad(g^-1) E_i> over the coordinate basis E_i of
+    the algebra: the pairing matrix of that basis with the dual one is a
+    signed permutation, so this is one linear solve."""
+    W = np.asarray(W, dtype=float)
+    E = np.eye(W.shape[-1])
+    rhs = pairing_coords(family, W[..., None, :], adjoint_coords(
+        family, inverse_coords(family, G)[..., None, :], E))
+    return np.linalg.solve(pairing_coords(family, E[:, None], E).T,
+                           rhs[..., None])[..., 0]
 
 
-def adjoint(g, Z):
-    _check_same(g, Z)
-    return AlgebraElement(g.family, adjoint_coords(g.family, g.data, Z.coords))
-
-
-def bracket(Z, W):
-    _check_same(Z, W)
-    return AlgebraElement(Z.family, bracket_coords(Z.family, Z.coords,
-                                                   W.coords))
-
-
-def coadjoint(g, w):
-    """The dual action, fixed by <coadjoint(g) w, E_i> = <w, Ad(g^-1) E_i>
-    over the coordinate basis E_i of the algebra: the pairing matrix of
-    that basis with the dual one is a signed permutation, so this is one
-    linear solve."""
-    _check_same(g, w)
-    f = g.family
-    E = np.eye(len(w.coords))
-    rhs = pairing_coords(f, w.coords,
-                         adjoint_coords(f, inverse_coords(f, g.data), E))
-    return CoadjointVector(f, np.linalg.solve(
-        pairing_coords(f, E[:, None], E).T, rhs))
+def commuting(family, C):
+    """True iff all pairwise brackets of the rows of a (k, dim) stack of
+    algebra coordinates vanish below the `commuting` tolerance."""
+    C = np.asarray(C, dtype=float)
+    B = bracket_coords(family, C[:, None], C[None])
+    return not np.any(np.linalg.norm(B, axis=-1) >= DEFAULT.commuting)
 
 
 def random_elements(family, rng, count, scale=3.0, dim=1):
-    """Seeded generic elements, drawn as one stack of `count`:
+    """Seeded generic elements, drawn as one (count, d) coordinate stack:
     uniform coordinates in [-scale, scale) on heisenberg and bargmann,
     uniform angles on a torus of dimension dim, and Gaussian quaternions
     normalized to su2 elements or to euclid rotation blocks (with uniform
     translations)."""
     if family in ("heisenberg", "bargmann"):
-        return from_coords(family, rng.uniform(-scale, scale,
-                                               (count, ALGEBRA_DIM[family])))
+        return check_coords(family, rng.uniform(-scale, scale,
+                                                (count, COORD_DIM[family])))
     if family == "torus":
-        return from_coords(family, np.mod(
+        return check_coords(family, np.mod(
             rng.uniform(0, 2 * np.pi, (count, dim)), 2 * np.pi))
     if family not in ("su2", "euclid"):
         raise FamilyError(family)
     Q = rng.standard_normal((count, 4))
     Q /= np.sqrt(np.vecdot(Q, Q))[:, None]
     if family == "su2":
-        return from_coords(family, Q)
+        return check_coords(family, Q)
     w, x, y, z = Q.T
     X = np.empty((count, 12))
     A, c = euclid_parts(X)
@@ -491,4 +363,4 @@ def random_elements(family, rng, count, scale=3.0, dim=1):
     A[:, 2, 1] = 2 * (y * z + w * x)
     A[:, 2, 2] = 1 - 2 * (x * x + y * y)
     c[:] = rng.uniform(-scale, scale, (count, 3))
-    return from_coords(family, X)
+    return check_coords(family, X)

@@ -3,7 +3,7 @@
 Counting sections live on finite supports; points are identified by their
 grid key, in `inner`, so translated deltas coincide.  Actions and matrix
 coefficients take a coordinate stack of any leading shape S (a single
-element passes g.data, a stack of shape ()), and an action's counting
+element is one coordinate row, a stack of shape ()), and an action's counting
 section then has supports and values of shape S + (m, ...).
 
 The four one-parameter families of actions on the (a, b, c) group:

@@ -231,7 +231,10 @@ def torus_orbit(y):
 def relation_residuals(spec, pts):
     """How far each row of a stack of dual points is from satisfying the
     orbit's defining relations (M = 1; E = p^2/2 on bargmann; |P| = k and
-    L.P = k s on euclid; |x| = lam on su2); 0 on a torus."""
+    L.P = k s on euclid; |x| = lam on su2); 0 on a torus.  Each Euclid
+    defect is relative to the size of the terms it cancels, max(1, k) and
+    max(1, |L| |P|): the rounding of L.P grows like |L| |P|, and orbit
+    samples reach |L| = k box_radius."""
     fam = spec.family
     if fam == "heisenberg":
         return np.abs(pts[:, 0] - 1.0)
@@ -240,10 +243,12 @@ def relation_residuals(spec, pts):
                           np.abs(pts[:, 3] - 0.5 * pts[:, 1] ** 2))
     if fam == "euclid":
         k, s = spec.params["k"], spec.params["s"]
-        P = pts[:, 3:]
-        L = pts[:, :3]
-        return np.maximum(np.abs(np.linalg.norm(P, axis=1) - k),
-                          np.abs(np.sum(L * P, axis=1) - k * s))
+        L, P = pts[:, :3], pts[:, 3:]
+        nP = np.linalg.norm(P, axis=1)
+        return np.maximum(
+            np.abs(nP - k) / max(1.0, k),
+            np.abs(np.sum(L * P, axis=1) - k * s)
+            / np.maximum(1.0, np.linalg.norm(L, axis=1) * nP))
     if fam == "su2":
         return np.abs(np.linalg.norm(pts, axis=1) - spec.params["lam"])
     return np.zeros(len(pts))
@@ -676,11 +681,12 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
 def orbit_sup(spec, Zs, cs, budget=10000, box=None, anchors=None,
               target=None):
     """Lower estimate of sup over the orbit of |sum_j c_j e^{i<x, Z_j>}|,
-    with a certified upper bound on it in `upper`.
+    with a certified upper bound on it in `upper`, for the rows Z_j of a
+    (n, dim) stack Zs of algebra coordinates.
 
-    anchors: optional dual points always evaluated (localization points of
-    a state under test); they keep the estimate sharp where the attaining
-    point is known a priori.
+    anchors: an optional (A, dim) stack of dual points always evaluated
+    (localization points of a state under test); they keep the estimate
+    sharp where the attaining point is known a priori.
 
     budget: the cap on the evaluations of stage 4, the refinement rounds
     of the branch and bound.
@@ -694,12 +700,13 @@ def orbit_sup(spec, Zs, cs, budget=10000, box=None, anchors=None,
     The search is the one quantum_check runs on its stacks of tuples, on a
     stack of one.
     """
-    if not groups.commuting(Zs):
+    Zs = np.asarray(Zs, dtype=float)
+    if not groups.commuting(spec.family, Zs):
         raise ValueError("tuple does not commute")
     est = _sup_rows(
-        spec, np.stack([Z.coords for Z in Zs])[None],
-        np.asarray(cs, dtype=complex)[None], np.array([len(Zs)]),
-        np.array([w.coords for w in anchors or []], dtype=float),
+        spec, Zs[None], np.asarray(cs, dtype=complex)[None],
+        np.array([len(Zs)]),
+        np.array([] if anchors is None else anchors, dtype=float),
         np.inf if target is None else target, budget,
         DEFAULT.box_radius if box is None else box)
     return SupEstimate(float(est.value[0]), int(est.samples[0]),

@@ -64,9 +64,10 @@ def _midpoints(T, N):
 
 
 def flow_values(state, Z, ts):
-    """m(exp(t Z)) for an array of times."""
+    """m(exp(t Z)) for an array of times and algebra coordinates Z."""
     ts = np.asarray(ts, dtype=float)
-    return states.exp_values(state, np.multiply.outer(ts, Z.coords))
+    return states.exp_values(state, np.multiply.outer(
+        ts, np.asarray(Z, dtype=float)))
 
 
 def _means_at(y, omegas, T):
@@ -137,7 +138,7 @@ def density_estimate(state, Z, T=None, N=2 ** 14):
     T = T_DEFAULT if T is None else float(T)
     ts = _midpoints(T, N)
     vals = flow_values(state, Z, ts)
-    zero_value = complex(states.exp_values(state, np.zeros_like(Z.coords)))
+    zero_value = complex(states.exp_values(state, np.zeros(np.shape(Z))))
 
     if np.all(np.abs(vals) <= DEFAULT.flow_zero) \
             and abs(zero_value - 1.0) <= DEFAULT.unit_value:

@@ -201,7 +201,7 @@ def _on_axis(flip):
 
 
 # ---------------------------------------------------------------------------
-# closed forms on coordinate stacks (GroupElement.data and the array law)
+# closed forms on coordinate stacks
 
 def _axis_cosets(A):
     """The masks of A e3 = e3 and A e3 = -e3: the third column of A is
@@ -328,8 +328,8 @@ def su2_highest_weight(j):
 
 
 def _custom_values(state, pack):
-    """The user evaluator, one element of the stack at a time."""
-    flat = groups.GroupElement(state.family, pack.reshape(-1, pack.shape[-1]))
+    """The user evaluator, one coordinate row (d,) of the stack at a time."""
+    flat = pack.reshape(-1, pack.shape[-1])
     return np.array([complex(state.evaluator(g)) for g in flat],
                     dtype=complex).reshape(pack.shape[:-1])
 
@@ -348,9 +348,9 @@ def _eval_pack(state, pack):
     return np.where((np.abs(off) <= DEFAULT.delta).all(-1), values, 0.0)
 
 
-def evaluate(state, g):
-    """m(g) for a single element, or the array of m over a stack g."""
-    values = np.asarray(_eval_pack(state, g.data))
+def evaluate(state, X):
+    """m(g) for one coordinate row X (d,), or the array over a stack X."""
+    values = np.asarray(_eval_pack(state, np.asarray(X, dtype=float)))
     return values if values.ndim else complex(values)
 
 
@@ -381,14 +381,14 @@ class GramMatrix:
         return len(self.samples)
 
 
-def _gram_kernel(state, samples):
-    """m(g_i^{-1} g_j) over the last axis of a sample stack: one (n, n)
-    table per set of n samples."""
-    if samples.family != state.family:
-        raise groups.FamilyError("samples must share the state's family")
-    X = samples.data
-    if not len(samples) or not X.shape[-2]:
-        raise ValueError("empty sample stack")
+def _gram_kernel(state, X):
+    """m(g_i^{-1} g_j) over the rows of a sample stack X (..., n, d): one
+    (n, n) table per set of n samples."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim < 2 or not X.size:
+        raise ValueError("samples must be a non-empty (..., n, d) stack")
+    if X.shape[-1] != groups.COORD_DIM.get(state.family, X.shape[-1]):
+        raise groups.FamilyError("samples must be %s rows" % state.family)
     return pair_eval(state, X[..., :, None, :], X[..., None, :, :])
 
 
@@ -413,8 +413,8 @@ def check_psd(gm):
     return gate(float(gm.eigenvalues[-1]), ">=", "psd_scale", -gm.n)
 
 
-def check_inequalities(state, gs, hs):
-    """Herglotz / Krein / Weil margins over pairs (g, h) of stacks gs, hs.
+def check_inequalities(state, G, H):
+    """Herglotz / Krein / Weil margins over the row pairs of stacks G, H.
 
     Margins are reported as (left side - right side); all must stay below
     the `slack` tolerance for a genuine state.  Krein is checked squared,
@@ -422,7 +422,6 @@ def check_inequalities(state, gs, hs):
     for near-coincident pairs and fails genuine states.
     """
     fam = state.family
-    G, H = gs.data, hs.data
     mg = np.asarray(_eval_pack(state, G))
     mh = np.asarray(_eval_pack(state, H))
     mgh_cross = pair_eval(state, G, H)                           # m(g^-1 h)
@@ -462,8 +461,8 @@ def modulus_one_subgroup_probe(state, samples):
         ii = rng.integers(0, len(inside), size=n_pairs)
         jj = rng.integers(0, len(inside), size=n_pairs)
         prod = groups.compose_coords(state.family,
-                                     samples[np.take(inside, ii)].data,
-                                     samples[np.take(inside, jj)].data)
+                                     samples[np.take(inside, ii)],
+                                     samples[np.take(inside, jj)])
         pv = np.abs(_eval_pack(state, prod))
         for idx, v in enumerate(pv):
             if abs(v - 1.0) >= DEFAULT.modulus_one:
@@ -477,8 +476,8 @@ def modulus_one_subgroup_probe(state, samples):
 
 
 def support_samples(state, rng, count, scale=3.0):
-    """A seeded stack of group elements biased onto the state's modulus-one
-    set, so Gram matrices pick up off-diagonal structure for the delta-type
+    """A seeded (count, d) stack biased onto the state's modulus-one set,
+    so Gram matrices pick up off-diagonal structure for the delta-type
     states.  Even indices take the kind's support draw (if it has one), odd
     ones generic draws; each set is drawn and checked as one stack."""
     draw = KINDS[state.kind].draw
@@ -486,8 +485,7 @@ def support_samples(state, rng, count, scale=3.0):
         return groups.random_elements(state.family, rng, count, scale=scale)
     odd = groups.random_elements(state.family, rng, count // 2, scale=scale)
     idx = np.arange(0, count, 2)
-    even = groups.from_coords(state.family, draw(
+    even = groups.check_coords(state.family, draw(
         state, rng.uniform(-scale, scale, (len(idx), 4)), rng, idx))
     order = np.argsort(np.concatenate([idx, np.arange(1, count, 2)]))
-    return groups.GroupElement(state.family,
-                               np.concatenate([even.data, odd.data])[order])
+    return np.concatenate([even, odd])[order]

@@ -132,7 +132,8 @@ def test_criterion_05_gns_recovery():
             i, j = rng.integers(0, len(mats), 2)
             g, Rg = mats[i]
             h, Rh = mats[j]
-            Rgh, res = gns.rep_matrix(space, groups.compose(g, h))
+            Rgh, res = gns.rep_matrix(space, groups.compose_coords(
+                st.family, g, h))
             worst_uni = max(worst_uni, res)
             worst_hom = max(worst_hom,
                             float(np.max(np.abs(Rg @ Rh - Rgh))))
@@ -162,7 +163,7 @@ def test_criterion_06_delta_cyclic_vector_table():
     worst = 0.0
     for action, vec, st in rows:
         gs = groups.random_elements("heisenberg", rng, 1000)
-        got = induced.matrix_coefficient(action, vec, gs.data)
+        got = induced.matrix_coefficient(action, vec, gs)
         worst = max(worst, np.max(np.abs(got - states.evaluate(st, gs))))
     el = time.perf_counter() - t0
     ok = worst <= 1e-12 and el < 5.0
@@ -230,33 +231,28 @@ def test_criterion_08_quantum_check_corroboration():
 def test_criterion_09_spectral_classifications():
     t0 = time.perf_counter()
     locp = states.make_state("heisenberg_loc_p", k=1.3)
-    est = spectral.density_estimate(locp, groups.algebra("heisenberg",
-                                                         [0, 0, 1.0]))
+    est = spectral.density_estimate(locp, [0, 0, 1.0])
     atom_ok = (est.classification == "atomic" and len(est.atoms) == 1
                and abs(est.atoms[0][0] - 1.3) < 1e-3
                and abs(est.atoms[0][1] - 1.0) < 1e-3)
-    est = spectral.density_estimate(locp, groups.algebra("heisenberg",
-                                                         [0, 1.0, 0]))
+    est = spectral.density_estimate(locp, [0, 1.0, 0])
     haar_ok = est.classification == "haar_on_bohr"
 
     locq = states.make_state("bargmann_loc_q", l=0.8)
-    est = spectral.density_estimate(locq, groups.algebra("bargmann",
-                                                         [0, 1.0, 0, 0]))
+    est = spectral.density_estimate(locq, [0, 1.0, 0, 0])
     # the boost pairing carries position l to frequency -l
     q_atom_ok = (est.classification == "atomic" and len(est.atoms) == 1
                  and abs(est.atoms[0][0] + 0.8) < 1e-3
                  and abs(est.atoms[0][1] - 1.0) < 1e-3)
     q_haar_ok = True
     for t in (0.3, -0.9, 2.0):
-        est = spectral.density_estimate(
-            locq, groups.algebra("bargmann", [0, 1.0, -t, 0]))
+        est = spectral.density_estimate(locq, [0, 1.0, -t, 0])
         q_haar_ok = q_haar_ok and est.classification == "haar_on_bohr"
     rng = np.random.default_rng(91)
     for _ in range(10):
         phi = rng.uniform(0, 2 * np.pi)
         est = spectral.density_estimate(
-            locq, groups.algebra("bargmann",
-                                 [0, 0, np.cos(phi), np.sin(phi)]))
+            locq, [0, 0, np.cos(phi), np.sin(phi)])
         q_haar_ok = q_haar_ok and est.classification == "haar_on_bohr"
     el = time.perf_counter() - t0
     ok = atom_ok and haar_ok and q_atom_ok and q_haar_ok and el < 30.0
@@ -276,7 +272,7 @@ def test_criterion_10_su2_atoms_and_projection():
         v *= rng.uniform(0.5, 2.0) / np.linalg.norm(v)
         th = float(np.linalg.norm(v))
         st = states.make_state("su2_highest_weight", j=two_j / 2)
-        Z = groups.algebra("su2", v)
+        Z = v
         T = 2 * np.pi * 64 / th  # whole periods: cross-terms vanish exactly
         want = {round(2 * m) / 2: w
                 for m, w in oracles.spin_masses(two_j, v / th).items()}

@@ -11,7 +11,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from orbitstates import cli, groups, spectral, states
+from orbitstates import cli, spectral, states
 from orbitstates.tolerances import DEFAULT, OPS, gate
 
 
@@ -309,6 +309,17 @@ def test_bad_input_exits_two(tmp_path, payload):
     ('{"kind": "su2_highest_weight", "params": {"j": 1.5}}, '
      '"params": {"orbit": {"lamda": 0.5}}', "/params/orbit/lamda",
      "quantum_check"),
+    # a direction past DIRECTION_MAX: its projections overflowed to
+    # "not a finite number" (exit 1)
+    ('{"kind": "heisenberg_loc_p"}, "params": {"Zs": [[0, 0, 1e308]]}',
+     "/params/Zs/0/2", "orbit_project"),
+    # a torus point past TORUS_Y_MAX: the sup search's phases overflowed
+    ('{"kind": "constant_one", "params": {"family": "torus"}}, '
+     '"params": {"orbit": {"y": [1e308]}}', "/params/orbit/y",
+     "quantum_check"),
+    # a Euclid helicity past EUCLID_S_MAX: L.P - k s read 2e292
+    ('{"kind": "euclid_spherical"}, "params": {"orbit": {"s": 1e308}}',
+     "/params/orbit/s", "orbit_project"),
     ('{"kind": "bargmann_loc_q", "params": {"l": 0.8}}, '
      '"params": {"orbit": {"k": 1.0}}', "/params/orbit/k", "quantum_check"),
     # state parameters past states.PARAM_MAX: the closed forms give NaN
@@ -395,6 +406,39 @@ def test_euclid_radius_at_its_bound_runs(tmp_path):
         "params": {"trials": 20, "budget": 100,
                    "orbit": {"k": cli.EUCLID_K_MAX}}}))
     assert cli.run(str(path), out=str(tmp_path / "rep")) in (0, 1)
+
+
+@pytest.mark.parametrize("kind,params", [
+    # the Euclid relations at radii up to EUCLID_K_MAX: the absolute defect
+    # of L.P - k s read 9.3e-10 at k = 300 and failed the 1e-10 gate
+    ("euclid_spherical", {"count": 1000, "orbit": {"k": 300, "s": 0}}),
+    ("euclid_spherical", {"orbit": {"k": cli.EUCLID_K_MAX, "s": 1}}),
+    ("euclid_spherical", {"orbit": {"k": 1, "s": -cli.EUCLID_S_MAX}}),
+    ("heisenberg_loc_p", {"Zs": [[0, 0, cli.DIRECTION_MAX]]}),
+    ("heisenberg_loc_p", {"Zs": [[-cli.DIRECTION_MAX, 0, 0]]}),
+])
+def test_orbit_inputs_at_their_bounds_pass(tmp_path, kind, params):
+    path = _write(tmp_path, {
+        "version": "1", "task": "orbit_project", "seed": 1,
+        "state": {"kind": kind}, "params": params})
+    out = str(tmp_path / "rep")
+    assert cli.run(path, out=out) == 0
+    results = _report(out, "orbit_project")["results"]
+    assert results["relation_residual"] <= 1e-10
+    assert all(math.isfinite(v) for v in results.get("projection_mean", []))
+
+
+def test_torus_point_at_its_bound_runs(tmp_path):
+    path = _write(tmp_path, {
+        "version": "1", "task": "quantum_check", "seed": 1,
+        "state": {"kind": "constant_one", "params": {"family": "torus"}},
+        "params": {"trials": 20, "budget": 100,
+                   "orbit": {"y": [0.5 * cli.TORUS_Y_MAX,
+                                   -0.5 * cli.TORUS_Y_MAX]}}})
+    out = str(tmp_path / "rep")
+    assert cli.run(path, out=out) == 1
+    assert math.isfinite(_report(out, "quantum_check")["results"][
+        "worst_margin"])
 
 
 def test_integral_float_seed_runs_as_its_integer(tmp_path):
@@ -724,8 +768,7 @@ def test_density_csv_keeps_the_rows_above_the_floor(tmp_path, kind, params,
     out = str(tmp_path / "rep")
     assert cli.run(path, out=out) == 0
     st = states.make_state(kind, **params)
-    om, dens = spectral.density_estimate(
-        st, groups.algebra(st.family, Z)).density
+    om, dens = spectral.density_estimate(st, Z).density
     keep = np.abs(dens) > cli.DENSITY_FLOOR
     with open(os.path.join(out, "density.csv"), newline="") as fh:
         rows = list(csv.reader(fh))

@@ -16,32 +16,40 @@ triple = st_.tuples(coord, coord, coord)
 quad = st_.tuples(coord, coord, coord, coord)
 
 
+def _row(v):
+    return np.array(v, dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # composition against the matrix models
 
 @given(triple, triple)
 def test_heisenberg_compose_matches_matrix_model(x, y):
-    got = groups.compose(groups.heisenberg(*x), groups.heisenberg(*y)).data
+    got = groups.compose_coords("heisenberg", _row(x), _row(y))
     want = oracles.heis_coords(oracles.heis_mat(*x) @ oracles.heis_mat(*y))
     assert np.allclose(got, want, atol=1e-12)
 
 
 @given(quad, quad)
 def test_bargmann_compose_matches_matrix_model(x, y):
-    got = groups.compose(groups.bargmann(*x), groups.bargmann(*y)).data
+    got = groups.compose_coords("bargmann", _row(x), _row(y))
     want = oracles.barg_coords(oracles.barg_mat(*x) @ oracles.barg_mat(*y))
     assert np.allclose(got, want, atol=1e-12)
+
+
+def _euclid(A, c):
+    return groups.check_coords("euclid", groups.euclid_coords(A, c))
 
 
 def test_euclid_compose_matches_homogeneous_matrices():
     rng = np.random.default_rng(7)
     for _ in range(60):
-        g = groups.euclid(oracles.random_rotation(rng), rng.uniform(-3, 3, 3))
-        h = groups.euclid(oracles.random_rotation(rng), rng.uniform(-3, 3, 3))
-        gh = groups.compose(g, h)
-        M = oracles.se3_mat(*groups.euclid_parts(g.data)) \
-            @ oracles.se3_mat(*groups.euclid_parts(h.data))
-        assert np.allclose(oracles.se3_mat(*groups.euclid_parts(gh.data)), M,
+        g = _euclid(oracles.random_rotation(rng), rng.uniform(-3, 3, 3))
+        h = _euclid(oracles.random_rotation(rng), rng.uniform(-3, 3, 3))
+        gh = groups.compose_coords("euclid", g, h)
+        M = oracles.se3_mat(*groups.euclid_parts(g)) \
+            @ oracles.se3_mat(*groups.euclid_parts(h))
+        assert np.allclose(oracles.se3_mat(*groups.euclid_parts(gh)), M,
                            atol=1e-12)
 
 
@@ -50,8 +58,9 @@ def test_su2_compose_is_the_two_by_two_product():
     for _ in range(60):
         p = oracles.random_unit_quaternion(rng)
         q = oracles.random_unit_quaternion(rng)
-        got = oracles.su2_mat(
-            groups.compose(groups.su2(*p), groups.su2(*q)).data)
+        got = oracles.su2_mat(groups.compose_coords(
+            "su2", groups.check_coords("su2", p),
+            groups.check_coords("su2", q)))
         assert np.allclose(got, oracles.su2_mat(p) @ oracles.su2_mat(q),
                            atol=1e-12)
 
@@ -60,15 +69,16 @@ def test_su2_compose_is_the_two_by_two_product():
        triple)
 def test_associativity_vector_families(family, x, y, z):
     if family == "bargmann":
-        mk = lambda v: groups.bargmann(v[0], v[1], v[2], 0.5)
+        mk = lambda v: _row([v[0], v[1], v[2], 0.5])
     elif family == "torus":
-        mk = lambda v: groups.torus(v)
+        mk = lambda v: np.mod(_row(v), 2 * np.pi)
     else:
-        mk = lambda v: groups.heisenberg(*v)
+        mk = _row
     g, h, k = mk(x), mk(y), mk(z)
-    a = groups.compose(groups.compose(g, h), k)
-    b = groups.compose(g, groups.compose(h, k))
-    assert np.allclose(a.data, b.data, atol=1e-10)
+    compose = lambda a, b: groups.compose_coords(family, a, b)
+    a = compose(compose(g, h), k)
+    b = compose(g, compose(h, k))
+    assert np.allclose(a, b, atol=1e-10)
 
 
 @given(st_.sampled_from(["heisenberg", "bargmann", "euclid", "su2", "torus"]),
@@ -76,18 +86,18 @@ def test_associativity_vector_families(family, x, y, z):
 def test_inverse_cancels(family, seed):
     rng = np.random.default_rng(seed)
     g = groups.random_elements(family, rng, 1)[0]
-    e = groups.compose(g, groups.inverse(g))
+    e = groups.compose_coords(family, g, groups.inverse_coords(family, g))
     if family == "euclid":
-        A, c = groups.euclid_parts(e.data)
+        A, c = groups.euclid_parts(e)
         assert np.abs(A - np.eye(3)).max() < 1e-12
         assert np.abs(c).max() < 1e-12
     elif family == "su2":
-        assert abs(abs(e.data[0]) - 1.0) < 1e-12
+        assert abs(abs(e[0]) - 1.0) < 1e-12
     elif family == "torus":
-        ang = np.mod(e.data + np.pi, 2 * np.pi) - np.pi
+        ang = np.mod(e + np.pi, 2 * np.pi) - np.pi
         assert np.abs(ang).max() < 1e-9
     else:
-        assert np.abs(e.data).max() < 1e-12
+        assert np.abs(e).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +105,13 @@ def test_inverse_cancels(family, seed):
 
 @given(triple)
 def test_heisenberg_exp_matches_expm(z):
-    got = groups.exp(groups.algebra("heisenberg", z)).data
+    got = groups.exp_coords("heisenberg", _row(z))
     assert np.allclose(got, oracles.group_exp("heisenberg", z), atol=1e-12)
 
 
 @given(quad)
 def test_bargmann_exp_matches_expm(z):
-    got = groups.exp(groups.algebra("bargmann", z)).data
+    got = groups.exp_coords("bargmann", _row(z))
     assert np.allclose(got, oracles.group_exp("bargmann", z), atol=1e-11)
 
 
@@ -111,9 +121,9 @@ def test_euclid_exp_matches_expm():
     for _ in range(40):
         axis = rng.uniform(-2.5, 2.5, 3)
         rate = rng.uniform(-3, 3, 3)
-        g = groups.exp(groups.algebra("euclid", np.concatenate([axis, rate])))
+        g = groups.exp_coords("euclid", np.concatenate([axis, rate]))
         M = expm(oracles.se3_alg(axis, rate))
-        assert np.allclose(oracles.se3_mat(*groups.euclid_parts(g.data)), M,
+        assert np.allclose(oracles.se3_mat(*groups.euclid_parts(g)), M,
                            atol=1e-10)
 
 
@@ -122,7 +132,7 @@ def test_su2_exp_matches_matrix_exponential():
     rng = np.random.default_rng(6)
     for _ in range(40):
         v = rng.uniform(-2.5, 2.5, 3)
-        got = oracles.su2_mat(groups.exp(groups.algebra("su2", v)).data)
+        got = oracles.su2_mat(groups.exp_coords("su2", v))
         # chart: exp(v) = (cos(|v|/2), sin(|v|/2) vhat), so the 2x2 model is
         # expm of -i (v.sigma) / 2
         H = v[0] * oracles.SIGMA[0] + v[1] * oracles.SIGMA[1] \
@@ -138,16 +148,14 @@ def test_bracket_matches_matrix_commutator():
     for _ in range(40):
         z = rng.uniform(-2, 2, 4)
         w = rng.uniform(-2, 2, 4)
-        got = groups.bracket(groups.algebra("bargmann", z),
-                             groups.algebra("bargmann", w)).coords
+        got = groups.bracket_coords("bargmann", z, w)
         A, B = oracles.barg_alg(*z), oracles.barg_alg(*w)
         C = A @ B - B @ A
         assert np.allclose(got, [C[0, 3], C[0, 1], C[1, 3], C[2, 3]],
                            atol=1e-12)
         ze = rng.uniform(-2, 2, 6)
         we = rng.uniform(-2, 2, 6)
-        got = groups.bracket(groups.algebra("euclid", ze),
-                             groups.algebra("euclid", we)).coords
+        got = groups.bracket_coords("euclid", ze, we)
         A = oracles.se3_alg(ze[:3], ze[3:])
         B = oracles.se3_alg(we[:3], we[3:])
         C = A @ B - B @ A
@@ -161,8 +169,7 @@ def test_su2_bracket_is_cross_product_scaled():
     rng = np.random.default_rng(14)
     for _ in range(20):
         v, w = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)
-        got = groups.bracket(groups.algebra("su2", v),
-                             groups.algebra("su2", w)).coords
+        got = groups.bracket_coords("su2", v, w)
         assert np.allclose(got, np.cross(v, w), atol=1e-12)
 
 
@@ -171,8 +178,7 @@ def test_adjoint_matches_matrix_conjugation():
     for _ in range(30):
         g = rng.uniform(-2, 2, 4)
         z = rng.uniform(-2, 2, 4)
-        got = groups.adjoint(groups.bargmann(*g),
-                             groups.algebra("bargmann", z)).coords
+        got = groups.adjoint_coords("bargmann", g, z)
         M = oracles.barg_mat(*g)
         C = M @ oracles.barg_alg(*z) @ np.linalg.inv(M)
         assert np.allclose(got, [C[0, 3], C[0, 1], C[1, 3], C[2, 3]],
@@ -180,8 +186,7 @@ def test_adjoint_matches_matrix_conjugation():
         A = oracles.random_rotation(rng)
         c = rng.uniform(-2, 2, 3)
         ze = rng.uniform(-2, 2, 6)
-        got = groups.adjoint(groups.euclid(A, c),
-                             groups.algebra("euclid", ze)).coords
+        got = groups.adjoint_coords("euclid", _euclid(A, c), ze)
         M = oracles.se3_mat(A, c)
         C = M @ oracles.se3_alg(ze[:3], ze[3:]) @ np.linalg.inv(M)
         want = np.concatenate([[C[2, 1], C[0, 2], C[1, 0]], C[:3, 3]])
@@ -194,19 +199,38 @@ def test_coadjoint_is_dual_to_adjoint(family, seed):
     rng = np.random.default_rng(seed)
     g = groups.random_elements(family, rng, 1)[0]
     dims = {"heisenberg": 3, "bargmann": 4, "euclid": 6, "su2": 3}
-    w = groups.covector(family, rng.uniform(-2, 2, dims[family]))
-    z = groups.algebra(family, rng.uniform(-2, 2, dims[family]))
-    lhs = groups.pairing(groups.coadjoint(g, w), z)
-    rhs = groups.pairing(w, groups.adjoint(groups.inverse(g), z))
+    w = rng.uniform(-2, 2, dims[family])
+    z = rng.uniform(-2, 2, dims[family])
+    lhs = groups.pairing_coords(family, groups.coadjoint_coords(family, g, w),
+                                z)
+    rhs = groups.pairing_coords(family, w, groups.adjoint_coords(
+        family, groups.inverse_coords(family, g), z))
     assert abs(lhs - rhs) < 1e-9
 
 
 def test_heisenberg_coadjoint_closed_form():
-    g = groups.heisenberg(0.7, 1.1, -0.4)
-    w = groups.covector("heisenberg", [2.0, 0.3, -1.5])
-    out = groups.coadjoint(g, w).coords
+    g = _row([0.7, 1.1, -0.4])
+    out = groups.coadjoint_coords("heisenberg", g, [2.0, 0.3, -1.5])
     assert np.allclose(out, [2.0, 0.3 + 2.0 * 1.1, -1.5 + 2.0 * (-0.4)],
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("family", groups.FAMILIES)
+def test_coadjoint_coords_on_stacks_match_row_calls(family):
+    # on a stack of n rows and on an (n, 1) x (1, m) broadcast, row by row
+    rng = np.random.default_rng(19)
+    dim = groups.ALGEBRA_DIM.get(family, 2)
+    gs = groups.random_elements(family, rng, 5, dim=dim)
+    W = rng.uniform(-2, 2, (5, dim))
+    zipped = groups.coadjoint_coords(family, gs, W)
+    table = groups.coadjoint_coords(family, gs[:, None], W[None, :3])
+    assert zipped.shape == (5, dim) and table.shape == (5, 3, dim)
+    for i in range(5):
+        assert np.array_equal(zipped[i],
+                              groups.coadjoint_coords(family, gs[i], W[i]))
+        for j in range(3):
+            assert np.array_equal(table[i, j], groups.coadjoint_coords(
+                family, gs[i], W[j]))
 
 
 def test_adjoint_of_exp_is_exp_of_bracket_series():
@@ -215,108 +239,107 @@ def test_adjoint_of_exp_is_exp_of_bracket_series():
     for _ in range(20):
         z = rng.uniform(-2, 2, 4)
         w = rng.uniform(-2, 2, 4)
-        Z = groups.algebra("bargmann", z)
-        W = groups.algebra("bargmann", w)
         acc = np.array(w, dtype=float)
-        term = W
+        term = w
         fact = 1.0
         for n in range(1, 4):
-            term = groups.bracket(Z, term)
+            term = groups.bracket_coords("bargmann", z, term)
             fact *= n
-            acc = acc + term.coords / fact
-        got = groups.adjoint(groups.exp(Z), W).coords
+            acc = acc + term / fact
+        got = groups.adjoint_coords("bargmann",
+                                    groups.exp_coords("bargmann", z), w)
         assert np.allclose(got, acc, atol=1e-10)
 
 
 @pytest.mark.parametrize("family", groups.FAMILIES)
-def test_stacked_adjoint_and_bracket_match_the_element_calls(family):
+def test_stacked_adjoint_and_bracket_match_the_row_calls(family):
     # on a stack of n rows and on an (n, 1) x (1, m) broadcast, row by row
     rng = np.random.default_rng(17)
     dim = groups.ALGEBRA_DIM.get(family, 2)
     gs = groups.random_elements(family, rng, 5, dim=dim)
     Z, W = rng.uniform(-2, 2, (2, 5, dim))
-    alg = [groups.algebra(family, z) for z in Z]
-    ad = groups.adjoint_coords(family, gs.data, Z)
+    ad = groups.adjoint_coords(family, gs, Z)
     br = groups.bracket_coords(family, Z, W)
     for i in range(5):
-        assert np.array_equal(ad[i], groups.adjoint(gs[i], alg[i]).coords)
-        assert np.array_equal(br[i], groups.bracket(
-            alg[i], groups.algebra(family, W[i])).coords)
-    ad = groups.adjoint_coords(family, gs.data[:, None], W[None, :3])
+        assert np.array_equal(ad[i], groups.adjoint_coords(family, gs[i],
+                                                           Z[i]))
+        assert np.array_equal(br[i], groups.bracket_coords(family, Z[i],
+                                                           W[i]))
+    ad = groups.adjoint_coords(family, gs[:, None], W[None, :3])
     br = groups.bracket_coords(family, Z[:, None], W[None, :3])
     assert ad.shape == br.shape == (5, 3, dim)
     for i in range(5):
         for j in range(3):
-            w = groups.algebra(family, W[j])
-            assert np.array_equal(ad[i, j], groups.adjoint(gs[i], w).coords)
-            assert np.array_equal(br[i, j], groups.bracket(alg[i], w).coords)
+            assert np.array_equal(ad[i, j], groups.adjoint_coords(
+                family, gs[i], W[j]))
+            assert np.array_equal(br[i, j], groups.bracket_coords(
+                family, Z[i], W[j]))
 
 
 def test_commuting_detects_brackets():
-    a = groups.algebra("heisenberg", [0.0, 1.0, 0.0])
-    b = groups.algebra("heisenberg", [0.0, 0.0, 1.0])
-    c = groups.algebra("heisenberg", [1.0, 0.0, 0.0])
-    assert not groups.commuting([a, b])
-    assert groups.commuting([a, c])
-    assert groups.commuting([a])
+    a, b, c = [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]
+    assert not groups.commuting("heisenberg", [a, b])
+    assert groups.commuting("heisenberg", [a, c])
+    assert groups.commuting("heisenberg", [a])
+    assert groups.commuting("heisenberg", np.empty((0, 3)))
 
 
 def test_pairing_closed_forms():
-    w = groups.covector("heisenberg", [2.0, 3.0, 5.0])
-    z = groups.algebra("heisenberg", [0.5, -1.0, 2.0])
+    def pairing(family, w, z):
+        return groups.pairing_coords(family, _row(w), _row(z))
     # p*gamma - q*beta - M*alpha
-    assert abs(groups.pairing(w, z) - (3.0 * 2.0 - 5.0 * (-1.0) - 2.0 * 0.5)) \
-        < 1e-15
-    w = groups.covector("bargmann", [2.0, 3.0, 5.0, 7.0])
-    z = groups.algebra("bargmann", [0.5, -1.0, 2.0, 0.25])
-    assert abs(groups.pairing(w, z)
+    assert abs(pairing("heisenberg", [2.0, 3.0, 5.0], [0.5, -1.0, 2.0])
+               - (3.0 * 2.0 - 5.0 * (-1.0) - 2.0 * 0.5)) < 1e-15
+    assert abs(pairing("bargmann", [2.0, 3.0, 5.0, 7.0],
+                       [0.5, -1.0, 2.0, 0.25])
                - (3.0 * 2.0 - 5.0 * (-1.0) - 7.0 * 0.25 - 2.0 * 0.5)) < 1e-15
-    w = groups.covector("euclid", [1, 2, 3, 4, 5, 6])
-    z = groups.algebra("euclid", [6, 5, 4, 3, 2, 1])
-    assert abs(groups.pairing(w, z) - (6 + 10 + 12 + 12 + 10 + 6)) < 1e-12
+    assert abs(pairing("euclid", [1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1])
+               - (6 + 10 + 12 + 12 + 10 + 6)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # sampling helpers
 
+WIDTH = {"heisenberg": 3, "bargmann": 4, "euclid": 12, "su2": 4, "torus": 2}
+
+
 def test_random_elements_shapes_and_rotations():
     rng = np.random.default_rng(18)
     for family in ("heisenberg", "bargmann", "euclid", "su2", "torus"):
-        gs = groups.random_elements(family, rng, 300)
-        assert len(gs) == 300
+        gs = groups.random_elements(family, rng, 300, dim=2)
+        assert isinstance(gs, np.ndarray) and gs.dtype == float
+        assert gs.shape == (300, WIDTH[family])
         for g in gs:
-            assert g.family == family
             if family == "euclid":
-                A, _ = groups.euclid_parts(g.data)
+                A, _ = groups.euclid_parts(g)
                 assert np.abs(A @ A.T - np.eye(3)).max() < 1e-12
                 assert abs(np.linalg.det(A) - 1.0) < 1e-12
             if family == "su2":
-                assert abs(np.linalg.norm(g.data) - 1.0) < 1e-12
+                assert abs(np.linalg.norm(g) - 1.0) < 1e-12
 
 
 def _draw_one(family, rng, scale, dim):
     """One element the way a per-element loop draws it."""
     if family == "heisenberg":
-        return groups.heisenberg(*rng.uniform(-scale, scale, 3)).data
+        return rng.uniform(-scale, scale, 3)
     if family == "bargmann":
-        return groups.bargmann(*rng.uniform(-scale, scale, 4)).data
+        return rng.uniform(-scale, scale, 4)
     if family == "torus":
-        return groups.torus(rng.uniform(0, 2 * np.pi, dim)).data
+        return np.mod(rng.uniform(0, 2 * np.pi, dim), 2 * np.pi)
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
-    return groups.su2(*q).data
+    return groups.check_coords("su2", q)
 
 
 @pytest.mark.parametrize("family", ["heisenberg", "bargmann", "su2", "torus"])
 def test_random_elements_draw_what_a_per_element_loop_draws(family):
     # one stack per call consumes the stream as count single draws did
     for count, scale, dim in ((1, 3.0, 1), (9, 0.5, 3), (40, 3.0, 2)):
-        gs = groups.random_elements(family, np.random.default_rng(count),
-                                    count, scale=scale, dim=dim)
+        got = groups.random_elements(family, np.random.default_rng(count),
+                                     count, scale=scale, dim=dim)
         rng = np.random.default_rng(count)
         want = np.array([_draw_one(family, rng, scale, dim)
                          for _ in range(count)])
-        got = gs.data
         if family == "su2":
             assert np.abs(got - want).max() <= 1e-15
         else:
@@ -324,18 +347,32 @@ def test_random_elements_draw_what_a_per_element_loop_draws(family):
 
 
 def test_stack_checks_reject_one_bad_block():
-    X = groups.random_elements("euclid", np.random.default_rng(4), 50).data
-    groups.from_coords("euclid", X)
+    X = groups.random_elements("euclid", np.random.default_rng(4), 50)
+    groups.check_coords("euclid", X)
     A = groups.euclid_parts(X)[0]
     A[17, 0, 1] += 1e-6
     with pytest.raises(ValueError):
         groups._check_euclid_rotation(A)
     with pytest.raises(ValueError):
-        groups.from_coords("euclid", X)
-    Q = groups.random_elements("su2", np.random.default_rng(5), 50).data
+        groups.check_coords("euclid", X)
+    Q = groups.random_elements("su2", np.random.default_rng(5), 50)
     Q[31] *= 1.001
     with pytest.raises(ValueError):
-        groups.from_coords("su2", Q)
+        groups.check_coords("su2", Q)
+
+
+def test_check_coords_names_the_family_and_the_width():
+    with pytest.raises(groups.FamilyError, match="unknown family"):
+        groups.check_coords("lorentz", np.zeros(3))
+    for family, width in WIDTH.items():
+        if family != "torus":
+            with pytest.raises(groups.FamilyError, match="length %d" % width):
+                groups.check_coords(family, np.zeros((2, width + 1)))
+    # a torus has the dimension of its rows, and takes them as they come
+    X = np.array([[0.5, 7.0, -1.0]])
+    assert np.array_equal(groups.check_coords("torus", X), X)
+    rows = groups.check_coords("heisenberg", [[1, 2, 3]])
+    assert rows.dtype == float and rows.tolist() == [[1.0, 2.0, 3.0]]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -344,127 +381,93 @@ def test_nonfinite_elements_are_rejected(bad):
     A = np.eye(3)
     A[1, 2] = bad
     with pytest.raises(ValueError):
-        groups.euclid(A, [0.0, 0.0, 0.0])
+        _euclid(A, [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        groups.su2(bad, 0.0, 0.0, 0.0)
+        groups.check_coords("su2", [bad, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        groups.su2(1.0, bad, 0.0, 0.0)
+        groups.check_coords("su2", [1.0, bad, 0.0, 0.0])
     # one non-finite block or quaternion inside a stack of good ones
     gs = groups.random_elements("euclid", np.random.default_rng(6), 20)
-    groups.euclid_parts(gs.data)[0][11, 2, 0] = bad
+    groups.euclid_parts(gs)[0][11, 2, 0] = bad
     with pytest.raises(ValueError):
-        groups.from_coords("euclid", gs.data)
-    Q = groups.random_elements("su2", np.random.default_rng(7), 20).data
+        groups.check_coords("euclid", gs)
+    Q = groups.random_elements("su2", np.random.default_rng(7), 20)
     Q[13, 0] = bad
     with pytest.raises(ValueError):
-        groups.from_coords("su2", Q)
+        groups.check_coords("su2", Q)
 
 
 def test_reflections_are_rejected():
     flip = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError, match="determinant"):
-        groups.euclid(flip, [0.0, 0.0, 0.0])
+        _euclid(flip, [0.0, 0.0, 0.0])
     # an orthogonal block of determinant -1 inside a stack of rotations
-    X = groups.random_elements("euclid", np.random.default_rng(8), 30).data
+    X = groups.random_elements("euclid", np.random.default_rng(8), 30)
     A, c = groups.euclid_parts(X)
     A[19] = A[19] @ flip
     assert np.abs(A[19].T @ A[19] - np.eye(3)).max() < 1e-12
     with pytest.raises(ValueError, match="determinant"):
-        groups.from_coords("euclid", X)
+        groups.check_coords("euclid", X)
     with pytest.raises(ValueError, match="determinant"):
-        groups.from_coords("euclid", X.reshape(5, 6, 12))
+        groups.check_coords("euclid", X.reshape(5, 6, 12))
     with pytest.raises(ValueError, match="determinant"):
-        groups.euclid(A.reshape(5, 6, 3, 3), c.reshape(5, 6, 3))
-
-
-@pytest.mark.parametrize("family", groups.FAMILIES)
-def test_random_elements_are_one_indexable_stack(family):
-    gs = groups.random_elements(family, np.random.default_rng(6), 9, dim=2)
-    assert isinstance(gs, groups.GroupElement) and gs.family == family
-    assert len(gs) == 9
-    rows = gs.data
-    for i in range(9):
-        assert gs[i].family == family
-        assert np.array_equal(gs[i].data, rows[i])
-    assert [g.data.tolist() for g in gs] == rows.tolist()
-    idx = np.array([7, 0, 7])
-    assert np.array_equal(gs[idx].data, rows[idx])
-    assert np.array_equal(gs[2:8:3].data, rows[2:8:3])
-    one = gs[4]
-    with pytest.raises(TypeError):
-        len(one)
-    with pytest.raises(TypeError):
-        one[0]
-
-
-@pytest.mark.parametrize("family", groups.FAMILIES)
-@pytest.mark.parametrize("age", [0, groups.RENORM_EVERY - 1])
-def test_compose_on_stacks_composes_row_by_row(family, age):
-    # su2 rows are renormalized by their own norms, and at RENORM_EVERY
-    # every euclid rotation block is re-orthonormalized on its own
-    rng = np.random.default_rng(42)
-    G = groups.GroupElement(family, groups.random_elements(
-        family, rng, 6, dim=2).data, _age=age)
-    H = groups.GroupElement(family, groups.random_elements(
-        family, rng, 6, dim=2).data, _age=age)
-    zipped = groups.compose(G, H)
-    broadcast = groups.compose(G[0], H)
-    assert len(zipped) == len(broadcast) == 6
-    for i in range(6):
-        want = groups.compose(G[i], H[i]).data
-        assert np.abs(zipped[i].data - want).max() < 1e-12
-        want = groups.compose(G[0], H[i]).data
-        assert np.abs(broadcast[i].data - want).max() < 1e-12
-    if family == "su2":
-        norms = np.linalg.norm(zipped.data, axis=-1)
-        assert np.abs(norms - 1.0).max() < 1e-15
+        _euclid(A.reshape(5, 6, 3, 3), c.reshape(5, 6, 3))
 
 
 def test_euclid_rejects_non_rotation():
     with pytest.raises(ValueError):
-        groups.euclid(np.eye(3) * 2.0, np.zeros(3))
+        _euclid(np.eye(3) * 2.0, np.zeros(3))
     with pytest.raises(ValueError):
-        groups.su2(1.0, 1.0, 0.0, 0.0)
+        groups.check_coords("su2", [1.0, 1.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
-# the array law against the element law
+# the law on stacks against the law on single rows
 
 ALGEBRA_DIM = {"heisenberg": 3, "bargmann": 4, "euclid": 6, "su2": 3,
                "torus": 2}
 
 
 @pytest.mark.parametrize("family", sorted(ALGEBRA_DIM))
-def test_compose_coords_matches_element_compose(family):
+def test_compose_coords_on_stacks_composes_row_by_row(family):
+    # zipped rows, one row against a stack, and an (n, 1) x (1, m) table
     rng = np.random.default_rng(40)
-    gs = groups.random_elements(family, rng, 7, dim=2)
-    hs = groups.random_elements(family, rng, 5, dim=2)
-    X, Y = gs.data, hs.data
-    hs2 = hs[np.array([0, 1, 2, 3, 4, 0, 1])]
-    zipped = groups.compose_coords(family, X, hs2.data)
-    for i, (g, h) in enumerate(zip(gs, hs2)):
-        want = groups.compose(g, h).data
-        assert np.abs(zipped[i] - want).max() < 1e-12
+    X = groups.random_elements(family, rng, 7, dim=2)
+    Y = groups.random_elements(family, rng, 5, dim=2)
+    Y2 = Y[np.array([0, 1, 2, 3, 4, 0, 1])]
+    zipped = groups.compose_coords(family, X, Y2)
+    broadcast = groups.compose_coords(family, X[0], Y)
     table = groups.compose_coords(family, X[:, None], Y[None])
-    for i, g in enumerate(gs):
-        for j, h in enumerate(hs):
-            want = groups.compose(g, h).data
+    assert zipped.shape == (7, WIDTH[family])
+    assert broadcast.shape == (5, WIDTH[family])
+    assert table.shape == (7, 5, WIDTH[family])
+    for i in range(7):
+        want = groups.compose_coords(family, X[i], Y2[i])
+        assert np.abs(zipped[i] - want).max() < 1e-12
+        for j in range(5):
+            want = groups.compose_coords(family, X[i], Y[j])
             assert np.abs(table[i, j] - want).max() < 1e-12
+    for j in range(5):
+        want = groups.compose_coords(family, X[0], Y[j])
+        assert np.abs(broadcast[j] - want).max() < 1e-12
+    if family == "su2":
+        norms = np.linalg.norm(zipped, axis=-1)
+        assert np.abs(norms - 1.0).max() < 1e-15
 
 
 @pytest.mark.parametrize("family", sorted(ALGEBRA_DIM))
-def test_inverse_and_exp_coords_match_element_law(family):
+def test_inverse_and_exp_coords_on_stacks_match_row_calls(family):
     rng = np.random.default_rng(41)
     gs = groups.random_elements(family, rng, 6, dim=2)
-    inv = groups.inverse_coords(family, gs.data)
+    inv = groups.inverse_coords(family, gs)
     C = rng.uniform(-3, 3, (6, ALGEBRA_DIM[family]))
     C[0] = 0.0
     ex = groups.exp_coords(family, C)
     # the same stacks with two leading axes
     ex2 = groups.exp_coords(family, C.reshape(3, 2, -1))
     for i, g in enumerate(gs):
-        assert np.abs(inv[i] - groups.inverse(g).data).max() < 1e-12
-        want = groups.exp(groups.algebra(family, C[i])).data
+        assert np.abs(inv[i] - groups.inverse_coords(family, g)).max() < 1e-12
+        want = groups.exp_coords(family, C[i])
         assert np.abs(ex[i] - want).max() < 1e-12
         assert np.abs(ex2[divmod(i, 2)] - want).max() < 1e-12
 
@@ -521,26 +524,22 @@ def test_euclid_coords_and_parts_round_trip():
         for j in range(4):
             assert np.array_equal(A3[i, j], A[i])
             assert np.array_equal(c3[i, j], d[j])
-    assert np.array_equal(groups.euclid(A[:, None], d[None]).data, Y)
-
-
-WIDTH = {"heisenberg": 3, "bargmann": 4, "euclid": 12, "su2": 4, "torus": 2}
+    assert np.array_equal(_euclid(A[:, None], d[None]), Y)
 
 
 @pytest.mark.parametrize("family", groups.FAMILIES)
 def test_every_element_and_stack_is_one_array(family):
     gs = groups.random_elements(family, np.random.default_rng(45), 4, dim=2)
-    one = groups.identity(family, dim=2)
-    made = [gs, gs[1], one, groups.compose(gs, gs), groups.inverse(gs),
-            groups.compose(one, gs[2]),
-            groups.exp(groups.algebra(family, np.ones(ALGEBRA_DIM[family])))]
+    one = groups.exp_coords(family, np.zeros(ALGEBRA_DIM[family]))
+    made = [gs, gs[1], one, groups.compose_coords(family, gs, gs),
+            groups.inverse_coords(family, gs),
+            groups.compose_coords(family, one, gs[2]),
+            groups.exp_coords(family, np.ones(ALGEBRA_DIM[family]))]
     for g in made:
-        assert isinstance(g.data, np.ndarray) and g.data.dtype == float
-        assert g.data.shape[-1] == WIDTH[family]
-    assert gs.data.shape == (4, WIDTH[family])
-    assert one.data.shape == gs[1].data.shape == (WIDTH[family],)
-    with pytest.raises(TypeError):
-        len(one)
+        assert isinstance(g, np.ndarray) and g.dtype == float
+        assert g.shape[-1] == WIDTH[family]
+    assert gs.shape == (4, WIDTH[family])
+    assert one.shape == gs[1].shape == (WIDTH[family],)
 
 
 def _layout_reads(tree):
@@ -569,4 +568,19 @@ def test_only_groups_knows_the_euclid_layout():
     assert _layout_reads(ast.parse((src / "groups.py").read_text()))
     found = {path.name: _layout_reads(ast.parse(path.read_text()))
              for path in sorted(src.glob("*.py")) if path.name != "groups.py"}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
+def test_src_speaks_coordinates_only():
+    # group, algebra and dual elements are coordinate arrays: groups defines
+    # no wrapper around them, and no module unwraps one
+    assert not any(hasattr(groups, name) for name in (
+        "GroupElement", "AlgebraElement", "CoadjointVector", "algebra",
+        "covector", "identity", "exp", "inverse", "pairing", "adjoint",
+        "bracket", "coadjoint", "from_coords"))
+    src = Path(groups.__file__).parent
+    found = {path.name: sorted({node.attr for node in ast.walk(ast.parse(
+        path.read_text())) if isinstance(node, ast.Attribute)
+        and node.attr in ("data", "coords")})
+        for path in sorted(src.glob("*.py"))}
     assert {name: f for name, f in found.items() if f} == {}

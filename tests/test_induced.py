@@ -18,7 +18,7 @@ def _sections_equal(f, g, tol=1e-12):
 
 
 def _rand_heis(rng, n=1):
-    return [groups.heisenberg(*u) for u in rng.uniform(-2, 2, (n, 3))]
+    return list(rng.uniform(-2, 2, (n, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +36,7 @@ def test_action_preserves_norm(row, t):
     f = induced.SectionVector(support, vals)
     act = induced.HeisenbergRow(row, t=t)
     for g in _rand_heis(rng, 10):
-        assert abs(act.apply(g.data, f).norm() - f.norm()) < 1e-12
+        assert abs(act.apply(g, f).norm() - f.norm()) < 1e-12
 
 
 @pytest.mark.parametrize("row,t", [("a", 0.0), ("b", 0.0), ("c", 0.7),
@@ -52,15 +52,15 @@ def test_action_is_a_homomorphism(row, t):
     act = induced.HeisenbergRow(row, t=t)
     for _ in range(10):
         g, h = _rand_heis(rng, 2)
-        two_step = act.apply(g.data, act.apply(h.data, f))
-        one_step = act.apply(groups.compose(g, h).data, f)
+        two_step = act.apply(g, act.apply(h, f))
+        one_step = act.apply(groups.compose_coords("heisenberg", g, h), f)
         assert _sections_equal(two_step, one_step, tol=1e-10)
 
 
 def test_delta_cyclic_vectors_reproduce_the_localized_states():
     rng = np.random.default_rng(3)
-    gs = _rand_heis(rng, 60) + [groups.heisenberg(0.3, 0.0, -1.2),
-                                groups.heisenberg(0.3, 1.1, 0.0)]
+    gs = _rand_heis(rng, 60) + [np.array([0.3, 0.0, -1.2]),
+                                np.array([0.3, 1.1, 0.0])]
     cases = [
         ("a", 0.0, induced.delta_section([1.3]),
          states.make_state("heisenberg_loc_p", k=1.3)),
@@ -79,8 +79,8 @@ def test_delta_cyclic_vectors_reproduce_the_localized_states():
     for row, t, f, st in cases:
         act = induced.HeisenbergRow(row, t=t)
         for g in gs:
-            got = induced.matrix_coefficient(act, f, g.data)
-            assert abs(got - states.evaluate(st, g)) < 1e-12, (row, g.data)
+            got = induced.matrix_coefficient(act, f, g)
+            assert abs(got - states.evaluate(st, g)) < 1e-12, (row, g)
 
 
 def test_plane_delta_away_from_origin_still_gives_center():
@@ -88,15 +88,15 @@ def test_plane_delta_away_from_origin_still_gives_center():
     f = induced.delta_section([[1.7, -2.4]])
     st = states.make_state("heisenberg_center")
     rng = np.random.default_rng(4)
-    for g in _rand_heis(rng, 30) + [groups.heisenberg(0.5, 0, 0)]:
-        assert abs(induced.matrix_coefficient(act, f, g.data)
+    for g in _rand_heis(rng, 30) + [np.array([0.5, 0, 0])]:
+        assert abs(induced.matrix_coefficient(act, f, g)
                    - states.evaluate(st, g)) < 1e-12
 
 
 def test_inner_pairs_translated_points_on_one_key():
     f = induced.SectionVector([0.3, 1.0], [0.6, 0.8])
     act = induced.HeisenbergRow("a")
-    out = act.apply(groups.heisenberg(0.0, 0.7, 0.0).data, f)   # 0.3 -> 1
+    out = act.apply(np.array([0.0, 0.7, 0.0]), f)   # 0.3 -> 1
     assert abs(induced.inner(f, out) - 0.48) < 1e-15
 
 
@@ -131,7 +131,7 @@ def test_stacked_heisenberg_coefficients_equal_per_element(act, f):
 
 def test_stacked_euclid_coefficients_equal_per_element():
     rng = np.random.default_rng(11)
-    G = groups.random_elements("euclid", rng, 6).data
+    G = groups.random_elements("euclid", rng, 6)
     act = induced.EuclidAction(2.0)
     for f, tol in [(induced.delta_section(np.array([[0.0, 0.0, 1.0]])), 1e-14),
                    (induced.constant_section(8, 16), 0.0)]:
@@ -165,7 +165,7 @@ def test_quadrature_coefficient_matches_spherical_state():
     st = states.make_state("euclid_spherical", k=k)
     rng = np.random.default_rng(5)
     for g in groups.random_elements("euclid", rng, 25):
-        got = induced.matrix_coefficient(act, f, g.data)
+        got = induced.matrix_coefficient(act, f, g)
         assert abs(got - states.evaluate(st, g)) < 1e-8
 
 
@@ -179,9 +179,9 @@ def test_counting_delta_on_pole_gives_plane_wave_state():
     th = 0.77
     Rz = np.array([[np.cos(th), -np.sin(th), 0], [np.sin(th), np.cos(th), 0],
                    [0, 0, 1.0]])
-    gs.append(groups.euclid(Rz, np.array([0.4, -0.2, 1.5])))
+    gs.append(groups.euclid_coords(Rz, np.array([0.4, -0.2, 1.5])))
     for g in gs:
-        got = induced.matrix_coefficient(act, f, g.data)
+        got = induced.matrix_coefficient(act, f, g)
         assert abs(got - states.evaluate(st, g)) < 1e-12
 
 
@@ -189,14 +189,14 @@ def test_counting_mode_requires_unit_support():
     act = induced.EuclidAction(1.0)
     f = induced.delta_section(np.array([[0.0, 0.0, 2.0]]))
     with pytest.raises(ValueError):
-        act.apply(groups.identity("euclid").data, f)
+        act.apply(groups.exp_coords("euclid", np.zeros(6)), f)
 
 
 def test_matrix_coefficient_requires_unit_norm():
     act = induced.HeisenbergRow("a")
     f = induced.SectionVector([0.0], [2.0])
     with pytest.raises(ValueError):
-        induced.matrix_coefficient(act, f, groups.heisenberg(0, 0, 0).data)
+        induced.matrix_coefficient(act, f, np.zeros(3))
 
 
 def test_inner_mode_mismatch():

@@ -6,10 +6,6 @@ from orbitstates import groups, orbits, states
 from orbitstates.tolerances import DEFAULT
 
 
-def _alg(family, coords):
-    return groups.algebra(family, coords)
-
-
 # ---------------------------------------------------------------------------
 # moment maps
 
@@ -53,20 +49,20 @@ def _phase_points(family, rng, n):
     return rng.uniform(-3, 3, (n, 3 if family == "su2" else 2))
 
 
-def _moved(gs, X):
+def _moved(family, gs, X):
     """g_i . x_i for a stack of elements gs and phase-space points X."""
-    if gs.family in ("heisenberg", "bargmann"):
-        b, c, p, q = gs.data[:, 1], gs.data[:, 2], X[:, 0], X[:, 1]
-        if gs.family == "bargmann":
-            e = gs.data[:, 3]
+    if family in ("heisenberg", "bargmann"):
+        b, c, p, q = gs[:, 1], gs[:, 2], X[:, 0], X[:, 1]
+        if family == "bargmann":
+            e = gs[:, 3]
             return np.column_stack([p + b, q + c - b * e - p * e])
         return np.column_stack([p + b, q + c])
-    if gs.family == "euclid":
-        A, c = groups.euclid_parts(gs.data)
+    if family == "euclid":
+        A, c = groups.euclid_parts(gs)
         r, u = X
         return (np.einsum("nij,nj->ni", A, r) + c,
                 np.einsum("nij,nj->ni", A, u))
-    return np.array([oracles.su2_rotation(g) @ x for g, x in zip(gs.data, X)])
+    return np.array([oracles.su2_rotation(g) @ x for g, x in zip(gs, X)])
 
 
 @pytest.mark.parametrize("spec", [
@@ -74,14 +70,13 @@ def _moved(gs, X):
     orbits.euclid_orbit(2.0, 0.7), orbits.su2_orbit(1.5)],
     ids=lambda spec: spec.family)
 def test_moment_is_equivariant(spec):
-    # coadjoint(g, moment(x)) == moment(g . x), through OrbitSpec.moment
+    # Ad*(g) moment(x) == moment(g . x), through OrbitSpec.moment
     rng = np.random.default_rng(2)
     f = spec.family
     gs = groups.random_elements(f, rng, 20)
     X = _phase_points(f, rng, 20)
-    left = [groups.coadjoint(g, groups.covector(f, w)).coords
-            for g, w in zip(gs, spec.moment(X))]
-    assert np.allclose(left, spec.moment(_moved(gs, X)), atol=1e-9)
+    left = groups.coadjoint_coords(f, gs, spec.moment(X))
+    assert np.allclose(left, spec.moment(_moved(f, gs, X)), atol=1e-9)
 
 
 @pytest.mark.parametrize("spec", [
@@ -166,7 +161,7 @@ def test_sampled_points_satisfy_orbit_relations():
 
 def test_single_element_sup_is_modulus():
     spec = orbits.heisenberg_orbit()
-    est = orbits.orbit_sup(spec, [_alg("heisenberg", [0.3, 1.0, 2.0])],
+    est = orbits.orbit_sup(spec, [[0.3, 1.0, 2.0]],
                            [0.7 + 0.0j])
     assert float(est) == 0.7
 
@@ -175,20 +170,20 @@ def test_euclid_antipodal_translations_reach_two():
     # Z1 = 0, Z2 = gamma e3 with k|gamma| >= pi: phases cover a half turn,
     # so sup |1 - e^{i k gamma u3}| = 2
     spec = orbits.euclid_orbit(2.0)
-    Zs = [_alg("euclid", np.zeros(6)), _alg("euclid", [0, 0, 0, 0, 0, 1.6])]
+    Zs = [np.zeros(6), [0, 0, 0, 0, 0, 1.6]]
     est = orbits.orbit_sup(spec, Zs, [1.0, -1.0], budget=20000)
     assert abs(float(est) - 2.0) < 1e-6
 
 
 def test_su2_single_direction_sup_is_one():
     spec = orbits.su2_orbit(1.0)
-    est = orbits.orbit_sup(spec, [_alg("su2", [0.0, 0.0, 2.0])], [1.0])
+    est = orbits.orbit_sup(spec, [[0.0, 0.0, 2.0]], [1.0])
     assert abs(float(est) - 1.0) < 1e-12
 
 
 def test_pure_center_tuple_is_exact():
     spec = orbits.heisenberg_orbit()
-    Zs = [_alg("heisenberg", [0.4, 0, 0]), _alg("heisenberg", [-1.1, 0, 0])]
+    Zs = [[0.4, 0, 0], [-1.1, 0, 0]]
     cs = [0.6 + 0.2j, -0.3 + 0.8j]
     est = orbits.orbit_sup(spec, Zs, cs)
     want = abs(cs[0] * np.exp(-0.4j) + cs[1] * np.exp(1.1j))
@@ -197,7 +192,7 @@ def test_pure_center_tuple_is_exact():
 
 def test_torus_sup_is_the_point_value():
     spec = orbits.torus_orbit([2.0])
-    Zs = [_alg("torus", [1.0]), _alg("torus", [0.5])]
+    Zs = [[1.0], [0.5]]
     cs = [1.0, 1.0j]
     est = orbits.orbit_sup(spec, Zs, cs)
     want = abs(np.exp(2.0j) + 1.0j * np.exp(1.0j))
@@ -209,7 +204,7 @@ def _mc_sup(spec, Zs, cs, n, seed):
     rng = np.random.default_rng(seed)
     pts = spec.sample(rng, n)
     fam = spec.family
-    C = np.stack([Z.coords for Z in Zs])
+    C = np.asarray(Zs, dtype=float)
     if fam == "heisenberg":
         ph = np.outer(pts[:, 1], C[:, 2]) - np.outer(pts[:, 2], C[:, 1]) \
             - np.outer(pts[:, 0], C[:, 0])
@@ -229,19 +224,17 @@ def test_sup_dominates_dense_sampling_oracle():
     for _ in range(6):
         th = rng.uniform(0, np.pi)
         d = np.array([np.cos(th), np.sin(th)])
-        Zs = [_alg("heisenberg",
-                   [rng.uniform(-np.pi, np.pi)] + list(rng.uniform(-2, 2) * d))
+        Zs = [[rng.uniform(-np.pi, np.pi)] + list(rng.uniform(-2, 2) * d)
               for _ in range(3)]
         cases.append((orbits.heisenberg_orbit(), Zs))
     for _ in range(6):
-        Zs = [_alg("euclid", np.concatenate([np.zeros(3),
-                                             rng.uniform(-2, 2, 3)]))
+        Zs = [np.concatenate([np.zeros(3), rng.uniform(-2, 2, 3)])
               for _ in range(3)]
         cases.append((orbits.euclid_orbit(2.0), Zs))
     for _ in range(4):
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
-        Zs = [_alg("su2", rng.uniform(-3, 3) * v) for _ in range(3)]
+        Zs = [rng.uniform(-3, 3) * v for _ in range(3)]
         cases.append((orbits.su2_orbit(1.3), Zs))
     for spec, Zs in cases:
         cs = rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
@@ -256,7 +249,7 @@ def test_sup_dominates_dense_sampling_oracle():
 
 def test_sup_rejects_non_commuting_tuple():
     spec = orbits.su2_orbit(1.0)
-    Zs = [_alg("su2", [1.0, 0, 0]), _alg("su2", [0, 1.0, 0])]
+    Zs = [[1.0, 0, 0], [0, 1.0, 0]]
     with pytest.raises(ValueError):
         orbits.orbit_sup(spec, Zs, [1.0, 1.0])
 
@@ -269,25 +262,25 @@ def _line_direction(rng):
 # one random commuting tuple per chart of the sup search
 EARLY_EXIT_CHARTS = {
     "euclid-sphere": lambda rng: (orbits.euclid_orbit(2.0), [
-        _alg("euclid", np.concatenate([np.zeros(3), rng.uniform(-2, 2, 3)]))
+        np.concatenate([np.zeros(3), rng.uniform(-2, 2, 3)])
         for _ in range(3)]),
     "euclid-strip": lambda rng: (orbits.euclid_orbit(2.0, 1.0), [
-        _alg("euclid", np.concatenate([s * n, t * n]))
+        np.concatenate([s * n, t * n])
         for n in [_line_direction(rng)]
         for s, t in rng.uniform(-3, 3, (3, 2))]),
     "heisenberg-line": lambda rng: (orbits.heisenberg_orbit(1.3, 0.0), [
-        _alg("heisenberg", [a, m * np.cos(th), m * np.sin(th)])
+        [a, m * np.cos(th), m * np.sin(th)]
         for th in [rng.uniform(0, np.pi)]
         for a, m in rng.uniform(-3, 3, (3, 2))]),
     "bargmann-ideal": lambda rng: (orbits.bargmann_orbit(), [
-        _alg("bargmann", [a, 0.0, g, e])
+        [a, 0.0, g, e]
         for a, g, e in rng.uniform(-2, 2, (3, 3))]),
     "bargmann-boost": lambda rng: (orbits.bargmann_orbit(), [
-        _alg("bargmann", [a, m, m * gh, m * eh])
+        [a, m, m * gh, m * eh]
         for gh, eh in [rng.uniform(-2, 2, 2)]
         for a, m in rng.uniform(-3, 3, (3, 2))]),
     "su2-interval": lambda rng: (orbits.su2_orbit(1.5), [
-        _alg("su2", t * v) for v in [_line_direction(rng)]
+        t * v for v in [_line_direction(rng)]
         for t in rng.uniform(-4, 4, 3)]),
 }
 
@@ -318,7 +311,7 @@ def test_sup_budget_caps_only_the_refinement():
     # the first partition is always evaluated; a budget of 0, or a
     # negative one, refines nothing
     spec = orbits.euclid_orbit(2.0)
-    Zs = [_alg("euclid", np.zeros(6)), _alg("euclid", [0, 0, 0, 0, 0, 1.6])]
+    Zs = [np.zeros(6), [0, 0, 0, 0, 0, 1.6]]
     ests = [orbits.orbit_sup(spec, Zs, [1.0, -1.0], budget=b)
             for b in (-5, 0, 1)]
     assert all(e == ests[0] for e in ests)
@@ -351,7 +344,7 @@ def test_line_box_settles_a_target_it_cannot_reach_without_certifying():
     # lie below the target, so stage 3 settles the row, and its upper
     # bound stays the class bound, which does not refute the target
     spec = orbits.heisenberg_orbit()
-    Zs = [_alg("heisenberg", [0.0, 0.0, g]) for g in (0.0, 1e-3, 2.3e-3)]
+    Zs = [[0.0, 0.0, g] for g in (0.0, 1e-3, 2.3e-3)]
     est = orbits.orbit_sup(spec, Zs, [0.5, 0.5, -1.0], budget=8000,
                            target=1.5)
     assert (est.stage, est.drawn) == (3, 0)
@@ -632,7 +625,7 @@ def test_stacked_search_gives_each_row_its_own_search(family):
     stacked = _search_stack(spec, C, cs, n, target)
     for t, row in enumerate(stacked):
         est = orbits.orbit_sup(
-            spec, [_alg(family, z) for z in C[t, :n[t]]], cs[t, :n[t]],
+            spec, C[t, :n[t]], cs[t, :n[t]],
             budget=700, target=target[t])
         assert row == (est.value.hex(), est.upper.hex(), est.samples,
                        est.stage, est.drawn), t
@@ -683,7 +676,7 @@ def test_quantum_check_passes_for_localized_states(kind, params, spec):
 def test_quantum_check_torus_character():
     st = states.make_state(
         "custom", family="torus",
-        evaluator=lambda g: np.exp(2j * g.data[0]))
+        evaluator=lambda g: np.exp(2j * g[0]))
     rep = orbits.quantum_check(st, orbits.torus_orbit([2.0]), trials=100,
                                n_max=3, budget=100, seed=4)
     assert rep["pass"]
@@ -698,7 +691,30 @@ def test_relation_residuals_vanish_on_orbit_samples():
         assert res.shape == (200,) and res.max() <= 1e-10
     off = orbits.relation_residuals(orbits.euclid_orbit(1.0),
                                     np.array([[0, 0, 1.0, 0, 0, 2.0]]))
-    assert off.tolist() == [2.0]      # |P| - k = 1, L.P - k s = 2
+    # |P| - k = 1 relative to max(1, k) = 1, and L.P - k s = 2 relative to
+    # max(1, |L| |P|) = 2
+    assert off.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("k", [300.0, 2.9e5])
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_euclid_relations_hold_on_samples_of_large_orbits(k, s):
+    # L = k r x u + s u reaches |L| = k box_radius, so L.P cancels terms of
+    # size k^2 box_radius: the defects are read relative to them
+    spec = orbits.euclid_orbit(k, s)
+    pts = spec.sample(np.random.default_rng(1), 1000)
+    assert np.max(orbits.relation_residuals(spec, pts)) <= DEFAULT.relation
+
+
+@pytest.mark.parametrize("k", [1.0, 300.0, 2.9e5])
+def test_euclid_relations_still_reject_a_stretched_momentum(k):
+    # |P| = k (1 + 1e-6) with L.P = k s exact still fails the gate
+    spec = orbits.euclid_orbit(k, 1.0)
+    P = np.array([0.0, 0.0, k * (1 + 1e-6)])
+    L = np.array([3.0, -2.0, k / P[2]])
+    res = orbits.relation_residuals(spec, np.concatenate([L, P])[None])
+    assert np.sum(L * P) == k * 1.0
+    assert res[0] > DEFAULT.relation
 
 
 def test_off_orbit_anchor_certifies_nothing():
@@ -812,7 +828,7 @@ def test_whitelisted_draws_commute_and_pad_with_zeros(spec):
     assert C.shape == (orbits.BLOCK, 4, spec.dim)
     assert set(n) == {1, 2, 3, 4}
     for t in range(orbits.BLOCK):
-        assert groups.commuting([_alg(spec.family, z) for z in C[t, :n[t]]])
+        assert groups.commuting(spec.family, C[t, :n[t]])
     pad = np.arange(4) >= n[:, None]
     assert not np.any(C[pad]) and not np.any(cs[pad])
     assert np.all(cs[~pad] != 0)
@@ -834,7 +850,7 @@ def test_conjugate_tuples_have_meeting_sup_brackets(spec):
     C, cs, n = (a[:rows] for a in orbits._block_tuples(spec, 3, 0, 1))
     gs = groups.random_elements(spec.family, np.random.default_rng(0), rows,
                                 dim=spec.dim)
-    D = groups.adjoint_coords(spec.family, gs.data[:, None], C)
+    D = groups.adjoint_coords(spec.family, gs[:, None], C)
     a, b = (orbits._sup_rows(spec, X, cs, n, np.zeros((0, spec.dim)), np.inf,
                              2000, DEFAULT.box_radius) for X in (C, D))
     slack = orbits.ROUNDING * np.sum(np.abs(cs), axis=1)
@@ -895,8 +911,7 @@ def test_rows_settled_together_equal_rows_settled_alone(kind, params, spec):
     # each trial of a block, run through orbit_sup as a stack of one with
     # its own left side, stops at the same stage with the same margin
     st = states.make_state(kind, **params)
-    anchors = [groups.covector(spec.family, w)
-               for w in orbits._state_anchors(st, spec)]
+    anchors = orbits._state_anchors(st, spec)
     eps = 1e-6
     for seed in (0, 5, 11):
         C, cs, n, lhs, est = orbits._trials(st, spec, 3, 2000, seed, 0, 64)
@@ -904,7 +919,7 @@ def test_rows_settled_together_equal_rows_settled_alone(kind, params, spec):
             c = cs[t, :n[t]]
             alone_lhs = orbits._left_sides(st, C[t:t + 1, :n[t]], c[None])[0]
             alone = orbits.orbit_sup(
-                spec, [_alg(spec.family, z) for z in C[t, :n[t]]], c,
+                spec, C[t, :n[t]], c,
                 budget=2000, anchors=anchors, target=alone_lhs)
             margin = est.value[t] - lhs[t]
             assert alone.stage == est.stage[t], (seed, t)
@@ -927,7 +942,7 @@ def test_certified_failures_fail_the_full_search(kind, params, spec):
     assert certified and rep["certified_failures"] == len(certified)
     for f in certified:
         full = orbits.orbit_sup(
-            spec, [_alg(spec.family, z) for z in f["Zs"]],
+            spec, f["Zs"],
             [complex(a, b) for a, b in f["cs"]], budget=100000)
         assert full.drawn <= (0 if full.stage == 1 else 100000)
         assert full.value < f["lhs"] - eps, f["trial"]
@@ -989,7 +1004,7 @@ def test_two_class_line_rows_reach_their_sup_at_stage_2(Zs, cs):
     # two (gamma, eps) classes: the sup over the line is |c_1| + |c_2|
     exact = abs(cs[0]) + abs(cs[1])
     est = orbits.orbit_sup(orbits.heisenberg_orbit(),
-                           [_alg("heisenberg", z) for z in Zs], cs,
+                           Zs, cs,
                            target=exact - 1e-12)
     assert est.stage == 2
     assert abs(est.value - exact) <= 1e-12
@@ -1019,14 +1034,13 @@ def test_anchor_and_class_sums_meet_a_localized_left_side(kind, params, spec):
     # sum is): stages 1-2 must meet the left side to the last bit, with
     # terms enough that summing in another order rounds differently
     st = states.make_state(kind, **params)
-    anchors = [groups.covector(spec.family, w)
-               for w in orbits._state_anchors(st, spec)]
+    anchors = orbits._state_anchors(st, spec)
     rng = np.random.default_rng(31)
     for _ in range(200):
         C = _axis_line_tuple(spec.family, rng, 8)
         cs = rng.uniform(0, 1, 8) * np.exp(2j * np.pi * rng.uniform(0, 1, 8))
         lhs = orbits._left_sides(st, C[None], cs[None])[0]
-        est = orbits.orbit_sup(spec, [_alg(spec.family, z) for z in C], cs,
+        est = orbits.orbit_sup(spec, C, cs,
                                anchors=anchors, target=lhs)
         assert est.stage <= 2 and est.value >= lhs
 
@@ -1034,7 +1048,7 @@ def test_anchor_and_class_sums_meet_a_localized_left_side(kind, params, spec):
 def test_quantum_check_two_dimensional_torus_character():
     def character(y):
         return states.make_state("custom", family="torus",
-                                 evaluator=lambda g: np.exp(1j * (y @ g.data)))
+                                 evaluator=lambda g: np.exp(1j * (y @ g)))
 
     spec = orbits.torus_orbit([1.0, 2.0])
     good = orbits.quantum_check(character(np.array([1.0, 2.0])), spec,

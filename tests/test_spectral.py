@@ -24,18 +24,18 @@ FLOW_CASES = [
 @pytest.mark.parametrize("kind,params,zc", FLOW_CASES)
 def test_flow_values_match_pointwise_evaluation(kind, params, zc):
     st = states.make_state(kind, **params)
-    Z = groups.algebra(*zc)
+    Z = np.array(zc[1])
     ts = np.linspace(-2.0, 2.0, 41)
     fast = spectral.flow_values(st, Z, ts)
-    slow = np.array([states.evaluate(st, groups.exp(
-        groups.algebra(zc[0], t * np.asarray(zc[1])))) for t in ts])
+    slow = np.array([states.evaluate(st, groups.exp_coords(
+        zc[0], t * np.asarray(zc[1]))) for t in ts])
     assert np.max(np.abs(fast - slow)) < 1e-10
 
 
 def test_flow_values_custom_state_route():
     st = states.make_state("custom", family="torus",
-                           evaluator=lambda g: np.exp(1j * g.data[0]))
-    Z = groups.algebra("torus", [1.0])
+                           evaluator=lambda g: np.exp(1j * g[0]))
+    Z = np.array([1.0])
     ts = np.array([0.0, 0.5, 2.0])
     assert np.allclose(spectral.flow_values(st, Z, ts), np.exp(1j * ts),
                        atol=1e-14)
@@ -46,7 +46,7 @@ def test_flow_values_custom_state_route():
 
 def test_pure_character_gives_unit_atom():
     st = states.make_state("heisenberg_loc_p", k=1.3)
-    Z = groups.algebra("heisenberg", [0, 0, 1.0])
+    Z = np.array([0, 0, 1.0])
     a = spectral.bohr_atom(st, Z, 1.3, T=200 * np.pi)
     assert abs(a.mass - 1.0) < 1e-12
     off = spectral.bohr_atom(st, Z, 0.55, T=400.0)
@@ -56,7 +56,7 @@ def test_pure_character_gives_unit_atom():
 @pytest.mark.parametrize("kind,params,zc", FLOW_CASES)
 def test_bohr_atoms_equal_per_frequency_bohr_atom(kind, params, zc):
     st = states.make_state(kind, **params)
-    Z = groups.algebra(*zc)
+    Z = np.array(zc[1])
     omegas = [-1.7, -0.5, 0.0, 0.3, 2.25]
     T = 40.0 * np.pi
     atoms = spectral.bohr_atoms(st, Z, omegas, T, N=2 ** 12)
@@ -66,9 +66,9 @@ def test_bohr_atoms_equal_per_frequency_bohr_atom(kind, params, zc):
 
 def test_atom_scan_recovers_two_frequencies():
     st = states.make_state("custom", family="torus",
-                           evaluator=lambda g: 0.25 * np.exp(2j * g.data[0])
-                           + 0.75 * np.exp(-1j * g.data[0]))
-    Z = groups.algebra("torus", [1.0])
+                           evaluator=lambda g: 0.25 * np.exp(2j * g[0])
+                           + 0.75 * np.exp(-1j * g[0]))
+    Z = np.array([1.0])
     T = 64 * np.pi
     y = spectral.flow_values(st, Z, spectral._midpoints(T, 2 ** 14))
     atoms, resid, _ = spectral.atom_scan(y, T)
@@ -88,7 +88,7 @@ def test_su2_atoms_follow_the_eigenvector_law():
         v *= rng.uniform(0.5, 2.0) / np.linalg.norm(v)
         th = float(np.linalg.norm(v))
         st = states.make_state("su2_highest_weight", j=two_j / 2)
-        Z = groups.algebra("su2", v)
+        Z = v
         T = 2 * np.pi * 64 / th  # whole number of base periods: exact means
         want = {round(2 * m) / 2: w
                 for m, w in oracles.spin_masses(two_j, v / th).items()}
@@ -114,7 +114,7 @@ def _spin_scan(periods):
     th = float(np.linalg.norm(v))
     st = states.make_state("su2_highest_weight", j=4.0)
     T = 2 * np.pi * periods / th
-    y = spectral.flow_values(st, groups.algebra("su2", v),
+    y = spectral.flow_values(st, v,
                              spectral._midpoints(T, 2 ** 14))
     atoms, _, _ = spectral.atom_scan(y, T)
     want = {round(m): w for m, w in oracles.spin_masses(8, v / th).items()}
@@ -152,9 +152,9 @@ def test_off_lattice_character_gives_one_exact_atom(seed):
     alpha, beta = np.random.default_rng(seed).uniform(0.5, 2.0, 2)
     for st, Z, omega in [
             (states.make_state("heisenberg_loc_p", k=1.3),
-             groups.algebra("heisenberg", [alpha, 0, 0]), -alpha),
+             np.array([alpha, 0, 0]), -alpha),
             (states.make_state("bargmann_loc_q", l=0.8),
-             groups.algebra("bargmann", [0, beta, 0, 0]), -0.8 * beta)]:
+             np.array([0, beta, 0, 0]), -0.8 * beta)]:
         est = spectral.density_estimate(st, Z)
         assert len(est.atoms) == 1
         (om, mass), = est.atoms
@@ -163,7 +163,7 @@ def test_off_lattice_character_gives_one_exact_atom(seed):
 
 def test_atom_at_reads_the_estimate_samples():
     st = states.make_state("su2_highest_weight", j=1.5)
-    Z = groups.algebra("su2", [0.4, -1.0, 0.6])
+    Z = np.array([0.4, -1.0, 0.6])
     est = spectral.density_estimate(st, Z, T=40.0 * np.pi, N=2 ** 12)
     for om in (-0.5, 0.3):
         assert est.atom_at(om) == spectral.bohr_atom(st, Z, om, T=est.T,
@@ -175,7 +175,7 @@ def test_atom_at_reads_the_estimate_samples():
 
 def test_position_localized_state_along_gamma_is_atomic():
     st = states.make_state("heisenberg_loc_p", k=1.3)
-    Z = groups.algebra("heisenberg", [0, 0, 1.0])
+    Z = np.array([0, 0, 1.0])
     est = spectral.density_estimate(st, Z)
     assert est.classification == "atomic"
     assert len(est.atoms) == 1
@@ -186,7 +186,7 @@ def test_position_localized_state_along_gamma_is_atomic():
 
 def test_position_localized_state_along_beta_is_haar():
     st = states.make_state("heisenberg_loc_p", k=1.3)
-    Z = groups.algebra("heisenberg", [0, 1.0, 0])
+    Z = np.array([0, 1.0, 0])
     est = spectral.density_estimate(st, Z)
     assert est.classification == "haar_on_bohr"
     assert est.atoms == [] and est.density is None
@@ -195,7 +195,7 @@ def test_position_localized_state_along_beta_is_haar():
 def test_momentum_localized_state_atom_sign_convention():
     # the pairing puts position l at frequency -l along the boost direction
     st = states.make_state("bargmann_loc_q", l=0.8)
-    Z = groups.algebra("bargmann", [0, 1.0, 0, 0])
+    Z = np.array([0, 1.0, 0, 0])
     est = spectral.density_estimate(st, Z)
     assert est.classification == "atomic"
     om, mass = est.atoms[0]
@@ -205,11 +205,11 @@ def test_momentum_localized_state_atom_sign_convention():
 def test_momentum_localized_state_spreads_under_the_flow():
     st = states.make_state("bargmann_loc_q", l=0.8)
     for t in (0.4, -1.3):
-        Z = groups.algebra("bargmann", [0, 1.0, -t, 0])
+        Z = np.array([0, 1.0, -t, 0])
         est = spectral.density_estimate(st, Z)
         assert est.classification == "haar_on_bohr"
     for phi in (0.3, 2.0):
-        Z = groups.algebra("bargmann", [0, 0, np.cos(phi), np.sin(phi)])
+        Z = np.array([0, 0, np.cos(phi), np.sin(phi)])
         est = spectral.density_estimate(st, Z)
         assert est.classification == "haar_on_bohr"
 
@@ -217,7 +217,7 @@ def test_momentum_localized_state_spreads_under_the_flow():
 def test_spherical_state_gives_uniform_density():
     st = states.make_state("euclid_spherical", k=2.0)
     r = np.array([0.3, -0.4, 0.5])
-    Z = groups.algebra("euclid", np.concatenate([np.zeros(3), r]))
+    Z = np.concatenate([np.zeros(3), r])
     est = spectral.density_estimate(st, Z)
     assert est.classification == "uniform_density"
     assert est.atoms == []
@@ -235,7 +235,7 @@ def test_band_edge_on_a_lattice_point_is_still_uniform():
     # k |r| = sqrt 3 puts a frequency-lattice point on the window-smoothed
     # band edge, between 0.5 and 0.75 of the plateau
     st = states.make_state("euclid_spherical", k=2.0)
-    Z = groups.algebra("euclid", [0, 0, 0, 0.5, 0.5, 0.5])
+    Z = np.array([0, 0, 0, 0.5, 0.5, 0.5])
     est = spectral.density_estimate(st, Z)
     assert est.classification == "uniform_density"
     assert abs(est.total_mass_accounted - 1.0) < 0.02
@@ -246,8 +246,8 @@ def test_sinc_squared_triangle_is_not_flat():
     st = states.make_state(
         "custom", family="euclid",
         evaluator=lambda g: np.sinc(np.linalg.norm(
-            groups.euclid_parts(g.data)[1]) / np.pi) ** 2)
-    Z = groups.algebra("euclid", [0, 0, 0, 1.0, 0, 0])
+            groups.euclid_parts(g)[1]) / np.pi) ** 2)
+    Z = np.array([0, 0, 0, 1.0, 0, 0])
     est = spectral.density_estimate(st, Z, N=2 ** 12)
     assert est.classification == "mixed"
     assert est.atoms == []
@@ -258,8 +258,8 @@ def test_mixture_is_classified_mixed():
     st = states.make_state(
         "custom", family="euclid",
         evaluator=lambda g: 0.5 + 0.5 * np.sinc(2.0 * np.linalg.norm(
-            groups.euclid_parts(g.data)[1]) / np.pi))
-    Z = groups.algebra("euclid", [0, 0, 0, 0, 0, 1.0])
+            groups.euclid_parts(g)[1]) / np.pi))
+    Z = np.array([0, 0, 0, 0, 0, 1.0])
     est = spectral.density_estimate(st, Z, N=2 ** 12)
     assert est.classification == "mixed"
     assert any(abs(om) < 1e-3 and abs(m - 0.5) < 1e-2 for om, m in est.atoms)
@@ -268,7 +268,7 @@ def test_mixture_is_classified_mixed():
 
 def test_concentration_check_point_and_interval():
     st = states.make_state("heisenberg_loc_p", k=1.3)
-    Z = groups.algebra("heisenberg", [0, 0, 1.0])
+    Z = np.array([0, 0, 1.0])
     est = spectral.density_estimate(st, Z)
     ok = spectral.concentration_check(est, {"type": "point", "value": 1.3})
     assert ok["pass"] and ok["value"] < 1e-6
@@ -285,7 +285,7 @@ def test_concentration_check_point_and_interval():
     # targets widened by eps - freq_eps stand for a wider eps: their masses
     # are those of [-2, 2] and [-0.5, 0.5] at eps 0.05 and of {0} at eps 3
     st = states.make_state("euclid_spherical", k=2.0)
-    Z = groups.algebra("euclid", [0, 0, 0, 0, 0, 1.0])
+    Z = np.array([0, 0, 0, 0, 0, 1.0])
     est = spectral.density_estimate(st, Z)
     ok = spectral.concentration_check(
         est, {"type": "interval", "bounds": [-2.049, 2.049]})

@@ -36,54 +36,53 @@ def _mk(kind, params):
 def test_loc_p_values():
     st = _mk("heisenberg_loc_p", dict(k=1.3))
     # on the b = 0 subgroup: e^{i(k c - a)}
-    v = states.evaluate(st, groups.heisenberg(0.5, 0.0, 2.0))
+    v = states.evaluate(st, [0.5, 0.0, 2.0])
     want = complex(math.cos(1.3 * 2.0 - 0.5), math.sin(1.3 * 2.0 - 0.5))
     assert abs(v - want) < 1e-14
     # off the subgroup: 0
-    assert states.evaluate(st, groups.heisenberg(0.5, 0.3, 2.0)) == 0.0
+    assert states.evaluate(st, [0.5, 0.3, 2.0]) == 0.0
 
 
 def test_loc_q_values():
     st = _mk("heisenberg_loc_q", dict(l=0.8))
-    v = states.evaluate(st, groups.heisenberg(-0.2, 1.5, 0.0))
+    v = states.evaluate(st, [-0.2, 1.5, 0.0])
     want = complex(math.cos(-(-0.2) - 0.8 * 1.5), math.sin(0.2 - 0.8 * 1.5))
     assert abs(v - want) < 1e-14
-    assert states.evaluate(st, groups.heisenberg(0.0, 0.0, 1e-3)) == 0.0
+    assert states.evaluate(st, [0.0, 0.0, 1e-3]) == 0.0
 
 
 def test_loc_t_values():
     k, l, t = 0.5, 1.1, 0.4
     st = _mk("heisenberg_loc_t", dict(k=k, l=l, t=t))
     b = 0.9
-    g = groups.heisenberg(0.3, b, -b * t)
+    g = [0.3, b, -b * t]
     phase = -(0.3 + 0.5 * b * b * t + (k * t + l) * b)
     assert abs(states.evaluate(st, g) - np.exp(1j * phase)) < 1e-14
-    assert states.evaluate(st, groups.heisenberg(0.3, b, 0.2 - b * t)) == 0.0
+    assert states.evaluate(st, [0.3, b, 0.2 - b * t]) == 0.0
 
 
 def test_center_and_constant():
     st = _mk("heisenberg_center", {})
-    assert abs(states.evaluate(st, groups.heisenberg(1.0, 0.0, 0.0))
-               - np.exp(-1j)) < 1e-15
-    assert states.evaluate(st, groups.heisenberg(1.0, 0.5, 0.0)) == 0.0
+    assert abs(states.evaluate(st, [1.0, 0.0, 0.0]) - np.exp(-1j)) < 1e-15
+    assert states.evaluate(st, [1.0, 0.5, 0.0]) == 0.0
     one = _mk("constant_one", dict(family="euclid"))
-    g = groups.euclid(np.eye(3), np.array([1.0, 2.0, 3.0]))
+    g = groups.euclid_coords(np.eye(3), np.array([1.0, 2.0, 3.0]))
     assert states.evaluate(one, g) == 1.0
 
 
 def test_bargmann_values():
     st = _mk("bargmann_loc_pe", dict(k=1.5))
-    g = groups.bargmann(0.2, 0.0, 0.7, -0.3)
+    g = [0.2, 0.0, 0.7, -0.3]
     want = np.exp(1j * (1.5 * 0.7 - 0.5 * 1.5 ** 2 * (-0.3) - 0.2))
     assert abs(states.evaluate(st, g) - want) < 1e-14
-    assert states.evaluate(st, groups.bargmann(0.0, 0.1, 0.0, 0.0)) == 0.0
+    assert states.evaluate(st, [0.0, 0.1, 0.0, 0.0]) == 0.0
 
     st = _mk("bargmann_loc_q", dict(l=0.9))
-    g = groups.bargmann(0.4, -1.2, 0.0, 0.0)
+    g = [0.4, -1.2, 0.0, 0.0]
     assert abs(states.evaluate(st, g) - np.exp(-1j * (0.4 + 0.9 * -1.2))) \
         < 1e-14
-    assert states.evaluate(st, groups.bargmann(0.0, 0.0, 1e-3, 0.0)) == 0.0
-    assert states.evaluate(st, groups.bargmann(0.0, 0.0, 0.0, 1e-3)) == 0.0
+    assert states.evaluate(st, [0.0, 0.0, 1e-3, 0.0]) == 0.0
+    assert states.evaluate(st, [0.0, 0.0, 0.0, 1e-3]) == 0.0
 
 
 def test_euclid_plane_values():
@@ -92,14 +91,14 @@ def test_euclid_plane_values():
     R = np.array([[math.cos(th), -math.sin(th), 0.0],
                   [math.sin(th), math.cos(th), 0.0],
                   [0.0, 0.0, 1.0]])
-    g = groups.euclid(R, np.array([5.0, -1.0, 0.25]))
+    g = groups.euclid_coords(R, np.array([5.0, -1.0, 0.25]))
     want = np.exp(1j * (1 * th + 2.0 * 0.25))
     assert abs(states.evaluate(st, g) - want) < 1e-14
     # rotation moving e3 kills the value
     Rx = np.array([[1.0, 0.0, 0.0],
                    [0.0, math.cos(th), -math.sin(th)],
                    [0.0, math.sin(th), math.cos(th)]])
-    assert states.evaluate(st, groups.euclid(Rx, np.zeros(3))) == 0.0
+    assert states.evaluate(st, groups.euclid_coords(Rx, np.zeros(3))) == 0.0
 
 
 def test_euclid_spherical_is_sinc():
@@ -108,13 +107,14 @@ def test_euclid_spherical_is_sinc():
     for _ in range(40):
         c = rng.uniform(-4, 4, 3)
         A = np.eye(3)
-        v = states.evaluate(st, groups.euclid(A, c))
+        v = states.evaluate(st, groups.euclid_coords(A, c))
         r = 2.0 * np.linalg.norm(c)
         want = 1.0 if r == 0 else math.sin(r) / r
         assert abs(v - want) < 1e-12
     # rotation part is ignored entirely
-    g = groups.euclid(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
-                                [0.0, 0.0, 1.0]]), np.array([1.0, 0.0, 0.0]))
+    g = groups.euclid_coords(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                                       [0.0, 0.0, 1.0]]),
+                             np.array([1.0, 0.0, 0.0]))
     assert abs(states.evaluate(st, g) - math.sin(2.0) / 2.0) < 1e-14
 
 
@@ -138,21 +138,21 @@ def test_j0_matches_scipy():
 def test_euclid_cylindrical_is_bessel():
     st = _mk("euclid_cylindrical", dict(k=2.0, eps=0))
     c = np.array([0.6, -0.8, 3.0])
-    v = states.evaluate(st, groups.euclid(np.eye(3), c))
+    v = states.evaluate(st, groups.euclid_coords(np.eye(3), c))
     assert abs(v - j0(2.0 * 1.0)) < 1e-14      # |c_perp| = 1, z ignored
     # flip: A e3 = -e3 picks up (-1)^eps
     F = np.diag([1.0, -1.0, -1.0])
-    v = states.evaluate(st, groups.euclid(F, c))
+    v = states.evaluate(st, groups.euclid_coords(F, c))
     assert abs(v - j0(2.0)) < 1e-14
     st1 = _mk("euclid_cylindrical", dict(k=2.0, eps=1))
-    v = states.evaluate(st1, groups.euclid(F, c))
+    v = states.evaluate(st1, groups.euclid_coords(F, c))
     assert abs(v + j0(2.0)) < 1e-14
     # tilted rotation axis kills it
     th = 0.3
     Rx = np.array([[1.0, 0.0, 0.0],
                    [0.0, math.cos(th), -math.sin(th)],
                    [0.0, math.sin(th), math.cos(th)]])
-    assert states.evaluate(st, groups.euclid(Rx, c)) == 0.0
+    assert states.evaluate(st, groups.euclid_coords(Rx, c)) == 0.0
 
 
 def test_cylindrical_support_samples_reach_both_axis_cosets():
@@ -181,7 +181,7 @@ def test_support_draws_land_on_the_modulus_one_set(kind):
     got = np.abs(states.evaluate(st, samples))
     want = np.ones(len(samples))
     if kind == "euclid_cylindrical":
-        A, c = groups.euclid_parts(samples.data)
+        A, c = groups.euclid_parts(samples)
         want = np.abs(j0(params["k"] * np.hypot(c[:, 0], c[:, 1])))
         flips = A[:, 2, 2].tolist()
         assert flips[0::2] == [1.0] * 100 and flips[1::2] == [-1.0] * 100
@@ -204,32 +204,17 @@ def test_support_samples_draw_one_generic_stack(kind, params, monkeypatch):
     for count in (0, 1, 2, 7, 12):
         calls.clear()
         gs = states.support_samples(st, np.random.default_rng(count), count)
-        assert len(gs) == count and all(g.family == st.family for g in gs)
+        assert gs.shape == (count, groups.COORD_DIM[st.family])
         has_draw = states.KINDS[kind].draw is not None
         assert calls == [count // 2 if has_draw else count]
 
 
-@pytest.mark.parametrize("kind", [
-    kind for kind, _ in BUILTIN if states.KINDS[kind].draw is not None])
-def test_support_samples_are_one_indexable_stack(kind):
-    st = _mk(kind, dict(BUILTIN)[kind])
-    gs = states.support_samples(st, np.random.default_rng(9), 11)
-    assert isinstance(gs, groups.GroupElement) and gs.family == st.family
-    assert len(gs) == 11
-    for i in range(11):
-        assert np.array_equal(gs[i].data, gs.data[i])
-    with pytest.raises(TypeError):
-        len(gs[0])
-    with pytest.raises(TypeError):
-        gs[0][0]
-
-
 def test_su2_highest_weight_values():
     st = _mk("su2_highest_weight", dict(j=1.0))
-    g = groups.su2(math.cos(0.4), 0.0, 0.0, math.sin(0.4))
+    g = groups.check_coords("su2", [math.cos(0.4), 0.0, 0.0, math.sin(0.4)])
     want = np.exp(2j * 0.4)                     # (cos + i sin)^{2j}
     assert abs(states.evaluate(st, g) - want) < 1e-14
-    g = groups.su2(0.0, 1.0, 0.0, 0.0)
+    g = groups.check_coords("su2", [0.0, 1.0, 0.0, 0.0])
     assert states.evaluate(st, g) == 0.0        # w + iz = 0
 
 
@@ -247,7 +232,8 @@ def test_sinc_matches_numpy_and_series():
 @pytest.mark.parametrize("kind,params", BUILTIN)
 def test_identity_value_is_one(kind, params):
     st = _mk(kind, params)
-    assert abs(states.evaluate(st, groups.identity(st.family)) - 1.0) < 1e-14
+    e = groups.exp_coords(st.family, np.zeros(groups.ALGEBRA_DIM[st.family]))
+    assert abs(states.evaluate(st, e) - 1.0) < 1e-14
 
 
 @pytest.mark.parametrize("kind,params", BUILTIN)
@@ -256,7 +242,7 @@ def test_hermitian_symmetry_and_bound(kind, params):
     rng = np.random.default_rng(3)
     gs = groups.random_elements(st.family, rng, 80)
     vals = states.evaluate(st, gs)
-    inv_vals = states.evaluate(st, groups.inverse(gs))
+    inv_vals = states.evaluate(st, groups.inverse_coords(st.family, gs))
     assert np.max(np.abs(inv_vals - np.conj(vals))) < 1e-12
     assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
@@ -265,15 +251,15 @@ def test_hermitian_symmetry_and_bound(kind, params):
 def test_gram_entries_match_scalar_route(kind, params):
     st = _mk(kind, params)
     rng = np.random.default_rng(4)
-    gs = groups.from_coords(st.family, np.concatenate([
-        groups.random_elements(st.family, rng, 6).data,
-        states.support_samples(st, np.random.default_rng(5), 6).data]))
+    gs = groups.check_coords(st.family, np.concatenate([
+        groups.random_elements(st.family, rng, 6),
+        states.support_samples(st, np.random.default_rng(5), 6)]))
     gm = states.gram(st, gs)
     n = len(gs)
     for i in range(n):
         for jj in range(n):
-            direct = states.evaluate(
-                st, groups.compose(groups.inverse(gs[i]), gs[jj]))
+            direct = states.evaluate(st, groups.compose_coords(
+                st.family, groups.inverse_coords(st.family, gs[i]), gs[jj]))
             assert abs(gm.entries[i, jj] - direct) < 1e-12
     # hermitian kernel
     assert np.max(np.abs(gm.entries - gm.entries.conj().T)) < 1e-12
@@ -284,11 +270,10 @@ def test_stacked_gram_min_eigenvalues_equal_per_set_gram(kind, params):
     st = _mk(kind, params)
     rng = np.random.default_rng(21)
     sets = [states.support_samples(st, rng, 9) for _ in range(4)]
-    stacked = groups.GroupElement(st.family, np.stack([s.data for s in sets]))
-    X = stacked.data
+    X = np.stack(sets)
     K = states.pair_eval(st, X[:, :, None], X[:, None, :])
     assert K.shape == (4, 9, 9)
-    lows = states.gram_min_eigenvalues(st, stacked)
+    lows = states.gram_min_eigenvalues(st, X)
     for i, s in enumerate(sets):
         gm = states.gram(st, s)
         assert np.array_equal(K[i], gm.entries)
@@ -319,7 +304,7 @@ def test_localized_states_match_character_on_their_subgroup(seed):
                          ("bargmann_loc_pe", dict(k=1.5)),
                          ("bargmann_loc_q", dict(l=0.9))]:
         st = _mk(kind, params)
-        x = groups.covector(st.family, st.localization["x"])
+        x = np.array(st.localization["x"])
         u = rng.uniform(-3, 3, 2)
         if kind == "heisenberg_loc_p":
             z = [u[0], 0.0, u[1]]
@@ -333,22 +318,22 @@ def test_localized_states_match_character_on_their_subgroup(seed):
             z = [u[0], 0.0, u[1], rng.uniform(-3, 3)]
         else:
             z = [u[0], u[1], 0.0, 0.0]
-        Z = groups.algebra(st.family, z)
-        got = states.evaluate(st, groups.exp(Z))
-        want = np.exp(1j * groups.pairing(x, Z))
+        Z = np.array(z)
+        got = states.evaluate(st, groups.exp_coords(st.family, Z))
+        want = np.exp(1j * groups.pairing_coords(st.family, x, Z))
         assert abs(got - want) < 1e-12, kind
 
 
 def test_euclid_plane_character_on_subgroup():
     st = _mk("euclid_plane", dict(k=2.0, s=1))
-    w = groups.covector("euclid", st.localization["w"])
+    w = np.array(st.localization["w"])
     rng = np.random.default_rng(9)
     for _ in range(20):
         om = rng.uniform(-3, 3)
         r = rng.uniform(-3, 3, 3)
-        Z = groups.algebra("euclid", [0.0, 0.0, om, r[0], r[1], r[2]])
-        got = states.evaluate(st, groups.exp(Z))
-        want = np.exp(1j * groups.pairing(w, Z))
+        Z = np.array([0.0, 0.0, om, r[0], r[1], r[2]])
+        got = states.evaluate(st, groups.exp_coords("euclid", Z))
+        want = np.exp(1j * groups.pairing_coords("euclid", w, Z))
         assert abs(got - want) < 1e-12
 
 
@@ -367,7 +352,7 @@ def test_inequalities_hold(kind, params):
 
 
 @pytest.mark.parametrize("kind,params", BUILTIN + [
-    ("custom", dict(family="su2", evaluator=lambda g: g.data[0] + 1j * g.data[3]))])
+    ("custom", dict(family="su2", evaluator=lambda g: g[0] + 1j * g[3]))])
 def test_exp_values_match_element_evaluation(kind, params):
     st = _mk(kind, dict(params))
     rng = np.random.default_rng(24)
@@ -376,8 +361,7 @@ def test_exp_values_match_element_evaluation(kind, params):
     got = states.exp_values(st, C)
     assert got.shape == (3, 2)
     for idx in np.ndindex(3, 2):
-        want = states.evaluate(st, groups.exp(groups.algebra(st.family,
-                                                             C[idx])))
+        want = states.evaluate(st, groups.exp_coords(st.family, C[idx]))
         assert abs(got[idx] - want) < 1e-12
         assert abs(complex(states.exp_values(st, C[idx])) - want) < 1e-12
 
@@ -388,15 +372,14 @@ def test_euclid_custom_evaluator_receives_one_packed_row():
     seen = []
 
     def spherical(g):
-        seen.append(g.data)
-        return states.sinc(2.0 * np.linalg.norm(groups.euclid_parts(g.data)[1]))
+        seen.append(g)
+        return states.sinc(2.0 * np.linalg.norm(groups.euclid_parts(g)[1]))
 
     st = states.make_state("custom", family="euclid", evaluator=spherical)
-    gs = groups.random_elements("euclid", np.random.default_rng(25), 6)
-    X = gs.data
+    X = groups.random_elements("euclid", np.random.default_rng(25), 6)
     got = states.pair_eval(st, X[:2, None], X[None, 2:])
     assert got.shape == (2, 4) and len(seen) == 8
-    assert all(row.shape == (12,) for row in seen)
+    assert all(type(row) is np.ndarray and row.shape == (12,) for row in seen)
     want = states.pair_eval(_mk("euclid_spherical", dict(k=2.0)),
                             X[:2, None], X[None, 2:])
     assert np.max(np.abs(got - want)) < 1e-12
@@ -410,10 +393,8 @@ def test_krein_margin_holds_for_near_coincident_pairs():
     for d in (1e-5, 3e-6, 1e-7):
         a_s = rng.uniform(-3, 3, 200)
         zero = np.zeros_like(a_s)
-        gs = groups.from_coords("heisenberg",
-                                np.column_stack([a_s, zero, zero]))
-        hs = groups.from_coords("heisenberg",
-                                np.column_stack([a_s + d, zero, zero]))
+        gs = np.column_stack([a_s, zero, zero])
+        hs = np.column_stack([a_s + d, zero, zero])
         out = states.check_inequalities(st, gs, hs)
         assert out["pass"], (d, out)
         assert out["krein_margin"] < 1e-15
@@ -422,7 +403,7 @@ def test_krein_margin_holds_for_near_coincident_pairs():
 def test_inequalities_reject_overscaled_function():
     bad = states.make_state(
         "custom", family="heisenberg",
-        evaluator=lambda g: 1.5 * np.exp(-1j * g.data[0]))
+        evaluator=lambda g: 1.5 * np.exp(-1j * g[0]))
     rng = np.random.default_rng(22)
     gs = groups.random_elements("heisenberg", rng, 50)
     hs = groups.random_elements("heisenberg", rng, 50)
@@ -435,9 +416,8 @@ def test_check_psd_flags_indefinite_kernel():
     # m = 1 on the b = 0 coset, -1 off it: not positive definite
     bad = states.make_state(
         "custom", family="heisenberg",
-        evaluator=lambda g: 1.0 if abs(g.data[1]) < 1e-9 else -1.0)
-    samples = groups.from_coords("heisenberg", np.array(
-        [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 2.0, 0.0]]))
+        evaluator=lambda g: 1.0 if abs(g[1]) < 1e-9 else -1.0)
+    samples = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 2.0, 0.0]])
     gm = states.gram(bad, samples)
     assert not states.check_psd(gm)["pass"]
 
@@ -445,9 +425,9 @@ def test_check_psd_flags_indefinite_kernel():
 def test_modulus_one_probe_finds_subgroup():
     st = _mk("euclid_spherical", dict(k=2.0))
     rng = np.random.default_rng(23)
-    samples = groups.from_coords("euclid", np.concatenate([
-        groups.identity("euclid").data[None],
-        groups.random_elements("euclid", rng, 20).data]))
+    samples = groups.check_coords("euclid", np.concatenate([
+        groups.exp_coords("euclid", np.zeros((1, 6))),
+        groups.random_elements("euclid", rng, 20)]))
     out = states.modulus_one_subgroup_probe(st, samples)
     assert out["pass"]
     assert 0 in out["inside"]
@@ -495,9 +475,7 @@ def test_gram_rejects_family_mismatch():
                                                np.random.default_rng(0), 0))
     euclid = groups.random_elements("euclid", np.random.default_rng(0), 6)
     with pytest.raises(groups.FamilyError):
-        states.gram_min_eigenvalues(st, groups.GroupElement(
-            "euclid", euclid.data.reshape(2, 3, 12)))
+        states.gram_min_eigenvalues(st, euclid.reshape(2, 3, 12))
     for shape in [(0, 5), (3, 0)]:
         with pytest.raises(ValueError):
-            states.gram_min_eigenvalues(st, groups.GroupElement(
-                st.family, np.zeros(shape + (3,))))
+            states.gram_min_eigenvalues(st, np.zeros(shape + (3,)))
