@@ -73,6 +73,27 @@ def orthonormalize(A):
     return u @ vt
 
 
+def expi(x):
+    """e^{ix} for a real array x, from t = tan(x / 2) as ((1 - t^2) + 2t i)
+    / (1 + t^2): numpy 2.4 on AVX512 vectorizes tan, where its float64 sin
+    and cos and its complex exp run scalar libm loops (README, design notes).
+    The imaginary part gets + 0.0, so expi(-0.0) is 1+0j; NaN and +-inf
+    give NaN.  Two float temporaries, the size of the complex result."""
+    x = np.asarray(x, dtype=float)
+    z = np.empty(x.shape, dtype=complex)
+    t, d, re = np.empty(x.shape), np.empty(x.shape), z.real
+    np.multiply(x, 0.5, out=t)
+    np.tan(t, out=t)
+    np.multiply(t, t, out=d)
+    np.subtract(1.0, d, out=re)
+    np.add(d, 1.0, out=d)
+    np.divide(re, d, out=re)
+    np.divide(t, d, out=t)
+    np.add(t, t, out=t)
+    np.add(t, 0.0, out=z.imag)
+    return z
+
+
 # ---------------------------------------------------------------------------
 # the group law, the adjoint action and the bracket on coordinate stacks
 #

@@ -95,19 +95,19 @@ class HeisenbergRow:
         s = f.support
         if self.row == "a":
             new = s + b
-            vals = np.exp(1j * (-a + new * c)) * f.values
+            vals = groups.expi(-a + new * c) * f.values
         elif self.row == "b":
             new = s + c
-            vals = np.exp(-1j * (a + b * (new - c))) * f.values
+            vals = groups.expi(-(a + b * (new - c))) * f.values
         elif self.row == "c":
             new = s + c + b * self.t
-            vals = np.exp(1j * (-a - b * (new - c) + 0.5 * b * b * self.t)) \
+            vals = groups.expi(-a - b * (new - c) + 0.5 * b * b * self.t) \
                 * f.values
         else:
             if s.ndim != 2 or s.shape[1] != 2:
                 raise ValueError("row d needs planar support")
             new = s + G[..., None, 1:]
-            vals = np.exp(-1j * (a + b * (new[..., 1] - c))) * f.values
+            vals = groups.expi(-(a + b * (new[..., 1] - c))) * f.values
         return SectionVector(new, vals, mode="counting")
 
 
@@ -130,12 +130,12 @@ class EuclidAction:
             if np.max(unit) > 1e-9:
                 raise ValueError("support points must be unit vectors")
             new = f.support @ np.swapaxes(A, -1, -2)
-            vals = np.exp(1j * np.sum(new * kc[..., None, :], axis=-1)) \
+            vals = groups.expi(np.sum(new * kc[..., None, :], axis=-1)) \
                 * f.values
             return SectionVector(new, vals, mode="counting")
         base = f.evaluator
         def evaluator(v, base=base, A=A, kc=kc):
-            return np.exp(1j * (v @ kc)) * base(v @ A)   # v @ A = A^T v rows
+            return groups.expi(v @ kc) * base(v @ A)   # v @ A = A^T v rows
         vals = evaluator(f.support)
         return SectionVector(f.support, vals, mode="quadrature",
                              weights=f.weights, evaluator=evaluator)

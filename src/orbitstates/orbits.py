@@ -481,7 +481,7 @@ def _signal(phases, cs):
     check is summed the same way (values times cs, then _rsum), so an
     anchor or class sum on which a state is localized meets it to the last
     bit rather than an ulp below it."""
-    return np.abs(_rsum(np.exp(1j * phases) * cs))
+    return np.abs(_rsum(groups.expi(phases) * cs))
 
 
 def _class_sums(same, P):
@@ -600,7 +600,7 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
         ga, ep, off = (a[open_] for a in line[:3])
         same = (ga[:, :, None] == ga[:, None]) \
             & (ep[:, :, None] == ep[:, None])
-        sums = _class_sums(same, np.exp(1j * off) * cs[open_])
+        sums = _class_sums(same, groups.expi(off) * cs[open_])
         mods = np.abs(sums)
         run.value[open_] = np.maximum(run.value[open_], np.max(mods, axis=0))
         first = ~np.any(np.tril(same, -1), axis=-1).T
@@ -645,7 +645,7 @@ def _sup_rows(spec, C, cs, n, anchors, target, budget, box):
         p = k * _LINE_CELLS[0][:, :, None]
         run.value[sel] = np.maximum(run.value[sel], np.max(np.abs(_class_sums(
             s[:, :, None] == s[:, None],
-            np.exp(1j * p * pfreq[sel]) * cs[sel])), axis=(0, 1)))
+            groups.expi(p * pfreq[sel]) * cs[sel])), axis=(0, 1)))
     open_ = open_[~run.settle(open_)]
 
     # stage 3 on the open rows of each chart, GRID_CELLS cells at a time,
@@ -748,7 +748,7 @@ def _canonical_probes(spec):
     if family == "su2":
         tau = np.pi / (4.0 + spec.params["lam"])
         probes.append((np.array([[0.0, 0.0, 0.0], [0.0, 0.0, tau]]),
-                       np.array([0.5, 0.5 * np.exp(-4j * tau)])))
+                       np.array([0.5, 0.5 * groups.expi(-4 * tau)])))
     if family == "torus":
         half = np.full(spec.dim, np.pi)
         probes.append((np.array([half, -half]), ones))

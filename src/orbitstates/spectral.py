@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import states
+from . import groups, states
 from .tolerances import DEFAULT, gate
 
 ATOM_FACTOR = 5.0  # an atom must exceed this multiple of the leakage bound
@@ -73,7 +73,7 @@ def flow_values(state, Z, ts):
 def _means_at(y, omegas, T):
     """Bohr means at the omegas of samples y on the grid of [-T, T]."""
     ts = _midpoints(T, len(y))
-    return [AtomEstimate(float(om), complex(np.mean(y * np.exp(-1j * om * ts))),
+    return [AtomEstimate(float(om), complex(np.mean(y * groups.expi(-om * ts))),
                          1.0 / T) for om in omegas]
 
 
@@ -128,7 +128,7 @@ def atom_scan(y, T):
         mass = complex(means[k] * np.sinc(x / (2 * np.pi))
                        / np.sinc(N * x / (2 * np.pi)))
         atoms.append((om, mass))
-        y = y - mass * np.exp(1j * om * ts)
+        y = y - mass * groups.expi(om * ts)
     atoms.sort(key=lambda a: a[0])
     return atoms, y, (omegas, lattice_means)
 

@@ -215,7 +215,7 @@ def _axis_cosets(A):
 def _plane(p, X):
     A, c = groups.euclid_parts(X)
     alpha = np.arctan2(A[..., 1, 0], A[..., 0, 0])
-    val = np.exp(1j * (p["s"] * alpha + p["k"] * c[..., 2]))
+    val = groups.expi(p["s"] * alpha + p["k"] * c[..., 2])
     return np.where(_axis_cosets(A)[0], val, 0.0)
 
 
@@ -245,38 +245,39 @@ Kind = namedtuple("Kind", "family params values localization draw",
 KINDS = {
     "heisenberg_loc_p": Kind(
         "heisenberg", {"k": (1.0, _positive)},
-        lambda p, X: np.exp(1j * (p["k"] * X[..., 2] - X[..., 0])),
+        lambda p, X: groups.expi(p["k"] * X[..., 2] - X[..., 0]),
         lambda p: {"H": [[1, 0, 0], [0, 0, 1]], "x": [1.0, p["k"], 0.0]},
         _on_subgroup),
     "heisenberg_loc_q": Kind(
         "heisenberg", {"l": (1.0, _real)},
-        lambda p, X: np.exp(-1j * (X[..., 0] + p["l"] * X[..., 1])),
+        lambda p, X: groups.expi(-(X[..., 0] + p["l"] * X[..., 1])),
         lambda p: {"H": [[1, 0, 0], [0, 1, 0]], "x": [1.0, 0.0, p["l"]]},
         _on_subgroup),
     # matches the character on the dual line p*t + q = k*t + l; x is the
     # p = k representative of that line
     "heisenberg_loc_t": Kind(
         "heisenberg", {"k": (1.0, _real), "l": (0.0, _real), "t": (0.0, _real)},
-        lambda p, X: np.exp(-1j * (X[..., 0] + 0.5 * X[..., 1] * X[..., 1] * p["t"]
+        lambda p, X: groups.expi(-(X[..., 0]
+                                   + 0.5 * X[..., 1] * X[..., 1] * p["t"]
                                    + (p["k"] * p["t"] + p["l"]) * X[..., 1])),
         lambda p: {"H": [[1, 0, 0], [0, 1, -p["t"]]],
                    "x": [1.0, p["k"], p["l"]]},
         _on_subgroup),
     "heisenberg_center": Kind(
         "heisenberg", {},
-        lambda p, X: np.exp(-1j * X[..., 0]),
+        lambda p, X: groups.expi(-X[..., 0]),
         lambda p: {"H": [[1, 0, 0]], "x": [1.0, 0.0, 0.0]},
         _on_subgroup),
     "bargmann_loc_pe": Kind(
         "bargmann", {"k": (1.0, _positive)},
-        lambda p, X: np.exp(1j * (p["k"] * X[..., 2] - 0.5 * p["k"] * p["k"]
-                                  * X[..., 3] - X[..., 0])),
+        lambda p, X: groups.expi(p["k"] * X[..., 2] - 0.5 * p["k"] * p["k"]
+                                 * X[..., 3] - X[..., 0]),
         lambda p: {"H": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
                    "x": [1.0, p["k"], 0.0, 0.5 * p["k"] * p["k"]]},
         _on_subgroup),
     "bargmann_loc_q": Kind(
         "bargmann", {"l": (1.0, _real)},
-        lambda p, X: np.exp(-1j * (X[..., 0] + p["l"] * X[..., 1])),
+        lambda p, X: groups.expi(-(X[..., 0] + p["l"] * X[..., 1])),
         lambda p: {"H": [[1, 0, 0, 0], [0, 1, 0, 0]],
                    "x": [1.0, 0.0, p["l"], 0.0]},
         _on_subgroup),

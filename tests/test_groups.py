@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -584,3 +585,75 @@ def test_src_speaks_coordinates_only():
         and node.attr in ("data", "coords")})
         for path in sorted(src.glob("*.py"))}
     assert {name: f for name, f in found.items() if f} == {}
+
+
+# ---------------------------------------------------------------------------
+# the unit phase e^{ix}
+
+@pytest.mark.parametrize("reach", [1.0, 1e3, 1e6, 1e300])
+def test_expi_meets_complex_exp(reach):
+    x = np.random.default_rng(12).uniform(-reach, reach, 100000)
+    z = groups.expi(x)
+    assert np.max(np.abs(z - np.exp(1j * x))) <= 1e-15
+    assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_expi_of_zero_is_one_with_positive_imaginary_part(zero):
+    for z in (groups.expi(zero), groups.expi(np.array([zero]))[0]):
+        assert (float(z.real).hex(), float(z.imag).hex()) \
+            == ((1.0).hex(), (0.0).hex())
+        assert math.copysign(1.0, z.imag) == 1.0
+
+
+def test_expi_at_half_and_quarter_turns():
+    x = np.array([np.pi, -np.pi, np.pi / 2, -np.pi / 2])
+    want = np.array([-1.0, -1.0, 1j, -1j])
+    assert np.max(np.abs(groups.expi(x) - want)) <= 1e-15
+
+
+def test_expi_of_nonfinite_input_is_nan():
+    with np.errstate(invalid="ignore"):
+        z = groups.expi(np.array([np.nan, np.inf, -np.inf]))
+    assert np.isnan(z.real).all() and np.isnan(z.imag).all()
+
+
+def test_expi_keeps_the_shape_and_gives_complex128():
+    rng = np.random.default_rng(13)
+    strided = rng.uniform(-4, 4, (300, 7))[:, ::2]
+    for x in (np.float64(0.7), strided, rng.uniform(-4, 4, (2, 3, 4))):
+        z = groups.expi(x)
+        assert z.shape == np.shape(x) and z.dtype == np.complex128
+        assert np.max(np.abs(z - np.exp(1j * x))) <= 1e-15
+
+
+def _unit_phase_calls(tree):
+    """The innermost enclosing function ("<module>" at top level) of each
+    np.exp call whose argument holds an imaginary literal."""
+    spans = [(f.end_lineno - f.lineno, f.lineno, f.end_lineno, f.name)
+             for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "exp" \
+                and getattr(node.func.value, "id", None) == "np" \
+                and any(isinstance(c, ast.Constant)
+                        and isinstance(c.value, complex)
+                        for a in node.args for c in ast.walk(a)):
+            found.append(min(((size, name) for size, lo, hi, name in spans
+                              if lo <= node.lineno <= hi),
+                             default=(0, "<module>"))[1])
+    return found
+
+
+def test_unit_phases_go_through_expi():
+    # every e^{ix} of src is groups.expi, so both sides of an identity that
+    # must meet to the last bit round alike.  Two sites stay: the trial
+    # coefficient draw (keeping every trial tuple) and the lattice phase of
+    # the spectral scan (computed once per lattice)
+    src = Path(groups.__file__).parent
+    found = {path.name: _unit_phase_calls(ast.parse(path.read_text()))
+             for path in sorted(src.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {
+        "orbits.py": ["_draw_block"], "spectral.py": ["_lattice", "_lattice"]}

@@ -376,15 +376,15 @@ SEARCH_RECORD = {
         ("0x1.35a4e8fd42bd5p+0", "0x1.35a4fd778a6d9p+0", 16644, 16388)],
     "euclid-sphere": [
         ("0x1.27c6969cd5660p+0", "0x1.34b465d9ee1acp+0", 16778, 16388),
-        ("0x1.95e9b45b55f8cp+0", "0x1.95ea1cae0e3ebp+0", 16778, 16388)],
+        ("0x1.95e9b45b55f8dp+0", "0x1.95ea1cae0e3ebp+0", 16778, 16388)],
     "euclid-strip": [
         ("0x1.eac153a0473d5p+0", "0x1.eadd794017fa7p+0", 16900, 16388),
-        ("0x1.14e0870663619p+0", "0x1.14e11db2e4975p+0", 16900, 16388)],
+        ("0x1.14e0870663618p+0", "0x1.14e11db2e4975p+0", 16900, 16388)],
     "heisenberg-line": [
-        ("0x1.e46fe42547144p+0", "0x1.e46ff41560ddbp+0", 16644, 16388),
-        ("0x1.48bf890dc1edap+0", "0x1.48bfb763ff6c7p+0", 16644, 16388)],
+        ("0x1.e46fe42547143p+0", "0x1.e46ff41560ddbp+0", 16644, 16388),
+        ("0x1.48bf890dc1edap+0", "0x1.48bfb763ff6c6p+0", 16644, 16388)],
     "su2-interval": [
-        ("0x1.96400bed0effep+0", "0x1.96400fa8b9a43p+0", 16651, 16388),
+        ("0x1.96400bed0effep+0", "0x1.96400fa8b9a42p+0", 16651, 16388),
         ("0x1.b4e7888569376p+0", "0x1.b4e7918bf9423p+0", 16651, 16388)],
 }
 
@@ -734,7 +734,7 @@ CERTIFY_ANCHORS = [
     ("euclid_plane", dict(k=2.0, s=1), orbits.euclid_orbit(2.0, 1.0), 467),
     ("euclid_spherical", dict(k=2.0), orbits.euclid_orbit(2.0), 148),
     ("euclid_cylindrical", dict(k=2.0, eps=1), orbits.euclid_orbit(2.0), 192),
-    ("heisenberg_loc_p", dict(k=1.3), orbits.heisenberg_orbit(1.3, 0.0), 463),
+    ("heisenberg_loc_p", dict(k=1.3), orbits.heisenberg_orbit(1.3, 0.0), 462),
     ("heisenberg_loc_q", dict(l=0.8), orbits.heisenberg_orbit(0.0, 0.8), 466),
     ("heisenberg_loc_t", dict(k=0.5, l=1.0, t=0.4),
      orbits.heisenberg_orbit(0.5, 1.0), 445),
