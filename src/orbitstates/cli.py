@@ -361,8 +361,12 @@ def _task_spectral(state, p, seed):
         raise CliInputError("/params/Z: direction coordinates required")
     Z = _direction(state.family, p["Z"], "/params/Z")
     T = p.get("T")
-    if T is not None:
-        _number(T, "/params/T", positive=True)
+    N = _count(p, "N", 2 ** 14, least=2)
+    top = math.pi * math.ceil(N / 2)   # |pi n| of spectral._lattice reaches it
+    if T is not None and not math.isfinite(
+            top / _number(T, "/params/T", positive=True)):
+        raise CliInputError("/params/T: pi ceil(N / 2) / T, the top lattice "
+                            "frequency, must be finite, got %r" % (T,))
     reach = (spectral.T_DEFAULT if T is None else T) * math.hypot(*Z)
     if not reach <= FLOW_REACH:
         raise CliInputError("%s: T |Z| must be <= %g (T defaults to 200 pi), "
@@ -372,8 +376,7 @@ def _task_spectral(state, p, seed):
         _number(p["omega"], "/params/omega")
     if "concentration" in p:
         _concentration(p["concentration"])
-    est = spectral.density_estimate(state, Z, T=T,
-                                    N=_count(p, "N", 2 ** 14, least=2))
+    est = spectral.density_estimate(state, Z, T=T, N=N)
     results = {
         "classification": est.classification,
         "atoms": [[float(om), float(m)] for om, m in est.atoms],

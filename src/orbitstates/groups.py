@@ -260,6 +260,19 @@ def exp_coords(family, C):
     raise FamilyError("unknown family %r" % (family,))
 
 
+def log_coords(family, X):
+    """Algebra coordinates of log g over a stack X of group coordinates, on
+    the two nilpotent families, where exp_coords is a bijection."""
+    if family == "heisenberg":
+        a, b, c = X[..., 0], X[..., 1], X[..., 2]
+        return _join([a - 0.5 * b * c, b, c])
+    if family == "bargmann":
+        a, b, c, e = X[..., 0], X[..., 1], X[..., 2], X[..., 3]
+        ga = c - 0.5 * b * e
+        return _join([a - 0.5 * b * ga - b * b * e / 6.0, b, ga, e])
+    raise FamilyError("no log_coords on %r" % (family,))
+
+
 def adjoint_coords(family, G, C):
     """Coordinates of Ad(g) Z = g Z g^-1 (in the faithful representation)
     over broadcastable stacks of group coordinates G and algebra

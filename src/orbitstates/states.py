@@ -18,14 +18,14 @@ The built-in kinds (JSON names):
   constant_one             1
   custom                   user-supplied evaluator
 
-Each kind is one entry of KINDS.  For the six Heisenberg/Bargmann delta
-kinds the localization records the subgroup H as basis rows in reduced
-form on the canonical coordinates, read by both the delta factor [g in H]
-and the support draws.
+Each kind is one entry of KINDS.  The first six are characters: their
+localization records a subgroup H, as basis rows in reduced form, and a
+dual point x, and each is [g in H] e^{i<x, log g>}, whose explicit forms
+the table above spells out.  H also drives their support draws.
 
 Delta factors are explicit predicates at absolute tolerance 1e-9 on the
-canonical coordinates: these states are discontinuous, so membership is a
-decision, not a limit.
+algebra (characters) or group coordinates: these states are discontinuous,
+so membership is a decision, not a limit.
 """
 
 import functools
@@ -139,8 +139,8 @@ def j0(x):
 _REQUIRED = object()   # the default of a parameter that must be given
 
 # the largest |value| of a numeric parameter: flows reach |t Z| <=
-# cli.FLOW_REACH = 1e8, so the largest closed-form phase, heisenberg_loc_t's
-# 0.5 b^2 t, stays below 0.5 * (1e8)^2 * 1e6 = 5e21, far from overflow
+# cli.FLOW_REACH = 1e8, so the largest character phase <x, Z>,
+# bargmann_loc_pe's 0.5 k^2 eps, stays below 0.5 * (1e6)^2 * 1e8 = 5e19
 PARAM_MAX = 1e6
 
 
@@ -235,52 +235,42 @@ def _cylindrical(p, X):
 
 
 # One entry per kind.  `params` maps each declared key to (default, check);
-# `family` None means the "family" parameter names it.  `values(p, X)` is the
-# closed form on a coordinate stack X, less the factor [g in H] if H is
-# recorded; `localization(p)` gives the dual point ("x", or "w" on euclid)
-# and H; `draw` is the support draw (None: generic draws only).
+# `family` None means the "family" parameter names it.  `localization(p)`
+# gives the dual point ("x", or "w" on euclid), and H on a character kind,
+# which is [g in H] e^{i<x, log g>}; any other kind has its closed form
+# `values(p, X)` on a coordinate stack X.  `draw` is the support draw, if any.
 Kind = namedtuple("Kind", "family params values localization draw",
-                  defaults=(None, None))
+                  defaults=(None, None, None))
 
 KINDS = {
     "heisenberg_loc_p": Kind(
-        "heisenberg", {"k": (1.0, _positive)},
-        lambda p, X: groups.expi(p["k"] * X[..., 2] - X[..., 0]),
-        lambda p: {"H": [[1, 0, 0], [0, 0, 1]], "x": [1.0, p["k"], 0.0]},
-        _on_subgroup),
+        "heisenberg", {"k": (1.0, _positive)}, localization=lambda p: {
+            "H": [[1, 0, 0], [0, 0, 1]], "x": [1.0, p["k"], 0.0]},
+        draw=_on_subgroup),
     "heisenberg_loc_q": Kind(
-        "heisenberg", {"l": (1.0, _real)},
-        lambda p, X: groups.expi(-(X[..., 0] + p["l"] * X[..., 1])),
-        lambda p: {"H": [[1, 0, 0], [0, 1, 0]], "x": [1.0, 0.0, p["l"]]},
-        _on_subgroup),
-    # matches the character on the dual line p*t + q = k*t + l; x is the
-    # p = k representative of that line
+        "heisenberg", {"l": (1.0, _real)}, localization=lambda p: {
+            "H": [[1, 0, 0], [0, 1, 0]], "x": [1.0, 0.0, p["l"]]},
+        draw=_on_subgroup),
+    # the character on the dual line p*t + q = k*t + l; x is the p = k
+    # representative of that line
     "heisenberg_loc_t": Kind(
         "heisenberg", {"k": (1.0, _real), "l": (0.0, _real), "t": (0.0, _real)},
-        lambda p, X: groups.expi(-(X[..., 0]
-                                   + 0.5 * X[..., 1] * X[..., 1] * p["t"]
-                                   + (p["k"] * p["t"] + p["l"]) * X[..., 1])),
-        lambda p: {"H": [[1, 0, 0], [0, 1, -p["t"]]],
-                   "x": [1.0, p["k"], p["l"]]},
-        _on_subgroup),
+        localization=lambda p: {"H": [[1, 0, 0], [0, 1, -p["t"]]],
+                                "x": [1.0, p["k"], p["l"]]},
+        draw=_on_subgroup),
     "heisenberg_center": Kind(
-        "heisenberg", {},
-        lambda p, X: groups.expi(-X[..., 0]),
-        lambda p: {"H": [[1, 0, 0]], "x": [1.0, 0.0, 0.0]},
-        _on_subgroup),
+        "heisenberg", {}, localization=lambda p: {
+            "H": [[1, 0, 0]], "x": [1.0, 0.0, 0.0]},
+        draw=_on_subgroup),
     "bargmann_loc_pe": Kind(
-        "bargmann", {"k": (1.0, _positive)},
-        lambda p, X: groups.expi(p["k"] * X[..., 2] - 0.5 * p["k"] * p["k"]
-                                 * X[..., 3] - X[..., 0]),
-        lambda p: {"H": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-                   "x": [1.0, p["k"], 0.0, 0.5 * p["k"] * p["k"]]},
-        _on_subgroup),
+        "bargmann", {"k": (1.0, _positive)}, localization=lambda p: {
+            "H": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            "x": [1.0, p["k"], 0.0, 0.5 * p["k"] * p["k"]]},
+        draw=_on_subgroup),
     "bargmann_loc_q": Kind(
-        "bargmann", {"l": (1.0, _real)},
-        lambda p, X: groups.expi(-(X[..., 0] + p["l"] * X[..., 1])),
-        lambda p: {"H": [[1, 0, 0, 0], [0, 1, 0, 0]],
-                   "x": [1.0, 0.0, p["l"], 0.0]},
-        _on_subgroup),
+        "bargmann", {"l": (1.0, _real)}, localization=lambda p: {
+            "H": [[1, 0, 0, 0], [0, 1, 0, 0]], "x": [1.0, 0.0, p["l"], 0.0]},
+        draw=_on_subgroup),
     "euclid_plane": Kind(
         "euclid", {"k": (1.0, _positive), "s": (0, _integer)}, _plane,
         lambda p: {"w": [0.0, 0.0, p["s"], 0.0, 0.0, p["k"]]},
@@ -317,7 +307,7 @@ def make_state(kind, /, **params):
         p[key] = check(key, params.get(key, default))
     loc = spec.localization(p) if spec.localization else None
     if loc and "H" in loc:
-        loc["H"] = np.asarray(loc["H"], dtype=float)
+        loc.update({key: np.asarray(loc[key], dtype=float) for key in "Hx"})
         loc["pivots"] = np.argmax(loc["H"] != 0, axis=1)   # leading entries
     family = p.pop("family", spec.family)
     evaluator = p.pop("evaluator", None)
@@ -335,18 +325,25 @@ def _custom_values(state, pack):
                     dtype=complex).reshape(pack.shape[:-1])
 
 
+def _character(state, C):
+    """[Z in h] e^{i<x, Z>} over a stack C of algebra coordinates, h spanned
+    by the rows of H: Z is in h when it is the combination of H's rows its
+    pivots pick."""
+    loc = state.localization
+    off = C - C.take(loc["pivots"], -1) @ loc["H"]
+    return np.where((np.abs(off) <= DEFAULT.delta).all(-1), groups.expi(
+        groups.pairing_coords(state.family, loc["x"], C)), 0.0)
+
+
 def _eval_pack(state, pack):
-    """Apply the state's closed form to a coordinate stack (a custom state's
-    evaluator to each of its elements), times [g in H] where H is recorded:
-    g is in H when it is the combination of H's rows its pivots pick."""
+    """Apply the state's closed form to a coordinate stack: a character
+    kind's rule to the logarithms of its elements, a custom state's
+    evaluator to each element."""
     if state.evaluator is not None:
         return _custom_values(state, pack)
-    values = KINDS[state.kind].values(state.params, pack)
-    loc = state.localization
-    if not loc or "H" not in loc:
-        return values
-    off = pack - pack.take(loc["pivots"], -1) @ loc["H"]
-    return np.where((np.abs(off) <= DEFAULT.delta).all(-1), values, 0.0)
+    if "H" in (state.localization or {}):
+        return _character(state, groups.log_coords(state.family, pack))
+    return KINDS[state.kind].values(state.params, pack)
 
 
 def evaluate(state, X):
@@ -358,6 +355,8 @@ def evaluate(state, X):
 def exp_values(state, C):
     """m(exp Z) over a stack C of algebra coordinates (..., dim)."""
     C = np.asarray(C, dtype=float)
+    if "H" in (state.localization or {}):
+        return _character(state, C)
     return np.asarray(_eval_pack(state, groups.exp_coords(state.family, C)))
 
 

@@ -26,6 +26,18 @@ def _report(outdir, task):
         return json.load(fh)
 
 
+def _least_T(N):
+    """The least T at which spectral's top lattice frequency
+    pi ceil(N / 2) / T is a finite double."""
+    top = math.pi * math.ceil(N / 2)
+    T = top / sys.float_info.max
+    while not math.isfinite(top / T):
+        T = math.nextafter(T, math.inf)
+    while math.isfinite(top / math.nextafter(T, 0.0)):
+        T = math.nextafter(T, 0.0)
+    return T
+
+
 # ---------------------------------------------------------------------------
 # scenario validation
 
@@ -254,6 +266,15 @@ def test_bad_input_exits_two(tmp_path, payload):
      "spectral"),
     ('{"kind": "su2_highest_weight", "params": {"j": 1}}, '
      '"params": {"Z": [0, 0, 1e300]}', "/params/Z", "spectral"),
+    # T below the lattice's bound: pi ceil(N / 2) / T overflowed, and the
+    # report read "not a finite number" (exit 1)
+    *[('{"kind": "su2_highest_weight", "params": {"j": 1}}, '
+       '"params": {"Z": [0, 0, 1], "T": %r%s}' % (T, N), "/params/T",
+       "spectral")
+      for T, N in [(5e-324, ""), (1e-310, ', "N": 64'),
+                   (math.nextafter(_least_T(2 ** 14), 0.0), ""),
+                   (math.nextafter(_least_T(64), 0.0), ', "N": 64'),
+                   (math.nextafter(_least_T(3), 0.0), ', "N": 3')]],
     ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], "omega": "x"}',
      "/params/omega", "spectral"),
     ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], '
@@ -396,6 +417,18 @@ def test_state_parameters_at_their_bound_run(tmp_path, task, kind, params,
         "version": "1", "task": task, "seed": 0,
         "state": {"kind": kind, "params": params}, "params": task_params})
     assert cli.run(path, out=str(tmp_path / "rep")) in (0, 1)
+
+
+@pytest.mark.parametrize("N", [3, 64, 2 ** 14])
+def test_spectral_T_at_its_lattice_bound_runs(tmp_path, N):
+    path = _write(tmp_path, {
+        "version": "1", "task": "spectral", "seed": 0,
+        "state": {"kind": "su2_highest_weight", "params": {"j": 1}},
+        "params": {"Z": [0, 0, 1], "T": _least_T(N), "N": N}})
+    out = str(tmp_path / "rep")
+    assert cli.run(path, out=out) == 0
+    assert math.isfinite(_report(out, "spectral")["results"][
+        "total_mass_accounted"])
 
 
 def test_euclid_radius_at_its_bound_runs(tmp_path):

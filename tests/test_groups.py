@@ -473,6 +473,26 @@ def test_inverse_and_exp_coords_on_stacks_match_row_calls(family):
         assert np.abs(ex2[divmod(i, 2)] - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("family", ["heisenberg", "bargmann"])
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+def test_log_and_exp_coords_invert_each_other_on_stacks(family, shape):
+    rng = np.random.default_rng(46)
+    C = rng.uniform(-3, 3, shape + (ALGEBRA_DIM[family],))
+    X = rng.uniform(-3, 3, shape + (WIDTH[family],))
+    log_exp = groups.log_coords(family, groups.exp_coords(family, C))
+    exp_log = groups.exp_coords(family, groups.log_coords(family, X))
+    assert log_exp.shape == C.shape and exp_log.shape == X.shape
+    assert np.abs(log_exp - C).max() < 1e-14
+    assert np.abs(exp_log - X).max() < 1e-14
+
+
+@pytest.mark.parametrize("family", ["euclid", "su2", "torus"])
+def test_log_coords_takes_the_nilpotent_families_only(family):
+    X = groups.random_elements(family, np.random.default_rng(47), 2)
+    with pytest.raises(groups.FamilyError):
+        groups.log_coords(family, X)
+
+
 AXIS_SIZES = (0.0, 1e-9, 0.99e-4, 1.01e-4, 1.0, 3.0)
 
 

@@ -734,7 +734,7 @@ CERTIFY_ANCHORS = [
     ("euclid_plane", dict(k=2.0, s=1), orbits.euclid_orbit(2.0, 1.0), 467),
     ("euclid_spherical", dict(k=2.0), orbits.euclid_orbit(2.0), 148),
     ("euclid_cylindrical", dict(k=2.0, eps=1), orbits.euclid_orbit(2.0), 192),
-    ("heisenberg_loc_p", dict(k=1.3), orbits.heisenberg_orbit(1.3, 0.0), 462),
+    ("heisenberg_loc_p", dict(k=1.3), orbits.heisenberg_orbit(1.3, 0.0), 468),
     ("heisenberg_loc_q", dict(l=0.8), orbits.heisenberg_orbit(0.0, 0.8), 466),
     ("heisenberg_loc_t", dict(k=0.5, l=1.0, t=0.4),
      orbits.heisenberg_orbit(0.5, 1.0), 445),
@@ -751,6 +751,55 @@ def test_on_orbit_anchors_are_kept(kind, params, spec, anchored):
     assert len(orbits._state_anchors(st, spec)) == ("x" in loc or "w" in loc)
     rep = orbits.quantum_check(st, spec, trials=500, budget=100000, seed=8)
     assert rep["pass"] and rep["stages"]["anchor"] == anchored
+
+
+# the character kinds with the orbits their CERTIFY_ANCHORS rows use, and
+# the center, whose x = (1, 0, 0) lies on every Heisenberg orbit
+ANCHORED_CHARACTERS = [row[:3] for row in CERTIFY_ANCHORS
+                       if row[2].family in ("heisenberg", "bargmann")]
+CHARACTER_ORBITS = ANCHORED_CHARACTERS + [
+    ("heisenberg_center", {}, orbits.heisenberg_orbit())]
+
+
+def _in_subgroup(loc, X):
+    """Which rows of a (..., d) stack are the combination of H's rows that
+    their pivots pick."""
+    off = X - X.take(loc["pivots"], -1) @ loc["H"]
+    return (np.abs(off) <= DEFAULT.delta).all(-1)
+
+
+def _character_blocks(kind, params, spec):
+    """The state, and blocks 0-1 of quantum_check's tuples at seeds 0-9."""
+    st = states.make_state(kind, **params)
+    return st, [orbits._block_tuples(spec, 3, seed, block)
+                for seed in range(10) for block in range(2)]
+
+
+@pytest.mark.parametrize("kind,params,spec", CHARACTER_ORBITS)
+def test_anchor_meets_the_left_side_to_the_last_bit(kind, params, spec):
+    # on a tuple whose terms all lie in h, stage 1 evaluates the state's
+    # own x to the left side exactly, so the trial settles at the anchor
+    st, blocks = _character_blocks(kind, params, spec)
+    x = np.array(st.localization["x"], dtype=float)[None]
+    inside = 0
+    for C, cs, n in blocks:
+        rows = _in_subgroup(st.localization, C).all(-1)
+        anchor = orbits._signal(groups.pairing_coords(
+            st.family, x[:, None], C[:, None]), cs[:, None])[:, 0]
+        lhs = orbits._left_sides(st, C, cs)
+        assert np.array_equal(anchor[rows], lhs[rows]), kind
+        inside += np.sum(rows)
+    assert inside >= 200
+
+
+@pytest.mark.parametrize("kind,params,spec", ANCHORED_CHARACTERS)
+def test_algebra_and_group_masks_agree_on_drawn_tuples(kind, params, spec):
+    # exp_values tests [Z in h] and evaluate tests [log g in h]: on the
+    # drawn tuples both pick the set [exp Z in H] picks
+    st, blocks = _character_blocks(kind, params, spec)
+    for C, cs, n in blocks:
+        assert np.array_equal(_in_subgroup(st.localization, C), _in_subgroup(
+            st.localization, groups.exp_coords(st.family, C))), kind
 
 
 def test_constant_one_is_rejected_with_witness():

@@ -351,6 +351,39 @@ def test_inequalities_hold(kind, params):
     assert out["worst_margin"] <= 1e-12
 
 
+CHARACTERS = BUILTIN[:6]
+
+
+def test_character_kinds_carry_no_closed_form_of_their_own():
+    # a kind whose localization records H and x is [g in H] e^{i<x, log g>};
+    # a values entry would encode the same state a second time
+    recorded = [kind for kind, spec in states.KINDS.items()
+                if spec.localization is not None
+                and {"H", "x"} <= set(states.make_state(kind).localization)]
+    assert recorded == [kind for kind, _ in CHARACTERS]
+    assert [states.KINDS[kind].values for kind in recorded] == [None] * 6
+
+
+@pytest.mark.parametrize("kind,params", CHARACTERS)
+def test_long_flows_keep_the_character_phase_exactly(kind, params):
+    # m(exp Z) is [Z in h] e^{i<x, Z>} to the last bit out to |Z| = 1.3e7,
+    # inside cli.FLOW_REACH; exp_coords followed by heisenberg_loc_t's group
+    # form, whose b^2 t / 2 term cancels, is 2.8e-3 rad off on these Z
+    st = _mk(kind, params)
+    loc = st.localization
+    rng = np.random.default_rng(26)
+    U = rng.uniform(-1, 1, (40, len(loc["H"])))
+    Z = (U @ np.asarray(loc["H"]))[:, None] * np.logspace(0, 7, 8)[:, None]
+    want = groups.expi(groups.pairing_coords(
+        st.family, np.array(loc["x"], dtype=float), Z))
+    assert np.array_equal(states.exp_values(st, Z), want)
+    # off h by 1e-6 in a coordinate the pivots do not pick: 0
+    off = Z.copy()
+    free = np.setdiff1d(np.arange(Z.shape[-1]), loc["pivots"])[0]
+    off[..., free] += 1e-6
+    assert not np.any(states.exp_values(st, off))
+
+
 @pytest.mark.parametrize("kind,params", BUILTIN + [
     ("custom", dict(family="su2", evaluator=lambda g: g[0] + 1j * g[3]))])
 def test_exp_values_match_element_evaluation(kind, params):
