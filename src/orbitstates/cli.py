@@ -291,13 +291,16 @@ def _sweep(state, rng, sets, n, pairs):
     """`sets` Gram matrices of `n` support samples, then the three
     inequalities over `pairs` sample pairs, all drawn from rng: the worst
     min eigenvalue / n and the inequality report.
-    The sets are drawn in turn and their Gram kernels taken at most
-    GRAM_ENTRIES entries (at least one set) at a time."""
+    The sets are drawn and their Gram kernels taken at most GRAM_ENTRIES
+    entries (at least one set) at a time, each chunk's sets by one
+    support_samples call, which reads the stream as one call per set
+    would."""
     worst = 0.0
     per_call = max(1, GRAM_ENTRIES // (n * n))
     for first in range(0, sets, per_call):
-        samples = np.stack([states.support_samples(state, rng, n)
-                            for _ in range(min(per_call, sets - first))])
+        k = min(per_call, sets - first)
+        samples = states.support_samples(state, rng, n, sets=k).reshape(
+            k, n, -1)
         for low in states.gram_min_eigenvalues(state, samples).tolist():
             worst = min(worst, low / n)
     gs = states.support_samples(state, rng, pairs)
@@ -362,10 +365,10 @@ def _task_spectral(state, p, seed):
     Z = _direction(state.family, p["Z"], "/params/Z")
     T = p.get("T")
     N = _count(p, "N", 2 ** 14, least=2)
-    top = math.pi * math.ceil(N / 2)   # |pi n| of spectral._lattice reaches it
+    top = math.pi * (N // 2)   # |pi n| of spectral._lattice reaches it
     if T is not None and not math.isfinite(
             top / _number(T, "/params/T", positive=True)):
-        raise CliInputError("/params/T: pi ceil(N / 2) / T, the top lattice "
+        raise CliInputError("/params/T: pi floor(N / 2) / T, the top lattice "
                             "frequency, must be finite, got %r" % (T,))
     reach = (spectral.T_DEFAULT if T is None else T) * math.hypot(*Z)
     if not reach <= FLOW_REACH:
@@ -519,8 +522,10 @@ def _reproduce_euclid_waves(seed):
         gates[label + "_quantum"] = gate(q["worst_margin"], ">=", "margin",
                                          -1.0)
         details[label + "_worst_margin"] = q["worst_margin"]
-    # sphere-average identity against the closed form
-    pts, wts = induced.sphere_grid(64, 128)
+    # sphere-average identity against the closed form, on the grid of the
+    # section the coefficient match below integrates over
+    f = induced.constant_section()
+    pts, wts = f.support, f.weights
     cvec = np.array([0.3, -1.1, 2.0])
     avg = np.sum(wts * groups.expi(pts @ cvec))
     err_sph = float(abs(avg - states.sinc(np.linalg.norm(cvec))))
@@ -530,7 +535,7 @@ def _reproduce_euclid_waves(seed):
                         - states.j0(np.hypot(*cvec[:2]))))
     gs = groups.random_elements("euclid", rng, 200)
     err = _max_modulus(induced.matrix_coefficient(
-        induced.EuclidAction(k=1.0), induced.constant_section(), gs)
+        induced.EuclidAction(k=1.0), f, gs)
         - states.evaluate(trio["spherical"], gs))
     gates.update(
         sphere_average_identity=gate(err_sph, "<", "sphere_quadrature"),

@@ -44,11 +44,29 @@ class FamilyError(ValueError):
     pass
 
 
+# index rows into the nine entries of row-major 3x3 blocks: the six entries
+# i <= j of A^T A as sum_k A_ki A_kj, and the six terms of det A (rule of
+# Sarrus), the first three added and the last three subtracted
+_GRAM_PAIRS = [(i, j) for i in range(3) for j in range(i, 3)]
+_GRAM_LEFT = np.array([[3 * k + i for k in range(3)] for i, _ in _GRAM_PAIRS])
+_GRAM_RIGHT = np.array([[3 * k + j for k in range(3)] for _, j in _GRAM_PAIRS])
+_GRAM_EYE = np.array([[float(i == j)] for i, j in _GRAM_PAIRS])
+_SARRUS = np.array([[3 * r + (s + sign * r) % 3 for r in range(3)]
+                    for sign in (1, -1) for s in range(3)]).T
+
+
 def _check_euclid_rotation(A):
-    """Raise unless every block of a (..., 3, 3) stack is in SO(3).  Each
-    gate reads `not (defect <= bound)`, so NaN and inf fail it."""
-    err = np.abs(np.swapaxes(A, -1, -2) @ A - np.eye(3)).max(initial=0.0)
-    det_defect = np.abs(np.linalg.det(A) - 1.0).max(initial=0.0)
+    """Raise unless every block of a (..., 3, 3) stack is in SO(3).  The
+    defects are computed entry by entry over one contiguous (9, N) copy of
+    the blocks: a stacked 3x3 matmul and one LAPACK det per block cost
+    more than drawing them.  Each gate reads `not (defect <= bound)`, so
+    NaN and inf fail it."""
+    a = np.ascontiguousarray(np.reshape(A, (-1, 9)).T)
+    gram = (a[_GRAM_LEFT] * a[_GRAM_RIGHT]).sum(axis=1)
+    err = np.abs(gram - _GRAM_EYE).max(initial=0.0)
+    terms = a[_SARRUS[0]] * a[_SARRUS[1]] * a[_SARRUS[2]]
+    det = terms[:3].sum(axis=0) - terms[3:].sum(axis=0)
+    det_defect = np.abs(det - 1.0).max(initial=0.0)
     tol = 100 * DEFAULT.ortho
     if not (err <= tol and det_defect <= tol):
         raise ValueError("rotation block is not special orthogonal "
@@ -366,35 +384,58 @@ def commuting(family, C):
     return not np.any(np.linalg.norm(B, axis=-1) >= DEFAULT.commuting)
 
 
-def random_elements(family, rng, count, scale=3.0, dim=1):
-    """Seeded generic elements, drawn as one (count, d) coordinate stack:
-    uniform coordinates in [-scale, scale) on heisenberg and bargmann,
-    uniform angles on a torus of dimension dim, and Gaussian quaternions
-    normalized to su2 elements or to euclid rotation blocks (with uniform
-    translations)."""
-    if family in ("heisenberg", "bargmann"):
-        return check_coords(family, rng.uniform(-scale, scale,
-                                                (count, COORD_DIM[family])))
-    if family == "torus":
-        return check_coords(family, np.mod(
-            rng.uniform(0, 2 * np.pi, (count, dim)), 2 * np.pi))
-    if family not in ("su2", "euclid"):
+def random_elements(family, rng, count, scale=3.0, dim=1, sets=1, each=None):
+    """Seeded generic elements: `sets` sets of `count`, returned as one
+    (sets * count, d) coordinate stack that equals `sets` separate calls'
+    stacks laid end to end.  Set by set it makes the generator calls a
+    separate call makes, in order; the elements of all sets are then built
+    and checked at once.  Uniform coordinates in [-scale, scale) on
+    heisenberg and bargmann, uniform angles on a torus of dimension dim,
+    and Gaussian quaternions normalized to su2 elements or to euclid
+    rotation blocks (then uniform translations).  each(rng, i), if given,
+    runs after set i's generator calls: support_samples makes its support
+    draws there, so a multi-set draw reads the stream as single ones do."""
+    if family not in FAMILIES:
         raise FamilyError(family)
-    Q = rng.standard_normal((count, 4))
-    Q /= np.sqrt(np.vecdot(Q, Q))[:, None]
+    quaternions = family in ("su2", "euclid")
+    width = 4 if quaternions else dim if family == "torus" \
+        else COORD_DIM[family]
+    raw = np.empty((sets, count, width))
+    shift = np.empty((sets, count, 3)) if family == "euclid" else None
+    for i in range(sets):
+        if quaternions:
+            rng.standard_normal((count, 4), out=raw[i])
+        elif family == "torus":
+            raw[i] = rng.uniform(0, 2 * np.pi, (count, dim))
+        else:
+            raw[i] = rng.uniform(-scale, scale, (count, width))
+        if shift is not None:
+            shift[i] = rng.uniform(-scale, scale, (count, 3))
+        if each is not None:
+            each(rng, i)
+    raw = raw.reshape(sets * count, width)
+    if family == "torus":
+        return check_coords(family, np.mod(raw, 2 * np.pi))
+    if not quaternions:
+        return check_coords(family, raw)
+    raw /= np.sqrt(np.vecdot(raw, raw))[:, None]
     if family == "su2":
-        return check_coords(family, Q)
-    w, x, y, z = Q.T
-    X = np.empty((count, 12))
+        return check_coords(family, raw)
+    # each product of two quaternion entries that A needs, once, over every set
+    w, x, y, z = raw.T
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    X = np.empty((sets * count, 12))
     A, c = euclid_parts(X)
-    A[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    A[:, 0, 1] = 2 * (x * y - w * z)
-    A[:, 0, 2] = 2 * (x * z + w * y)
-    A[:, 1, 0] = 2 * (x * y + w * z)
-    A[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    A[:, 1, 2] = 2 * (y * z - w * x)
-    A[:, 2, 0] = 2 * (x * z - w * y)
-    A[:, 2, 1] = 2 * (y * z + w * x)
-    A[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    c[:] = rng.uniform(-scale, scale, (count, 3))
+    A[:, 0, 0] = 1 - 2 * (yy + zz)
+    A[:, 0, 1] = 2 * (xy - wz)
+    A[:, 0, 2] = 2 * (xz + wy)
+    A[:, 1, 0] = 2 * (xy + wz)
+    A[:, 1, 1] = 1 - 2 * (xx + zz)
+    A[:, 1, 2] = 2 * (yz - wx)
+    A[:, 2, 0] = 2 * (xz - wy)
+    A[:, 2, 1] = 2 * (yz + wx)
+    A[:, 2, 2] = 1 - 2 * (xx + yy)
+    c[:] = shift.reshape(sets * count, 3)
     return check_coords(family, X)

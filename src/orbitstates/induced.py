@@ -166,13 +166,15 @@ def matrix_coefficient(action, f, G):
     leading shape; f must be normalized.
 
     Quadrature sections fill the whole grid for each element, so they take
-    the stack one element at a time.
+    the stack one element at a time, against weights * conj(f) formed once
+    (inner's quadrature sum, term for term).
     """
     if abs(f.norm() - 1.0) > 1e-9:
         raise ValueError("section must be normalized (|f| = %.6g)" % f.norm())
     if f.mode == "counting":
         return inner(f, action.apply(G, f))
+    wf = f.weights * np.conj(f.values)
     out = np.empty(G.shape[:-1], dtype=complex)
     for i in np.ndindex(out.shape):
-        out[i] = inner(f, action.apply(G[i], f))
+        out[i] = np.sum(wf * action.apply(G[i], f).values, axis=-1)
     return out[()]

@@ -905,14 +905,23 @@ def quantum_check(state, spec, trials=1000, n_max=3, budget=10000, seed=0):
     }
 
 
+# kostant_projection_check draws its sphere points this many at a time
+KOSTANT_BLOCK = 8192
+
+
 def kostant_projection_check(lam, n_samples=100000, seed=0, axis=None):
     """Hausdorff distance between axis-projected sphere samples and the
-    interval [-lam, lam]."""
+    interval [-lam, lam].  The points are drawn, normalized and projected
+    KOSTANT_BLOCK at a time, with the generator calls of one draw of all
+    of them, into one array of heights."""
     rng = np.random.default_rng(seed)
     axis = np.array([0.0, 0.0, 1.0]) if axis is None else \
         np.asarray(axis, float) / np.linalg.norm(axis)
-    x = rng.standard_normal((n_samples, 3))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    h = np.sort(lam * (x @ axis))
+    h = np.empty(n_samples)
+    for lo in range(0, n_samples, KOSTANT_BLOCK):
+        x = rng.standard_normal((min(KOSTANT_BLOCK, n_samples - lo), 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        np.multiply(lam, x @ axis, out=h[lo:lo + len(x)])
+    h.sort()
     gaps = np.diff(h, prepend=-lam, append=lam)
     return float(max(np.max(gaps) / 2.0, h[0] + lam, lam - h[-1], 0.0))

@@ -64,10 +64,16 @@ def _midpoints(T, N):
 
 
 def flow_values(state, Z, ts):
-    """m(exp(t Z)) for an array of times and algebra coordinates Z."""
+    """m(exp(t Z)) for an array of times and algebra coordinates Z.  On a
+    character kind, t Z is in h exactly when Z is (t != 0), so membership
+    is decided once, for Z: at |t Z| near cli.FLOW_REACH the rounding of
+    t Z alone exceeds the absolute membership tolerance."""
     ts = np.asarray(ts, dtype=float)
-    return states.exp_values(state, np.multiply.outer(
-        ts, np.asarray(Z, dtype=float)))
+    Z = np.asarray(Z, dtype=float)
+    inside = None
+    if "H" in (state.localization or {}):
+        inside = (ts == 0) | states.in_subalgebra(state, Z)
+    return states.exp_values(state, np.multiply.outer(ts, Z), inside)
 
 
 def _means_at(y, omegas, T):
@@ -89,10 +95,11 @@ def bohr_atom(state, Z, omega, T, N=2 ** 14):
 
 
 def _lattice(T, N):
-    """The frequency lattice pi n / T, n in [-N/2, N/2), ascending, and the
-    map from samples on the midpoint grid to their Bohr means there."""
+    """The frequency lattice pi n / T, n in [-floor(N/2), ceil(N/2) - 1]
+    ([-N/2, N/2) for even N, symmetric for odd N), ascending, and the map
+    from samples on the midpoint grid to their Bohr means there."""
     n = np.arange(N)
-    n[n >= N // 2] -= N
+    n[n >= (N + 1) // 2] -= N
     phase = np.exp(1j * np.pi * n) * np.exp(-1j * np.pi * n / N)
     omegas = np.pi * n / T
     order = np.argsort(omegas)

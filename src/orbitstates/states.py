@@ -175,29 +175,34 @@ _family = _check(lambda v: isinstance(v, str) and v in groups.FAMILIES,
 _callable = _check(callable, "callable")
 
 
-# support draws: (state, U, rng, idx) -> coordinates of the even indices idx,
-# from the (len(idx), 4) uniforms U and, if needed, further draws from rng
+# support draws: build(state, U, th, idx) -> coordinates of the even indices
+# idx of every set, from the (sets, len(idx), 4) uniforms U and, when the
+# draw takes `angles`, the (sets, len(idx)) angles th in [0, 2 pi)
+SupportDraw = namedtuple("SupportDraw", "build angles")
 
-def _on_subgroup(state, U, rng, idx):
-    """U[:, :d] as coordinates along the d rows of H; + 0.0 turns the -0.0
-    that zero columns can take into 0.0."""
+
+def _subgroup_build(state, U, th, idx):
+    """U[..., :d] as coordinates along the d rows of H; + 0.0 turns the
+    -0.0 that zero columns can take into 0.0."""
     H = state.localization["H"]
-    return U[:, :len(H)] @ H + 0.0
+    return U[..., :len(H)] @ H + 0.0
+
+
+_on_subgroup = SupportDraw(_subgroup_build, angles=False)
 
 
 def _on_axis(flip):
     """Rotations about e3 (A e3 = e3), composed with diag(1, -1, -1) on
     every other draw (A e3 = -e3) when `flip`."""
-    def draw(state, U, rng, idx):
-        th = rng.uniform(0, 2 * np.pi, len(idx))
+    def build(state, U, th, idx):
         co, si = np.cos(th), np.sin(th)
         sign = np.where(flip & (idx % 4 == 2), -1.0, 1.0)
-        X = groups.euclid_coords(np.zeros((3, 3)), U[:, :3])
+        X = groups.euclid_coords(np.zeros((3, 3)), U[..., :3])
         A = groups.euclid_parts(X)[0]
-        A[:, 0, 0], A[:, 1, 0] = co, si
-        A[:, 0, 1], A[:, 1, 1], A[:, 2, 2] = -si * sign, co * sign, sign
+        A[..., 0, 0], A[..., 1, 0] = co, si
+        A[..., 0, 1], A[..., 1, 1], A[..., 2, 2] = -si * sign, co * sign, sign
         return X
-    return draw
+    return SupportDraw(build, angles=True)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +330,22 @@ def _custom_values(state, pack):
                     dtype=complex).reshape(pack.shape[:-1])
 
 
-def _character(state, C):
-    """[Z in h] e^{i<x, Z>} over a stack C of algebra coordinates, h spanned
-    by the rows of H: Z is in h when it is the combination of H's rows its
+def in_subalgebra(state, C):
+    """[Z in h] over a stack C of algebra coordinates, for a character kind
+    whose H spans h: Z is in h when it is the combination of H's rows its
     pivots pick."""
     loc = state.localization
     off = C - C.take(loc["pivots"], -1) @ loc["H"]
-    return np.where((np.abs(off) <= DEFAULT.delta).all(-1), groups.expi(
-        groups.pairing_coords(state.family, loc["x"], C)), 0.0)
+    return (np.abs(off) <= DEFAULT.delta).all(-1)
+
+
+def _character(state, C, inside=None):
+    """[Z in h] e^{i<x, Z>} over a stack C of algebra coordinates, with the
+    mask `inside` in place of in_subalgebra(state, C) when given."""
+    if inside is None:
+        inside = in_subalgebra(state, C)
+    return np.where(inside, groups.expi(groups.pairing_coords(
+        state.family, state.localization["x"], C)), 0.0)
 
 
 def _eval_pack(state, pack):
@@ -352,11 +365,13 @@ def evaluate(state, X):
     return values if values.ndim else complex(values)
 
 
-def exp_values(state, C):
-    """m(exp Z) over a stack C of algebra coordinates (..., dim)."""
+def exp_values(state, C, inside=None):
+    """m(exp Z) over a stack C of algebra coordinates (..., dim).  On a
+    character kind, `inside`, if given, is the mask [Z in h] over C's
+    leading axes, decided by the caller in place of the test per row."""
     C = np.asarray(C, dtype=float)
     if "H" in (state.localization or {}):
-        return _character(state, C)
+        return _character(state, C, inside)
     return np.asarray(_eval_pack(state, groups.exp_coords(state.family, C)))
 
 
@@ -475,17 +490,33 @@ def modulus_one_subgroup_probe(state, samples):
     }
 
 
-def support_samples(state, rng, count, scale=3.0):
-    """A seeded (count, d) stack biased onto the state's modulus-one set,
-    so Gram matrices pick up off-diagonal structure for the delta-type
-    states.  Even indices take the kind's support draw (if it has one), odd
-    ones generic draws; each set is drawn and checked as one stack."""
+def support_samples(state, rng, count, scale=3.0, sets=1):
+    """`sets` seeded sets of `count` elements biased onto the state's
+    modulus-one set, so Gram matrices pick up off-diagonal structure for
+    the delta-type states, as one (sets * count, d) stack that equals
+    `sets` separate calls' stacks laid end to end.  Even indices of a set
+    take the kind's support draw (if it has one), odd ones generic draws.
+    Set by set the generator calls are those of a separate call, in order:
+    the generic draws, then the support draw's uniforms and angles; then
+    both halves of all sets are built and checked once and written into
+    their even and odd slots."""
     draw = KINDS[state.kind].draw
     if draw is None:
-        return groups.random_elements(state.family, rng, count, scale=scale)
-    odd = groups.random_elements(state.family, rng, count // 2, scale=scale)
+        return groups.random_elements(state.family, rng, count, scale=scale,
+                                      sets=sets)
     idx = np.arange(0, count, 2)
-    even = groups.check_coords(state.family, draw(
-        state, rng.uniform(-scale, scale, (len(idx), 4)), rng, idx))
-    order = np.argsort(np.concatenate([idx, np.arange(1, count, 2)]))
-    return np.concatenate([even, odd])[order]
+    U = np.empty((sets, len(idx), 4))
+    th = np.empty((sets, len(idx))) if draw.angles else None
+
+    def support(rng, i):
+        U[i] = rng.uniform(-scale, scale, (len(idx), 4))
+        if th is not None:
+            th[i] = rng.uniform(0, 2 * np.pi, len(idx))
+
+    odd = groups.random_elements(state.family, rng, count // 2, scale=scale,
+                                 sets=sets, each=support)
+    even = groups.check_coords(state.family, draw.build(state, U, th, idx))
+    d = odd.shape[-1]
+    out = np.empty((sets, count, d))
+    out[:, 0::2], out[:, 1::2] = even, odd.reshape(sets, count // 2, d)
+    return out.reshape(sets * count, d)

@@ -28,8 +28,8 @@ def _report(outdir, task):
 
 def _least_T(N):
     """The least T at which spectral's top lattice frequency
-    pi ceil(N / 2) / T is a finite double."""
-    top = math.pi * math.ceil(N / 2)
+    pi floor(N / 2) / T is a finite double."""
+    top = math.pi * (N // 2)
     T = top / sys.float_info.max
     while not math.isfinite(top / T):
         T = math.nextafter(T, math.inf)
@@ -266,7 +266,7 @@ def test_bad_input_exits_two(tmp_path, payload):
      "spectral"),
     ('{"kind": "su2_highest_weight", "params": {"j": 1}}, '
      '"params": {"Z": [0, 0, 1e300]}', "/params/Z", "spectral"),
-    # T below the lattice's bound: pi ceil(N / 2) / T overflowed, and the
+    # T below the lattice's bound: pi floor(N / 2) / T overflowed, and the
     # report read "not a finite number" (exit 1)
     *[('{"kind": "su2_highest_weight", "params": {"j": 1}}, '
        '"params": {"Z": [0, 0, 1], "T": %r%s}' % (T, N), "/params/T",
@@ -274,7 +274,8 @@ def test_bad_input_exits_two(tmp_path, payload):
       for T, N in [(5e-324, ""), (1e-310, ', "N": 64'),
                    (math.nextafter(_least_T(2 ** 14), 0.0), ""),
                    (math.nextafter(_least_T(64), 0.0), ', "N": 64'),
-                   (math.nextafter(_least_T(3), 0.0), ', "N": 3')]],
+                   (math.nextafter(_least_T(3), 0.0), ', "N": 3'),
+                   (math.nextafter(_least_T(5), 0.0), ', "N": 5')]],
     ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], "omega": "x"}',
      "/params/omega", "spectral"),
     ('{"kind": "heisenberg_loc_p"}, "params": {"Z": [0, 0, 1], '
@@ -419,7 +420,7 @@ def test_state_parameters_at_their_bound_run(tmp_path, task, kind, params,
     assert cli.run(path, out=str(tmp_path / "rep")) in (0, 1)
 
 
-@pytest.mark.parametrize("N", [3, 64, 2 ** 14])
+@pytest.mark.parametrize("N", [3, 5, 64, 2 ** 14])
 def test_spectral_T_at_its_lattice_bound_runs(tmp_path, N):
     path = _write(tmp_path, {
         "version": "1", "task": "spectral", "seed": 0,

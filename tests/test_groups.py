@@ -347,6 +347,46 @@ def test_random_elements_draw_what_a_per_element_loop_draws(family):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("family", ["heisenberg", "bargmann", "euclid",
+                                    "su2", "torus"])
+def test_random_elements_sets_equal_separate_calls(family):
+    for count, sets in ((0, 2), (1, 1), (5, 3), (12, 4)):
+        rng = np.random.default_rng(count)
+        want = np.concatenate([groups.random_elements(
+            family, rng, count, scale=0.7, dim=2) for _ in range(sets)])
+        got = groups.random_elements(family, np.random.default_rng(count),
+                                     count, scale=0.7, dim=2, sets=sets)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _bad_blocks():
+    """A reflection, an orthogonality defect of 1e-9 at det 1, a NaN and an
+    inf."""
+    skew = np.eye(3)
+    skew[0, 1] = 1e-9
+    blocks = [np.diag([1.0, 1.0, -1.0]), skew]
+    for bad in (np.nan, np.inf):
+        A = np.eye(3)
+        A[2, 1] = bad
+        blocks.append(A)
+    return blocks
+
+
+@pytest.mark.parametrize("rows", [1, 10000])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_rotation_check_rejects_a_bad_last_block(rows):
+    good = groups.random_elements("euclid", np.random.default_rng(rows), rows)
+    A = groups.euclid_parts(good)[0]
+    groups._check_euclid_rotation(A)
+    for bad in _bad_blocks():
+        B = A.copy()
+        B[-1] = bad
+        with pytest.raises(ValueError, match="special orthogonal"):
+            groups._check_euclid_rotation(B)
+    groups._check_euclid_rotation(A[:0])
+
+
 def test_stack_checks_reject_one_bad_block():
     X = groups.random_elements("euclid", np.random.default_rng(4), 50)
     groups.check_coords("euclid", X)

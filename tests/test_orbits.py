@@ -1144,6 +1144,17 @@ def test_kostant_projection_fills_interval():
     assert d < 0.025
 
 
+@pytest.mark.parametrize("n,block", [(12345, 1000), (100000, 8192),
+                                     (100000, 1000)])
+def test_kostant_blocks_give_the_one_block_value(n, block, monkeypatch):
+    # drawing the sphere points in blocks reads the stream as one draw does
+    for seed, axis in ((0, None), (3, [1.0, 2.0, 3.0]), (9, [0.3, -0.7, 0.1])):
+        monkeypatch.setattr(orbits, "KOSTANT_BLOCK", n)
+        one = orbits.kostant_projection_check(1.3, n, seed, axis)
+        monkeypatch.setattr(orbits, "KOSTANT_BLOCK", block)
+        assert orbits.kostant_projection_check(1.3, n, seed, axis) == one
+
+
 def test_kostant_distance_shrinks_with_samples():
     coarse = orbits.kostant_projection_check(1.0, n_samples=200, seed=3)
     fine = orbits.kostant_projection_check(1.0, n_samples=50000, seed=3)

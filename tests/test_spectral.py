@@ -44,6 +44,19 @@ def test_flow_values_custom_state_route():
 # ---------------------------------------------------------------------------
 # atom estimates
 
+def test_flow_in_h_keeps_every_sample_near_the_flow_reach():
+    # T |Z| = 8.9e6: the rounding of t Z moved samples of a flow inside h
+    # off it by more than the 1e-9 membership test (1,108 of 4,096 read 0)
+    st = states.make_state("heisenberg_loc_t", k=0.2, l=1.0, t=0.7)
+    b = 1.7795540617506418
+    Z = np.array([-1.14 * b + 0.01, b, -0.7 * b])
+    vals = spectral.flow_values(st, Z, spectral._midpoints(3e7, 2 ** 12))
+    assert np.abs(np.abs(vals) - 1.0).max() < 1e-12
+    # a flow off h is the identity at t = 0 alone
+    ts = np.array([-1e-3, 0.0, 2.0])
+    assert spectral.flow_values(st, [0.0, 1.0, 0.0], ts).tolist() == [0, 1, 0]
+
+
 def test_pure_character_gives_unit_atom():
     st = states.make_state("heisenberg_loc_p", k=1.3)
     Z = np.array([0, 0, 1.0])
@@ -159,6 +172,20 @@ def test_off_lattice_character_gives_one_exact_atom(seed):
         assert len(est.atoms) == 1
         (om, mass), = est.atoms
         assert abs(om - omega) < 1e-12 and abs(mass - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("N", [5, 6, 7])
+def test_lattice_is_symmetric_for_odd_N(N):
+    # an atom at +2 pi / T: an odd lattice ran over [-ceil(N/2), N/2) and
+    # read it at -3 pi / T at N = 5
+    T = 10 * np.pi
+    omegas, _ = spectral._lattice(T, N)
+    assert np.array_equal(np.rint(omegas * T / np.pi),
+                          np.arange(-(N // 2), (N + 1) // 2))
+    st = states.make_state("heisenberg_loc_p", k=1.0)
+    est = spectral.density_estimate(st, [0.0, 0.0, 2 * np.pi / T], T=T, N=N)
+    [(omega, mass)] = est.atoms
+    assert abs(omega - 2 * np.pi / T) < 1e-12 and abs(mass - 1.0) < 1e-12
 
 
 def test_atom_at_reads_the_estimate_samples():

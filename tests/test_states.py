@@ -209,6 +209,57 @@ def test_support_samples_draw_one_generic_stack(kind, params, monkeypatch):
         assert calls == [count // 2 if has_draw else count]
 
 
+def _support_one_set(st, rng, count):
+    """One set the way a single draw reads the stream: the generic odd
+    rows, then the support draw's uniforms and angles for the even ones."""
+    draw = states.KINDS[st.kind].draw
+    if draw is None:
+        return groups.random_elements(st.family, rng, count)
+    odd = groups.random_elements(st.family, rng, count // 2)
+    idx = np.arange(0, count, 2)
+    U = rng.uniform(-3.0, 3.0, (len(idx), 4))
+    th = rng.uniform(0, 2 * np.pi, len(idx)) if draw.angles else None
+    even = draw.build(st, U, th, idx)
+    out = np.empty((count, odd.shape[-1]))
+    out[0::2], out[1::2] = even, odd
+    return out
+
+
+@pytest.mark.parametrize("kind,params", BUILTIN)
+def test_multi_set_draw_equals_single_draws(kind, params, monkeypatch):
+    # k sets in one call read the stream as k calls do, and as the
+    # reference above, value for value, with one random_elements call for
+    # the generic half of all k sets
+    st = _mk(kind, params)
+    rng = np.random.default_rng(9)
+    want = np.concatenate([_support_one_set(st, rng, 7) for _ in range(3)])
+    got = states.support_samples(st, np.random.default_rng(9), 7, sets=3)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    calls = []
+    draw = groups.random_elements
+
+    def counted(*args, **kwargs):
+        calls.append((args[2], kwargs.get("sets", 1)))
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "random_elements", counted)
+    has_draw = states.KINDS[kind].draw is not None
+    for count in (0, 1, 2, 7, 24):
+        for k in (1, 3):
+            rng = np.random.default_rng(count)
+            want = np.concatenate([states.support_samples(st, rng, count)
+                                   for _ in range(k)])
+            rest = rng.integers(0, 2 ** 63, 4)
+            calls.clear()
+            rng = np.random.default_rng(count)
+            got = states.support_samples(st, rng, count, sets=k)
+            assert calls == [(count // 2 if has_draw else count, k)]
+            assert got.shape == want.shape == (
+                k * count, groups.COORD_DIM[st.family])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(rng.integers(0, 2 ** 63, 4), rest)
+
+
 def test_su2_highest_weight_values():
     st = _mk("su2_highest_weight", dict(j=1.0))
     g = groups.check_coords("su2", [math.cos(0.4), 0.0, 0.0, math.sin(0.4)])
