@@ -13,8 +13,8 @@ Scenario files are JSON:
 Reports are JSON written atomically (temp file + rename) with sorted keys
 and no timestamps, so identical scenario + seed gives byte-identical
 output.  Exit code 0 = all checks passed, 1 = a check failed (report still
-written), 2 = input error (malformed JSON, a missing, unexpected or
-ill-typed key, unknown target).  Input errors carry JSON-pointer paths.
+written), 2 = input error (malformed JSON, or a value outside the scenario
+schema below).  Input errors carry JSON-pointer paths.
 """
 
 import argparse
@@ -49,231 +49,21 @@ CSV_BLOCK = 4096
 # tails fall below 1e-3 well above it, so they stay in the file
 DENSITY_FLOOR = 1e-12
 
-# the largest SU(2) orbit radius params.orbit.lam: the sup search evaluates
-# the 4 lam + 1 weight heights of a whole block of trials at once, and a
-# highest-weight state has 2j <= 8
-LAM_MAX = 16.0
-
-# the largest Euclid orbit radius k: drawn tuples put sphere phases up to
-# k |rate| <= 2 sqrt(3) k and strip phases up to |t| k <= 3 k into the sup
-# search, which must stay within the range orbits.ROUNDING covers
-EUCLID_K_MAX = orbits.PHASE_MAX / (2 * math.sqrt(3))
-
-# the largest |s| of a Euclid orbit and sum of |y_i| of a torus point y:
-# the sup search meets them in phases of at most pi times them (s axis_3 at
-# a state's anchor (0, 0, s, 0, 0, k), |axis| <= pi on drawn screws; y . Z,
-# |Z_i| <= pi), which must stay within the range orbits.ROUNDING covers
-EUCLID_S_MAX = TORUS_Y_MAX = orbits.PHASE_MAX / math.pi
-
-# the largest |entry| of a params.Zs direction, which reaches only the
-# projections <x, Z> (|x| < 1e8 on every admitted orbit) and the brackets of
-# the commuting test: both stay finite with hundreds of decades to spare
-DIRECTION_MAX = 1e100
-
 # the largest T |Z| of a spectral run (T defaults to spectral.T_DEFAULT): the
 # flow is sampled at t Z for |t| <= T, so this keeps its phases well inside
 # the range a double resolves, and far from where exp_coords's squares of
 # t Z overflow (|t Z| about 1e154)
 FLOW_REACH = 1e8
 
-# the largest value of each count parameter, so that an oversized count is an
-# input error before it sizes an array past memory; each admits its default
-# with room to spare (peaks measured on whole runs at the bound)
-COUNT_MAX = {
-    # spectral lattice points: the flow at N times and its FFT, about
-    # 0.2 GiB at the bound
-    "N": 2 ** 20,
-    # support samples per Gram matrix: an n x n kernel of packed elements
-    # and its eigensolve, about 0.2 GiB at the bound
-    "samples": 2 ** 10,
-    # the GNS sample set: its n x n Gram matrix and the probes' images,
-    # about 0.4 GiB at the bound
-    "n": 2 ** 10,
-    # sample pairs of the inequality check: two stacks of elements and
-    # their state values, about 0.5 GiB at the bound
-    "pairs": 10 ** 6,
-    # orbit points of orbit_project and their projections, at most
-    # about 0.3 GiB at the bound
-    "count": 10 ** 6,
-    # sphere points of the Kostant projection check and their sort, about
-    # 0.1 GiB at the bound
-    "kostant": 10 ** 6,
-    # terms per quantum_check tuple: (BLOCK, n_max) coefficient stacks whose
-    # sup search grows with the terms (1.4 s and 0.13 GiB for 256 trials
-    # at the bound)
-    "n_max": 64,
-    # quantum_check trials: one margin each in the report
-    "trials": 10 ** 6,
-    # Gram sets per verify sweep and stage-4 evaluations per trial: both run
-    # in bounded memory (a sweep stacks at most GRAM_ENTRIES entries, the
-    # branch and bound keeps at most orbits.OPEN_MAX cells), so these bound
-    # only the run time
-    "sets": 10 ** 5,
-    "budget": 10 ** 7,
-}
+# the largest |s| of a Euclid orbit and sum of |y_i| of a torus point y:
+# the sup search meets them in phases of at most pi times them (s axis_3 at
+# a state's anchor (0, 0, s, 0, 0, k), |axis| <= pi on drawn screws; y . Z,
+# |Z_i| <= pi), which must stay within the range orbits.ROUNDING covers
+TORUS_Y_MAX = orbits.PHASE_MAX / math.pi
 
 
 class CliInputError(ValueError):
     pass
-
-
-def validate_scenario(doc):
-    """Check a parsed scenario; a CliInputError names the pointer at fault."""
-    _object(doc, "", ("version", "task", "seed", "state", "out", "params"),
-            ("version", "task", "seed"))
-    _string(doc, "version")
-    _string(doc, "out")
-    if not isinstance(doc["task"], str) or doc["task"] not in _RUNNERS:
-        raise CliInputError("/task: must be one of %s, got %r"
-                            % (list(_RUNNERS), doc["task"]))
-    _count(doc, "seed", None, least=0, where="")
-    _object(doc.get("params", {}), "/params")
-    if "state" in doc:
-        _object(doc["state"], "/state", ("kind", "params"), ("kind",))
-        _string(doc["state"], "kind", "/state")
-        _object(doc["state"].get("params", {}), "/state/params")
-    elif doc["task"] != "reproduce":
-        raise CliInputError("/state: required for task %r" % (doc["task"],))
-    if doc["task"] == "reproduce":
-        target = doc.get("params", {}).get("target")
-        if target not in REPRODUCE_TARGETS:
-            raise CliInputError("/params/target: must be one of %s"
-                                % (list(REPRODUCE_TARGETS),))
-
-
-def _build_state(state_doc):
-    try:
-        return states.make_state(state_doc["kind"],
-                                 **state_doc.get("params", {}))
-    except states.StateParameterError as e:
-        where = "/state/params/" + e.param if e.param else "/state"
-        raise CliInputError("%s: %s" % (where, e))
-
-
-def _object(value, where, allowed=None, required=()):
-    """`value` once it is a JSON object with every key of `required` and,
-    when `allowed` is given, no key outside it."""
-    if not isinstance(value, dict):
-        raise CliInputError("%s: must be an object, got %r"
-                            % (where or "/", value))
-    for key in required:
-        if key not in value:
-            raise CliInputError("%s/%s: required" % (where, key))
-    for key in value:
-        if allowed is not None and key not in allowed:
-            raise CliInputError("%s/%s: unexpected key" % (where, key))
-    return value
-
-
-def _string(doc, key, where=""):
-    """Check that `doc[key]`, if present, is a JSON string."""
-    if key in doc and not isinstance(doc[key], str):
-        raise CliInputError("%s/%s: must be a string, got %r"
-                            % (where, key, doc[key]))
-
-
-def _count(params, key, default, least=1, where="/params"):
-    """An integer parameter of at least `least` and at most COUNT_MAX[key]
-    (when the key has one); 1.0 counts as 1."""
-    value = params.get(key, default)
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or isinstance(value, float) and value.is_integer()) \
-            or value < least:
-        raise CliInputError("%s/%s: must be an integer >= %d, got %r"
-                            % (where, key, least, value))
-    if value > COUNT_MAX.get(key, math.inf):
-        raise CliInputError("%s/%s: must be <= %d, got %r"
-                            % (where, key, COUNT_MAX[key], value))
-    return int(value)
-
-
-def _number(value, where, positive=False):
-    """`value` itself once it is a JSON number (positive when asked)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or (positive and not value > 0):
-        raise CliInputError("%s: must be a %snumber, got %r"
-                            % (where, "positive " if positive else "", value))
-    return value
-
-
-def _numbers(values, where, size=None):
-    """A non-empty list of JSON numbers, of length `size` when given."""
-    if not isinstance(values, list) or not values \
-            or size not in (None, len(values)):
-        raise CliInputError("%s: must be a list of %s numbers, got %r"
-                            % (where, size or "one or more", values))
-    return [_number(v, "%s/%d" % (where, i)) for i, v in enumerate(values)]
-
-
-def _direction(family, coords, where, size=None):
-    """The algebra coordinates of `family` from a list, of length `size`
-    (default: the family's algebra dimension, if it has one)."""
-    return np.array(_numbers(coords, where,
-                             size or groups.ALGEBRA_DIM.get(family)),
-                    dtype=float)
-
-
-# the keys of params.orbit that each family's G-orbit reads
-_ORBIT_KEYS = {"heisenberg": ("k", "l"), "bargmann": (), "euclid": ("k", "s"),
-               "su2": ("lam",), "torus": ("y",)}
-
-
-def _default_orbit(state, params):
-    fam = state.family
-    orbit = _object(params.get("orbit", {}), "/params/orbit", _ORBIT_KEYS[fam])
-
-    def value(key, default, state_key=None):
-        """params.orbit[key], else the state's parameter state_key (default
-        key), else default; errors point at the key it came from."""
-        state_key = state_key or key
-        where = "/params/orbit/" + key if key in orbit \
-            else "/state/params/" + state_key
-        v = _number(orbit.get(key, state.params.get(state_key, default)),
-                    where)
-        # the radius of a Euclid orbit and the weight of an SU(2) sphere
-        if (fam, key) in (("euclid", "k"), ("su2", "lam")) and v < 0:
-            raise CliInputError("%s: must be >= 0, got %r" % (where, v))
-        top = {("su2", "lam"): LAM_MAX, ("euclid", "k"): EUCLID_K_MAX,
-               ("euclid", "s"): EUCLID_S_MAX}.get((fam, key), math.inf)
-        if abs(v) > top:
-            raise CliInputError("%s: |value| must be <= %.17g, got %r"
-                                % (where, top, v))
-        return v
-
-    if fam == "heisenberg":
-        return orbits.heisenberg_orbit(value("k", 1.0), value("l", 0.0))
-    if fam == "bargmann":
-        return orbits.bargmann_orbit()
-    if fam == "euclid":
-        return orbits.euclid_orbit(value("k", 1.0), value("s", 0.0))
-    if fam == "su2":
-        return orbits.su2_orbit(value("lam", 0.5, "j"))
-    y = orbit.get("y", [1.0])
-    y = _numbers(y, "/params/orbit/y") if isinstance(y, list) \
-        else _number(y, "/params/orbit/y")
-    if np.sum(np.abs(y)) > TORUS_Y_MAX:
-        raise CliInputError("/params/orbit/y: the sum of |y_i| must be "
-                            "<= %.17g, got %r" % (TORUS_Y_MAX, y))
-    return orbits.torus_orbit(y)
-
-
-def _concentration(target):
-    """Check a target of spectral.concentration_check and its numbers."""
-    kind = target.get("type") if isinstance(target, dict) else None
-    where = "/params/concentration/"
-    if kind == "point":
-        _number(target.get("value"), where + "value")
-    elif kind == "interval":
-        lo, hi = _numbers(target.get("bounds"), where + "bounds", 2)
-        if lo > hi:
-            raise CliInputError("%sbounds: must have lo <= hi, got %r"
-                                % (where, [lo, hi]))
-    elif kind == "finite":
-        _numbers(target.get("values"), where + "values")
-    else:
-        raise CliInputError("%stype: must be point, interval or finite, "
-                            "got %r" % (where, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +105,9 @@ def _sweep_gates(prefix, worst, ineq):
 
 
 def _task_verify(state, p, seed):
-    sets, n = _count(p, "sets", 50), _count(p, "samples", 24)
-    worst, ineq = _sweep(state, np.random.default_rng(seed), sets, n,
-                         _count(p, "pairs", 2000))
-    results = {"sets": sets, "samples_per_set": n,
+    worst, ineq = _sweep(state, np.random.default_rng(seed), p["sets"],
+                         p["samples"], p["pairs"])
+    results = {"sets": p["sets"], "samples_per_set": p["samples"],
                "min_eigenvalue_per_n": worst, "inequalities": ineq}
     return _judged(results, _sweep_gates("", worst, ineq),
                    ["state-psd-kernel", "modulus-and-continuity-bounds"])
@@ -326,8 +115,7 @@ def _task_verify(state, p, seed):
 
 def _task_gram(state, p, seed):
     rng = np.random.default_rng(seed)
-    samples = states.support_samples(state, rng, _count(p, "samples", 24))
-    gm = states.gram(state, samples)
+    gm = states.gram(state, states.support_samples(state, rng, p["samples"]))
     results = {"n": gm.n, "rank": gm.rank,
                "eigenvalues": [float(v) for v in gm.eigenvalues]}
     return _judged(results, {"psd": states.check_psd(gm)},
@@ -335,10 +123,7 @@ def _task_gram(state, p, seed):
 
 
 def _task_gns(state, p, seed):
-    if state.kind not in gns.CLOSED_KINDS:
-        raise CliInputError("/state/kind: gns needs one of %s, got %r"
-                            % (list(gns.CLOSED_KINDS), state.kind))
-    samples, probes = gns.closed_sample_set(state, _count(p, "n", 16), seed)
+    samples, probes = gns.closed_sample_set(state, p["n"], seed)
     space = gns.build(state, samples)
     R, residuals = gns.rep_matrix(space, probes)
     worst_res = float(np.max(residuals))
@@ -360,26 +145,7 @@ def _task_gns(state, p, seed):
 
 
 def _task_spectral(state, p, seed):
-    if "Z" not in p:
-        raise CliInputError("/params/Z: direction coordinates required")
-    Z = _direction(state.family, p["Z"], "/params/Z")
-    T = p.get("T")
-    N = _count(p, "N", 2 ** 14, least=2)
-    top = math.pi * (N // 2)   # |pi n| of spectral._lattice reaches it
-    if T is not None and not math.isfinite(
-            top / _number(T, "/params/T", positive=True)):
-        raise CliInputError("/params/T: pi floor(N / 2) / T, the top lattice "
-                            "frequency, must be finite, got %r" % (T,))
-    reach = (spectral.T_DEFAULT if T is None else T) * math.hypot(*Z)
-    if not reach <= FLOW_REACH:
-        raise CliInputError("%s: T |Z| must be <= %g (T defaults to 200 pi), "
-                            "got %r" % ("/params/T" if "T" in p
-                                        else "/params/Z", FLOW_REACH, reach))
-    if "omega" in p:
-        _number(p["omega"], "/params/omega")
-    if "concentration" in p:
-        _concentration(p["concentration"])
-    est = spectral.density_estimate(state, Z, T=T, N=N)
+    est = spectral.density_estimate(state, p["Z"], T=p["T"], N=p["N"])
     results = {
         "classification": est.classification,
         "atoms": [[float(om), float(m)] for om, m in est.atoms],
@@ -388,50 +154,36 @@ def _task_spectral(state, p, seed):
         "zero_value": [est.zero_value.real, est.zero_value.imag],
         "_density": est.density,
     }
-    if "omega" in p:
-        atom = est.atom_at(float(p["omega"]))
+    if p["omega"] is not None:
+        atom = est.atom_at(p["omega"])
         results["atom_at_omega"] = {
             "omega": atom.omega,
             "mass": [atom.mass.real, atom.mass.imag],
             "leakage": atom.leakage,
         }
-    return _judged(results, {"concentration": spectral.concentration_check(
-        est, p["concentration"])} if "concentration" in p else {},
+    target = p["concentration"]
+    return _judged(results, {} if target is None else {
+        "concentration": spectral.concentration_check(est, target)},
         ["abelian-restriction-spectrum"])
 
 
 def _task_orbit(state, p, seed):
-    spec = _default_orbit(state, p)
-    count = _count(p, "count", 1000)
-    kostant = _count(p, "kostant", 10 ** 5) if spec.family == "su2" else None
-    rng = np.random.default_rng(seed)
-    pts = spec.sample(rng, count)
+    spec = p["orbit"]
+    pts = spec.sample(np.random.default_rng(seed), p["count"])
     rel = float(np.max(orbits.relation_residuals(spec, pts)))
-    results = {"family": spec.family, "count": count, "relation_residual": rel}
+    results = {"family": spec.family, "count": p["count"],
+               "relation_residual": rel}
     gates = {"relation_residual": gate(rel, "<=", "relation")}
-    if not isinstance(p.get("Zs", []), list):
-        raise CliInputError("/params/Zs: must be a list of directions, got %r"
-                            % (p["Zs"],))
-    if p.get("Zs"):
-        Zs = np.array([_direction(state.family, z, "/params/Zs/%d" % i,
-                                  spec.dim) for i, z in enumerate(p["Zs"])])
-        far = np.argwhere(np.abs(Zs) > DIRECTION_MAX)
-        if len(far):
-            i, j = far[0]
-            raise CliInputError("/params/Zs/%d/%d: must be in [-%g, %g], "
-                                "got %r" % (i, j, DIRECTION_MAX, DIRECTION_MAX,
-                                            p["Zs"][i][j]))
-        if not groups.commuting(state.family, Zs):
-            raise CliInputError("/params/Zs: tuple does not commute")
-        proj = groups.pairing_coords(state.family, pts[:, None], Zs)
+    if len(p["Zs"]):
+        proj = groups.pairing_coords(state.family, pts[:, None], p["Zs"])
         results["projection_mean"] = [float(v) for v in proj.mean(axis=0)]
         results["projection_minmax"] = [
             [float(a), float(b)] for a, b in zip(proj.min(axis=0),
                                                  proj.max(axis=0))]
         results["_projections"] = proj
     if spec.family == "su2":
-        dist = orbits.kostant_projection_check(spec.params["lam"], kostant,
-                                               seed)
+        dist = orbits.kostant_projection_check(spec.params["lam"],
+                                               p["kostant"], seed)
         results["kostant_hausdorff"] = dist
         gates["kostant_hausdorff"] = gate(dist, "<", "hausdorff")
     return _judged(results, gates,
@@ -439,13 +191,9 @@ def _task_orbit(state, p, seed):
 
 
 def _task_quantum(state, p, seed):
-    spec = _default_orbit(state, p)
-    report = orbits.quantum_check(
-        state, spec,
-        trials=_count(p, "trials", 200),
-        n_max=_count(p, "n_max", 3),
-        budget=_count(p, "budget", 10000, 0),
-        seed=seed)
+    report = orbits.quantum_check(state, p["orbit"], trials=p["trials"],
+                                  n_max=p["n_max"], budget=p["budget"],
+                                  seed=seed)
     return dict(report), bool(report["pass"]), ["orbit-sup-inequality"]
 
 
@@ -613,6 +361,229 @@ _RUNNERS = dict(COMMANDS.values())
 
 
 # ---------------------------------------------------------------------------
+# the scenario schema: every input is a row key -> (default, check) of the
+# form states.KINDS uses, read by states.read_params.  A default of None
+# stands for "absent": the runner then does without the input.
+
+_TEXT = states.check(lambda v: isinstance(v, str), "a string")
+_OBJECT = states.check(lambda v: isinstance(v, dict), "an object")
+_FINITE = states.number(-sys.float_info.max, sys.float_info.max)
+
+
+def _list(least=1, size=None, item=_FINITE):
+    """A check of a list of at least `least` entries (`size` when given)
+    that each pass `item`."""
+    return states.check(
+        lambda v: isinstance(v, list) and len(v) >= least
+        and size in (None, len(v)), "a list of %s entries, each %s"
+        % (size or "%d or more" % least, item.what), item=item)
+
+
+SCENARIO = {
+    "version": (states.REQUIRED, _TEXT),
+    "task": (states.REQUIRED, states.one_of(_RUNNERS)),
+    "seed": (states.REQUIRED, states.count(0)),
+    "state": (None, _OBJECT),      # required by every task but reproduce
+    "out": ("reports", _TEXT),
+    "params": ({}, _OBJECT),
+}
+STATE = {"kind": (states.REQUIRED, _TEXT), "params": ({}, _OBJECT)}
+
+# each count has a largest value, so that an oversized count is an input
+# error before it sizes an array past memory; each admits its default with
+# room to spare (peaks measured on whole runs at the bound).  Support samples
+# per Gram matrix: an n x n kernel and its eigensolve, 0.2 GiB at the bound
+_SAMPLES = (24, states.count(1, 2 ** 10))
+
+TASK_PARAMS = {
+    "verify": {
+        # Gram sets per sweep: a sweep stacks at most GRAM_ENTRIES kernel
+        # entries at a time, so this bounds only the run time
+        "sets": (50, states.count(1, 10 ** 5)),
+        "samples": _SAMPLES,
+        # sample pairs of the inequality check: two stacks of elements and
+        # their state values, about 0.5 GiB at the bound
+        "pairs": (2000, states.count(1, 10 ** 6)),
+    },
+    "gram": {"samples": _SAMPLES},
+    # the GNS sample set: its n x n Gram matrix and the probes' images,
+    # about 0.4 GiB at the bound
+    "gns": {"n": (16, states.count(1, 2 ** 10))},
+    "spectral": {
+        # algebra coordinates of the flow's direction, one per dimension
+        "Z": (states.REQUIRED, _list()),
+        # None: spectral.T_DEFAULT.  T |Z| <= FLOW_REACH, and the top lattice
+        # frequency pi floor(N / 2) / T must be finite
+        "T": (None, states.number(states.TINY, sys.float_info.max)),
+        # lattice points: the flow at N times and its FFT, about 0.2 GiB at
+        # the bound; the atom scan needs a neighbour, so N >= 2
+        "N": (2 ** 14, states.count(2, 2 ** 20)),
+        "omega": (None, _FINITE),   # |omega| T must be finite
+        "concentration": (None, _OBJECT),   # read through TARGETS
+    },
+    "orbit_project": {
+        "orbit": ({}, _OBJECT),   # read through ORBIT_PARAMS
+        # orbit points and their projections, about 0.3 GiB at the bound
+        "count": (1000, states.count(1, 10 ** 6)),
+        # sphere points of the SU(2) Kostant check and their sort, about
+        # 0.1 GiB at the bound
+        "kostant": (10 ** 5, states.count(1, 10 ** 6)),
+        # commuting directions of the orbit's dimension; an entry reaches
+        # only the projections <x, Z> (|x| < 1e8 on every admitted orbit)
+        # and the commuting test's brackets, both finite with hundreds of
+        # decades to spare
+        "Zs": ([], _list(0, item=_list(item=states.number(
+            -1e100, 1e100)))),
+    },
+    "quantum_check": {
+        "orbit": ({}, _OBJECT),
+        # trials, one margin each in the report
+        "trials": (200, states.count(1, 10 ** 6)),
+        # terms per tuple: (BLOCK, n_max) coefficient stacks whose sup search
+        # grows with the terms (1.4 s and 0.13 GiB for 256 trials at the
+        # bound)
+        "n_max": (3, states.count(1, 64)),
+        # stage-4 evaluations per trial: the branch and bound keeps at most
+        # orbits.OPEN_MAX cells, so this bounds only the run time
+        "budget": (10000, states.count(0, 10 ** 7)),
+    },
+    "reproduce": {"target": (states.REQUIRED, states.one_of(_REPRODUCERS))},
+}
+
+# params.orbit, per family; a key left out takes the state's parameter of
+# that name (j for lam) when the state has one, else the row's default
+ORBIT_PARAMS = {
+    # k and l select nothing yet: every Heisenberg search runs on M = 1
+    "heisenberg": {"k": (1.0, _FINITE), "l": (0.0, _FINITE)},
+    "bargmann": {},
+    "euclid": {
+        # the radius: drawn tuples put sphere phases up to k |rate| <=
+        # 2 sqrt(3) k and strip phases up to |t| k <= 3 k into the sup
+        # search, which must stay within the range orbits.ROUNDING covers
+        "k": (1.0, states.number(0, orbits.PHASE_MAX / (2 * math.sqrt(3)))),
+        "s": (0.0, states.number(-TORUS_Y_MAX, TORUS_Y_MAX)),
+    },
+    # the sup search evaluates the 4 lam + 1 weight heights of a whole block
+    # of trials at once, and a highest-weight state has 2j <= 8
+    "su2": {"lam": (0.5, states.number(0, 16))},
+    # one number or a list; the sum of |y_i| is at most TORUS_Y_MAX
+    "torus": {"y": ([1.0], states.check(
+        lambda v: v != [], "a number or a non-empty list of numbers",
+        lambda v: v if isinstance(v, list) else [v], item=_FINITE))},
+}
+
+# params.concentration, per target type of spectral.concentration_check
+_TYPE = (states.REQUIRED, states.one_of(("point", "interval", "finite")))
+TARGETS = {
+    "point": {"type": _TYPE, "value": (states.REQUIRED, _FINITE)},
+    "interval": {"type": _TYPE, "bounds": (states.REQUIRED, _list(
+        size=2))},   # lo <= hi
+    "finite": {"type": _TYPE, "values": (states.REQUIRED, _list())},
+}
+
+
+def _read(table, value, where, name):
+    """states.read_params on the JSON object at pointer `where`."""
+    if not isinstance(value, dict):
+        raise CliInputError("%s: must be an object, got %r"
+                            % (where or "/", value))
+    try:
+        return states.read_params(name, table, value)
+    except states.StateParameterError as e:
+        raise CliInputError("%s/%s: %s" % (where, e.param, e))
+
+
+def _orbit(state, orbit):
+    """The orbit of params.orbit on the state's family; a key it leaves out
+    takes the state's parameter of that name (j for lam), checked by the
+    orbit's row at /state/params."""
+    rows = ORBIT_PARAMS[state.family]
+    named = {key: "j" if key == "lam" else key for key in rows}
+    inherited = {k: state.params[named[k]] for k in rows
+                 if k not in orbit and named[k] in state.params}
+    _read({named[k]: rows[k] for k in inherited},
+          {named[k]: v for k, v in inherited.items()}, "/state/params",
+          state.kind)
+    values = _read(rows, dict(inherited, **orbit), "/params/orbit",
+                   state.family + " orbit")
+    if state.family == "torus" and not sum(map(abs, values["y"])) \
+            <= TORUS_Y_MAX:
+        raise CliInputError("/params/orbit/y: the sum of |y_i| must be "
+                            "<= %.17g, got %r" % (TORUS_Y_MAX, values["y"]))
+    return getattr(orbits, state.family + "_orbit")(**values)
+
+
+def validate_scenario(doc, seed=None, budget=None):
+    """The scenario's checked values, `state` built (None for reproduce):
+    every key read through its row, then the bounds that tie keys together.
+    `seed` and `budget`, when given, replace the scenario's seed and
+    params.budget.  A CliInputError names the pointer at fault."""
+    top = _read(SCENARIO, doc, "", "scenario")
+    if seed is not None:
+        top["seed"] = _read({"seed": SCENARIO["seed"]}, {"seed": seed}, "",
+                            "scenario")["seed"]
+    task, state = top["task"], top["state"]
+    if state is not None:
+        state = _read(STATE, state, "/state", "state")
+    if budget is not None:
+        top["params"] = dict(top["params"], budget=budget)
+    p = top["params"] = _read(TASK_PARAMS[task], top["params"], "/params",
+                              task)
+    if task == "reproduce":
+        return dict(top, state=None)
+    if state is None:
+        raise CliInputError("/state: required for task %r" % (task,))
+    try:
+        state = top["state"] = states.make_state(state["kind"],
+                                                 **state["params"])
+    except states.StateParameterError as e:
+        raise CliInputError("/state/%s: %s" % (
+            "params/" + e.param if e.param else "kind", e))
+    if task == "gns" and state.kind not in gns.CLOSED_KINDS:
+        raise CliInputError("/state/kind: gns needs one of %s, got %r"
+                            % (list(gns.CLOSED_KINDS), state.kind))
+    if "orbit" in p:
+        p["orbit"] = _orbit(state, p["orbit"])
+    if task == "spectral":
+        dim = groups.ALGEBRA_DIM.get(state.family, len(p["Z"]))
+        if len(p["Z"]) != dim:
+            raise CliInputError("/params/Z: must have %d entries, got %r"
+                                % (dim, p["Z"]))
+        T = spectral.T_DEFAULT if p["T"] is None else p["T"]
+        if not math.isfinite(math.pi * (p["N"] // 2) / T):
+            raise CliInputError("/params/T: pi floor(N / 2) / T, the top "
+                                "lattice frequency, must be finite, got %r"
+                                % (T,))
+        reach = T * math.hypot(*p["Z"])
+        if not reach <= FLOW_REACH:
+            raise CliInputError("/params/%s: T |Z| must be <= %g (T defaults "
+                                "to 200 pi), got %r" % (
+                                    "Z" if p["T"] is None else "T",
+                                    FLOW_REACH, reach))
+        if p["omega"] is not None and not math.isfinite(abs(p["omega"]) * T):
+            raise CliInputError("/params/omega: |omega| T must be finite (T "
+                                "defaults to 200 pi), got %r" % (p["omega"],))
+        p["Z"], target = np.array(p["Z"]), p["concentration"]
+        if target is not None:
+            target = p["concentration"] = _read(
+                TARGETS.get(str(target.get("type")), {"type": _TYPE}),
+                target, "/params/concentration", "concentration")
+            if target["type"] == "interval" and not \
+                    target["bounds"][0] <= target["bounds"][1]:
+                raise CliInputError("/params/concentration/bounds: must have "
+                                    "lo <= hi, got %r" % (target["bounds"],))
+    for i, z in enumerate(p.get("Zs", ())):
+        if len(z) != p["orbit"].dim:
+            raise CliInputError("/params/Zs/%d: must have %d entries, got %r"
+                                % (i, p["orbit"].dim, z))
+    if p.get("Zs"):
+        p["Zs"] = np.array(p["Zs"])
+        if not groups.commuting(state.family, p["Zs"]):
+            raise CliInputError("/params/Zs: tuple does not commute")
+    return top
+
+
+# ---------------------------------------------------------------------------
 # report emission
 
 def _atomic_write_bytes(path, data):
@@ -714,27 +685,22 @@ def run_document(doc, seed=None, out=None, budget=None):
     `seed` and `budget`, when given, replace the scenario's seed and
     params.budget, and are checked as they are."""
     try:
-        validate_scenario(doc)
-        if budget is not None:
-            doc = dict(doc, params=dict(doc.get("params", {}), budget=budget))
-        seed = _count({"seed": doc["seed"] if seed is None else seed}, "seed",
-                      None, least=0, where="")
-        outdir = out or doc.get("out", "reports")
-        state = None if doc["task"] == "reproduce" \
-            else _build_state(doc["state"])
-        results, passed, refs = _RUNNERS[doc["task"]](
-            state, doc.get("params", {}), seed)
+        sc = validate_scenario(doc, seed, budget)
     except CliInputError as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
+    seed, outdir = sc["seed"], out or sc["out"]
+    try:
+        results, passed, refs = _RUNNERS[sc["task"]](sc["state"],
+                                                     sc["params"], seed)
     except spectral.GridTooCoarse as e:
         results, passed, refs = {"error": str(e)}, False, []
 
     density = results.pop("_density", None)
     projections = results.pop("_projections", None)
     report = {
-        "version": doc.get("version", "1"),
-        "task": doc["task"],
+        "version": sc["version"],
+        "task": sc["task"],
         "seed": seed,
         "paper_refs": refs,
         "results": _plain(results),
@@ -755,7 +721,7 @@ def run_document(doc, seed=None, out=None, budget=None):
         payload = _report_bytes(report)
     os.makedirs(outdir, exist_ok=True)
     _atomic_write_bytes(
-        os.path.join(outdir, "%s-report.json" % doc["task"]), payload)
+        os.path.join(outdir, "%s-report.json" % sc["task"]), payload)
     emit_plotdata(report, outdir, density, projections)
     return 0 if report["pass"] else 1
 

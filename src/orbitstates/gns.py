@@ -49,7 +49,7 @@ def build(state, samples):
 
     gm = states.gram(state, samples)
     n = gm.n
-    if gm.eigenvalues[-1] < -DEFAULT.psd_scale * n:
+    if not states.check_psd(gm)["pass"]:
         raise NotAStateError(
             "Gram minimum eigenvalue %.3g: not a state on this sample"
             % gm.eigenvalues[-1])

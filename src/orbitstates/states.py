@@ -134,45 +134,88 @@ def j0(x):
 
 
 # ---------------------------------------------------------------------------
-# parameter checks: (key, value) -> the value the state stores
+# parameter tables: key -> (default, check), where a check maps (key, value)
+# to the value stored; cli reads the scenario through rows of this form
 
-_REQUIRED = object()   # the default of a parameter that must be given
+REQUIRED = object()   # the default of a parameter that must be given
 
 # the largest |value| of a numeric parameter: flows reach |t Z| <=
 # cli.FLOW_REACH = 1e8, so the largest character phase <x, Z>,
 # bargmann_loc_pe's 0.5 k^2 eps, stays below 0.5 * (1e6)^2 * 1e8 = 5e19
 PARAM_MAX = 1e6
+TINY = math.ulp(0.0)   # the least positive double: [TINY, hi] is (0, hi]
 
 
-def _bounded(v):
-    return not isinstance(v, bool) and isinstance(v, numbers.Real) \
-        and abs(v) <= PARAM_MAX
-
-
-def _check(ok, what, cast=lambda v: v):
-    """A parameter check: the value must pass `ok`; it is stored as cast(value)."""
-    def check(key, value):
+def check(ok, what, cast=lambda v: v, item=None, **facts):
+    """A row check: the value passes `ok`, then each entry of a list (or a
+    lone value) passes `item`; it is stored as cast(value)."""
+    def run(key, value):
         if not ok(value):
             raise StateParameterError("parameter-invalid", "%s must be %s, got "
                                       "%r" % (key, what, value), key)
+        if item is not None:
+            value = item(key, value) if not isinstance(value, list) else [
+                item("%s/%d" % (key, i), v) for i, v in enumerate(value)]
         return cast(value)
-    return check
+    run.what, run.item = what, item
+    run.__dict__.update(facts)
+    return run
 
 
-_real = _check(_bounded, "a number in [-%g, %g]" % (PARAM_MAX, PARAM_MAX),
-               float)
-_positive = _check(lambda v: _bounded(v) and v > 0,
-                   "a number in (0, %g]" % PARAM_MAX, float)
-_integer = _check(lambda v: _bounded(v) and abs(v - round(v)) <= 1e-12,
-                  "an integer in [-%g, %g]" % (PARAM_MAX, PARAM_MAX),
-                  lambda v: int(round(float(v))))
-_binary = _check(lambda v: not isinstance(v, bool) and v in (0, 1), "0 or 1", int)
-_spin = _check(lambda v: _bounded(v) and abs(2.0 * v - round(2.0 * v)) <= 1e-12
-               and 0 <= round(2.0 * v) <= 8, "a multiple of 1/2 in 0..4",
-               lambda v: round(2.0 * float(v)) / 2.0)
-_family = _check(lambda v: isinstance(v, str) and v in groups.FAMILIES,
-                 "one of %s" % (groups.FAMILIES,))
-_callable = _check(callable, "callable")
+def _numeric(v):
+    return not isinstance(v, bool) and isinstance(v, numbers.Real)
+
+
+def number(lo, hi, step=0, cast=float):
+    """A check of a number in [lo, hi], within 1e-12 of a multiple of step
+    when step is given."""
+    noun = "a number" if not step else "an integer" if step == 1 \
+        else "a multiple of %r" % step
+    return check(lambda v: _numeric(v) and lo <= v <= hi and (
+        not step or abs(v / step - round(v / step)) <= 1e-12),
+        "%s in [%r, %r]" % (noun, lo, hi), cast, lo=lo, hi=hi, step=step)
+
+
+def count(lo, hi=math.inf):
+    """A check of an integer in [lo, hi]: an int, or a float that is one."""
+    return check(lambda v: _numeric(v) and lo <= v <= hi and (
+        isinstance(v, int) or float(v).is_integer()),
+        "an integer in [%r, %r]" % (lo, hi), int, lo=lo, hi=hi, step=1)
+
+
+def one_of(choices):
+    """A check of a string among `choices`."""
+    choices = tuple(choices)
+    return check(lambda v: isinstance(v, str) and v in choices,
+                 "one of %s" % ", ".join(choices), choices=choices)
+
+
+def read_params(name, table, given):
+    """The values of `name`'s parameter table for the mapping `given`: each
+    row's check of its given value, else its default (REQUIRED: none)."""
+    p = {}
+    for key, (default, row) in table.items():
+        if key in given:
+            p[key] = row(key, given[key])
+        elif default is REQUIRED:
+            raise StateParameterError("parameter-required", "%s needs "
+                                      "parameter %r" % (name, key), key)
+        else:
+            p[key] = default
+    for key in given:
+        if key not in table:
+            raise StateParameterError("undeclared-parameter", "%s takes no "
+                                      "parameter %r" % (name, key), key)
+    return p
+
+
+_real = number(-PARAM_MAX, PARAM_MAX)
+_positive = number(TINY, PARAM_MAX)
+_integer = number(-PARAM_MAX, PARAM_MAX, 1, lambda v: int(round(float(v))))
+_binary = count(0, 1)
+_spin = number(0, 4, 0.5, lambda v: round(2.0 * float(v)) / 2.0)
+_family = one_of(groups.FAMILIES)
+_callable = check(callable, "callable")
 
 
 # support draws: build(state, U, th, idx) -> coordinates of the even indices
@@ -289,8 +332,8 @@ KINDS = {
         lambda p, X: (X[..., 0] + 1j * X[..., 3]) ** int(round(2 * p["j"]))),
     "constant_one": Kind(None, {"family": ("heisenberg", _family)},
                          lambda p, X: np.ones(X.shape[:-1], dtype=complex)),
-    "custom": Kind(None, {"family": (_REQUIRED, _family),
-                          "evaluator": (_REQUIRED, _callable)}, None),
+    "custom": Kind(None, {"family": (REQUIRED, _family),
+                          "evaluator": (REQUIRED, _callable)}, None),
 }
 
 
@@ -300,16 +343,7 @@ def make_state(kind, /, **params):
     spec = KINDS.get(kind)
     if spec is None:
         raise StateParameterError("unknown-kind", "unknown state kind %r" % (kind,))
-    for key in params:
-        if key not in spec.params:
-            raise StateParameterError("undeclared-parameter", "%s takes no "
-                                      "parameter %r" % (kind, key), key)
-    p = {}
-    for key, (default, check) in spec.params.items():
-        if key not in params and default is _REQUIRED:
-            raise StateParameterError("parameter-required",
-                                      "%s needs parameter %r" % (kind, key), key)
-        p[key] = check(key, params.get(key, default))
+    p = read_params(kind, spec.params, params)
     loc = spec.localization(p) if spec.localization else None
     if loc and "H" in loc:
         loc.update({key: np.asarray(loc[key], dtype=float) for key in "Hx"})

@@ -4,13 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st_
+from hypothesis import given, strategies as st_
 
 import oracles
 from orbitstates import groups
 
-settings.register_profile("suite", deadline=None, max_examples=60)
-settings.load_profile("suite")
 
 coord = st_.floats(-3.0, 3.0, allow_nan=False)
 triple = st_.tuples(coord, coord, coord)

@@ -2,14 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st_
+from hypothesis import given, strategies as st_
 from scipy.special import j0
 
 from orbitstates import groups, states
 from orbitstates.tolerances import DEFAULT
 
-settings.register_profile("suite", deadline=None, max_examples=60)
-settings.load_profile("suite")
 
 BUILTIN = [
     ("heisenberg_loc_p", dict(k=1.3)),
