@@ -91,25 +91,49 @@ def orthonormalize(A):
     return u @ vt
 
 
-def expi(x):
+EXPI_BLOCK = 8192   # elements per pass of expi: three 64 KiB temporaries
+
+
+def expi(x, out=None):
     """e^{ix} for a real array x, from t = tan(x / 2) as ((1 - t^2) + 2t i)
     / (1 + t^2): numpy 2.4 on AVX512 vectorizes tan, where its float64 sin
     and cos and its complex exp run scalar libm loops (README, design notes).
     The imaginary part gets + 0.0, so expi(-0.0) is 1+0j; NaN and +-inf
-    give NaN.  Two float temporaries, the size of the complex result."""
+    give NaN.  Larger arrays go EXPI_BLOCK elements at a time, so the
+    temporaries stay in cache and under glibc's mmap threshold.  out, a
+    C-contiguous complex128 array of x's shape, receives the result and is
+    returned, so a loop can reuse one buffer."""
     x = np.asarray(x, dtype=float)
-    z = np.empty(x.shape, dtype=complex)
-    t, d, re = np.empty(x.shape), np.empty(x.shape), z.real
+    if out is None:
+        z = np.empty(x.shape, dtype=complex)
+    elif out.shape != x.shape or out.dtype != complex \
+            or not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous complex128 of shape %s, "
+                         "got %s %s" % (x.shape, out.dtype, out.shape))
+    else:
+        z = out
+    if x.size <= EXPI_BLOCK:
+        _expi_block(x, z)
+    else:
+        xf, zf = x.reshape(-1), z.reshape(-1)
+        for lo in range(0, xf.size, EXPI_BLOCK):
+            _expi_block(xf[lo:lo + EXPI_BLOCK], zf[lo:lo + EXPI_BLOCK])
+    return z
+
+
+def _expi_block(x, z):
+    """expi of x into z; the third temporary keeps every pass but the two
+    that write z contiguous (a strided divide costs twice a contiguous one)."""
+    t, d, r = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     np.multiply(x, 0.5, out=t)
     np.tan(t, out=t)
     np.multiply(t, t, out=d)
-    np.subtract(1.0, d, out=re)
+    np.subtract(1.0, d, out=r)
     np.add(d, 1.0, out=d)
-    np.divide(re, d, out=re)
+    np.divide(r, d, out=z.real)
     np.divide(t, d, out=t)
-    np.add(t, t, out=t)
-    np.add(t, 0.0, out=z.imag)
-    return z
+    np.add(t, 0.0, out=t)                   # 2 (t + 0) = 2t + 0, no -0.0
+    np.add(t, t, out=z.imag)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,12 @@ and the sphere action (helicity 0)
 
   (g f)(v) = e^{i<v, kc>} f(A^{-1} v).
 
-Quadrature sections keep a fixed Gauss-Legendre x uniform grid and compose
-evaluators, so rotations never touch the nodes or weights; values are
-materialized on the grid for inner products.
+Quadrature sections keep a fixed Gauss-Legendre x uniform grid; an acted
+section's evaluator calls the one formula above on rotated points, so
+rotations never touch the nodes or weights, and values are materialized on
+the grid for inner products.  A quadrature section without an evaluator is
+rotation-invariant, so constant on the sphere (`constant_section`):
+f(A^{-1} v) = f(v), and nothing is rotated for it.
 
 The irreducibility/disjointness criterion for induced actions (characters
 that match on H and g K g^{-1}, and finitely many double cosets) is
@@ -46,6 +49,10 @@ class SectionVector:
         self.evaluator = evaluator
         if mode == "counting" and len(self.values) != len(self.support):
             raise ValueError("support/values length mismatch")
+        if mode == "quadrature" and evaluator is None and self.values.size \
+                and np.any(self.values != self.values.flat[0]):
+            raise ValueError("a quadrature section without an evaluator is "
+                             "rotation-invariant, so constant")
 
     def norm(self):
         return float(np.sqrt(inner(self, self).real))
@@ -69,12 +76,21 @@ def inner(f, g):
     if f.mode != g.mode:
         raise ValueError("mode mismatch")
     if f.mode == "quadrature":
+        _same_grid(f, g)
         return np.sum(f.weights * np.conj(f.values) * g.values, axis=-1)
     fk, gk = (np.rint(h.support.reshape(h.values.shape + (-1,))
                       / DEFAULT.support_grid) for h in (f, g))
     same = (fk[..., :, None, :] == gk[..., None, :, :]).all(-1)
     terms = np.conj(f.values)[..., :, None] * g.values[..., None, :]
     return np.sum(np.where(same, terms, 0.0), axis=(-2, -1))
+
+
+def _same_grid(f, g):
+    n, m = f.values.shape[-1], g.values.shape[-1]
+    if n != m or not (f.weights is g.weights
+                      or np.array_equal(f.weights, g.weights)):
+        raise ValueError("quadrature sections on different grids "
+                         "(%d and %d nodes)" % (n, m))
 
 
 class HeisenbergRow:
@@ -115,8 +131,9 @@ class EuclidAction:
     """Helicity-zero sphere action for wavenumber k.
 
     Counting mode rotates the support points, for every element of a
-    coordinate stack G; quadrature mode composes the evaluator of one
-    element and re-materializes values on the fixed grid.
+    coordinate stack G; quadrature mode takes one element and gives the
+    acted section an evaluator, `_wave` on the points it is called at,
+    with its values on the fixed grid.
     """
 
     def __init__(self, k):
@@ -133,12 +150,28 @@ class EuclidAction:
             vals = groups.expi(np.sum(new * kc[..., None, :], axis=-1)) \
                 * f.values
             return SectionVector(new, vals, mode="counting")
-        base = f.evaluator
-        def evaluator(v, base=base, A=A, kc=kc):
-            return groups.expi(v @ kc) * base(v @ A)   # v @ A = A^T v rows
+        if kc.ndim != 1:
+            raise ValueError("quadrature mode takes one element, got a "
+                             "stack of shape %s" % (kc.shape[:-1],))
+        def evaluator(v):
+            z = _wave(v, A, kc, f)
+            if f.evaluator is None:
+                z *= f.values.flat[0]
+            return z
         vals = evaluator(f.support)
         return SectionVector(f.support, vals, mode="quadrature",
                              weights=f.weights, evaluator=evaluator)
+
+
+def _wave(v, A, kc, f, x=None, out=None):
+    """e^{i<v, kc>} f(A^T v) at the points v (n, 3) for one element (A, c)
+    and kc = k c, the sphere action's formula.  A rotation-invariant f is
+    not rotated and its one value, f(A^T v) = f(v), is left to the caller.
+    x and out are (n,) float and complex buffers to reuse."""
+    z = groups.expi(np.dot(v, kc, out=x), out=out)
+    if f.evaluator is not None:
+        z *= f.evaluator(v @ A)                # v @ A = A^T v rows
+    return z
 
 
 def sphere_grid(n_theta=64, n_phi=128):
@@ -154,11 +187,10 @@ def sphere_grid(n_theta=64, n_phi=128):
 
 
 def constant_section(n_theta=64, n_phi=128):
+    """The rotation-invariant section 1 on the sphere grid."""
     pts, w = sphere_grid(n_theta, n_phi)
-    def evaluator(v):
-        return np.ones(v.shape[:-1], dtype=complex)
     return SectionVector(pts, np.ones(len(pts), dtype=complex),
-                         mode="quadrature", weights=w, evaluator=evaluator)
+                         mode="quadrature", weights=w)
 
 
 def matrix_coefficient(action, f, G):
@@ -166,15 +198,24 @@ def matrix_coefficient(action, f, G):
     leading shape; f must be normalized.
 
     Quadrature sections fill the whole grid for each element, so they take
-    the stack one element at a time, against weights * conj(f) formed once
-    (inner's quadrature sum, term for term).
+    the stack one element at a time: `_wave` writes each element's values
+    into one reused buffer, and the coefficient is its dot product with
+    weights * conj(f), formed once (times f for a rotation-invariant f,
+    whose values `_wave` leaves out).
     """
     if abs(f.norm() - 1.0) > 1e-9:
         raise ValueError("section must be normalized (|f| = %.6g)" % f.norm())
     if f.mode == "counting":
         return inner(f, action.apply(G, f))
+    if not isinstance(action, EuclidAction):
+        raise ValueError("quadrature sections need the sphere action")
     wf = f.weights * np.conj(f.values)
-    out = np.empty(G.shape[:-1], dtype=complex)
+    if f.evaluator is None:
+        wf *= f.values
+    A, c = groups.euclid_parts(np.asarray(G, dtype=float))
+    kc = action.k * c
+    x, z = np.empty(len(wf)), np.empty(len(wf), dtype=complex)
+    out = np.empty(kc.shape[:-1], dtype=complex)
     for i in np.ndindex(out.shape):
-        out[i] = np.sum(wf * action.apply(G[i], f).values, axis=-1)
+        out[i] = wf @ _wave(f.support, A[i], kc[i], f, x, z)
     return out[()]

@@ -97,10 +97,11 @@ def bohr_atom(state, Z, omega, T, N=2 ** 14):
 def _lattice(T, N):
     """The frequency lattice pi n / T, n in [-floor(N/2), ceil(N/2) - 1]
     ([-N/2, N/2) for even N, symmetric for odd N), ascending, and the map
-    from samples on the midpoint grid to their Bohr means there."""
+    from samples on the midpoint grid to their Bohr means there.  The FFT
+    phase e^{i pi n (1 - 1/N)} is (-1)^n, exactly, times a unit phase."""
     n = np.arange(N)
     n[n >= (N + 1) // 2] -= N
-    phase = np.exp(1j * np.pi * n) * np.exp(-1j * np.pi * n / N)
+    phase = np.where(n % 2, -1.0, 1.0) * groups.expi(-np.pi * n / N)
     omegas = np.pi * n / T
     order = np.argsort(omegas)
     return omegas[order], lambda y: (phase * np.fft.fft(y) / N)[order]

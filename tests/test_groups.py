@@ -685,6 +685,53 @@ def test_expi_keeps_the_shape_and_gives_complex128():
         assert np.max(np.abs(z - np.exp(1j * x))) <= 1e-15
 
 
+EXPI_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf,
+                       1e300, -1e300])
+
+
+def test_expi_into_out_is_bit_identical():
+    inputs = [np.asarray(x) for x in EXPI_EDGES] + [
+        EXPI_EDGES, np.append(EXPI_EDGES, [0.5, -2.0, 3.0]).reshape(3, 4)]
+    for x in inputs:
+        out = np.full(x.shape, 7.0 - 3.0j)
+        with np.errstate(invalid="ignore"):
+            want = groups.expi(x)
+            got = groups.expi(x, out=out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+    zero = np.empty((), dtype=complex)
+    assert groups.expi(-0.0, out=zero) is zero
+    assert (float(zero.real).hex(), float(zero.imag).hex()) \
+        == ((1.0).hex(), (0.0).hex())
+
+
+def test_expi_refuses_an_out_of_another_shape_or_type():
+    x = np.zeros(4)
+    for out in (np.empty(5, dtype=complex), np.empty((1, 4), dtype=complex),
+                np.empty(4), np.empty(8, dtype=complex)[::2]):
+        with pytest.raises(ValueError):
+            groups.expi(x, out=out)
+
+
+def test_expi_in_blocks_equals_expi_in_one_pass():
+    # past EXPI_BLOCK elements expi goes block by block; every element is
+    # the same bits as in a call that takes it in one pass
+    n = groups.EXPI_BLOCK
+    rng = np.random.default_rng(15)
+    x = rng.uniform(-50, 50, 3 * n + 3)
+    x[[0, n - 1, n, -1]] = [-0.0, np.pi, 5e-324, -0.0]
+    pieces = [groups.expi(x[lo:lo + 1000]) for lo in range(0, len(x), 1000)]
+    want = np.concatenate(pieces)
+    assert groups.expi(x).tobytes() == want.tobytes()
+    out = np.empty(len(x), dtype=complex)
+    assert groups.expi(x, out=out) is out and out.tobytes() == want.tobytes()
+    table = x[:3 * n].reshape(3, n)
+    assert groups.expi(table).tobytes() == want[:3 * n].tobytes()
+    strided = rng.uniform(-50, 50, (n + 5, 3))[:, ::2]
+    assert groups.expi(strided).tobytes() == np.stack(
+        [groups.expi(strided[:, 0]), groups.expi(strided[:, 1])], -1).tobytes()
+
+
 def _unit_phase_calls(tree):
     """The innermost enclosing function ("<module>" at top level) of each
     np.exp call whose argument holds an imaginary literal."""
@@ -707,11 +754,10 @@ def _unit_phase_calls(tree):
 
 def test_unit_phases_go_through_expi():
     # every e^{ix} of src is groups.expi, so both sides of an identity that
-    # must meet to the last bit round alike.  Two sites stay: the trial
-    # coefficient draw (keeping every trial tuple) and the lattice phase of
-    # the spectral scan (computed once per lattice)
+    # must meet to the last bit round alike.  One site stays: the trial
+    # coefficient draw (keeping every trial tuple)
     src = Path(groups.__file__).parent
     found = {path.name: _unit_phase_calls(ast.parse(path.read_text()))
              for path in sorted(src.glob("*.py"))}
     assert {name: f for name, f in found.items() if f} == {
-        "orbits.py": ["_draw_block"], "spectral.py": ["_lattice", "_lattice"]}
+        "orbits.py": ["_draw_block"]}

@@ -204,3 +204,98 @@ def test_inner_mode_mismatch():
     g = induced.constant_section(8, 16)
     with pytest.raises(ValueError):
         induced.inner(f, g)
+
+
+def test_inner_refuses_sections_on_different_grids():
+    # a one-node grid used to broadcast silently: (f, g) read 1+0j
+    f = induced.constant_section(8, 16)
+    for g, m in [(induced.constant_section(1, 1), 1),
+                 (induced.constant_section(4, 8), 32),
+                 (induced.constant_section(16, 8), 128)]:
+        for a, b, sizes in [(f, g, (128, m)), (g, f, (m, 128))]:
+            with pytest.raises(ValueError, match=r"different grids \(%d and "
+                               r"%d nodes\)" % sizes):
+                induced.inner(a, b)
+
+
+def test_quadrature_section_without_evaluator_must_be_constant():
+    pts, w = induced.sphere_grid(8, 16)
+    with pytest.raises(ValueError, match="rotation-invariant"):
+        induced.SectionVector(pts, pts[:, 2], mode="quadrature", weights=w)
+
+
+def test_quadrature_action_takes_one_element():
+    act, f = induced.EuclidAction(1.0), induced.constant_section(8, 16)
+    for n in (2, 3):
+        G = groups.random_elements("euclid", np.random.default_rng(n), n)
+        with pytest.raises(ValueError, match="one element"):
+            act.apply(G, f)
+
+
+def test_quadrature_coefficient_needs_the_sphere_action():
+    with pytest.raises(ValueError, match="sphere action"):
+        induced.matrix_coefficient(induced.HeisenbergRow("a"),
+                                   induced.constant_section(8, 16),
+                                   np.zeros(3))
+
+
+def test_constant_section_is_neither_rotated_nor_rebuilt(monkeypatch):
+    # a rotation-invariant section's coefficient reads only the translation:
+    # the rotation blocks may be anything, and no section is built per element
+    rng = np.random.default_rng(12)
+    G = groups.random_elements("euclid", rng, 5)
+    act, f = induced.EuclidAction(1.5), induced.constant_section()
+    want = induced.matrix_coefficient(act, f, G)
+    monkeypatch.setattr(induced, "SectionVector", None)
+    monkeypatch.setattr(induced.EuclidAction, "apply", None)
+    H = G.copy()
+    H[:, :9] = np.nan
+    assert induced.matrix_coefficient(act, f, H).tobytes() == want.tobytes()
+
+
+def _dipole_section(n_theta=64, n_phi=128):
+    """f(v) = sqrt(3) v_z, of unit norm on the sphere."""
+    pts, w = induced.sphere_grid(n_theta, n_phi)
+    def evaluator(v):
+        return np.sqrt(3.0) * v[..., 2]
+    return induced.SectionVector(pts, evaluator(pts), mode="quadrature",
+                                 weights=w, evaluator=evaluator)
+
+
+def test_dipole_section_action_composes_on_the_grid():
+    f = _dipole_section()
+    assert abs(f.norm() - 1.0) <= 1.5e-15
+    act = induced.EuclidAction(1.7)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        g, h = groups.random_elements("euclid", rng, 2)
+        two_step = act.apply(g, act.apply(h, f))
+        one_step = act.apply(groups.compose_coords("euclid", g, h), f)
+        assert np.max(np.abs(two_step.values - one_step.values)) <= 1e-12
+        assert abs(two_step.norm() - 1.0) <= 1e-14
+
+
+def test_dipole_section_coefficients_match_the_quadrature_sum():
+    k = 1.7
+    f = _dipole_section()
+    v, w = f.support, f.weights
+    G = groups.random_elements("euclid", np.random.default_rng(14), 8)
+    got = induced.matrix_coefficient(induced.EuclidAction(k), f, G)
+    A, c = groups.euclid_parts(G)
+    for i in range(len(G)):
+        # f(A^T v) at each grid point, and the plane wave e^{i<v, kc>}
+        rotated = np.sqrt(3.0) * (v @ A[i])[:, 2]
+        want = np.sum(w * np.conj(f.values) * rotated
+                      * np.exp(1j * (v @ (k * c[i]))))
+        assert abs(got[i] - want) <= 1e-14
+
+
+def test_stacked_dipole_coefficients_equal_per_element():
+    f = _dipole_section(8, 16)
+    G = groups.random_elements("euclid", np.random.default_rng(15), 6)
+    act = induced.EuclidAction(2.0)
+    one = np.array([induced.matrix_coefficient(act, f, G[i])
+                    for i in range(6)])
+    assert induced.matrix_coefficient(act, f, G).tobytes() == one.tobytes()
+    assert induced.matrix_coefficient(act, f, G.reshape(3, 2, 12)).tobytes() \
+        == one.reshape(3, 2).tobytes()
